@@ -75,16 +75,15 @@
 //	    acknowledged as duplicates.
 //
 //	dayu watch -server http://host:8080 [-interval d] [-once] [-horizon d]
-//	           [-sse=false]
 //	    Follow a serve instance from the terminal: subscribe to the
 //	    /v1/live/events stream (one pushed event per snapshot change,
-//	    resumed with Last-Event-ID across reconnects) and print stream
-//	    progress (complete vs in-flight tasks, WAL state) plus any
-//	    anti-pattern findings as they appear. Servers without the
-//	    stream — or -sse=false — fall back to polling /healthz and
-//	    /v1/live/diagnostics every -interval. -horizon restricts
-//	    diagnostics to the trailing window (must be non-negative);
-//	    -once prints a single observation for scripts.
+//	    resumed with Last-Event-ID across reconnects) and, on each
+//	    event, print stream progress (complete vs in-flight tasks, WAL
+//	    state) plus any anti-pattern findings from /healthz and
+//	    /v1/live/diagnostics. A server without the stream is an error.
+//	    -horizon restricts diagnostics to the trailing window (must be
+//	    non-negative); -interval is the delay before reconnecting a
+//	    dropped stream; -once prints a single observation for scripts.
 //
 //	dayu convert -traces dir -o dir [-format dtb|json]
 //	    Rewrite a trace directory in the requested serialization
@@ -97,7 +96,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -106,7 +104,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -762,45 +759,6 @@ type watchFinding struct {
 	Detail   string `json:"detail"`
 }
 
-// watchPrinter renders observations for dayu watch, deduplicating the
-// findings list by snapshot id so both transports (SSE, polling) print
-// identically.
-type watchPrinter struct {
-	lastSnapshot string
-}
-
-func (p *watchPrinter) print(status, snapshot string, partial, complete string, findings []watchFinding, wal *serve.WALHealth) {
-	line := fmt.Sprintf("%s %s: %s complete, %s in flight, %d findings",
-		time.Now().Format("15:04:05"), status, complete, partial, len(findings))
-	if wal != nil {
-		line += fmt.Sprintf(" | wal: %d pending, %d quarantined",
-			wal.PendingRecords, wal.Quarantined)
-	}
-	fmt.Println(line)
-	if snapshot != p.lastSnapshot {
-		// Only re-print the findings when the served state changed.
-		for _, f := range findings {
-			loc := f.Task
-			if f.File != "" {
-				loc += " " + f.File
-			}
-			if f.Object != "" {
-				loc += " " + f.Object
-			}
-			fmt.Printf("  [%s] %s %s: %s\n", f.Severity, f.Kind, loc, f.Detail)
-		}
-		p.lastSnapshot = snapshot
-	}
-}
-
-// watchEvent mirrors the /v1/live/events data payload.
-type watchEvent struct {
-	Snapshot      string         `json:"snapshot"`
-	PartialTasks  int            `json:"partial_tasks"`
-	CompleteTasks int            `json:"complete_tasks"`
-	Findings      []watchFinding `json:"findings"`
-}
-
 // sseEvent is one parsed server-sent event.
 type sseEvent struct {
 	id, event string
@@ -838,75 +796,12 @@ func readSSEEvent(rd *bufio.Reader) (sseEvent, error) {
 	}
 }
 
-// errSSEUnsupported marks a server without /v1/live/events (or a proxy
-// that breaks streaming); watch falls back to polling.
-var errSSEUnsupported = errors.New("server does not support /v1/live/events")
-
-// watchSSE follows the event stream until ctx ends or the connection
-// drops; it returns the Last-Event-ID to resume from. A nil error with
-// done=true means -once was satisfied.
-func watchSSE(ctx context.Context, server, query, lastID string, once bool, p *watchPrinter) (string, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, server+"/v1/live/events"+query, nil)
-	if err != nil {
-		return lastID, false, err
-	}
-	if lastID != "" {
-		req.Header.Set("Last-Event-ID", lastID)
-	}
-	// No client timeout: the stream is long-lived and heartbeats keep
-	// it distinguishable from a dead peer.
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return lastID, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusNotImplemented {
-		return lastID, false, errSSEUnsupported
-	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return lastID, false, fmt.Errorf("%s/v1/live/events: status %d: %s", server, resp.StatusCode, string(body))
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
-		return lastID, false, errSSEUnsupported
-	}
-	rd := bufio.NewReader(resp.Body)
-	for {
-		ev, err := readSSEEvent(rd)
-		if err != nil {
-			return lastID, false, err
-		}
-		switch ev.event {
-		case "lagged":
-			fmt.Fprintln(os.Stderr, "dayu watch: lagging behind the event stream (intermediate states skipped)")
-		case "snapshot":
-			if ev.id != "" {
-				lastID = ev.id
-			}
-			var we watchEvent
-			if err := json.Unmarshal([]byte(ev.data), &we); err != nil {
-				return lastID, false, fmt.Errorf("decode event: %w", err)
-			}
-			var health serve.Health
-			status := "?"
-			if err := getJSON(&http.Client{Timeout: 10 * time.Second}, server+"/healthz", &health); err == nil {
-				status = health.Status
-			}
-			p.print(status, we.Snapshot, strconv.Itoa(we.PartialTasks), strconv.Itoa(we.CompleteTasks), we.Findings, health.WAL)
-			if once {
-				return lastID, true, nil
-			}
-		}
-	}
-}
-
 func cmdWatch(args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	server := fs.String("server", "http://127.0.0.1:8080", "dayu serve base URL")
-	interval := fs.Duration("interval", 2*time.Second, "poll interval (and SSE reconnect delay)")
+	interval := fs.Duration("interval", 2*time.Second, "delay before reconnecting a dropped event stream")
 	once := fs.Bool("once", false, "print one observation and exit")
 	horizon := fs.Duration("horizon", 0, "restrict diagnostics to the trailing horizon (0 = whole run)")
-	sse := fs.Bool("sse", true, "follow /v1/live/events (server push); -sse=false forces polling")
 	fs.Parse(args)
 
 	if *horizon < 0 {
@@ -914,18 +809,20 @@ func cmdWatch(args []string) error {
 		// "whole run" — silently ignoring it hid typos like -horizon -5s.
 		return fmt.Errorf("watch: -horizon must be non-negative (got %s)", *horizon)
 	}
-	query := ""
+	diagURL := *server + "/v1/live/diagnostics"
 	if *horizon > 0 {
-		query = "?horizon=" + horizon.String()
+		diagURL += "?horizon=" + horizon.String()
 	}
+	eventsURL := *server + "/v1/live/events"
 
 	hc := &http.Client{Timeout: 30 * time.Second}
-	diagURL := *server + "/v1/live/diagnostics" + query
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	printer := &watchPrinter{}
+	// observe prints one observation: /healthz plus the (horizon-
+	// restricted) live diagnostics. The findings list is re-printed only
+	// when the served snapshot changed.
+	lastSnapshot := ""
 	observe := func() error {
 		var health serve.Health
 		if err := getJSON(hc, *server+"/healthz", &health); err != nil {
@@ -948,54 +845,98 @@ func cmdWatch(args []string) error {
 		if err := json.NewDecoder(resp.Body).Decode(&findings); err != nil {
 			return fmt.Errorf("decode diagnostics: %w", err)
 		}
-		printer.print(health.Status, resp.Header.Get("X-Dayu-Snapshot"),
-			resp.Header.Get("X-Dayu-Partial-Tasks"), resp.Header.Get("X-Dayu-Complete-Tasks"),
-			findings, health.WAL)
+		line := fmt.Sprintf("%s %s: %s complete, %s in flight, %d findings",
+			time.Now().Format("15:04:05"), health.Status, resp.Header.Get("X-Dayu-Complete-Tasks"),
+			resp.Header.Get("X-Dayu-Partial-Tasks"), len(findings))
+		if wal := health.WAL; wal != nil {
+			line += fmt.Sprintf(" | wal: %d pending, %d quarantined", wal.PendingRecords, wal.Quarantined)
+		}
+		fmt.Println(line)
+		if snapshot := resp.Header.Get("X-Dayu-Snapshot"); snapshot != lastSnapshot {
+			for _, f := range findings {
+				loc := f.Task
+				if f.File != "" {
+					loc += " " + f.File
+				}
+				if f.Object != "" {
+					loc += " " + f.Object
+				}
+				fmt.Printf("  [%s] %s %s: %s\n", f.Severity, f.Kind, loc, f.Detail)
+			}
+			lastSnapshot = snapshot
+		}
 		return nil
 	}
 
-	if *sse {
-		lastID := ""
+	// follow holds one /v1/live/events connection open and observes on
+	// every snapshot event: the stream is only the change signal, what
+	// is printed always comes from observe. It returns retry=true when
+	// the connection dropped and is worth re-establishing (resuming from
+	// lastID), retry=false when watch is finished — -once was satisfied,
+	// or the server has no event stream at all.
+	lastID := ""
+	follow := func() (retry bool, err error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, eventsURL, nil)
+		if err != nil {
+			return false, err
+		}
+		if lastID != "" {
+			req.Header.Set("Last-Event-ID", lastID)
+		}
+		// No client timeout: the stream is long-lived and heartbeats keep
+		// it distinguishable from a dead peer.
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return true, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			// A 5xx may pass (the first ingest still running); a 4xx or
+			// 501 — no such endpoint — will not fix itself.
+			body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+			return resp.StatusCode >= 500 && resp.StatusCode != http.StatusNotImplemented,
+				fmt.Errorf("%s: status %d: %s (dayu watch needs the server's event stream)", eventsURL, resp.StatusCode, strings.TrimSpace(string(body)))
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
+			return false, fmt.Errorf("%s answered %q, not an event stream (a buffering proxy in between?)", eventsURL, ct)
+		}
+		rd := bufio.NewReader(resp.Body)
 		for {
-			id, done, err := watchSSE(ctx, *server, query, lastID, *once, printer)
-			lastID = id
-			if done {
-				return nil
-			}
-			if errors.Is(err, errSSEUnsupported) {
-				fmt.Fprintln(os.Stderr, "dayu watch: no event stream, falling back to polling")
-				break
-			}
-			if ctx.Err() != nil {
-				return nil
-			}
+			ev, err := readSSEEvent(rd)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "dayu watch: event stream: %v (reconnecting in %s)\n", err, *interval)
+				return true, err
 			}
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(*interval):
+			switch ev.event {
+			case "lagged":
+				fmt.Fprintln(os.Stderr, "dayu watch: lagging behind the event stream (intermediate states skipped)")
+			case "snapshot":
+				if ev.id != "" {
+					lastID = ev.id
+				}
+				err := observe()
+				if *once {
+					return false, err
+				}
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "dayu watch: %v\n", err)
+				}
 			}
 		}
 	}
 
-	if err := observe(); err != nil {
-		return err
-	}
-	if *once {
-		return nil
-	}
-	ticker := time.NewTicker(*interval)
-	defer ticker.Stop()
 	for {
+		retry, err := follow()
+		if ctx.Err() != nil {
+			return nil
+		}
+		if !retry {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "dayu watch: event stream: %v (reconnecting in %s)\n", err, *interval)
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-ticker.C:
-			if err := observe(); err != nil {
-				fmt.Fprintf(os.Stderr, "dayu watch: %v\n", err)
-			}
+		case <-time.After(*interval):
 		}
 	}
 }

@@ -38,9 +38,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
-
-	"dayu/internal/diagnose"
 )
 
 // eventRingSize bounds Last-Event-ID replay. Full-state events make
@@ -60,9 +59,9 @@ type eventSub struct {
 }
 
 // eventsBroadcaster fans snapshot changes out to SSE subscribers. The
-// zero value is ready; it shares the Server's partialMu-free locking
-// discipline (its own mutex, never held across I/O).
+// zero value is ready; its mutex is never held across I/O.
 type eventsBroadcaster struct {
+	mu     sync.Mutex
 	nextID uint64
 	lastID string // snapshot id of the newest published event
 	ring   []liveEvent
@@ -72,10 +71,9 @@ type eventsBroadcaster struct {
 // publish announces a snapshot if it differs from the last announced
 // one. Called from refresh (single writer under ingestMu); never
 // blocks.
-func (s *Server) publishEvent(snap *snapshot) {
-	b := &s.events
-	s.eventMu.Lock()
-	defer s.eventMu.Unlock()
+func (b *eventsBroadcaster) publish(snap *snapshot) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.lastID == snap.id {
 		return
 	}
@@ -83,7 +81,7 @@ func (s *Server) publishEvent(snap *snapshot) {
 }
 
 // appendLocked assigns the next id, records the event in the replay
-// ring, and fans it out non-blocking. Callers hold eventMu.
+// ring, and fans it out non-blocking. Callers hold b.mu.
 func (b *eventsBroadcaster) appendLocked(snap *snapshot) liveEvent {
 	b.nextID++
 	b.lastID = snap.id
@@ -107,10 +105,9 @@ func (b *eventsBroadcaster) appendLocked(snap *snapshot) liveEvent {
 // else one full current-state event (seeded from snap if nothing was
 // ever published). snap may be nil only when the server has never
 // built a snapshot; then there is nothing to send until publish.
-func (s *Server) subscribeEvents(lastID uint64, snap *snapshot) (*eventSub, []liveEvent) {
-	s.eventMu.Lock()
-	defer s.eventMu.Unlock()
-	b := &s.events
+func (b *eventsBroadcaster) subscribe(lastID uint64, snap *snapshot) (*eventSub, []liveEvent) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.subs == nil {
 		b.subs = map[*eventSub]struct{}{}
 	}
@@ -145,16 +142,16 @@ func (s *Server) subscribeEvents(lastID uint64, snap *snapshot) (*eventSub, []li
 	return sub, []liveEvent{newest}
 }
 
-func (s *Server) unsubscribeEvents(sub *eventSub) {
-	s.eventMu.Lock()
-	delete(s.events.subs, sub)
-	s.eventMu.Unlock()
+func (b *eventsBroadcaster) unsubscribe(sub *eventSub) {
+	b.mu.Lock()
+	delete(b.subs, sub)
+	b.mu.Unlock()
 }
 
 // takeLagged consumes the subscriber's lagged mark.
-func (s *Server) takeLagged(sub *eventSub) bool {
-	s.eventMu.Lock()
-	defer s.eventMu.Unlock()
+func (b *eventsBroadcaster) takeLagged(sub *eventSub) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	l := sub.lagged
 	sub.lagged = false
 	return l
@@ -164,13 +161,8 @@ func (s *Server) takeLagged(sub *eventSub) bool {
 // plus the exact /v1/live/diagnostics body for the snapshot, shared
 // through the snapshot's render cache.
 func (s *Server) liveEventPayload(snap *snapshot) ([]byte, error) {
-	key := "live-diagnose"
-	if snap.partialTasks == 0 {
-		key = "diagnose"
-	}
-	findings, err := s.render(snap, key, func() ([]byte, error) {
-		return diagnose.EncodeJSON(diagnose.Analyze(snap.liveTraces, snap.manifest, diagnose.Thresholds{}))
-	})
+	key, compute := snap.diagnoseRender(true, 0)
+	findings, err := s.render(snap, key, compute)
 	if err != nil {
 		return nil, err
 	}
@@ -219,8 +211,8 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 			lastID = n
 		}
 	}
-	sub, backlog := s.subscribeEvents(lastID, snap)
-	defer s.unsubscribeEvents(sub)
+	sub, backlog := s.events.subscribe(lastID, snap)
+	defer s.events.unsubscribe(sub)
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -236,7 +228,7 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 			// than corrupting the framing. The next event retries.
 			return true
 		}
-		if s.takeLagged(sub) {
+		if s.events.takeLagged(sub) {
 			if _, err := fmt.Fprint(w, "event: lagged\ndata: {}\n\n"); err != nil {
 				return false
 			}

@@ -303,22 +303,22 @@ func TestLiveParamValidation(t *testing.T) {
 // the integration tests cannot reach deterministically: ring trimming,
 // exact replay windows, and the lagged mark on overflow.
 func TestEventsBroadcaster(t *testing.T) {
-	s := &Server{}
+	b := &eventsBroadcaster{}
 	snapN := func(i int) *snapshot { return &snapshot{id: fmt.Sprintf("snap-%d", i)} }
 	for i := 1; i <= 40; i++ {
-		s.publishEvent(snapN(i))
+		b.publish(snapN(i))
 	}
-	if n := len(s.events.ring); n != eventRingSize {
+	if n := len(b.ring); n != eventRingSize {
 		t.Fatalf("ring holds %d events, want %d", n, eventRingSize)
 	}
-	if newest := s.events.ring[len(s.events.ring)-1]; newest.id != 40 {
+	if newest := b.ring[len(b.ring)-1]; newest.id != 40 {
 		t.Fatalf("newest id %d, want 40", newest.id)
 	}
 
 	// Publishing the same snapshot id again is a no-op.
-	s.publishEvent(snapN(40))
-	if s.events.nextID != 40 {
-		t.Errorf("duplicate publish advanced nextID to %d", s.events.nextID)
+	b.publish(snapN(40))
+	if b.nextID != 40 {
+		t.Errorf("duplicate publish advanced nextID to %d", b.nextID)
 	}
 
 	cases := []struct {
@@ -333,7 +333,7 @@ func TestEventsBroadcaster(t *testing.T) {
 		{1000, []uint64{40}},   // pre-restart id: unknown, full state
 	}
 	for _, tc := range cases {
-		sub, backlog := s.subscribeEvents(tc.lastID, nil)
+		sub, backlog := b.subscribe(tc.lastID, nil)
 		var got []uint64
 		for _, ev := range backlog {
 			got = append(got, ev.id)
@@ -341,34 +341,34 @@ func TestEventsBroadcaster(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("subscribe(lastID=%d) backlog = %v, want %v", tc.lastID, got, tc.want)
 		}
-		s.unsubscribeEvents(sub)
+		b.unsubscribe(sub)
 	}
 
 	// Overflowing a subscriber's buffer marks it lagged instead of
 	// blocking the publisher; the mark is consumed once.
-	sub, _ := s.subscribeEvents(40, nil)
+	sub, _ := b.subscribe(40, nil)
 	for i := 41; i <= 41+cap(sub.ch); i++ {
-		s.publishEvent(snapN(i))
+		b.publish(snapN(i))
 	}
-	if !s.takeLagged(sub) {
+	if !b.takeLagged(sub) {
 		t.Error("overflowed subscriber not marked lagged")
 	}
-	if s.takeLagged(sub) {
+	if b.takeLagged(sub) {
 		t.Error("lagged mark not consumed by takeLagged")
 	}
 	if len(sub.ch) != cap(sub.ch) {
 		t.Errorf("subscriber buffer holds %d, want full %d", len(sub.ch), cap(sub.ch))
 	}
-	s.unsubscribeEvents(sub)
+	b.unsubscribe(sub)
 
 	// A first subscriber before any publish seeds the stream from the
 	// current snapshot.
-	s2 := &Server{}
-	sub2, backlog := s2.subscribeEvents(0, snapN(1))
+	b2 := &eventsBroadcaster{}
+	sub2, backlog := b2.subscribe(0, snapN(1))
 	if len(backlog) != 1 || backlog[0].id != 1 || backlog[0].snap.id != "snap-1" {
 		t.Fatalf("seed backlog = %+v, want one event for snap-1", backlog)
 	}
-	s2.unsubscribeEvents(sub2)
+	b2.unsubscribe(sub2)
 }
 
 func idRange(lo, hi uint64) []uint64 {

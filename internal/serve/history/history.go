@@ -30,12 +30,14 @@ package history
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
+	"dayu/internal/atomicfile"
 	"dayu/internal/trace"
 )
 
@@ -275,32 +277,12 @@ func (s *Store) compactLocked() (removedManifests, removedBlobs int, err error) 
 	return removedManifests, removedBlobs, nil
 }
 
-// writeFileAtomic lands data at path via a same-directory temp file
-// and rename, so concurrent readers and crashed writers never observe
-// a partial file.
+// writeFileAtomic lands data at path through the tree's one atomic
+// writer. Unsynced: an entry lost to power failure is recorded again by
+// the first converged snapshot after the restart.
 func writeFileAtomic(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, "."+base+".tmp-*")
-	if err != nil {
+	return atomicfile.Write(path, false, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		tmp = nil
-		return err
-	}
-	tmp = nil
-	return nil
+	})
 }

@@ -105,10 +105,7 @@ func (s *Server) refresh() (*snapshot, error) {
 	}
 	// Streaming checkpoints change the live view without touching the
 	// directory; their generation counter is the change signal.
-	s.partialMu.Lock()
-	gen := s.partialsGen
-	s.partialMu.Unlock()
-	if gen != s.lastPartialsGen {
+	if s.partials.generation() != s.lastPartialsGen {
 		changed = true
 	}
 
@@ -125,7 +122,7 @@ func (s *Server) refresh() (*snapshot, error) {
 		return nil, err
 	}
 	s.snap.Store(next)
-	s.publishEvent(next)
+	s.events.publish(next)
 	s.ingests.Inc()
 	s.ingestNS.Observe(time.Since(start).Nanoseconds())
 	s.snapshotTasks.Set(int64(len(next.traces)))
@@ -248,18 +245,14 @@ func (s *Server) buildSnapshot() (*snapshot, error) {
 	}
 	var partialTraces []*trace.TaskTrace
 	var partialLines []string
-	s.partialMu.Lock()
-	s.lastPartialsGen = s.partialsGen
-	for task, pe := range s.partials {
-		if batchTasks[task] {
-			continue
-		}
+	var partials []*partialEntry
+	partials, s.lastPartialsGen = s.partials.capture(batchTasks)
+	for _, pe := range partials {
 		partialTraces = append(partialTraces, pe.trace)
 		hashByTrace[pe.trace] = pe.hash
 		hashes[pe.hash] = true
-		partialLines = append(partialLines, fmt.Sprintf("partial:%s=%s@%d", task, pe.hash, pe.seq))
+		partialLines = append(partialLines, fmt.Sprintf("partial:%s=%s@%d", pe.trace.Task, pe.hash, pe.seq))
 	}
-	s.partialMu.Unlock()
 	sort.Strings(partialLines)
 
 	ordered := analyzer.OrderTasks(traces, s.manifest)

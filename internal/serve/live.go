@@ -23,15 +23,13 @@ package serve
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
+	"sync"
 	"time"
 
-	"dayu/internal/analyzer"
 	"dayu/internal/diagnose"
 	"dayu/internal/trace"
 )
@@ -41,6 +39,115 @@ type partialEntry struct {
 	seq   uint64
 	hash  string // content hash of the checkpoint record bytes
 	trace *trace.TaskTrace
+}
+
+// partialSet is the server's streaming state: at most one retained
+// checkpoint per in-flight task (newest sequence number wins) and the
+// acknowledged checkpoint head per task. It owns its lock; nothing
+// outside its methods touches the maps. The zero value is not ready —
+// use newPartialSet.
+//
+// gen bumps on every mutation of entries so refresh can detect
+// live-state changes the directory scan cannot see.
+//
+// heads is the delta-ingest gate: a delta whose base sequence is not
+// the task's acknowledged head is NACKed with 409/resync before
+// touching the WAL, because ordered per-shard folding could never apply
+// it. Advanced at ack and fold time, seeded from persisted partials at
+// startup, cleared when the task's final retracts the partial.
+type partialSet struct {
+	mu      sync.Mutex
+	entries map[string]*partialEntry
+	gen     uint64
+	heads   map[string]uint64
+}
+
+func newPartialSet() *partialSet {
+	return &partialSet{entries: map[string]*partialEntry{}, heads: map[string]uint64{}}
+}
+
+// lookup returns the retained checkpoint for task, if any.
+func (p *partialSet) lookup(task string) (*partialEntry, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e, ok := p.entries[task]
+	return e, ok
+}
+
+// fold retains e as task's checkpoint unless a newer or equal one is
+// already held, and advances the task's head to it.
+func (p *partialSet) fold(task string, e *partialEntry) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if prev, ok := p.entries[task]; ok && prev.seq >= e.seq {
+		return
+	}
+	p.entries[task] = e
+	p.gen++
+	if e.seq > p.heads[task] {
+		p.heads[task] = e.seq
+	}
+}
+
+// retract drops task's checkpoint and head, reporting whether a
+// checkpoint was held.
+func (p *partialSet) retract(task string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, ok := p.entries[task]
+	if ok {
+		delete(p.entries, task)
+		p.gen++
+	}
+	delete(p.heads, task)
+	return ok
+}
+
+// head is the highest acknowledged checkpoint sequence for task.
+func (p *partialSet) head(task string) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.heads[task]
+}
+
+// ack advances task's head at acknowledgement time: the client's next
+// delta may arrive before the folder has applied this record, and
+// ordered folding will have its base in place by the time it folds.
+func (p *partialSet) ack(task string, seq uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if seq > p.heads[task] {
+		p.heads[task] = seq
+	}
+}
+
+// count is the number of tasks represented by a checkpoint.
+func (p *partialSet) count() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.entries)
+}
+
+// generation is the current mutation counter.
+func (p *partialSet) generation() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.gen
+}
+
+// capture hands the snapshot builder every retained checkpoint whose
+// task has no final trace (a final always shadows a partial), plus the
+// generation the capture saw.
+func (p *partialSet) capture(finals map[string]bool) ([]*partialEntry, uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []*partialEntry
+	for task, e := range p.entries {
+		if !finals[task] {
+			out = append(out, e)
+		}
+	}
+	return out, p.gen
 }
 
 // partialsDir is where retained checkpoint records persist across
@@ -75,9 +182,7 @@ func (s *Server) foldCheckpoint(data []byte, task string, meta trace.RecordMeta)
 	if s.finalExists(task) {
 		return nil // finals supersede partials
 	}
-	s.partialMu.Lock()
-	prev, ok := s.partials[task]
-	s.partialMu.Unlock()
+	prev, ok := s.partials.lookup(task)
 	if ok && prev.seq >= seq {
 		return nil // stale delivery (retries, reordering)
 	}
@@ -105,18 +210,10 @@ func (s *Server) foldCheckpoint(data []byte, task string, meta trace.RecordMeta)
 		s.deltaFolds.Inc()
 	}
 	path := filepath.Join(s.partialsDir(), trace.TraceFileName(task, trace.FormatBinary))
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := s.landBytes(path, data); err != nil {
 		return err
 	}
-	s.partialMu.Lock()
-	if prev, ok := s.partials[task]; !ok || prev.seq < seq {
-		s.partials[task] = &partialEntry{seq: seq, hash: trace.HashBytes(data), trace: tt}
-		s.partialsGen++
-		if seq > s.streamSeqs[task] {
-			s.streamSeqs[task] = seq
-		}
-	}
-	s.partialMu.Unlock()
+	s.partials.fold(task, &partialEntry{seq: seq, hash: trace.HashBytes(data), trace: tt})
 	s.partialFolds.Inc()
 	return nil
 }
@@ -126,15 +223,7 @@ func (s *Server) foldCheckpoint(data []byte, task string, meta trace.RecordMeta)
 // file's removal leaves a shadowed file; loadPartials cleans those up
 // on the next start.
 func (s *Server) retractPartial(task string) {
-	s.partialMu.Lock()
-	_, ok := s.partials[task]
-	if ok {
-		delete(s.partials, task)
-		s.partialsGen++
-	}
-	delete(s.streamSeqs, task)
-	s.partialMu.Unlock()
-	if ok {
+	if s.partials.retract(task) {
 		_ = os.Remove(filepath.Join(s.partialsDir(), trace.TraceFileName(task, trace.FormatBinary)))
 		s.partialRetracts.Inc()
 	}
@@ -168,141 +257,51 @@ func (s *Server) loadPartials() error {
 			_ = os.Remove(path)
 			continue
 		}
-		if prev, ok := s.partials[tt.Task]; ok && prev.seq >= meta.CheckpointSeq {
-			continue
-		}
-		s.partials[tt.Task] = &partialEntry{seq: meta.CheckpointSeq, hash: trace.HashBytes(data), trace: tt}
-		if meta.CheckpointSeq > s.streamSeqs[tt.Task] {
-			s.streamSeqs[tt.Task] = meta.CheckpointSeq
-		}
-		s.partialsGen++
+		s.partials.fold(tt.Task, &partialEntry{seq: meta.CheckpointSeq, hash: trace.HashBytes(data), trace: tt})
 	}
 	return nil
 }
 
-// liveGraphHandler serves /v1/live/ftg and /v1/live/sdg: the batch
-// graph overlaid with checkpoint traces for tasks still in flight.
-// ?window=<duration> additionally aggregates task nodes along the
-// time dimension (AggregateByTime) before rendering.
-func (s *Server) liveGraphHandler(which string) http.HandlerFunc {
+// diagnoseHandler serves /v1/diagnose and, with live set,
+// /v1/live/diagnostics: anti-pattern detection over the live trace set
+// (complete traces plus retained checkpoints). There ?horizon=<duration>
+// restricts the analysis to traces whose activity ends within the
+// trailing horizon, for "what is going wrong right now" queries on
+// long-running workflows. The two share one encoding, so once the
+// stream completes (zero partials, no horizon) the bytes are identical.
+func (s *Server) diagnoseHandler(live bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		snap, err := s.current()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		g := snap.liveFTG
-		if which == "sdg" {
-			g = snap.liveSDG
-		}
-		windowNS, ok := durationParam(w, r, "window")
-		if !ok {
-			return
-		}
-		format := r.URL.Query().Get("format")
-		if format == "" {
-			format = "json"
-		}
-		var contentType string
-		switch format {
-		case "json":
-			contentType = "application/json"
-		case "dot":
-			contentType = "text/vnd.graphviz; charset=utf-8"
-		case "html":
-			contentType = "text/html; charset=utf-8"
-		case "svg":
-			contentType = "image/svg+xml"
-		default:
-			http.Error(w, fmt.Sprintf("unknown format %q (json, dot, html, svg)", format), http.StatusBadRequest)
-			return
-		}
-		key := "live-" + which + "." + format
-		switch {
-		case windowNS > 0:
-			key = fmt.Sprintf("live-%s.w%d.%s", which, windowNS, format)
-		case snap.partialTasks == 0:
-			// No partials: the live graph aliases the batch graph, and
-			// sharing the render key makes the responses byte-identical
-			// (the equivalence gate at end of stream).
-			key = which + "." + format
-		}
-		body, err := s.render(snap, key, func() ([]byte, error) {
-			out := g
-			if windowNS > 0 {
-				// The cross-snapshot cache: when only a few tasks folded
-				// since the last render of this window, the fingerprint
-				// pass proves the windowed projection unchanged and the
-				// previous aggregation is reused (byte-identical output
-				// is the cache's contract).
-				agg, err := s.timeAgg.Aggregate(g, "live-"+which, snap.id, windowNS)
-				if err != nil {
-					return nil, err
-				}
-				out = agg
-			}
-			return renderGraph(out, format)
-		})
-		if err != nil {
-			if errors.Is(err, analyzer.ErrNonPositiveWindow) {
-				http.Error(w, err.Error(), http.StatusBadRequest)
+		var horizonNS int64
+		if live {
+			var ok bool
+			if horizonNS, ok = durationParam(w, r, "horizon"); !ok {
 				return
 			}
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
 		}
-		w.Header().Set("Content-Type", contentType)
-		s.setLiveHeaders(w, snap)
-		_, _ = w.Write(body)
+		s.serveRendered(w, "application/json", live, func(snap *snapshot) (string, renderFunc) {
+			return snap.diagnoseRender(live, horizonNS)
+		})
 	}
 }
 
-// handleLiveDiagnostics is /v1/live/diagnostics: anti-pattern
-// detection over the live trace set (complete traces plus retained
-// checkpoints). ?horizon=<duration> restricts the analysis to traces
-// whose activity ends within the trailing horizon, for "what is going
-// wrong right now" queries on long-running workflows. The response
-// encoding matches /v1/diagnose exactly, so once the stream completes
-// (zero partials, no horizon) the bytes are identical.
-func (s *Server) handleLiveDiagnostics(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.current()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
+// diagnoseRender names and computes the one diagnose body behind
+// /v1/diagnose, /v1/live/diagnostics and the SSE event payload. The
+// render keys are what make those three share bytes: with no partials
+// and no horizon the live view resolves to the batch key.
+func (snap *snapshot) diagnoseRender(live bool, horizonNS int64) (string, renderFunc) {
+	key, traces := "diagnose", snap.traces
+	if live && snap.partialTasks > 0 {
+		key, traces = "live-diagnose", snap.liveTraces
 	}
-	horizonNS, ok := durationParam(w, r, "horizon")
-	if !ok {
-		return
-	}
-	key := "live-diagnose"
-	switch {
-	case horizonNS > 0:
+	if horizonNS > 0 {
 		key = fmt.Sprintf("live-diagnose.h%d", horizonNS)
-	case snap.partialTasks == 0:
-		key = "diagnose" // byte-identical to /v1/diagnose
 	}
-	body, err := s.render(snap, key, func() ([]byte, error) {
-		traces := snap.liveTraces
+	return key, func() ([]byte, error) {
 		if horizonNS > 0 {
-			traces = horizonTraces(traces, horizonNS)
+			traces = horizonTraces(snap.liveTraces, horizonNS)
 		}
 		return diagnose.EncodeJSON(diagnose.Analyze(traces, snap.manifest, diagnose.Thresholds{}))
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	s.setLiveHeaders(w, snap)
-	_, _ = w.Write(body)
-}
-
-// setLiveHeaders stamps the snapshot identity and stream progress on
-// a live response.
-func (s *Server) setLiveHeaders(w http.ResponseWriter, snap *snapshot) {
-	w.Header().Set("X-Dayu-Snapshot", snap.id)
-	w.Header().Set("X-Dayu-Partial-Tasks", strconv.Itoa(snap.partialTasks))
-	w.Header().Set("X-Dayu-Complete-Tasks", strconv.Itoa(len(snap.traces)))
 }
 
 // durationParam parses an optional positive duration query parameter,

@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"time"
 
+	"dayu/internal/atomicfile"
 	"dayu/internal/trace"
 )
 
@@ -135,10 +136,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// lost the in-memory ack state, an evicted partial, a client
 		// bug — gets a 409 resync NACK carrying the sequence we do have,
 		// and the client re-pushes cumulative framing.
-		s.partialMu.Lock()
-		have := s.streamSeqs[tt.Task]
-		s.partialMu.Unlock()
-		if have != meta.DeltaBaseSeq {
+		if have := s.partials.head(tt.Task); have != meta.DeltaBaseSeq {
 			s.pushMu.Unlock()
 			s.deltaResyncs.Inc()
 			s.writePushResponseCode(w, http.StatusConflict, PushResponse{Status: "resync", Task: tt.Task, Seq: have})
@@ -187,15 +185,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.pushAccepted.Inc()
 	if meta.Incremental {
-		// The acknowledged checkpoint head advances at ack time, not
-		// fold time: the client's next delta may arrive before the
-		// folder has applied this record, and ordered folding will have
-		// its base in place by the time the delta folds.
-		s.partialMu.Lock()
-		if meta.CheckpointSeq > s.streamSeqs[tt.Task] {
-			s.streamSeqs[tt.Task] = meta.CheckpointSeq
-		}
-		s.partialMu.Unlock()
+		s.partials.ack(tt.Task, meta.CheckpointSeq)
 	}
 	s.updateWALGauges()
 	// Guaranteed not to block: the shard's foldQ has at least one slot
@@ -303,33 +293,10 @@ func (s *Server) foldOne(sh *shardIngest, job foldJob) {
 	delay := 10 * time.Millisecond
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
-		err := s.foldBytes(job.data)
-		if err == nil {
-			sh.wal.MarkFolded(job.seq)
+		if s.foldRecord(sh.wal, job.seq, job.data) == nil {
 			sh.foldNS.Observe(time.Since(start).Nanoseconds())
 			return
 		}
-		if errors.Is(err, errUnfoldable) {
-			// The payload can never fold (it validated at push time, so
-			// this means corruption that beat the CRC). Quarantine the
-			// bytes first — they are acknowledged data, and advancing
-			// the fold checkpoint without a copy would destroy the only
-			// evidence — then mark it folded so replay does not spin on
-			// it forever.
-			s.foldErrors.Inc()
-			s.lastErr.Store(&ingestError{err: fmt.Errorf("serve: fold record %d: %w", job.seq, err), when: time.Now()})
-			if qerr := s.quarantineRecord(s.quarantinePrefix(sh.idx), job.seq, job.data); qerr != nil {
-				// Could not preserve the bytes: leave the record pending
-				// in the WAL (the next replay retries the quarantine)
-				// rather than dropping acknowledged data.
-				s.lastErr.Store(&ingestError{err: fmt.Errorf("serve: quarantine record %d: %w", job.seq, qerr), when: time.Now()})
-				return
-			}
-			sh.wal.MarkFolded(job.seq)
-			return
-		}
-		s.foldErrors.Inc()
-		s.lastErr.Store(&ingestError{err: fmt.Errorf("serve: fold record %d: %w", job.seq, err), when: time.Now()})
 		if attempt >= attempts {
 			return // left pending in the WAL for the next replay
 		}
@@ -340,6 +307,42 @@ func (s *Server) foldOne(sh *shardIngest, job foldJob) {
 		}
 		delay *= 2
 	}
+}
+
+// foldRecord makes one attempt at folding an acknowledged record out of
+// wal and marks it folded, for the live folders and startup replay
+// alike. A payload that can never fold (it validated at push time, so
+// this means corruption that beat the CRC) is first quarantined —
+// advancing the fold checkpoint without a copy would destroy the only
+// evidence — and then marked folded so replay does not spin on it
+// forever. Any failure is counted and surfaced on /healthz; a non-nil
+// return means the record is still pending in the WAL.
+func (s *Server) foldRecord(wal *WAL, seq uint64, data []byte) error {
+	if err := s.foldBytes(data); err != nil {
+		err = fmt.Errorf("serve: fold record %d: %w", seq, err)
+		s.foldErrors.Inc()
+		s.lastErr.Store(&ingestError{err: err, when: time.Now()})
+		if !errors.Is(err, errUnfoldable) {
+			return err
+		}
+		// Quarantine names carry the WAL namespace's directory name
+		// (nothing for the flat root): every namespace numbers its
+		// records from zero, so bare names would collide, and a name
+		// that does not depend on whether the namespace is live or
+		// orphaned keeps re-quarantining idempotent across shard-count
+		// changes.
+		qprefix := ""
+		if wal.dir != s.cfg.WALDir {
+			qprefix = filepath.Base(wal.dir) + "-"
+		}
+		if qerr := s.quarantineRecord(qprefix, seq, data); qerr != nil {
+			qerr = fmt.Errorf("serve: quarantine record %d: %w", seq, qerr)
+			s.lastErr.Store(&ingestError{err: qerr, when: time.Now()})
+			return qerr
+		}
+	}
+	wal.MarkFolded(seq)
+	return nil
 }
 
 // errUnfoldable marks fold failures that no retry can cure.
@@ -353,27 +356,16 @@ func (s *Server) quarantineDir() string {
 	return filepath.Join(s.cfg.WALDir, "quarantine")
 }
 
-// quarantinePrefix namespaces quarantine file names by WAL shard:
-// every shard numbers its own records from zero, so without the prefix
-// two shards' records with equal sequence numbers would overwrite each
-// other. A single-shard server keeps the historical bare names.
-func (s *Server) quarantinePrefix(shardIdx int) string {
-	if s.coord.Shards() == 1 {
-		return ""
-	}
-	return fmt.Sprintf("shard-%d-", shardIdx)
-}
-
 // quarantineRecord persists an unfoldable record's raw bytes under the
-// quarantine directory, named by WAL sequence number (prefixed by its
-// shard namespace when sharded). Idempotent: re-quarantining the same
-// seq rewrites the same file.
+// quarantine directory, named by its WAL namespace prefix and sequence
+// number. Idempotent: re-quarantining the same seq rewrites the same
+// file.
 func (s *Server) quarantineRecord(prefix string, seq uint64, data []byte) error {
 	dir := s.quarantineDir()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, fmt.Sprintf("%srec-%d.bin", prefix, seq)), data)
+	return s.landBytes(filepath.Join(dir, fmt.Sprintf("%srec-%d.bin", prefix, seq)), data)
 }
 
 // countQuarantined reports how many records sit in quarantine.
@@ -408,7 +400,7 @@ func (s *Server) foldBytes(data []byte) error {
 	}
 	format := trace.SniffFormat(data)
 	path := filepath.Join(s.cfg.Dir, trace.TraceFileName(tt.Task, format))
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := s.landBytes(path, data); err != nil {
 		return err
 	}
 	// Remove a stale twin in the other serialization so the task is
@@ -427,39 +419,20 @@ func (s *Server) foldBytes(data []byte) error {
 	return nil
 }
 
-// writeFileAtomic lands data at path via a same-directory temp file
-// and rename, so concurrent readers and crashed writers never observe
-// a partial file.
-func writeFileAtomic(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, "."+base+".tmp-*")
-	if err != nil {
+// landBytes atomically lands one acknowledged payload (a folded trace,
+// a retained checkpoint, a quarantined record). MarkFolded follows each
+// of these writes and lets compaction delete the record's only synced
+// copy, so under FsyncAlways the file and its directory are synced
+// first; the other policies promise no more than the WAL itself does.
+func (s *Server) landBytes(path string, data []byte) error {
+	return atomicfile.Write(path, s.cfg.WAL.Fsync == FsyncAlways, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		tmp = nil
-		return err
-	}
-	tmp = nil
-	return nil
+	})
 }
 
 // updateWALGauges refreshes the WAL/queue gauges from live state: the
-// global gauges as sums across shards (at one shard, exactly the
-// pre-sharding values) plus each shard's own breakdown.
+// global gauges as sums across shards plus each shard's own breakdown.
 func (s *Server) updateWALGauges() {
 	if !s.pushEnabled() {
 		return
@@ -478,8 +451,5 @@ func (s *Server) updateWALGauges() {
 	s.walPending.Set(pending)
 	s.walSegments.Set(segments)
 	s.queueDepth.Set(depth)
-	s.partialMu.Lock()
-	partials := len(s.partials)
-	s.partialMu.Unlock()
-	s.partialGauge.Set(int64(partials))
+	s.partialGauge.Set(int64(s.partials.count()))
 }

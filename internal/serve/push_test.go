@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -204,6 +205,30 @@ func TestPushIngestAcceptFoldDedup(t *testing.T) {
 	}
 	if h.WAL.NextSeq != 2 || h.WAL.FoldedSeq != 2 || h.WAL.PendingRecords != 0 {
 		t.Errorf("wal health = %+v, want next=2 folded=2 pending=0", h.WAL)
+	}
+}
+
+// TestHealthzDegradedOnCheckpointFailure pins "failure is loud" for the
+// WAL directory: a checkpoint that cannot be written turns /healthz
+// degraded with the cause, while ingest itself keeps working.
+func TestHealthzDegradedOnCheckpointFailure(t *testing.T) {
+	walDir := t.TempDir()
+	blockCheckpoint(t, filepath.Join(walDir, "shard-0"))
+	env := newPushEnv(t, func(cfg *Config) { cfg.WALDir = walDir })
+
+	if status, pr, _ := postIngest(t, env.srv, makeTraceBytes(t, "ckpt_probe", trace.FormatJSON)); status != http.StatusOK || pr.Status != "accepted" {
+		t.Fatalf("push = %d %+v", status, pr)
+	}
+	waitTasks(t, env.s, 1)
+	waitWALDrained(t, env.s)
+
+	var h Health
+	getJSON(t, env.srv, "/healthz", &h)
+	if h.Status != "degraded" {
+		t.Errorf("status = %q with an unwritable checkpoint, want degraded", h.Status)
+	}
+	if h.WAL == nil || !strings.Contains(h.WAL.CheckpointError, "shard-0") {
+		t.Errorf("wal health = %+v, want a checkpoint_error naming shard-0", h.WAL)
 	}
 }
 
@@ -454,7 +479,11 @@ func TestPushConcurrentIdenticalPayloads(t *testing.T) {
 // TestPushCrashRecoveryEquivalence is the in-process crash gate: a WAL
 // left behind by a dead server — including a torn tail from a crash
 // mid-append — replays on startup into a server whose endpoints are
-// byte-identical to the batch CLI over the recovered trace set.
+// byte-identical to the batch CLI over the recovered trace set. The
+// dead server's log is in the pre-sharding flat-root layout, so this is
+// also the migration gate: the flat root replays as an orphan namespace
+// into a single-shard server, is left with no segments, and new appends
+// land under shard-0/.
 func TestPushCrashRecoveryEquivalence(t *testing.T) {
 	fixture := writeFixtureDir(t)
 	entries, err := os.ReadDir(fixture)
@@ -537,6 +566,24 @@ func TestPushCrashRecoveryEquivalence(t *testing.T) {
 	// recovered directory (which holds the exact fixture bytes).
 	checkAllEndpoints(t, srv, dir, "crash-recovery")
 
+	if segs, _ := filepath.Glob(filepath.Join(walDir, "wal-*.seg")); len(segs) != 0 {
+		t.Errorf("flat root still holds %d segments after replay", len(segs))
+	}
+	if st := s.walStats(); st.NextSeq != 0 {
+		t.Errorf("replayed flat-root records were re-logged: shard-0 next seq = %d", st.NextSeq)
+	}
+	if status, pr, _ := postIngest(t, srv, makeTraceBytes(t, "zz/after_migration", trace.FormatBinary)); status != http.StatusOK || pr.Status != "accepted" {
+		t.Fatalf("push after migration = %d %+v", status, pr)
+	}
+	waitTasks(t, s, records+1)
+	if segs, _ := filepath.Glob(filepath.Join(walDir, "shard-0", "wal-*.seg")); len(segs) != 1 {
+		t.Errorf("new append left %d segments under shard-0/, want 1", len(segs))
+	}
+	if segs, _ := filepath.Glob(filepath.Join(walDir, "wal-*.seg")); len(segs) != 0 {
+		t.Errorf("new append landed in the flat root (%d segments)", len(segs))
+	}
+	checkAllEndpoints(t, srv, dir, "crash-recovery+append")
+
 	// A second restart over the now-compacted WAL is a no-op.
 	s2 := mustServer(t, Config{
 		Dir: dir, WALDir: walDir, WAL: WALOptions{Fsync: FsyncNever}, PlanOptions: testPlanOpts,
@@ -568,14 +615,18 @@ func TestPushGracefulCloseDrains(t *testing.T) {
 	if len(files) != n {
 		t.Fatalf("after Close: %d trace files, want %d", len(files), n)
 	}
-	// ...and the WAL was fully folded and compacted.
-	w, pending, err := OpenWAL(env.walDir, WALOptions{Fsync: FsyncNever})
+	// ...and the WAL (the single shard's namespace) was fully folded and
+	// compacted.
+	w, pending, err := OpenWAL(filepath.Join(env.walDir, "shard-0"), WALOptions{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	if len(pending) != 0 {
 		t.Fatalf("WAL left %d pending records after graceful close", len(pending))
+	}
+	if st := w.Stats(); st.NextSeq != n || st.Folded != n {
+		t.Fatalf("shard-0 WAL at next=%d folded=%d after graceful close, want %d/%d", st.NextSeq, st.Folded, n, n)
 	}
 
 	// Pushes after close are refused with 503.

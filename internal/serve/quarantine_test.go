@@ -15,15 +15,28 @@ import (
 // missed) used to have its fold checkpoint advanced with no copy kept,
 // silently destroying acknowledged data. The bytes must now land in
 // WALDir/quarantine before MarkFolded, and survive any number of
-// restarts.
+// restarts. The file name carries the WAL namespace the record came
+// from: shard-<k>- for a shard's log (a single-shard server is shard
+// 0), nothing for the pre-sharding flat root.
 func TestUnfoldableRecordQuarantinedAcrossRestarts(t *testing.T) {
+	for _, ns := range []struct{ name, sub, prefix string }{
+		{"flat-root", "", ""},
+		{"shard-0", "shard-0", "shard-0-"},
+	} {
+		t.Run(ns.name, func(t *testing.T) {
+			testQuarantineAcrossRestarts(t, ns.sub, ns.prefix)
+		})
+	}
+}
+
+func testQuarantineAcrossRestarts(t *testing.T, sub, prefix string) {
 	dir := t.TempDir()
 	walDir := t.TempDir()
 
 	// Seed a WAL containing one good record and one poisoned record,
 	// as if a record was acknowledged and then mangled on disk in a
 	// way that kept its CRC intact.
-	w, _, err := OpenWAL(walDir, WALOptions{Fsync: FsyncNever})
+	w, _, err := OpenWAL(filepath.Join(walDir, sub), WALOptions{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +56,7 @@ func TestUnfoldableRecordQuarantinedAcrossRestarts(t *testing.T) {
 	// First restart: replay folds the good record, quarantines the
 	// poisoned one, and still comes up serving.
 	s := mustServer(t, Config{Dir: dir, WALDir: walDir, WAL: WALOptions{Fsync: FsyncNever}, PlanOptions: testPlanOpts})
-	qpath := filepath.Join(walDir, "quarantine", fmt.Sprintf("rec-%d.bin", poisonSeq))
+	qpath := filepath.Join(walDir, "quarantine", fmt.Sprintf("%srec-%d.bin", prefix, poisonSeq))
 	got, err := os.ReadFile(qpath)
 	if err != nil {
 		t.Fatalf("poisoned record not quarantined: %v", err)

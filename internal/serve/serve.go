@@ -39,13 +39,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dayu/internal/analyzer"
-	"dayu/internal/diagnose"
 	"dayu/internal/graph"
 	"dayu/internal/obs"
 	"dayu/internal/optimizer"
@@ -92,11 +92,11 @@ type Config struct {
 
 	// Shards partitions the parsed-trace and contribution caches (and,
 	// with WALDir set, the push-ingest WAL and fold pipeline) across N
-	// workers routed by FNV-1a hash; <= 1 means a single worker, which
-	// behaves exactly as the unsharded server always did. The shard
-	// count can never leak into response bytes: per-shard contribution
-	// sets are stitched back into the global task order before the
-	// graphs build.
+	// workers routed by FNV-1a hash; <= 1 means a single worker, shard
+	// 0 of 1 — the same code path and on-disk layout as any other
+	// count. The shard count can never leak into response bytes:
+	// per-shard contribution sets are stitched back into the global
+	// task order before the graphs build.
 	Shards int
 
 	// HistoryDir enables the persistent snapshot-history store: every
@@ -139,8 +139,6 @@ type snapshot struct {
 
 	mu       sync.Mutex
 	rendered map[string][]byte
-	findings []diagnose.Finding
-	diagDone bool
 }
 
 // shardIngest is one shard's slice of the push-ingest pipeline: its
@@ -202,28 +200,14 @@ type Server struct {
 	pending   map[string]chan struct{}
 	closePush sync.Once
 
-	// Retained streaming checkpoints, one per in-flight task (newest
-	// sequence number wins). partialsGen bumps on every mutation so
-	// refresh can detect live-state changes the directory scan cannot
-	// see; lastPartialsGen is the writer-owned (ingestMu) generation
-	// the published snapshot was built from.
-	partialMu       sync.Mutex
-	partials        map[string]*partialEntry
-	partialsGen     uint64
+	// Retained streaming checkpoints and acknowledged delta heads (the
+	// type owns its lock); lastPartialsGen is the writer-owned
+	// (ingestMu) generation the published snapshot was built from.
+	partials        *partialSet
 	lastPartialsGen uint64
-	// SSE broadcaster state for /v1/live/events (its own mutex: event
-	// fan-out must not contend with checkpoint folding).
-	eventMu sync.Mutex
-	events  eventsBroadcaster
-
-	// streamSeqs tracks the highest acknowledged checkpoint sequence
-	// per in-flight task (guarded by partialMu). It is the delta-ingest
-	// gate: a delta whose base sequence is not the task's acknowledged
-	// head is NACKed with 409/resync before touching the WAL, because
-	// ordered per-shard folding could never apply it. Advanced at ack
-	// and fold time, seeded from persisted partials at startup, cleared
-	// when the task's final retracts the partial.
-	streamSeqs map[string]uint64
+	// SSE fan-out for /v1/live/events (its own lock: event delivery
+	// must not contend with checkpoint folding).
+	events eventsBroadcaster
 
 	// Poll-loop backoff state, surfaced by /healthz.
 	pollFailures  atomic.Int64
@@ -284,10 +268,9 @@ type ingestError struct {
 func NewServer(cfg Config) (*Server, error) {
 	reg := cfg.Registry
 	s := &Server{
-		cfg:        cfg,
-		coord:      shard.NewCoordinator(cfg.Shards),
-		partials:   map[string]*partialEntry{},
-		streamSeqs: map[string]uint64{},
+		cfg:      cfg,
+		coord:    shard.NewCoordinator(cfg.Shards),
+		partials: newPartialSet(),
 
 		requests: func(path string) *obs.Counter {
 			return reg.Counter(obs.Name("dayu_serve_requests_total", "path", path))
@@ -332,12 +315,12 @@ func NewServer(cfg Config) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.HandleFunc("/v1/tasks", s.instrument("/v1/tasks", s.handleTasks))
-	mux.HandleFunc("/v1/ftg", s.instrument("/v1/ftg", s.graphHandler("ftg")))
-	mux.HandleFunc("/v1/sdg", s.instrument("/v1/sdg", s.graphHandler("sdg")))
-	mux.HandleFunc("/v1/diagnose", s.instrument("/v1/diagnose", s.handleDiagnose))
-	mux.HandleFunc("/v1/live/ftg", s.instrument("/v1/live/ftg", s.liveGraphHandler("ftg")))
-	mux.HandleFunc("/v1/live/sdg", s.instrument("/v1/live/sdg", s.liveGraphHandler("sdg")))
-	mux.HandleFunc("/v1/live/diagnostics", s.instrument("/v1/live/diagnostics", s.handleLiveDiagnostics))
+	mux.HandleFunc("/v1/ftg", s.instrument("/v1/ftg", s.graphHandler("ftg", false)))
+	mux.HandleFunc("/v1/sdg", s.instrument("/v1/sdg", s.graphHandler("sdg", false)))
+	mux.HandleFunc("/v1/diagnose", s.instrument("/v1/diagnose", s.diagnoseHandler(false)))
+	mux.HandleFunc("/v1/live/ftg", s.instrument("/v1/live/ftg", s.graphHandler("ftg", true)))
+	mux.HandleFunc("/v1/live/sdg", s.instrument("/v1/live/sdg", s.graphHandler("sdg", true)))
+	mux.HandleFunc("/v1/live/diagnostics", s.instrument("/v1/live/diagnostics", s.diagnoseHandler(true)))
 	mux.HandleFunc("/v1/live/events", s.instrument("/v1/live/events", s.handleLiveEvents))
 	mux.HandleFunc("/v1/plan", s.instrument("/v1/plan", s.handlePlan))
 	mux.HandleFunc("/v1/ingest", s.instrumentMethods("/v1/ingest", []string{http.MethodPost}, s.maxBodyBytes(), s.handleIngest))
@@ -366,16 +349,16 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// openWAL opens one write-ahead log per shard — under WALDir itself
-// for a single shard (the layout every pre-sharding deployment used),
-// under WALDir/shard-<k>/ otherwise — and synchronously folds every
+// openWAL opens one write-ahead log per shard under WALDir/shard-<k>/
+// — at any shard count, one included — and synchronously folds every
 // record recovered from them into the trace directory, so the first
 // snapshot already reflects everything ever acknowledged. Namespaces
-// orphaned by a previous run at a different shard count are replayed
-// and retired the same way: acknowledged data survives any -shards
-// change. Records that fail to fold transiently stay pending in their
-// WAL and fail construction (a durability guarantee the server cannot
-// meet must not be silently weakened).
+// no current shard owns (a previous run at a higher shard count, or
+// the flat WALDir root every pre-sharding deployment wrote) are
+// replayed and retired the same way: acknowledged data survives any
+// -shards change. Records that fail to fold transiently stay pending
+// in their WAL and fail construction (a durability guarantee the
+// server cannot meet must not be silently weakened).
 func (s *Server) openWAL() error {
 	if err := os.MkdirAll(s.partialsDir(), 0o755); err != nil {
 		return fmt.Errorf("serve: create partials dir: %w", err)
@@ -391,12 +374,11 @@ func (s *Server) openWAL() error {
 	}
 	s.acked = make(map[string]bool)
 	s.pending = make(map[string]chan struct{})
-	n := s.coord.Shards()
-	for k := 0; k < n; k++ {
-		wal, pending, err := OpenWAL(s.shardWALDir(k), s.cfg.WAL)
+	for k := 0; k < s.coord.Shards(); k++ {
+		wal, err := s.replayWAL(filepath.Join(s.cfg.WALDir, shardName(k)))
 		if err != nil {
 			s.closeWALs()
-			return fmt.Errorf("serve: open wal shard %d: %w", k, err)
+			return err
 		}
 		reg := s.cfg.Registry
 		label := fmt.Sprintf("%d", k)
@@ -414,10 +396,6 @@ func (s *Server) openWAL() error {
 			appendNS:    reg.Histogram(obs.Name("dayu_serve_shard_wal_append_ns", "shard", label), obs.LatencyBuckets()),
 		}
 		s.shards = append(s.shards, sh)
-		if err := s.replayPending(wal, pending, s.quarantinePrefix(k)); err != nil {
-			s.closeWALs()
-			return err
-		}
 	}
 	if err := s.replayOrphanWALs(); err != nil {
 		s.closeWALs()
@@ -427,15 +405,8 @@ func (s *Server) openWAL() error {
 	return nil
 }
 
-// shardWALDir is shard k's WAL namespace. A single-shard server keeps
-// the pre-sharding flat layout so existing WAL directories replay
-// unchanged.
-func (s *Server) shardWALDir(k int) string {
-	if s.coord.Shards() == 1 {
-		return s.cfg.WALDir
-	}
-	return filepath.Join(s.cfg.WALDir, fmt.Sprintf("shard-%d", k))
-}
+// shardName is shard k's WAL namespace directory under WALDir.
+func shardName(k int) string { return fmt.Sprintf("shard-%d", k) }
 
 // closeWALs closes every WAL opened so far (construction error path).
 func (s *Server) closeWALs() {
@@ -445,86 +416,55 @@ func (s *Server) closeWALs() {
 	s.shards = nil
 }
 
-// replayPending folds the acknowledged-but-unfolded records one WAL
-// handed back at open, marking each folded (or quarantined under the
-// given namespace prefix) as the original replay always did.
-func (s *Server) replayPending(wal *WAL, pending []PendingRecord, qprefix string) error {
-	for _, rec := range pending {
-		hash := trace.HashBytes(rec.Data)
-		s.acked[hash] = true
-		if err := s.foldBytes(rec.Data); err != nil {
-			if errors.Is(err, errUnfoldable) {
-				// Validated at push time, mangled since in a way the
-				// CRC missed: preserve the bytes in quarantine before
-				// advancing past them, then keep recovering. A failed
-				// quarantine write fails construction — acknowledged
-				// data must not be dropped silently.
-				s.foldErrors.Inc()
-				s.lastErr.Store(&ingestError{err: fmt.Errorf("serve: replay record %d: %w", rec.Seq, err), when: time.Now()})
-				if qerr := s.quarantineRecord(qprefix, rec.Seq, rec.Data); qerr != nil {
-					return fmt.Errorf("serve: wal replay: quarantine record %d: %w", rec.Seq, qerr)
-				}
-				wal.MarkFolded(rec.Seq)
-				continue
-			}
-			return fmt.Errorf("serve: wal replay: fold record %d: %w", rec.Seq, err)
-		}
-		wal.MarkFolded(rec.Seq)
+// replayWAL opens the WAL namespace under dir and folds the
+// acknowledged-but-unfolded records it hands back. A record left
+// pending — a transient fold error, or a failed quarantine write —
+// fails construction: acknowledged data must not be dropped silently.
+func (s *Server) replayWAL(dir string) (*WAL, error) {
+	wal, pending, err := OpenWAL(dir, s.cfg.WAL)
+	if err != nil {
+		return nil, fmt.Errorf("serve: open wal %s: %w", dir, err)
 	}
-	return nil
+	for _, rec := range pending {
+		s.acked[trace.HashBytes(rec.Data)] = true
+		if err := s.foldRecord(wal, rec.Seq, rec.Data); err != nil {
+			wal.Close()
+			return nil, fmt.Errorf("serve: replay wal %s: %w", dir, err)
+		}
+	}
+	return wal, nil
 }
 
-// replayOrphanWALs drains WAL namespaces a previous run at a different
-// shard count left behind: the flat root log when running sharded, and
-// shard-<k> subdirectories outside the current shard set. Every
-// pending record folds (it is acknowledged data), the namespace
-// compacts to empty, and retired shard directories are removed.
+// replayOrphanWALs drains the WAL namespaces no current shard owns:
+// the flat WALDir root (the pre-sharding layout, still on disk in
+// existing deployments) and shard-<k> subdirectories outside the
+// current shard set. Every pending record folds (it is acknowledged
+// data), the namespace compacts to empty and is retired.
 func (s *Server) replayOrphanWALs() error {
-	n := s.coord.Shards()
-	var orphans []string
-	if n > 1 {
-		// The flat layout is shard 0's namespace only when n == 1.
-		orphans = append(orphans, s.cfg.WALDir)
-	}
+	orphans := []string{s.cfg.WALDir}
 	entries, err := os.ReadDir(s.cfg.WALDir)
 	if err != nil {
 		return fmt.Errorf("serve: scan wal dir: %w", err)
 	}
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
 		var k int
-		if _, err := fmt.Sscanf(e.Name(), "shard-%d", &k); err != nil || fmt.Sprintf("shard-%d", k) != e.Name() {
+		if _, err := fmt.Sscanf(e.Name(), "shard-%d", &k); err != nil || shardName(k) != e.Name() {
 			continue
 		}
-		if n > 1 && k < n {
-			continue // live namespace
+		if e.IsDir() && k >= len(s.shards) {
+			orphans = append(orphans, filepath.Join(s.cfg.WALDir, e.Name()))
 		}
-		orphans = append(orphans, filepath.Join(s.cfg.WALDir, e.Name()))
 	}
 	for _, dir := range orphans {
-		wal, pending, err := OpenWAL(dir, s.cfg.WAL)
+		wal, err := s.replayWAL(dir)
 		if err != nil {
-			return fmt.Errorf("serve: open orphan wal %s: %w", dir, err)
-		}
-		// Quarantine names keep the prefix the namespace would have used
-		// while live, so re-quarantining after a shard-count change is
-		// still idempotent.
-		qprefix := ""
-		if dir != s.cfg.WALDir {
-			qprefix = filepath.Base(dir) + "-"
-		}
-		if err := s.replayPending(wal, pending, qprefix); err != nil {
-			wal.Close()
 			return err
 		}
 		wal.Close()
+		// Fully drained: retire the namespace. Removal is best-effort —
+		// a leftover empty namespace replays as empty next time.
+		os.Remove(filepath.Join(dir, walCheckpointFile))
 		if dir != s.cfg.WALDir {
-			// Fully drained: retire the namespace. Removal is
-			// best-effort — a leftover empty directory replays as empty
-			// next time.
-			os.Remove(filepath.Join(dir, walCheckpointFile))
 			os.Remove(dir)
 		}
 	}
@@ -541,9 +481,7 @@ func (s *Server) walFor(task string) *shardIngest {
 // pushEnabled reports whether the durable push-ingest path is up.
 func (s *Server) pushEnabled() bool { return len(s.shards) > 0 }
 
-// walStats sums every shard's WAL stats; at one shard these are
-// exactly that WAL's stats, which keeps the pre-sharding observable
-// values (and the tests pinning them) intact.
+// walStats sums every shard's WAL stats.
 func (s *Server) walStats() WALStats {
 	var total WALStats
 	for _, sh := range s.shards {
@@ -759,7 +697,7 @@ func limitBody(h http.Handler, limit int64) http.Handler {
 // render returns the cached response body for key, computing and
 // caching it on first use. The compute function runs under the
 // snapshot's render lock: at most once per (snapshot, key).
-func (s *Server) render(snap *snapshot, key string, compute func() ([]byte, error)) ([]byte, error) {
+func (s *Server) render(snap *snapshot, key string, compute renderFunc) ([]byte, error) {
 	snap.mu.Lock()
 	defer snap.mu.Unlock()
 	if body, ok := snap.rendered[key]; ok {
@@ -775,47 +713,106 @@ func (s *Server) render(snap *snapshot, key string, compute func() ([]byte, erro
 	return body, nil
 }
 
-// graphHandler serves /v1/ftg and /v1/sdg in json (default), dot,
-// html or svg form.
-func (s *Server) graphHandler(which string) http.HandlerFunc {
+// renderFunc computes one response body; render runs it at most once
+// per (snapshot, key).
+type renderFunc = func() ([]byte, error)
+
+// serveRendered is the one shape every cached read endpoint has: load
+// the freshest snapshot (503 when there is none), let the endpoint name
+// its render key and body for that snapshot, and answer from the render
+// cache with the snapshot headers — plus the stream-progress headers on
+// live endpoints.
+func (s *Server) serveRendered(w http.ResponseWriter, contentType string, live bool, endpoint func(*snapshot) (string, renderFunc)) {
+	snap, err := s.current()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	key, compute := endpoint(snap)
+	body, err := s.render(snap, key, compute)
+	if err != nil {
+		code := http.StatusInternalServerError
+		if errors.Is(err, analyzer.ErrNonPositiveWindow) {
+			code = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), code)
+		return
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("X-Dayu-Snapshot", snap.id)
+	if live {
+		w.Header().Set("X-Dayu-Partial-Tasks", strconv.Itoa(snap.partialTasks))
+		w.Header().Set("X-Dayu-Complete-Tasks", strconv.Itoa(len(snap.traces)))
+	}
+	_, _ = w.Write(body)
+}
+
+// graphContentTypes is the ?format= table of the graph endpoints.
+var graphContentTypes = map[string]string{
+	"json": "application/json",
+	"dot":  "text/vnd.graphviz; charset=utf-8",
+	"html": "text/html; charset=utf-8",
+	"svg":  "image/svg+xml",
+}
+
+// graphHandler serves /v1/{ftg,sdg} and, with live set, /v1/live/
+// {ftg,sdg} — the batch graph overlaid with checkpoint traces for tasks
+// still in flight — in json (default), dot, html or svg form. On the
+// live endpoints ?window=<duration> additionally aggregates task nodes
+// along the time dimension (AggregateByTime) before rendering.
+func (s *Server) graphHandler(which string, live bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		snap, err := s.current()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		g := snap.ftg
-		if which == "sdg" {
-			g = snap.sdg
-		}
 		format := r.URL.Query().Get("format")
 		if format == "" {
 			format = "json"
 		}
-		var contentType string
-		switch format {
-		case "json":
-			contentType = "application/json"
-		case "dot":
-			contentType = "text/vnd.graphviz; charset=utf-8"
-		case "html":
-			contentType = "text/html; charset=utf-8"
-		case "svg":
-			contentType = "image/svg+xml"
-		default:
+		contentType, ok := graphContentTypes[format]
+		if !ok {
 			http.Error(w, fmt.Sprintf("unknown format %q (json, dot, html, svg)", format), http.StatusBadRequest)
 			return
 		}
-		body, err := s.render(snap, which+"."+format, func() ([]byte, error) {
-			return renderGraph(g, format)
-		})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		var windowNS int64
+		if live {
+			if windowNS, ok = durationParam(w, r, "window"); !ok {
+				return
+			}
 		}
-		w.Header().Set("Content-Type", contentType)
-		w.Header().Set("X-Dayu-Snapshot", snap.id)
-		_, _ = w.Write(body)
+		s.serveRendered(w, contentType, live, func(snap *snapshot) (string, renderFunc) {
+			g := snap.ftg
+			switch {
+			case which == "sdg" && live:
+				g = snap.liveSDG
+			case which == "sdg":
+				g = snap.sdg
+			case live:
+				g = snap.liveFTG
+			}
+			// With no partials the live graph aliases the batch graph,
+			// and sharing the render key makes the responses
+			// byte-identical (the equivalence gate at end of stream).
+			key := which + "." + format
+			switch {
+			case windowNS > 0:
+				key = fmt.Sprintf("live-%s.w%d.%s", which, windowNS, format)
+			case live && snap.partialTasks > 0:
+				key = "live-" + key
+			}
+			return key, func() ([]byte, error) {
+				if windowNS > 0 {
+					// The cross-snapshot cache: when only a few tasks
+					// folded since the last render of this window, the
+					// fingerprint pass proves the windowed projection
+					// unchanged and the previous aggregation is reused
+					// (byte-identical output is the cache's contract).
+					agg, err := s.timeAgg.Aggregate(g, "live-"+which, snap.id, windowNS)
+					if err != nil {
+						return nil, err
+					}
+					g = agg
+				}
+				return renderGraph(g, format)
+			}
+		})
 	}
 }
 
@@ -834,40 +831,7 @@ func renderGraph(g *graph.Graph, format string) ([]byte, error) {
 	}
 }
 
-func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.current()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	body, err := s.render(snap, "diagnose", func() ([]byte, error) {
-		return diagnose.EncodeJSON(snap.diagnoseLocked())
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Dayu-Snapshot", snap.id)
-	_, _ = w.Write(body)
-}
-
-// diagnoseLocked computes the findings once per snapshot; callers must
-// hold snap.mu (render does).
-func (snap *snapshot) diagnoseLocked() []diagnose.Finding {
-	if !snap.diagDone {
-		snap.findings = diagnose.Analyze(snap.traces, snap.manifest, diagnose.Thresholds{})
-		snap.diagDone = true
-	}
-	return snap.findings
-}
-
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.current()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
 	opts := s.cfg.PlanOptions
 	q := r.URL.Query()
 	if tier := q.Get("tier"); tier != "" {
@@ -881,39 +845,23 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Nodes = n
 	}
-	key := fmt.Sprintf("plan:%s:%d", opts.FastTier, opts.Nodes)
-	body, err := s.render(snap, key, func() ([]byte, error) {
-		plan := optimizer.PlanDataLocality(snap.traces, snap.manifest, opts)
-		return json.MarshalIndent(plan, "", "  ")
+	s.serveRendered(w, "application/json", false, func(snap *snapshot) (string, renderFunc) {
+		return fmt.Sprintf("plan:%s:%d", opts.FastTier, opts.Nodes), func() ([]byte, error) {
+			plan := optimizer.PlanDataLocality(snap.traces, snap.manifest, opts)
+			return json.MarshalIndent(plan, "", "  ")
+		}
 	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Dayu-Snapshot", snap.id)
-	_, _ = w.Write(body)
 }
 
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.current()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	body, err := s.render(snap, "tasks", func() ([]byte, error) {
-		return json.MarshalIndent(struct {
-			Snapshot string     `json:"snapshot"`
-			Tasks    []TaskInfo `json:"tasks"`
-		}{Snapshot: snap.id, Tasks: snap.tasks}, "", "  ")
+	s.serveRendered(w, "application/json", false, func(snap *snapshot) (string, renderFunc) {
+		return "tasks", func() ([]byte, error) {
+			return json.MarshalIndent(struct {
+				Snapshot string     `json:"snapshot"`
+				Tasks    []TaskInfo `json:"tasks"`
+			}{Snapshot: snap.id, Tasks: snap.tasks}, "", "  ")
+		}
 	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Dayu-Snapshot", snap.id)
-	_, _ = w.Write(body)
 }
 
 // Health is the /healthz response body.
@@ -928,10 +876,10 @@ type Health struct {
 	History         *HistoryHealth `json:"history,omitempty"`
 }
 
-// WALHealth reports the push-ingest durability state. With more than
-// one shard the top-level numbers are aggregates (sums across shards —
-// NextSeq and FoldedSeq then count records appended and folded in
-// total) and Shards carries the per-shard breakdown.
+// WALHealth reports the push-ingest durability state. The top-level
+// numbers are sums across shards (NextSeq and FoldedSeq count records
+// appended and folded in total); Shards carries the per-shard
+// breakdown, one entry at a single shard.
 type WALHealth struct {
 	// PendingRecords counts acknowledged records not yet folded into
 	// trace files (they survive in the WAL).
@@ -949,8 +897,12 @@ type WALHealth struct {
 	// Quarantined counts acknowledged records that could not be folded
 	// and were preserved under WALDir/quarantine for inspection.
 	Quarantined int `json:"quarantined"`
-	// Shards is the per-shard breakdown (only when sharded).
-	Shards []WALShardHealth `json:"shards,omitempty"`
+	// CheckpointError is the cause when a shard's newest fold-checkpoint
+	// write failed (a full or read-only WAL directory); it degrades the
+	// overall status until a later checkpoint lands.
+	CheckpointError string `json:"checkpoint_error,omitempty"`
+	// Shards is the per-shard breakdown.
+	Shards []WALShardHealth `json:"shards"`
 }
 
 // WALShardHealth is one shard's slice of the push-ingest state.
@@ -987,11 +939,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Tasks = len(snap.tasks)
 	}
 	if s.pushEnabled() {
-		s.partialMu.Lock()
-		partials := len(s.partials)
-		s.partialMu.Unlock()
 		wh := &WALHealth{
-			PartialTasks: partials,
+			PartialTasks: s.partials.count(),
 			Quarantined:  s.countQuarantined(),
 		}
 		for _, sh := range s.shards {
@@ -1002,16 +951,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			wh.Segments += stats.Segments
 			wh.NextSeq += stats.NextSeq
 			wh.FoldedSeq += stats.Folded
-			if len(s.shards) > 1 {
-				wh.Shards = append(wh.Shards, WALShardHealth{
-					Shard:          sh.idx,
-					PendingRecords: stats.Pending,
-					QueueDepth:     len(sh.sem),
-					QueueCapacity:  cap(sh.sem),
-					Segments:       stats.Segments,
-					NextSeq:        stats.NextSeq,
-					FoldedSeq:      stats.Folded,
-				})
+			wh.Shards = append(wh.Shards, WALShardHealth{
+				Shard:          sh.idx,
+				PendingRecords: stats.Pending,
+				QueueDepth:     len(sh.sem),
+				QueueCapacity:  cap(sh.sem),
+				Segments:       stats.Segments,
+				NextSeq:        stats.NextSeq,
+				FoldedSeq:      stats.Folded,
+			})
+			if stats.CheckpointErr != nil {
+				wh.CheckpointError = fmt.Sprintf("%s: %v", shardName(sh.idx), stats.CheckpointErr)
+				h.Status = "degraded"
 			}
 		}
 		h.WAL = wh

@@ -165,42 +165,77 @@ func TestShardedPushEquivalence(t *testing.T) {
 // TestShardCountChangeAcrossRestart pins that acknowledged data
 // survives any -shards change: records folded under one count are all
 // present after restarting at another, orphaned WAL namespaces are
-// drained and retired, and responses stay byte-identical to batch.
+// drained and retired, and responses stay byte-identical to batch. The
+// 1→4→1 leg starts from a pre-sharding flat-root log with unfolded
+// records in it — what an existing deployment has on disk — so the
+// migration path (orphan replay of the flat root) is part of the walk.
 func TestShardCountChangeAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	walDir := t.TempDir()
-	base := Config{Dir: dir, WALDir: walDir, WAL: WALOptions{Fsync: FsyncNever}, PlanOptions: testPlanOpts}
+	for _, leg := range []struct {
+		name     string
+		flatSeed int
+		counts   []int
+	}{
+		{"4-2-1", 0, []int{4, 2, 1}},
+		{"flat-1-4-1", 3, []int{1, 4, 1}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			dir := t.TempDir()
+			walDir := t.TempDir()
+			base := Config{Dir: dir, WALDir: walDir, WAL: WALOptions{Fsync: FsyncNever}, PlanOptions: testPlanOpts}
 
-	for step, n := range []int{4, 2, 1} {
-		cfg := base
-		cfg.Shards = n
-		s := mustServer(t, cfg)
-		srv := httptest.NewServer(s)
-		for i := 0; i < 4; i++ {
-			task := fmt.Sprintf("gen%d/task_%02d", step, i)
-			status, pr, _ := postIngest(t, srv, makeTraceBytes(t, task, trace.FormatJSON))
-			if status != http.StatusOK || pr.Status != "accepted" {
-				t.Fatalf("step %d push %s = %d %+v", step, task, status, pr)
+			if leg.flatSeed > 0 {
+				w, _, err := OpenWAL(walDir, base.WAL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < leg.flatSeed; i++ {
+					if _, err := w.Append(makeTraceBytes(t, fmt.Sprintf("flat/task_%02d", i), trace.FormatBinary)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		waitTasks(t, s, (step+1)*4)
-		waitWALDrained(t, s)
-		checkAllEndpoints(t, srv, dir, fmt.Sprintf("shards=%d", n))
-		srv.Close()
-		s.Close()
-	}
 
-	// After the final single-shard run every shard-<k> namespace was
-	// replayed empty and retired.
-	leftovers, _ := filepath.Glob(filepath.Join(walDir, "shard-*"))
-	if len(leftovers) != 0 {
-		t.Errorf("retired shard namespaces remain: %v", leftovers)
+			for step, n := range leg.counts {
+				cfg := base
+				cfg.Shards = n
+				s := mustServer(t, cfg)
+				srv := httptest.NewServer(s)
+				for i := 0; i < 4; i++ {
+					task := fmt.Sprintf("gen%d/task_%02d", step, i)
+					status, pr, _ := postIngest(t, srv, makeTraceBytes(t, task, trace.FormatJSON))
+					if status != http.StatusOK || pr.Status != "accepted" {
+						t.Fatalf("step %d push %s = %d %+v", step, task, status, pr)
+					}
+				}
+				waitTasks(t, s, leg.flatSeed+(step+1)*4)
+				waitWALDrained(t, s)
+				checkAllEndpoints(t, srv, dir, fmt.Sprintf("shards=%d", n))
+				srv.Close()
+				s.Close()
+
+				// The flat root is never a live namespace: whatever it
+				// held was folded at startup and nothing new lands there.
+				if segs, _ := filepath.Glob(filepath.Join(walDir, "wal-*.seg")); len(segs) != 0 {
+					t.Errorf("step %d (shards=%d): flat root holds %d segments", step, n, len(segs))
+				}
+			}
+
+			// After the final single-shard run every namespace but
+			// shard-0 was replayed empty and retired.
+			left, _ := filepath.Glob(filepath.Join(walDir, "shard-*"))
+			if len(left) != 1 || filepath.Base(left[0]) != "shard-0" {
+				t.Errorf("WAL namespaces after the final run = %v, want only shard-0", left)
+			}
+		})
 	}
 }
 
 // TestShardedHealthzBreakdown pins the healthz aggregation contract:
-// the top-level WAL numbers are sums, and the per-shard breakdown
-// appears exactly when sharded.
+// the top-level WAL numbers are sums over the per-shard breakdown, which
+// is present at every shard count (one entry at -shards 1).
 func TestShardedHealthzBreakdown(t *testing.T) {
 	env := newPushEnv(t, func(cfg *Config) { cfg.Shards = 2; cfg.IngestQueue = 3 })
 	for i := 0; i < 4; i++ {
@@ -233,6 +268,12 @@ func TestShardedHealthzBreakdown(t *testing.T) {
 	}
 	if h.WAL.QueueCapacity != 6 {
 		t.Errorf("aggregate queue capacity = %d, want 2*3", h.WAL.QueueCapacity)
+	}
+
+	single := newPushEnv(t, nil)
+	getJSON(t, single.srv, "/healthz", &h)
+	if h.WAL == nil || len(h.WAL.Shards) != 1 || h.WAL.Shards[0].Shard != 0 {
+		t.Errorf("single-shard breakdown = %+v, want exactly shard 0", h.WAL)
 	}
 }
 

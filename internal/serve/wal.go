@@ -8,7 +8,8 @@ package serve
 // whole record, and every record at or past the fold checkpoint is
 // handed back as pending work.
 //
-// Layout under the WAL directory:
+// Layout of one WAL namespace (the server keeps one per shard, under
+// WALDir/shard-<k>/):
 //
 //	wal-<first-seq, 16 hex digits>.seg   segment files, rotated by size
 //	checkpoint                           decimal next-unfolded sequence
@@ -38,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"dayu/internal/atomicfile"
 	"dayu/internal/trace"
 )
 
@@ -133,6 +135,10 @@ type WALStats struct {
 	Folded uint64
 	// ActiveBytes is the current size of the active segment.
 	ActiveBytes int64
+	// CheckpointErr is the failure of the newest fold-checkpoint write
+	// (nil once a later write succeeds): a full or read-only WAL
+	// directory that would otherwise be invisible.
+	CheckpointErr error
 }
 
 // WAL is the segmented write-ahead log. All methods are safe for
@@ -338,7 +344,7 @@ func (w *WAL) createSegmentLocked() error {
 			os.Remove(path)
 			return fmt.Errorf("serve: wal: fsync segment header: %w", err)
 		}
-		syncDir(w.dir)
+		atomicfile.SyncDir(w.dir)
 	}
 	w.active = f
 	w.activeFirst = w.nextSeq
@@ -376,7 +382,10 @@ func (w *WAL) rotateLocked() error {
 // is remembered but cannot move the checkpoint past an earlier record
 // that is still unfolded, so that record always replays after a
 // crash. When the prefix advances, the checkpoint is persisted and
-// fully-folded closed segments are deleted.
+// fully-folded closed segments are deleted. A failed checkpoint write
+// is not fatal (replay just re-folds) but it is loud — Stats carries it
+// to /healthz — and it holds compaction back: while the checkpoint on
+// disk is behind, the segments it still points into stay.
 func (w *WAL) MarkFolded(seq uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -393,41 +402,14 @@ func (w *WAL) MarkFolded(seq uint64) {
 	if !advanced {
 		return
 	}
-	w.checkpointErr = w.writeCheckpointLocked()
-	w.compactLocked()
-}
-
-// writeCheckpointLocked persists the fold point atomically. A failed
-// checkpoint is remembered (surfaced via Stats callers' health) but
-// not fatal: replay just re-folds.
-func (w *WAL) writeCheckpointLocked() error {
-	path := filepath.Join(w.dir, walCheckpointFile)
-	tmp, err := os.CreateTemp(w.dir, "."+walCheckpointFile+".tmp-*")
-	if err != nil {
+	// Persist the fold point atomically (synced under FsyncAlways).
+	w.checkpointErr = atomicfile.Write(filepath.Join(w.dir, walCheckpointFile), w.opts.Fsync == FsyncAlways, func(f io.Writer) error {
+		_, err := fmt.Fprintf(f, "%d\n", w.folded)
 		return err
+	})
+	if w.checkpointErr == nil {
+		w.compactLocked()
 	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := fmt.Fprintf(tmp, "%d\n", w.folded); err != nil {
-		return err
-	}
-	if w.opts.Fsync == FsyncAlways {
-		if err := tmp.Sync(); err != nil {
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	tmp = nil
-	return nil
 }
 
 // compactLocked deletes closed segments whose records are all folded.
@@ -482,11 +464,12 @@ func (w *WAL) Stats() WALStats {
 		segs++
 	}
 	return WALStats{
-		Segments:    segs,
-		Pending:     w.nextSeq - w.folded - uint64(len(w.foldedAhead)),
-		NextSeq:     w.nextSeq,
-		Folded:      w.folded,
-		ActiveBytes: w.activeSize,
+		Segments:      segs,
+		Pending:       w.nextSeq - w.folded - uint64(len(w.foldedAhead)),
+		NextSeq:       w.nextSeq,
+		Folded:        w.folded,
+		ActiveBytes:   w.activeSize,
+		CheckpointErr: w.checkpointErr,
 	}
 }
 
@@ -522,16 +505,4 @@ func (w *WAL) Close() error {
 	}
 	w.active = nil
 	return errors.Join(errs...)
-}
-
-// syncDir best-effort fsyncs a directory so renames and creations are
-// durable against power loss; errors are ignored (some filesystems
-// reject directory fsync).
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	d.Close()
 }

@@ -139,6 +139,62 @@ func TestWALCheckpointAndCompaction(t *testing.T) {
 // pushes race between append and enqueue, and a failed fold leaves its
 // record pending), and the checkpoint must never advance past an
 // earlier acknowledged record that is still unfolded.
+// blockCheckpoint makes walDir's checkpoint path unrenamable: a
+// non-empty directory sits where the checkpoint file belongs, so every
+// checkpoint write fails at its rename. The returned func clears it.
+func blockCheckpoint(t *testing.T, walDir string) (unblock func()) {
+	t.Helper()
+	blocker := filepath.Join(walDir, walCheckpointFile)
+	if err := os.MkdirAll(filepath.Join(blocker, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		if err := os.RemoveAll(blocker); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWALCheckpointFailureIsLoudAndHoldsCompaction pins the two halves
+// of a failed checkpoint write: Stats reports the cause (it used to be
+// assigned and never read), and no segment is deleted while the
+// checkpoint on disk is behind — then both recover once a write lands.
+func TestWALCheckpointFailureIsLoudAndHoldsCompaction(t *testing.T) {
+	dir := t.TempDir()
+	w, _ := openTestWAL(t, dir, WALOptions{Fsync: FsyncNever, SegmentBytes: 1})
+	defer w.Close()
+	for i := 0; i < 4; i++ {
+		if _, err := w.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := w.Stats().Segments
+	unblock := blockCheckpoint(t, dir)
+
+	w.MarkFolded(0)
+	w.MarkFolded(1)
+	st := w.Stats()
+	if st.CheckpointErr == nil {
+		t.Fatal("checkpoint write onto a directory reported no error")
+	}
+	if st.Folded != 2 || st.Segments != before {
+		t.Fatalf("with the checkpoint behind: folded=%d segments=%d, want 2 and all %d kept", st.Folded, st.Segments, before)
+	}
+
+	unblock()
+	w.MarkFolded(2)
+	st = w.Stats()
+	if st.CheckpointErr != nil {
+		t.Fatalf("checkpoint error not cleared by a successful write: %v", st.CheckpointErr)
+	}
+	if st.Segments >= before {
+		t.Fatalf("compaction did not resume: %d segments, had %d", st.Segments, before)
+	}
+	if got := readCheckpoint(dir); got != 3 {
+		t.Fatalf("checkpoint on disk = %d, want 3", got)
+	}
+}
+
 func TestWALMarkFoldedOutOfOrder(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := openTestWAL(t, dir, WALOptions{Fsync: FsyncNever})

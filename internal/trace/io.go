@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"dayu/internal/atomicfile"
 )
 
 // traceSuffix names on-disk JSON task traces; binarySuffix names
@@ -140,45 +142,12 @@ func (t *TaskTrace) SaveFormat(dir string, format Format) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(dir, TraceFileName(t.Task, format))
-	if err := atomicWrite(path, func(w io.Writer) error {
+	if err := atomicfile.Write(path, false, func(w io.Writer) error {
 		return t.EncodeFormat(w, format)
 	}); err != nil {
 		return "", fmt.Errorf("trace: save %s: %w", path, err)
 	}
 	return path, nil
-}
-
-// atomicWrite streams write's output to a temp file next to path and
-// renames it into place, removing the temp file on any failure.
-func atomicWrite(path string, write func(io.Writer) error) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, "."+base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	bw := bufio.NewWriter(tmp)
-	if err := write(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		tmp = nil
-		return err
-	}
-	tmp = nil
-	return nil
 }
 
 // Load reads one trace file. Every error path — open, decode, and
@@ -282,7 +251,7 @@ type Manifest struct {
 // SaveManifest writes the manifest to dir/manifest.json, atomically
 // like SaveFormat (the serve poller reads the manifest too).
 func SaveManifest(dir string, m *Manifest) error {
-	err := atomicWrite(filepath.Join(dir, "manifest.json"), func(w io.Writer) error {
+	err := atomicfile.Write(filepath.Join(dir, "manifest.json"), false, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(m)

@@ -132,6 +132,15 @@ if [ "$final" -ne "$total" ]; then
 fi
 echo "chaos: all $total tasks delivered"
 
+# A single-shard server is shard 0: every record above went through the
+# log under wal/shard-0/ (its fold checkpoint is there to show for it),
+# and nothing was written to the flat root.
+if [ ! -s "$wal/shard-0/checkpoint" ] || [ -e "$wal/checkpoint" ] || ls "$wal"/wal-*.seg >/dev/null 2>&1; then
+  echo "chaos: FAIL: single-shard WAL did not live under $wal/shard-0/" >&2
+  ls -R "$wal" >&2
+  exit 1
+fi
+
 # Gate 3: byte-identical to the batch CLI — over the recovered
 # directory and over the original source traces.
 curl -fsS "http://$addr/v1/ftg" -o "$workdir/ftg.json"
