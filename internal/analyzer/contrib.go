@@ -7,9 +7,9 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"unicode/utf8"
 
 	"dayu/internal/graph"
+	"dayu/internal/jsonenc"
 	"dayu/internal/trace"
 )
 
@@ -72,9 +72,9 @@ func (d ObjectDescs) Fingerprint(t *trace.TaskTrace) string {
 			b = append(b, ',')
 		}
 		b = append(b, `{"key":{"File":`...)
-		b = appendJSONString(b, k.File)
+		b = jsonenc.AppendString(b, k.File)
 		b = append(b, `,"Object":`...)
-		b = appendJSONString(b, k.Object)
+		b = jsonenc.AppendString(b, k.Object)
 		b = append(b, `},"present":`...)
 		desc, ok := d[k]
 		if ok {
@@ -113,16 +113,16 @@ var fingerprintBufPool = sync.Pool{
 // compact separators.
 func appendObjectRecordJSON(b []byte, r *trace.ObjectRecord) []byte {
 	b = append(b, `{"task":`...)
-	b = appendJSONString(b, r.Task)
+	b = jsonenc.AppendString(b, r.Task)
 	b = append(b, `,"file":`...)
-	b = appendJSONString(b, r.File)
+	b = jsonenc.AppendString(b, r.File)
 	b = append(b, `,"object":`...)
-	b = appendJSONString(b, r.Object)
+	b = jsonenc.AppendString(b, r.Object)
 	b = append(b, `,"type":`...)
-	b = appendJSONString(b, r.Type)
+	b = jsonenc.AppendString(b, r.Type)
 	if r.Datatype != "" {
 		b = append(b, `,"datatype":`...)
-		b = appendJSONString(b, r.Datatype)
+		b = jsonenc.AppendString(b, r.Datatype)
 	}
 	if len(r.Shape) > 0 {
 		b = append(b, `,"shape":`...)
@@ -134,7 +134,7 @@ func appendObjectRecordJSON(b []byte, r *trace.ObjectRecord) []byte {
 	}
 	if r.Layout != "" {
 		b = append(b, `,"layout":`...)
-		b = appendJSONString(b, r.Layout)
+		b = jsonenc.AppendString(b, r.Layout)
 	}
 	if len(r.ChunkDims) > 0 {
 		b = append(b, `,"chunk_dims":`...)
@@ -164,62 +164,6 @@ func appendJSONInts(b []byte, s []int64) []byte {
 		b = strconv.AppendInt(b, v, 10)
 	}
 	return append(b, ']')
-}
-
-const jsonHex = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal byte-for-byte as
-// encoding/json renders it with HTML escaping on (its Marshal
-// default): quote, backslash and control bytes escaped (the \n \r \t
-// short forms, backslash-u00xx otherwise), the HTML-sensitive bytes
-// '<' '>' '&' as backslash-u003c/e/6, invalid UTF-8 as the literal
-// six-character escape backslash-ufffd, and U+2028/U+2029 as
-// backslash-u2028/9.
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', jsonHex[c>>4], jsonHex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', jsonHex[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }
 
 // BuildFTGFromContributions assembles the File-Task Graph from

@@ -51,7 +51,7 @@ func referenceFingerprint(d ObjectDescs, t *trace.TaskTrace) string {
 }
 
 // nastyStrings exercises every branch of the JSON string escaper:
-// quotes, backslashes, the three control-byte short forms, other
+// quotes, backslashes, the five control-byte short forms, other
 // control bytes, the HTML-escaped bytes, invalid UTF-8, multi-byte
 // runes and the U+2028/U+2029 special cases.
 var nastyStrings = []string{
@@ -59,6 +59,7 @@ var nastyStrings = []string{
 	"plain",
 	`with "quotes" and \backslashes\`,
 	"newline\nreturn\rtab\t",
+	"backspace\bformfeed\f",
 	"control\x00\x01\x1f bytes",
 	"html <tags> & ampersands",
 	"invalid utf8 \xff\xfe trailing",

@@ -2,40 +2,126 @@ package diagnose
 
 import (
 	"bytes"
-	"encoding/json"
-)
+	"fmt"
+	"math"
+	"sort"
+	"strconv"
+	"sync"
 
-// jsonFinding is the wire form of a Finding: identical fields, with
-// the numeric severity rendered as its string name.
-type jsonFinding struct {
-	Kind      Kind               `json:"kind"`
-	Severity  string             `json:"severity"`
-	Guideline Guideline          `json:"guideline"`
-	Task      string             `json:"task,omitempty"`
-	File      string             `json:"file,omitempty"`
-	Object    string             `json:"object,omitempty"`
-	Detail    string             `json:"detail"`
-	Metrics   map[string]float64 `json:"metrics,omitempty"`
-}
+	"dayu/internal/jsonenc"
+)
 
 // EncodeJSON renders findings as an indented JSON array (an empty
 // slice encodes as [], never null) terminated by a newline. The CLI
-// `dayu diagnose -json` and the serve /v1/diagnose endpoint share this
+// `dayu diagnose -json`, the serve /v1/diagnose and
+// /v1/live/diagnostics endpoints and the SSE event payload share this
 // encoding, so their outputs are byte-identical for the same traces.
+//
+// The bytes are pinned: they are exactly what encoding/json's Encoder
+// with SetIndent("", "  ") writes for the wire form
+//
+//	{kind, severity (by name), guideline, task?, file?, object?, detail, metrics?}
+//
+// (? = omitted when empty; metrics keys sorted), but appended directly
+// instead of reflected and re-indented — on a loaded server this body
+// is rebuilt for every folded checkpoint and the reflection encoder
+// cost more than diagnose.Analyze itself. TestEncodeJSONMatchesReference
+// and FuzzEncodeJSON hold the two byte streams equal. A NaN or infinite
+// metric is an error, as it is for encoding/json.
 func EncodeJSON(findings []Finding) ([]byte, error) {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			Kind: f.Kind, Severity: f.Severity.String(), Guideline: f.Guideline,
-			Task: f.Task, File: f.File, Object: f.Object,
-			Detail: f.Detail, Metrics: f.Metrics,
-		})
+	if len(findings) == 0 {
+		return []byte("[]\n"), nil
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
+	sc := encodeScratchPool.Get().(*encodeScratch)
+	defer encodeScratchPool.Put(sc)
+	if err := sc.encode(findings); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	// The scratch buffer goes back to the pool; the caller owns a copy.
+	return bytes.Clone(sc.buf), nil
+}
+
+// encode renders a non-empty findings slice into sc.buf.
+func (sc *encodeScratch) encode(findings []Finding) error {
+	b := append(sc.buf[:0], '[')
+	defer func() { sc.buf = b }() // keep whatever the buffer grew to
+	for i := range findings {
+		f := &findings[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n  {\n    \"kind\": "...)
+		b = jsonenc.AppendString(b, string(f.Kind))
+		b = append(b, ",\n    \"severity\": "...)
+		b = jsonenc.AppendString(b, f.Severity.String())
+		b = append(b, ",\n    \"guideline\": "...)
+		b = jsonenc.AppendString(b, string(f.Guideline))
+		if f.Task != "" {
+			b = append(b, ",\n    \"task\": "...)
+			b = jsonenc.AppendString(b, f.Task)
+		}
+		if f.File != "" {
+			b = append(b, ",\n    \"file\": "...)
+			b = jsonenc.AppendString(b, f.File)
+		}
+		if f.Object != "" {
+			b = append(b, ",\n    \"object\": "...)
+			b = jsonenc.AppendString(b, f.Object)
+		}
+		b = append(b, ",\n    \"detail\": "...)
+		b = jsonenc.AppendString(b, f.Detail)
+		if len(f.Metrics) > 0 {
+			b = append(b, ",\n    \"metrics\": {"...)
+			sc.keys = sc.keys[:0]
+			for k := range f.Metrics {
+				sc.keys = append(sc.keys, k)
+			}
+			sort.Strings(sc.keys)
+			for j, k := range sc.keys {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, "\n      "...)
+				b = jsonenc.AppendString(b, k)
+				b = append(b, ": "...)
+				v := f.Metrics[k]
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("diagnose: encode finding %d (%s): metric %q: unsupported value %v", i, f.Kind, k, v)
+				}
+				b = appendJSONFloat(b, v)
+			}
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  }"...)
+	}
+	b = append(b, "\n]\n"...)
+	return nil
+}
+
+// encodeScratch is EncodeJSON's reusable working memory: the output
+// under construction and the metric-key sort buffer.
+type encodeScratch struct {
+	buf  []byte
+	keys []string
+}
+
+var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
+
+// appendJSONFloat appends a finite float64 as encoding/json formats it:
+// ES6 number-to-string (shortest round-trip digits, exponent form
+// below 1e-6 and from 1e21, the exponent never zero-padded).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 -> e-9, as encoding/json cleans it up.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }

@@ -40,6 +40,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"dayu/internal/obs"
 )
 
 // eventRingSize bounds Last-Event-ID replay. Full-state events make
@@ -66,6 +68,26 @@ type eventsBroadcaster struct {
 	lastID string // snapshot id of the newest published event
 	ring   []liveEvent
 	subs   map[*eventSub]struct{}
+
+	metrics eventMetrics
+}
+
+// eventMetrics is what one delivered event cost, per subscriber: the
+// payload render (a render-cache read for every subscriber but the
+// first), framing plus the write and flush to the connection, and the
+// framed size. Handles are nil-safe; the zero value records nothing.
+type eventMetrics struct {
+	renderNS *obs.Histogram
+	writeNS  *obs.Histogram
+	bytes    *obs.Histogram
+}
+
+func newEventMetrics(reg *obs.Registry) eventMetrics {
+	return eventMetrics{
+		renderNS: reg.Histogram("dayu_serve_event_render_ns", obs.LatencyBuckets()),
+		writeNS:  reg.Histogram("dayu_serve_event_write_ns", obs.LatencyBuckets()),
+		bytes:    reg.Histogram("dayu_serve_event_bytes", obs.SizeBuckets()),
+	}
 }
 
 // publish announces a snapshot if it differs from the last announced
@@ -157,12 +179,11 @@ func (b *eventsBroadcaster) takeLagged(sub *eventSub) bool {
 	return l
 }
 
-// liveEventPayload renders one event's data line: the snapshot header
-// plus the exact /v1/live/diagnostics body for the snapshot, shared
-// through the snapshot's render cache.
+// liveEventPayload renders one event's data: the snapshot header plus
+// the exact /v1/live/diagnostics body for the snapshot, shared through
+// the snapshot's render cache.
 func (s *Server) liveEventPayload(snap *snapshot) ([]byte, error) {
-	key, compute := snap.diagnoseRender(true, 0)
-	findings, err := s.render(snap, key, compute)
+	findings, err := s.render(snap.diagnoseRender(true, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -173,6 +194,28 @@ func (s *Server) liveEventPayload(snap *snapshot) ([]byte, error) {
 	payload = append(payload, findings...)
 	payload = append(payload, '}')
 	return payload, nil
+}
+
+// appendEventFrame appends one `event: snapshot` in SSE framing. The
+// payload is multi-line JSON and SSE wants one "data:" field per line;
+// a client rejoins the fields with \n, so the reassembled payload is
+// byte-identical. One scan of the payload, no per-line formatting: on a
+// loaded server it is a megabyte and many thousand lines.
+func appendEventFrame(frame []byte, id uint64, payload []byte) []byte {
+	frame = append(frame, "id: "...)
+	frame = strconv.AppendUint(frame, id, 10)
+	frame = append(frame, "\nevent: snapshot\n"...)
+	for {
+		frame = append(frame, "data: "...)
+		i := bytes.IndexByte(payload, '\n')
+		if i < 0 {
+			frame = append(frame, payload...)
+			break
+		}
+		frame = append(frame, payload[:i+1]...)
+		payload = payload[i+1:]
+	}
+	return append(frame, "\n\n"...)
 }
 
 // handleLiveEvents is GET /v1/live/events: the SSE stream. It must be
@@ -221,33 +264,29 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
+	// frame is this connection's framing buffer, reused across events.
+	var frame []byte
 	writeEvent := func(ev liveEvent) bool {
+		start := time.Now()
 		payload, err := s.liveEventPayload(ev.snap)
 		if err != nil {
 			// The stream is already committed; drop the event rather
 			// than corrupting the framing. The next event retries.
 			return true
 		}
+		rendered := time.Now()
+		s.events.metrics.renderNS.Observe(rendered.Sub(start).Nanoseconds())
+		frame = frame[:0]
 		if s.events.takeLagged(sub) {
-			if _, err := fmt.Fprint(w, "event: lagged\ndata: {}\n\n"); err != nil {
-				return false
-			}
+			frame = append(frame, "event: lagged\ndata: {}\n\n"...)
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: snapshot\n", ev.id); err != nil {
-			return false
-		}
-		// The payload is multi-line JSON; SSE framing requires one
-		// "data:" field per line (clients rejoin them with \n, so the
-		// reassembled payload is byte-identical).
-		for _, line := range bytes.Split(payload, []byte("\n")) {
-			if _, err := fmt.Fprintf(w, "data: %s\n", line); err != nil {
-				return false
-			}
-		}
-		if _, err := fmt.Fprint(w, "\n"); err != nil {
+		frame = appendEventFrame(frame, ev.id, payload)
+		if _, err := w.Write(frame); err != nil {
 			return false
 		}
 		fl.Flush()
+		s.events.metrics.writeNS.Observe(time.Since(rendered).Nanoseconds())
+		s.events.metrics.bytes.Observe(int64(len(frame)))
 		return true
 	}
 	for _, ev := range backlog {

@@ -24,7 +24,10 @@ type fileState struct {
 	hash    string
 }
 
-// TaskInfo is one row of the /v1/tasks listing.
+// TaskInfo is one row of the /v1/tasks listing. The rows belong to the
+// batch view, which is rebuilt on content changes only: a touch that
+// leaves a file's bytes alone does not move its ModTime here until some
+// trace or the manifest changes.
 type TaskInfo struct {
 	Task    string    `json:"task"`
 	File    string    `json:"file"`
@@ -91,26 +94,28 @@ func (s *Server) refresh() (*snapshot, error) {
 		}(k)
 	}
 	wg.Wait()
-	changed := false
+	// batchStale outlives this call: worker caches a failed refresh
+	// already changed must still reach a batch view on the next one.
+	var scanErr error
 	for k := 0; k < n; k++ {
-		if errBy[k] != nil {
-			s.ingestErrors.Inc()
-			return nil, errBy[k]
+		s.batchStale = s.batchStale || changedBy[k]
+		if scanErr == nil {
+			scanErr = errBy[k]
 		}
-		changed = changed || changedBy[k]
 	}
-	if err := s.refreshManifest(&changed); err != nil {
+	if scanErr != nil {
+		s.ingestErrors.Inc()
+		return nil, scanErr
+	}
+	if err := s.refreshManifest(&s.batchStale); err != nil {
 		s.ingestErrors.Inc()
 		return nil, err
 	}
+
 	// Streaming checkpoints change the live view without touching the
 	// directory; their generation counter is the change signal.
-	if s.partials.generation() != s.lastPartialsGen {
-		changed = true
-	}
-
 	cur := s.snap.Load()
-	if cur != nil && !changed {
+	if cur != nil && !s.batchStale && s.partials.generation() == s.lastPartialsGen {
 		s.snapshotHits.Inc()
 		return cur, nil
 	}
@@ -203,119 +208,143 @@ func (s *Server) refreshManifest(changed *bool) error {
 	return nil
 }
 
-// buildSnapshot assembles a read-only snapshot from the current scan
-// state: traces sorted exactly as trace.LoadDir sorts them, per-task
-// contributions gathered from the shard workers (each computing and
-// caching only its missing ones) and stitched back into the global
-// task order, and both graphs merged exactly as the batch builders
-// merge them — which is why the shard count can never leak into the
-// output bytes.
+// buildSnapshot assembles a read-only snapshot: the batch view of the
+// current directory state — the previous snapshot's pointer unless a
+// scan reported a change since it was built — under the live overlay of
+// whatever checkpoints are retained right now.
 func (s *Server) buildSnapshot() (*snapshot, error) {
-	paths := s.coord.Paths() // sorted: directory order, as os.ReadDir yields it
-
-	traces := make([]*trace.TaskTrace, 0, len(paths))
-	hashByTrace := make(map[*trace.TaskTrace]string, len(paths))
-	infoByTrace := make(map[*trace.TaskTrace]TaskInfo, len(paths))
-	hashes := make(map[string]bool, len(paths))
-	for _, path := range paths {
-		ent, ok := s.coord.File(path)
-		if !ok {
-			return nil, fmt.Errorf("serve: shard cache lost %s mid-build", path)
-		}
-		traces = append(traces, ent.Trace)
-		hashByTrace[ent.Trace] = ent.Hash
-		hashes[ent.Hash] = true
-		infoByTrace[ent.Trace] = TaskInfo{
-			Task: ent.Trace.Task, File: path, Size: ent.Size, Hash: ent.Hash,
-			ModTime: ent.ModTime, StartNS: ent.Trace.StartNS, EndNS: ent.Trace.EndNS,
-			Failed: ent.Trace.Failed,
+	var batch *batchView
+	if cur := s.snap.Load(); cur != nil && !s.batchStale {
+		batch = cur.batchView
+	} else {
+		var err error
+		if batch, err = s.buildBatchView(); err != nil {
+			return nil, err
 		}
 	}
-	// LoadDir's final ordering: stable sort by task name over the
-	// directory-ordered slice.
-	sort.SliceStable(traces, func(i, j int) bool { return traces[i].Task < traces[j].Task })
 
 	// Capture the live overlay: retained streaming checkpoints for
 	// tasks that have no final trace on disk yet (a final always
-	// shadows a partial). lastPartialsGen records what the snapshot
-	// saw, so refresh can detect later checkpoint activity.
-	batchTasks := make(map[string]bool, len(traces))
-	for _, tt := range traces {
-		batchTasks[tt.Task] = true
-	}
-	var partialTraces []*trace.TaskTrace
-	var partialLines []string
-	var partials []*partialEntry
-	partials, s.lastPartialsGen = s.partials.capture(batchTasks)
-	for _, pe := range partials {
-		partialTraces = append(partialTraces, pe.trace)
-		hashByTrace[pe.trace] = pe.hash
-		hashes[pe.hash] = true
-		partialLines = append(partialLines, fmt.Sprintf("partial:%s=%s@%d", pe.trace.Task, pe.hash, pe.seq))
-	}
-	sort.Strings(partialLines)
+	// shadows a partial).
+	partials, partialsGen := s.partials.capture(batch.taskSet)
 
-	ordered := analyzer.OrderTasks(traces, s.manifest)
-	descs := analyzer.BuildObjectDescs(ordered)
-	ftgContribs, sdgContribs, err := s.contributions(ordered, descs, hashByTrace)
-	if err != nil {
-		return nil, err
-	}
-
-	infos := make([]TaskInfo, 0, len(traces))
-	for _, tt := range traces {
-		infos = append(infos, infoByTrace[tt])
-	}
-
-	snap := &snapshot{
-		id:       s.snapshotID(paths, partialLines),
-		traces:   traces,
-		manifest: s.manifest,
-		tasks:    infos,
-		hashes:   hashes,
-		ftg:      analyzer.BuildFTGFromContributions(ftgContribs),
-		sdg:      analyzer.BuildSDGFromContributions(sdgContribs),
-		rendered: map[string][]byte{},
-	}
 	// With zero partials the live view IS the batch view: aliasing the
 	// graphs (and, in the handlers, the render keys) makes live and
 	// batch responses byte-identical once a stream completes.
-	snap.liveTraces, snap.liveFTG, snap.liveSDG = snap.traces, snap.ftg, snap.sdg
-	if len(partialTraces) > 0 {
-		live := make([]*trace.TaskTrace, 0, len(traces)+len(partialTraces))
-		live = append(append(live, traces...), partialTraces...)
+	snap := &snapshot{
+		batchView:  batch,
+		liveTraces: batch.traces, liveFTG: batch.ftg, liveSDG: batch.sdg,
+		partialTasks: len(partials),
+	}
+	if len(partials) == 0 {
+		s.coord.Release(shard.Live)
+	} else {
+		live := make([]*trace.TaskTrace, 0, len(batch.traces)+len(partials))
+		live = append(live, batch.traces...)
+		partialHash := make(map[*trace.TaskTrace]string, len(partials))
+		snap.partialHashes = make(map[string]bool, len(partials))
+		for _, pe := range partials {
+			live = append(live, pe.trace)
+			partialHash[pe.trace] = pe.hash
+			snap.partialHashes[pe.hash] = true
+		}
 		sort.SliceStable(live, func(i, j int) bool { return live[i].Task < live[j].Task })
-		liveOrdered := analyzer.OrderTasks(live, s.manifest)
-		liveDescs := analyzer.BuildObjectDescs(liveOrdered)
-		lf, ls, err := s.contributions(liveOrdered, liveDescs, hashByTrace)
+		lf, ls, err := s.contributions(shard.Live, analyzer.OrderTasks(live, batch.manifest), func(tt *trace.TaskTrace) string {
+			if hash, ok := batch.traceHash[tt]; ok {
+				return hash
+			}
+			return partialHash[tt]
+		})
 		if err != nil {
 			return nil, err
 		}
 		snap.liveTraces = live
 		snap.liveFTG = analyzer.BuildFTGFromContributions(lf)
 		snap.liveSDG = analyzer.BuildSDGFromContributions(ls)
-		snap.partialTasks = len(partialTraces)
 	}
-	// Keep exactly the contributions this snapshot (batch and live)
-	// used: earlier revisions of changed traces, superseded checkpoint
-	// records and stale description-fingerprint variants are
+	snap.id = snapshotID(batch, partials)
+	// Keep exactly the contributions the batch view was built from and
+	// this overlay used: earlier revisions of changed traces, superseded
+	// checkpoint records and stale description-fingerprint variants are
 	// unreachable once the snapshot swaps.
 	s.coord.Prune()
+	// What this snapshot saw, so refresh can tell when there is
+	// something newer to build.
+	s.batchStale, s.lastPartialsGen = false, partialsGen
 	return snap, nil
 }
 
-// contributions fans one ordered trace set out to the shard workers
-// (each serving its slice from cache or computing the misses) and
-// stitches the per-shard sets back into the global task order. A
+// buildBatchView assembles the batch half of a snapshot from the
+// current scan state: traces sorted exactly as trace.LoadDir sorts
+// them, per-task contributions gathered from the shard workers (each
+// computing and caching only its missing ones) and stitched back into
+// the global task order, and both graphs merged exactly as the batch
+// builders merge them — which is why the shard count can never leak
+// into the output bytes.
+func (s *Server) buildBatchView() (*batchView, error) {
+	paths := s.coord.Paths() // sorted: directory order, as os.ReadDir yields it
+
+	batch := &batchView{
+		traces:    make([]*trace.TaskTrace, 0, len(paths)),
+		manifest:  s.manifest,
+		taskSet:   make(map[string]bool, len(paths)),
+		hashes:    make(map[string]bool, len(paths)),
+		traceHash: make(map[*trace.TaskTrace]string, len(paths)),
+	}
+	infoByTrace := make(map[*trace.TaskTrace]TaskInfo, len(paths))
+	var id strings.Builder
+	id.WriteString("manifest:")
+	id.WriteString(s.manifestState.hash)
+	for _, path := range paths {
+		ent, ok := s.coord.File(path)
+		if !ok {
+			return nil, fmt.Errorf("serve: shard cache lost %s mid-build", path)
+		}
+		batch.traces = append(batch.traces, ent.Trace)
+		batch.taskSet[ent.Trace.Task] = true
+		batch.hashes[ent.Hash] = true
+		batch.traceHash[ent.Trace] = ent.Hash
+		infoByTrace[ent.Trace] = TaskInfo{
+			Task: ent.Trace.Task, File: path, Size: ent.Size, Hash: ent.Hash,
+			ModTime: ent.ModTime, StartNS: ent.Trace.StartNS, EndNS: ent.Trace.EndNS,
+			Failed: ent.Trace.Failed,
+		}
+		id.WriteString("\n")
+		id.WriteString(filepath.Base(path))
+		id.WriteString("=")
+		id.WriteString(ent.Hash)
+	}
+	batch.idLines = id.String()
+	// LoadDir's final ordering: stable sort by task name over the
+	// directory-ordered slice.
+	sort.SliceStable(batch.traces, func(i, j int) bool { return batch.traces[i].Task < batch.traces[j].Task })
+	batch.tasks = make([]TaskInfo, 0, len(batch.traces))
+	for _, tt := range batch.traces {
+		batch.tasks = append(batch.tasks, infoByTrace[tt])
+	}
+
+	ftgContribs, sdgContribs, err := s.contributions(shard.Batch, analyzer.OrderTasks(batch.traces, s.manifest),
+		func(tt *trace.TaskTrace) string { return batch.traceHash[tt] })
+	if err != nil {
+		return nil, err
+	}
+	batch.ftg = analyzer.BuildFTGFromContributions(ftgContribs)
+	batch.sdg = analyzer.BuildSDGFromContributions(sdgContribs)
+	return batch, nil
+}
+
+// contributions fans one view's ordered trace set out to the shard
+// workers (each serving its slice from cache or computing the misses)
+// and stitches the per-shard sets back into the global task order. A
 // stitch error means the partition invariant broke — it surfaces as an
 // ingest error rather than publishing a graph with a hole.
-func (s *Server) contributions(ordered []*trace.TaskTrace, descs analyzer.ObjectDescs, hashByTrace map[*trace.TaskTrace]string) ([]analyzer.Contribution, []analyzer.Contribution, error) {
+func (s *Server) contributions(view shard.View, ordered []*trace.TaskTrace, hashOf func(*trace.TaskTrace) string) ([]analyzer.Contribution, []analyzer.Contribution, error) {
 	tasks := make([]shard.Task, len(ordered))
 	for i, tt := range ordered {
-		tasks[i] = shard.Task{Pos: i, Trace: tt, Hash: hashByTrace[tt]}
+		tasks[i] = shard.Task{Pos: i, Trace: tt, Hash: hashOf(tt)}
 	}
 	sets := s.coord.Gather(
-		shard.Request{Tasks: tasks, Descs: descs, Opts: s.cfg.SDGOptions},
+		shard.Request{View: view, Tasks: tasks, Descs: analyzer.BuildObjectDescs(ordered), Opts: s.cfg.SDGOptions},
 		shard.Metrics{Hit: s.contribHits.Inc, Miss: s.contribMisses.Inc},
 	)
 	return shard.Stitch(len(ordered), sets)
@@ -323,31 +352,27 @@ func (s *Server) contributions(ordered []*trace.TaskTrace, descs analyzer.Object
 
 // recordHistory appends a converged snapshot (no live partials — a
 // half-streamed state is not a state worth replaying) to the history
-// store, seeding the snapshot's render cache with the recorded bodies
-// so history replay and live responses share bytes by construction.
+// store, rendering the recorded bodies through the batch view's render
+// cache so history replay and live responses share bytes by
+// construction.
 // History failures degrade /healthz; they never block serving.
 func (s *Server) recordHistory(snap *snapshot) {
 	if s.hist == nil || snap.partialTasks > 0 {
 		return
 	}
-	ftgBody, err := renderGraph(snap.ftg, "json")
+	// Through the batch view's render cache, so a request for the same
+	// body — from this snapshot or a later one sharing the view — is
+	// served the recorded bytes.
+	ftgBody, _, err := snap.rendered.get("ftg.json", func() ([]byte, error) { return renderGraph(snap.ftg, "json") })
 	if err != nil {
 		s.histErr.Store(&ingestError{err: fmt.Errorf("serve: history render ftg: %w", err), when: time.Now()})
 		return
 	}
-	sdgBody, err := renderGraph(snap.sdg, "json")
+	sdgBody, _, err := snap.rendered.get("sdg.json", func() ([]byte, error) { return renderGraph(snap.sdg, "json") })
 	if err != nil {
 		s.histErr.Store(&ingestError{err: fmt.Errorf("serve: history render sdg: %w", err), when: time.Now()})
 		return
 	}
-	snap.mu.Lock()
-	if _, ok := snap.rendered["ftg.json"]; !ok {
-		snap.rendered["ftg.json"] = ftgBody
-	}
-	if _, ok := snap.rendered["sdg.json"]; !ok {
-		snap.rendered["sdg.json"] = sdgBody
-	}
-	snap.mu.Unlock()
 	if _, err := s.hist.Append(snap.id, time.Now().UTC(), len(snap.tasks), ftgBody, sdgBody); err != nil {
 		s.histErr.Store(&ingestError{err: err, when: time.Now()})
 		return
@@ -358,20 +383,17 @@ func (s *Server) recordHistory(snap *snapshot) {
 // snapshotID is the content address of the whole served state: the
 // manifest hash, every trace file's name and content hash, and every
 // retained streaming checkpoint's task, hash and sequence number.
-func (s *Server) snapshotID(paths []string, partialLines []string) string {
-	var b strings.Builder
-	b.WriteString("manifest:")
-	b.WriteString(s.manifestState.hash)
-	for _, path := range paths {
-		ent, _ := s.coord.File(path)
-		b.WriteString("\n")
-		b.WriteString(filepath.Base(path))
-		b.WriteString("=")
-		b.WriteString(ent.Hash)
+func snapshotID(batch *batchView, partials []*partialEntry) string {
+	lines := make([]string, len(partials))
+	for i, pe := range partials {
+		lines[i] = fmt.Sprintf("partial:%s=%s@%d", pe.trace.Task, pe.hash, pe.seq)
 	}
-	for _, line := range partialLines {
-		b.WriteString("\n")
-		b.WriteString(line)
+	sort.Strings(lines)
+	preimage := make([]byte, 0, len(batch.idLines)+len(lines)*128)
+	preimage = append(preimage, batch.idLines...)
+	for _, line := range lines {
+		preimage = append(preimage, '\n')
+		preimage = append(preimage, line...)
 	}
-	return trace.HashBytes([]byte(b.String()))
+	return trace.HashBytes(preimage)
 }

@@ -278,7 +278,7 @@ func (s *Server) diagnoseHandler(live bool) http.HandlerFunc {
 				return
 			}
 		}
-		s.serveRendered(w, "application/json", live, func(snap *snapshot) (string, renderFunc) {
+		s.serveRendered(w, "application/json", live, func(snap *snapshot) (*renderCache, string, renderFunc) {
 			return snap.diagnoseRender(live, horizonNS)
 		})
 	}
@@ -287,16 +287,16 @@ func (s *Server) diagnoseHandler(live bool) http.HandlerFunc {
 // diagnoseRender names and computes the one diagnose body behind
 // /v1/diagnose, /v1/live/diagnostics and the SSE event payload. The
 // render keys are what make those three share bytes: with no partials
-// and no horizon the live view resolves to the batch key.
-func (snap *snapshot) diagnoseRender(live bool, horizonNS int64) (string, renderFunc) {
-	key, traces := "diagnose", snap.traces
+// and no horizon the live view resolves to the batch view's key.
+func (snap *snapshot) diagnoseRender(live bool, horizonNS int64) (*renderCache, string, renderFunc) {
+	cache, key, traces := &snap.rendered, "diagnose", snap.traces
 	if live && snap.partialTasks > 0 {
-		key, traces = "live-diagnose", snap.liveTraces
+		cache, key, traces = &snap.liveRendered, "live-diagnose", snap.liveTraces
 	}
 	if horizonNS > 0 {
-		key = fmt.Sprintf("live-diagnose.h%d", horizonNS)
+		cache, key = &snap.liveRendered, fmt.Sprintf("live-diagnose.h%d", horizonNS)
 	}
-	return key, func() ([]byte, error) {
+	return cache, key, func() ([]byte, error) {
 		if horizonNS > 0 {
 			traces = horizonTraces(snap.liveTraces, horizonNS)
 		}

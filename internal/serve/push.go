@@ -201,7 +201,7 @@ func (s *Server) isDuplicateLocked(hash string) bool {
 	if s.acked[hash] {
 		return true
 	}
-	if snap := s.snap.Load(); snap != nil && snap.hashes[hash] {
+	if snap := s.snap.Load(); snap != nil && snap.hasHash(hash) {
 		return true
 	}
 	return false

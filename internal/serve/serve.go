@@ -18,12 +18,17 @@
 //  3. Rendered responses, keyed per snapshot and format: repeat
 //     requests against an unchanged directory are pure cache reads.
 //
+// A snapshot is a batch view — everything derived from the directory
+// alone, built once per directory state and shared by pointer — plus a
+// live overlay of streaming checkpoints, so a folded checkpoint costs
+// the overlay, not the state.
+//
 // Concurrency follows a single-writer snapshot-swap model: one
 // goroutine at a time may ingest (guarded by ingestMu; request-path
 // refreshes use TryLock and fall back to the current snapshot), and
 // the published *snapshot is immutable except for its lazily filled
-// render cache, which its own mutex guards. Readers load the snapshot
-// pointer atomically and never observe a half-built graph.
+// render caches, which are single-flight per key. Readers load the
+// snapshot pointer atomically and never observe a half-built graph.
 //
 // Responses are byte-identical to the batch CLI path — BuildFTG /
 // BuildSDG / diagnose.Analyze / PlanDataLocality over a fresh
@@ -116,29 +121,62 @@ type Config struct {
 	foldHook func(foldJob)
 }
 
-// snapshot is an immutable view of one ingested directory state. The
-// graphs are fully built at publish time; rendered holds lazily
-// cached response bodies keyed by endpoint and format.
-type snapshot struct {
-	id       string
+// batchView is the immutable batch half of a snapshot: everything that
+// is a function of the watched directory's content alone. It is built
+// once per directory state and shared — the same pointer — by every
+// snapshot published until the scan next reports a change, so a folded
+// checkpoint (which only moves the live overlay) neither rebuilds these
+// graphs nor re-renders their bodies, and the snapshots in the SSE
+// replay ring hold one batch graph between them.
+type batchView struct {
 	traces   []*trace.TaskTrace
 	manifest *trace.Manifest
 	tasks    []TaskInfo
+	taskSet  map[string]bool // task names with a final trace on disk
 	hashes   map[string]bool // content hashes of every trace file
-	ftg      *graph.Graph
-	sdg      *graph.Graph
+	// traceHash is each trace's content hash: its contribution cache key.
+	traceHash map[*trace.TaskTrace]string
+	// idLines is the batch part of the snapshot id's preimage: the
+	// manifest hash and every trace file's name and content hash.
+	idLines string
+	ftg     *graph.Graph
+	sdg     *graph.Graph
+
+	// rendered caches the bodies that depend on nothing but this view:
+	// "ftg.<format>", "sdg.<format>", "diagnose" and "plan:<tier>:<nodes>"
+	// — which, with zero partials, are also the live endpoints' keys.
+	rendered renderCache
+}
+
+// snapshot is an immutable view of one served state: the shared batch
+// view plus the live overlay of retained checkpoints. The graphs are
+// fully built at publish time; response bodies are cached lazily, in
+// the batch view when they depend on it alone and in liveRendered when
+// they depend on the overlay or the snapshot id.
+type snapshot struct {
+	id string
+	*batchView
 
 	// Live overlay: the trace set extended with retained checkpoint
 	// records for tasks still in flight. With zero partials these
 	// alias traces/ftg/sdg, making live and batch responses share
 	// rendered bytes.
-	liveTraces   []*trace.TaskTrace
-	liveFTG      *graph.Graph
-	liveSDG      *graph.Graph
-	partialTasks int
+	liveTraces    []*trace.TaskTrace
+	liveFTG       *graph.Graph
+	liveSDG       *graph.Graph
+	partialTasks  int
+	partialHashes map[string]bool // content hashes of the retained checkpoints
 
-	mu       sync.Mutex
-	rendered map[string][]byte
+	// liveRendered caches "tasks" (it names the snapshot id) and every
+	// "live-…" key: the overlay graphs and diagnostics, windowed and
+	// horizon-restricted renders.
+	liveRendered renderCache
+}
+
+// hasHash reports whether content with this hash is already part of the
+// snapshot, as a trace file or as a retained checkpoint.
+func (snap *snapshot) hasHash(hash string) bool {
+	return snap.hashes[hash] || snap.partialHashes[hash]
 }
 
 // shardIngest is one shard's slice of the push-ingest pipeline: its
@@ -173,6 +211,10 @@ type Server struct {
 	coord         *shard.Coordinator
 	manifest      *trace.Manifest
 	manifestState fileState
+	// batchStale is set when a scan saw the directory change and cleared
+	// once a snapshot of that state is built: a refresh that failed
+	// part-way still rebuilds the batch view on the next attempt.
+	batchStale bool
 
 	// hist is the persistent snapshot-history store (nil unless
 	// cfg.HistoryDir is set).
@@ -311,6 +353,7 @@ func NewServer(cfg Config) (*Server, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	s.events.metrics = newEventMetrics(reg)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
@@ -694,42 +737,84 @@ func limitBody(h http.Handler, limit int64) http.Handler {
 	})
 }
 
-// render returns the cached response body for key, computing and
-// caching it on first use. The compute function runs under the
-// snapshot's render lock: at most once per (snapshot, key).
-func (s *Server) render(snap *snapshot, key string, compute renderFunc) ([]byte, error) {
-	snap.mu.Lock()
-	defer snap.mu.Unlock()
-	if body, ok := snap.rendered[key]; ok {
-		s.responseHits.Inc()
-		return body, nil
-	}
-	s.responseMisses.Inc()
-	body, err := compute()
-	if err != nil {
-		return nil, err
-	}
-	snap.rendered[key] = body
-	return body, nil
+// renderCache is a lazily filled set of response bodies, single-flight
+// per key: concurrent requests for one key compute it once, requests
+// for different keys never wait for each other (a dashboard's graph
+// read must not queue behind the SSE goroutine's diagnose render of the
+// same snapshot). The zero value is ready.
+type renderCache struct {
+	mu      sync.Mutex // guards entries, never held across a compute
+	entries map[string]*renderEntry
 }
 
-// renderFunc computes one response body; render runs it at most once
-// per (snapshot, key).
+type renderEntry struct {
+	once sync.Once
+	body []byte
+	err  error
+}
+
+// renderFunc computes one response body; a renderCache runs it at most
+// once per key.
 type renderFunc = func() ([]byte, error)
+
+var errRenderAborted = errors.New("serve: render aborted")
+
+// get returns the body cached under key, computing it on first use. hit
+// reports that this call did not start the compute. A failed compute is
+// not cached: the callers that waited for it share its error, later
+// ones retry.
+func (c *renderCache) get(key string, compute renderFunc) (body []byte, hit bool, err error) {
+	c.mu.Lock()
+	e, hit := c.entries[key]
+	if !hit {
+		if c.entries == nil {
+			c.entries = map[string]*renderEntry{}
+		}
+		e = &renderEntry{}
+		c.entries[key] = e
+	}
+	c.mu.Unlock()
+	defer func() {
+		if e.err != nil {
+			c.mu.Lock()
+			if c.entries[key] == e {
+				delete(c.entries, key)
+			}
+			c.mu.Unlock()
+		}
+	}()
+	e.once.Do(func() {
+		e.err = errRenderAborted // what stays, for the waiters, if compute panics
+		e.body, e.err = compute()
+	})
+	return e.body, hit, e.err
+}
+
+// render answers from one of a snapshot's render caches, counting the
+// response cache hit or miss.
+func (s *Server) render(cache *renderCache, key string, compute renderFunc) ([]byte, error) {
+	body, hit, err := cache.get(key, compute)
+	if hit {
+		s.responseHits.Inc()
+	} else {
+		s.responseMisses.Inc()
+	}
+	return body, err
+}
 
 // serveRendered is the one shape every cached read endpoint has: load
 // the freshest snapshot (503 when there is none), let the endpoint name
-// its render key and body for that snapshot, and answer from the render
-// cache with the snapshot headers — plus the stream-progress headers on
-// live endpoints.
-func (s *Server) serveRendered(w http.ResponseWriter, contentType string, live bool, endpoint func(*snapshot) (string, renderFunc)) {
+// its render cache, key and body for that snapshot, and answer from
+// the cache with the snapshot headers — plus the stream-progress
+// headers on live endpoints.
+func (s *Server) serveRendered(w http.ResponseWriter, contentType string, live bool, endpoint func(*snapshot) (*renderCache, string, renderFunc)) {
 	snap, err := s.current()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	key, compute := endpoint(snap)
-	body, err := s.render(snap, key, compute)
+	cache, key, compute := endpoint(snap)
+	body, err := s.render(cache, key, compute)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, analyzer.ErrNonPositiveWindow) {
@@ -777,7 +862,7 @@ func (s *Server) graphHandler(which string, live bool) http.HandlerFunc {
 				return
 			}
 		}
-		s.serveRendered(w, contentType, live, func(snap *snapshot) (string, renderFunc) {
+		s.serveRendered(w, contentType, live, func(snap *snapshot) (*renderCache, string, renderFunc) {
 			g := snap.ftg
 			switch {
 			case which == "sdg" && live:
@@ -788,16 +873,16 @@ func (s *Server) graphHandler(which string, live bool) http.HandlerFunc {
 				g = snap.liveFTG
 			}
 			// With no partials the live graph aliases the batch graph,
-			// and sharing the render key makes the responses
+			// and sharing the batch view's render key makes the responses
 			// byte-identical (the equivalence gate at end of stream).
-			key := which + "." + format
+			cache, key := &snap.rendered, which+"."+format
 			switch {
 			case windowNS > 0:
-				key = fmt.Sprintf("live-%s.w%d.%s", which, windowNS, format)
+				cache, key = &snap.liveRendered, fmt.Sprintf("live-%s.w%d.%s", which, windowNS, format)
 			case live && snap.partialTasks > 0:
-				key = "live-" + key
+				cache, key = &snap.liveRendered, "live-"+key
 			}
-			return key, func() ([]byte, error) {
+			return cache, key, func() ([]byte, error) {
 				if windowNS > 0 {
 					// The cross-snapshot cache: when only a few tasks
 					// folded since the last render of this window, the
@@ -845,8 +930,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Nodes = n
 	}
-	s.serveRendered(w, "application/json", false, func(snap *snapshot) (string, renderFunc) {
-		return fmt.Sprintf("plan:%s:%d", opts.FastTier, opts.Nodes), func() ([]byte, error) {
+	s.serveRendered(w, "application/json", false, func(snap *snapshot) (*renderCache, string, renderFunc) {
+		return &snap.rendered, fmt.Sprintf("plan:%s:%d", opts.FastTier, opts.Nodes), func() ([]byte, error) {
 			plan := optimizer.PlanDataLocality(snap.traces, snap.manifest, opts)
 			return json.MarshalIndent(plan, "", "  ")
 		}
@@ -854,8 +939,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
-	s.serveRendered(w, "application/json", false, func(snap *snapshot) (string, renderFunc) {
-		return "tasks", func() ([]byte, error) {
+	s.serveRendered(w, "application/json", false, func(snap *snapshot) (*renderCache, string, renderFunc) {
+		return &snap.liveRendered, "tasks", func() ([]byte, error) {
 			return json.MarshalIndent(struct {
 				Snapshot string     `json:"snapshot"`
 				Tasks    []TaskInfo `json:"tasks"`

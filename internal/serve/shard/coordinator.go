@@ -18,12 +18,14 @@ type Task struct {
 	Hash  string
 }
 
-// Request is one contribution pass over an ordered trace set. Descs
-// must come from analyzer.BuildObjectDescs over the FULL ordered set —
-// SDG contributions are functions of the global description index, not
-// of one shard's slice — which is why the coordinator computes it once
-// and fans it out.
+// Request is one contribution pass over an ordered trace set, on
+// behalf of one snapshot view. Descs must come from
+// analyzer.BuildObjectDescs over the FULL ordered set — SDG
+// contributions are functions of the global description index, not of
+// one shard's slice — which is why the coordinator computes it once and
+// fans it out.
 type Request struct {
+	View  View
 	Tasks []Task
 	Descs analyzer.ObjectDescs
 	Opts  analyzer.Options
@@ -100,10 +102,11 @@ func (c *Coordinator) File(path string) (Entry, bool) {
 	return c.workers[c.RouteFile(path)].File(path)
 }
 
-// Gather fans the request out to every worker that owns at least one
-// of its tasks and returns the resulting sets in completion order —
+// Gather fans the request out to the workers and returns the sets of
+// those that own at least one of its tasks, in completion order —
 // deliberately nondeterministic, so tests and CI exercise Stitch's
-// order independence on every run.
+// order independence on every run. A worker that owns none of the
+// tasks still forgets what the view's previous pass used.
 func (c *Coordinator) Gather(req Request, m Metrics) []Set {
 	byShard := make([][]Task, len(c.workers))
 	for _, task := range req.Tasks {
@@ -114,11 +117,12 @@ func (c *Coordinator) Gather(req Request, m Metrics) []Set {
 	launched := 0
 	for k, tasks := range byShard {
 		if len(tasks) == 0 {
+			c.workers[k].used[req.View] = passKeys{}
 			continue
 		}
 		launched++
 		go func(w *Worker, tasks []Task) {
-			ch <- w.Contribute(Request{Tasks: tasks, Descs: req.Descs, Opts: req.Opts}, m)
+			ch <- w.contribute(Request{View: req.View, Tasks: tasks, Descs: req.Descs, Opts: req.Opts}, m)
 		}(c.workers[k], tasks)
 	}
 	sets := make([]Set, 0, launched)
@@ -128,12 +132,31 @@ func (c *Coordinator) Gather(req Request, m Metrics) []Set {
 	return sets
 }
 
-// Prune trims every worker's contribution caches to the keys used
-// since the last Prune.
+// Release forgets what the view's latest pass used (the live overlay
+// dissolved: zero partials), so the next Prune drops whatever only that
+// view kept alive.
+func (c *Coordinator) Release(v View) {
+	for _, w := range c.workers {
+		w.used[v] = passKeys{}
+	}
+}
+
+// Prune trims every worker's contribution caches to the union of what
+// each view's latest pass used.
 func (c *Coordinator) Prune() {
 	for _, w := range c.workers {
-		w.Prune()
+		w.prune()
 	}
+}
+
+// CachedContributions reports how many FTG and SDG contributions the
+// workers hold between them. Test-only accessor: the shard and serve
+// tests pin the caches' bound with it; nothing in the server reads it.
+func (c *Coordinator) CachedContributions() (ftg, sdg int) {
+	for _, w := range c.workers {
+		ftg, sdg = ftg+len(w.ftg), sdg+len(w.sdg)
+	}
+	return ftg, sdg
 }
 
 // Stitch reassembles per-shard contribution sets into the two global

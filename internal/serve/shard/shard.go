@@ -78,6 +78,28 @@ type Entry struct {
 	Trace   *trace.TaskTrace
 }
 
+// View names the half of a snapshot a contribution pass builds: the
+// batch view (final traces on disk) or the live overlay (the same set
+// extended with retained checkpoints). Each worker remembers the cache
+// keys the latest pass of each view touched; Prune keeps their union.
+type View int
+
+const (
+	Batch View = iota
+	Live
+	numViews
+)
+
+// sdgKey addresses one cached SDG contribution: the trace content hash
+// plus the fingerprint of the object descriptions the task references.
+type sdgKey struct{ trace, descs string }
+
+// passKeys is what one pass of one view touched in a worker's caches.
+type passKeys struct {
+	ftg map[string]bool
+	sdg map[sdgKey]bool
+}
+
 // Worker owns one shard's slice of the parsed-trace and contribution
 // caches. Worker methods are NOT safe for concurrent use on the same
 // worker; the coordinator (and the serve scan loop) run at most one
@@ -87,22 +109,20 @@ type Worker struct {
 	idx   int
 	files map[string]Entry
 	ftg   map[string]analyzer.Contribution
-	sdg   map[string]analyzer.Contribution
+	sdg   map[sdgKey]analyzer.Contribution
 
-	// Keys touched since the last Prune: the working set the caches are
-	// trimmed to, so superseded revisions never accumulate.
-	usedFTG map[string]bool
-	usedSDG map[string]bool
+	// The keys each view's latest pass touched: the working set the
+	// caches are trimmed to, so superseded revisions never accumulate
+	// while everything a published view was built from stays cached.
+	used [numViews]passKeys
 }
 
 func newWorker(idx int) *Worker {
 	return &Worker{
-		idx:     idx,
-		files:   map[string]Entry{},
-		ftg:     map[string]analyzer.Contribution{},
-		sdg:     map[string]analyzer.Contribution{},
-		usedFTG: map[string]bool{},
-		usedSDG: map[string]bool{},
+		idx:   idx,
+		files: map[string]Entry{},
+		ftg:   map[string]analyzer.Contribution{},
+		sdg:   map[sdgKey]analyzer.Contribution{},
 	}
 }
 
@@ -171,20 +191,24 @@ func (m Metrics) miss() {
 	}
 }
 
-// Contribute computes (or serves from cache) this worker's share of a
+// contribute computes (or serves from cache) this worker's share of a
 // contribution pass and returns it as a Set tagged with global task
 // positions. FTG contributions are keyed by the trace content hash;
 // SDG contributions additionally by the fingerprint of the object
-// descriptions the task references, exactly as the serve cache always
-// keyed them. Every key touched is recorded for the next Prune.
-func (w *Worker) Contribute(req Request, m Metrics) Set {
+// descriptions the task references. The keys touched replace the
+// view's previous working set.
+func (w *Worker) contribute(req Request, m Metrics) Set {
 	set := Set{
 		Shard: w.idx,
 		FTG:   make([]Tagged, 0, len(req.Tasks)),
 		SDG:   make([]Tagged, 0, len(req.Tasks)),
 	}
+	used := passKeys{
+		ftg: make(map[string]bool, len(req.Tasks)),
+		sdg: make(map[sdgKey]bool, len(req.Tasks)),
+	}
 	for _, task := range req.Tasks {
-		w.usedFTG[task.Hash] = true
+		used.ftg[task.Hash] = true
 		c, ok := w.ftg[task.Hash]
 		if ok {
 			m.hit()
@@ -195,36 +219,37 @@ func (w *Worker) Contribute(req Request, m Metrics) Set {
 		}
 		set.FTG = append(set.FTG, Tagged{Pos: task.Pos, C: c})
 
-		sdgKey := task.Hash + ":" + req.Descs.Fingerprint(task.Trace)
-		w.usedSDG[sdgKey] = true
-		c, ok = w.sdg[sdgKey]
+		key := sdgKey{trace: task.Hash, descs: req.Descs.Fingerprint(task.Trace)}
+		used.sdg[key] = true
+		c, ok = w.sdg[key]
 		if ok {
 			m.hit()
 		} else {
 			m.miss()
 			c = analyzer.SDGContribution(task.Trace, req.Descs, req.Opts)
-			w.sdg[sdgKey] = c
+			w.sdg[key] = c
 		}
 		set.SDG = append(set.SDG, Tagged{Pos: task.Pos, C: c})
 	}
+	w.used[req.View] = used
 	return set
 }
 
-// Prune trims both contribution caches to the keys used since the last
-// Prune and resets the used sets. The serve snapshot builder calls it
-// once per published snapshot, so earlier revisions of changed traces
-// and superseded checkpoint contributions are unreachable immediately.
-func (w *Worker) Prune() {
+// prune trims both contribution caches to the union of the keys each
+// view's latest pass touched. The serve snapshot builder calls it once
+// per published snapshot, so earlier revisions of changed traces and
+// superseded checkpoint contributions are unreachable immediately —
+// while a refresh that rebuilt only the live overlay evicts nothing the
+// batch view it shares was built from.
+func (w *Worker) prune() {
 	for hash := range w.ftg {
-		if !w.usedFTG[hash] {
+		if !w.used[Batch].ftg[hash] && !w.used[Live].ftg[hash] {
 			delete(w.ftg, hash)
 		}
 	}
 	for key := range w.sdg {
-		if !w.usedSDG[key] {
+		if !w.used[Batch].sdg[key] && !w.used[Live].sdg[key] {
 			delete(w.sdg, key)
 		}
 	}
-	w.usedFTG = map[string]bool{}
-	w.usedSDG = map[string]bool{}
 }

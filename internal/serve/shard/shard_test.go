@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -285,5 +286,76 @@ func TestCoordinatorFileCache(t *testing.T) {
 	}
 	if _, ok := c.File("/a/t2.trace.json"); ok {
 		t.Fatal("swept file still cached")
+	}
+}
+
+// TestPruneKeepsUnionOfViews pins the prune rule: each view's latest
+// pass replaces that view's working set, Prune keeps the union of the
+// two, and Release drops what only the released view held.
+func TestPruneKeepsUnionOfViews(t *testing.T) {
+	tasks, descs, _ := fixtureTasks(t)
+	n := len(tasks)
+	for _, shards := range []int{1, 4} {
+		c := NewCoordinator(shards)
+		// Workers run concurrently: the miss hook must be atomic.
+		var misses atomic.Int64
+		m := Metrics{Miss: func() { misses.Add(1) }}
+		gather := func(v View, tasks []Task, descs analyzer.ObjectDescs) int {
+			misses.Store(0)
+			sets := c.Gather(Request{View: v, Tasks: tasks, Descs: descs}, m)
+			if _, _, err := Stitch(len(tasks), sets); err != nil {
+				t.Fatalf("shards=%d: stitch: %v", shards, err)
+			}
+			return int(misses.Load())
+		}
+
+		if got := gather(Batch, tasks, descs); got != 2*n {
+			t.Fatalf("shards=%d: cold batch pass missed %d, want %d", shards, got, 2*n)
+		}
+		// The live view: the same tasks plus one in-flight trace whose
+		// superseded revisions must not pile up.
+		liveTasks := append(append([]Task{}, tasks...), Task{Pos: n, Trace: tasks[0].Trace, Hash: "checkpoint-1"})
+		if got := gather(Live, liveTasks, descs); got != 2 {
+			t.Fatalf("shards=%d: first live pass missed %d, want 2", shards, got)
+		}
+		for rev := 2; rev <= 20; rev++ {
+			liveTasks[n].Hash = fmt.Sprintf("checkpoint-%d", rev)
+			if got := gather(Live, liveTasks, descs); got != 2 {
+				t.Fatalf("shards=%d: live pass %d missed %d, want 2", shards, rev, got)
+			}
+			c.Prune()
+			if ftg, sdg := c.CachedContributions(); ftg != n+1 || sdg != n+1 {
+				t.Fatalf("shards=%d: after live pass %d the caches hold %d/%d, want %d/%d", shards, rev, ftg, sdg, n+1, n+1)
+			}
+		}
+
+		// A live pass over new descriptions keys its SDG contributions
+		// apart; the batch view's variants survive the prune beside them.
+		mutated := analyzer.ObjectDescs{}
+		for k, v := range descs {
+			v.Datatype += "-live"
+			mutated[k] = v
+		}
+		gather(Live, liveTasks, mutated)
+		c.Prune()
+		if got := gather(Batch, tasks, descs); got != 0 {
+			t.Errorf("shards=%d: batch pass after live-only prunes missed %d, want 0", shards, got)
+		}
+		// A live pass confined to one task: workers that own none of it
+		// forget their share of the previous live pass.
+		gather(Live, []Task{{Pos: 0, Trace: liveTasks[n].Trace, Hash: liveTasks[n].Hash}}, mutated)
+		c.Prune()
+		if ftg, sdg := c.CachedContributions(); ftg != n+1 || sdg != n+1 {
+			t.Errorf("shards=%d: after a one-task live pass the caches hold %d/%d, want %d/%d", shards, ftg, sdg, n+1, n+1)
+		}
+		// The overlay dissolves.
+		c.Release(Live)
+		c.Prune()
+		if ftg, sdg := c.CachedContributions(); ftg != n || sdg != n {
+			t.Errorf("shards=%d: after Release(Live) the caches hold %d/%d, want %d/%d", shards, ftg, sdg, n, n)
+		}
+		if got := gather(Batch, tasks, descs); got != 0 {
+			t.Errorf("shards=%d: batch pass after the release missed %d, want 0", shards, got)
+		}
 	}
 }
