@@ -39,13 +39,6 @@
 //	    per-task attempts, failures and the virtual-time cost of
 //	    self-healing.
 //
-//	dayu bench [-quick] [-reps n] [-json] [-o BENCH_1.json]
-//	           [-validate file]
-//	    Run the overhead bench suite (h5bench + corner-case kernels,
-//	    tracer on/off; PyFLEXTRKR/DDMD/ARLDM end to end) and print a
-//	    summary or write the machine-readable BENCH_*.json record.
-//	    -validate checks an existing record against the schema instead.
-//
 //	dayu metrics -workflow <name> [-machine m] [-nodes n] [-json]
 //	    Execute a workload replica with the observability layer attached
 //	    and emit the metrics registry in Prometheus text format (default)
@@ -145,8 +138,6 @@ func main() {
 		err = cmdReport(os.Args[2:])
 	case "faults":
 		err = cmdFaults(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "metrics":
 		err = cmdMetrics(os.Args[2:])
 	case "serve":
@@ -171,14 +162,13 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dayu <run|analyze|diagnose|plan|report|faults|bench|metrics|serve|push|watch|convert> [flags]
+	fmt.Fprintln(os.Stderr, `usage: dayu <run|analyze|diagnose|plan|report|faults|metrics|serve|push|watch|convert> [flags]
   run       execute a workload replica with tracing on the simulated cluster
   analyze   build FTG/SDG graphs from saved traces
   diagnose  detect I/O observations and print optimization guidelines
   plan      derive a data-locality optimization plan from traces
   report    render a Markdown optimization report from traces
   faults    execute a workload under deterministic fault injection with retry
-  bench     run the overhead bench suite; -json writes BENCH_*.json
   metrics   run a workload with the obs layer on and dump its metrics
   serve     watch a trace directory and serve cached analyses over HTTP
   push      push a trace directory to a serve instance's durable ingest
@@ -513,80 +503,6 @@ func cmdFaults(args []string) error {
 	fmt.Printf("tasks: %d traced, %d retried, %d failed\n", len(res.Traces), retried, failed)
 	if runErr != nil {
 		return fmt.Errorf("workflow completed partially: %w", runErr)
-	}
-	return nil
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "shrink volumes for a CI smoke run")
-	reps := fs.Int("reps", 3, "repetitions per timed kernel (fastest wins)")
-	asJSON := fs.Bool("json", false, "write the machine-readable BENCH record")
-	out := fs.String("o", "BENCH_1.json", "output path for -json")
-	validate := fs.String("validate", "", "validate an existing BENCH_*.json and exit")
-	fs.Parse(args)
-
-	if *validate != "" {
-		if _, err := workloads.LoadBenchJSON(*validate); err != nil {
-			return err
-		}
-		fmt.Printf("%s: valid %s record\n", *validate, workloads.BenchSchema)
-		return nil
-	}
-
-	res, err := workloads.RunBenchSuite(workloads.BenchSuiteConfig{Quick: *quick, Reps: *reps})
-	if err != nil {
-		return err
-	}
-	for _, k := range res.Kernels {
-		fmt.Printf("kernel %-12s untraced %-12s traced %-12s tracer %.2f%%  obs-disabled %.2f%%  obs-on %.2f%%\n",
-			k.Name,
-			units.Duration(time.Duration(k.UntracedNS)),
-			units.Duration(time.Duration(k.TracedNS)),
-			k.TracerOverheadPct, k.DisabledObsOverheadPct, k.InstrumentationOverheadPct)
-	}
-	if a := res.Analyzer; a != nil {
-		match := "outputs identical"
-		if !a.OutputsIdentical {
-			match = "OUTPUTS DIFFER"
-		}
-		fmt.Printf("kernel %-12s %d tasks on %d cores (parallelism %d)  serial %-12s parallel %-12s speedup %.2fx [%s]  %s\n",
-			a.Name, a.Tasks, a.Cores, a.Parallelism,
-			units.Duration(time.Duration(a.SerialNS)),
-			units.Duration(time.Duration(a.ParallelNS)), a.Speedup, a.SpeedupGate, match)
-	}
-	if c := res.Codec; c != nil {
-		match := "graphs identical"
-		if !c.BinaryEquivalent {
-			match = "GRAPHS DIFFER"
-		}
-		fmt.Printf("kernel %-12s %d traces  encode json %-12s dtb %-12s (%.2fx [%s])  decode json %-12s dtb %-12s (%.2fx)  size json %-10s dtb %-10s (%.1f%%)  %s\n",
-			c.Name, c.Tasks,
-			units.Duration(time.Duration(c.JSONEncodeNS)),
-			units.Duration(time.Duration(c.BinaryEncodeNS)), c.EncodeSpeedup, c.EncodeSpeedupGate,
-			units.Duration(time.Duration(c.JSONDecodeNS)),
-			units.Duration(time.Duration(c.BinaryDecodeNS)), c.DecodeSpeedup,
-			units.Bytes(c.JSONBytes), units.Bytes(c.BinaryBytes), 100*c.SizeRatio, match)
-		fmt.Printf("kernel %-12s alloc bytes/op  encode json %-10s dtb %-10s  decode dtb %-10s\n",
-			c.Name,
-			units.Bytes(c.JSONEncodeAllocBytesPerOp),
-			units.Bytes(c.BinaryEncodeAllocBytesPerOp),
-			units.Bytes(c.BinaryDecodeAllocBytesPerOp))
-	}
-	for _, w := range res.Workflows {
-		fmt.Printf("workflow %-12s %d stages, %d tasks  virtual %-12s wall %-12s tracer %.2f%%\n",
-			w.Name, w.Stages, w.Tasks,
-			units.Duration(time.Duration(w.VirtualNS)),
-			units.Duration(time.Duration(w.WallTracedNS)), w.TracerOverheadPct)
-	}
-	if *asJSON {
-		if err := res.Validate(); err != nil {
-			return err
-		}
-		if err := res.WriteJSON(*out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
 	}
 	return nil
 }

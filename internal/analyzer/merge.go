@@ -6,7 +6,7 @@ package analyzer
 // PR 3 parallelized per-task contribution *compute* but still paid a
 // goroutine/channel round-trip per task and folded every contribution
 // into the graph serially; on the 3000-task synthetic workflow that
-// made the "parallel" build slower than the serial one (BENCH_5:
+// made the "parallel" build slower than the serial one (PR 5's record:
 // 0.91x). This file wins the path back in three moves:
 //
 //  1. Contributions are built in contiguous chunks claimed off an
@@ -30,9 +30,9 @@ package analyzer
 // sequence, (c) global edge order, and (d) per-endpoint adjacency
 // order. All four are derived here from the global occurrence index —
 // a schedule-independent quantity — so any shard count, including the
-// serial path, yields byte-identical renderings. The equivalence gate
-// in BENCH_*.json and the property tests in parallel_test.go hold this
-// to account.
+// serial path, yields byte-identical renderings. The property tests in
+// parallel_test.go and the replica table in internal/workloads hold
+// this to account.
 
 import (
 	"sort"

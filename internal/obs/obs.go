@@ -4,7 +4,7 @@
 // bill into the simulation's virtual-time axis. The paper measures
 // everyone else's I/O (§IV, §VII-B); this package measures DaYu itself,
 // so the reproduction's overhead study and hot paths stay tracked
-// across PRs (the BENCH_*.json trajectory).
+// across PRs (the benchmark/ per-layer series).
 //
 // Design constraints:
 //

@@ -5,7 +5,7 @@ package obs
 // device models, so spans are stamped with those virtual nanoseconds
 // rather than host time: the same run always yields the same span
 // timeline, and span math never perturbs the wall-clock overhead the
-// bench suite measures. Each span also feeds a latency histogram named
+// benchmark measures. Each span also feeds a latency histogram named
 // dayu_span_ns{span="<name>"} so distributions survive the bounded
 // span log.
 

@@ -77,16 +77,18 @@ type eventsBroadcaster struct {
 // first), framing plus the write and flush to the connection, and the
 // framed size. Handles are nil-safe; the zero value records nothing.
 type eventMetrics struct {
-	renderNS *obs.Histogram
-	writeNS  *obs.Histogram
-	bytes    *obs.Histogram
+	renderNS     *obs.Histogram
+	writeNS      *obs.Histogram
+	bytes        *obs.Histogram
+	renderErrors *obs.Counter
 }
 
 func newEventMetrics(reg *obs.Registry) eventMetrics {
 	return eventMetrics{
-		renderNS: reg.Histogram("dayu_serve_event_render_ns", obs.LatencyBuckets()),
-		writeNS:  reg.Histogram("dayu_serve_event_write_ns", obs.LatencyBuckets()),
-		bytes:    reg.Histogram("dayu_serve_event_bytes", obs.SizeBuckets()),
+		renderNS:     reg.Histogram("dayu_serve_event_render_ns", obs.LatencyBuckets()),
+		writeNS:      reg.Histogram("dayu_serve_event_write_ns", obs.LatencyBuckets()),
+		bytes:        reg.Histogram("dayu_serve_event_bytes", obs.SizeBuckets()),
+		renderErrors: reg.Counter("dayu_serve_event_render_errors_total"),
 	}
 }
 
@@ -271,7 +273,11 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 		payload, err := s.liveEventPayload(ev.snap)
 		if err != nil {
 			// The stream is already committed; drop the event rather
-			// than corrupting the framing. The next event retries.
+			// than corrupting the framing, and say so on /healthz — a
+			// watcher that stops seeing updates must not be the only
+			// symptom. The next event retries.
+			s.events.metrics.renderErrors.Inc()
+			s.lastErr.Store(&ingestError{err: fmt.Errorf("serve: render live event %d: %w", ev.id, err), when: time.Now()})
 			return true
 		}
 		rendered := time.Now()

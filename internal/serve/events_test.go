@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dayu/internal/obs"
+	"dayu/internal/trace"
 )
 
 // sseEvent is one parsed server-sent event.
@@ -211,6 +215,70 @@ func TestLiveEventsStream(t *testing.T) {
 	s.Close() // the stream must end rather than hang on shutdown
 	if _, err := conn.rd.ReadString(0); err == nil {
 		t.Error("stream still open after server close")
+	}
+}
+
+// TestLiveEventsRenderFailureIsLoud pins that an event the server
+// cannot render is not just skipped: /healthz turns degraded with the
+// cause and the failure is counted, while the stream itself stays up
+// and delivers the next snapshot.
+func TestLiveEventsRenderFailureIsLoud(t *testing.T) {
+	fixture := writeFixtureDir(t)
+	reg := obs.NewRegistry()
+	s := mustServer(t, Config{
+		Dir: fixture, WALDir: t.TempDir(), WAL: WALOptions{Fsync: FsyncNever},
+		PlanOptions: testPlanOpts, Registry: reg,
+	})
+	srv := httptest.NewServer(s)
+	t.Cleanup(func() { srv.Close(); s.Close() })
+
+	// Park a failed diagnose render in the current snapshot's cache —
+	// what diagnose.EncodeJSON rejecting a NaN metric leaves behind for
+	// the callers that waited on it.
+	snap, err := s.current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := &renderEntry{err: errors.New("diagnose: metric is NaN")}
+	failed.once.Do(func() {})
+	snap.rendered.mu.Lock()
+	snap.rendered.entries = map[string]*renderEntry{"diagnose": failed}
+	snap.rendered.mu.Unlock()
+
+	conn := dialSSE(t, srv, "")
+	// Health reflects but never triggers ingestion, so the degradation
+	// stays visible until the next successful rescan.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h Health
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Status == "degraded" && strings.Contains(h.LastIngestError, "metric is NaN") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("healthz never reported the dropped event: %+v", h)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if status, _, _ := postIngest(t, srv, makeTraceBytes(t, "after_failure", trace.FormatBinary)); status != http.StatusOK {
+		t.Fatalf("push = %d", status)
+	}
+	// The first event on the wire is the post-push snapshot: the
+	// unrenderable one was dropped, and by now accounted for.
+	p := decodeEvent(t, conn.next(t))
+	if p.Snapshot == snap.id {
+		t.Fatalf("the unrenderable snapshot %s was delivered", snap.id)
+	}
+	if got := reg.Counter("dayu_serve_event_render_errors_total").Value(); got != 1 {
+		t.Errorf("event_render_errors_total = %d, want 1", got)
 	}
 }
 

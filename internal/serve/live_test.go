@@ -411,6 +411,11 @@ func TestDeltaStreamMidFlightView(t *testing.T) {
 		t.Fatalf("delta checkpoint = %d %q", status, pr.Status)
 	}
 	waitWALDrained(t, envDelta.s)
+	// Folded is not yet visible, and the base checkpoint alone already
+	// reads as one partial task: queue behind the folder's rescan.
+	if _, err := envDelta.s.Ingest(); err != nil {
+		t.Fatal(err)
+	}
 	waitLiveCounts(t, envDelta.srv, 1, 0)
 
 	envCum := newPushEnv(t, nil)

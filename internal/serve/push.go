@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"dayu/internal/atomicfile"
@@ -172,7 +173,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sh.appendNS.Observe(elapsed)
 	s.pushMu.Lock()
 	if err == nil {
-		s.acked[hash] = true
+		s.acked[hash] = newAckedRecord(tt.Task, meta)
 	}
 	delete(s.pending, hash)
 	close(inflight)
@@ -198,7 +199,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // acknowledged (this process) or folded (any process — the snapshot
 // hashes cover the on-disk directory). Callers hold pushMu.
 func (s *Server) isDuplicateLocked(hash string) bool {
-	if s.acked[hash] {
+	if _, ok := s.acked[hash]; ok {
 		return true
 	}
 	if snap := s.snap.Load(); snap != nil && snap.hasHash(hash) {
@@ -251,11 +252,9 @@ func (s *Server) handleIngestManifest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if _, err := s.Ingest(); err != nil {
-		// The manifest landed durably; the scan error surfaces via
-		// /healthz like any other ingest failure.
-		s.ingestErrors.Inc()
-	}
+	// The manifest landed durably; a scan error is counted and surfaces
+	// via /healthz like any other ingest failure.
+	_, _ = s.Ingest()
 	s.writePushResponse(w, PushResponse{Status: "accepted", Hash: trace.HashBytes(data)})
 }
 
@@ -280,6 +279,48 @@ func (s *Server) folder(sh *shardIngest) {
 			// Coalesced rescan after a burst: the new files enter the
 			// snapshot without waiting for the poll tick.
 			_, _ = s.Ingest()
+			s.pruneAcked()
+		}
+	}
+}
+
+// ackedRecord is what pruneAcked needs to know about an acknowledged
+// payload: whose it is and, for a streaming checkpoint, where it sits
+// in the task's stream.
+type ackedRecord struct {
+	task       string
+	checkpoint bool
+	seq        uint64
+}
+
+// newAckedRecord copies the task name: a zero-copy decode's strings
+// alias the payload, which must not stay reachable through s.acked.
+func newAckedRecord(task string, meta trace.RecordMeta) ackedRecord {
+	return ackedRecord{task: strings.Clone(task), checkpoint: meta.Incremental, seq: meta.CheckpointSeq}
+}
+
+// pruneAcked drops the acknowledged hashes dedup no longer needs, so
+// s.acked holds the unfolded records and at most one delta head per
+// streaming task instead of every checkpoint ever pushed. A hash goes
+// once the published snapshot covers it, or — for a checkpoint, whose
+// re-push foldCheckpoint would drop anyway — once the task's final or a
+// newer checkpoint has folded. Runs in the folders after their
+// coalesced rescan, off the ack path.
+func (s *Server) pruneAcked() {
+	snap := s.snap.Load()
+	if snap == nil {
+		return
+	}
+	s.pushMu.Lock()
+	defer s.pushMu.Unlock()
+	for hash, rec := range s.acked {
+		drop := snap.hasHash(hash)
+		if !drop && rec.checkpoint {
+			cur, ok := s.partials.lookup(rec.task)
+			drop = snap.taskSet[rec.task] || (ok && cur.seq > rec.seq)
+		}
+		if drop {
+			delete(s.acked, hash)
 		}
 	}
 }

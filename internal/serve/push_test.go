@@ -288,7 +288,8 @@ func TestPushIngestBadRequests(t *testing.T) {
 }
 
 func TestPushIngestManifest(t *testing.T) {
-	env := newPushEnv(t, nil)
+	reg := obs.NewRegistry()
+	env := newPushEnv(t, func(c *Config) { c.Registry = reg })
 	m := trace.Manifest{Workflow: "pushed", TaskOrder: []string{"a", "b"}}
 	body, err := json.Marshal(m)
 	if err != nil {
@@ -316,6 +317,76 @@ func TestPushIngestManifest(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad manifest %q = %d, want 400", bad, resp.StatusCode)
 		}
+	}
+
+	// A scan error behind a manifest push still answers 200 (the
+	// manifest is durable) and counts as exactly one ingest error.
+	if err := os.WriteFile(filepath.Join(env.dir, "torn.trace.json"), []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ingestErrors := reg.Counter("dayu_serve_ingest_errors_total")
+	before := ingestErrors.Value()
+	resp, err = http.Post(env.srv.URL+"/v1/ingest/manifest", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("manifest push over a torn directory = %d", resp.StatusCode)
+	}
+	if got := ingestErrors.Value() - before; got != 1 {
+		t.Errorf("one failed scan moved ingest_errors_total by %d, want 1", got)
+	}
+}
+
+// TestAckedHashesPruned pins that the dedup set does not grow with the
+// stream: a task's checkpoints leave s.acked as newer ones (and finally
+// the final) fold, while a retry of the final is still a duplicate.
+func TestAckedHashesPruned(t *testing.T) {
+	env := newPushEnv(t, nil)
+	full := liveTask("long_task")
+	const n = 12
+	var prev *trace.TaskTrace
+	for i := 1; i <= n; i++ {
+		cp := sortedCheckpoint(checkpointTrace(full, float64(i)/n))
+		rec := encodeCheckpoint(t, cp, uint64(i))
+		// Alternate the framings: a delta's pushed bytes never appear
+		// in a snapshot, so only supersession can retire its hash.
+		if d, ok := trace.Diff(prev, cp); ok && i%2 == 0 {
+			rec = encodeDelta(t, d, uint64(i), uint64(i-1))
+		}
+		if status, pr, _ := postIngest(t, env.srv, rec); status != http.StatusOK || pr.Status != "accepted" {
+			t.Fatalf("checkpoint %d = %d %q", i, status, pr.Status)
+		}
+		prev = cp
+	}
+	var buf bytes.Buffer
+	if err := full.EncodeFormat(&buf, trace.FormatBinary); err != nil {
+		t.Fatal(err)
+	}
+	final := buf.Bytes()
+	if status, pr, _ := postIngest(t, env.srv, final); status != http.StatusOK || pr.Status != "accepted" {
+		t.Fatalf("final = %d %q", status, pr.Status)
+	}
+	waitWALDrained(t, env.s)
+	waitLiveCounts(t, env.srv, 0, 1)
+
+	// The folder prunes after its rescan, which may trail the drain.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		env.s.pushMu.Lock()
+		left := len(env.s.acked)
+		env.s.pushMu.Unlock()
+		if left == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d acknowledged hashes retained after %d checkpoints + final folded, want 0", left, n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if status, pr, _ := postIngest(t, env.srv, final); status != http.StatusOK || pr.Status != "duplicate" {
+		t.Errorf("retry of the final = %d %q, want duplicate", status, pr.Status)
 	}
 }
 

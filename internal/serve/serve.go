@@ -72,8 +72,9 @@ type Config struct {
 	// PlanOptions are the defaults for /v1/plan; tier and nodes can be
 	// overridden per request with ?tier= and ?nodes=.
 	PlanOptions optimizer.LocalityOptions
-	// Poll is the background rescan interval; 0 means requests trigger
-	// the rescan themselves (still incremental, still cached).
+	// Poll is the background rescan interval; 0 disables the background
+	// watcher. Requests rescan either way (current), incrementally and
+	// through the caches.
 	Poll time.Duration
 	// MaxPollBackoff caps the exponential backoff applied to the poll
 	// loop after repeated scan errors (default 1 minute; never below
@@ -233,7 +234,9 @@ type Server struct {
 	pushMu     sync.Mutex
 	pushClosed bool
 	pushWG     sync.WaitGroup
-	acked      map[string]bool // content hashes acknowledged this process
+	// acked maps the content hashes acknowledged by this process and
+	// not yet covered by a snapshot or superseded (see pruneAcked).
+	acked map[string]ackedRecord
 	// pending holds content hashes whose WAL append is in flight; the
 	// channel closes when the append settles (either way). Identical
 	// concurrent pushes wait on it instead of double-appending — and
@@ -415,7 +418,7 @@ func (s *Server) openWAL() error {
 	if queue <= 0 {
 		queue = 64
 	}
-	s.acked = make(map[string]bool)
+	s.acked = make(map[string]ackedRecord)
 	s.pending = make(map[string]chan struct{})
 	for k := 0; k < s.coord.Shards(); k++ {
 		wal, err := s.replayWAL(filepath.Join(s.cfg.WALDir, shardName(k)))
@@ -469,7 +472,11 @@ func (s *Server) replayWAL(dir string) (*WAL, error) {
 		return nil, fmt.Errorf("serve: open wal %s: %w", dir, err)
 	}
 	for _, rec := range pending {
-		s.acked[trace.HashBytes(rec.Data)] = true
+		// A record that no longer decodes is quarantined by the fold;
+		// a re-push of it would be refused before dedup is consulted.
+		if tt, meta, err := trace.DecodeBytesMeta(rec.Data, trace.DecodeOptions{ZeroCopy: true}); err == nil {
+			s.acked[trace.HashBytes(rec.Data)] = newAckedRecord(tt.Task, meta)
+		}
 		if err := s.foldRecord(wal, rec.Seq, rec.Data); err != nil {
 			wal.Close()
 			return nil, fmt.Errorf("serve: replay wal %s: %w", dir, err)

@@ -30,7 +30,7 @@ package trace
 // is encoded — first use during encoding visits strings in exactly the
 // order the old pre-walk did, so the bytes are unchanged — and the
 // header plus string table is built afterwards, giving exactly two
-// Write calls per trace. BENCH_5 measured the old two-pass,
+// Write calls per trace. PR 5's record had the old two-pass,
 // alloc-per-record encoder at 0.93× JSON encode speed; this one exists
 // to win that back.
 

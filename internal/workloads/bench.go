@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dayu/internal/hdf5"
-	"dayu/internal/obs"
 	"dayu/internal/trace"
 	"dayu/internal/tracer"
 	"dayu/internal/vfd"
@@ -28,10 +27,6 @@ type H5benchConfig struct {
 	IOSize int64
 	// Seed makes data deterministic.
 	Seed uint64
-	// Metrics, when non-nil, wraps each process's driver with the obs
-	// instrumentation decorator (per-op latency/size histograms). Nil
-	// leaves the kernel's driver stack untouched.
-	Metrics *obs.Registry
 }
 
 func (c H5benchConfig) withDefaults() H5benchConfig {
@@ -63,7 +58,7 @@ func RunH5bench(cfg H5benchConfig, tr *tracer.Tracer) (time.Duration, []*trace.T
 	for p := 0; p < cfg.Procs; p++ {
 		task := fmt.Sprintf("h5bench_p%03d", p)
 		fileName := fmt.Sprintf("h5bench_p%03d.h5", p)
-		drv := vfd.Instrument(vfd.NewMemDriver(), "mem", cfg.Metrics)
+		var drv vfd.Driver = vfd.NewMemDriver()
 		var hcfg hdf5.Config
 		if tr != nil {
 			tr.BeginTask(task)
@@ -127,9 +122,6 @@ type CornerCaseConfig struct {
 	ReadOps int
 	// Seed makes data deterministic.
 	Seed uint64
-	// Metrics, when non-nil, instruments the driver stack (see
-	// H5benchConfig.Metrics).
-	Metrics *obs.Registry
 }
 
 func (c CornerCaseConfig) withDefaults() CornerCaseConfig {
@@ -151,7 +143,7 @@ func RunCornerCase(cfg CornerCaseConfig, tr *tracer.Tracer) (time.Duration, *tra
 	cfg = cfg.withDefaults()
 	const task = "corner_case"
 	const fileName = "corner_case.h5"
-	drv := vfd.Instrument(vfd.NewMemDriver(), "mem", cfg.Metrics)
+	var drv vfd.Driver = vfd.NewMemDriver()
 	var hcfg hdf5.Config
 	if tr != nil {
 		tr.BeginTask(task)

@@ -6,11 +6,12 @@ import (
 	"dayu/internal/trace"
 )
 
-// SyntheticTraceConfig sizes the synthetic trace set the analyzer bench
-// kernel runs over: a deterministic workflow with thousands of tasks,
-// stage-shared input files (data reuse), per-task outputs with multiple
-// datasets and address regions, and unattributed metadata traffic — the
-// shape that makes the Workflow Analyzer's graph builders sweat.
+// SyntheticTraceConfig sizes the synthetic trace set the repository
+// benchmark and the equivalence tests run over: a deterministic
+// workflow with thousands of tasks, stage-shared input files (data
+// reuse), per-task outputs with multiple datasets and address regions,
+// and unattributed metadata traffic — the shape that makes the Workflow
+// Analyzer's graph builders sweat.
 type SyntheticTraceConfig struct {
 	// Tasks is the total task count (default 3000).
 	Tasks int
