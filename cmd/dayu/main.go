@@ -109,7 +109,6 @@ import (
 	"dayu/internal/report"
 	"dayu/internal/serve"
 	"dayu/internal/serve/client"
-	"dayu/internal/serve/shard"
 	"dayu/internal/sim"
 	"dayu/internal/trace"
 	"dayu/internal/tracer"
@@ -563,13 +562,13 @@ func cmdServe(args []string) error {
 	ingestQueue := fs.Int("ingest-queue", 64, "pushes admitted ahead of folding before 429 backpressure")
 	maxBody := fs.Int64("max-body", 32<<20, "largest accepted request body in bytes")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request handler timeout (0 = none)")
-	shards := fs.Int("shards", 1, fmt.Sprintf("ingest shard workers partitioning caches and WAL (1-%d); responses stay byte-identical at any count", shard.MaxShards))
+	shards := fs.Int("shards", 1, fmt.Sprintf("ingest shards: WAL namespaces, fold goroutines and the width of the scan and contribution loops (1-%d); responses stay byte-identical at any count", serve.MaxShards))
 	historyDir := fs.String("history", "", "snapshot-history store directory for /v1/history (empty = history disabled)")
 	historyRetain := fs.Int("history-retain", 64, "snapshots retained in the history store before compaction")
 	fs.Parse(args)
 
-	if *shards < 1 || *shards > shard.MaxShards {
-		return fmt.Errorf("serve: -shards %d out of range [1, %d]", *shards, shard.MaxShards)
+	if *shards < 1 || *shards > serve.MaxShards {
+		return fmt.Errorf("serve: -shards %d out of range [1, %d]", *shards, serve.MaxShards)
 	}
 	cfg := serve.Config{
 		Dir:        *dir,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -127,8 +128,10 @@ func TestFig8ChunkedHalvesVLWrites(t *testing.T) {
 }
 
 func TestFig9Overheads(t *testing.T) {
-	// Wall-clock experiments: only assert they run and produce plausible
-	// (bounded) percentages; shapes are asserted by dedicated notes.
+	// Wall-clock experiments: only assert they run and produce finite,
+	// non-negative percentages. How large they are is benchmark/'s verdict
+	// (trace_overhead), not a unit test's: on a loaded host any bound
+	// here is a flake.
 	for _, id := range []string{"fig9a", "fig9b", "fig9c"} {
 		run, _ := Lookup(id)
 		tab, err := run(quick)
@@ -141,7 +144,7 @@ func TestFig9Overheads(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: non-numeric overhead %q", id, cell)
 				}
-				if v < 0 || v > 400 {
+				if v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
 					t.Errorf("%s: implausible overhead %v%%", id, v)
 				}
 			}

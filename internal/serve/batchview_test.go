@@ -379,7 +379,7 @@ func TestPartialRefreshKeepsBatchContributions(t *testing.T) {
 
 			// The overlay dissolved: nothing but the batch view's
 			// contributions stays cached.
-			if ftg, sdg := s.coord.CachedContributions(); ftg != 25 || sdg != 25 {
+			if ftg, sdg := len(s.cache.ftg), len(s.cache.sdg); ftg != 25 || sdg != 25 {
 				t.Errorf("converged caches hold %d FTG / %d SDG contributions, want 25 / 25", ftg, sdg)
 			}
 		})
@@ -400,7 +400,7 @@ func TestContributionCachesBoundedUnderCheckpointStream(t *testing.T) {
 		if i%100 != 0 {
 			continue
 		}
-		if ftg, sdg := s.coord.CachedContributions(); ftg > 24+1 || sdg > 24+1 {
+		if ftg, sdg := len(s.cache.ftg), len(s.cache.sdg); ftg > 24+1 || sdg > 24+1 {
 			t.Fatalf("after %d checkpoints the caches hold %d FTG / %d SDG contributions, want <= 25", i, ftg, sdg)
 		}
 	}

@@ -6,23 +6,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"dayu/internal/analyzer"
-	"dayu/internal/serve/shard"
 	"dayu/internal/trace"
 )
-
-// fileState identifies one on-disk file revision. Size and
-// modification time short-circuit the scan (an untouched file is not
-// even re-read); the content hash is the authoritative identity — a
-// rewritten file with identical bytes maps to the same cached work.
-type fileState struct {
-	size    int64
-	modTime time.Time
-	hash    string
-}
 
 // TaskInfo is one row of the /v1/tasks listing. The rows belong to the
 // batch view, which is rebuilt on content changes only: a touch that
@@ -39,18 +27,10 @@ type TaskInfo struct {
 	Failed  bool      `json:"failed,omitempty"`
 }
 
-// scanItem is one directory entry routed to a shard worker for the
-// stat/hash/parse pipeline.
-type scanItem struct {
-	path string
-	size int64
-	mod  time.Time
-}
-
 // refresh rescans the trace directory and, when its content changed,
 // builds and atomically publishes a new snapshot. It is the single
 // writer: callers must hold s.ingestMu. Returns the current snapshot
-// (possibly the unchanged one) or the scan/build error.
+// (possibly the unchanged one) or the scan error.
 func (s *Server) refresh() (*snapshot, error) {
 	start := time.Now()
 	entries, err := os.ReadDir(s.cfg.Dir)
@@ -58,17 +38,7 @@ func (s *Server) refresh() (*snapshot, error) {
 		s.ingestErrors.Inc()
 		return nil, fmt.Errorf("serve: scan %s: %w", s.cfg.Dir, err)
 	}
-
-	// Partition the directory listing by owning shard worker, then fan
-	// the stat/hash/parse work out with one goroutine per worker: each
-	// worker touches only its own cache slice, so no locking is needed
-	// beyond the ingestMu the caller already holds.
-	n := s.coord.Shards()
-	byShard := make([][]scanItem, n)
-	seenByShard := make([]map[string]bool, n)
-	for k := range seenByShard {
-		seenByShard[k] = map[string]bool{}
-	}
+	items := make([]scanItem, 0, len(entries))
 	for _, e := range entries {
 		if e.IsDir() || !trace.IsTraceFile(e.Name()) {
 			continue
@@ -79,35 +49,18 @@ func (s *Server) refresh() (*snapshot, error) {
 			s.ingestErrors.Inc()
 			return nil, fmt.Errorf("serve: stat %s: %w", path, err)
 		}
-		k := s.coord.RouteFile(path)
-		seenByShard[k][path] = true
-		byShard[k] = append(byShard[k], scanItem{path: path, size: info.Size(), mod: info.ModTime()})
+		items = append(items, scanItem{path: path, size: info.Size(), mod: info.ModTime()})
 	}
-	changedBy := make([]bool, n)
-	errBy := make([]error, n)
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			changedBy[k], errBy[k] = s.scanShard(s.coord.Worker(k), byShard[k], seenByShard[k])
-		}(k)
+	// batchStale outlives this call: what a failed refresh already
+	// changed in the cache must still reach a batch view on the next one.
+	parses, changed, err := s.cache.scan(items)
+	s.traceParses.Add(int64(parses))
+	s.batchStale = s.batchStale || changed
+	if err == nil {
+		changed, err = s.refreshManifest()
+		s.batchStale = s.batchStale || changed
 	}
-	wg.Wait()
-	// batchStale outlives this call: worker caches a failed refresh
-	// already changed must still reach a batch view on the next one.
-	var scanErr error
-	for k := 0; k < n; k++ {
-		s.batchStale = s.batchStale || changedBy[k]
-		if scanErr == nil {
-			scanErr = errBy[k]
-		}
-	}
-	if scanErr != nil {
-		s.ingestErrors.Inc()
-		return nil, scanErr
-	}
-	if err := s.refreshManifest(&s.batchStale); err != nil {
+	if err != nil {
 		s.ingestErrors.Inc()
 		return nil, err
 	}
@@ -121,11 +74,7 @@ func (s *Server) refresh() (*snapshot, error) {
 	}
 	s.snapshotMisses.Inc()
 
-	next, err := s.buildSnapshot()
-	if err != nil {
-		s.ingestErrors.Inc()
-		return nil, err
-	}
+	next := s.buildSnapshot()
 	s.snap.Store(next)
 	s.events.publish(next)
 	s.ingests.Inc()
@@ -135,92 +84,33 @@ func (s *Server) refresh() (*snapshot, error) {
 	return next, nil
 }
 
-// scanShard runs one worker's slice of the directory scan: the stat
-// short-circuit, the hash check for touched-but-equal files, parsing
-// what actually changed, and sweeping deletions. It reports whether
-// the worker's cache changed.
-func (s *Server) scanShard(w *shard.Worker, items []scanItem, seen map[string]bool) (bool, error) {
-	changed := false
-	for _, it := range items {
-		prev, ok := w.File(it.path)
-		if ok && prev.Size == it.size && prev.ModTime.Equal(it.mod) {
-			continue // untouched: not even re-read
-		}
-		// Stat changed (or new file): re-read and re-hash; only a
-		// content change forces a re-parse.
-		if ok {
-			hash, err := trace.HashFile(it.path)
-			if err != nil {
-				return changed, err
-			}
-			if hash == prev.Hash {
-				w.TouchFile(it.path, it.size, it.mod)
-				continue
-			}
-		}
-		tt, hash, err := trace.LoadHashed(it.path)
-		if err != nil {
-			return changed, err
-		}
-		s.traceParses.Inc()
-		w.PutFile(it.path, shard.Entry{Size: it.size, ModTime: it.mod, Hash: hash, Trace: tt})
-		changed = true
-	}
-	if w.SweepFiles(seen) {
-		changed = true
-	}
-	return changed, nil
-}
-
-// refreshManifest reloads dir/manifest.json when its bytes changed.
-func (s *Server) refreshManifest(changed *bool) error {
+// refreshManifest takes dir/manifest.json up the same ladder as a trace
+// file and reports whether the cached manifest changed.
+func (s *Server) refreshManifest() (changed bool, err error) {
 	path := filepath.Join(s.cfg.Dir, "manifest.json")
 	info, err := os.Stat(path)
 	if os.IsNotExist(err) {
-		if s.manifest != nil || s.manifestState.hash != "" {
-			s.manifest, s.manifestState = nil, fileState{}
-			*changed = true
-		}
-		return nil
+		changed = s.cache.manifest.hash != ""
+		s.cache.manifest = fileEntry{}
+		return changed, nil
 	}
 	if err != nil {
-		return fmt.Errorf("serve: stat %s: %w", path, err)
+		return false, fmt.Errorf("serve: stat %s: %w", path, err)
 	}
-	if s.manifestState.hash != "" && s.manifestState.size == info.Size() &&
-		s.manifestState.modTime.Equal(info.ModTime()) {
-		return nil
-	}
-	hash, err := trace.HashFile(path)
-	if err != nil {
-		return err
-	}
-	if hash == s.manifestState.hash {
-		s.manifestState.size, s.manifestState.modTime = info.Size(), info.ModTime()
-		return nil
-	}
-	m, err := trace.LoadManifest(s.cfg.Dir)
-	if err != nil {
-		return err
-	}
-	s.manifest = m
-	s.manifestState = fileState{size: info.Size(), modTime: info.ModTime(), hash: hash}
-	*changed = true
-	return nil
+	s.cache.manifest, changed, err = s.cache.manifest.revise(path, info.Size(), info.ModTime(), parseManifest)
+	return changed, err
 }
 
 // buildSnapshot assembles a read-only snapshot: the batch view of the
 // current directory state — the previous snapshot's pointer unless a
 // scan reported a change since it was built — under the live overlay of
 // whatever checkpoints are retained right now.
-func (s *Server) buildSnapshot() (*snapshot, error) {
+func (s *Server) buildSnapshot() *snapshot {
 	var batch *batchView
 	if cur := s.snap.Load(); cur != nil && !s.batchStale {
 		batch = cur.batchView
 	} else {
-		var err error
-		if batch, err = s.buildBatchView(); err != nil {
-			return nil, err
-		}
+		batch = s.buildBatchView()
 	}
 
 	// Capture the live overlay: retained streaming checkpoints for
@@ -237,7 +127,7 @@ func (s *Server) buildSnapshot() (*snapshot, error) {
 		partialTasks: len(partials),
 	}
 	if len(partials) == 0 {
-		s.coord.Release(shard.Live)
+		s.cache.release(livePass)
 	} else {
 		live := make([]*trace.TaskTrace, 0, len(batch.traces)+len(partials))
 		live = append(live, batch.traces...)
@@ -249,15 +139,12 @@ func (s *Server) buildSnapshot() (*snapshot, error) {
 			snap.partialHashes[pe.hash] = true
 		}
 		sort.SliceStable(live, func(i, j int) bool { return live[i].Task < live[j].Task })
-		lf, ls, err := s.contributions(shard.Live, analyzer.OrderTasks(live, batch.manifest), func(tt *trace.TaskTrace) string {
+		lf, ls := s.contributions(livePass, analyzer.OrderTasks(live, batch.manifest), func(tt *trace.TaskTrace) string {
 			if hash, ok := batch.traceHash[tt]; ok {
 				return hash
 			}
 			return partialHash[tt]
 		})
-		if err != nil {
-			return nil, err
-		}
 		snap.liveTraces = live
 		snap.liveFTG = analyzer.BuildFTGFromContributions(lf)
 		snap.liveSDG = analyzer.BuildSDGFromContributions(ls)
@@ -267,26 +154,24 @@ func (s *Server) buildSnapshot() (*snapshot, error) {
 	// this overlay used: earlier revisions of changed traces, superseded
 	// checkpoint records and stale description-fingerprint variants are
 	// unreachable once the snapshot swaps.
-	s.coord.Prune()
+	s.cache.prune()
 	// What this snapshot saw, so refresh can tell when there is
 	// something newer to build.
 	s.batchStale, s.lastPartialsGen = false, partialsGen
-	return snap, nil
+	return snap
 }
 
 // buildBatchView assembles the batch half of a snapshot from the
 // current scan state: traces sorted exactly as trace.LoadDir sorts
-// them, per-task contributions gathered from the shard workers (each
-// computing and caching only its missing ones) and stitched back into
-// the global task order, and both graphs merged exactly as the batch
-// builders merge them — which is why the shard count can never leak
-// into the output bytes.
-func (s *Server) buildBatchView() (*batchView, error) {
-	paths := s.coord.Paths() // sorted: directory order, as os.ReadDir yields it
+// them, one contribution per task in the global task order (cached, or
+// computed and cached now), and both graphs merged exactly as the batch
+// builders merge them.
+func (s *Server) buildBatchView() *batchView {
+	paths := s.cache.paths()
 
 	batch := &batchView{
 		traces:    make([]*trace.TaskTrace, 0, len(paths)),
-		manifest:  s.manifest,
+		manifest:  s.cache.manifest.manifest,
 		taskSet:   make(map[string]bool, len(paths)),
 		hashes:    make(map[string]bool, len(paths)),
 		traceHash: make(map[*trace.TaskTrace]string, len(paths)),
@@ -294,25 +179,22 @@ func (s *Server) buildBatchView() (*batchView, error) {
 	infoByTrace := make(map[*trace.TaskTrace]TaskInfo, len(paths))
 	var id strings.Builder
 	id.WriteString("manifest:")
-	id.WriteString(s.manifestState.hash)
+	id.WriteString(s.cache.manifest.hash)
 	for _, path := range paths {
-		ent, ok := s.coord.File(path)
-		if !ok {
-			return nil, fmt.Errorf("serve: shard cache lost %s mid-build", path)
-		}
-		batch.traces = append(batch.traces, ent.Trace)
-		batch.taskSet[ent.Trace.Task] = true
-		batch.hashes[ent.Hash] = true
-		batch.traceHash[ent.Trace] = ent.Hash
-		infoByTrace[ent.Trace] = TaskInfo{
-			Task: ent.Trace.Task, File: path, Size: ent.Size, Hash: ent.Hash,
-			ModTime: ent.ModTime, StartNS: ent.Trace.StartNS, EndNS: ent.Trace.EndNS,
-			Failed: ent.Trace.Failed,
+		ent := s.cache.files[path]
+		batch.traces = append(batch.traces, ent.trace)
+		batch.taskSet[ent.trace.Task] = true
+		batch.hashes[ent.hash] = true
+		batch.traceHash[ent.trace] = ent.hash
+		infoByTrace[ent.trace] = TaskInfo{
+			Task: ent.trace.Task, File: path, Size: ent.size, Hash: ent.hash,
+			ModTime: ent.modTime, StartNS: ent.trace.StartNS, EndNS: ent.trace.EndNS,
+			Failed: ent.trace.Failed,
 		}
 		id.WriteString("\n")
 		id.WriteString(filepath.Base(path))
 		id.WriteString("=")
-		id.WriteString(ent.Hash)
+		id.WriteString(ent.hash)
 	}
 	batch.idLines = id.String()
 	// LoadDir's final ordering: stable sort by task name over the
@@ -323,31 +205,20 @@ func (s *Server) buildBatchView() (*batchView, error) {
 		batch.tasks = append(batch.tasks, infoByTrace[tt])
 	}
 
-	ftgContribs, sdgContribs, err := s.contributions(shard.Batch, analyzer.OrderTasks(batch.traces, s.manifest),
+	ftgContribs, sdgContribs := s.contributions(batchPass, analyzer.OrderTasks(batch.traces, batch.manifest),
 		func(tt *trace.TaskTrace) string { return batch.traceHash[tt] })
-	if err != nil {
-		return nil, err
-	}
 	batch.ftg = analyzer.BuildFTGFromContributions(ftgContribs)
 	batch.sdg = analyzer.BuildSDGFromContributions(sdgContribs)
-	return batch, nil
+	return batch
 }
 
-// contributions fans one view's ordered trace set out to the shard
-// workers (each serving its slice from cache or computing the misses)
-// and stitches the per-shard sets back into the global task order. A
-// stitch error means the partition invariant broke — it surfaces as an
-// ingest error rather than publishing a graph with a hole.
-func (s *Server) contributions(view shard.View, ordered []*trace.TaskTrace, hashOf func(*trace.TaskTrace) string) ([]analyzer.Contribution, []analyzer.Contribution, error) {
-	tasks := make([]shard.Task, len(ordered))
-	for i, tt := range ordered {
-		tasks[i] = shard.Task{Pos: i, Trace: tt, Hash: hashOf(tt)}
-	}
-	sets := s.coord.Gather(
-		shard.Request{View: view, Tasks: tasks, Descs: analyzer.BuildObjectDescs(ordered), Opts: s.cfg.SDGOptions},
-		shard.Metrics{Hit: s.contribHits.Inc, Miss: s.contribMisses.Inc},
-	)
-	return shard.Stitch(len(ordered), sets)
+// contributions runs one view's contribution pass over its ordered
+// trace set and counts the pass's two cache lookups per task.
+func (s *Server) contributions(v view, ordered []*trace.TaskTrace, hashOf func(*trace.TaskTrace) string) (ftg, sdg []analyzer.Contribution) {
+	ftg, sdg, misses := s.cache.contribute(v, ordered, hashOf, analyzer.BuildObjectDescs(ordered), s.cfg.SDGOptions)
+	s.contribMisses.Add(int64(misses))
+	s.contribHits.Add(int64(2*len(ordered) - misses))
+	return ftg, sdg
 }
 
 // recordHistory appends a converged snapshot (no live partials — a

@@ -70,15 +70,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "push ingest disabled (start serve with a WAL directory)", http.StatusNotImplemented)
 		return
 	}
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.pushRejected.Inc()
-			http.Error(w, fmt.Sprintf("body exceeds %d bytes", mbe.Limit), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	data, ok := s.readPushBody(w, r)
+	if !ok {
 		return
 	}
 	if len(data) == 0 {
@@ -195,6 +188,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.writePushResponse(w, PushResponse{Status: "accepted", Task: tt.Task, Hash: hash, Seq: seq})
 }
 
+// readPushBody reads a push endpoint's request body; a body over the
+// cap is counted as a rejected push and answered 413, any other read
+// failure 400.
+func (s *Server) readPushBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	data, err := io.ReadAll(r.Body)
+	if err == nil {
+		return data, true
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		s.pushRejected.Inc()
+		http.Error(w, fmt.Sprintf("body exceeds %d bytes", mbe.Limit), http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+	return nil, false
+}
+
 // isDuplicateLocked reports whether a payload hash was already
 // acknowledged (this process) or folded (any process — the snapshot
 // hashes cover the on-disk directory). Callers hold pushMu.
@@ -231,14 +242,8 @@ func (s *Server) handleIngestManifest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "push ingest disabled (start serve with a WAL directory)", http.StatusNotImplemented)
 		return
 	}
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("body exceeds %d bytes", mbe.Limit), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	data, ok := s.readPushBody(w, r)
+	if !ok {
 		return
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -328,18 +333,26 @@ func (s *Server) pruneAcked() {
 // foldOne folds one record with bounded retries. A record that cannot
 // be folded transiently (disk full, ...) stays unfolded in the WAL —
 // it is acknowledged data, so it must survive to the next replay
-// rather than being dropped.
+// rather than being dropped — and, being invisible until then, is
+// reported by /healthz for as long as this process runs: no scan this
+// side of a restart makes it visible.
 func (s *Server) foldOne(sh *shardIngest, job foldJob) {
 	const attempts = 5
 	delay := 10 * time.Millisecond
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
-		if s.foldRecord(sh.wal, job.seq, job.data) == nil {
+		err := s.foldRecord(sh.wal, job.seq, job.data)
+		if err == nil {
 			sh.foldNS.Observe(time.Since(start).Nanoseconds())
 			return
 		}
 		if attempt >= attempts {
-			return // left pending in the WAL for the next replay
+			stuck := stuckFolds{records: 1, err: err}
+			if prev := sh.stuck.Load(); prev != nil {
+				stuck.records += prev.records
+			}
+			sh.stuck.Store(&stuck)
+			return
 		}
 		select {
 		case <-s.stop:

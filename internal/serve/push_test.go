@@ -197,14 +197,54 @@ func TestPushIngestAcceptFoldDedup(t *testing.T) {
 	// /healthz surfaces the WAL state.
 	waitWALDrained(t, env.s)
 	var h Health
-	if err := json.Unmarshal(get(t, env.srv, "/healthz"), &h); err != nil {
+	healthBody := get(t, env.srv, "/healthz")
+	if err := json.Unmarshal(healthBody, &h); err != nil {
 		t.Fatal(err)
+	}
+	if h.Status != "ok" || bytes.Contains(healthBody, []byte("last_error_at")) {
+		t.Errorf("healthy /healthz carries an error timestamp or is not ok: %s", healthBody)
 	}
 	if h.WAL == nil {
 		t.Fatal("healthz missing wal section")
 	}
 	if h.WAL.NextSeq != 2 || h.WAL.FoldedSeq != 2 || h.WAL.PendingRecords != 0 {
 		t.Errorf("wal health = %+v, want next=2 folded=2 pending=0", h.WAL)
+	}
+}
+
+// TestHealthzDegradedOnStuckFold pins "failure is loud" for a fold that
+// gives up: the record is acknowledged and stays in the WAL, but nothing
+// short of a restart will make it visible, so /healthz says so — and
+// keeps saying so across the successful scans that follow.
+func TestHealthzDegradedOnStuckFold(t *testing.T) {
+	env := newPushEnv(t, nil)
+	// The fold's rename target is a non-empty directory.
+	target := filepath.Join(env.dir, trace.TraceFileName("stuck_probe", trace.FormatJSON))
+	if err := os.MkdirAll(filepath.Join(target, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if status, pr, _ := postIngest(t, env.srv, makeTraceBytes(t, "stuck_probe", trace.FormatJSON)); status != http.StatusOK || pr.Status != "accepted" {
+		t.Fatalf("push = %d %+v", status, pr)
+	}
+	var h Health
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		getJSON(t, env.srv, "/healthz", &h)
+		if h.WAL.QueueDepth == 0 { // the folder is done with the record
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the folder never gave up: %+v", h.WAL)
+		}
+	}
+	if _, err := env.s.Ingest(); err != nil {
+		t.Fatal(err)
+	}
+	getJSON(t, env.srv, "/healthz", &h)
+	if h.Status != "degraded" {
+		t.Errorf("status = %q with an acknowledged record stuck in the WAL, want degraded", h.Status)
+	}
+	if h.WAL.PendingRecords != 1 || h.WAL.Shards[0].StuckRecords != 1 || !strings.Contains(h.WAL.FoldError, "shard-0") {
+		t.Errorf("wal health = %+v, want one pending, stuck record and a fold_error naming shard-0", h.WAL)
 	}
 }
 
@@ -256,7 +296,8 @@ func TestPushDedupSurvivesRestart(t *testing.T) {
 }
 
 func TestPushIngestBadRequests(t *testing.T) {
-	env := newPushEnv(t, func(cfg *Config) { cfg.MaxBodyBytes = 256 })
+	reg := obs.NewRegistry()
+	env := newPushEnv(t, func(cfg *Config) { cfg.MaxBodyBytes = 256; cfg.Registry = reg })
 
 	if status, _, _ := postIngest(t, env.srv, []byte("not a trace")); status != http.StatusBadRequest {
 		t.Errorf("garbage body = %d, want 400", status)
@@ -267,9 +308,20 @@ func TestPushIngestBadRequests(t *testing.T) {
 	if status, _, _ := postIngest(t, env.srv, bytes.Repeat([]byte{'x'}, 512)); status != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversize body = %d, want 413", status)
 	}
+	resp, err := http.Post(env.srv.URL+"/v1/ingest/manifest", "application/json", bytes.NewReader(bytes.Repeat([]byte{' '}, 512)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize manifest = %d, want 413", resp.StatusCode)
+	}
+	if got := reg.Counter(obs.Name("dayu_serve_push_total", "result", "rejected")).Value(); got != 2 {
+		t.Errorf("the two oversize bodies counted %d rejected pushes, want 2", got)
+	}
 
 	// Non-POST methods are refused with an Allow header.
-	resp, err := http.Get(env.srv.URL + "/v1/ingest")
+	resp, err = http.Get(env.srv.URL + "/v1/ingest")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,6 @@ import (
 	"dayu/internal/obs"
 	"dayu/internal/optimizer"
 	"dayu/internal/serve/history"
-	"dayu/internal/serve/shard"
 	"dayu/internal/trace"
 )
 
@@ -96,13 +95,13 @@ type Config struct {
 	// (default 1s).
 	RetryAfter time.Duration
 
-	// Shards partitions the parsed-trace and contribution caches (and,
-	// with WALDir set, the push-ingest WAL and fold pipeline) across N
-	// workers routed by FNV-1a hash; <= 1 means a single worker, shard
-	// 0 of 1 — the same code path and on-disk layout as any other
-	// count. The shard count can never leak into response bytes:
-	// per-shard contribution sets are stitched back into the global
-	// task order before the graphs build.
+	// Shards is the width N of the directory scan and contribution
+	// loops and, with WALDir set, the number of push-ingest shards (WAL
+	// namespace, admission pool and folder goroutine each), records
+	// routed by FNV-1a hash of the task name; clamped to [1, MaxShards],
+	// and 1 is the same code path and on-disk layout as any other
+	// count. The count can never leak into response bytes: every loop
+	// writes its results by position in the global task order.
 	Shards int
 
 	// HistoryDir enables the persistent snapshot-history store: every
@@ -190,12 +189,22 @@ type shardIngest struct {
 	sem      chan struct{}
 	foldQ    chan foldJob
 	foldDone chan struct{}
+	// stuck is what this shard's folder gave up on (written by it alone).
+	stuck atomic.Pointer[stuckFolds]
 
 	queueDepth  *obs.Gauge
 	walPending  *obs.Gauge
 	walSegments *obs.Gauge
 	foldNS      *obs.Histogram
 	appendNS    *obs.Histogram
+}
+
+// stuckFolds counts the acknowledged records a folder gave up on — still
+// pending in the WAL, folded by the next startup replay — with the last
+// one's cause.
+type stuckFolds struct {
+	records int
+	err     error
 }
 
 // Server is the incremental analysis service. It implements
@@ -205,13 +214,10 @@ type Server struct {
 	mux *http.ServeMux
 
 	// ingestMu serializes directory scans and snapshot builds: the
-	// single-writer half of the snapshot-swap model. The sharded scan
-	// and contribution fan-out run inside it (one goroutine per shard
-	// worker), so worker state needs no further locking.
-	ingestMu      sync.Mutex
-	coord         *shard.Coordinator
-	manifest      *trace.Manifest
-	manifestState fileState
+	// single-writer half of the snapshot-swap model. Its holder owns the
+	// build cache.
+	ingestMu sync.Mutex
+	cache    *buildCache
 	// batchStale is set when a scan saw the directory change and cleared
 	// once a snapshot of that state is built: a refresh that failed
 	// part-way still rebuilds the batch view on the next attempt.
@@ -312,9 +318,10 @@ type ingestError struct {
 // cannot guarantee its durability contract must not start.
 func NewServer(cfg Config) (*Server, error) {
 	reg := cfg.Registry
+	cfg.Shards = clampShards(cfg.Shards)
 	s := &Server{
 		cfg:      cfg,
-		coord:    shard.NewCoordinator(cfg.Shards),
+		cache:    newBuildCache(cfg.Shards),
 		partials: newPartialSet(),
 
 		requests: func(path string) *obs.Counter {
@@ -420,7 +427,7 @@ func (s *Server) openWAL() error {
 	}
 	s.acked = make(map[string]ackedRecord)
 	s.pending = make(map[string]chan struct{})
-	for k := 0; k < s.coord.Shards(); k++ {
+	for k := 0; k < s.cfg.Shards; k++ {
 		wal, err := s.replayWAL(filepath.Join(s.cfg.WALDir, shardName(k)))
 		if err != nil {
 			s.closeWALs()
@@ -521,11 +528,35 @@ func (s *Server) replayOrphanWALs() error {
 	return nil
 }
 
+// MaxShards bounds Config.Shards: the CLI flag should not be able to
+// spawn an absurd number of goroutines and WAL namespaces.
+const MaxShards = 64
+
+func clampShards(n int) int {
+	return max(1, min(n, MaxShards))
+}
+
+// route maps a key to one of n shards: FNV-1a(key) % n. The assignment
+// depends only on the key bytes and the count, never on scheduling, so
+// a restart with the same count routes identically.
+func route(key string, n int) int {
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= prime32
+	}
+	return int(h % uint32(n))
+}
+
 // walFor routes a task's records to its owning shard. Routing is by
 // task name, so one task's checkpoints and final always fold
 // sequentially in one shard's folder goroutine.
 func (s *Server) walFor(task string) *shardIngest {
-	return s.shards[s.coord.Route(task)]
+	return s.shards[route(task, len(s.shards))]
 }
 
 // pushEnabled reports whether the durable push-ingest path is up.
@@ -930,8 +961,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		opts.FastTier = tier
 	}
 	if nodes := q.Get("nodes"); nodes != "" {
-		n := 0
-		if _, err := fmt.Sscanf(nodes, "%d", &n); err != nil || n < 1 {
+		n, err := strconv.Atoi(nodes)
+		if err != nil || n < 1 {
 			http.Error(w, fmt.Sprintf("bad nodes %q", nodes), http.StatusBadRequest)
 			return
 		}
@@ -962,7 +993,7 @@ type Health struct {
 	Snapshot        string         `json:"snapshot,omitempty"`
 	Tasks           int            `json:"tasks"`
 	LastIngestError string         `json:"last_ingest_error,omitempty"`
-	LastErrorAt     time.Time      `json:"last_error_at,omitempty"`
+	LastErrorAt     string         `json:"last_error_at,omitempty"`
 	WAL             *WALHealth     `json:"wal,omitempty"`
 	Poll            *PollHealth    `json:"poll,omitempty"`
 	History         *HistoryHealth `json:"history,omitempty"`
@@ -993,6 +1024,10 @@ type WALHealth struct {
 	// write failed (a full or read-only WAL directory); it degrades the
 	// overall status until a later checkpoint lands.
 	CheckpointError string `json:"checkpoint_error,omitempty"`
+	// FoldError is the cause when a shard's folder gave up on a record:
+	// it is acknowledged but will not be visible before a restart replays
+	// the WAL, so the status stays degraded until then.
+	FoldError string `json:"fold_error,omitempty"`
 	// Shards is the per-shard breakdown.
 	Shards []WALShardHealth `json:"shards"`
 }
@@ -1006,6 +1041,8 @@ type WALShardHealth struct {
 	Segments       int    `json:"segments"`
 	NextSeq        uint64 `json:"next_seq"`
 	FoldedSeq      uint64 `json:"folded_seq"`
+	// StuckRecords counts the records the shard's folder gave up on.
+	StuckRecords int `json:"stuck_records,omitempty"`
 }
 
 // HistoryHealth reports the snapshot-history store state.
@@ -1043,6 +1080,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			wh.Segments += stats.Segments
 			wh.NextSeq += stats.NextSeq
 			wh.FoldedSeq += stats.Folded
+			var stuck stuckFolds
+			if st := sh.stuck.Load(); st != nil {
+				stuck = *st
+				wh.FoldError = fmt.Sprintf("%s: %d record(s) pending until restart: %v", shardName(sh.idx), stuck.records, stuck.err)
+				h.Status = "degraded"
+			}
 			wh.Shards = append(wh.Shards, WALShardHealth{
 				Shard:          sh.idx,
 				PendingRecords: stats.Pending,
@@ -1051,6 +1094,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				Segments:       stats.Segments,
 				NextSeq:        stats.NextSeq,
 				FoldedSeq:      stats.Folded,
+				StuckRecords:   stuck.records,
 			})
 			if stats.CheckpointErr != nil {
 				wh.CheckpointError = fmt.Sprintf("%s: %v", shardName(sh.idx), stats.CheckpointErr)
@@ -1077,7 +1121,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if ie := s.lastErr.Load(); ie != nil {
 		h.Status = "degraded"
 		h.LastIngestError = ie.err.Error()
-		h.LastErrorAt = ie.when
+		h.LastErrorAt = ie.when.UTC().Format(time.RFC3339Nano)
 		if snap == nil {
 			status = http.StatusServiceUnavailable
 		}

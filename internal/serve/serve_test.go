@@ -92,6 +92,7 @@ func TestServeBadRequests(t *testing.T) {
 		"/v1/ftg?format=pdf":  http.StatusBadRequest,
 		"/v1/plan?nodes=zero": http.StatusBadRequest,
 		"/v1/plan?nodes=-1":   http.StatusBadRequest,
+		"/v1/plan?nodes=3abc": http.StatusBadRequest,
 		"/nope":               http.StatusNotFound,
 	} {
 		resp, err := http.Get(srv.URL + path)
