@@ -3,12 +3,19 @@
 // FTGs and SDGs - data reuse, time-dependent inputs, disposable data,
 // data scattering, metadata-only accesses, layout mismatches - each
 // mapped to an optimization guideline from §III-A.
+//
+// The rules are incremental. They exist once, as the per-scope
+// functions of an Index (index.go, rules.go) that caches findings under
+// the task, adjacent pair, file, (file, object) or stage that determines
+// them and recomputes only the scopes a changed trace touches. Analyze
+// is that index used from scratch; `dayu serve` keeps one across
+// snapshots.
 package diagnose
 
 import (
 	"fmt"
-	"sort"
 
+	"dayu/internal/analyzer"
 	"dayu/internal/trace"
 )
 
@@ -180,30 +187,13 @@ func (t Thresholds) withDefaults() Thresholds {
 }
 
 // Analyze runs every rule over the task traces and returns findings
-// sorted by severity (critical first), then kind.
+// sorted by severity (critical first), then kind. The traces may come in
+// any order: the rules see them in analyzer.OrderTasks order, the one
+// definition of task order the graph builders and `dayu serve` share.
+// It is an Index built from empty, synced once and read out — the same
+// code a long-lived Index patches with.
 func Analyze(traces []*trace.TaskTrace, m *trace.Manifest, th Thresholds) []Finding {
-	th = th.withDefaults()
-	ctx := buildContext(traces, m)
-	var out []Finding
-	out = append(out, detectReuse(ctx)...)
-	out = append(out, detectReadWriteOrders(ctx)...)
-	out = append(out, detectTimeDependentInputs(ctx)...)
-	out = append(out, detectDisposable(ctx)...)
-	out = append(out, detectScattering(ctx, th)...)
-	out = append(out, detectSmallAccesses(ctx, th)...)
-	out = append(out, detectMetadataOnly(ctx)...)
-	out = append(out, detectMetadataOverhead(ctx, th)...)
-	out = append(out, detectLayoutMismatch(ctx, th)...)
-	out = append(out, detectSequentialReaders(ctx, th)...)
-	out = append(out, detectIndependentTasks(ctx)...)
-	out = append(out, detectAccessPatterns(ctx)...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Severity != out[j].Severity {
-			return out[i].Severity > out[j].Severity
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
+	return NewIndex(th).Sync(analyzer.OrderTasks(traces, m), m).Findings()
 }
 
 // ByKind filters findings.

@@ -23,9 +23,7 @@ import (
 //	{kind, severity (by name), guideline, task?, file?, object?, detail, metrics?}
 //
 // (? = omitted when empty; metrics keys sorted), but appended directly
-// instead of reflected and re-indented — on a loaded server this body
-// is rebuilt for every folded checkpoint and the reflection encoder
-// cost more than diagnose.Analyze itself. TestEncodeJSONMatchesReference
+// instead of reflected and re-indented. TestEncodeJSONMatchesReference
 // and FuzzEncodeJSON hold the two byte streams equal. A NaN or infinite
 // metric is an error, as it is for encoding/json.
 func EncodeJSON(findings []Finding) ([]byte, error) {
@@ -34,16 +32,66 @@ func EncodeJSON(findings []Finding) ([]byte, error) {
 	}
 	sc := encodeScratchPool.Get().(*encodeScratch)
 	defer encodeScratchPool.Put(sc)
-	if err := sc.encode(findings); err != nil {
+	if err := sc.appendElements(append(sc.buf[:0], '['), findings); err != nil {
 		return nil, err
 	}
+	sc.buf = append(sc.buf, "\n]\n"...)
 	// The scratch buffer goes back to the pool; the caller owns a copy.
 	return bytes.Clone(sc.buf), nil
 }
 
-// encode renders a non-empty findings slice into sc.buf.
-func (sc *encodeScratch) encode(findings []Finding) error {
-	b := append(sc.buf[:0], '[')
+// EncodeJSON is EncodeJSON(v.Findings()) without the findings being
+// copied out or, mostly, encoded: every group keeps the bytes of its
+// own elements from the first time any view encoded it, so the body of
+// a view that shares all but a few groups with its predecessor is one
+// allocation and a concatenation.
+func (v *View) EncodeJSON() ([]byte, error) {
+	if v.n == 0 {
+		return []byte("[]\n"), nil
+	}
+	size := len("[") + len(v.groups) - 1 + len("\n]\n")
+	for _, g := range v.groups {
+		g.enc.once.Do(g.encode)
+		if g.enc.failed {
+			// The flat encoder words the error, with the finding's index
+			// in the whole body.
+			return EncodeJSON(v.Findings())
+		}
+		size += len(g.enc.elements)
+	}
+	b := append(make([]byte, 0, size), '[')
+	for i, g := range v.groups {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, g.enc.elements...)
+	}
+	return append(b, "\n]\n"...), nil
+}
+
+// groupEncoding is a group's findings as array elements — what stands
+// between the brackets, commas included — encoded at most once, by the
+// first View.EncodeJSON that needs it: callers that never encode never
+// pay.
+type groupEncoding struct {
+	once     sync.Once
+	elements []byte
+	failed   bool
+}
+
+func (g *group) encode() {
+	sc := encodeScratchPool.Get().(*encodeScratch)
+	defer encodeScratchPool.Put(sc)
+	if sc.appendElements(sc.buf[:0], g.findings) != nil {
+		g.enc.failed = true
+		return
+	}
+	g.enc.elements = bytes.Clone(sc.buf)
+}
+
+// appendElements renders findings onto b as comma-separated array
+// elements and leaves the result in sc.buf.
+func (sc *encodeScratch) appendElements(b []byte, findings []Finding) error {
 	defer func() { sc.buf = b }() // keep whatever the buffer grew to
 	for i := range findings {
 		f := &findings[i]
@@ -94,7 +142,6 @@ func (sc *encodeScratch) encode(findings []Finding) error {
 		}
 		b = append(b, "\n  }"...)
 	}
-	b = append(b, "\n]\n"...)
 	return nil
 }
 

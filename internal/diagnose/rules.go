@@ -2,601 +2,426 @@ package diagnose
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
+	"strings"
 
 	"dayu/internal/trace"
 	"dayu/internal/units"
 )
 
-// analysisContext indexes the traces for the rules.
-type analysisContext struct {
-	ordered  []*trace.TaskTrace
-	taskIdx  map[string]int
-	manifest *trace.Manifest
+// The rules, one function per scope. Each reads the scope's links and
+// the cached facts of the scopes it depends on, replaces the scope's
+// groups (a published group is never written again), and marks dirty the
+// scopes that read a fact it changed. Index.patch runs them in
+// dependency order: objects, files, tasks, pairs, stages.
 
-	// fileReaders/fileWriters map file -> ordered task indices.
-	fileReaders map[string][]int
-	fileWriters map[string][]int
-	// records maps (taskIdx, file) -> file record.
-	records map[string]map[string]trace.FileRecord
-	// objStats maps file -> object -> per-task mapped stats.
-	objStats map[string]map[string][]trace.MappedStat
-	// objDescs maps file -> object -> richest object record seen.
-	objDescs map[string]map[string]trace.ObjectRecord
-}
+// objectRules settles which description of the object wins and how big
+// the object is, and applies the §III-A layout guidelines to it:
+// chunked small data and contiguous large VL data are both mismatches.
+func (ix *Index) objectRules(o *objScope) {
+	o.dirty = false
+	if len(o.stats) == 0 && len(o.descs) == 0 {
+		o.dead = true
+		delete(ix.objs, o.objKey)
+		o.file.nObjs--
+		return
+	}
+	ix.recomputed++
 
-func buildContext(traces []*trace.TaskTrace, m *trace.Manifest) *analysisContext {
-	ordered := append([]*trace.TaskTrace(nil), traces...)
-	if m != nil && len(m.TaskOrder) > 0 {
-		rank := map[string]int{}
-		for i, t := range m.TaskOrder {
-			rank[t] = i
+	// The first description seen in task order stands unless it lacks a
+	// datatype, in which case the next one replaces it.
+	var d *trace.ObjectRecord
+	for _, desc := range o.descs {
+		if d != nil && d.Datatype != "" {
+			break
 		}
-		sort.SliceStable(ordered, func(i, j int) bool {
-			ri, oki := rank[ordered[i].Task]
-			rj, okj := rank[ordered[j].Task]
-			if oki && okj {
-				return ri < rj
-			}
-			return ordered[i].StartNS < ordered[j].StartNS
+		d = desc.rec
+	}
+	described, descSize := false, int64(0)
+	if d != nil && len(d.Shape) > 0 && d.ElemSize > 0 {
+		described, descSize = true, d.ElemSize
+		for _, s := range d.Shape {
+			descSize *= s
+		}
+	}
+	if described != o.described || descSize != o.descSize {
+		o.described, o.descSize = described, descSize
+		for _, s := range o.stats {
+			ix.touchTask(s.task) // metadata-only-access quotes the size
+		}
+	}
+	o.maxData, o.sumData = 0, 0
+	for _, s := range o.stats {
+		o.maxData = max(o.maxData, s.stat.DataBytes)
+		o.sumData += s.stat.DataBytes
+	}
+
+	o.out = [numObjSlots]*group{}
+	if d == nil || d.Type != "dataset" {
+		return
+	}
+	switch size := o.size(); {
+	case d.Layout == "chunked" && d.Datatype != "vlen" && size > 0 && size < ix.th.ChunkedSmallBytes:
+		o.out[oChunkedSmall] = oneFinding(Finding{
+			Kind: ChunkedSmallData, Severity: Warning, Guideline: GuidelineLayout,
+			File: o.file.name, Object: o.name,
+			Detail:  "chunked layout on a " + units.Bytes(size) + " dataset adds index overhead; use contiguous layout",
+			Metrics: map[string]float64{"bytes": float64(size)},
 		})
-	} else {
-		sort.SliceStable(ordered, func(i, j int) bool {
-			return ordered[i].StartNS < ordered[j].StartNS
-		})
-	}
-
-	ctx := &analysisContext{
-		ordered:     ordered,
-		taskIdx:     map[string]int{},
-		manifest:    m,
-		fileReaders: map[string][]int{},
-		fileWriters: map[string][]int{},
-		records:     map[string]map[string]trace.FileRecord{},
-		objStats:    map[string]map[string][]trace.MappedStat{},
-		objDescs:    map[string]map[string]trace.ObjectRecord{},
-	}
-	for i, t := range ordered {
-		ctx.taskIdx[t.Task] = i
-		ctx.records[t.Task] = map[string]trace.FileRecord{}
-		for _, fr := range t.Files {
-			ctx.records[t.Task][fr.File] = fr
-			if fr.Reads > 0 {
-				ctx.fileReaders[fr.File] = append(ctx.fileReaders[fr.File], i)
-			}
-			if fr.Writes > 0 {
-				ctx.fileWriters[fr.File] = append(ctx.fileWriters[fr.File], i)
-			}
+	case d.Layout == "contiguous" && d.Datatype == "vlen":
+		// Observed payload volume: the description's own counters, else
+		// what the tasks' mapped stats add up to.
+		volume := d.BytesWritten + d.BytesRead
+		if volume <= 0 {
+			volume = o.sumData
 		}
-		for _, ms := range t.Mapped {
-			if ctx.objStats[ms.File] == nil {
-				ctx.objStats[ms.File] = map[string][]trace.MappedStat{}
-			}
-			ctx.objStats[ms.File][ms.Object] = append(ctx.objStats[ms.File][ms.Object], ms)
-		}
-		for _, o := range t.Objects {
-			if ctx.objDescs[o.File] == nil {
-				ctx.objDescs[o.File] = map[string]trace.ObjectRecord{}
-			}
-			if prev, ok := ctx.objDescs[o.File][o.Object]; !ok || prev.Datatype == "" {
-				ctx.objDescs[o.File][o.Object] = o
-			}
-		}
-	}
-	return ctx
-}
-
-func (c *analysisContext) sortedFiles() []string {
-	seen := map[string]bool{}
-	var files []string
-	add := func(f string) {
-		if !seen[f] {
-			seen[f] = true
-			files = append(files, f)
-		}
-	}
-	for f := range c.fileReaders {
-		add(f)
-	}
-	for f := range c.fileWriters {
-		add(f)
-	}
-	sort.Strings(files)
-	return files
-}
-
-func distinct(idx []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, i := range idx {
-		if !seen[i] {
-			seen[i] = true
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// detectReuse flags files (and datasets) consumed by two or more tasks.
-func detectReuse(c *analysisContext) []Finding {
-	var out []Finding
-	for _, file := range c.sortedFiles() {
-		readers := distinct(c.fileReaders[file])
-		if len(readers) >= 2 {
-			out = append(out, Finding{
-				Kind: DataReuse, Severity: Warning, Guideline: GuidelineCaching,
-				File: file,
-				Detail: fmt.Sprintf("file is read by %d tasks; prioritize it in the fastest tier",
-					len(readers)),
-				Metrics: map[string]float64{"readers": float64(len(readers))},
+		if volume > ix.th.VLenLargeBytes {
+			o.out[oVLenContiguous] = oneFinding(Finding{
+				Kind: VLenContiguous, Severity: Warning, Guideline: GuidelineLayout,
+				File: o.file.name, Object: o.name,
+				Detail:  "large variable-length dataset in contiguous layout; chunked layout provides the index metadata VL access needs",
+				Metrics: map[string]float64{"bytes": float64(volume)},
 			})
 		}
 	}
-	return out
 }
 
-// detectReadWriteOrders distinguishes write-after-read (a task updates a
-// file produced upstream) from read-after-write (a task re-reads its own
-// output).
-func detectReadWriteOrders(c *analysisContext) []Finding {
-	var out []Finding
-	for i, t := range c.ordered {
-		for file, fr := range c.records[t.Task] {
-			// Require real content traffic in both directions: metadata
-			// side-effects (symbol-table reads during creation) do not
-			// make a task a reader of the file.
-			if fr.DataReads == 0 || fr.DataWrites == 0 {
-				continue
+// size estimates the dataset's content size from its description,
+// falling back to the most data bytes any task moved.
+func (o *objScope) size() int64 {
+	if o.described {
+		return o.descSize
+	}
+	return o.maxData
+}
+
+// fileRules derives the file's readers and writers and runs the
+// file-level rules: data-reuse (consumed by two or more tasks),
+// disposable-data (non-critical once consumed, Figure 4 blue marks),
+// time-dependent-input (a pure input first needed after the workflow
+// has started, Figure 4 circle 2) and data-scattering (many small
+// datasets, Figure 5).
+func (ix *Index) fileRules(f *fileScope) {
+	f.dirty = false
+	if len(f.users) == 0 && f.nObjs == 0 {
+		f.dead = true
+		delete(ix.files, f.name)
+		return
+	}
+	ix.recomputed++
+	f.objOrder = mergeSorted(f.objOrder, f.objAdded,
+		func(o *objScope) bool { return o.dead },
+		func(a, b *objScope) int { return strings.Compare(a.name, b.name) })
+	f.objAdded = f.objAdded[:0]
+
+	readers, writers := 0, 0
+	var firstReader, firstWriter *taskScope
+	for _, u := range f.users {
+		if u.reads {
+			if readers++; firstReader == nil {
+				firstReader = u.task
 			}
-			writtenUpstream := false
-			for _, w := range c.fileWriters[file] {
-				if w < i {
-					writtenUpstream = true
-					break
+		}
+		if u.writes {
+			if writers++; firstWriter == nil {
+				firstWriter = u.task
+			}
+		}
+	}
+	if firstWriter != f.firstWriter {
+		f.firstWriter = firstWriter
+		for _, u := range f.users {
+			if u.readsAndWrites {
+				ix.touchTask(u.task) // "written upstream" may have flipped
+			}
+		}
+	}
+	if f.writersChanged {
+		f.writersChanged = false
+		for _, u := range f.users {
+			for _, st := range ix.stagesOf[u.task.trace.Task] {
+				if len(st.tasks) == 1 {
+					ix.touchStage(st) // fan-in counts the producers
 				}
 			}
-			if writtenUpstream {
-				out = append(out, Finding{
-					Kind: WriteAfterRead, Severity: Warning, Guideline: GuidelineCaching,
-					Task: t.Task, File: file,
-					Detail: "task reads upstream output and writes it back; cache it in memory for the task duration",
-				})
-			} else {
-				out = append(out, Finding{
-					Kind: ReadAfterWrite, Severity: Info, Guideline: GuidelineCaching,
-					Task: t.Task, File: file,
-					Detail: "task re-reads its own output; keep it memory-resident",
-				})
-			}
 		}
 	}
-	sortFindings(out)
-	return out
-}
+	f.firstReader, f.pure = firstReader, writers == 0
 
-// detectTimeDependentInputs flags pure inputs first needed after the
-// workflow has started (Figure 4 circle 2): prefetch can be delayed.
-func detectTimeDependentInputs(c *analysisContext) []Finding {
-	if len(c.ordered) < 3 {
-		return nil
+	f.out = [numFileSlots]*group{}
+	if readers >= 2 {
+		f.out[fReuse] = oneFinding(Finding{
+			Kind: DataReuse, Severity: Warning, Guideline: GuidelineCaching,
+			File:    f.name,
+			Detail:  "file is read by " + strconv.Itoa(readers) + " tasks; prioritize it in the fastest tier",
+			Metrics: map[string]float64{"readers": float64(readers)},
+		})
 	}
-	// With a manifest, "mid-workflow" means a later *stage*, so the
-	// parallel tasks of the first stage never flag their own inputs.
-	stageRank := map[string]int{}
-	if c.manifest != nil {
-		for i, stage := range c.manifest.StageOrder {
-			for _, task := range c.manifest.Stages[stage] {
-				stageRank[task] = i
-			}
-		}
+
+	var disposable string
+	switch {
+	case writers == 0 && readers == 1:
+		disposable = "initial input consumed by a single task; stage it out after processing"
+	case writers > 0 && readers == 1:
+		disposable = "output with a single outgoing consumer; offload to slower storage after use"
+	case writers > 0 && readers == 0:
+		disposable = "output never read back within the workflow; drain it to capacity storage"
 	}
-	position := func(taskIdx int) int {
-		if len(stageRank) > 0 {
-			if r, ok := stageRank[c.ordered[taskIdx].Task]; ok {
-				return r
-			}
-		}
-		return taskIdx
+	if disposable != "" {
+		f.out[fDisposable] = oneFinding(Finding{
+			Kind: DisposableData, Severity: Info, Guideline: GuidelineStageOut,
+			File: f.name, Detail: disposable,
+		})
 	}
-	var out []Finding
-	for _, file := range c.sortedFiles() {
-		if len(c.fileWriters[file]) > 0 {
-			continue // not a pure input
+
+	if f.pure && firstReader != nil && len(ix.tasks) >= 3 {
+		// With a manifest, "mid-workflow" means a later *stage*, so the
+		// parallel tasks of the first stage never flag their own inputs.
+		first, name := firstReader.pos, firstReader.trace.Task
+		position := first
+		if rank, staged := ix.stageRank[name]; staged {
+			position = rank
 		}
-		readers := distinct(c.fileReaders[file])
-		if len(readers) == 0 {
-			continue
-		}
-		first := readers[0]
-		for _, r := range readers {
-			if r < first {
-				first = r
-			}
-		}
-		if position(first) > 0 { // not needed by the first task(s)/stage
-			out = append(out, Finding{
+		if position > 0 { // not needed by the first task(s)/stage
+			f.out[fTimeDependent] = oneFinding(Finding{
 				Kind: TimeDependentInput, Severity: Info, Guideline: GuidelinePrefetch,
-				File: file, Task: c.ordered[first].Task,
+				File: f.name, Task: name,
 				Detail: fmt.Sprintf("input first read by task #%d (%s); delay its prefetch until just before that task",
-					first+1, c.ordered[first].Task),
+					first+1, name),
 				Metrics: map[string]float64{"first_reader_index": float64(first)},
 			})
 		}
 	}
-	return out
-}
 
-// detectDisposable flags data that is non-critical once consumed: pure
-// inputs, and outputs with at most one consumer (Figure 4 blue marks).
-func detectDisposable(c *analysisContext) []Finding {
-	var out []Finding
-	for _, file := range c.sortedFiles() {
-		readers := distinct(c.fileReaders[file])
-		writers := distinct(c.fileWriters[file])
-		switch {
-		case len(writers) == 0 && len(readers) == 1:
-			out = append(out, Finding{
-				Kind: DisposableData, Severity: Info, Guideline: GuidelineStageOut,
-				File:   file,
-				Detail: "initial input consumed by a single task; stage it out after processing",
-			})
-		case len(writers) > 0 && len(readers) == 1:
-			out = append(out, Finding{
-				Kind: DisposableData, Severity: Info, Guideline: GuidelineStageOut,
-				File:   file,
-				Detail: "output with a single outgoing consumer; offload to slower storage after use",
-			})
-		case len(writers) > 0 && len(readers) == 0:
-			out = append(out, Finding{
-				Kind: DisposableData, Severity: Info, Guideline: GuidelineStageOut,
-				File:   file,
-				Detail: "output never read back within the workflow; drain it to capacity storage",
-			})
-		}
-	}
-	return out
-}
-
-// detectScattering flags files holding many small datasets (Figure 5):
-// frequent metadata access and excessive small I/O requests.
-func detectScattering(c *analysisContext, th Thresholds) []Finding {
-	var out []Finding
-	var files []string
-	for f := range c.objStats {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, file := range files {
-		small, total := 0, 0
-		var smallBytes int64
-		for object, stats := range c.objStats[file] {
-			if object == "" {
-				continue
-			}
-			total++
-			size := objectDataSize(c, file, object, stats)
-			if size > 0 && size < th.SmallDatasetBytes {
-				small++
-				smallBytes += size
-			}
-		}
-		if small >= th.ScatterMinDatasets {
-			out = append(out, Finding{
-				Kind: DataScattering, Severity: Critical, Guideline: GuidelineLayout,
-				File: file,
-				Detail: fmt.Sprintf("%d of %d datasets are smaller than %s; consolidate them into one large dataset and index by offset",
-					small, total, units.Bytes(th.SmallDatasetBytes)),
-				Metrics: map[string]float64{
-					"small_datasets": float64(small),
-					"total_datasets": float64(total),
-				},
-			})
-		}
-	}
-	return out
-}
-
-// objectDataSize estimates a dataset's content size from its
-// description, falling back to observed data bytes.
-func objectDataSize(c *analysisContext, file, object string, stats []trace.MappedStat) int64 {
-	if descs := c.objDescs[file]; descs != nil {
-		if d, ok := descs[object]; ok && len(d.Shape) > 0 && d.ElemSize > 0 {
-			n := int64(1)
-			for _, s := range d.Shape {
-				n *= s
-			}
-			return n * d.ElemSize
-		}
-	}
-	var max int64
-	for _, ms := range stats {
-		if ms.DataBytes > max {
-			max = ms.DataBytes
-		}
-	}
-	return max
-}
-
-// detectSmallAccesses flags file traffic dominated by tiny raw-data
-// operations: the "excessive small I/O requests" Figure 5 calls out,
-// which consolidation or larger transfers would amortize.
-func detectSmallAccesses(c *analysisContext, th Thresholds) []Finding {
-	var out []Finding
-	for _, t := range c.ordered {
-		files := make([]string, 0, len(c.records[t.Task]))
-		for f := range c.records[t.Task] {
-			files = append(files, f)
-		}
-		sort.Strings(files)
-		for _, file := range files {
-			fr := c.records[t.Task][file]
-			if fr.DataOps < th.SmallAccessMinOps {
-				continue
-			}
-			avg := fr.DataBytes / fr.DataOps
-			if avg >= th.SmallAccessBytes {
-				continue
-			}
-			out = append(out, Finding{
-				Kind: SmallIORequests, Severity: Warning, Guideline: GuidelineLayout,
-				Task: t.Task, File: file,
-				Detail: fmt.Sprintf("%d raw-data ops average only %s each; batch or consolidate accesses",
-					fr.DataOps, units.Bytes(avg)),
-				Metrics: map[string]float64{"avg_access_bytes": float64(avg), "data_ops": float64(fr.DataOps)},
-			})
-		}
-	}
-	return out
-}
-
-// detectMetadataOnly flags accesses that touch a dataset's metadata but
-// none of its content (Figure 7: training reads only contact_map's
-// metadata), signalling data movement that partial access could avoid.
-func detectMetadataOnly(c *analysisContext) []Finding {
-	var out []Finding
-	for _, t := range c.ordered {
-		for _, ms := range t.Mapped {
-			if ms.Object == "" || ms.Reads == 0 || ms.DataOps != 0 || ms.MetaOps == 0 {
-				continue
-			}
-			size := objectDataSize(c, ms.File, ms.Object, nil)
-			out = append(out, Finding{
-				Kind: MetadataOnlyAccess, Severity: Warning, Guideline: GuidelinePartial,
-				Task: t.Task, File: ms.File, Object: ms.Object,
-				Detail: fmt.Sprintf("task reads only metadata of %s (%s of content untouched); skip staging its data",
-					ms.Object, units.Bytes(size)),
-				Metrics: map[string]float64{"content_bytes": float64(size)},
-			})
-		}
-	}
-	return out
-}
-
-// detectMetadataOverhead flags files where metadata operations dominate.
-func detectMetadataOverhead(c *analysisContext, th Thresholds) []Finding {
-	var out []Finding
-	for _, t := range c.ordered {
-		files := make([]string, 0, len(c.records[t.Task]))
-		for f := range c.records[t.Task] {
-			files = append(files, f)
-		}
-		sort.Strings(files)
-		for _, file := range files {
-			fr := c.records[t.Task][file]
-			if fr.DataOps == 0 || fr.MetaOps == 0 {
-				continue
-			}
-			ratio := float64(fr.MetaOps) / float64(fr.DataOps)
-			if ratio > th.MetaOpsRatio {
-				out = append(out, Finding{
-					Kind: MetadataOverhead, Severity: Warning, Guideline: GuidelineLayout,
-					Task: t.Task, File: file,
-					Detail: fmt.Sprintf("metadata ops outnumber data ops %.1f:1 (%d vs %d); revisit the storage layout",
-						ratio, fr.MetaOps, fr.DataOps),
-					Metrics: map[string]float64{"meta_ops_ratio": ratio},
-				})
-			}
-		}
-	}
-	return out
-}
-
-// detectLayoutMismatch applies the §III-A layout guidelines to every
-// dataset description: chunked small data and contiguous large VL data
-// are both mismatches.
-func detectLayoutMismatch(c *analysisContext, th Thresholds) []Finding {
-	var out []Finding
-	var files []string
-	for f := range c.objDescs {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, file := range files {
-		var objects []string
-		for o := range c.objDescs[file] {
-			objects = append(objects, o)
-		}
-		sort.Strings(objects)
-		for _, object := range objects {
-			d := c.objDescs[file][object]
-			if d.Type != "dataset" {
-				continue
-			}
-			size := objectDataSize(c, file, object, c.objStats[file][object])
-			switch {
-			case d.Layout == "chunked" && d.Datatype != "vlen" && size > 0 && size < th.ChunkedSmallBytes:
-				out = append(out, Finding{
-					Kind: ChunkedSmallData, Severity: Warning, Guideline: GuidelineLayout,
-					File: file, Object: object,
-					Detail: fmt.Sprintf("chunked layout on a %s dataset adds index overhead; use contiguous layout",
-						units.Bytes(size)),
-					Metrics: map[string]float64{"bytes": float64(size)},
-				})
-			case d.Layout == "contiguous" && d.Datatype == "vlen" && vlVolume(c, file, object) > th.VLenLargeBytes:
-				out = append(out, Finding{
-					Kind: VLenContiguous, Severity: Warning, Guideline: GuidelineLayout,
-					File: file, Object: object,
-					Detail:  "large variable-length dataset in contiguous layout; chunked layout provides the index metadata VL access needs",
-					Metrics: map[string]float64{"bytes": float64(vlVolume(c, file, object))},
-				})
-			}
-		}
-	}
-	return out
-}
-
-// vlVolume returns observed payload volume for a VL dataset.
-func vlVolume(c *analysisContext, file, object string) int64 {
-	if descs := c.objDescs[file]; descs != nil {
-		if d, ok := descs[object]; ok {
-			if v := d.BytesWritten + d.BytesRead; v > 0 {
-				return v
-			}
-		}
-	}
-	var total int64
-	for _, ms := range c.objStats[file][object] {
-		total += ms.DataBytes
-	}
-	return total
-}
-
-// detectSequentialReaders flags read-only streaming consumers, the
-// rolling stage-in candidates of §VI-B.
-func detectSequentialReaders(c *analysisContext, th Thresholds) []Finding {
-	var out []Finding
-	for _, t := range c.ordered {
-		files := make([]string, 0, len(c.records[t.Task]))
-		for f := range c.records[t.Task] {
-			files = append(files, f)
-		}
-		sort.Strings(files)
-		for _, file := range files {
-			fr := c.records[t.Task][file]
-			if fr.Writes > 0 || fr.Reads == 0 || fr.DataOps == 0 {
-				continue
-			}
-			ratio := float64(fr.SequentialOps) / float64(fr.DataOps)
-			if ratio >= th.SequentialRatio {
-				out = append(out, Finding{
-					Kind: ReadOnlySequential, Severity: Info, Guideline: GuidelinePrefetch,
-					Task: t.Task, File: file,
-					Detail: fmt.Sprintf("read-only sequential access (%.0f%% sequential); use a rolling stage-in to the local tier",
-						100*ratio),
-					Metrics: map[string]float64{"sequential_ratio": ratio},
-				})
-			}
-		}
-	}
-	return out
-}
-
-// detectIndependentTasks flags consecutive tasks without any shared
-// file, which are candidates for parallel execution (Figure 6 circle 3:
-// training and inference).
-func detectIndependentTasks(c *analysisContext) []Finding {
-	var out []Finding
-	for i := 1; i < len(c.ordered); i++ {
-		a, b := c.ordered[i-1], c.ordered[i]
-		// b depends on a when b reads any file a wrote.
-		depends := false
-		for file, fra := range c.records[a.Task] {
-			if fra.Writes == 0 {
-				continue
-			}
-			if frb, ok := c.records[b.Task][file]; ok && frb.Reads > 0 {
-				depends = true
-				break
-			}
-		}
-		if !depends && len(c.records[a.Task]) > 0 && len(c.records[b.Task]) > 0 {
-			out = append(out, Finding{
-				Kind: NoDataDependency, Severity: Warning, Guideline: GuidelineParallelize,
-				Task:   b.Task,
-				Detail: fmt.Sprintf("no data dependency between %q and %q; they can execute in parallel", a.Task, b.Task),
-			})
-		}
-	}
-	return out
-}
-
-// detectAccessPatterns recognizes the stage-level patterns §VII-C1 uses
-// for co-scheduling: all-to-all (every task of a stage reads every
-// input) and fan-in (one task consumes many upstream outputs).
-func detectAccessPatterns(c *analysisContext) []Finding {
-	var out []Finding
-	if c.manifest == nil || len(c.manifest.StageOrder) == 0 {
-		return out
-	}
-	for _, stage := range c.manifest.StageOrder {
-		tasks := c.manifest.Stages[stage]
-		if len(tasks) == 0 {
+	small, total := 0, 0
+	for _, o := range f.objOrder {
+		if o.name == "" || len(o.stats) == 0 {
 			continue
 		}
-		// Collect files read by each stage task.
-		readSets := map[string]map[string]bool{}
-		union := map[string]bool{}
-		for _, task := range tasks {
-			rs := map[string]bool{}
-			for file, fr := range c.records[task] {
-				// Count only genuine content consumption; the metadata
-				// reads that accompany file creation do not make the
-				// creating task a consumer.
-				if fr.DataReads > 0 {
-					rs[file] = true
-					union[file] = true
-				}
-			}
-			readSets[task] = rs
-		}
-		if len(union) == 0 {
-			continue
-		}
-		if len(tasks) >= 2 {
-			allToAll := true
-			for _, task := range tasks {
-				if len(readSets[task]) != len(union) {
-					allToAll = false
-					break
-				}
-			}
-			if allToAll && len(union) >= 2 {
-				out = append(out, Finding{
-					Kind: AllToAllPattern, Severity: Info, Guideline: GuidelineCoSchedule,
-					Task: stage,
-					Detail: fmt.Sprintf("all %d tasks of stage %q read all %d input files; parallelizable with shared staging",
-						len(tasks), stage, len(union)),
-				})
-			}
-		}
-		if len(tasks) == 1 && len(union) >= 3 {
-			task := tasks[0]
-			producers := map[string]bool{}
-			for file := range readSets[task] {
-				for _, w := range c.fileWriters[file] {
-					if w < c.taskIdx[task] {
-						producers[c.ordered[w].Task] = true
-					}
-				}
-			}
-			if len(producers) >= 2 {
-				out = append(out, Finding{
-					Kind: FanInPattern, Severity: Info, Guideline: GuidelineCoSchedule,
-					Task: task,
-					Detail: fmt.Sprintf("task %q fans in %d files from %d producers; co-schedule it with the producing node",
-						task, len(union), len(producers)),
-				})
-			}
+		total++
+		if size := o.size(); size > 0 && size < ix.th.SmallDatasetBytes {
+			small++
 		}
 	}
-	return out
+	if small >= ix.th.ScatterMinDatasets {
+		f.out[fScatter] = oneFinding(Finding{
+			Kind: DataScattering, Severity: Critical, Guideline: GuidelineLayout,
+			File: f.name,
+			Detail: fmt.Sprintf("%d of %d datasets are smaller than %s; consolidate them into one large dataset and index by offset",
+				small, total, units.Bytes(ix.th.SmallDatasetBytes)),
+			Metrics: map[string]float64{
+				"small_datasets": float64(small),
+				"total_datasets": float64(total),
+			},
+		})
+	}
 }
 
-func sortFindings(fs []Finding) {
-	sort.SliceStable(fs, func(i, j int) bool {
-		if fs[i].Task != fs[j].Task {
-			return fs[i].Task < fs[j].Task
+// taskRules runs the per-task rules that read other scopes, whenever
+// the task is dirty: write-after-read / read-after-write (does the file
+// have an earlier writer) and metadata-only-access (how big is the
+// object). The rest of a task's rules are ownRecordRules.
+func (ix *Index) taskRules(t *taskScope) {
+	t.dirty = false
+	ix.recomputed++
+	task := t.trace.Task
+
+	// A task that reads and writes one file's content either updates a
+	// file produced upstream or re-reads its own output. Metadata
+	// side-effects (symbol-table reads during creation) count as neither.
+	var war, raw []Finding
+	for _, tf := range t.files {
+		if tf.rec.DataReads == 0 || tf.rec.DataWrites == 0 {
+			continue
 		}
-		return fs[i].File < fs[j].File
+		if w := tf.file.firstWriter; w != nil && w.pos < t.pos {
+			war = append(war, Finding{
+				Kind: WriteAfterRead, Severity: Warning, Guideline: GuidelineCaching,
+				Task: task, File: tf.file.name,
+				Detail: "task reads upstream output and writes it back; cache it in memory for the task duration",
+			})
+		} else {
+			raw = append(raw, Finding{
+				Kind: ReadAfterWrite, Severity: Info, Guideline: GuidelineCaching,
+				Task: task, File: tf.file.name,
+				Detail: "task re-reads its own output; keep it memory-resident",
+			})
+		}
+	}
+	t.out[tWriteAfterRead], t.out[tReadAfterWrite] = groupOf(war), groupOf(raw)
+
+	// Accesses that touch a dataset's metadata but none of its content
+	// (Figure 7: training reads only contact_map's metadata): data
+	// movement that partial access could avoid.
+	var metaOnly []Finding
+	for _, m := range t.metaOnly {
+		size := int64(0)
+		if m.obj.described {
+			size = m.obj.descSize
+		}
+		metaOnly = append(metaOnly, Finding{
+			Kind: MetadataOnlyAccess, Severity: Warning, Guideline: GuidelinePartial,
+			Task: task, File: m.stat.File, Object: m.stat.Object,
+			Detail: fmt.Sprintf("task reads only metadata of %s (%s of content untouched); skip staging its data",
+				m.stat.Object, units.Bytes(size)),
+			Metrics: map[string]float64{"content_bytes": float64(size)},
+		})
+	}
+	t.out[tMetaOnly] = groupOf(metaOnly)
+}
+
+// ownRecordRules runs the rules nothing but the task's own file records
+// feed, in file-name order — small-io-requests, metadata-overhead,
+// read-only-sequential — once, when the (immutable) trace is linked.
+func (ix *Index) ownRecordRules(t *taskScope) {
+	task := t.trace.Task
+	var smallIO, metaOverhead, sequential []Finding
+	for _, tf := range t.files {
+		fr, file := tf.rec, tf.file.name
+		// File traffic dominated by tiny raw-data operations: the
+		// "excessive small I/O requests" Figure 5 calls out.
+		if fr.DataOps >= ix.th.SmallAccessMinOps {
+			if avg := fr.DataBytes / fr.DataOps; avg < ix.th.SmallAccessBytes {
+				smallIO = append(smallIO, Finding{
+					Kind: SmallIORequests, Severity: Warning, Guideline: GuidelineLayout,
+					Task: task, File: file,
+					Detail: fmt.Sprintf("%d raw-data ops average only %s each; batch or consolidate accesses",
+						fr.DataOps, units.Bytes(avg)),
+					Metrics: map[string]float64{"avg_access_bytes": float64(avg), "data_ops": float64(fr.DataOps)},
+				})
+			}
+		}
+		if fr.DataOps == 0 {
+			continue
+		}
+		if ratio := float64(fr.MetaOps) / float64(fr.DataOps); fr.MetaOps != 0 && ratio > ix.th.MetaOpsRatio {
+			metaOverhead = append(metaOverhead, Finding{
+				Kind: MetadataOverhead, Severity: Warning, Guideline: GuidelineLayout,
+				Task: task, File: file,
+				Detail: fmt.Sprintf("metadata ops outnumber data ops %.1f:1 (%d vs %d); revisit the storage layout",
+					ratio, fr.MetaOps, fr.DataOps),
+				Metrics: map[string]float64{"meta_ops_ratio": ratio},
+			})
+		}
+		// Read-only streaming consumers: the rolling stage-in candidates
+		// of §VI-B.
+		if fr.Writes > 0 || fr.Reads == 0 {
+			continue
+		}
+		if ratio := float64(fr.SequentialOps) / float64(fr.DataOps); ratio >= ix.th.SequentialRatio {
+			sequential = append(sequential, Finding{
+				Kind: ReadOnlySequential, Severity: Info, Guideline: GuidelinePrefetch,
+				Task: task, File: file,
+				Detail: fmt.Sprintf("read-only sequential access (%.0f%% sequential); use a rolling stage-in to the local tier",
+					100*ratio),
+				Metrics: map[string]float64{"sequential_ratio": ratio},
+			})
+		}
+	}
+	t.out[tSmallIO], t.out[tMetaOverhead], t.out[tSequential] = groupOf(smallIO), groupOf(metaOverhead), groupOf(sequential)
+}
+
+// pairRule flags a task that reads nothing its predecessor in task
+// order wrote: consecutive tasks without a shared file are candidates
+// for parallel execution (Figure 6 circle 3: training and inference).
+func (ix *Index) pairRule(t, prev *taskScope) {
+	t.pairPrev, t.out[tPair] = prev, nil
+	if prev == nil {
+		return
+	}
+	ix.recomputed++
+	if len(prev.files) == 0 || len(t.files) == 0 {
+		return
+	}
+	// Both lists are sorted by file name.
+	for i, j := 0, 0; i < len(prev.files) && j < len(t.files); {
+		a, b := prev.files[i], t.files[j]
+		switch c := strings.Compare(a.file.name, b.file.name); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			if a.rec.Writes > 0 && b.rec.Reads > 0 {
+				return // t depends on prev
+			}
+			i, j = i+1, j+1
+		}
+	}
+	detail := append(make([]byte, 0, 128), "no data dependency between "...)
+	detail = strconv.AppendQuote(detail, prev.trace.Task)
+	detail = append(detail, " and "...)
+	detail = strconv.AppendQuote(detail, t.trace.Task)
+	detail = append(detail, "; they can execute in parallel"...)
+	t.out[tPair] = oneFinding(Finding{
+		Kind: NoDataDependency, Severity: Warning, Guideline: GuidelineParallelize,
+		Task: t.trace.Task, Detail: string(detail),
 	})
+}
+
+// stageRules recognizes the stage-level patterns §VII-C1 uses for
+// co-scheduling: all-to-all (every task of a stage reads every input)
+// and fan-in (one task consumes many upstream outputs).
+func (ix *Index) stageRules(st *stageScope) {
+	st.dirty = false
+	ix.recomputed++
+	st.out = [numStageSlots]*group{}
+
+	// Files each stage task reads content of. The metadata reads that
+	// accompany file creation do not make the creating task a consumer.
+	union := map[*fileScope]struct{}{}
+	reads := func(task string) (n int) {
+		if t := ix.byName[task]; t != nil {
+			for _, tf := range t.files {
+				if tf.rec.DataReads > 0 {
+					union[tf.file] = struct{}{}
+					n++
+				}
+			}
+		}
+		return n
+	}
+	perTask := make([]int, len(st.tasks))
+	for i, task := range st.tasks {
+		perTask[i] = reads(task)
+	}
+	if len(union) == 0 {
+		return
+	}
+	if len(st.tasks) >= 2 {
+		for _, n := range perTask {
+			if n != len(union) {
+				return
+			}
+		}
+		if len(union) >= 2 {
+			st.out[sAllToAll] = oneFinding(Finding{
+				Kind: AllToAllPattern, Severity: Info, Guideline: GuidelineCoSchedule,
+				Task: st.name,
+				Detail: fmt.Sprintf("all %d tasks of stage %q read all %d input files; parallelizable with shared staging",
+					len(st.tasks), st.name, len(union)),
+			})
+		}
+		return
+	}
+	if len(union) < 3 {
+		return
+	}
+	t := ix.byName[st.tasks[0]]
+	producers := map[string]struct{}{}
+	for f := range union {
+		for _, u := range f.users {
+			if u.writes && u.task.pos < t.pos {
+				producers[u.task.trace.Task] = struct{}{}
+			}
+		}
+	}
+	if len(producers) >= 2 {
+		st.out[sFanIn] = oneFinding(Finding{
+			Kind: FanInPattern, Severity: Info, Guideline: GuidelineCoSchedule,
+			Task: t.trace.Task,
+			Detail: fmt.Sprintf("task %q fans in %d files from %d producers; co-schedule it with the producing node",
+				t.trace.Task, len(union), len(producers)),
+		})
+	}
 }

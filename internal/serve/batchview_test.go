@@ -15,6 +15,7 @@ import (
 
 	"dayu/internal/obs"
 	"dayu/internal/trace"
+	"dayu/internal/workloads"
 )
 
 // foldAndIngest applies one pushed payload exactly as a folder
@@ -483,41 +484,54 @@ func parseSSE(t *testing.T, stream []byte) []sseEvent {
 	return events
 }
 
-// TestEventFrameReassembles: whatever the payload's line structure, a
-// spec-following client reassembles exactly the payload bytes.
+// TestEventFrameReassembles: whatever the payload's line structure and
+// wherever its segments are cut, a spec-following client reassembles
+// exactly the payload bytes.
 func TestEventFrameReassembles(t *testing.T) {
 	env, _ := fixtureEnv(t, 1)
 	snap := foldAndIngest(t, env.s, encodeCheckpoint(t, checkpointTrace(liveTask("zz_live"), 1.0), 1))
-	real, err := env.s.liveEventPayload(snap)
+	real, err := env.s.liveEventPayload(nil, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Count(real, []byte("\n")) < 10 {
-		t.Fatalf("live event payload is not multi-line: %q", real)
+	if bytes.Count(real[1], []byte("\n")) < 10 {
+		t.Fatalf("live event findings are not multi-line: %q", real[1])
 	}
-	payloads := map[string][]byte{
-		"live event payload":  real,
-		"no newline":          []byte(`{"one":"line"}`),
-		"trailing newline":    []byte("[\n  1\n]\n"),
-		"empty lines":         []byte("a\n\n\nb"),
-		"only newlines":       []byte("\n\n"),
-		"leading space kept":  []byte(" x\n  y"),
-		"colon in first line": []byte("data: not a field\nid: 9"),
+	one := func(payload string) [][]byte { return [][]byte{[]byte(payload)} }
+	payloads := map[string][][]byte{
+		"live event payload":  real[:],
+		"no newline":          one(`{"one":"line"}`),
+		"trailing newline":    one("[\n  1\n]\n"),
+		"empty lines":         one("a\n\n\nb"),
+		"only newlines":       one("\n\n"),
+		"leading space kept":  one(" x\n  y"),
+		"colon in first line": one("data: not a field\nid: 9"),
 		"empty":               nil,
+		// Segment boundaries are not line boundaries.
+		"line spans segments":        {[]byte("{\"a\":"), []byte("[\n  1,"), []byte(" 2\n]"), []byte("}")},
+		"segment ends in newline":    {[]byte("a\n"), []byte("b\n"), []byte("c")},
+		"last segment ends the line": {[]byte("a\nb"), []byte("\n")},
+		"newline alone in a segment": {[]byte("a"), []byte("\n"), []byte("\n"), []byte("b")},
+		"empty segments":             {nil, []byte("a\n"), {}, []byte("b"), nil},
 	}
 	var stream []byte
 	var order []string
-	for name, payload := range payloads {
-		frame := appendEventFrame(nil, uint64(len(order)+1), payload)
+	for name, segments := range payloads {
+		payload := string(bytes.Join(segments, nil))
+		frame := appendEventFrame(nil, uint64(len(order)+1), segments...)
 		events := parseSSE(t, frame)
 		if len(events) != 1 {
 			t.Fatalf("%s: frame parses to %d events: %q", name, len(events), frame)
 		}
-		if ev := events[0]; ev.event != "snapshot" || ev.id != fmt.Sprint(len(order)+1) || ev.data != string(payload) {
+		if ev := events[0]; ev.event != "snapshot" || ev.id != fmt.Sprint(len(order)+1) || ev.data != payload {
 			t.Errorf("%s: reassembled id=%q event=%q data=%q, want data %q", name, ev.id, ev.event, ev.data, payload)
 		}
+		// However the payload is cut, the frame is the same bytes.
+		if whole := appendEventFrame(nil, uint64(len(order)+1), []byte(payload)); !bytes.Equal(frame, whole) {
+			t.Errorf("%s: framing the segments gives %q, framing their concatenation %q", name, frame, whole)
+		}
 		// Frames append: a connection reuses one buffer per event.
-		stream = appendEventFrame(stream, uint64(len(order)+1), payload)
+		stream = appendEventFrame(stream, uint64(len(order)+1), segments...)
 		order = append(order, name)
 	}
 	events := parseSSE(t, stream)
@@ -525,9 +539,46 @@ func TestEventFrameReassembles(t *testing.T) {
 		t.Fatalf("concatenated frames parse to %d events, want %d", len(events), len(order))
 	}
 	for i, name := range order {
-		if events[i].data != string(payloads[name]) {
+		if events[i].data != string(bytes.Join(payloads[name], nil)) {
 			t.Errorf("%s: payload changed inside a concatenated stream", name)
 		}
+	}
+}
+
+// TestEventWriteAllocatesNoPayload: with the findings body in the render
+// cache, putting an event on a connection — header, framing, the reused
+// buffers — allocates a handful of small objects whatever the body's
+// size; the megabyte is copied once, into the connection's frame.
+func TestEventWriteAllocatesNoPayload(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	var allocs []float64
+	var sizes []int
+	for _, tasks := range []int{24, 240} {
+		env := newPushEnv(t, func(c *Config) {
+			c.Dir = writeSyntheticDir(t, workloads.SyntheticTraceConfig{Tasks: tasks, Stages: 4})
+		})
+		snap := foldAndIngest(t, env.s, encodeCheckpoint(t, checkpointTrace(liveTask("zz_live"), 1.0), 1))
+		var head, frame []byte
+		write := func() {
+			payload, err := env.s.liveEventPayload(head[:0], snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			head = payload[0]
+			frame = appendEventFrame(frame[:0], 7, payload[:]...)
+		}
+		write() // renders the body, grows the buffers
+		allocs = append(allocs, testing.AllocsPerRun(50, write))
+		sizes = append(sizes, len(frame))
+	}
+	if sizes[1] < 5*sizes[0] {
+		t.Fatalf("frames are %d and %d bytes; the second was meant to be several times larger", sizes[0], sizes[1])
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 4 {
+		t.Errorf("writing a %d-byte event allocates %.0f times, a %d-byte one %.0f; want the same small number (<= 4)",
+			sizes[0], allocs[0], sizes[1], allocs[1])
 	}
 }
 

@@ -37,10 +37,17 @@ func mustServer(t *testing.T, cfg Config) *Server {
 // writeFixtureDir saves a small deterministic synthetic workflow.
 func writeFixtureDir(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	traces, m := workloads.GenerateSyntheticTraces(workloads.SyntheticTraceConfig{
+	return writeSyntheticDir(t, workloads.SyntheticTraceConfig{
 		Tasks: 24, Stages: 4, FilesPerStage: 3, DatasetsPerTask: 2,
 	})
+}
+
+// writeSyntheticDir saves the synthetic workflow cfg describes, with its
+// manifest.
+func writeSyntheticDir(t *testing.T, cfg workloads.SyntheticTraceConfig) string {
+	t.Helper()
+	dir := t.TempDir()
+	traces, m := workloads.GenerateSyntheticTraces(cfg)
 	for _, tt := range traces {
 		if _, err := tt.Save(dir); err != nil {
 			t.Fatal(err)

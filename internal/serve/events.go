@@ -181,41 +181,62 @@ func (b *eventsBroadcaster) takeLagged(sub *eventSub) bool {
 	return l
 }
 
-// liveEventPayload renders one event's data: the snapshot header plus
-// the exact /v1/live/diagnostics body for the snapshot, shared through
-// the snapshot's render cache.
-func (s *Server) liveEventPayload(snap *snapshot) ([]byte, error) {
+// liveEventPayload returns one event's data as the segments it is made
+// of — the snapshot header (appended to head, a buffer the caller may
+// reuse), the exact /v1/live/diagnostics body for the snapshot, shared
+// through the snapshot's render cache, and the closing brace — so that
+// no subscriber copies the megabyte in the middle just to join them.
+func (s *Server) liveEventPayload(head []byte, snap *snapshot) ([3][]byte, error) {
 	findings, err := s.render(snap.diagnoseRender(true, 0))
 	if err != nil {
-		return nil, err
+		return [3][]byte{}, err
 	}
-	head := fmt.Sprintf(`{"snapshot":%q,"partial_tasks":%d,"complete_tasks":%d,"findings":`,
-		snap.id, snap.partialTasks, len(snap.traces))
-	payload := make([]byte, 0, len(head)+len(findings)+1)
-	payload = append(payload, head...)
-	payload = append(payload, findings...)
-	payload = append(payload, '}')
-	return payload, nil
+	head = append(head, `{"snapshot":`...)
+	head = strconv.AppendQuote(head, snap.id)
+	head = append(head, `,"partial_tasks":`...)
+	head = strconv.AppendInt(head, int64(snap.partialTasks), 10)
+	head = append(head, `,"complete_tasks":`...)
+	head = strconv.AppendInt(head, int64(len(snap.traces)), 10)
+	head = append(head, `,"findings":`...)
+	return [3][]byte{head, findings, eventTail}, nil
 }
 
-// appendEventFrame appends one `event: snapshot` in SSE framing. The
-// payload is multi-line JSON and SSE wants one "data:" field per line;
-// a client rejoins the fields with \n, so the reassembled payload is
-// byte-identical. One scan of the payload, no per-line formatting: on a
-// loaded server it is a megabyte and many thousand lines.
-func appendEventFrame(frame []byte, id uint64, payload []byte) []byte {
+var eventTail = []byte("}")
+
+// appendEventFrame appends one `event: snapshot` in SSE framing; its
+// payload is the concatenation of segments. The payload is multi-line
+// JSON and SSE wants one "data:" field per line; a client rejoins the
+// fields with \n, so the reassembled payload is byte-identical. A
+// "data: " prefix follows every \n wherever the segment boundaries fall
+// — a line may span segments, a segment may end one. One scan of the
+// payload, no per-line formatting: on a loaded server it is a megabyte
+// and many thousand lines.
+func appendEventFrame(frame []byte, id uint64, segments ...[]byte) []byte {
 	frame = append(frame, "id: "...)
 	frame = strconv.AppendUint(frame, id, 10)
 	frame = append(frame, "\nevent: snapshot\n"...)
-	for {
-		frame = append(frame, "data: "...)
-		i := bytes.IndexByte(payload, '\n')
-		if i < 0 {
-			frame = append(frame, payload...)
-			break
+	lineStart := true
+	for _, seg := range segments {
+		for len(seg) > 0 {
+			if lineStart {
+				frame = append(frame, "data: "...)
+			}
+			i := bytes.IndexByte(seg, '\n')
+			if i < 0 {
+				frame = append(frame, seg...)
+				lineStart = false
+				break
+			}
+			frame = append(frame, seg[:i+1]...)
+			seg = seg[i+1:]
+			lineStart = true
 		}
-		frame = append(frame, payload[:i+1]...)
-		payload = payload[i+1:]
+	}
+	if lineStart {
+		// The payload's last line is empty (or the payload is): it is
+		// still a field, which is what makes the client's join restore
+		// a trailing \n.
+		frame = append(frame, "data: "...)
 	}
 	return append(frame, "\n\n"...)
 }
@@ -266,11 +287,12 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	// frame is this connection's framing buffer, reused across events.
-	var frame []byte
+	// frame and head are this connection's framing and header buffers,
+	// reused across events.
+	var frame, head []byte
 	writeEvent := func(ev liveEvent) bool {
 		start := time.Now()
-		payload, err := s.liveEventPayload(ev.snap)
+		payload, err := s.liveEventPayload(head[:0], ev.snap)
 		if err != nil {
 			// The stream is already committed; drop the event rather
 			// than corrupting the framing, and say so on /healthz — a
@@ -286,7 +308,8 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 		if s.events.takeLagged(sub) {
 			frame = append(frame, "event: lagged\ndata: {}\n\n"...)
 		}
-		frame = appendEventFrame(frame, ev.id, payload)
+		head = payload[0]
+		frame = appendEventFrame(frame, ev.id, payload[:]...)
 		if _, err := w.Write(frame); err != nil {
 			return false
 		}

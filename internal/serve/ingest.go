@@ -126,6 +126,7 @@ func (s *Server) buildSnapshot() *snapshot {
 		liveTraces: batch.traces, liveFTG: batch.ftg, liveSDG: batch.sdg,
 		partialTasks: len(partials),
 	}
+	ordered := batch.ordered
 	if len(partials) == 0 {
 		s.cache.release(livePass)
 	} else {
@@ -139,7 +140,8 @@ func (s *Server) buildSnapshot() *snapshot {
 			snap.partialHashes[pe.hash] = true
 		}
 		sort.SliceStable(live, func(i, j int) bool { return live[i].Task < live[j].Task })
-		lf, ls := s.contributions(livePass, analyzer.OrderTasks(live, batch.manifest), func(tt *trace.TaskTrace) string {
+		ordered = analyzer.OrderTasks(live, batch.manifest)
+		lf, ls := s.contributions(livePass, ordered, func(tt *trace.TaskTrace) string {
 			if hash, ok := batch.traceHash[tt]; ok {
 				return hash
 			}
@@ -150,6 +152,14 @@ func (s *Server) buildSnapshot() *snapshot {
 		snap.liveSDG = analyzer.BuildSDGFromContributions(ls)
 	}
 	snap.id = snapshotID(batch, partials)
+	// The findings of the live set: the index patches in the tasks that
+	// were added, replaced (a checkpoint is a new trace under the same
+	// name) or removed since the previous snapshot's.
+	start := time.Now()
+	snap.findings = s.diag.Sync(ordered, batch.manifest)
+	s.diagSyncNS.Observe(time.Since(start).Nanoseconds())
+	s.diagRecomputed.Add(int64(snap.findings.Recomputed))
+	s.diagReused.Add(int64(snap.findings.Reused))
 	// Keep exactly the contributions the batch view was built from and
 	// this overlay used: earlier revisions of changed traces, superseded
 	// checkpoint records and stale description-fingerprint variants are
@@ -205,7 +215,8 @@ func (s *Server) buildBatchView() *batchView {
 		batch.tasks = append(batch.tasks, infoByTrace[tt])
 	}
 
-	ftgContribs, sdgContribs := s.contributions(batchPass, analyzer.OrderTasks(batch.traces, batch.manifest),
+	batch.ordered = analyzer.OrderTasks(batch.traces, batch.manifest)
+	ftgContribs, sdgContribs := s.contributions(batchPass, batch.ordered,
 		func(tt *trace.TaskTrace) string { return batch.traceHash[tt] })
 	batch.ftg = analyzer.BuildFTGFromContributions(ftgContribs)
 	batch.sdg = analyzer.BuildSDGFromContributions(sdgContribs)

@@ -288,20 +288,30 @@ func (s *Server) diagnoseHandler(live bool) http.HandlerFunc {
 // /v1/diagnose, /v1/live/diagnostics and the SSE event payload. The
 // render keys are what make those three share bytes: with no partials
 // and no horizon the live view resolves to the batch view's key.
+//
+// The body of the snapshot's own trace set — the live view, which with
+// zero partials is the batch view — is the index's view encoded, groups
+// the previous snapshots already encoded included. The other two bodies
+// are rare reads of a different set (the batch half while partials
+// exist, a horizon's subset) and run Analyze from scratch: the same
+// rules, from empty.
 func (snap *snapshot) diagnoseRender(live bool, horizonNS int64) (*renderCache, string, renderFunc) {
-	cache, key, traces := &snap.rendered, "diagnose", snap.traces
-	if live && snap.partialTasks > 0 {
-		cache, key, traces = &snap.liveRendered, "live-diagnose", snap.liveTraces
-	}
-	if horizonNS > 0 {
-		cache, key = &snap.liveRendered, fmt.Sprintf("live-diagnose.h%d", horizonNS)
-	}
-	return cache, key, func() ([]byte, error) {
-		if horizonNS > 0 {
-			traces = horizonTraces(snap.liveTraces, horizonNS)
+	switch {
+	case horizonNS > 0:
+		return &snap.liveRendered, fmt.Sprintf("live-diagnose.h%d", horizonNS), func() ([]byte, error) {
+			return snap.diagnoseFromScratch(horizonTraces(snap.liveTraces, horizonNS))
 		}
-		return diagnose.EncodeJSON(diagnose.Analyze(traces, snap.manifest, diagnose.Thresholds{}))
+	case snap.partialTasks == 0:
+		return &snap.rendered, "diagnose", snap.findings.EncodeJSON
+	case live:
+		return &snap.liveRendered, "live-diagnose", snap.findings.EncodeJSON
+	default:
+		return &snap.rendered, "diagnose", func() ([]byte, error) { return snap.diagnoseFromScratch(snap.traces) }
 	}
+}
+
+func (snap *snapshot) diagnoseFromScratch(traces []*trace.TaskTrace) ([]byte, error) {
+	return diagnose.EncodeJSON(diagnose.Analyze(traces, snap.manifest, diagnose.Thresholds{}))
 }
 
 // durationParam parses an optional positive duration query parameter,

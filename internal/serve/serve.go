@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"dayu/internal/analyzer"
+	"dayu/internal/diagnose"
 	"dayu/internal/graph"
 	"dayu/internal/obs"
 	"dayu/internal/optimizer"
@@ -142,6 +143,10 @@ type batchView struct {
 	ftg     *graph.Graph
 	sdg     *graph.Graph
 
+	// ordered is traces in analyzer.OrderTasks order: what the
+	// contribution pass and the diagnose index take.
+	ordered []*trace.TaskTrace
+
 	// rendered caches the bodies that depend on nothing but this view:
 	// "ftg.<format>", "sdg.<format>", "diagnose" and "plan:<tier>:<nodes>"
 	// — which, with zero partials, are also the live endpoints' keys.
@@ -166,6 +171,10 @@ type snapshot struct {
 	liveSDG       *graph.Graph
 	partialTasks  int
 	partialHashes map[string]bool // content hashes of the retained checkpoints
+	// findings is the diagnose index's view of liveTraces as of this
+	// snapshot: references to the index's cached groups, encoded on
+	// demand through the render caches (see diagnoseRender).
+	findings *diagnose.View
 
 	// liveRendered caches "tasks" (it names the snapshot id) and every
 	// "live-…" key: the overlay graphs and diagnostics, windowed and
@@ -218,6 +227,10 @@ type Server struct {
 	// build cache.
 	ingestMu sync.Mutex
 	cache    *buildCache
+	// diag is the diagnose rule index, kept in step with the live trace
+	// set by buildSnapshot. Like the build cache it belongs to whoever
+	// holds ingestMu; the views it hands out are immutable.
+	diag *diagnose.Index
 	// batchStale is set when a scan saw the directory change and cleared
 	// once a snapshot of that state is built: a refresh that failed
 	// part-way still rebuilds the batch view on the next attempt.
@@ -276,6 +289,9 @@ type Server struct {
 	snapshotMisses  *obs.Counter
 	contribHits     *obs.Counter
 	contribMisses   *obs.Counter
+	diagSyncNS      *obs.Histogram
+	diagReused      *obs.Counter
+	diagRecomputed  *obs.Counter
 	responseHits    *obs.Counter
 	responseMisses  *obs.Counter
 	snapshotTasks   *obs.Gauge
@@ -322,6 +338,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		cache:    newBuildCache(cfg.Shards),
+		diag:     diagnose.NewIndex(diagnose.Thresholds{}),
 		partials: newPartialSet(),
 
 		requests: func(path string) *obs.Counter {
@@ -339,6 +356,9 @@ func NewServer(cfg Config) (*Server, error) {
 		snapshotMisses:  reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "snapshot")),
 		contribHits:     reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "contribution")),
 		contribMisses:   reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "contribution")),
+		diagSyncNS:      reg.Histogram("dayu_serve_diagnose_sync_ns", obs.LatencyBuckets()),
+		diagReused:      reg.Counter(obs.Name("dayu_serve_diagnose_scopes_total", "result", "reused")),
+		diagRecomputed:  reg.Counter(obs.Name("dayu_serve_diagnose_scopes_total", "result", "recomputed")),
 		responseHits:    reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "response")),
 		responseMisses:  reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "response")),
 		snapshotTasks:   reg.Gauge("dayu_serve_snapshot_tasks"),

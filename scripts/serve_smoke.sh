@@ -5,9 +5,11 @@
 #
 # Boots a server over a trace directory, waits for /healthz, probes
 # every read endpoint, asserts the repeat /v1/ftg was served from the
-# response cache, optionally exercises the snapshot-history store, and
-# leaves ftg.json/sdg.json in the output directory so callers can
-# byte-compare across configurations (trace format, shard count).
+# response cache and that /v1/diagnose and /v1/live/diagnostics are the
+# bytes `dayu diagnose -json` prints for the same directory, optionally
+# exercises the snapshot-history store, and leaves ftg.json/sdg.json in
+# the output directory so callers can byte-compare across configurations
+# (trace format, shard count).
 #
 # Usage:
 #   scripts/serve_smoke.sh -b ./dayu -t traces -o out \
@@ -67,7 +69,13 @@ curl -fsS "http://$addr/v1/ftg" -o "$out/ftg.json"
 curl -fsS "http://$addr/v1/ftg" -o "$out/ftg-repeat.json"
 cmp "$out/ftg.json" "$out/ftg-repeat.json"
 curl -fsS "http://$addr/v1/sdg" -o "$out/sdg.json"
-curl -fsS "http://$addr/v1/diagnose" -o /dev/null
+# One rule set, one encoding: the server's findings are the CLI's, byte
+# for byte, and with no stream in flight the live endpoint shares them.
+curl -fsS "http://$addr/v1/diagnose" -o "$out/diagnose.json"
+"$dayu" diagnose -traces "$traces" -json >"$out/diagnose-cli.json"
+cmp "$out/diagnose.json" "$out/diagnose-cli.json"
+curl -fsS "http://$addr/v1/live/diagnostics" -o "$out/live-diagnostics.json"
+cmp "$out/diagnose.json" "$out/live-diagnostics.json"
 curl -fsS "http://$addr/v1/plan" -o /dev/null
 curl -fsS "http://$addr/v1/tasks" -o /dev/null
 curl -fsS "http://$addr/metrics" -o "$out/metrics.txt"
