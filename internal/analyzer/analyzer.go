@@ -4,14 +4,13 @@
 // offers resolution adjustment (aggregation by stage or dataset count)
 // for complex workflows.
 //
-// Graph construction is parallel end to end: per-task node/edge
-// contributions are computed in contiguous chunks into pooled
-// worker-owned arenas (Options.Parallelism workers claiming chunks off
-// an atomic counter), then folded into the graph by the shard-then-
-// stitch merge in merge.go — nodes are sharded by key, folded per
-// shard in global occurrence order, and stitched back into serial
-// insertion order. The result — node IDs, edge order, every rendered
-// byte — is identical to a serial build at every parallelism setting.
+// Graph construction is two steps (merge.go): each task's nodes and
+// edges — its contribution, a pure function of that task's trace — are
+// computed by Options.Parallelism workers, then every contribution is
+// folded into the graph in task order by one serial loop. The fold
+// alone fixes node IDs, edge order and every rendered byte, so the
+// output is identical at every parallelism setting, and identical to
+// what `dayu serve` assembles from the contributions it caches.
 package analyzer
 
 import (
@@ -33,9 +32,9 @@ type Options struct {
 	// IncludeFileMetadata adds the File-Metadata pseudo-dataset node for
 	// unattributed metadata traffic (Figure 8b's Box 2).
 	IncludeFileMetadata bool
-	// Parallelism bounds the worker pool computing per-task graph
-	// contributions: <= 0 means GOMAXPROCS, 1 forces the serial path.
-	// Every setting produces byte-identical output.
+	// Parallelism bounds the workers computing per-task graph
+	// contributions (<= 0 means GOMAXPROCS); the merge is always the
+	// serial fold. Every setting produces byte-identical output.
 	Parallelism int
 }
 
@@ -103,10 +102,10 @@ func bandwidth(bytes int64, firstNS, lastNS int64) float64 {
 	return float64(bytes) / (float64(dt) / 1e9)
 }
 
-// Contribution is one task's share of a graph: the nodes and edges the
-// serial build would have added while visiting that task, in the exact
-// order it would have added them. Contributions are computed in
-// parallel (they are pure functions of one trace) and merged serially.
+// Contribution is one task's share of a graph: the nodes and edges a
+// build visiting the tasks one by one adds while at that task, in the
+// order it adds them. A contribution owns its slices, so callers — the
+// serve contribution cache — may retain it indefinitely.
 type Contribution struct {
 	nodes []graph.Node
 	edges []graph.Edge
@@ -125,26 +124,16 @@ func BuildFTG(traces []*trace.TaskTrace, m *trace.Manifest) *graph.Graph {
 // BuildFTGOpts is BuildFTG with explicit construction options (only
 // Parallelism applies to FTGs).
 func BuildFTGOpts(traces []*trace.TaskTrace, m *trace.Manifest, opts Options) *graph.Graph {
-	opts = opts.withDefaults()
 	ordered := OrderTasks(traces, m)
-	contribs, arenas := buildContributions(ordered, opts.Parallelism, ftgContribute)
-	g := buildFTGFrom(contribs, opts.Parallelism)
-	releaseArenas(arenas)
-	return g
+	return BuildFTGFromContributions(buildContributions(ordered, opts.withDefaults().Parallelism, FTGContribution))
 }
 
-// FTGContribution computes one task's FTG nodes and edges. The
-// returned contribution owns its memory (no pooled backing store), so
-// callers — the serve contribution cache — may retain it indefinitely.
+// FTGContribution computes one task's FTG contribution.
 func FTGContribution(t *trace.TaskTrace) Contribution {
-	var c Contribution
-	ftgContribute(t, &c)
-	return c
-}
-
-// ftgContribute appends one task's FTG nodes and edges to c, in the
-// exact order the serial build would add them.
-func ftgContribute(t *trace.TaskTrace, c *Contribution) {
+	c := Contribution{
+		nodes: make([]graph.Node, 0, 1+len(t.Files)),
+		edges: make([]graph.Edge, 0, len(t.Files)),
+	}
 	c.addNode(graph.Node{
 		ID: taskNodeID(t.Task), Kind: graph.KindTask, Label: t.Task,
 		StartNS: t.StartNS, EndNS: t.EndNS,
@@ -174,6 +163,7 @@ func ftgContribute(t *trace.TaskTrace, c *Contribution) {
 			})
 		}
 	}
+	return c
 }
 
 func avg(bytes, ops int64) int64 {
@@ -181,13 +171,6 @@ func avg(bytes, ops int64) int64 {
 		return 0
 	}
 	return bytes / ops
-}
-
-func mustAdd(g *graph.Graph, e graph.Edge) {
-	if _, err := g.AddEdge(e); err != nil {
-		// Endpoints are always added before edges in this package.
-		panic(err)
-	}
 }
 
 // markReuse flags outgoing read edges of any file consumed by two or
@@ -236,18 +219,30 @@ func BuildSDG(traces []*trace.TaskTrace, m *trace.Manifest, opts Options) *graph
 	opts = opts.withDefaults()
 	ordered := OrderTasks(traces, m)
 	descs := BuildObjectDescs(ordered)
-	contribs, arenas := buildContributions(ordered, opts.Parallelism, func(t *trace.TaskTrace, c *Contribution) {
-		sdgContribute(t, descs, opts, c)
-	})
-	g := buildSDGFrom(contribs, opts.Parallelism)
-	releaseArenas(arenas)
-	return g
+	return BuildSDGFromContributions(buildContributions(ordered, opts.Parallelism, func(t *trace.TaskTrace) Contribution {
+		return SDGContribution(t, descs, opts)
+	}))
 }
 
-// sdgContribute appends one task's SDG nodes and edges to c, in the
-// exact order the serial build would add them. descs is read-only
-// shared state (safe for concurrent readers).
-func sdgContribute(t *trace.TaskTrace, descs ObjectDescs, opts Options, c *Contribution) {
+// SDGContribution computes one task's SDG contribution. The descs
+// index must come from BuildObjectDescs over the full ordered trace
+// set and is only read here; the contribution is a pure function of
+// (trace, relevant descs, options), which is what makes it cacheable —
+// see ObjectDescs.Fingerprint for the cache-key component covering
+// descs.
+func SDGContribution(t *trace.TaskTrace, descs ObjectDescs, opts Options) Contribution {
+	opts = opts.withDefaults()
+	// Sized for the common shape — per mapped object one node, one
+	// access edge and one map edge; per region one node and two map
+	// edges — so the appends below rarely grow the slices.
+	nodes, edges := 1+len(t.Files)+len(t.Mapped), 2*len(t.Mapped)
+	if opts.IncludeRegions {
+		for i := range t.Mapped {
+			nodes += len(t.Mapped[i].Regions)
+			edges += 2 * len(t.Mapped[i].Regions)
+		}
+	}
+	c := Contribution{nodes: make([]graph.Node, 0, nodes), edges: make([]graph.Edge, 0, edges)}
 	c.addNode(graph.Node{
 		ID: taskNodeID(t.Task), Kind: graph.KindTask, Label: t.Task,
 		StartNS: t.StartNS, EndNS: t.EndNS,
@@ -262,7 +257,7 @@ func sdgContribute(t *trace.TaskTrace, descs ObjectDescs, opts Options, c *Contr
 	for _, ms := range t.Mapped {
 		if ms.Object == "" {
 			if opts.IncludeFileMetadata && ms.MetaOps > 0 {
-				addMetaNode(c, t, ms)
+				addMetaNode(&c, t, ms)
 			}
 			continue
 		}
@@ -302,11 +297,12 @@ func sdgContribute(t *trace.TaskTrace, descs ObjectDescs, opts Options, c *Contr
 		}
 		// Structural edges to regions/file.
 		if opts.IncludeRegions {
-			addRegionEdges(c, ms, opts.PageSize, nodeID)
+			addRegionEdges(&c, ms, opts.PageSize, nodeID)
 		} else {
 			c.addEdge(graph.Edge{From: nodeID, To: fileNodeID(ms.File), Op: graph.OpMap})
 		}
 	}
+	return c
 }
 
 // operationLabel summarizes the access mode (Figure 7 shows

@@ -3,7 +3,6 @@ package analyzer
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -20,17 +19,6 @@ import (
 // the exact functions the batch builders use internally, so a merge of
 // cached contributions in task order is byte-identical to
 // BuildFTG/BuildSDG on a fresh load.
-
-// SDGContribution computes one task's SDG contribution. The descs
-// index must come from BuildObjectDescs over the full ordered trace
-// set; the contribution is a pure function of (trace, relevant descs,
-// options), which is what makes it cacheable — see
-// ObjectDescs.Fingerprint for the cache-key component covering descs.
-func SDGContribution(t *trace.TaskTrace, descs ObjectDescs, opts Options) Contribution {
-	var c Contribution
-	sdgContribute(t, descs, opts.withDefaults(), &c)
-	return c
-}
 
 // Fingerprint returns a stable content hash of the description entries
 // the task's mapped objects reference (present or absent alike). A
@@ -169,16 +157,9 @@ func appendJSONInts(b []byte, s []int64) []byte {
 // BuildFTGFromContributions assembles the File-Task Graph from
 // per-task contributions already in task order (see OrderTasks) and
 // applies the whole-graph decoration passes. Contributions are not
-// mutated and may be reused across calls; the merge runs the
-// shard-then-stitch path at GOMAXPROCS when the input is large enough,
-// with byte-identical output either way.
+// mutated and may be reused across calls.
 func BuildFTGFromContributions(contribs []Contribution) *graph.Graph {
-	return buildFTGFrom(contribs, runtime.GOMAXPROCS(0))
-}
-
-func buildFTGFrom(contribs []Contribution, parallelism int) *graph.Graph {
-	g := graph.New("File-Task Graph")
-	mergeContributions(g, contribs, parallelism)
+	g := mergeContributions("File-Task Graph", contribs)
 	markReuse(g)
 	return g
 }
@@ -186,12 +167,7 @@ func buildFTGFrom(contribs []Contribution, parallelism int) *graph.Graph {
 // BuildSDGFromContributions is the SDG counterpart of
 // BuildFTGFromContributions.
 func BuildSDGFromContributions(contribs []Contribution) *graph.Graph {
-	return buildSDGFrom(contribs, runtime.GOMAXPROCS(0))
-}
-
-func buildSDGFrom(contribs []Contribution, parallelism int) *graph.Graph {
-	g := graph.New("Semantic Dataflow Graph")
-	mergeContributions(g, contribs, parallelism)
+	g := mergeContributions("Semantic Dataflow Graph", contribs)
 	markReuse(g)
 	markDatasetReuse(g)
 	return g

@@ -81,17 +81,32 @@ type Graph struct {
 	edges []*Edge
 	out   map[string][]*Edge
 	in    map[string][]*Edge
+	// slab is the chunk AddEdge carves edges from: one allocation per
+	// chunk instead of one per edge. A chunk is never reallocated, so
+	// the *Edge pointers into it stay valid.
+	slab []Edge
 }
 
 // New returns an empty graph.
-func New(name string) *Graph {
+func New(name string) *Graph { return NewSized(name, 0, 0) }
+
+// NewSized returns an empty graph with room for about the given number
+// of nodes and edges, for builders that know the counts up front (the
+// analyzer's merge sums them over its contributions).
+func NewSized(name string, nodes, edges int) *Graph {
 	return &Graph{
 		Name:  name,
-		nodes: make(map[string]*Node),
-		out:   make(map[string][]*Edge),
-		in:    make(map[string][]*Edge),
+		nodes: make(map[string]*Node, nodes),
+		order: make([]string, 0, nodes),
+		edges: make([]*Edge, 0, edges),
+		out:   make(map[string][]*Edge, nodes),
+		in:    make(map[string][]*Edge, nodes),
 	}
 }
+
+// maxEdgeChunk caps the slab's chunks, which otherwise double with the
+// graph so that a three-edge graph does not pay for a large one's chunk.
+const maxEdgeChunk = 512
 
 // AddNode inserts or updates a node. Updating merges volume and widens
 // the time window.
@@ -158,54 +173,25 @@ func (g *Graph) AddEdge(e Edge) (*Edge, error) {
 	if g.nodes[e.To] == nil {
 		return nil, fmt.Errorf("graph: edge to unknown node %q", e.To)
 	}
-	cp := e
+	if len(g.slab) == cap(g.slab) {
+		g.slab = make([]Edge, 0, min(max(len(g.edges), 4), maxEdgeChunk))
+	}
+	g.slab = append(g.slab, e)
+	cp := &g.slab[len(g.slab)-1]
 	if e.Attrs != nil {
 		cp.Attrs = make(map[string]string, len(e.Attrs))
 		for k, v := range e.Attrs {
 			cp.Attrs[k] = v
 		}
 	}
-	g.edges = append(g.edges, &cp)
-	g.out[cp.From] = append(g.out[cp.From], &cp)
-	g.in[cp.To] = append(g.in[cp.To], &cp)
-	return &cp, nil
+	g.edges = append(g.edges, cp)
+	g.out[cp.From] = append(g.out[cp.From], cp)
+	g.in[cp.To] = append(g.in[cp.To], cp)
+	return cp, nil
 }
 
 // Edges returns all edges in insertion order.
 func (g *Graph) Edges() []*Edge { return g.edges }
-
-// InstallBulk replaces the graph's contents with a fully-assembled
-// state in O(nodes): nodes in insertion order (already deduplicated and
-// folded), edges in insertion order, and the forward/reverse adjacency
-// indexes keyed by node ID. It is the bulk-insert hook for builders —
-// the analyzer's shard-then-stitch merge — that assemble graph state in
-// parallel and hand it over in one call instead of paying a map lookup
-// per AddNode and three appends per AddEdge.
-//
-// The caller transfers ownership of every argument and guarantees the
-// invariants AddNode/AddEdge would have enforced: node IDs are unique,
-// every edge endpoint is present in nodes, out[id] and in[id] hold
-// exactly the edges leaving/entering id in global insertion order, and
-// the *Edge pointers are shared between edges and the two indexes (so
-// decoration passes mutate one object). Nothing is cloned here; attrs
-// maps must already be private to the graph.
-func (g *Graph) InstallBulk(nodes []*Node, edges []*Edge, out, in map[string][]*Edge) {
-	g.nodes = make(map[string]*Node, len(nodes))
-	g.order = make([]string, len(nodes))
-	for i, n := range nodes {
-		g.nodes[n.ID] = n
-		g.order[i] = n.ID
-	}
-	g.edges = edges
-	if out == nil {
-		out = make(map[string][]*Edge)
-	}
-	if in == nil {
-		in = make(map[string][]*Edge)
-	}
-	g.out = out
-	g.in = in
-}
 
 // OutEdges returns edges leaving the node in insertion order. The
 // returned slice is the graph's index; callers must not append to or

@@ -313,73 +313,69 @@ func TestAdjacencyIndexMatchesScan(t *testing.T) {
 	check(sub)
 }
 
-// TestInstallBulkMatchesIncrementalBuild asserts a bulk-installed graph
-// is indistinguishable — queries and every rendering — from the same
-// graph assembled through AddNode/AddEdge.
-func TestInstallBulkMatchesIncrementalBuild(t *testing.T) {
-	want := sampleGraph()
-
-	nodes := make([]*Node, 0, want.NumNodes())
-	for _, n := range want.Nodes() {
-		cp := *n
-		nodes = append(nodes, &cp)
-	}
-	edges := make([]*Edge, 0, want.NumEdges())
-	out := map[string][]*Edge{}
-	in := map[string][]*Edge{}
-	for _, e := range want.Edges() {
-		cp := *e
-		edges = append(edges, &cp)
-		out[cp.From] = append(out[cp.From], &cp)
-		in[cp.To] = append(in[cp.To], &cp)
-	}
-	got := New(want.Name)
-	got.InstallBulk(nodes, edges, out, in)
-
-	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
-		t.Fatalf("bulk graph %d/%d nodes/edges, want %d/%d",
-			got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
-	}
-	if got.DOT() != want.DOT() || got.HTML() != want.HTML() || got.SVG() != want.SVG() {
-		t.Fatal("bulk-installed graph renders differently")
-	}
-	gj, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wj, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gj, wj) {
-		t.Fatal("bulk-installed graph JSON differs")
-	}
-	for _, n := range want.Nodes() {
-		if len(got.OutEdges(n.ID)) != len(want.OutEdges(n.ID)) ||
-			len(got.InEdges(n.ID)) != len(want.InEdges(n.ID)) {
-			t.Fatalf("adjacency for %s differs after InstallBulk", n.ID)
+// TestNewSizedMatchesIncrementalBuild asserts that reserving capacity
+// changes nothing observable: a pre-sized graph and a plain one fed the
+// same AddNode/AddEdge sequence agree on every query and rendering, and
+// — across several slab chunks — the pointers AddEdge returned are the
+// ones Edges() and the adjacency index hold, so a decoration pass
+// mutates one object.
+func TestNewSizedMatchesIncrementalBuild(t *testing.T) {
+	const nodes, edges = 50, 3*maxEdgeChunk + 7
+	build := func(g *Graph) []*Edge {
+		for i := 0; i < nodes; i++ {
+			g.AddNode(Node{ID: fmt.Sprintf("n%02d", i), Kind: KindFile, Volume: int64(i)})
+			g.AddNode(Node{ID: fmt.Sprintf("n%02d", i/2), StartNS: int64(i), Attrs: map[string]string{"i": fmt.Sprint(i)}})
 		}
+		returned := make([]*Edge, edges)
+		for i := range returned {
+			e, err := g.AddEdge(Edge{From: fmt.Sprintf("n%02d", i%nodes), To: fmt.Sprintf("n%02d", i*7%nodes),
+				Op: OpRead, Volume: int64(i), Attrs: map[string]string{"operation": "read_only"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			returned[i] = e
+		}
+		return returned
 	}
-	// Shared pointers: decorating through the index must show up in the
-	// edge list, exactly as with AddEdge-built graphs.
-	got.OutEdges("f1")[0].Reused = false
-	if got.Edges()[2].Reused {
-		t.Fatal("InstallBulk index does not share edge pointers with Edges()")
-	}
-	// The graph must remain usable for incremental mutation afterwards.
-	got.AddNode(Node{ID: "x", Kind: KindTask})
-	if _, err := got.AddEdge(Edge{From: "x", To: "f1", Op: OpMap}); err != nil {
-		t.Fatal(err)
-	}
-	if got.NumNodes() != want.NumNodes()+1 || got.NumEdges() != want.NumEdges()+1 {
-		t.Fatal("InstallBulk graph rejects later AddNode/AddEdge")
-	}
-	// Nil indexes are materialized so AddEdge on an empty bulk graph works.
-	empty := New("empty")
-	empty.InstallBulk(nil, nil, nil, nil)
-	empty.AddNode(Node{ID: "a"})
-	empty.AddNode(Node{ID: "b"})
-	if _, err := empty.AddEdge(Edge{From: "a", To: "b"}); err != nil {
-		t.Fatal(err)
+	want := New("g")
+	build(want)
+	// Under-, exactly and over-reserved.
+	for _, size := range [][2]int{{1, 1}, {nodes, edges}, {4 * nodes, 4 * edges}} {
+		got := NewSized("g", size[0], size[1])
+		returned := build(got)
+		if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+			t.Fatalf("sized %v: %d/%d nodes/edges, want %d/%d", size,
+				got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+		}
+		if got.DOT() != want.DOT() || got.HTML() != want.HTML() || got.SVG() != want.SVG() {
+			t.Fatalf("sized %v: graph renders differently", size)
+		}
+		gj, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wj, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gj, wj) {
+			t.Fatalf("sized %v: graph JSON differs", size)
+		}
+		for _, n := range want.Nodes() {
+			if !reflect.DeepEqual(got.OutEdges(n.ID), want.OutEdges(n.ID)) ||
+				!reflect.DeepEqual(got.InEdges(n.ID), want.InEdges(n.ID)) {
+				t.Fatalf("sized %v: adjacency for %s differs", size, n.ID)
+			}
+		}
+		for i, e := range got.Edges() {
+			if e != returned[i] {
+				t.Fatalf("sized %v: Edges()[%d] is not the pointer AddEdge returned", size, i)
+			}
+		}
+		first := returned[0]
+		first.Reused = true
+		if !got.OutEdges(first.From)[0].Reused || !got.InEdges(first.To)[0].Reused {
+			t.Fatalf("sized %v: adjacency index does not share edge pointers with Edges()", size)
+		}
 	}
 }

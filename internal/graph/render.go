@@ -258,12 +258,7 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jg); err != nil {
 		return err
 	}
-	g.Name = jg.Name
-	g.nodes = make(map[string]*Node)
-	g.order = nil
-	g.edges = nil
-	g.out = make(map[string][]*Edge)
-	g.in = make(map[string][]*Edge)
+	*g = *NewSized(jg.Name, len(jg.Nodes), len(jg.Edges))
 	for _, n := range jg.Nodes {
 		g.AddNode(*n)
 	}

@@ -78,18 +78,19 @@ func TestLiveDiagnosticsEqualFreshAnalyze(t *testing.T) {
 	records, converged := 0, 0
 	check := func() {
 		records++
-		// Settle on the snapshot that holds the record: nothing else is in
-		// flight, so once the record has folded and a rescan has run the
-		// published snapshot stands until the next record. Its event may
-		// follow one for a snapshot a reader's refresh built mid-fold.
+		// Nothing else is in flight, so once the record has folded and a
+		// rescan has run the published snapshot stands until the next
+		// record — and it is the only one the record announced, whenever
+		// the readers' refreshes ran.
 		waitWALDrained(t, env.s)
 		snap, err := env.s.Ingest()
 		if err != nil {
 			t.Fatal(err)
 		}
 		ev := decodeEvent(t, conn.next(t))
-		for ev.Snapshot != snap.id {
-			ev = decodeEvent(t, conn.next(t))
+		if ev.Snapshot != snap.id {
+			t.Fatalf("record %d: its event announces snapshot %s, not the snapshot %s that holds it",
+				records, ev.Snapshot, snap.id)
 		}
 		want, err := diagnose.EncodeJSON(diagnose.Analyze(snap.liveTraces, snap.manifest, diagnose.Thresholds{}))
 		if err != nil {

@@ -33,6 +33,12 @@ type TaskInfo struct {
 // (possibly the unchanged one) or the scan error.
 func (s *Server) refresh() (*snapshot, error) {
 	start := time.Now()
+	// The partials are captured before the directory is listed: a final
+	// lands its file and then retracts its partial, so a task finishing
+	// meanwhile is in this capture, in the listing, or in both — never in
+	// neither. buildSnapshot drops the captured partials the listing
+	// shadows.
+	partials, partialsGen := s.partials.capture()
 	entries, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
 		s.ingestErrors.Inc()
@@ -68,13 +74,13 @@ func (s *Server) refresh() (*snapshot, error) {
 	// Streaming checkpoints change the live view without touching the
 	// directory; their generation counter is the change signal.
 	cur := s.snap.Load()
-	if cur != nil && !s.batchStale && s.partials.generation() == s.lastPartialsGen {
+	if cur != nil && !s.batchStale && partialsGen == s.lastPartialsGen {
 		s.snapshotHits.Inc()
 		return cur, nil
 	}
 	s.snapshotMisses.Inc()
 
-	next := s.buildSnapshot()
+	next := s.buildSnapshot(partials, partialsGen)
 	s.snap.Store(next)
 	s.events.publish(next)
 	s.ingests.Inc()
@@ -104,8 +110,9 @@ func (s *Server) refreshManifest() (changed bool, err error) {
 // buildSnapshot assembles a read-only snapshot: the batch view of the
 // current directory state — the previous snapshot's pointer unless a
 // scan reported a change since it was built — under the live overlay of
-// whatever checkpoints are retained right now.
-func (s *Server) buildSnapshot() *snapshot {
+// the checkpoints refresh captured, at generation partialsGen, before
+// that scan.
+func (s *Server) buildSnapshot(captured []*partialEntry, partialsGen uint64) *snapshot {
 	var batch *batchView
 	if cur := s.snap.Load(); cur != nil && !s.batchStale {
 		batch = cur.batchView
@@ -113,10 +120,14 @@ func (s *Server) buildSnapshot() *snapshot {
 		batch = s.buildBatchView()
 	}
 
-	// Capture the live overlay: retained streaming checkpoints for
-	// tasks that have no final trace on disk yet (a final always
-	// shadows a partial).
-	partials, partialsGen := s.partials.capture(batch.taskSet)
+	// The live overlay: captured checkpoints of tasks that have no final
+	// trace in the batch view (a final always shadows a partial).
+	partials := captured[:0]
+	for _, pe := range captured {
+		if !batch.taskSet[pe.trace.Task] {
+			partials = append(partials, pe)
+		}
+	}
 
 	// With zero partials the live view IS the batch view: aliasing the
 	// graphs (and, in the handlers, the render keys) makes live and

@@ -128,24 +128,14 @@ func (p *partialSet) count() int {
 	return len(p.entries)
 }
 
-// generation is the current mutation counter.
-func (p *partialSet) generation() uint64 {
+// capture hands refresh every retained checkpoint and the generation
+// the capture saw.
+func (p *partialSet) capture() ([]*partialEntry, uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.gen
-}
-
-// capture hands the snapshot builder every retained checkpoint whose
-// task has no final trace (a final always shadows a partial), plus the
-// generation the capture saw.
-func (p *partialSet) capture(finals map[string]bool) ([]*partialEntry, uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []*partialEntry
-	for task, e := range p.entries {
-		if !finals[task] {
-			out = append(out, e)
-		}
+	out := make([]*partialEntry, 0, len(p.entries))
+	for _, e := range p.entries {
+		out = append(out, e)
 	}
 	return out, p.gen
 }

@@ -777,3 +777,63 @@ func TestLiveWindowedRenderCache(t *testing.T) {
 		t.Errorf("warmed windowed render diverged from cold render:\n%s\nvs\n%s", warm, coldBody)
 	}
 }
+
+// TestFinishingTaskNeverAbsent folds finals over retained checkpoints
+// while readers take snapshots on the request path. A final lands its
+// file and then retracts the partial, so at every instant the task is
+// in the directory, in the partial set, or both — and every snapshot
+// must show it as one of the two. (refresh used to list the directory
+// before it captured the partials; a final folding in between was in
+// neither, and one snapshot and SSE event lost the task.)
+func TestFinishingTaskNeverAbsent(t *testing.T) {
+	const tasks = 96
+	env := newPushEnv(t, func(cfg *Config) { cfg.IngestQueue = 2 * tasks })
+	finals := make([][]byte, tasks)
+	for i := range finals {
+		tt := liveTask(fmt.Sprintf("finishing_%03d", i))
+		if status, _, _ := postIngest(t, env.srv, encodeCheckpoint(t, checkpointTrace(tt, 0.5), 1)); status != http.StatusOK {
+			t.Fatalf("checkpoint %s = %d", tt.Task, status)
+		}
+		var buf bytes.Buffer
+		if err := tt.EncodeFormat(&buf, trace.FormatBinary); err != nil {
+			t.Fatal(err)
+		}
+		finals[i] = buf.Bytes()
+	}
+	waitLiveCounts(t, env.srv, tasks, 0)
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap, err := env.s.current()
+				if err != nil {
+					t.Errorf("current: %v", err)
+					return
+				}
+				if got := len(snap.tasks) + snap.partialTasks; got != tasks {
+					t.Errorf("snapshot %s shows %d complete + %d partial tasks, want %d in all",
+						snap.id, len(snap.tasks), snap.partialTasks, tasks)
+					return
+				}
+			}
+		}()
+	}
+	for i, data := range finals {
+		if status, _, _ := postIngest(t, env.srv, data); status != http.StatusOK {
+			t.Fatalf("final %d = %d", i, status)
+		}
+	}
+	waitWALDrained(t, env.s)
+	close(stop)
+	readers.Wait()
+	waitLiveCounts(t, env.srv, 0, tasks)
+}
