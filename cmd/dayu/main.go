@@ -47,18 +47,17 @@
 //
 //	dayu serve -dir traces [-addr :8080] [-poll 2s] [-tier nvme] [-nodes n]
 //	           [-wal dir] [-wal-fsync always|interval|never] [-ingest-queue n]
-//	           [-max-body bytes] [-request-timeout d] [-shards n]
+//	           [-max-body bytes] [-request-timeout d]
 //	           [-history dir] [-history-retain n]
 //	    Run the incremental analysis service: watch a trace directory
 //	    and serve FTG/SDG renderings, diagnostics and locality plans
 //	    over HTTP from a content-addressed result cache. See
 //	    /healthz, /metrics and the /v1/{ftg,sdg,diagnose,plan,tasks}
 //	    endpoints. With -wal, POST /v1/ingest accepts pushed traces
-//	    into a crash-safe write-ahead log; SIGINT/SIGTERM drain
-//	    in-flight requests and flush the WAL before exit. -shards
-//	    partitions the parse/contribution caches and the WAL across N
-//	    workers (responses stay byte-identical at any count); -history
-//	    records every converged snapshot for /v1/history replay.
+//	    into a crash-safe write-ahead log folded by one ingest pipeline;
+//	    SIGINT/SIGTERM drain in-flight requests and flush the WAL before
+//	    exit. -history records every converged snapshot for /v1/history
+//	    replay.
 //
 //	dayu push -traces dir -server http://host:8080 [-attempts n] [-timeout d]
 //	    Push every trace file in a directory (plus manifest.json) to a
@@ -562,14 +561,10 @@ func cmdServe(args []string) error {
 	ingestQueue := fs.Int("ingest-queue", 64, "pushes admitted ahead of folding before 429 backpressure")
 	maxBody := fs.Int64("max-body", 32<<20, "largest accepted request body in bytes")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request handler timeout (0 = none)")
-	shards := fs.Int("shards", 1, fmt.Sprintf("ingest shards: WAL namespaces, fold goroutines and the width of the scan and contribution loops (1-%d); responses stay byte-identical at any count", serve.MaxShards))
 	historyDir := fs.String("history", "", "snapshot-history store directory for /v1/history (empty = history disabled)")
 	historyRetain := fs.Int("history-retain", 64, "snapshots retained in the history store before compaction")
 	fs.Parse(args)
 
-	if *shards < 1 || *shards > serve.MaxShards {
-		return fmt.Errorf("serve: -shards %d out of range [1, %d]", *shards, serve.MaxShards)
-	}
 	cfg := serve.Config{
 		Dir:        *dir,
 		Registry:   obs.NewRegistry(),
@@ -580,7 +575,6 @@ func cmdServe(args []string) error {
 		Poll:          *poll,
 		IngestQueue:   *ingestQueue,
 		MaxBodyBytes:  *maxBody,
-		Shards:        *shards,
 		HistoryDir:    *historyDir,
 		HistoryRetain: *historyRetain,
 	}
@@ -630,9 +624,6 @@ func cmdServe(args []string) error {
 	mode := "pull-only"
 	if *walDir != "" {
 		mode = fmt.Sprintf("push ingest on (wal %s, fsync %s)", *walDir, *walFsync)
-	}
-	if *shards > 1 {
-		mode += fmt.Sprintf(", %d shards", *shards)
 	}
 	if *historyDir != "" {
 		mode += fmt.Sprintf(", history %s", *historyDir)

@@ -81,13 +81,14 @@ func NewTimeAggCache(maxEntries int) *TimeAggCache {
 }
 
 // Aggregate returns AggregateByTime(g, windowNS), reusing the cached
-// result when possible. stream namespaces independent graph sequences
-// (e.g. "ftg" vs "sdg"); snapshotID identifies g's generation — equal
-// ids mean an identical graph, different ids mean "recheck via
+// result when possible; hit reports that it did (the call counted in
+// Stats().Hits rather than Misses). stream namespaces independent graph
+// sequences (e.g. "ftg" vs "sdg"); snapshotID identifies g's generation
+// — equal ids mean an identical graph, different ids mean "recheck via
 // fingerprints".
-func (c *TimeAggCache) Aggregate(g *graph.Graph, stream, snapshotID string, windowNS int64) (*graph.Graph, error) {
+func (c *TimeAggCache) Aggregate(g *graph.Graph, stream, snapshotID string, windowNS int64) (out *graph.Graph, hit bool, err error) {
 	if windowNS <= 0 {
-		return nil, fmt.Errorf("%w: %dns", ErrNonPositiveWindow, windowNS)
+		return nil, false, fmt.Errorf("%w: %dns", ErrNonPositiveWindow, windowNS)
 	}
 	key := fmt.Sprintf("%s|%d", stream, windowNS)
 
@@ -98,7 +99,7 @@ func (c *TimeAggCache) Aggregate(g *graph.Graph, stream, snapshotID string, wind
 		c.touchLocked(key)
 		out := e.out
 		c.mu.Unlock()
-		return out, nil
+		return out, true, nil
 	}
 	c.mu.Unlock()
 
@@ -117,12 +118,12 @@ func (c *TimeAggCache) Aggregate(g *graph.Graph, stream, snapshotID string, wind
 		c.bucketsReused += int64(len(bucketFP))
 		e.snapshotID = snapshotID
 		c.touchLocked(key)
-		return e.out, nil
+		return e.out, true, nil
 	}
 
-	out, err := AggregateByTime(g, windowNS)
+	out, err = AggregateByTime(g, windowNS)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	c.misses++
 	for id, fp := range bucketFP {
@@ -135,7 +136,7 @@ func (c *TimeAggCache) Aggregate(g *graph.Graph, stream, snapshotID string, wind
 	c.entries[key] = &timeAggEntry{snapshotID: snapshotID, restFP: restFP, bucketFP: bucketFP, out: out}
 	c.touchLocked(key)
 	c.evictLocked()
-	return out, nil
+	return out, false, nil
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -52,7 +52,7 @@ func TestTimeAggCacheByteIdentity(t *testing.T) {
 		step++
 		g := BuildFTG(traces, nil)
 		for _, window := range []int64{1000, 500, 100_000} {
-			got, err := cache.Aggregate(g, "ftg", fmt.Sprintf("snap-%d", step), window)
+			got, _, err := cache.Aggregate(g, "ftg", fmt.Sprintf("snap-%d", step), window)
 			if err != nil {
 				t.Fatalf("%s window %d: %v", label, window, err)
 			}
@@ -86,20 +86,20 @@ func TestTimeAggCacheReuse(t *testing.T) {
 	traces := timeAggTraces(6)
 
 	g1 := BuildFTG(traces, nil)
-	out1, err := cache.Aggregate(g1, "ftg", "snap-1", 1000)
+	out1, hit, err := cache.Aggregate(g1, "ftg", "snap-1", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := cache.Stats(); s.Misses != 1 || s.Hits != 0 {
+	if s := cache.Stats(); s.Misses != 1 || s.Hits != 0 || hit {
 		t.Fatalf("after first call stats = %+v", s)
 	}
 
 	// Same snapshot id: no hashing, same graph back.
-	again, err := cache.Aggregate(g1, "ftg", "snap-1", 1000)
+	again, hit, err := cache.Aggregate(g1, "ftg", "snap-1", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != out1 {
+	if again != out1 || !hit {
 		t.Error("same-snapshot repeat rebuilt the graph")
 	}
 	if s := cache.Stats(); s.Hits != 1 {
@@ -110,11 +110,11 @@ func TestTimeAggCacheReuse(t *testing.T) {
 	// fingerprints prove every bucket unchanged and the output is
 	// reused wholesale.
 	g2 := BuildFTG(traces, nil)
-	out2, err := cache.Aggregate(g2, "ftg", "snap-2", 1000)
+	out2, hit, err := cache.Aggregate(g2, "ftg", "snap-2", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out2 != out1 {
+	if out2 != out1 || !hit {
 		t.Error("unchanged snapshot rebuilt the windowed graph")
 	}
 	s := cache.Stats()
@@ -126,11 +126,11 @@ func TestTimeAggCacheReuse(t *testing.T) {
 	// first window's bucket fingerprint still matches.
 	traces[len(traces)-1].Files[0].BytesWritten *= 2
 	g3 := BuildFTG(traces, nil)
-	out3, err := cache.Aggregate(g3, "ftg", "snap-3", 1000)
+	out3, hit, err := cache.Aggregate(g3, "ftg", "snap-3", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out3 == out1 {
+	if out3 == out1 || hit {
 		t.Error("changed snapshot returned the stale graph")
 	}
 	s2 := cache.Stats()
@@ -143,7 +143,7 @@ func TestTimeAggCacheReuse(t *testing.T) {
 
 	// Streams are independent: the same window under another stream
 	// key must not collide.
-	if _, err := cache.Aggregate(g3, "sdg", "snap-3", 1000); err != nil {
+	if _, _, err := cache.Aggregate(g3, "sdg", "snap-3", 1000); err != nil {
 		t.Fatal(err)
 	}
 	if s3 := cache.Stats(); s3.Misses != 3 {
@@ -156,7 +156,7 @@ func TestTimeAggCacheBounds(t *testing.T) {
 	cache := NewTimeAggCache(2)
 	g := BuildFTG(timeAggTraces(4), nil)
 	for _, w := range []int64{100, 200, 300, 400} {
-		if _, err := cache.Aggregate(g, "ftg", "snap-1", w); err != nil {
+		if _, _, err := cache.Aggregate(g, "ftg", "snap-1", w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestTimeAggCacheBounds(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 2 (LRU bound)", n)
 	}
 	// The most recent windows survived.
-	if _, err := cache.Aggregate(g, "ftg", "snap-1", 400); err != nil {
+	if _, _, err := cache.Aggregate(g, "ftg", "snap-1", 400); err != nil {
 		t.Fatal(err)
 	}
 	if s := cache.Stats(); s.Hits != 1 {
@@ -175,7 +175,7 @@ func TestTimeAggCacheBounds(t *testing.T) {
 	}
 
 	for _, w := range []int64{0, -5} {
-		if _, err := cache.Aggregate(g, "ftg", "snap-1", w); !errors.Is(err, ErrNonPositiveWindow) {
+		if _, _, err := cache.Aggregate(g, "ftg", "snap-1", w); !errors.Is(err, ErrNonPositiveWindow) {
 			t.Errorf("window %d: err = %v, want ErrNonPositiveWindow", w, err)
 		}
 	}

@@ -43,13 +43,12 @@ func encodeFinal(t *testing.T, tt *trace.TaskTrace) []byte {
 
 // fixtureEnv is a WAL-enabled server over the 24-task fixture with a
 // metrics registry.
-func fixtureEnv(t *testing.T, shards int) (*pushEnv, *obs.Registry) {
+func fixtureEnv(t *testing.T) (*pushEnv, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	env := newPushEnv(t, func(c *Config) {
 		c.Dir = writeFixtureDir(t)
 		c.Registry = reg
-		c.Shards = shards
 	})
 	return env, reg
 }
@@ -166,7 +165,7 @@ func TestRenderCacheSingleFlightPerKey(t *testing.T) {
 // rendered once — while a final landing, a delete, a rewrite and a
 // manifest change each produce a new one.
 func TestBatchViewSharedAcrossCheckpoints(t *testing.T) {
-	env, reg := fixtureEnv(t, 1)
+	env, reg := fixtureEnv(t)
 	s, dir := env.s, env.dir
 	parses := reg.Counter("dayu_serve_trace_parses_total")
 	responseMisses := reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "response"))
@@ -292,98 +291,94 @@ func inflightOverriding(file string, reads int64) *trace.TaskTrace {
 // pruning after them dropped what the batch view was built from, the
 // directory changes at the end would recompute it and miss more.
 func TestPartialRefreshKeepsBatchContributions(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			env, reg := fixtureEnv(t, shards)
-			s, dir := env.s, env.dir
-			misses := reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "contribution"))
-			parses := reg.Counter("dayu_serve_trace_parses_total")
-			step := func(what string, want int64, do func()) {
-				t.Helper()
-				before := misses.Value()
-				do()
-				if got := misses.Value() - before; got != want {
-					t.Errorf("%s: %d contribution misses, want %d", what, got, want)
-				}
-			}
-			const shared = "stage_00/shared_000.h5"
-			inflight := inflightOverriding(shared, 1)
-			seq := uint64(0)
-			checkpoint := func() {
-				seq++
-				foldAndIngest(t, s, encodeCheckpoint(t, inflight, seq))
-			}
+	env, reg := fixtureEnv(t)
+	s, dir := env.s, env.dir
+	misses := reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "contribution"))
+	parses := reg.Counter("dayu_serve_trace_parses_total")
+	step := func(what string, want int64, do func()) {
+		t.Helper()
+		before := misses.Value()
+		do()
+		if got := misses.Value() - before; got != want {
+			t.Errorf("%s: %d contribution misses, want %d", what, got, want)
+		}
+	}
+	const shared = "stage_00/shared_000.h5"
+	inflight := inflightOverriding(shared, 1)
+	seq := uint64(0)
+	checkpoint := func() {
+		seq++
+		foldAndIngest(t, s, encodeCheckpoint(t, inflight, seq))
+	}
 
-			if misses.Value() != 2*24 {
-				t.Fatalf("cold build: %d misses, want %d", misses.Value(), 2*24)
-			}
-			// The first checkpoint: its own FTG and SDG shares, plus a
-			// live SDG variant for each of the 4 finals mapping the
-			// dataset it re-describes.
-			step("first checkpoint", 2+4, checkpoint)
-			// Later checkpoints that leave the description alone cost
-			// the checkpoint's own two shares.
-			for i := 0; i < 5; i++ {
-				inflight.EndNS++
-				step("checkpoint, same descriptions", 2, checkpoint)
-			}
-			// One that moves the description re-derives the 4 variants.
-			inflight.Objects[0].Reads++
-			step("checkpoint, new description", 2+4, checkpoint)
-			inflight.EndNS++
-			step("checkpoint, same descriptions again", 2, checkpoint)
+	if misses.Value() != 2*24 {
+		t.Fatalf("cold build: %d misses, want %d", misses.Value(), 2*24)
+	}
+	// The first checkpoint: its own FTG and SDG shares, plus a
+	// live SDG variant for each of the 4 finals mapping the
+	// dataset it re-describes.
+	step("first checkpoint", 2+4, checkpoint)
+	// Later checkpoints that leave the description alone cost
+	// the checkpoint's own two shares.
+	for i := 0; i < 5; i++ {
+		inflight.EndNS++
+		step("checkpoint, same descriptions", 2, checkpoint)
+	}
+	// One that moves the description re-derives the 4 variants.
+	inflight.Objects[0].Reads++
+	step("checkpoint, new description", 2+4, checkpoint)
+	inflight.EndNS++
+	step("checkpoint, same descriptions again", 2, checkpoint)
 
-			paths, err := filepath.Glob(filepath.Join(dir, "*.trace.json"))
-			if err != nil || len(paths) != 24 {
-				t.Fatalf("glob: %v (%d files)", err, len(paths))
-			}
-			var dependent, independent string
-			for _, p := range paths {
-				tt, err := trace.Load(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tt.Files[0].File == shared {
-					dependent = p
-				} else {
-					independent = p
-				}
-			}
-			parsesBefore := parses.Value()
-			// A one-task directory change after all those partial-only
-			// refreshes: the 2 shares TestServeEquivalence pins for a
-			// modify, and nothing else — every other batch contribution
-			// is still cached.
-			step("modify an independent final", 2, func() {
-				rewriteTrace(t, dir, independent, 1)
-				if _, err := s.Ingest(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			// A final that maps the re-described dataset also has a live
-			// SDG variant to recompute.
-			step("modify a dependent final", 3, func() {
-				rewriteTrace(t, dir, dependent, 2)
-				if _, err := s.Ingest(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if got := parses.Value() - parsesBefore; got != 2 {
-				t.Errorf("two modifies parsed %d traces, want 2", got)
-			}
-			// The in-flight task's final lands: its own two shares. The 4
-			// finals that map the dataset it re-describes are now
-			// re-described in the batch view too — by the same record, so
-			// under the fingerprint their live variants are cached by.
-			step("final landing", 2, func() { foldAndIngest(t, s, encodeFinal(t, inflight)) })
-			checkAllEndpoints(t, env.srv, dir, "after landing")
+	paths, err := filepath.Glob(filepath.Join(dir, "*.trace.json"))
+	if err != nil || len(paths) != 24 {
+		t.Fatalf("glob: %v (%d files)", err, len(paths))
+	}
+	var dependent, independent string
+	for _, p := range paths {
+		tt, err := trace.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tt.Files[0].File == shared {
+			dependent = p
+		} else {
+			independent = p
+		}
+	}
+	parsesBefore := parses.Value()
+	// A one-task directory change after all those partial-only
+	// refreshes: the 2 shares TestServeEquivalence pins for a
+	// modify, and nothing else — every other batch contribution
+	// is still cached.
+	step("modify an independent final", 2, func() {
+		rewriteTrace(t, dir, independent, 1)
+		if _, err := s.Ingest(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// A final that maps the re-described dataset also has a live
+	// SDG variant to recompute.
+	step("modify a dependent final", 3, func() {
+		rewriteTrace(t, dir, dependent, 2)
+		if _, err := s.Ingest(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := parses.Value() - parsesBefore; got != 2 {
+		t.Errorf("two modifies parsed %d traces, want 2", got)
+	}
+	// The in-flight task's final lands: its own two shares. The 4
+	// finals that map the dataset it re-describes are now
+	// re-described in the batch view too — by the same record, so
+	// under the fingerprint their live variants are cached by.
+	step("final landing", 2, func() { foldAndIngest(t, s, encodeFinal(t, inflight)) })
+	checkAllEndpoints(t, env.srv, dir, "after landing")
 
-			// The overlay dissolved: nothing but the batch view's
-			// contributions stays cached.
-			if ftg, sdg := len(s.cache.ftg), len(s.cache.sdg); ftg != 25 || sdg != 25 {
-				t.Errorf("converged caches hold %d FTG / %d SDG contributions, want 25 / 25", ftg, sdg)
-			}
-		})
+	// The overlay dissolved: nothing but the batch view's
+	// contributions stays cached.
+	if ftg, sdg := len(s.cache.ftg), len(s.cache.sdg); ftg != 25 || sdg != 25 {
+		t.Errorf("converged caches hold %d FTG / %d SDG contributions, want 25 / 25", ftg, sdg)
 	}
 }
 
@@ -392,7 +387,7 @@ func TestPartialRefreshKeepsBatchContributions(t *testing.T) {
 // caches at tasks + in-flight; superseded checkpoints' contributions
 // disappear with the snapshot that replaced them.
 func TestContributionCachesBoundedUnderCheckpointStream(t *testing.T) {
-	env, _ := fixtureEnv(t, 2)
+	env, _ := fixtureEnv(t)
 	s := env.s
 	live := liveTask("zz_live")
 	for i := 1; i <= 500; i++ {
@@ -488,7 +483,7 @@ func parseSSE(t *testing.T, stream []byte) []sseEvent {
 // wherever its segments are cut, a spec-following client reassembles
 // exactly the payload bytes.
 func TestEventFrameReassembles(t *testing.T) {
-	env, _ := fixtureEnv(t, 1)
+	env, _ := fixtureEnv(t)
 	snap := foldAndIngest(t, env.s, encodeCheckpoint(t, checkpointTrace(liveTask("zz_live"), 1.0), 1))
 	real, err := env.s.liveEventPayload(nil, snap)
 	if err != nil {
@@ -585,7 +580,7 @@ func TestEventWriteAllocatesNoPayload(t *testing.T) {
 // TestLiveEventsMetrics: every delivered event is observed in the three
 // event series, and the byte series counts exactly the framed bytes.
 func TestLiveEventsMetrics(t *testing.T) {
-	env, reg := fixtureEnv(t, 1)
+	env, reg := fixtureEnv(t)
 	render := reg.Histogram("dayu_serve_event_render_ns", nil)
 	write := reg.Histogram("dayu_serve_event_write_ns", nil)
 	size := reg.Histogram("dayu_serve_event_bytes", nil)

@@ -3,8 +3,6 @@ package serve
 import (
 	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dayu/internal/analyzer"
@@ -29,7 +27,7 @@ type fileEntry struct {
 // is not even re-read, a touched-but-equal one is re-hashed but never
 // re-parsed, and only a content change calls parse (parseTrace or
 // parseManifest) for the new hash and payload. parsed reports that it
-// did. revise only reads, so scans may run it concurrently.
+// did.
 func (e fileEntry) revise(path string, size int64, mod time.Time, parse func(path string) (fileEntry, error)) (next fileEntry, parsed bool, err error) {
 	if e.hash != "" {
 		if e.size == size && e.modTime.Equal(mod) {
@@ -89,14 +87,8 @@ type passKeys struct {
 
 // buildCache is everything the snapshot builder keeps between builds:
 // the parsed files and the per-task graph contributions, all keyed by
-// content. It belongs to whoever holds Server.ingestMu. Scans and
-// contribution passes fan out width goroutines over a positional slice;
-// those only read the maps and write their own out[i], and the holder
-// installs what they computed afterwards — which is why the width can
-// never reach the output bytes.
+// content. It belongs to whoever holds Server.ingestMu.
 type buildCache struct {
-	width int
-
 	files    map[string]fileEntry // trace files by path
 	manifest fileEntry            // Dir/manifest.json
 	ftg      map[string]analyzer.Contribution
@@ -109,34 +101,12 @@ type buildCache struct {
 	used [numViews]passKeys
 }
 
-func newBuildCache(width int) *buildCache {
+func newBuildCache() *buildCache {
 	return &buildCache{
-		width: width,
 		files: map[string]fileEntry{},
 		ftg:   map[string]analyzer.Contribution{},
 		sdg:   map[sdgKey]analyzer.Contribution{},
 	}
-}
-
-// each runs fn(i) for every i in [0, n) on up to c.width goroutines,
-// the caller's included, and returns when all are done.
-func (c *buildCache) each(n int, fn func(i int)) {
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < c.width && w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // scanItem is one trace file of a directory listing.
@@ -154,30 +124,20 @@ type scanItem struct {
 // failed; that file keeps its previous entry and every other change is
 // still applied.
 func (c *buildCache) scan(items []scanItem) (parses int, changed bool, err error) {
-	type result struct {
-		entry  fileEntry
-		parsed bool
-		err    error
-	}
-	out := make([]result, len(items))
-	c.each(len(items), func(i int) {
-		it, r := items[i], &out[i]
-		r.entry, r.parsed, r.err = c.files[it.path].revise(it.path, it.size, it.mod, parseTrace)
-	})
 	listed := make(map[string]bool, len(items))
-	for i, r := range out {
-		path := items[i].path
-		listed[path] = true
-		if r.err != nil {
+	for _, it := range items {
+		listed[it.path] = true
+		entry, parsed, rerr := c.files[it.path].revise(it.path, it.size, it.mod, parseTrace)
+		if rerr != nil {
 			if err == nil {
-				err = r.err
+				err = rerr
 			}
 			continue
 		}
-		if r.parsed {
+		if parsed {
 			parses++
 		}
-		c.files[path] = r.entry // as it was, re-stat'ed or re-parsed
+		c.files[it.path] = entry // as it was, re-stat'ed or re-parsed
 	}
 	changed = parses > 0
 	for path := range c.files {
@@ -211,30 +171,21 @@ func (c *buildCache) contribute(v view, ordered []*trace.TaskTrace, hashOf func(
 	descs analyzer.ObjectDescs, opts analyzer.Options) (ftg, sdg []analyzer.Contribution, misses int) {
 	ftg = make([]analyzer.Contribution, len(ordered))
 	sdg = make([]analyzer.Contribution, len(ordered))
-	keys := make([]sdgKey, len(ordered))
-	c.each(len(ordered), func(i int) {
-		tt := ordered[i]
-		key := sdgKey{trace: hashOf(tt), descs: descs.Fingerprint(tt)}
-		keys[i] = key
-		var ok bool
-		if ftg[i], ok = c.ftg[key.trace]; !ok {
-			ftg[i] = analyzer.FTGContribution(tt)
-		}
-		if sdg[i], ok = c.sdg[key]; !ok {
-			sdg[i] = analyzer.SDGContribution(tt, descs, opts)
-		}
-	})
 	used := passKeys{
 		ftg: make(map[string]bool, len(ordered)),
 		sdg: make(map[sdgKey]bool, len(ordered)),
 	}
-	for i, key := range keys {
+	for i, tt := range ordered {
+		key := sdgKey{trace: hashOf(tt), descs: descs.Fingerprint(tt)}
 		used.ftg[key.trace], used.sdg[key] = true, true
-		if _, ok := c.ftg[key.trace]; !ok {
+		var ok bool
+		if ftg[i], ok = c.ftg[key.trace]; !ok {
+			ftg[i] = analyzer.FTGContribution(tt)
 			c.ftg[key.trace] = ftg[i]
 			misses++
 		}
-		if _, ok := c.sdg[key]; !ok {
+		if sdg[i], ok = c.sdg[key]; !ok {
+			sdg[i] = analyzer.SDGContribution(tt, descs, opts)
 			c.sdg[key] = sdg[i]
 			misses++
 		}

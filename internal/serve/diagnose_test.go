@@ -44,7 +44,7 @@ func (s afterEachRecord) EmitFinal(t *trace.TaskTrace) {
 // diagnose endpoints meanwhile, so under -race a view encoding while the
 // index moves on would show.
 func TestLiveDiagnosticsEqualFreshAnalyze(t *testing.T) {
-	env, _ := fixtureEnv(t, 1)
+	env, _ := fixtureEnv(t)
 	conn := dialSSE(t, env.srv, "")
 	conn.next(t) // the current-state event every connection starts with
 

@@ -110,9 +110,14 @@ func (b *eventsBroadcaster) appendLocked(snap *snapshot) liveEvent {
 	b.nextID++
 	b.lastID = snap.id
 	ev := liveEvent{id: b.nextID, snap: snap}
-	b.ring = append(b.ring, ev)
-	if len(b.ring) > eventRingSize {
-		b.ring = b.ring[len(b.ring)-eventRingSize:]
+	// Shift in place once full: reslicing off the front would leave the
+	// evicted events — and the snapshots they hold — reachable from the
+	// backing array until the next append reallocated it.
+	if len(b.ring) == eventRingSize {
+		copy(b.ring, b.ring[1:])
+		b.ring[eventRingSize-1] = ev
+	} else {
+		b.ring = append(b.ring, ev)
 	}
 	for sub := range b.subs {
 		select {

@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -437,6 +439,33 @@ func TestEventsBroadcaster(t *testing.T) {
 		t.Fatalf("seed backlog = %+v, want one event for snap-1", backlog)
 	}
 	b2.unsubscribe(sub2)
+}
+
+// TestEventRingRetainsOnlyRing pins that the replay ring keeps exactly
+// its eventRingSize newest snapshots alive: every event it evicted — and
+// the graphs and render caches its snapshot holds — is collectable.
+// Trimming the ring by reslicing used to keep evicted events in the
+// backing array, holding up to twice the ring's snapshots.
+func TestEventRingRetainsOnlyRing(t *testing.T) {
+	const published = 2 * eventRingSize
+	b := &eventsBroadcaster{}
+	var collected atomic.Int64
+	for i := 1; i <= published; i++ {
+		snap := &snapshot{id: fmt.Sprintf("snap-%d", i), batchView: &batchView{}}
+		runtime.SetFinalizer(snap, func(*snapshot) { collected.Add(1) })
+		b.publish(snap)
+	}
+	want := int64(published - eventRingSize)
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < want && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != want {
+		t.Errorf("%d of %d published snapshots collected, want %d (the ring holds %d)", got, published, want, eventRingSize)
+	}
+	if oldest := b.ring[0].id; oldest != published-eventRingSize+1 {
+		t.Errorf("oldest ring event id %d, want %d", oldest, published-eventRingSize+1)
+	}
 }
 
 func idRange(lo, hi uint64) []uint64 {

@@ -11,12 +11,12 @@ import (
 )
 
 // historyEnv is a server with the snapshot-history store enabled.
-func historyEnv(t *testing.T, retain, shards int) (*Server, *httptest.Server, string) {
+func historyEnv(t *testing.T, retain int) (*Server, *httptest.Server, string) {
 	t.Helper()
 	dir := writeFixtureDir(t)
 	s := mustServer(t, Config{
 		Dir: dir, PlanOptions: testPlanOpts,
-		HistoryDir: t.TempDir(), HistoryRetain: retain, Shards: shards,
+		HistoryDir: t.TempDir(), HistoryRetain: retain,
 	})
 	srv := httptest.NewServer(s)
 	t.Cleanup(func() { srv.Close(); s.Close() })
@@ -46,7 +46,7 @@ func TestHistoryDisabledWithout(t *testing.T) {
 // /v1/{ftg,sdg} served while it was current — even after the
 // directory moves on.
 func TestHistoryRecordsAndReplaysSnapshots(t *testing.T) {
-	_, srv, dir := historyEnv(t, 0, 1)
+	_, srv, dir := historyEnv(t, 0)
 
 	ftgThen := get(t, srv, "/v1/ftg")
 	sdgThen := get(t, srv, "/v1/sdg")
@@ -118,23 +118,6 @@ func TestHistoryRecordsAndReplaysSnapshots(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown graph = %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestHistoryShardedMatchesLive pins that a sharded server records the
-// same history bytes it serves live (the shard count must not leak
-// into recorded snapshots either).
-func TestHistoryShardedMatchesLive(t *testing.T) {
-	_, srv, _ := historyEnv(t, 0, 4)
-	ftg := get(t, srv, "/v1/ftg")
-	var list HistoryList
-	getJSON(t, srv, "/v1/history", &list)
-	if len(list.Snapshots) != 1 {
-		t.Fatalf("history holds %d snapshots, want 1", len(list.Snapshots))
-	}
-	replay := get(t, srv, "/v1/history/"+list.Snapshots[0].ID+"/ftg")
-	if !bytes.Equal(replay, ftg) {
-		t.Error("sharded history replay diverges from live bytes")
 	}
 }
 

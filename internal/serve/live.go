@@ -52,7 +52,7 @@ type partialEntry struct {
 //
 // heads is the delta-ingest gate: a delta whose base sequence is not
 // the task's acknowledged head is NACKed with 409/resync before
-// touching the WAL, because ordered per-shard folding could never apply
+// touching the WAL, because ordered folding could never apply
 // it. Advanced at ack and fold time, seeded from persisted partials at
 // startup, cleared when the task's final retracts the partial.
 type partialSet struct {

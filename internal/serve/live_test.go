@@ -697,9 +697,9 @@ func TestLiveStreamHammer(t *testing.T) {
 
 	var seq atomic.Uint64
 	var writers sync.WaitGroup
-	const shards = 4
-	per := (len(finals) + shards - 1) / shards
-	for w := 0; w < shards; w++ {
+	const pushers = 4
+	per := (len(finals) + pushers - 1) / pushers
+	for w := 0; w < pushers; w++ {
 		lo, hi := w*per, (w+1)*per
 		if hi > len(finals) {
 			hi = len(finals)
@@ -739,7 +739,8 @@ func TestLiveStreamHammer(t *testing.T) {
 // byte-identical to what a fresh server (empty cache) computes from the
 // same stream, and successive snapshots actually exercise the cache.
 func TestLiveWindowedRenderCache(t *testing.T) {
-	env := newPushEnv(t, nil)
+	reg := obs.NewRegistry()
+	env := newPushEnv(t, func(cfg *Config) { cfg.Registry = reg })
 	a, b := liveTask("win_a"), liveTask("win_b")
 
 	cpA := encodeCheckpoint(t, checkpointTrace(a, 0.5), 1)
@@ -758,8 +759,10 @@ func TestLiveWindowedRenderCache(t *testing.T) {
 	waitLiveCounts(t, env.srv, 2, 0)
 	warm, _ := getHdr(t, env.srv, "/v1/live/ftg?window=1h")
 
-	if s := env.s.timeAgg.Stats(); s.Hits+s.Misses < 2 {
-		t.Errorf("windowed renders bypassed the aggregation cache: %+v", s)
+	hits := reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "window")).Value()
+	misses := reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "window")).Value()
+	if hits+misses < 2 {
+		t.Errorf("windowed renders bypassed the aggregation cache: %d hits, %d misses", hits, misses)
 	}
 
 	// A fresh server fed the same two checkpoints computes the windowed

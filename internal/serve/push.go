@@ -32,20 +32,83 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dayu/internal/atomicfile"
 	"dayu/internal/trace"
 )
 
-// foldJob is one acknowledged record awaiting folding. admitted marks
-// jobs holding an admission slot (live pushes; startup replay jobs do
-// not).
+// pushState is the push-ingest pipeline: the WAL, the admission pool
+// (one slot per acknowledged-but-unfolded push), the fold queue its one
+// folder goroutine drains, and the dedup state mu guards. Lock order:
+// mu is taken before the partialSet's lock (the delta gate) and never
+// while waiting on a channel.
+type pushState struct {
+	wal      *WAL
+	sem      chan struct{}
+	foldQ    chan foldJob
+	foldDone chan struct{}
+	// stuck is what the folder gave up on (written by it alone).
+	stuck atomic.Pointer[stuckFolds]
+
+	mu     sync.Mutex
+	closed bool
+	// wg counts the handlers between admission and their fold-queue
+	// send; close waits for them before closing foldQ.
+	wg sync.WaitGroup
+	// acked maps the content hashes acknowledged by this process and
+	// not yet covered by a snapshot or superseded (see pruneAcked).
+	acked map[string]ackedRecord
+	// pending holds content hashes whose WAL append is in flight; the
+	// channel closes when the append settles (either way). Identical
+	// concurrent pushes wait on it instead of double-appending — and
+	// instead of being answered "duplicate" before the twin's bytes
+	// are actually durable.
+	pending   map[string]chan struct{}
+	closeOnce sync.Once
+}
+
+// newPushState sizes the admission pool and the fold queue; the WAL is
+// attached once its replay has folded.
+func newPushState(queue int) *pushState {
+	return &pushState{
+		sem:      make(chan struct{}, queue),
+		foldQ:    make(chan foldJob, queue),
+		foldDone: make(chan struct{}),
+		acked:    make(map[string]ackedRecord),
+		pending:  make(map[string]chan struct{}),
+	}
+}
+
+// close refuses new pushes, waits for admitted ones to reach the fold
+// queue, lets the folder drain it and closes the WAL. Idempotent.
+func (p *pushState) close() {
+	p.closeOnce.Do(func() {
+		p.mu.Lock()
+		p.closed = true
+		p.mu.Unlock()
+		p.wg.Wait()
+		close(p.foldQ)
+		<-p.foldDone
+		p.wal.Close()
+	})
+}
+
+// stuckFolds counts the acknowledged records the folder gave up on — still
+// pending in the WAL, folded by the next startup replay — with the last
+// one's cause.
+type stuckFolds struct {
+	records int
+	err     error
+}
+
+// foldJob is one acknowledged record awaiting folding; it holds an
+// admission slot until it has folded.
 type foldJob struct {
-	seq      uint64
-	hash     string
-	data     []byte
-	admitted bool
+	seq  uint64
+	data []byte
 }
 
 // PushResponse is the /v1/ingest response body.
@@ -66,7 +129,8 @@ type PushResponse struct {
 
 // handleIngest is POST /v1/ingest.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if !s.pushEnabled() {
+	p := s.push
+	if p == nil {
 		http.Error(w, "push ingest disabled (start serve with a WAL directory)", http.StatusNotImplemented)
 		return
 	}
@@ -90,32 +154,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hash := trace.HashBytes(data)
-	// Route by task name: one task's checkpoints and final always land
-	// in the same shard's WAL and fold sequentially in its folder.
-	sh := s.walFor(tt.Task)
 
 	for {
-		s.pushMu.Lock()
-		if s.pushClosed {
-			s.pushMu.Unlock()
+		p.mu.Lock()
+		if p.closed {
+			p.mu.Unlock()
 			http.Error(w, "shutting down", http.StatusServiceUnavailable)
 			return
 		}
 		if s.isDuplicateLocked(hash) {
-			s.pushMu.Unlock()
+			p.mu.Unlock()
 			s.pushDuplicates.Inc()
 			s.writePushResponse(w, PushResponse{Status: "duplicate", Task: tt.Task, Hash: hash})
 			return
 		}
-		twin, inflight := s.pending[hash]
+		twin, inflight := p.pending[hash]
 		if !inflight {
-			break // proceed, still holding pushMu
+			break // proceed, still holding p.mu
 		}
 		// An identical payload is mid-append. Answering "duplicate"
 		// now would acknowledge bytes that are not durable yet, and
 		// appending too would double-log; wait for the twin's append
 		// to settle and re-evaluate.
-		s.pushMu.Unlock()
+		p.mu.Unlock()
 		select {
 		case <-twin:
 		case <-r.Context().Done():
@@ -124,23 +185,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if meta.Delta {
-		// Delta gate, before the WAL sees the bytes: folding is ordered
-		// per shard, so a delta is only usable if its base is the task's
+		// Delta gate, before the WAL sees the bytes: folding is ordered,
+		// so a delta is only usable if its base is the task's
 		// acknowledged checkpoint head. Anything else — a restart that
 		// lost the in-memory ack state, an evicted partial, a client
 		// bug — gets a 409 resync NACK carrying the sequence we do have,
 		// and the client re-pushes cumulative framing.
 		if have := s.partials.head(tt.Task); have != meta.DeltaBaseSeq {
-			s.pushMu.Unlock()
+			p.mu.Unlock()
 			s.deltaResyncs.Inc()
 			s.writePushResponseCode(w, http.StatusConflict, PushResponse{Status: "resync", Task: tt.Task, Seq: have})
 			return
 		}
 	}
 	select {
-	case sh.sem <- struct{}{}:
+	case p.sem <- struct{}{}:
 	default:
-		s.pushMu.Unlock()
+		p.mu.Unlock()
 		s.pushRejected.Inc()
 		retry := s.cfg.RetryAfter
 		if retry <= 0 {
@@ -154,25 +215,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	inflight := make(chan struct{})
-	s.pending[hash] = inflight
-	s.pushWG.Add(1)
-	s.pushMu.Unlock()
-	defer s.pushWG.Done()
+	p.pending[hash] = inflight
+	p.wg.Add(1)
+	p.mu.Unlock()
+	defer p.wg.Done()
 
 	appendStart := time.Now()
-	seq, err := sh.wal.Append(data)
-	elapsed := time.Since(appendStart).Nanoseconds()
-	s.walAppendNS.Observe(elapsed)
-	sh.appendNS.Observe(elapsed)
-	s.pushMu.Lock()
+	seq, err := p.wal.Append(data)
+	s.walAppendNS.Observe(time.Since(appendStart).Nanoseconds())
+	p.mu.Lock()
 	if err == nil {
-		s.acked[hash] = newAckedRecord(tt.Task, meta)
+		p.acked[hash] = newAckedRecord(tt.Task, meta)
 	}
-	delete(s.pending, hash)
+	delete(p.pending, hash)
 	close(inflight)
-	s.pushMu.Unlock()
+	p.mu.Unlock()
 	if err != nil {
-		<-sh.sem
+		<-p.sem
 		s.pushErrors.Inc()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -182,9 +241,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.partials.ack(tt.Task, meta.CheckpointSeq)
 	}
 	s.updateWALGauges()
-	// Guaranteed not to block: the shard's foldQ has at least one slot
-	// per admission slot, and its folder frees the queue slot first.
-	sh.foldQ <- foldJob{seq: seq, hash: hash, data: data, admitted: true}
+	// Guaranteed not to block: foldQ has one slot per admission slot,
+	// and the folder takes a job off the queue before freeing its slot.
+	p.foldQ <- foldJob{seq: seq, data: data}
 	s.writePushResponse(w, PushResponse{Status: "accepted", Task: tt.Task, Hash: hash, Seq: seq})
 }
 
@@ -208,9 +267,9 @@ func (s *Server) readPushBody(w http.ResponseWriter, r *http.Request) ([]byte, b
 
 // isDuplicateLocked reports whether a payload hash was already
 // acknowledged (this process) or folded (any process — the snapshot
-// hashes cover the on-disk directory). Callers hold pushMu.
+// hashes cover the on-disk directory). Callers hold s.push.mu.
 func (s *Server) isDuplicateLocked(hash string) bool {
-	if _, ok := s.acked[hash]; ok {
+	if _, ok := s.push.acked[hash]; ok {
 		return true
 	}
 	if snap := s.snap.Load(); snap != nil && snap.hasHash(hash) {
@@ -238,7 +297,7 @@ func (s *Server) writePushResponseCode(w http.ResponseWriter, code int, resp Pus
 // watched directory's manifest.json (atomic rename, so a crash after
 // the 200 cannot tear it).
 func (s *Server) handleIngestManifest(w http.ResponseWriter, r *http.Request) {
-	if !s.pushEnabled() {
+	if s.push == nil {
 		http.Error(w, "push ingest disabled (start serve with a WAL directory)", http.StatusNotImplemented)
 		return
 	}
@@ -263,24 +322,22 @@ func (s *Server) handleIngestManifest(w http.ResponseWriter, r *http.Request) {
 	s.writePushResponse(w, PushResponse{Status: "accepted", Hash: trace.HashBytes(data)})
 }
 
-// folder is one shard's goroutine draining its acknowledged records
-// into the trace directory. It exits when the shard's foldQ closes
-// (graceful shutdown drains everything already acknowledged). Folding
-// is safe to run concurrently across shards: each write is an atomic
-// rename, tasks route to exactly one shard, and the rescan is
-// serialized by ingestMu.
-func (s *Server) folder(sh *shardIngest) {
-	defer close(sh.foldDone)
-	for job := range sh.foldQ {
+// folder is the goroutine draining acknowledged records into the trace
+// directory, one at a time in queue order; a client pushes a task's next
+// record only after the previous one's ack, so a task's checkpoints and
+// final fold in sequence. It exits when foldQ closes (graceful shutdown
+// drains everything already acknowledged).
+func (s *Server) folder() {
+	p := s.push
+	defer close(p.foldDone)
+	for job := range p.foldQ {
 		if h := s.cfg.foldHook; h != nil {
 			h(job)
 		}
-		s.foldOne(sh, job)
-		if job.admitted {
-			<-sh.sem
-		}
+		s.foldOne(job)
+		<-p.sem
 		s.updateWALGauges()
-		if len(sh.foldQ) == 0 {
+		if len(p.foldQ) == 0 {
 			// Coalesced rescan after a burst: the new files enter the
 			// snapshot without waiting for the poll tick.
 			_, _ = s.Ingest()
@@ -299,33 +356,35 @@ type ackedRecord struct {
 }
 
 // newAckedRecord copies the task name: a zero-copy decode's strings
-// alias the payload, which must not stay reachable through s.acked.
+// alias the payload, which must not stay reachable through the acked
+// set.
 func newAckedRecord(task string, meta trace.RecordMeta) ackedRecord {
 	return ackedRecord{task: strings.Clone(task), checkpoint: meta.Incremental, seq: meta.CheckpointSeq}
 }
 
 // pruneAcked drops the acknowledged hashes dedup no longer needs, so
-// s.acked holds the unfolded records and at most one delta head per
-// streaming task instead of every checkpoint ever pushed. A hash goes
-// once the published snapshot covers it, or — for a checkpoint, whose
-// re-push foldCheckpoint would drop anyway — once the task's final or a
-// newer checkpoint has folded. Runs in the folders after their
+// the acked set holds the unfolded records and at most one delta head
+// per streaming task instead of every checkpoint ever pushed. A hash
+// goes once the published snapshot covers it, or — for a checkpoint,
+// whose re-push foldCheckpoint would drop anyway — once the task's final
+// or a newer checkpoint has folded. Runs in the folder after its
 // coalesced rescan, off the ack path.
 func (s *Server) pruneAcked() {
 	snap := s.snap.Load()
 	if snap == nil {
 		return
 	}
-	s.pushMu.Lock()
-	defer s.pushMu.Unlock()
-	for hash, rec := range s.acked {
+	p := s.push
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for hash, rec := range p.acked {
 		drop := snap.hasHash(hash)
 		if !drop && rec.checkpoint {
 			cur, ok := s.partials.lookup(rec.task)
 			drop = snap.taskSet[rec.task] || (ok && cur.seq > rec.seq)
 		}
 		if drop {
-			delete(s.acked, hash)
+			delete(p.acked, hash)
 		}
 	}
 }
@@ -336,22 +395,22 @@ func (s *Server) pruneAcked() {
 // rather than being dropped — and, being invisible until then, is
 // reported by /healthz for as long as this process runs: no scan this
 // side of a restart makes it visible.
-func (s *Server) foldOne(sh *shardIngest, job foldJob) {
+func (s *Server) foldOne(job foldJob) {
 	const attempts = 5
 	delay := 10 * time.Millisecond
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
-		err := s.foldRecord(sh.wal, job.seq, job.data)
+		err := s.foldRecord(s.push.wal, job.seq, job.data)
 		if err == nil {
-			sh.foldNS.Observe(time.Since(start).Nanoseconds())
+			s.foldNS.Observe(time.Since(start).Nanoseconds())
 			return
 		}
 		if attempt >= attempts {
 			stuck := stuckFolds{records: 1, err: err}
-			if prev := sh.stuck.Load(); prev != nil {
+			if prev := s.push.stuck.Load(); prev != nil {
 				stuck.records += prev.records
 			}
-			sh.stuck.Store(&stuck)
+			s.push.stuck.Store(&stuck)
 			return
 		}
 		select {
@@ -364,7 +423,7 @@ func (s *Server) foldOne(sh *shardIngest, job foldJob) {
 }
 
 // foldRecord makes one attempt at folding an acknowledged record out of
-// wal and marks it folded, for the live folders and startup replay
+// wal and marks it folded, for the live folder and startup replay
 // alike. A payload that can never fold (it validated at push time, so
 // this means corruption that beat the CRC) is first quarantined —
 // advancing the fold checkpoint without a copy would destroy the only
@@ -381,10 +440,9 @@ func (s *Server) foldRecord(wal *WAL, seq uint64, data []byte) error {
 		}
 		// Quarantine names carry the WAL namespace's directory name
 		// (nothing for the flat root): every namespace numbers its
-		// records from zero, so bare names would collide, and a name
-		// that does not depend on whether the namespace is live or
-		// orphaned keeps re-quarantining idempotent across shard-count
-		// changes.
+		// records from zero, so bare names would collide, and the names
+		// stay what servers with several namespaces wrote, so
+		// re-quarantining a legacy record is idempotent.
 		qprefix := ""
 		if wal.dir != s.cfg.WALDir {
 			qprefix = filepath.Base(wal.dir) + "-"
@@ -485,25 +543,11 @@ func (s *Server) landBytes(path string, data []byte) error {
 	})
 }
 
-// updateWALGauges refreshes the WAL/queue gauges from live state: the
-// global gauges as sums across shards plus each shard's own breakdown.
+// updateWALGauges refreshes the WAL/queue gauges from live state.
 func (s *Server) updateWALGauges() {
-	if !s.pushEnabled() {
-		return
-	}
-	var pending, segments, depth int64
-	for _, sh := range s.shards {
-		stats := sh.wal.Stats()
-		shardDepth := int64(len(sh.sem))
-		sh.walPending.Set(int64(stats.Pending))
-		sh.walSegments.Set(int64(stats.Segments))
-		sh.queueDepth.Set(shardDepth)
-		pending += int64(stats.Pending)
-		segments += int64(stats.Segments)
-		depth += shardDepth
-	}
-	s.walPending.Set(pending)
-	s.walSegments.Set(segments)
-	s.queueDepth.Set(depth)
+	stats := s.push.wal.Stats()
+	s.walPending.Set(int64(stats.Pending))
+	s.walSegments.Set(int64(stats.Segments))
+	s.queueDepth.Set(int64(len(s.push.sem)))
 	s.partialGauge.Set(int64(s.partials.count()))
 }

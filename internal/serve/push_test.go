@@ -116,9 +116,9 @@ func waitTasks(t *testing.T, s *Server, n int) {
 func waitWALDrained(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.walStats().Pending != 0 {
+	for s.push.wal.Stats().Pending != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("WAL never drained: %+v", s.walStats())
+			t.Fatalf("WAL never drained: %+v", s.push.wal.Stats())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -243,8 +243,8 @@ func TestHealthzDegradedOnStuckFold(t *testing.T) {
 	if h.Status != "degraded" {
 		t.Errorf("status = %q with an acknowledged record stuck in the WAL, want degraded", h.Status)
 	}
-	if h.WAL.PendingRecords != 1 || h.WAL.Shards[0].StuckRecords != 1 || !strings.Contains(h.WAL.FoldError, "shard-0") {
-		t.Errorf("wal health = %+v, want one pending, stuck record and a fold_error naming shard-0", h.WAL)
+	if h.WAL.PendingRecords != 1 || !strings.HasPrefix(h.WAL.FoldError, "1 record(s) pending until restart") {
+		t.Errorf("wal health = %+v, want one pending record and a fold_error counting one stuck record", h.WAL)
 	}
 }
 
@@ -334,7 +334,7 @@ func TestPushIngestBadRequests(t *testing.T) {
 	}
 
 	// Nothing above may have landed anything.
-	if stats := env.s.walStats(); stats.NextSeq != 0 {
+	if stats := env.s.push.wal.Stats(); stats.NextSeq != 0 {
 		t.Errorf("bad requests appended %d records", stats.NextSeq)
 	}
 }
@@ -426,9 +426,9 @@ func TestAckedHashesPruned(t *testing.T) {
 	// The folder prunes after its rescan, which may trail the drain.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		env.s.pushMu.Lock()
-		left := len(env.s.acked)
-		env.s.pushMu.Unlock()
+		env.s.push.mu.Lock()
+		left := len(env.s.push.acked)
+		env.s.push.mu.Unlock()
 		if left == 0 {
 			break
 		}
@@ -473,7 +473,7 @@ func TestPushBackpressure(t *testing.T) {
 	if err != nil || secs != 3 {
 		t.Fatalf("Retry-After = %q, want 3", hdr.Get("Retry-After"))
 	}
-	if stats := env.s.walStats(); stats.NextSeq != 2 {
+	if stats := env.s.push.wal.Stats(); stats.NextSeq != 2 {
 		t.Fatalf("rejected push appended: next seq %d, want 2", stats.NextSeq)
 	}
 
@@ -593,7 +593,7 @@ func TestPushConcurrentIdenticalPayloads(t *testing.T) {
 	if accepted != 1 || duplicates != n-1 {
 		t.Fatalf("accepted=%d duplicates=%d, want 1 and %d", accepted, duplicates, n-1)
 	}
-	if stats := env.s.walStats(); stats.NextSeq != 1 {
+	if stats := env.s.push.wal.Stats(); stats.NextSeq != 1 {
 		t.Fatalf("identical payloads appended %d WAL records, want 1", stats.NextSeq)
 	}
 	waitTasks(t, env.s, 1)
@@ -603,10 +603,10 @@ func TestPushConcurrentIdenticalPayloads(t *testing.T) {
 // left behind by a dead server — including a torn tail from a crash
 // mid-append — replays on startup into a server whose endpoints are
 // byte-identical to the batch CLI over the recovered trace set. The
-// dead server's log is in the pre-sharding flat-root layout, so this is
-// also the migration gate: the flat root replays as an orphan namespace
-// into a single-shard server, is left with no segments, and new appends
-// land under shard-0/.
+// dead server's log is in the flat-root layout older servers wrote, so
+// this is also the migration gate: the flat root replays as a legacy
+// namespace, is left with no segments, and new appends land under
+// shard-0/.
 func TestPushCrashRecoveryEquivalence(t *testing.T) {
 	fixture := writeFixtureDir(t)
 	entries, err := os.ReadDir(fixture)
@@ -692,7 +692,7 @@ func TestPushCrashRecoveryEquivalence(t *testing.T) {
 	if segs, _ := filepath.Glob(filepath.Join(walDir, "wal-*.seg")); len(segs) != 0 {
 		t.Errorf("flat root still holds %d segments after replay", len(segs))
 	}
-	if st := s.walStats(); st.NextSeq != 0 {
+	if st := s.push.wal.Stats(); st.NextSeq != 0 {
 		t.Errorf("replayed flat-root records were re-logged: shard-0 next seq = %d", st.NextSeq)
 	}
 	if status, pr, _ := postIngest(t, srv, makeTraceBytes(t, "zz/after_migration", trace.FormatBinary)); status != http.StatusOK || pr.Status != "accepted" {
@@ -738,7 +738,7 @@ func TestPushGracefulCloseDrains(t *testing.T) {
 	if len(files) != n {
 		t.Fatalf("after Close: %d trace files, want %d", len(files), n)
 	}
-	// ...and the WAL (the single shard's namespace) was fully folded and
+	// ...and the WAL (the live namespace) was fully folded and
 	// compacted.
 	w, pending, err := OpenWAL(filepath.Join(env.walDir, "shard-0"), WALOptions{Fsync: FsyncNever})
 	if err != nil {

@@ -16,8 +16,7 @@ import (
 // silently destroying acknowledged data. The bytes must now land in
 // WALDir/quarantine before MarkFolded, and survive any number of
 // restarts. The file name carries the WAL namespace the record came
-// from: shard-<k>- for a shard's log (a single-shard server is shard
-// 0), nothing for the pre-sharding flat root.
+// from: shard-0- for the live log, nothing for the legacy flat root.
 func TestUnfoldableRecordQuarantinedAcrossRestarts(t *testing.T) {
 	for _, ns := range []struct{ name, sub, prefix string }{
 		{"flat-root", "", ""},
@@ -64,7 +63,7 @@ func testQuarantineAcrossRestarts(t *testing.T, sub, prefix string) {
 	if !bytes.Equal(got, poison) {
 		t.Fatalf("quarantined bytes diverged: %q", got)
 	}
-	if p := s.walStats().Pending; p != 0 {
+	if p := s.push.wal.Stats().Pending; p != 0 {
 		t.Fatalf("pending = %d after quarantine, want 0", p)
 	}
 	snap, err := s.Ingest()

@@ -96,15 +96,6 @@ type Config struct {
 	// (default 1s).
 	RetryAfter time.Duration
 
-	// Shards is the width N of the directory scan and contribution
-	// loops and, with WALDir set, the number of push-ingest shards (WAL
-	// namespace, admission pool and folder goroutine each), records
-	// routed by FNV-1a hash of the task name; clamped to [1, MaxShards],
-	// and 1 is the same code path and on-disk layout as any other
-	// count. The count can never leak into response bytes: every loop
-	// writes its results by position in the global task order.
-	Shards int
-
 	// HistoryDir enables the persistent snapshot-history store: every
 	// converged snapshot's manifest and rendered /v1/{ftg,sdg} bodies
 	// are recorded there (content-addressed, compacted by retention)
@@ -117,7 +108,7 @@ type Config struct {
 	// (default 15s). Tests and smoke scripts shorten it.
 	SSEHeartbeat time.Duration
 
-	// foldHook, when set (tests only), runs in the folder goroutines
+	// foldHook, when set (tests only), runs in the folder goroutine
 	// before each record folds — used to hold the queue full.
 	foldHook func(foldJob)
 }
@@ -188,34 +179,6 @@ func (snap *snapshot) hasHash(hash string) bool {
 	return snap.hashes[hash] || snap.partialHashes[hash]
 }
 
-// shardIngest is one shard's slice of the push-ingest pipeline: its
-// own WAL namespace, admission pool, fold queue and folder goroutine,
-// plus the per-shard observability handles the scale work needs to
-// spot a hot or lagging shard.
-type shardIngest struct {
-	idx      int
-	wal      *WAL
-	sem      chan struct{}
-	foldQ    chan foldJob
-	foldDone chan struct{}
-	// stuck is what this shard's folder gave up on (written by it alone).
-	stuck atomic.Pointer[stuckFolds]
-
-	queueDepth  *obs.Gauge
-	walPending  *obs.Gauge
-	walSegments *obs.Gauge
-	foldNS      *obs.Histogram
-	appendNS    *obs.Histogram
-}
-
-// stuckFolds counts the acknowledged records a folder gave up on — still
-// pending in the WAL, folded by the next startup replay — with the last
-// one's cause.
-type stuckFolds struct {
-	records int
-	err     error
-}
-
 // Server is the incremental analysis service. It implements
 // http.Handler.
 type Server struct {
@@ -244,25 +207,9 @@ type Server struct {
 	lastErr atomic.Pointer[ingestError]
 	histErr atomic.Pointer[ingestError]
 
-	// Push-ingest state (nil/unused unless cfg.WALDir is set). Each
-	// shard owns an admission pool (one slot per
-	// acknowledged-but-unfolded push), a WAL namespace and a folder
-	// goroutine; records route to shards by task name, so one task's
-	// records always fold sequentially in one shard.
-	shards     []*shardIngest
-	pushMu     sync.Mutex
-	pushClosed bool
-	pushWG     sync.WaitGroup
-	// acked maps the content hashes acknowledged by this process and
-	// not yet covered by a snapshot or superseded (see pruneAcked).
-	acked map[string]ackedRecord
-	// pending holds content hashes whose WAL append is in flight; the
-	// channel closes when the append settles (either way). Identical
-	// concurrent pushes wait on it instead of double-appending — and
-	// instead of being answered "duplicate" before the twin's bytes
-	// are actually durable.
-	pending   map[string]chan struct{}
-	closePush sync.Once
+	// push is the durable push-ingest pipeline (nil unless cfg.WALDir
+	// is set).
+	push *pushState
 
 	// Retained streaming checkpoints and acknowledged delta heads (the
 	// type owns its lock); lastPartialsGen is the writer-owned
@@ -289,6 +236,8 @@ type Server struct {
 	snapshotMisses  *obs.Counter
 	contribHits     *obs.Counter
 	contribMisses   *obs.Counter
+	windowHits      *obs.Counter
+	windowMisses    *obs.Counter
 	diagSyncNS      *obs.Histogram
 	diagReused      *obs.Counter
 	diagRecomputed  *obs.Counter
@@ -310,6 +259,7 @@ type Server struct {
 	walPending      *obs.Gauge
 	walSegments     *obs.Gauge
 	queueDepth      *obs.Gauge
+	foldNS          *obs.Histogram
 
 	// timeAgg caches windowed aggregations (?window=) across snapshots
 	// so a live watcher polling a fixed window does not pay a full
@@ -334,10 +284,9 @@ type ingestError struct {
 // cannot guarantee its durability contract must not start.
 func NewServer(cfg Config) (*Server, error) {
 	reg := cfg.Registry
-	cfg.Shards = clampShards(cfg.Shards)
 	s := &Server{
 		cfg:      cfg,
-		cache:    newBuildCache(cfg.Shards),
+		cache:    newBuildCache(),
 		diag:     diagnose.NewIndex(diagnose.Thresholds{}),
 		partials: newPartialSet(),
 
@@ -356,6 +305,8 @@ func NewServer(cfg Config) (*Server, error) {
 		snapshotMisses:  reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "snapshot")),
 		contribHits:     reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "contribution")),
 		contribMisses:   reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "contribution")),
+		windowHits:      reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "window")),
+		windowMisses:    reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "window")),
 		diagSyncNS:      reg.Histogram("dayu_serve_diagnose_sync_ns", obs.LatencyBuckets()),
 		diagReused:      reg.Counter(obs.Name("dayu_serve_diagnose_scopes_total", "result", "reused")),
 		diagRecomputed:  reg.Counter(obs.Name("dayu_serve_diagnose_scopes_total", "result", "recomputed")),
@@ -377,6 +328,10 @@ func NewServer(cfg Config) (*Server, error) {
 		walPending:      reg.Gauge("dayu_serve_wal_pending_records"),
 		walSegments:     reg.Gauge("dayu_serve_wal_segments"),
 		queueDepth:      reg.Gauge("dayu_serve_ingest_queue_depth"),
+		// The one fold histogram keeps the name and label it had when
+		// there was one per shard: benchmark/stream.go reads it by that
+		// name for serve.fold_us.
+		foldNS: reg.Histogram(obs.Name("dayu_serve_shard_fold_ns", "shard", "0"), obs.LatencyBuckets()),
 
 		timeAgg: analyzer.NewTimeAggCache(0),
 
@@ -416,22 +371,20 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	s.Ingest() // initial scan; errors surface via healthz/requests
-	for _, sh := range s.shards {
-		go s.folder(sh)
+	if s.push != nil {
+		go s.folder()
 	}
 	return s, nil
 }
 
-// openWAL opens one write-ahead log per shard under WALDir/shard-<k>/
-// — at any shard count, one included — and synchronously folds every
-// record recovered from them into the trace directory, so the first
-// snapshot already reflects everything ever acknowledged. Namespaces
-// no current shard owns (a previous run at a higher shard count, or
-// the flat WALDir root every pre-sharding deployment wrote) are
-// replayed and retired the same way: acknowledged data survives any
-// -shards change. Records that fail to fold transiently stay pending
-// in their WAL and fail construction (a durability guarantee the
-// server cannot meet must not be silently weakened).
+// openWAL opens the write-ahead log under WALDir/liveWALNamespace and
+// synchronously folds every record recovered from it into the trace
+// directory, so the first snapshot already reflects everything ever
+// acknowledged. The namespaces older servers wrote beside it are
+// replayed and retired the same way (replayLegacyWALs). Records that
+// fail to fold transiently stay pending in their WAL and fail
+// construction (a durability guarantee the server cannot meet must not
+// be silently weakened).
 func (s *Server) openWAL() error {
 	if err := os.MkdirAll(s.partialsDir(), 0o755); err != nil {
 		return fmt.Errorf("serve: create partials dir: %w", err)
@@ -445,49 +398,25 @@ func (s *Server) openWAL() error {
 	if queue <= 0 {
 		queue = 64
 	}
-	s.acked = make(map[string]ackedRecord)
-	s.pending = make(map[string]chan struct{})
-	for k := 0; k < s.cfg.Shards; k++ {
-		wal, err := s.replayWAL(filepath.Join(s.cfg.WALDir, shardName(k)))
-		if err != nil {
-			s.closeWALs()
-			return err
-		}
-		reg := s.cfg.Registry
-		label := fmt.Sprintf("%d", k)
-		sh := &shardIngest{
-			idx:      k,
-			wal:      wal,
-			sem:      make(chan struct{}, queue),
-			foldQ:    make(chan foldJob, queue),
-			foldDone: make(chan struct{}),
-
-			queueDepth:  reg.Gauge(obs.Name("dayu_serve_shard_queue_depth", "shard", label)),
-			walPending:  reg.Gauge(obs.Name("dayu_serve_shard_wal_pending_records", "shard", label)),
-			walSegments: reg.Gauge(obs.Name("dayu_serve_shard_wal_segments", "shard", label)),
-			foldNS:      reg.Histogram(obs.Name("dayu_serve_shard_fold_ns", "shard", label), obs.LatencyBuckets()),
-			appendNS:    reg.Histogram(obs.Name("dayu_serve_shard_wal_append_ns", "shard", label), obs.LatencyBuckets()),
-		}
-		s.shards = append(s.shards, sh)
-	}
-	if err := s.replayOrphanWALs(); err != nil {
-		s.closeWALs()
+	s.push = newPushState(queue)
+	wal, err := s.replayWAL(filepath.Join(s.cfg.WALDir, liveWALNamespace))
+	if err != nil {
 		return err
 	}
+	if err := s.replayLegacyWALs(); err != nil {
+		wal.Close()
+		return err
+	}
+	s.push.wal = wal
 	s.updateWALGauges()
 	return nil
 }
 
-// shardName is shard k's WAL namespace directory under WALDir.
-func shardName(k int) string { return fmt.Sprintf("shard-%d", k) }
-
-// closeWALs closes every WAL opened so far (construction error path).
-func (s *Server) closeWALs() {
-	for _, sh := range s.shards {
-		sh.wal.Close()
-	}
-	s.shards = nil
-}
+// liveWALNamespace is the directory under WALDir the WAL lives in. The
+// name is history, not a count: servers that could run several ingest
+// pipelines numbered their namespaces shard-0, shard-1, …, and every
+// deployment's live log was already shard-0, so it stays there.
+const liveWALNamespace = "shard-0"
 
 // replayWAL opens the WAL namespace under dir and folds the
 // acknowledged-but-unfolded records it hands back. A record left
@@ -502,7 +431,7 @@ func (s *Server) replayWAL(dir string) (*WAL, error) {
 		// A record that no longer decodes is quarantined by the fold;
 		// a re-push of it would be refused before dedup is consulted.
 		if tt, meta, err := trace.DecodeBytesMeta(rec.Data, trace.DecodeOptions{ZeroCopy: true}); err == nil {
-			s.acked[trace.HashBytes(rec.Data)] = newAckedRecord(tt.Task, meta)
+			s.push.acked[trace.HashBytes(rec.Data)] = newAckedRecord(tt.Task, meta)
 		}
 		if err := s.foldRecord(wal, rec.Seq, rec.Data); err != nil {
 			wal.Close()
@@ -512,27 +441,28 @@ func (s *Server) replayWAL(dir string) (*WAL, error) {
 	return wal, nil
 }
 
-// replayOrphanWALs drains the WAL namespaces no current shard owns:
-// the flat WALDir root (the pre-sharding layout, still on disk in
-// existing deployments) and shard-<k> subdirectories outside the
-// current shard set. Every pending record folds (it is acknowledged
-// data), the namespace compacts to empty and is retired.
-func (s *Server) replayOrphanWALs() error {
-	orphans := []string{s.cfg.WALDir}
+// replayLegacyWALs drains the WAL namespaces older servers left beside
+// the live one: the flat WALDir root (the layout before namespaces,
+// still what an old deployment or a tool writing through OpenWAL(WALDir)
+// has on disk) and shard-<k> for every k ≥ 1 (a server that ran with
+// several ingest pipelines). Every pending record folds (it is
+// acknowledged data), the namespace compacts to empty and is retired.
+func (s *Server) replayLegacyWALs() error {
+	legacy := []string{s.cfg.WALDir}
 	entries, err := os.ReadDir(s.cfg.WALDir)
 	if err != nil {
 		return fmt.Errorf("serve: scan wal dir: %w", err)
 	}
 	for _, e := range entries {
 		var k int
-		if _, err := fmt.Sscanf(e.Name(), "shard-%d", &k); err != nil || shardName(k) != e.Name() {
+		if _, err := fmt.Sscanf(e.Name(), "shard-%d", &k); err != nil || fmt.Sprintf("shard-%d", k) != e.Name() {
 			continue
 		}
-		if e.IsDir() && k >= len(s.shards) {
-			orphans = append(orphans, filepath.Join(s.cfg.WALDir, e.Name()))
+		if e.IsDir() && k >= 1 {
+			legacy = append(legacy, filepath.Join(s.cfg.WALDir, e.Name()))
 		}
 	}
-	for _, dir := range orphans {
+	for _, dir := range legacy {
 		wal, err := s.replayWAL(dir)
 		if err != nil {
 			return err
@@ -546,54 +476,6 @@ func (s *Server) replayOrphanWALs() error {
 		}
 	}
 	return nil
-}
-
-// MaxShards bounds Config.Shards: the CLI flag should not be able to
-// spawn an absurd number of goroutines and WAL namespaces.
-const MaxShards = 64
-
-func clampShards(n int) int {
-	return max(1, min(n, MaxShards))
-}
-
-// route maps a key to one of n shards: FNV-1a(key) % n. The assignment
-// depends only on the key bytes and the count, never on scheduling, so
-// a restart with the same count routes identically.
-func route(key string, n int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return int(h % uint32(n))
-}
-
-// walFor routes a task's records to its owning shard. Routing is by
-// task name, so one task's checkpoints and final always fold
-// sequentially in one shard's folder goroutine.
-func (s *Server) walFor(task string) *shardIngest {
-	return s.shards[route(task, len(s.shards))]
-}
-
-// pushEnabled reports whether the durable push-ingest path is up.
-func (s *Server) pushEnabled() bool { return len(s.shards) > 0 }
-
-// walStats sums every shard's WAL stats.
-func (s *Server) walStats() WALStats {
-	var total WALStats
-	for _, sh := range s.shards {
-		st := sh.wal.Stats()
-		total.Segments += st.Segments
-		total.Pending += st.Pending
-		total.NextSeq += st.NextSeq
-		total.Folded += st.Folded
-		total.ActiveBytes += st.ActiveBytes
-	}
-	return total
 }
 
 // maxBodyBytes is the /v1/ingest request body cap.
@@ -684,20 +566,8 @@ func (s *Server) Close() {
 	if s.watching {
 		<-s.done
 	}
-	if s.pushEnabled() {
-		s.closePush.Do(func() {
-			s.pushMu.Lock()
-			s.pushClosed = true
-			s.pushMu.Unlock()
-			s.pushWG.Wait()
-			for _, sh := range s.shards {
-				close(sh.foldQ)
-			}
-			for _, sh := range s.shards {
-				<-sh.foldDone
-				sh.wal.Close()
-			}
-		})
+	if s.push != nil {
+		s.push.close()
 	}
 }
 
@@ -947,9 +817,14 @@ func (s *Server) graphHandler(which string, live bool) http.HandlerFunc {
 					// fingerprint pass proves the windowed projection
 					// unchanged and the previous aggregation is reused
 					// (byte-identical output is the cache's contract).
-					agg, err := s.timeAgg.Aggregate(g, "live-"+which, snap.id, windowNS)
+					agg, hit, err := s.timeAgg.Aggregate(g, "live-"+which, snap.id, windowNS)
 					if err != nil {
 						return nil, err
+					}
+					if hit {
+						s.windowHits.Inc()
+					} else {
+						s.windowMisses.Inc()
 					}
 					g = agg
 				}
@@ -1019,10 +894,7 @@ type Health struct {
 	History         *HistoryHealth `json:"history,omitempty"`
 }
 
-// WALHealth reports the push-ingest durability state. The top-level
-// numbers are sums across shards (NextSeq and FoldedSeq count records
-// appended and folded in total); Shards carries the per-shard
-// breakdown, one entry at a single shard.
+// WALHealth reports the push-ingest durability state.
 type WALHealth struct {
 	// PendingRecords counts acknowledged records not yet folded into
 	// trace files (they survive in the WAL).
@@ -1040,29 +912,14 @@ type WALHealth struct {
 	// Quarantined counts acknowledged records that could not be folded
 	// and were preserved under WALDir/quarantine for inspection.
 	Quarantined int `json:"quarantined"`
-	// CheckpointError is the cause when a shard's newest fold-checkpoint
-	// write failed (a full or read-only WAL directory); it degrades the
-	// overall status until a later checkpoint lands.
+	// CheckpointError is the cause when the newest fold-checkpoint write
+	// failed (a full or read-only WAL directory); it degrades the overall
+	// status until a later checkpoint lands.
 	CheckpointError string `json:"checkpoint_error,omitempty"`
-	// FoldError is the cause when a shard's folder gave up on a record:
-	// it is acknowledged but will not be visible before a restart replays
-	// the WAL, so the status stays degraded until then.
+	// FoldError is the cause when the folder gave up on records, with
+	// their count: they are acknowledged but will not be visible before a
+	// restart replays the WAL, so the status stays degraded until then.
 	FoldError string `json:"fold_error,omitempty"`
-	// Shards is the per-shard breakdown.
-	Shards []WALShardHealth `json:"shards"`
-}
-
-// WALShardHealth is one shard's slice of the push-ingest state.
-type WALShardHealth struct {
-	Shard          int    `json:"shard"`
-	PendingRecords uint64 `json:"pending_records"`
-	QueueDepth     int    `json:"queue_depth"`
-	QueueCapacity  int    `json:"queue_capacity"`
-	Segments       int    `json:"segments"`
-	NextSeq        uint64 `json:"next_seq"`
-	FoldedSeq      uint64 `json:"folded_seq"`
-	// StuckRecords counts the records the shard's folder gave up on.
-	StuckRecords int `json:"stuck_records,omitempty"`
 }
 
 // HistoryHealth reports the snapshot-history store state.
@@ -1087,39 +944,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Snapshot = snap.id
 		h.Tasks = len(snap.tasks)
 	}
-	if s.pushEnabled() {
+	if p := s.push; p != nil {
+		stats := p.wal.Stats()
 		wh := &WALHealth{
-			PartialTasks: s.partials.count(),
-			Quarantined:  s.countQuarantined(),
+			PendingRecords: stats.Pending,
+			QueueDepth:     len(p.sem),
+			QueueCapacity:  cap(p.sem),
+			Segments:       stats.Segments,
+			NextSeq:        stats.NextSeq,
+			FoldedSeq:      stats.Folded,
+			PartialTasks:   s.partials.count(),
+			Quarantined:    s.countQuarantined(),
 		}
-		for _, sh := range s.shards {
-			stats := sh.wal.Stats()
-			wh.PendingRecords += stats.Pending
-			wh.QueueDepth += len(sh.sem)
-			wh.QueueCapacity += cap(sh.sem)
-			wh.Segments += stats.Segments
-			wh.NextSeq += stats.NextSeq
-			wh.FoldedSeq += stats.Folded
-			var stuck stuckFolds
-			if st := sh.stuck.Load(); st != nil {
-				stuck = *st
-				wh.FoldError = fmt.Sprintf("%s: %d record(s) pending until restart: %v", shardName(sh.idx), stuck.records, stuck.err)
-				h.Status = "degraded"
-			}
-			wh.Shards = append(wh.Shards, WALShardHealth{
-				Shard:          sh.idx,
-				PendingRecords: stats.Pending,
-				QueueDepth:     len(sh.sem),
-				QueueCapacity:  cap(sh.sem),
-				Segments:       stats.Segments,
-				NextSeq:        stats.NextSeq,
-				FoldedSeq:      stats.Folded,
-				StuckRecords:   stuck.records,
-			})
-			if stats.CheckpointErr != nil {
-				wh.CheckpointError = fmt.Sprintf("%s: %v", shardName(sh.idx), stats.CheckpointErr)
-				h.Status = "degraded"
-			}
+		if st := p.stuck.Load(); st != nil {
+			wh.FoldError = fmt.Sprintf("%d record(s) pending until restart: %v", st.records, st.err)
+			h.Status = "degraded"
+		}
+		if stats.CheckpointErr != nil {
+			wh.CheckpointError = stats.CheckpointErr.Error()
+			h.Status = "degraded"
 		}
 		h.WAL = wh
 	}

@@ -8,8 +8,8 @@ package serve
 // whole record, and every record at or past the fold checkpoint is
 // handed back as pending work.
 //
-// Layout of one WAL namespace (the server keeps one per shard, under
-// WALDir/shard-<k>/):
+// Layout of one WAL namespace (the server keeps one, under
+// WALDir/shard-0/):
 //
 //	wal-<first-seq, 16 hex digits>.seg   segment files, rotated by size
 //	checkpoint                           decimal next-unfolded sequence

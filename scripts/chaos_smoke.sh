@@ -21,11 +21,8 @@
 # /v1/live/{ftg,sdg} snapshot is byte-identical to /v1/{ftg,sdg} and
 # to `dayu analyze` over the traces the run saved locally.
 #
-# Phase 3 — sharded ingest: starts the server with -shards 4, so the
-# kill -9 lands while acknowledged records sit spread across several
-# per-shard WAL namespaces, restarts it with the SAME -shards, and
-# asserts zero acknowledged loss plus /v1/{ftg,sdg} byte-identity to
-# the batch CLI — sharding must not open any new crash window.
+# (There is no phase 3: with one ingest pipeline it would repeat phase
+# 1. The numbers stay so CI logs and docs keep naming the same phases.)
 #
 # Phase 4 — delta stream + SSE: like phase 2 but with `dayu run -delta`
 # (checkpoints framed as deltas against the last acknowledged one) and
@@ -65,12 +62,9 @@ echo "chaos: $total source traces"
 
 # fsync-always and a small admission queue slow ingest enough that the
 # kill below lands mid-stream instead of after the push completes.
-# serve_shards, when set, adds -shards N (phase 3).
-serve_shards=""
 start_serve() {
   "$dayu" serve -dir "$dir" -wal "$wal" -addr "$addr" -poll 200ms \
-    -wal-fsync always -ingest-queue 2 \
-    ${serve_shards:+-shards "$serve_shards"} &
+    -wal-fsync always -ingest-queue 2 &
   serve_pid=$!
   for _ in $(seq 1 50); do
     if curl -fsS "http://$addr/healthz" >/dev/null 2>&1; then
@@ -225,72 +219,6 @@ cmp "$workdir/out-stream-sdg/sdg.json" "$workdir/live-sdg.json"
 echo "chaos: recovered /v1/live/ftg and /v1/live/sdg byte-identical to batch dayu analyze"
 
 # ---------------------------------------------------------------------
-# Phase 3: sharded ingest. Fresh directories, -shards 4: pushed records
-# spread across per-shard WAL namespaces (wal/shard-<k>/), the kill -9
-# lands mid-push, and the restart — with the same shard count — must
-# replay every namespace without losing an acknowledged record.
-kill -9 "$serve_pid" 2>/dev/null || true
-serve_pid=""
-
-addr="127.0.0.1:18082"
-dir="$workdir/shard-traces"
-wal="$workdir/shard-wal"
-mkdir -p "$dir"
-serve_shards=4
-
-start_serve
-echo "chaos: sharded-phase server up (-shards $serve_shards)"
-
-"$dayu" push -traces "$src" -server "http://$addr" -attempts 200 >"$workdir/shard-push.log" 2>&1 &
-push_pid=$!
-sleep 0.05
-kill -9 "$serve_pid"
-serve_pid=""
-echo "chaos: killed sharded serve mid-push"
-
-folded_before="$(find "$dir" -name '*.trace.*' | wc -l)"
-echo "chaos: $folded_before traces folded before the sharded kill"
-if ! ls "$wal"/shard-*/ >/dev/null 2>&1; then
-  echo "chaos: FAIL: no per-shard WAL namespaces under $wal" >&2
-  exit 1
-fi
-
-start_serve
-echo "chaos: restarted (sharded phase)"
-
-# Zero acknowledged loss: every trace folded before the kill — plus
-# whatever the shard WALs replayed on startup — is still served.
-recovered="$(task_count)"
-if [ "$recovered" -lt "$folded_before" ]; then
-  echo "chaos: FAIL: sharded restart recovered $recovered tasks < $folded_before folded before kill" >&2
-  exit 1
-fi
-echo "chaos: recovered $recovered tasks after sharded restart"
-
-wait "$push_pid" || true
-"$dayu" push -traces "$src" -server "http://$addr" -attempts 50
-
-for _ in $(seq 1 100); do
-  if [ "$(task_count)" -eq "$total" ]; then
-    break
-  fi
-  sleep 0.2
-done
-final="$(task_count)"
-if [ "$final" -ne "$total" ]; then
-  echo "chaos: FAIL: sharded server serves $final tasks, want $total" >&2
-  exit 1
-fi
-echo "chaos: all $total tasks delivered through 4 shards"
-
-# Byte-identity: the shard count must not leak into response bytes.
-curl -fsS "http://$addr/v1/ftg" -o "$workdir/shard-ftg.json"
-cmp "$workdir/out-src/ftg.json" "$workdir/shard-ftg.json"
-curl -fsS "http://$addr/v1/sdg" -o "$workdir/shard-sdg.json"
-cmp "$workdir/out-src-sdg/sdg.json" "$workdir/shard-sdg.json"
-echo "chaos: sharded /v1/ftg and /v1/sdg byte-identical to batch dayu analyze"
-
-# ---------------------------------------------------------------------
 # Phase 4: delta stream + SSE. Fresh directories; the run streams
 # delta-framed checkpoints while an SSE watcher follows the live view.
 # The kill drops the server's delta bases, so recovery exercises the
@@ -304,7 +232,6 @@ dir="$workdir/delta-traces"
 wal="$workdir/delta-wal"
 dlocal="$workdir/delta-local"
 mkdir -p "$dir"
-serve_shards=""
 
 start_serve
 echo "chaos: delta-phase server up"

@@ -9,29 +9,27 @@
 # bytes `dayu diagnose -json` prints for the same directory, optionally
 # exercises the snapshot-history store, and leaves ftg.json/sdg.json in
 # the output directory so callers can byte-compare across configurations
-# (trace format, shard count).
+# (trace format, history store).
 #
 # Usage:
 #   scripts/serve_smoke.sh -b ./dayu -t traces -o out \
-#       [-a 127.0.0.1:8080] [-s shards] [-H history-dir]
+#       [-a 127.0.0.1:8080] [-H history-dir]
 set -euo pipefail
 
 dayu="./dayu"
 traces=""
 out=""
 addr="127.0.0.1:8080"
-shards=1
 history=""
 
-while getopts "b:t:o:a:s:H:" opt; do
+while getopts "b:t:o:a:H:" opt; do
   case "$opt" in
     b) dayu="$OPTARG" ;;
     t) traces="$OPTARG" ;;
     o) out="$OPTARG" ;;
     a) addr="$OPTARG" ;;
-    s) shards="$OPTARG" ;;
     H) history="$OPTARG" ;;
-    *) echo "usage: $0 -b dayu -t traces -o out [-a addr] [-s shards] [-H history-dir]" >&2; exit 2 ;;
+    *) echo "usage: $0 -b dayu -t traces -o out [-a addr] [-H history-dir]" >&2; exit 2 ;;
   esac
 done
 if [ -z "$traces" ] || [ -z "$out" ]; then
@@ -47,7 +45,7 @@ cleanup() {
 trap cleanup EXIT
 
 # --- boot ------------------------------------------------------------
-args=(-dir "$traces" -addr "$addr" -poll 500ms -shards "$shards")
+args=(-dir "$traces" -addr "$addr" -poll 500ms)
 [ -n "$history" ] && args+=(-history "$history")
 "$dayu" serve "${args[@]}" &
 serve_pid=$!
@@ -58,10 +56,10 @@ for _ in $(seq 1 50); do
   sleep 0.2
 done
 if ! curl -fsS "http://$addr/healthz" >/dev/null 2>&1; then
-  echo "serve_smoke: server at $addr (shards=$shards) never became healthy" >&2
+  echo "serve_smoke: server at $addr never became healthy" >&2
   exit 1
 fi
-echo "serve_smoke: up at $addr (traces=$traces shards=$shards)"
+echo "serve_smoke: up at $addr (traces=$traces)"
 
 # --- probe -----------------------------------------------------------
 curl -fsS "http://$addr/healthz" >"$out/healthz.json"
@@ -116,4 +114,4 @@ fi
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
-echo "serve_smoke: PASS (traces=$traces shards=$shards)"
+echo "serve_smoke: PASS (traces=$traces)"
