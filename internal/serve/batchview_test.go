@@ -513,20 +513,21 @@ func TestEventFrameReassembles(t *testing.T) {
 	var order []string
 	for name, segments := range payloads {
 		payload := string(bytes.Join(segments, nil))
-		frame := appendEventFrame(nil, uint64(len(order)+1), segments...)
+		id := fmt.Sprintf("snap-%d", len(order)+1)
+		frame := appendEventFrame(nil, id, segments...)
 		events := parseSSE(t, frame)
 		if len(events) != 1 {
 			t.Fatalf("%s: frame parses to %d events: %q", name, len(events), frame)
 		}
-		if ev := events[0]; ev.event != "snapshot" || ev.id != fmt.Sprint(len(order)+1) || ev.data != payload {
+		if ev := events[0]; ev.event != "snapshot" || ev.id != id || ev.data != payload {
 			t.Errorf("%s: reassembled id=%q event=%q data=%q, want data %q", name, ev.id, ev.event, ev.data, payload)
 		}
 		// However the payload is cut, the frame is the same bytes.
-		if whole := appendEventFrame(nil, uint64(len(order)+1), []byte(payload)); !bytes.Equal(frame, whole) {
+		if whole := appendEventFrame(nil, id, []byte(payload)); !bytes.Equal(frame, whole) {
 			t.Errorf("%s: framing the segments gives %q, framing their concatenation %q", name, frame, whole)
 		}
 		// Frames append: a connection reuses one buffer per event.
-		stream = appendEventFrame(stream, uint64(len(order)+1), segments...)
+		stream = appendEventFrame(stream, id, segments...)
 		order = append(order, name)
 	}
 	events := parseSSE(t, stream)
@@ -562,7 +563,7 @@ func TestEventWriteAllocatesNoPayload(t *testing.T) {
 				t.Fatal(err)
 			}
 			head = payload[0]
-			frame = appendEventFrame(frame[:0], 7, payload[:]...)
+			frame = appendEventFrame(frame[:0], snap.id, payload[:]...)
 		}
 		write() // renders the body, grows the buffers
 		allocs = append(allocs, testing.AllocsPerRun(50, write))
@@ -590,7 +591,7 @@ func TestLiveEventsMetrics(t *testing.T) {
 	postIngest(t, env.srv, encodeCheckpoint(t, checkpointTrace(liveTask("zz_live"), 1.0), 1))
 	second := c.next(t)
 
-	want := int64(len(appendEventFrame(nil, 1, []byte(first.data))) + len(appendEventFrame(nil, 2, []byte(second.data))))
+	want := int64(len(appendEventFrame(nil, first.id, []byte(first.data))) + len(appendEventFrame(nil, second.id, []byte(second.data))))
 	deadline := time.Now().Add(10 * time.Second)
 	for size.Count() < 2 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond) // observed just after the flush the client saw

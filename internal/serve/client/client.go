@@ -141,25 +141,6 @@ func (c *Client) PushCheckpoint(ctx context.Context, t *trace.TaskTrace, seq uin
 	return c.PushBytes(ctx, buf.Bytes())
 }
 
-// PushDelta encodes and delivers one delta checkpoint record: only
-// the rows changed since the checkpoint at baseSeq (see trace.Diff),
-// flagged delta with both sequence numbers. A server whose retained
-// partial is not at baseSeq answers with a resync result (see
-// PushResult.NeedsResync) instead of logging the record; the caller
-// then re-pushes the same checkpoint in cumulative framing.
-func (c *Client) PushDelta(ctx context.Context, delta *trace.TaskTrace, seq, baseSeq uint64) (*PushResult, error) {
-	var buf bytes.Buffer
-	if err := delta.EncodeBinaryOpts(&buf, trace.BinaryOptions{
-		Incremental:   true,
-		CheckpointSeq: seq,
-		Delta:         true,
-		DeltaBaseSeq:  baseSeq,
-	}); err != nil {
-		return nil, err
-	}
-	return c.PushBytes(ctx, buf.Bytes())
-}
-
 // PushManifestBytes delivers a manifest.json byte stream to
 // /v1/ingest/manifest.
 func (c *Client) PushManifestBytes(ctx context.Context, data []byte) (*PushResult, error) {

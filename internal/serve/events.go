@@ -14,16 +14,18 @@ package serve
 //     the next event a lagging client receives supersedes everything
 //     it missed. A skip is surfaced as an `event: lagged` line so the
 //     client knows intermediate states existed.
-//   - Zero cost when unused. The broadcaster only tracks (id,
-//     snapshot) pairs; payload rendering happens in the subscriber's
-//     handler goroutine through the snapshot render cache, so a
-//     deployment with no SSE clients never renders an event and the
-//     refresh path never waits on one.
-//   - Resume must be cheap and correct. Events get monotone ids and a
-//     small replay ring; a Last-Event-ID inside the ring resumes with
-//     exactly the missed events, and an unknown or stale id (a server
-//     restart, an outgrown ring) falls back to one full current-state
-//     event — again correct because events are full-state.
+//   - Zero cost when unused. The broadcaster only tracks snapshots;
+//     payload rendering happens in the subscriber's handler goroutine
+//     through the snapshot render cache, so a deployment with no SSE
+//     clients never renders an event and the refresh path never waits
+//     on one.
+//   - Memory proportional to state, not to history. The broadcaster
+//     keeps only the newest event, so the served state is exactly one
+//     snapshot. An event's id is its snapshot id, the content address
+//     of the state it announces: equal ids mean equal states, across
+//     restarts too. Resume has one rule: a Last-Event-ID equal to the
+//     newest event's id gets nothing, any other value gets the newest
+//     event — correct because events are full-state.
 //
 // Event schema (`event: snapshot`):
 //
@@ -44,19 +46,9 @@ import (
 	"dayu/internal/obs"
 )
 
-// eventRingSize bounds Last-Event-ID replay. Full-state events make
-// the ring a latency optimization, not a correctness requirement.
-const eventRingSize = 32
-
-// liveEvent pairs a monotone event id with the snapshot it announced.
-type liveEvent struct {
-	id   uint64
-	snap *snapshot
-}
-
 // eventSub is one /v1/live/events connection.
 type eventSub struct {
-	ch     chan liveEvent
+	ch     chan *snapshot
 	lagged bool // guarded by the broadcaster's mutex
 }
 
@@ -64,9 +56,7 @@ type eventSub struct {
 // zero value is ready; its mutex is never held across I/O.
 type eventsBroadcaster struct {
 	mu     sync.Mutex
-	nextID uint64
-	lastID string // snapshot id of the newest published event
-	ring   []liveEvent
+	newest *snapshot // the newest published event
 	subs   map[*eventSub]struct{}
 
 	metrics eventMetrics
@@ -92,83 +82,43 @@ func newEventMetrics(reg *obs.Registry) eventMetrics {
 	}
 }
 
-// publish announces a snapshot if it differs from the last announced
-// one. Called from refresh (single writer under ingestMu); never
-// blocks.
+// publish makes snap the newest event and, when its id differs from the
+// previous newest one's, fans it out non-blocking. Called from refresh
+// (single writer under ingestMu) with every snapshot it stores, so the
+// broadcaster never holds one the server has replaced; never blocks.
 func (b *eventsBroadcaster) publish(snap *snapshot) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.lastID == snap.id {
+	prev := b.newest
+	b.newest = snap
+	if prev != nil && prev.id == snap.id {
 		return
-	}
-	b.appendLocked(snap)
-}
-
-// appendLocked assigns the next id, records the event in the replay
-// ring, and fans it out non-blocking. Callers hold b.mu.
-func (b *eventsBroadcaster) appendLocked(snap *snapshot) liveEvent {
-	b.nextID++
-	b.lastID = snap.id
-	ev := liveEvent{id: b.nextID, snap: snap}
-	// Shift in place once full: reslicing off the front would leave the
-	// evicted events — and the snapshots they hold — reachable from the
-	// backing array until the next append reallocated it.
-	if len(b.ring) == eventRingSize {
-		copy(b.ring, b.ring[1:])
-		b.ring[eventRingSize-1] = ev
-	} else {
-		b.ring = append(b.ring, ev)
 	}
 	for sub := range b.subs {
 		select {
-		case sub.ch <- ev:
+		case sub.ch <- snap:
 		default:
 			sub.lagged = true
 		}
 	}
-	return ev
 }
 
-// subscribe registers a connection and returns the events it must send
-// first: the replay suffix after lastID when the ring still covers it,
-// else one full current-state event (seeded from snap if nothing was
-// ever published). snap may be nil only when the server has never
-// built a snapshot; then there is nothing to send until publish.
-func (b *eventsBroadcaster) subscribe(lastID uint64, snap *snapshot) (*eventSub, []liveEvent) {
+// subscribe registers a connection and returns the event it must send
+// first: the newest one, unless lastID (the client's Last-Event-ID)
+// already names it. It is nil then, and before the first publish, which
+// delivers through the subscriber's channel.
+func (b *eventsBroadcaster) subscribe(lastID string) (*eventSub, *snapshot) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.subs == nil {
 		b.subs = map[*eventSub]struct{}{}
 	}
-	sub := &eventSub{ch: make(chan liveEvent, 16)}
+	sub := &eventSub{ch: make(chan *snapshot, 16)}
 	b.subs[sub] = struct{}{}
-
-	if len(b.ring) == 0 {
-		if snap == nil {
-			return sub, nil
-		}
-		// First subscriber before any publish: seed the stream so every
-		// connection starts with the current state.
-		return sub, []liveEvent{b.appendLocked(snap)}
+	if b.newest == nil || b.newest.id == lastID {
+		return sub, nil
 	}
-	newest := b.ring[len(b.ring)-1]
-	if lastID == 0 {
-		// A fresh connection (no Last-Event-ID): current state only.
-		return sub, []liveEvent{newest}
-	}
-	if lastID == newest.id {
-		return sub, nil // already current
-	}
-	oldest := b.ring[0]
-	if lastID >= oldest.id-1 && lastID < newest.id {
-		// The ring covers the gap: replay exactly the missed suffix.
-		start := int(lastID - (oldest.id - 1))
-		return sub, append([]liveEvent(nil), b.ring[start:]...)
-	}
-	// lastID > newest means an id from a previous server incarnation
-	// (ids restart at 1): unknown, so catch up with full state below.
-	// Stale or unknown id: one full-state event catches the client up.
-	return sub, []liveEvent{newest}
+	return sub, b.newest
 }
 
 func (b *eventsBroadcaster) unsubscribe(sub *eventSub) {
@@ -216,9 +166,9 @@ var eventTail = []byte("}")
 // — a line may span segments, a segment may end one. One scan of the
 // payload, no per-line formatting: on a loaded server it is a megabyte
 // and many thousand lines.
-func appendEventFrame(frame []byte, id uint64, segments ...[]byte) []byte {
+func appendEventFrame(frame []byte, id string, segments ...[]byte) []byte {
 	frame = append(frame, "id: "...)
-	frame = strconv.AppendUint(frame, id, 10)
+	frame = append(frame, id...)
 	frame = append(frame, "\nevent: snapshot\n"...)
 	lineStart := true
 	for _, seg := range segments {
@@ -271,18 +221,14 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 	if _, ok := durationParam(w, r, "horizon"); !ok {
 		return
 	}
-	snap, err := s.current()
-	if err != nil {
+	// current refreshes, and refresh publishes every snapshot it stores:
+	// the subscriber's first event, or a publish already under way that
+	// reaches it through its channel, is at least this fresh.
+	if _, err := s.current(); err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	var lastID uint64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			lastID = n
-		}
-	}
-	sub, backlog := s.events.subscribe(lastID, snap)
+	sub, first := s.events.subscribe(r.Header.Get("Last-Event-ID"))
 	defer s.events.unsubscribe(sub)
 
 	h := w.Header()
@@ -295,16 +241,16 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 	// frame and head are this connection's framing and header buffers,
 	// reused across events.
 	var frame, head []byte
-	writeEvent := func(ev liveEvent) bool {
+	writeEvent := func(snap *snapshot) bool {
 		start := time.Now()
-		payload, err := s.liveEventPayload(head[:0], ev.snap)
+		payload, err := s.liveEventPayload(head[:0], snap)
 		if err != nil {
 			// The stream is already committed; drop the event rather
 			// than corrupting the framing, and say so on /healthz — a
 			// watcher that stops seeing updates must not be the only
 			// symptom. The next event retries.
 			s.events.metrics.renderErrors.Inc()
-			s.lastErr.Store(&ingestError{err: fmt.Errorf("serve: render live event %d: %w", ev.id, err), when: time.Now()})
+			s.lastErr.Store(&ingestError{err: fmt.Errorf("serve: render live event %s: %w", snap.id, err), when: time.Now()})
 			return true
 		}
 		rendered := time.Now()
@@ -314,7 +260,7 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 			frame = append(frame, "event: lagged\ndata: {}\n\n"...)
 		}
 		head = payload[0]
-		frame = appendEventFrame(frame, ev.id, payload[:]...)
+		frame = appendEventFrame(frame, snap.id, payload[:]...)
 		if _, err := w.Write(frame); err != nil {
 			return false
 		}
@@ -323,10 +269,8 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 		s.events.metrics.bytes.Observe(int64(len(frame)))
 		return true
 	}
-	for _, ev := range backlog {
-		if !writeEvent(ev) {
-			return
-		}
+	if first != nil && !writeEvent(first) {
+		return
 	}
 
 	heartbeat := s.cfg.SSEHeartbeat
@@ -341,8 +285,8 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-s.stop:
 			return
-		case ev := <-sub.ch:
-			if !writeEvent(ev) {
+		case snap := <-sub.ch:
+			if !writeEvent(snap) {
 				return
 			}
 		case <-ticker.C:

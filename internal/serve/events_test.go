@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -101,6 +100,24 @@ func (c *sseConn) next(t *testing.T) sseEvent {
 	}
 }
 
+// expectQuiet reads raw lines until a heartbeat comment arrives,
+// failing on any event line before it: the server had nothing to send.
+func (c *sseConn) expectQuiet(t *testing.T) {
+	t.Helper()
+	for {
+		line, err := c.rd.ReadString('\n')
+		if err != nil {
+			t.Fatalf("waiting for heartbeat: %v", err)
+		}
+		switch {
+		case strings.HasPrefix(line, ": heartbeat"):
+			return
+		case line != "\n":
+			t.Fatalf("want no event before the heartbeat, got %q", line)
+		}
+	}
+}
+
 // expectHeartbeat reads raw lines until a heartbeat comment arrives.
 func (c *sseConn) expectHeartbeat(t *testing.T) {
 	t.Helper()
@@ -139,12 +156,12 @@ func decodeEvent(t *testing.T, ev sseEvent) eventPayload {
 	if ev.event != "snapshot" {
 		t.Fatalf("event type %q, want snapshot", ev.event)
 	}
-	if _, err := strconv.ParseUint(ev.id, 10, 64); err != nil {
-		t.Fatalf("event id %q is not a number: %v", ev.id, err)
-	}
 	var p eventPayload
 	if err := json.Unmarshal([]byte(ev.data), &p); err != nil {
 		t.Fatalf("bad event payload %q: %v", ev.data, err)
+	}
+	if ev.id != p.Snapshot {
+		t.Fatalf("event id %q is not its snapshot id %q", ev.id, p.Snapshot)
 	}
 	return p
 }
@@ -284,9 +301,9 @@ func TestLiveEventsRenderFailureIsLoud(t *testing.T) {
 	}
 }
 
-// TestLiveEventsResume pins Last-Event-ID semantics: an id inside the
-// replay ring resumes with exactly the missed events, a fresh or stale
-// id gets one full current-state event.
+// TestLiveEventsResume pins the one Last-Event-ID rule: the newest
+// event's id gets nothing, any other value — none, an older id, an
+// unknown one, garbage — gets exactly one event, the newest.
 func TestLiveEventsResume(t *testing.T) {
 	_, srv := sseEnv(t)
 
@@ -307,38 +324,62 @@ func TestLiveEventsResume(t *testing.T) {
 
 	evA := conn.next(t)
 	evB := conn.next(t)
+	if evA.id == first.id || evB.id == evA.id {
+		t.Fatalf("event ids %s, %s, %s are not three states", first.id, evA.id, evB.id)
+	}
 
-	// Resuming from the first event's id replays the two missed events
-	// verbatim.
+	// Resuming from an older id skips the intermediate event: exactly
+	// one event, the newest, verbatim.
 	resumed := dialSSE(t, srv, first.id)
-	gotA := resumed.next(t)
-	gotB := resumed.next(t)
-	if gotA.id != evA.id || gotA.data != evA.data {
-		t.Errorf("resume replayed id %s, want %s", gotA.id, evA.id)
+	if got := resumed.next(t); got.id != evB.id || got.data != evB.data {
+		t.Errorf("resume from an older id got id %s, want the newest %s", got.id, evB.id)
 	}
-	if gotB.id != evB.id || gotB.data != evB.data {
-		t.Errorf("resume replayed id %s, want %s", gotB.id, evB.id)
+	resumed.expectQuiet(t)
+
+	// The newest id is current: nothing to send.
+	dialSSE(t, srv, evB.id).expectQuiet(t)
+
+	// No id, an unknown id and a garbage one all get the newest state
+	// once: full-state events make "treat as fresh" always correct.
+	for _, lastID := range []string{"", "99999", "not-a-snapshot"} {
+		c := dialSSE(t, srv, lastID)
+		if ev := c.next(t); ev.id != evB.id || decodeEvent(t, ev).Snapshot == firstPayload.Snapshot {
+			t.Errorf("Last-Event-ID %q got id %s, want the newest %s", lastID, ev.id, evB.id)
+		}
+		c.expectQuiet(t)
+	}
+}
+
+// TestResumeAcrossRestart: a watcher that reconnects to a restarted
+// server over a changed directory is told the new state. Event ids are
+// snapshot ids, so an id from before the restart names the old state and
+// is never mistaken for the new one.
+func TestResumeAcrossRestart(t *testing.T) {
+	fixture := writeFixtureDir(t)
+	start := func() *httptest.Server {
+		s := mustServer(t, Config{Dir: fixture, SSEHeartbeat: 50 * time.Millisecond})
+		srv := httptest.NewServer(s)
+		t.Cleanup(func() { srv.Close(); s.Close() })
+		return srv
 	}
 
-	// A fresh connection gets only the newest state.
-	fresh := dialSSE(t, srv, "")
-	if ev := fresh.next(t); ev.id != evB.id {
-		t.Errorf("fresh connection got id %s, want newest %s", ev.id, evB.id)
-	}
+	srv1 := start()
+	conn := dialSSE(t, srv1, "")
+	lastID := conn.next(t).id
+	conn.close()
+	srv1.Close()
 
-	// A stale/unknown id (server restarted, ring outgrown) falls back
-	// to one full current-state event.
-	stale := dialSSE(t, srv, "99999")
-	if ev := stale.next(t); ev.id != evB.id {
-		t.Errorf("stale resume got id %s, want newest %s", ev.id, evB.id)
+	if _, err := liveTask("restart_added").Save(fixture); err != nil {
+		t.Fatal(err)
 	}
-
-	// Garbage ids are ignored rather than erroring: full-state events
-	// make "treat as fresh" always correct.
-	garbage := dialSSE(t, srv, "not-a-number")
-	if ev := decodeEvent(t, garbage.next(t)); ev.Snapshot == firstPayload.Snapshot {
-		t.Error("garbage Last-Event-ID did not observe the newest snapshot")
+	srv2 := start()
+	_, hdr := getHdr(t, srv2, "/v1/live/ftg")
+	resumed := dialSSE(t, srv2, lastID)
+	p := decodeEvent(t, resumed.next(t))
+	if want := hdr.Get("X-Dayu-Snapshot"); p.Snapshot != want || p.Snapshot == lastID {
+		t.Errorf("resume across restart got snapshot %s, want server 2's %s (old id %s)", p.Snapshot, want, lastID)
 	}
+	resumed.expectQuiet(t)
 }
 
 // TestLiveParamValidation is the regression table for live-endpoint
@@ -369,54 +410,52 @@ func TestLiveParamValidation(t *testing.T) {
 	}
 }
 
-// TestEventsBroadcaster unit-tests the ring and fan-out semantics that
-// the integration tests cannot reach deterministically: ring trimming,
-// exact replay windows, and the lagged mark on overflow.
+// TestEventsBroadcaster unit-tests the resume rule and fan-out
+// semantics that the integration tests cannot reach deterministically:
+// what a subscriber is sent first, a republished state staying silent,
+// and the lagged mark on overflow.
 func TestEventsBroadcaster(t *testing.T) {
 	b := &eventsBroadcaster{}
 	snapN := func(i int) *snapshot { return &snapshot{id: fmt.Sprintf("snap-%d", i)} }
+	sub, first := b.subscribe("")
+	if first != nil {
+		t.Errorf("subscribe before any publish sent %s, want nothing", first.id)
+	}
+	b.unsubscribe(sub)
 	for i := 1; i <= 40; i++ {
 		b.publish(snapN(i))
 	}
-	if n := len(b.ring); n != eventRingSize {
-		t.Fatalf("ring holds %d events, want %d", n, eventRingSize)
-	}
-	if newest := b.ring[len(b.ring)-1]; newest.id != 40 {
-		t.Fatalf("newest id %d, want 40", newest.id)
-	}
-
-	// Publishing the same snapshot id again is a no-op.
-	b.publish(snapN(40))
-	if b.nextID != 40 {
-		t.Errorf("duplicate publish advanced nextID to %d", b.nextID)
-	}
 
 	cases := []struct {
-		lastID uint64
-		want   []uint64 // expected backlog ids; nil = empty
+		name, lastID string
+		want         string // the first event's id; "" = nothing
 	}{
-		{0, []uint64{40}},      // fresh: newest only
-		{40, nil},              // current: nothing
-		{38, []uint64{39, 40}}, // in-ring: exact suffix
-		{8, idRange(9, 40)},    // exactly the ring's reach
-		{5, []uint64{40}},      // outgrown: full state
-		{1000, []uint64{40}},   // pre-restart id: unknown, full state
+		{"fresh", "", "snap-40"},
+		{"current", "snap-40", ""},
+		{"older", "snap-38", "snap-40"},
+		{"unknown", "snap-1000", "snap-40"},
 	}
 	for _, tc := range cases {
-		sub, backlog := b.subscribe(tc.lastID, nil)
-		var got []uint64
-		for _, ev := range backlog {
-			got = append(got, ev.id)
+		sub, first := b.subscribe(tc.lastID)
+		got := ""
+		if first != nil {
+			got = first.id
 		}
-		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Errorf("subscribe(lastID=%d) backlog = %v, want %v", tc.lastID, got, tc.want)
+		if got != tc.want {
+			t.Errorf("%s: subscribe(%q) first event %q, want %q", tc.name, tc.lastID, got, tc.want)
 		}
 		b.unsubscribe(sub)
 	}
 
+	// Republishing the newest state (an equal id) is not an event.
+	sub, _ = b.subscribe("snap-40")
+	b.publish(snapN(40))
+	if len(sub.ch) != 0 {
+		t.Errorf("republishing snap-40 fanned out %d events, want 0", len(sub.ch))
+	}
+
 	// Overflowing a subscriber's buffer marks it lagged instead of
 	// blocking the publisher; the mark is consumed once.
-	sub, _ := b.subscribe(40, nil)
 	for i := 41; i <= 41+cap(sub.ch); i++ {
 		b.publish(snapN(i))
 	}
@@ -430,24 +469,13 @@ func TestEventsBroadcaster(t *testing.T) {
 		t.Errorf("subscriber buffer holds %d, want full %d", len(sub.ch), cap(sub.ch))
 	}
 	b.unsubscribe(sub)
-
-	// A first subscriber before any publish seeds the stream from the
-	// current snapshot.
-	b2 := &eventsBroadcaster{}
-	sub2, backlog := b2.subscribe(0, snapN(1))
-	if len(backlog) != 1 || backlog[0].id != 1 || backlog[0].snap.id != "snap-1" {
-		t.Fatalf("seed backlog = %+v, want one event for snap-1", backlog)
-	}
-	b2.unsubscribe(sub2)
 }
 
-// TestEventRingRetainsOnlyRing pins that the replay ring keeps exactly
-// its eventRingSize newest snapshots alive: every event it evicted — and
-// the graphs and render caches its snapshot holds — is collectable.
-// Trimming the ring by reslicing used to keep evicted events in the
-// backing array, holding up to twice the ring's snapshots.
-func TestEventRingRetainsOnlyRing(t *testing.T) {
-	const published = 2 * eventRingSize
+// TestBroadcasterRetainsOnlyNewest pins that the broadcaster keeps one
+// snapshot alive, the newest: every replaced one — and the graphs and
+// render caches it holds — is collectable.
+func TestBroadcasterRetainsOnlyNewest(t *testing.T) {
+	const published = 64
 	b := &eventsBroadcaster{}
 	var collected atomic.Int64
 	for i := 1; i <= published; i++ {
@@ -455,23 +483,13 @@ func TestEventRingRetainsOnlyRing(t *testing.T) {
 		runtime.SetFinalizer(snap, func(*snapshot) { collected.Add(1) })
 		b.publish(snap)
 	}
-	want := int64(published - eventRingSize)
+	const want = published - 1
 	for deadline := time.Now().Add(5 * time.Second); collected.Load() < want && time.Now().Before(deadline); {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
 	if got := collected.Load(); got != want {
-		t.Errorf("%d of %d published snapshots collected, want %d (the ring holds %d)", got, published, want, eventRingSize)
+		t.Errorf("%d of %d published snapshots collected, want %d (only the newest stays)", got, published, want)
 	}
-	if oldest := b.ring[0].id; oldest != published-eventRingSize+1 {
-		t.Errorf("oldest ring event id %d, want %d", oldest, published-eventRingSize+1)
-	}
-}
-
-func idRange(lo, hi uint64) []uint64 {
-	var out []uint64
-	for i := lo; i <= hi; i++ {
-		out = append(out, i)
-	}
-	return out
+	runtime.KeepAlive(b)
 }

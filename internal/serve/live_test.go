@@ -16,10 +16,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"dayu/internal/obs"
 	"time"
 
+	"dayu/internal/analyzer"
+	"dayu/internal/graph"
+	"dayu/internal/obs"
 	"dayu/internal/serve/client"
 	"dayu/internal/trace"
 )
@@ -734,50 +735,53 @@ func TestLiveStreamHammer(t *testing.T) {
 	checkLiveConverged(t, env.srv, env.dir, "hammer")
 }
 
-// TestLiveWindowedRenderCache pins the serve-level behaviour of the
-// cross-snapshot aggregation cache: windowed live responses stay
-// byte-identical to what a fresh server (empty cache) computes from the
-// same stream, and successive snapshots actually exercise the cache.
-func TestLiveWindowedRenderCache(t *testing.T) {
-	reg := obs.NewRegistry()
-	env := newPushEnv(t, func(cfg *Config) { cfg.Registry = reg })
-	a, b := liveTask("win_a"), liveTask("win_b")
-
-	cpA := encodeCheckpoint(t, checkpointTrace(a, 0.5), 1)
-	if status, _, _ := postIngest(t, env.srv, cpA); status != http.StatusOK {
-		t.Fatalf("checkpoint a = %d", status)
-	}
-	waitLiveCounts(t, env.srv, 1, 0)
-	if wb, _ := getHdr(t, env.srv, "/v1/live/ftg?window=1h"); len(wb) == 0 {
-		t.Fatal("windowed live FTG answered empty")
-	}
-
-	cpB := encodeCheckpoint(t, checkpointTrace(b, 0.5), 2)
-	if status, _, _ := postIngest(t, env.srv, cpB); status != http.StatusOK {
-		t.Fatalf("checkpoint b = %d", status)
-	}
-	waitLiveCounts(t, env.srv, 2, 0)
-	warm, _ := getHdr(t, env.srv, "/v1/live/ftg?window=1h")
-
-	hits := reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "window")).Value()
-	misses := reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "window")).Value()
-	if hits+misses < 2 {
-		t.Errorf("windowed renders bypassed the aggregation cache: %d hits, %d misses", hits, misses)
-	}
-
-	// A fresh server fed the same two checkpoints computes the windowed
-	// view with no cache history; the warmed server must match it
-	// byte for byte.
-	cold := newPushEnv(t, nil)
-	for i, cp := range [][]byte{cpA, cpB} {
-		if status, _, _ := postIngest(t, cold.srv, cp); status != http.StatusOK {
-			t.Fatalf("cold checkpoint %d = %d", i, status)
+// TestLiveWindowedRenderMatchesAggregate pins the windowed live
+// endpoints over successive snapshots: each body is the live graph's
+// AggregateByTime rendered, and what a fresh server fed the same stream
+// answers, byte for byte.
+func TestLiveWindowedRenderMatchesAggregate(t *testing.T) {
+	fixture := writeFixtureDir(t)
+	onFixture := func(cfg *Config) { cfg.Dir = fixture }
+	env := newPushEnv(t, onFixture)
+	var pushed [][]byte
+	for i, task := range []string{"win_a", "win_b", "win_c"} {
+		cp := encodeCheckpoint(t, checkpointTrace(liveTask(task), 0.5), uint64(i+1))
+		pushed = append(pushed, cp)
+		if status, _, _ := postIngest(t, env.srv, cp); status != http.StatusOK {
+			t.Fatalf("checkpoint %s = %d", task, status)
 		}
-	}
-	waitLiveCounts(t, cold.srv, 2, 0)
-	coldBody, _ := getHdr(t, cold.srv, "/v1/live/ftg?window=1h")
-	if !bytes.Equal(warm, coldBody) {
-		t.Errorf("warmed windowed render diverged from cold render:\n%s\nvs\n%s", warm, coldBody)
+		waitLiveCounts(t, env.srv, len(pushed), 24)
+		snap := env.s.snap.Load()
+
+		fresh := newPushEnv(t, onFixture)
+		for _, cp := range pushed {
+			if status, _, _ := postIngest(t, fresh.srv, cp); status != http.StatusOK {
+				t.Fatalf("fresh checkpoint = %d", status)
+			}
+		}
+		waitLiveCounts(t, fresh.srv, len(pushed), 24)
+
+		for which, g := range map[string]*graph.Graph{"ftg": snap.liveFTG, "sdg": snap.liveSDG} {
+			path := "/v1/live/" + which + "?window=1h"
+			body, hdr := getHdr(t, env.srv, path)
+			if hdr.Get("X-Dayu-Snapshot") != snap.id {
+				t.Fatalf("%s served snapshot %s, want %s", path, hdr.Get("X-Dayu-Snapshot"), snap.id)
+			}
+			agg, err := analyzer.AggregateByTime(g, int64(time.Hour))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := renderGraph(agg, "json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, want) {
+				t.Errorf("snapshot %d: %s differs from the rendered AggregateByTime of the live graph", i+1, path)
+			}
+			if freshBody, _ := getHdr(t, fresh.srv, path); !bytes.Equal(body, freshBody) {
+				t.Errorf("snapshot %d: %s differs from a fresh server's", i+1, path)
+			}
+		}
 	}
 }
 

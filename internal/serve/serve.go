@@ -66,8 +66,8 @@ type Config struct {
 	// Registry receives the serve metrics; nil disables them (every
 	// metric handle is nil-safe).
 	Registry *obs.Registry
-	// SDGOptions controls /v1/sdg construction (Parallelism is unused:
-	// contributions are computed one task at a time on ingest).
+	// SDGOptions controls /v1/sdg construction: only PageSize and the
+	// region flags (IncludeRegions, IncludeFileMetadata) matter.
 	SDGOptions analyzer.Options
 	// PlanOptions are the defaults for /v1/plan; tier and nodes can be
 	// overridden per request with ?tier= and ?nodes=.
@@ -76,10 +76,6 @@ type Config struct {
 	// watcher. Requests rescan either way (current), incrementally and
 	// through the caches.
 	Poll time.Duration
-	// MaxPollBackoff caps the exponential backoff applied to the poll
-	// loop after repeated scan errors (default 1 minute; never below
-	// Poll).
-	MaxPollBackoff time.Duration
 
 	// WALDir enables the durable push-ingest path (POST /v1/ingest):
 	// acknowledged records are appended to a write-ahead log under this
@@ -118,8 +114,7 @@ type Config struct {
 // once per directory state and shared — the same pointer — by every
 // snapshot published until the scan next reports a change, so a folded
 // checkpoint (which only moves the live overlay) neither rebuilds these
-// graphs nor re-renders their bodies, and the snapshots in the SSE
-// replay ring hold one batch graph between them.
+// graphs nor re-renders their bodies.
 type batchView struct {
 	traces   []*trace.TaskTrace
 	manifest *trace.Manifest
@@ -236,8 +231,6 @@ type Server struct {
 	snapshotMisses  *obs.Counter
 	contribHits     *obs.Counter
 	contribMisses   *obs.Counter
-	windowHits      *obs.Counter
-	windowMisses    *obs.Counter
 	diagSyncNS      *obs.Histogram
 	diagReused      *obs.Counter
 	diagRecomputed  *obs.Counter
@@ -260,11 +253,6 @@ type Server struct {
 	walSegments     *obs.Gauge
 	queueDepth      *obs.Gauge
 	foldNS          *obs.Histogram
-
-	// timeAgg caches windowed aggregations (?window=) across snapshots
-	// so a live watcher polling a fixed window does not pay a full
-	// AggregateByTime rebuild on every folded checkpoint.
-	timeAgg *analyzer.TimeAggCache
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -305,8 +293,6 @@ func NewServer(cfg Config) (*Server, error) {
 		snapshotMisses:  reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "snapshot")),
 		contribHits:     reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "contribution")),
 		contribMisses:   reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "contribution")),
-		windowHits:      reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "window")),
-		windowMisses:    reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "window")),
 		diagSyncNS:      reg.Histogram("dayu_serve_diagnose_sync_ns", obs.LatencyBuckets()),
 		diagReused:      reg.Counter(obs.Name("dayu_serve_diagnose_scopes_total", "result", "reused")),
 		diagRecomputed:  reg.Counter(obs.Name("dayu_serve_diagnose_scopes_total", "result", "recomputed")),
@@ -332,8 +318,6 @@ func NewServer(cfg Config) (*Server, error) {
 		// there was one per shard: benchmark/stream.go reads it by that
 		// name for serve.fold_us.
 		foldNS: reg.Histogram(obs.Name("dayu_serve_shard_fold_ns", "shard", "0"), obs.LatencyBuckets()),
-
-		timeAgg: analyzer.NewTimeAggCache(0),
 
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -490,7 +474,7 @@ func (s *Server) maxBodyBytes() int64 {
 // it. Start must be called at most once.
 //
 // Repeated scan errors back off exponentially (doubling from Poll up
-// to MaxPollBackoff, with ±20% jitter) instead of hammering a broken
+// to maxPollBackoff, with ±20% jitter) instead of hammering a broken
 // directory at full poll frequency; one successful scan resets the
 // cadence. The current backoff state is surfaced by /healthz.
 func (s *Server) Start() {
@@ -528,14 +512,15 @@ func (s *Server) Start() {
 	}()
 }
 
+// maxPollBackoff caps the poll loop's error backoff.
+const maxPollBackoff = time.Minute
+
 // pollBackoff returns the rescan delay after the given number of
 // consecutive failures: Poll doubled per failure, capped at
-// MaxPollBackoff, jittered ±20% so recovering pollers do not stampede.
+// maxPollBackoff (or Poll, if longer), jittered ±20% so recovering
+// pollers do not stampede.
 func (s *Server) pollBackoff(failures int64) time.Duration {
-	maxDelay := s.cfg.MaxPollBackoff
-	if maxDelay <= 0 {
-		maxDelay = time.Minute
-	}
+	maxDelay := maxPollBackoff
 	if maxDelay < s.cfg.Poll {
 		maxDelay = s.cfg.Poll
 	}
@@ -812,19 +797,9 @@ func (s *Server) graphHandler(which string, live bool) http.HandlerFunc {
 			}
 			return cache, key, func() ([]byte, error) {
 				if windowNS > 0 {
-					// The cross-snapshot cache: when only a few tasks
-					// folded since the last render of this window, the
-					// fingerprint pass proves the windowed projection
-					// unchanged and the previous aggregation is reused
-					// (byte-identical output is the cache's contract).
-					agg, hit, err := s.timeAgg.Aggregate(g, "live-"+which, snap.id, windowNS)
+					agg, err := analyzer.AggregateByTime(g, windowNS)
 					if err != nil {
 						return nil, err
-					}
-					if hit {
-						s.windowHits.Inc()
-					} else {
-						s.windowMisses.Inc()
 					}
 					g = agg
 				}

@@ -291,7 +291,7 @@ echo "chaos: delta live view converged ($complete complete, 0 partial)"
 # current state immediately.
 curl -sS -N --max-time 5 "http://$addr/v1/live/events" >"$workdir/sse-restart.log" 2>/dev/null || true
 grep -q '^event: snapshot' "$workdir/sse-restart.log"
-grep -Eq '^id: [0-9]+' "$workdir/sse-restart.log"
+grep -Eq '^id: [0-9a-f]{64}$' "$workdir/sse-restart.log"
 echo "chaos: restarted server streams events"
 
 # Byte-identity: the recovered delta-fed live view matches the batch

@@ -85,12 +85,13 @@ test "$hits" -ge 1
 
 # --- events stream ---------------------------------------------------
 # A fresh SSE subscriber receives the current state immediately: at
-# least one `event: snapshot` carrying a numeric id. curl exits 28 when
-# --max-time cuts the (intentionally unbounded) stream — that's fine,
-# the captured prefix is what we assert on.
+# least one `event: snapshot` whose id is the served snapshot id. curl
+# exits 28 when --max-time cuts the (intentionally unbounded) stream —
+# that's fine, the captured prefix is what we assert on.
 curl -sS -N --max-time 5 "http://$addr/v1/live/events" >"$out/events.log" || true
 grep -q '^event: snapshot$' "$out/events.log"
-grep -Eq '^id: [0-9]+$' "$out/events.log"
+snapshot="$(curl -fsS -D - -o /dev/null "http://$addr/v1/live/ftg" | awk 'tolower($1) == "x-dayu-snapshot:" { gsub(/[^0-9a-f]/, "", $2); print $2 }')"
+grep -qx "id: $snapshot" "$out/events.log"
 grep -q '^data: ' "$out/events.log"
 echo "serve_smoke: /v1/live/events delivered a snapshot event"
 
