@@ -239,6 +239,11 @@ func cmdRun(args []string) error {
 		return err
 	}
 	res, err := eng.Run(spec)
+	if sink != nil {
+		// Records were queued during the run; deliver them before the
+		// manifest completes the server's view.
+		sink.Flush()
+	}
 	if err != nil {
 		return err
 	}
@@ -263,6 +268,9 @@ func cmdRun(args []string) error {
 		}
 		checkpoints, finals, dropped := sink.Stats()
 		fmt.Printf("streamed to %s: %d checkpoints, %d finals", *stream, checkpoints, finals)
+		if superseded := sink.Superseded(); superseded > 0 {
+			fmt.Printf(", %d superseded", superseded)
+		}
 		if dropped > 0 {
 			fmt.Printf(", %d dropped", dropped)
 		}

@@ -15,21 +15,32 @@ import (
 // records, both through the durable /v1/ingest path with the client's
 // usual retry policy.
 //
-// In delta mode the sink retains each task's last acknowledged
+// Delivery is off the caller's path. EmitCheckpoint and EmitFinal only
+// queue the trace and return; the Sink contract lets a sink retain an
+// emitted trace, because the tracer never mutates one it has handed
+// over. One sender goroutine, started when the queue becomes non-empty
+// and gone once it drains, delivers the queue in order, so a task's
+// records reach the server in the order they were emitted. The queue
+// holds at most one record per task: a newer checkpoint or the task's
+// final replaces a queued checkpoint, in the queued one's place, and
+// counts it as superseded — never as dropped, because checkpoints are
+// cumulative and the successor carries every row the replaced one had.
+// Nothing replaces a queued final. Flush waits for the queue to drain;
+// Stats, DeltaStats, Superseded and Err flush first, so they report
+// every record emitted before the call.
+//
+// In delta mode the sender retains each task's last acknowledged
 // checkpoint and ships only the rows changed since it (trace.Diff).
 // The first checkpoint of a task is always cumulative — the server
 // has no base to fold onto — and so is any checkpoint for which no
 // exact delta exists. When the server NACKs a delta because its
 // retained partial is at a different sequence (a crash, a restart, or
-// an eviction), the sink re-pushes the same checkpoint cumulatively at
-// the same sequence: the resync is one extra round trip, after which
-// delta framing resumes.
+// an eviction), the sender re-pushes the same checkpoint cumulatively
+// at the same sequence: the resync is one extra round trip, after
+// which delta framing resumes.
 //
-// Pushes are synchronous, as the Sink contract requires: the tracer
-// keeps profiling into the same buffers after EmitCheckpoint returns,
-// so the record must be encoded (and here, delivered) before
-// returning. A checkpoint that exhausts its retries is dropped — the
-// next checkpoint or the final supersedes it anyway — but an error is
+// A record that exhausts its retries is dropped — the task's next
+// checkpoint or its final supersedes it anyway — but an error is
 // retained for Err so the caller can report degraded streaming; a
 // permanent rejection takes precedence over an earlier transient
 // give-up because it indicates a protocol problem retries cannot fix.
@@ -39,18 +50,35 @@ import (
 type StreamSink struct {
 	client *Client
 	ctx    context.Context
+	delta  bool
 
-	mu           sync.Mutex
+	mu sync.Mutex
+	// queue is the records awaiting the sender, in first-enqueue order;
+	// queued indexes its checkpoints by task, the ones a newer record
+	// may replace. sending is set while a sender goroutine runs, which
+	// is whenever queue is non-empty; idle is signalled when it exits.
+	queue   []*pendingRecord
+	queued  map[string]*pendingRecord
+	sending bool
+	idle    *sync.Cond
+
 	err          error
 	errPermanent bool
-	delta        bool
 	bases        map[string]streamBase
 	checkpoints  int
 	deltas       int
 	resyncs      int
 	finals       int
 	dropped      int
+	superseded   int
 	pushedBytes  int64
+}
+
+// pendingRecord is one queued record: a checkpoint at seq, or a final.
+type pendingRecord struct {
+	t     *trace.TaskTrace
+	seq   uint64
+	final bool
 }
 
 // streamBase is a task's last acknowledged checkpoint, the diff base
@@ -76,13 +104,88 @@ func NewStreamSink(ctx context.Context, c *Client) *StreamSink {
 
 // NewStreamSinkOpts builds a sink with explicit options.
 func NewStreamSinkOpts(ctx context.Context, c *Client, opts StreamOptions) *StreamSink {
-	return &StreamSink{client: c, ctx: ctx, delta: opts.Delta, bases: make(map[string]streamBase)}
+	s := &StreamSink{
+		client: c, ctx: ctx, delta: opts.Delta,
+		queued: make(map[string]*pendingRecord),
+		bases:  make(map[string]streamBase),
+	}
+	s.idle = sync.NewCond(&s.mu)
+	return s
 }
 
-// EmitCheckpoint pushes one checkpoint record: cumulative, or — in
+// EmitCheckpoint queues one checkpoint record for delivery and returns.
+func (s *StreamSink) EmitCheckpoint(t *trace.TaskTrace, seq uint64) {
+	s.enqueue(pendingRecord{t: t, seq: seq})
+}
+
+// EmitFinal queues the completed trace record for delivery and returns.
+func (s *StreamSink) EmitFinal(t *trace.TaskTrace) {
+	s.enqueue(pendingRecord{t: t, final: true})
+}
+
+func (s *StreamSink) enqueue(rec pendingRecord) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p := s.queued[rec.t.Task]; p != nil {
+		*p = rec
+		s.superseded++
+		if rec.final {
+			delete(s.queued, rec.t.Task)
+		}
+	} else {
+		p := new(pendingRecord)
+		*p = rec
+		s.queue = append(s.queue, p)
+		if !rec.final {
+			s.queued[rec.t.Task] = p
+		}
+	}
+	if !s.sending {
+		s.sending = true
+		go s.send()
+	}
+}
+
+// send is the sender goroutine: it delivers queued records one at a
+// time, without holding the lock across a push, and exits once the
+// queue is empty.
+func (s *StreamSink) send() {
+	s.mu.Lock()
+	for len(s.queue) > 0 {
+		p := s.queue[0]
+		n := copy(s.queue, s.queue[1:])
+		s.queue[n] = nil
+		s.queue = s.queue[:n]
+		if !p.final {
+			delete(s.queued, p.t.Task)
+		}
+		s.mu.Unlock()
+		if p.final {
+			s.deliverFinal(p.t)
+		} else {
+			s.deliverCheckpoint(p.t, p.seq)
+		}
+		s.mu.Lock()
+	}
+	s.sending = false
+	s.idle.Broadcast()
+	s.mu.Unlock()
+}
+
+// Flush waits until every record emitted before the call has been
+// delivered or dropped.
+func (s *StreamSink) Flush() {
+	s.mu.Lock()
+	for s.sending {
+		s.idle.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// deliverCheckpoint pushes one checkpoint record: cumulative, or — in
 // delta mode, when the task has an acknowledged base and an exact diff
 // exists — delta-framed with resync fallback.
-func (s *StreamSink) EmitCheckpoint(t *trace.TaskTrace, seq uint64) {
+func (s *StreamSink) deliverCheckpoint(t *trace.TaskTrace, seq uint64) {
 	s.mu.Lock()
 	base, haveBase := s.bases[t.Task]
 	useDelta := s.delta && haveBase
@@ -129,8 +232,8 @@ func (s *StreamSink) EmitCheckpoint(t *trace.TaskTrace, seq uint64) {
 	s.acked(t, seq, false, int64(buf.Len()))
 }
 
-// EmitFinal pushes the completed trace record.
-func (s *StreamSink) EmitFinal(t *trace.TaskTrace) {
+// deliverFinal pushes the completed trace record.
+func (s *StreamSink) deliverFinal(t *trace.TaskTrace) {
 	var buf bytes.Buffer
 	if err := t.EncodeFormat(&buf, trace.FormatBinary); err != nil {
 		s.record(fmt.Errorf("stream final %s: %w", t.Task, err))
@@ -172,29 +275,41 @@ func (s *StreamSink) record(err error) {
 	}
 }
 
-// Err returns the retained delivery error, if any: the first permanent
-// rejection when one occurred, else the first transient give-up.
-// Streaming is best-effort per record, but the caller should know the
-// live view may be missing data.
+// Err flushes, then returns the retained delivery error, if any: the
+// first permanent rejection when one occurred, else the first transient
+// give-up. Streaming is best-effort per record, but the caller should
+// know the live view may be missing data.
 func (s *StreamSink) Err() error {
+	s.Flush()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
 }
 
-// Stats reports delivered checkpoint/final counts and records dropped
-// after exhausting retries.
+// Stats flushes, then reports delivered checkpoint/final counts and
+// records dropped after exhausting retries.
 func (s *StreamSink) Stats() (checkpoints, finals, dropped int) {
+	s.Flush()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.checkpoints, s.finals, s.dropped
 }
 
-// DeltaStats reports delta-mode bookkeeping: checkpoints that went out
-// delta-framed, resync round trips forced by server NACKs, and the
-// total encoded bytes of every delivered record.
+// DeltaStats flushes, then reports delta-mode bookkeeping: checkpoints
+// that went out delta-framed, resync round trips forced by server
+// NACKs, and the total encoded bytes of every delivered record.
 func (s *StreamSink) DeltaStats() (deltas, resyncs int, pushedBytes int64) {
+	s.Flush()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.deltas, s.resyncs, s.pushedBytes
+}
+
+// Superseded flushes, then reports the queued checkpoints a newer
+// record of the same task replaced before they were sent.
+func (s *StreamSink) Superseded() int {
+	s.Flush()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.superseded
 }

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dayu/internal/trace"
 )
@@ -35,12 +38,19 @@ type received struct {
 // captureServer acknowledges every push and decodes each body so tests
 // can assert the wire framing (incremental flag, checkpoint seq).
 func captureServer(t *testing.T) (*httptest.Server, func() []received) {
+	return captureServerWith(t, nil)
+}
+
+// captureServerWith is captureServer with a hook that runs on each
+// decoded push before it is recorded: returning false answers 503
+// instead, and the push is not recorded.
+func captureServerWith(t *testing.T, hook func(received) bool) (*httptest.Server, func() []received) {
 	t.Helper()
 	var mu sync.Mutex
 	var got []received
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body := make([]byte, r.ContentLength)
-		if _, err := r.Body.Read(body); err != nil && err.Error() != "EOF" {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
 			t.Errorf("read push body: %v", err)
 		}
 		tt, meta, err := trace.DecodeBytesMeta(body, trace.DecodeOptions{})
@@ -49,8 +59,13 @@ func captureServer(t *testing.T) (*httptest.Server, func() []received) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		rec := received{task: tt.Task, meta: meta}
+		if hook != nil && !hook(rec) {
+			http.Error(w, "synthetic outage", http.StatusServiceUnavailable)
+			return
+		}
 		mu.Lock()
-		got = append(got, received{task: tt.Task, meta: meta})
+		got = append(got, rec)
 		mu.Unlock()
 		ackHandler("accepted", tt.Task)(w, r)
 	}))
@@ -105,7 +120,9 @@ func TestStreamSinkDelivers(t *testing.T) {
 	}
 	sink := NewStreamSink(context.Background(), c)
 	sink.EmitCheckpoint(streamTrace("w/task"), 1)
+	sink.Flush()
 	sink.EmitCheckpoint(streamTrace("w/task"), 2)
+	sink.Flush()
 	sink.EmitFinal(streamTrace("w/task"))
 	if err := sink.Err(); err != nil {
 		t.Fatalf("sink error: %v", err)
@@ -148,7 +165,9 @@ func TestStreamSinkRecordsDropsAndFirstError(t *testing.T) {
 
 	setFail(true)
 	sink.EmitCheckpoint(streamTrace("w/task"), 1)
+	sink.Flush()
 	sink.EmitFinal(streamTrace("w/task"))
+	sink.Flush()
 	setFail(false)
 	sink.EmitCheckpoint(streamTrace("w/task"), 2)
 
@@ -190,8 +209,11 @@ func TestStreamSinkDeltaFraming(t *testing.T) {
 	}
 	sink := NewStreamSinkOpts(context.Background(), c, StreamOptions{Delta: true})
 	sink.EmitCheckpoint(streamTraceN("w/task", 0), 1)
+	sink.Flush()
 	sink.EmitCheckpoint(streamTraceN("w/task", 1), 2)
+	sink.Flush()
 	sink.EmitFinal(streamTraceN("w/task", 2))
+	sink.Flush()
 	sink.EmitCheckpoint(streamTraceN("w/task", 2), 3)
 	if err := sink.Err(); err != nil {
 		t.Fatalf("sink error: %v", err)
@@ -262,7 +284,9 @@ func TestStreamSinkDeltaResync(t *testing.T) {
 	}
 	sink := NewStreamSinkOpts(context.Background(), c, StreamOptions{Delta: true})
 	sink.EmitCheckpoint(streamTraceN("w/task", 0), 1)
+	sink.Flush()
 	sink.EmitCheckpoint(streamTraceN("w/task", 1), 2) // delta NACKed -> cumulative
+	sink.Flush()
 	sink.EmitCheckpoint(streamTraceN("w/task", 2), 3) // delta again, accepted
 	if err := sink.Err(); err != nil {
 		t.Fatalf("resync surfaced as an error: %v", err)
@@ -306,6 +330,7 @@ func TestStreamSinkDuplicateIsSuccess(t *testing.T) {
 	}
 	sink := NewStreamSink(context.Background(), c)
 	sink.EmitCheckpoint(streamTrace("w/task"), 1)
+	sink.Flush()
 	sink.EmitCheckpoint(streamTrace("w/task"), 1) // identical retry
 	if err := sink.Err(); err != nil {
 		t.Fatalf("duplicate ack surfaced as an error: %v", err)
@@ -373,4 +398,267 @@ func TestPermanentErrorWrapsCause(t *testing.T) {
 	if !errors.Is(pe, cause) {
 		t.Error("permanentError does not unwrap to its cause")
 	}
+}
+
+// TestStreamSinkEmitIndependentOfAckLatency pins that emitting costs
+// the traced task nothing like a round trip: against a server that
+// acknowledges after 50 ms every emit returns at once, and Stats, which
+// flushes, accounts for every checkpoint as delivered or superseded.
+func TestStreamSinkEmitIndependentOfAckLatency(t *testing.T) {
+	srv, recvd := captureServerWith(t, func(received) bool {
+		time.Sleep(50 * time.Millisecond)
+		return true
+	})
+	c, err := New(srv.URL, fastOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := NewStreamSinkOpts(context.Background(), c, StreamOptions{Delta: true})
+	tasks := []string{"w/a", "w/b", "w/c"}
+	var slowest time.Duration
+	timed := func(emit func()) {
+		t0 := time.Now()
+		emit()
+		if d := time.Since(t0); d > slowest {
+			slowest = d
+		}
+	}
+	var seq uint64
+	for round := 0; round < 10; round++ {
+		for _, task := range tasks {
+			seq++
+			tt, s := streamTraceN(task, round), seq
+			timed(func() { sink.EmitCheckpoint(tt, s) })
+		}
+	}
+	for _, task := range tasks {
+		tt := streamTraceN(task, 10)
+		timed(func() { sink.EmitFinal(tt) })
+	}
+	if slowest >= 10*time.Millisecond {
+		t.Errorf("slowest emit took %s against a 50ms ack: delivery is on the caller's path", slowest)
+	}
+	cks, finals, dropped := sink.Stats()
+	superseded := sink.Superseded()
+	if dropped != 0 || finals != len(tasks) || cks+superseded != int(seq) || superseded == 0 {
+		t.Fatalf("stats = %d checkpoints / %d finals / %d dropped / %d superseded, want %d delivered or superseded, some superseded, 3 finals",
+			cks, finals, dropped, superseded, seq)
+	}
+	if got := len(recvd()); got != cks+finals {
+		t.Fatalf("server received %d records, want %d", got, cks+finals)
+	}
+}
+
+// senderGoroutines counts running StreamSink sender goroutines.
+func senderGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	return strings.Count(string(buf[:n]), "(*StreamSink).send(")
+}
+
+// TestStreamSinkQueueHoldsOnePerTask pins the queue's rules behind a
+// record held in flight: a newer checkpoint replaces a task's queued
+// one in its place, the final replaces a queued checkpoint, nothing
+// replaces a queued final, and the sender goroutine exits once idle.
+func TestStreamSinkQueueHoldsOnePerTask(t *testing.T) {
+	arrived := make(chan string, 16)
+	release := make(chan struct{})
+	srv, recvd := captureServerWith(t, func(r received) bool {
+		arrived <- r.task
+		<-release
+		return true
+	})
+	c, err := New(srv.URL, fastOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := NewStreamSink(context.Background(), c)
+	if n := senderGoroutines(); n != 0 {
+		t.Fatalf("%d sender goroutines before the first emit", n)
+	}
+	sink.EmitCheckpoint(streamTrace("w/a"), 1)
+	<-arrived // w/a@1 is in flight and held
+
+	seq := uint64(1)
+	for i := 0; i < 20; i++ {
+		for _, task := range []string{"w/a", "w/b", "w/c"} {
+			seq++
+			sink.EmitCheckpoint(streamTrace(task), seq)
+		}
+	}
+	sink.EmitFinal(streamTrace("w/b"))
+	seq++
+	sink.EmitCheckpoint(streamTrace("w/b"), seq) // a reused name queues behind the final
+
+	sink.mu.Lock()
+	var queued []string
+	for _, p := range sink.queue {
+		queued = append(queued, fmt.Sprintf("%s@%d/final=%v", p.t.Task, p.seq, p.final))
+	}
+	superseded := sink.superseded
+	sink.mu.Unlock()
+	want := []string{"w/a@59/final=false", "w/b@0/final=true", "w/c@61/final=false", "w/b@62/final=false"}
+	if fmt.Sprint(queued) != fmt.Sprint(want) {
+		t.Errorf("queue = %v, want %v", queued, want)
+	}
+	if superseded != 58 {
+		t.Errorf("superseded = %d, want 58 (57 checkpoints by newer ones, 1 by the final)", superseded)
+	}
+	if n := senderGoroutines(); n != 1 {
+		t.Errorf("%d sender goroutines with a record in flight, want 1", n)
+	}
+
+	close(release)
+	cks, finals, dropped := sink.Stats()
+	if cks != 4 || finals != 1 || dropped != 0 {
+		t.Fatalf("stats = %d/%d/%d, want 4/1/0", cks, finals, dropped)
+	}
+	var wire []string
+	for _, r := range recvd() {
+		wire = append(wire, fmt.Sprintf("%s@%d/final=%v", r.task, r.meta.CheckpointSeq, !r.meta.Incremental))
+	}
+	if want := append([]string{"w/a@1/final=false"}, want...); fmt.Sprint(wire) != fmt.Sprint(want) {
+		t.Errorf("server received %v, want %v", wire, want)
+	}
+	for deadline := time.Now().Add(5 * time.Second); senderGoroutines() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the sender goroutine outlived the drained queue")
+		}
+	}
+}
+
+// TestStreamSinkFinalIsDeliveredLast pins delivery order under load:
+// each task's records reach the server in emit order with strictly
+// increasing checkpoint seqs, and its final is the last of them.
+func TestStreamSinkFinalIsDeliveredLast(t *testing.T) {
+	srv, recvd := captureServerWith(t, func(received) bool {
+		time.Sleep(time.Millisecond)
+		return true
+	})
+	c, err := New(srv.URL, fastOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := NewStreamSinkOpts(context.Background(), c, StreamOptions{Delta: true})
+	// Task i takes 3+2i checkpoints, so finals interleave with other
+	// tasks' checkpoints.
+	const tasks = 4
+	var seq uint64
+	for round := 0; round < 3+2*tasks; round++ {
+		for i := 0; i < tasks; i++ {
+			task := fmt.Sprintf("w/task%d", i)
+			switch {
+			case round < 3+2*i:
+				seq++
+				sink.EmitCheckpoint(streamTraceN(task, round), seq)
+			case round == 3+2*i:
+				sink.EmitFinal(streamTraceN(task, round))
+			}
+		}
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+	lastSeq := map[string]uint64{}
+	finals := map[string]bool{}
+	for _, r := range recvd() {
+		if finals[r.task] {
+			t.Fatalf("%s: a record arrived after the final", r.task)
+		}
+		if !r.meta.Incremental {
+			finals[r.task] = true
+			continue
+		}
+		if r.meta.CheckpointSeq <= lastSeq[r.task] {
+			t.Fatalf("%s: checkpoint %d arrived after %d", r.task, r.meta.CheckpointSeq, lastSeq[r.task])
+		}
+		lastSeq[r.task] = r.meta.CheckpointSeq
+	}
+	if len(finals) != tasks {
+		t.Fatalf("%d finals delivered, want %d", len(finals), tasks)
+	}
+}
+
+// TestStreamSinkDeltaBaseIsLastAcked pins the delta base: a delta is
+// framed against the last checkpoint the server acknowledged — not a
+// superseded one, which the server never saw, nor a dropped one.
+func TestStreamSinkDeltaBaseIsLastAcked(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var mu sync.Mutex
+	fail, held := false, false
+	srv, recvd := captureServerWith(t, func(received) bool {
+		mu.Lock()
+		f, hold := fail, !held
+		held = true
+		mu.Unlock()
+		if hold {
+			arrived <- struct{}{}
+			<-release
+		}
+		return !f
+	})
+	opts := fastOptions()
+	opts.MaxAttempts = 2
+	c, err := New(srv.URL, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := NewStreamSinkOpts(context.Background(), c, StreamOptions{Delta: true})
+	sink.EmitCheckpoint(streamTraceN("w/task", 0), 1)
+	<-arrived // @1 is in flight and held
+	sink.EmitCheckpoint(streamTraceN("w/task", 1), 2)
+	sink.EmitCheckpoint(streamTraceN("w/task", 2), 3) // supersedes @2
+	close(release)
+	sink.Flush()
+
+	mu.Lock()
+	fail = true
+	mu.Unlock()
+	sink.EmitCheckpoint(streamTraceN("w/task", 3), 4) // dropped
+	sink.Flush()
+	mu.Lock()
+	fail = false
+	mu.Unlock()
+	sink.EmitCheckpoint(streamTraceN("w/task", 4), 5)
+
+	cks, _, dropped := sink.Stats()
+	if cks != 3 || dropped != 1 || sink.Superseded() != 1 {
+		t.Fatalf("stats = %d checkpoints / %d dropped / %d superseded, want 3/1/1", cks, dropped, sink.Superseded())
+	}
+	var wire []string
+	for _, r := range recvd() {
+		wire = append(wire, fmt.Sprintf("@%d delta=%v base=%d", r.meta.CheckpointSeq, r.meta.Delta, r.meta.DeltaBaseSeq))
+	}
+	want := []string{"@1 delta=false base=0", "@3 delta=true base=1", "@5 delta=true base=3"}
+	if fmt.Sprint(wire) != fmt.Sprint(want) {
+		t.Fatalf("server received %v, want %v", wire, want)
+	}
+}
+
+// BenchmarkStreamSinkEmit measures what EmitCheckpoint costs the traced
+// task when the server acknowledges each push after about 300 µs.
+func BenchmarkStreamSinkEmit(b *testing.B) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		time.Sleep(300 * time.Microsecond)
+		ackHandler("accepted", "")(w, r)
+	}))
+	defer srv.Close()
+	c, err := New(srv.URL, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sink := NewStreamSinkOpts(context.Background(), c, StreamOptions{Delta: true})
+	traces := make([]*trace.TaskTrace, 8)
+	for i := range traces {
+		traces[i] = streamTraceN(fmt.Sprintf("w/task%d", i), 4)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink.EmitCheckpoint(traces[i%len(traces)], uint64(i+1))
+	}
+	b.StopTimer()
+	sink.Flush()
 }

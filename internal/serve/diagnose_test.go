@@ -75,13 +75,19 @@ func TestLiveDiagnosticsEqualFreshAnalyze(t *testing.T) {
 	}
 	defer func() { close(stop); readers.Wait() }()
 
+	cl, err := client.New(env.srv.URL, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := client.NewStreamSinkOpts(context.Background(), cl, client.StreamOptions{Delta: true})
 	records, converged := 0, 0
 	check := func() {
 		records++
-		// Nothing else is in flight, so once the record has folded and a
-		// rescan has run the published snapshot stands until the next
-		// record — and it is the only one the record announced, whenever
-		// the readers' refreshes ran.
+		// Once the record is delivered nothing else is in flight, so once
+		// it has folded and a rescan has run the published snapshot
+		// stands until the next record — and it is the only one the
+		// record announced, whenever the readers' refreshes ran.
+		sink.Flush()
 		waitWALDrained(t, env.s)
 		snap, err := env.s.Ingest()
 		if err != nil {
@@ -113,11 +119,6 @@ func TestLiveDiagnosticsEqualFreshAnalyze(t *testing.T) {
 		}
 	}
 
-	cl, err := client.New(env.srv.URL, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := client.NewStreamSinkOpts(context.Background(), cl, client.StreamOptions{Delta: true})
 	eng, err := workflow.NewEngine(workflow.Cluster{Machine: sim.MachineCPU, Nodes: 2}, nil,
 		tracer.Config{Sink: afterEachRecord{sink, check}, CheckpointOps: 8})
 	if err != nil {

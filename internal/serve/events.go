@@ -6,26 +6,29 @@ package serve
 //
 // Design constraints, in order:
 //
-//   - Ingest must never block on a slow consumer. Subscribers get a
-//     bounded buffer and a non-blocking fan-out; an overflowing
-//     subscriber is marked lagging and simply misses intermediate
-//     events. That is safe because every event carries the full
-//     current state (snapshot id + live diagnostics), never a diff —
-//     the next event a lagging client receives supersedes everything
-//     it missed. A skip is surfaced as an `event: lagged` line so the
-//     client knows intermediate states existed.
+//   - Ingest must never block on a slow consumer. Each subscriber has a
+//     mailbox of one and a non-blocking fan-out: a publish that finds
+//     the mailbox full replaces the undelivered snapshot and marks the
+//     subscriber lagging, so it simply misses intermediate events.
+//     That is safe because every event carries the full current state
+//     (snapshot id + live diagnostics), never a diff — the next event a
+//     lagging client receives supersedes everything it missed. A skip
+//     is surfaced as an `event: lagged` line so the client knows
+//     intermediate states existed.
 //   - Zero cost when unused. The broadcaster only tracks snapshots;
 //     payload rendering happens in the subscriber's handler goroutine
 //     through the snapshot render cache, so a deployment with no SSE
 //     clients never renders an event and the refresh path never waits
 //     on one.
 //   - Memory proportional to state, not to history. The broadcaster
-//     keeps only the newest event, so the served state is exactly one
-//     snapshot. An event's id is its snapshot id, the content address
-//     of the state it announces: equal ids mean equal states, across
-//     restarts too. Resume has one rule: a Last-Event-ID equal to the
-//     newest event's id gets nothing, any other value gets the newest
-//     event — correct because events are full-state.
+//     keeps only the newest event, and a subscriber at most one
+//     undelivered one, so the served state is one snapshot plus what
+//     slow subscribers are still writing. An event's id is its
+//     snapshot id, the content address of the state it announces:
+//     equal ids mean equal states, across restarts too. Resume has one
+//     rule: a Last-Event-ID equal to the newest event's id gets
+//     nothing, any other value gets the newest event — correct because
+//     events are full-state.
 //
 // Event schema (`event: snapshot`):
 //
@@ -46,7 +49,8 @@ import (
 	"dayu/internal/obs"
 )
 
-// eventSub is one /v1/live/events connection.
+// eventSub is one /v1/live/events connection. ch is its mailbox: it
+// holds at most the newest undelivered snapshot.
 type eventSub struct {
 	ch     chan *snapshot
 	lagged bool // guarded by the broadcaster's mutex
@@ -83,9 +87,10 @@ func newEventMetrics(reg *obs.Registry) eventMetrics {
 }
 
 // publish makes snap the newest event and, when its id differs from the
-// previous newest one's, fans it out non-blocking. Called from refresh
-// (single writer under ingestMu) with every snapshot it stores, so the
-// broadcaster never holds one the server has replaced; never blocks.
+// previous newest one's, puts it in every subscriber's mailbox, replacing
+// an undelivered one. Called from refresh (single writer under ingestMu)
+// with every snapshot it stores, so the broadcaster never holds one the
+// server has replaced; never blocks.
 func (b *eventsBroadcaster) publish(snap *snapshot) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -96,10 +101,12 @@ func (b *eventsBroadcaster) publish(snap *snapshot) {
 	}
 	for sub := range b.subs {
 		select {
-		case sub.ch <- snap:
-		default:
+		case <-sub.ch:
 			sub.lagged = true
+		default:
 		}
+		// Only publish sends, under b.mu, and the mailbox is now empty.
+		sub.ch <- snap
 	}
 }
 
@@ -113,7 +120,7 @@ func (b *eventsBroadcaster) subscribe(lastID string) (*eventSub, *snapshot) {
 	if b.subs == nil {
 		b.subs = map[*eventSub]struct{}{}
 	}
-	sub := &eventSub{ch: make(chan *snapshot, 16)}
+	sub := &eventSub{ch: make(chan *snapshot, 1)}
 	b.subs[sub] = struct{}{}
 	if b.newest == nil || b.newest.id == lastID {
 		return sub, nil

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -468,6 +469,9 @@ func TestEventsBroadcaster(t *testing.T) {
 	if len(sub.ch) != cap(sub.ch) {
 		t.Errorf("subscriber buffer holds %d, want full %d", len(sub.ch), cap(sub.ch))
 	}
+	if got, want := (<-sub.ch).id, fmt.Sprintf("snap-%d", 41+cap(sub.ch)); got != want {
+		t.Errorf("subscriber mailbox holds %s, want the newest %s", got, want)
+	}
 	b.unsubscribe(sub)
 }
 
@@ -492,4 +496,113 @@ func TestBroadcasterRetainsOnlyNewest(t *testing.T) {
 		t.Errorf("%d of %d published snapshots collected, want %d (only the newest stays)", got, published, want)
 	}
 	runtime.KeepAlive(b)
+}
+
+// stalledWriter is an SSE connection that has stopped reading: every
+// Write blocks until release closes.
+type stalledWriter struct {
+	header  http.Header
+	stalled chan struct{} // signalled as a Write blocks
+	release chan struct{}
+
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Flush()              {}
+
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	select {
+	case w.stalled <- struct{}{}:
+	default:
+	}
+	<-w.release
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+
+func (w *stalledWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
+
+// TestSlowSubscriberHoldsOneSnapshot pins the subscriber mailbox: a
+// subscriber that does not read keeps at most one snapshot reachable,
+// the newest, and once it reads again it gets `event: lagged` and then
+// only the newest event.
+func TestSlowSubscriberHoldsOneSnapshot(t *testing.T) {
+	const published = 64
+	b := &eventsBroadcaster{}
+	sub, _ := b.subscribe("")
+	var collected atomic.Int64
+	for i := 1; i <= published; i++ {
+		snap := &snapshot{id: fmt.Sprintf("snap-%d", i), batchView: &batchView{}}
+		runtime.SetFinalizer(snap, func(*snapshot) { collected.Add(1) })
+		b.publish(snap)
+	}
+	const want = published - 1 // the newest, in b.newest and the mailbox
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < want && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != want {
+		t.Errorf("%d of %d snapshots collected with a subscriber not reading, want %d", got, published, want)
+	}
+	runtime.KeepAlive(sub)
+	runtime.KeepAlive(b)
+
+	// The same through the handler, with the connection stalled in the
+	// write of its first event while three states are published.
+	s, srv := sseEnv(t)
+	w := &stalledWriter{header: http.Header{}, stalled: make(chan struct{}, 1), release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.handleLiveEvents(w, httptest.NewRequest(http.MethodGet, "/v1/live/events", nil).WithContext(ctx))
+	}()
+	<-w.stalled
+	first, err := s.current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if status, _, _ := postIngest(t, srv, encodeCheckpoint(t, liveTask(fmt.Sprintf("stalled_%d", i)), uint64(i))); status != http.StatusOK {
+			t.Fatalf("push %d = %d", i, status)
+		}
+		waitLiveCounts(t, srv, i, 24)
+	}
+	newest := waitLiveCounts(t, srv, 3, 24).Get("X-Dayu-Snapshot")
+	close(w.release)
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(w.String(), "id: "+newest+"\n"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the newest event %s never reached the resumed subscriber:\n%s", newest, w.String())
+		}
+	}
+	cancel()
+	<-done
+
+	var got []string
+	for _, frame := range strings.Split(w.String(), "\n\n") {
+		var id, event string
+		for _, line := range strings.Split(frame, "\n") {
+			if v, ok := strings.CutPrefix(line, "id: "); ok {
+				id = v
+			}
+			if v, ok := strings.CutPrefix(line, "event: "); ok {
+				event = v
+			}
+		}
+		if event != "" {
+			got = append(got, strings.TrimSpace(event+" "+id))
+		}
+	}
+	if want := []string{"snapshot " + first.id, "lagged", "snapshot " + newest}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("stalled subscriber received %v, want %v", got, want)
+	}
 }

@@ -288,7 +288,7 @@ func (s *Server) diagnoseHandler(live bool) http.HandlerFunc {
 func (snap *snapshot) diagnoseRender(live bool, horizonNS int64) (*renderCache, string, renderFunc) {
 	switch {
 	case horizonNS > 0:
-		return &snap.liveRendered, fmt.Sprintf("live-diagnose.h%d", horizonNS), func() ([]byte, error) {
+		return &snap.liveRendered, paramKey("live-diagnose.horizon", horizonNS), func() ([]byte, error) {
 			return snap.diagnoseFromScratch(horizonTraces(snap.liveTraces, horizonNS))
 		}
 	case snap.partialTasks == 0:

@@ -22,7 +22,11 @@ import (
 	"dayu/internal/graph"
 	"dayu/internal/obs"
 	"dayu/internal/serve/client"
+	"dayu/internal/sim"
 	"dayu/internal/trace"
+	"dayu/internal/tracer"
+	"dayu/internal/workflow"
+	"dayu/internal/workloads"
 )
 
 // livePairs maps each live endpoint to the batch endpoint it must
@@ -387,6 +391,87 @@ func TestLiveStreamEquivalence(t *testing.T) {
 	}
 	if !t.Failed() {
 		t.Log("STREAM-EQUIVALENCE: live snapshot byte-identical to batch across 3 delivery orders and 3 delta framing modes")
+	}
+}
+
+// TestLiveStreamSinkEquivalence is the streaming gate through the
+// stock client: a DDMD run streamed by client.StreamSink, cumulative and
+// delta, into a server whose folder is held back, so that pushes meet
+// backpressure and queued checkpoints are superseded, converges to the
+// bytes of the batch pipeline over the server's directory and over the
+// traces the run itself returned. afterEachRecord is diagnose_test.go's.
+func TestLiveStreamSinkEquivalence(t *testing.T) {
+	for _, delta := range []bool{false, true} {
+		delta := delta
+		t.Run(fmt.Sprintf("delta=%v", delta), func(t *testing.T) {
+			env := newPushEnv(t, func(cfg *Config) {
+				cfg.IngestQueue = 1
+				cfg.RetryAfter = time.Millisecond // rounds to Retry-After: 0 — the client retries at its own backoff
+				cfg.foldHook = func(foldJob) { time.Sleep(2 * time.Millisecond) }
+			})
+			cl, err := client.New(env.srv.URL, client.Options{
+				MaxAttempts:    200,
+				InitialBackoff: time.Millisecond,
+				MaxBackoff:     5 * time.Millisecond,
+				Rand:           rand.New(rand.NewSource(1)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := client.NewStreamSinkOpts(context.Background(), cl, client.StreamOptions{Delta: delta})
+			// Every third record waits for the queue to drain, so each task
+			// gets several checkpoints through (deltas need two) while the
+			// records between queue up behind one in flight.
+			emitted := 0
+			paced := afterEachRecord{sink, func() {
+				if emitted++; emitted%3 == 0 {
+					sink.Flush()
+				}
+			}}
+			eng, err := workflow.NewEngine(workflow.Cluster{Machine: sim.MachineCPU, Nodes: 2}, nil,
+				tracer.Config{Sink: paced, CheckpointOps: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, setup := workloads.DDMD(workloads.DDMDConfig{SimTasks: 2, ContactMapBytes: 32 << 10, SmallBytes: 4 << 10, Epochs: 2})
+			if err := setup(eng); err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink.Flush()
+			local := t.TempDir()
+			if err := res.SaveTraces(local, trace.FormatBinary); err != nil {
+				t.Fatal(err)
+			}
+			pushManifest(t, env.srv, local)
+			waitTasks(t, env.s, len(res.Traces))
+			waitWALDrained(t, env.s)
+
+			if err := sink.Err(); err != nil {
+				t.Fatalf("sink error: %v", err)
+			}
+			checkpoints, finals, dropped := sink.Stats()
+			deltas, _, _ := sink.DeltaStats()
+			superseded := sink.Superseded()
+			if dropped != 0 || finals != len(res.Traces) || superseded == 0 || delta != (deltas > 0) {
+				t.Fatalf("sink sent %d checkpoints (%d deltas), %d finals, dropped %d, superseded %d; want %d finals, 0 dropped, some superseded, deltas only in delta mode",
+					checkpoints, deltas, finals, dropped, superseded, len(res.Traces))
+			}
+			bodies := checkLiveConverged(t, env.srv, env.dir, fmt.Sprintf("delta=%v", delta))
+			want := batchExpect(t, local)
+			for live, batch := range livePairs {
+				if !bytes.Equal(bodies[live], want[batch]) {
+					t.Errorf("GET %s differs from the batch build over the run's own traces", live)
+				}
+			}
+			t.Logf("%d checkpoints (%d deltas) and %d finals delivered, %d checkpoints superseded", checkpoints, deltas, finals, superseded)
+		})
+	}
+	if !t.Failed() {
+		t.Log("STREAM-EQUIVALENCE (sink): live snapshot byte-identical to batch and to BuildFTG/BuildSDG over the run's traces, cumulative and delta, with superseded checkpoints")
 	}
 }
 
@@ -782,6 +867,54 @@ func TestLiveWindowedRenderMatchesAggregate(t *testing.T) {
 				t.Errorf("snapshot %d: %s differs from a fresh server's", i+1, path)
 			}
 		}
+	}
+}
+
+// TestLiveRenderCacheBounded pins the render cache against a client
+// sweeping parameter values on an idle server: the snapshot keeps one
+// body per parameterized endpoint, the latest, so its entry count stays
+// constant, and repeating the last value is a response-cache hit.
+func TestLiveRenderCacheBounded(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := mustServer(t, Config{Dir: writeFixtureDir(t), PlanOptions: testPlanOpts, Registry: reg})
+	defer s.Close()
+	snap, err := s.current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, rec.Code)
+		}
+		if got := rec.Header().Get("X-Dayu-Snapshot"); got != snap.id {
+			t.Fatalf("GET %s served snapshot %s on an idle server, want %s", path, got, snap.id)
+		}
+	}
+	entries := func() int {
+		snap.liveRendered.mu.Lock()
+		defer snap.liveRendered.mu.Unlock()
+		return len(snap.liveRendered.entries)
+	}
+	get("/v1/live/diagnostics?horizon=1ns")
+	get("/v1/live/ftg?window=1ns")
+	want := entries()
+	for h := 2; h <= 10000; h++ {
+		get(fmt.Sprintf("/v1/live/diagnostics?horizon=%dns", h))
+		if h <= 100 {
+			get(fmt.Sprintf("/v1/live/ftg?window=%dns", h))
+		}
+	}
+	if got := entries(); got != want {
+		t.Errorf("live render cache holds %d entries after the sweep, want %d", got, want)
+	}
+	hits := reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "response"))
+	before := hits.Value()
+	get("/v1/live/diagnostics?horizon=10000ns")
+	if hits.Value() != before+1 {
+		t.Error("repeating the last horizon was not a response-cache hit")
 	}
 }
 

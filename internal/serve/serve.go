@@ -163,8 +163,8 @@ type snapshot struct {
 	findings *diagnose.View
 
 	// liveRendered caches "tasks" (it names the snapshot id) and every
-	// "live-…" key: the overlay graphs and diagnostics, windowed and
-	// horizon-restricted renders.
+	// "live-…" key: the overlay graphs and diagnostics, and the latest
+	// windowed and horizon-restricted renders.
 	liveRendered renderCache
 }
 
@@ -655,9 +655,18 @@ func limitBody(h http.Handler, limit int64) http.Handler {
 // for different keys never wait for each other (a dashboard's graph
 // read must not queue behind the SSE goroutine's diagnose render of the
 // same snapshot). The zero value is ready.
+//
+// A key made by paramKey names one value of a request parameter, which a
+// client may sweep: the cache keeps one such body per slot, the latest
+// asked for, so its size is bounded by the endpoints, not by the values.
 type renderCache struct {
 	mu      sync.Mutex // guards entries, never held across a compute
 	entries map[string]*renderEntry
+}
+
+// paramKey is the render key of one value of a parameterized body.
+func paramKey(slot string, param int64) string {
+	return slot + "@" + strconv.FormatInt(param, 10)
 }
 
 type renderEntry struct {
@@ -682,6 +691,14 @@ func (c *renderCache) get(key string, compute renderFunc) (body []byte, hit bool
 	if !hit {
 		if c.entries == nil {
 			c.entries = map[string]*renderEntry{}
+		}
+		if slot, _, ok := strings.Cut(key, "@"); ok {
+			// Evict the slot's previous value; entries stays small.
+			for k := range c.entries {
+				if strings.HasPrefix(k, slot+"@") {
+					delete(c.entries, k)
+				}
+			}
 		}
 		e = &renderEntry{}
 		c.entries[key] = e
@@ -791,7 +808,7 @@ func (s *Server) graphHandler(which string, live bool) http.HandlerFunc {
 			cache, key := &snap.rendered, which+"."+format
 			switch {
 			case windowNS > 0:
-				cache, key = &snap.liveRendered, fmt.Sprintf("live-%s.w%d.%s", which, windowNS, format)
+				cache, key = &snap.liveRendered, paramKey("live-"+key+".window", windowNS)
 			case live && snap.partialTasks > 0:
 				cache, key = &snap.liveRendered, "live-"+key
 			}

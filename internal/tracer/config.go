@@ -41,10 +41,9 @@ type Config struct {
 	// mid-task checkpoints every CheckpointOps observed file
 	// operations, and — emitted by the workflow engine once attempt
 	// and failure accounting is final — the completed trace.
-	// Implementations must be safe for concurrent use: parallel stages
-	// share one Sink across their per-task tracers, and must consume
-	// (or copy) each record synchronously — the tracer keeps profiling
-	// into the same buffers after EmitCheckpoint returns.
+	// Implementations must be safe for concurrent use, because parallel
+	// stages share one Sink across their per-task tracers, and must not
+	// block on delivery (see Sink).
 	Sink Sink `json:"-"`
 	// CheckpointOps is the file-operation period between streamed
 	// checkpoints; 0 disables mid-task checkpoints (finals still

@@ -26,6 +26,11 @@ import (
 // checkpoints of one task also grow monotonically (rows accumulate,
 // the I/O trace only appends), which is what makes record-level deltas
 // between consecutive checkpoints exact (trace.Diff).
+//
+// Emit* run on the traced task's path, inside the operation that
+// triggered the checkpoint, so they must not block on delivery: a sink
+// that ships records elsewhere queues them and delivers them on its own
+// goroutine.
 type Sink interface {
 	EmitCheckpoint(t *trace.TaskTrace, seq uint64)
 	EmitFinal(t *trace.TaskTrace)
