@@ -38,8 +38,8 @@ func benchBuild(b *testing.B, build func([]*trace.TaskTrace, *trace.Manifest) *g
 }
 
 // BenchmarkMergeContributions is the merge alone, over contributions
-// built once: what `dayu serve` pays per batch view and per live
-// overlay once its contribution cache is warm.
+// built once: what `dayu serve` pays per batch view and per live view
+// once its contribution cache is warm.
 func BenchmarkMergeContributions(b *testing.B) {
 	for _, tasks := range []int{1000, 3000} {
 		traces, m := workloads.GenerateSyntheticTraces(workloads.SyntheticTraceConfig{Tasks: tasks})

@@ -43,8 +43,8 @@ func buildContributions(ordered []*trace.TaskTrace, parallelism int, build func(
 // mergeContributions folds contributions into a new graph in task
 // order: the sequence of AddNode/AddEdge calls a build visiting the
 // tasks one by one performs, into a graph sized from the occurrence
-// counts. It is the analyzer's only graph assembly — batch builds,
-// serve's batch view and its live overlay all end here — and serial on
+// counts. It is the analyzer's only graph assembly — batch builds and
+// serve's batch and live views all end here — and serial on
 // purpose: sharding it across workers measured 0.92x of this fold on
 // two cores and allocated more (DESIGN.md, "Graph builders").
 func mergeContributions(name string, contribs []Contribution) *graph.Graph {

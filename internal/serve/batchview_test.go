@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -78,8 +80,8 @@ func TestRenderCacheSingleFlightPerKey(t *testing.T) {
 		responseHits:   reg.Counter("hits"),
 		responseMisses: reg.Counter("misses"),
 	}
-	snap := &snapshot{batchView: &batchView{}}
-	for name, cache := range map[string]*renderCache{"batch": &snap.rendered, "live": &snap.liveRendered} {
+	snap := &snapshot{batch: &view{}, live: &view{}}
+	for name, cache := range map[string]*renderCache{"batch": &snap.batch.rendered, "live": &snap.live.rendered} {
 		hits0, misses0 := s.responseHits.Value(), s.responseMisses.Value()
 		started, release := make(chan struct{}), make(chan struct{})
 		var computes atomic.Int32
@@ -185,11 +187,11 @@ func TestBatchViewSharedAcrossCheckpoints(t *testing.T) {
 		if snap == prev || snap.id == prev.id {
 			t.Fatalf("checkpoint %d published no new snapshot", i)
 		}
-		if snap.batchView != first.batchView || snap.ftg != first.ftg || snap.sdg != first.sdg {
+		if snap.batch != first.batch || snap.batch.ftg != first.batch.ftg || snap.batch.sdg != first.batch.sdg {
 			t.Fatalf("checkpoint %d rebuilt the batch view", i)
 		}
-		if snap.partialTasks != 1 || snap.liveFTG == snap.ftg || snap.liveSDG == snap.sdg {
-			t.Fatalf("checkpoint %d: partialTasks=%d, live graphs alias batch: %v", i, snap.partialTasks, snap.liveFTG == snap.ftg)
+		if snap.partialTasks != 1 || snap.live.ftg == snap.batch.ftg || snap.live.sdg == snap.batch.sdg {
+			t.Fatalf("checkpoint %d: partialTasks=%d, live graphs alias batch: %v", i, snap.partialTasks, snap.live.ftg == snap.batch.ftg)
 		}
 		if got := get(t, env.srv, "/v1/ftg"); !bytes.Equal(got, ftgBody) {
 			t.Fatalf("checkpoint %d changed /v1/ftg", i)
@@ -207,7 +209,7 @@ func TestBatchViewSharedAcrossCheckpoints(t *testing.T) {
 	// previous snapshots keep theirs.
 	expectNew := func(what string, snap *snapshot) *snapshot {
 		t.Helper()
-		if snap.batchView == prev.batchView || snap.ftg == prev.ftg || snap.sdg == prev.sdg {
+		if snap.batch == prev.batch || snap.batch.ftg == prev.batch.ftg || snap.batch.sdg == prev.batch.sdg {
 			t.Fatalf("%s: batch view not rebuilt", what)
 		}
 		checkAllEndpoints(t, env.srv, dir, what)
@@ -215,11 +217,11 @@ func TestBatchViewSharedAcrossCheckpoints(t *testing.T) {
 		return snap
 	}
 	landed := expectNew("final landing", foldAndIngest(t, s, encodeFinal(t, live)))
-	if landed.partialTasks != 0 || landed.liveFTG != landed.ftg || landed.liveSDG != landed.sdg {
+	if landed.partialTasks != 0 || landed.live.ftg != landed.batch.ftg || landed.live.sdg != landed.batch.sdg {
 		t.Errorf("final landing: partialTasks=%d, live graphs do not alias batch", landed.partialTasks)
 	}
-	if first.batchView == landed.batchView || len(first.traces) != 24 || len(landed.traces) != 25 {
-		t.Errorf("earlier snapshot's batch view was disturbed: %d -> %d traces", len(first.traces), len(landed.traces))
+	if first.batch == landed.batch || len(first.batch.traces) != 24 || len(landed.batch.traces) != 25 {
+		t.Errorf("earlier snapshot's batch view was disturbed: %d -> %d traces", len(first.batch.traces), len(landed.batch.traces))
 	}
 
 	paths, err := filepath.Glob(filepath.Join(dir, "*.trace.json"))
@@ -259,6 +261,108 @@ func TestBatchViewSharedAcrossCheckpoints(t *testing.T) {
 	expectNew("manifest change", ingest())
 }
 
+// TestRenderPlacement pins where each body is cached. While a
+// checkpoint is retained, every batch endpoint answers the batch build
+// of the directory alone (/v1/diagnose then runs Analyze from scratch),
+// and /v1/tasks names the snapshot it was served from, so its body must
+// not land in the batch view that partial-only refreshes share. Once the
+// final lands, each live endpoint is a response-cache hit on the body
+// its batch twin rendered.
+func TestRenderPlacement(t *testing.T) {
+	env, reg := fixtureEnv(t)
+	s, dir := env.s, env.dir
+	live := liveTask("zz_live")
+	for i := 1; i <= 3; i++ {
+		live.EndNS++
+		snap := foldAndIngest(t, s, encodeCheckpoint(t, checkpointTrace(live, 1.0), uint64(i)))
+		if snap.partialTasks != 1 {
+			t.Fatalf("checkpoint %d: partialTasks=%d, want 1", i, snap.partialTasks)
+		}
+		phase := fmt.Sprintf("checkpoint %d", i)
+		checkAllEndpoints(t, env.srv, dir, phase)
+		body, hdr := getHdr(t, env.srv, "/v1/tasks")
+		var listed struct {
+			Snapshot string `json:"snapshot"`
+		}
+		if err := json.Unmarshal(body, &listed); err != nil {
+			t.Fatal(err)
+		}
+		if listed.Snapshot != hdr.Get("X-Dayu-Snapshot") || listed.Snapshot != snap.id {
+			t.Errorf("%s: /v1/tasks names snapshot %s, served as %s, published %s",
+				phase, listed.Snapshot, hdr.Get("X-Dayu-Snapshot"), snap.id)
+		}
+	}
+
+	foldAndIngest(t, s, encodeFinal(t, live))
+	hits := reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "response"))
+	pairs := map[string]string{"/v1/live/diagnostics": "/v1/diagnose"}
+	for _, g := range []string{"ftg", "sdg"} {
+		for _, format := range []string{"json", "dot", "html", "svg"} {
+			pairs["/v1/live/"+g+"?format="+format] = "/v1/" + g + "?format=" + format
+		}
+	}
+	for livePath, batchPath := range pairs {
+		want := get(t, env.srv, batchPath)
+		before := hits.Value()
+		if got := get(t, env.srv, livePath); !bytes.Equal(got, want) {
+			t.Errorf("%s differs from %s after the final landed", livePath, batchPath)
+		}
+		if hits.Value() != before+1 {
+			t.Errorf("%s was not a response-cache hit on the body %s rendered", livePath, batchPath)
+		}
+	}
+}
+
+// TestPlanRenderCacheBounded pins /v1/plan to the one-body-per-slot
+// rule: the batch view lives across every partial-only refresh and
+// ?tier= is free text, so a client sweeping ?nodes= and ?tier= on an
+// idle server must leave the batch render cache's entry count constant,
+// and repeating the last request must be a response-cache hit.
+func TestPlanRenderCacheBounded(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := mustServer(t, Config{Dir: writeFixtureDir(t), PlanOptions: testPlanOpts, Registry: reg})
+	defer s.Close()
+	snap, err := s.current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, rec.Code)
+		}
+		if got := rec.Header().Get("X-Dayu-Snapshot"); got != snap.id {
+			t.Fatalf("GET %s served snapshot %s on an idle server, want %s", path, got, snap.id)
+		}
+	}
+	entries := func() int {
+		snap.batch.rendered.mu.Lock()
+		defer snap.batch.rendered.mu.Unlock()
+		return len(snap.batch.rendered.entries)
+	}
+	get("/v1/plan")
+	want := entries()
+	for n := 1; n <= 300; n++ {
+		get(fmt.Sprintf("/v1/plan?nodes=%d", n))
+	}
+	last := ""
+	for i := 0; i < 50; i++ {
+		last = fmt.Sprintf("/v1/plan?tier=tier-%d@x&nodes=%d", i, i+1)
+		get(last)
+	}
+	if got := entries(); got != want {
+		t.Errorf("batch render cache holds %d entries after the sweep, want %d", got, want)
+	}
+	hits := reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "response"))
+	before := hits.Value()
+	get(last)
+	if hits.Value() != before+1 {
+		t.Error("repeating the last plan request was not a response-cache hit")
+	}
+}
+
 // inflightOverriding builds an in-flight task (not in the manifest, so
 // ordered last) that re-describes a shared input dataset several final
 // tasks map: in the live view those tasks get SDG contributions under a
@@ -284,12 +388,13 @@ func inflightOverriding(file string, reads int64) *trace.TaskTrace {
 	}
 }
 
-// TestPartialRefreshKeepsBatchContributions pins the prune rule by
-// exact contribution-miss counts — the ones the pre-sharing builder
-// (which gathered the batch view on every refresh) counts for the same
-// sequence. Partial-only refreshes gather the live overlay alone; if
-// pruning after them dropped what the batch view was built from, the
-// directory changes at the end would recompute it and miss more.
+// TestPartialRefreshKeepsBatchContributions pins the contribution cache
+// rule by exact contribution-miss counts — the ones the pre-sharing
+// builder (which gathered the batch view on every refresh) counts for
+// the same sequence. Partial-only refreshes build the live view alone;
+// if the snapshots they publish dropped what the batch view was built
+// from, the directory changes at the end would recompute it and miss
+// more.
 func TestPartialRefreshKeepsBatchContributions(t *testing.T) {
 	env, reg := fixtureEnv(t)
 	s, dir := env.s, env.dir
@@ -375,9 +480,9 @@ func TestPartialRefreshKeepsBatchContributions(t *testing.T) {
 	step("final landing", 2, func() { foldAndIngest(t, s, encodeFinal(t, inflight)) })
 	checkAllEndpoints(t, env.srv, dir, "after landing")
 
-	// The overlay dissolved: nothing but the batch view's
+	// The live view dissolved: nothing but the batch view's
 	// contributions stays cached.
-	if ftg, sdg := len(s.cache.ftg), len(s.cache.sdg); ftg != 25 || sdg != 25 {
+	if ftg, sdg := retained(s.snap.Load()); ftg != 25 || sdg != 25 {
 		t.Errorf("converged caches hold %d FTG / %d SDG contributions, want 25 / 25", ftg, sdg)
 	}
 }
@@ -396,7 +501,7 @@ func TestContributionCachesBoundedUnderCheckpointStream(t *testing.T) {
 		if i%100 != 0 {
 			continue
 		}
-		if ftg, sdg := len(s.cache.ftg), len(s.cache.sdg); ftg > 24+1 || sdg > 24+1 {
+		if ftg, sdg := retained(s.snap.Load()); ftg > 24+1 || sdg > 24+1 {
 			t.Fatalf("after %d checkpoints the caches hold %d FTG / %d SDG contributions, want <= 25", i, ftg, sdg)
 		}
 	}

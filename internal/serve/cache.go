@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"dayu/internal/analyzer"
 	"dayu/internal/trace"
 )
 
@@ -63,50 +62,21 @@ func parseManifest(path string) (fileEntry, error) {
 	return fileEntry{hash: hash, manifest: m}, err
 }
 
-// view names the half of a snapshot a contribution pass builds: the
-// batch view (final traces on disk) or the live overlay (the same set
-// extended with retained checkpoints). The cache remembers the keys the
-// latest pass of each view touched; prune keeps their union.
-type view int
-
-const (
-	batchPass view = iota
-	livePass
-	numViews
-)
-
-// sdgKey addresses one cached SDG contribution: the trace content hash
-// plus the fingerprint of the object descriptions the task references.
+// sdgKey addresses one SDG contribution: the trace content hash plus
+// the fingerprint of the object descriptions the task references.
 type sdgKey struct{ trace, descs string }
 
-// passKeys is what one pass of one view touched in the caches.
-type passKeys struct {
-	ftg map[string]bool
-	sdg map[sdgKey]bool
-}
-
-// buildCache is everything the snapshot builder keeps between builds:
-// the parsed files and the per-task graph contributions, all keyed by
-// content. It belongs to whoever holds Server.ingestMu.
+// buildCache is the parsed files the snapshot builder keeps between
+// builds, keyed by content. It belongs to whoever holds
+// Server.ingestMu. The per-task graph contributions are not here: the
+// published snapshot's views hold them (see view).
 type buildCache struct {
 	files    map[string]fileEntry // trace files by path
 	manifest fileEntry            // Dir/manifest.json
-	ftg      map[string]analyzer.Contribution
-	sdg      map[sdgKey]analyzer.Contribution
-
-	// The keys each view's latest pass touched: the working set the
-	// contribution caches are trimmed to, so superseded revisions never
-	// accumulate while everything a published view was built from stays
-	// cached.
-	used [numViews]passKeys
 }
 
 func newBuildCache() *buildCache {
-	return &buildCache{
-		files: map[string]fileEntry{},
-		ftg:   map[string]analyzer.Contribution{},
-		sdg:   map[sdgKey]analyzer.Contribution{},
-	}
+	return &buildCache{files: map[string]fileEntry{}}
 }
 
 // scanItem is one trace file of a directory listing.
@@ -158,62 +128,4 @@ func (c *buildCache) paths() []string {
 	}
 	sort.Strings(paths)
 	return paths
-}
-
-// contribute returns the FTG and SDG contributions of an ordered trace
-// set, position by position, on behalf of one view: from the caches
-// where the trace hash — and, for SDGs, the fingerprint of the object
-// descriptions the task references — is known, computed and installed
-// where not. descs must come from analyzer.BuildObjectDescs over the
-// FULL ordered set. misses counts the installs out of the pass's two
-// lookups per task; the keys touched replace the view's working set.
-func (c *buildCache) contribute(v view, ordered []*trace.TaskTrace, hashOf func(*trace.TaskTrace) string,
-	descs analyzer.ObjectDescs, opts analyzer.Options) (ftg, sdg []analyzer.Contribution, misses int) {
-	ftg = make([]analyzer.Contribution, len(ordered))
-	sdg = make([]analyzer.Contribution, len(ordered))
-	used := passKeys{
-		ftg: make(map[string]bool, len(ordered)),
-		sdg: make(map[sdgKey]bool, len(ordered)),
-	}
-	for i, tt := range ordered {
-		key := sdgKey{trace: hashOf(tt), descs: descs.Fingerprint(tt)}
-		used.ftg[key.trace], used.sdg[key] = true, true
-		var ok bool
-		if ftg[i], ok = c.ftg[key.trace]; !ok {
-			ftg[i] = analyzer.FTGContribution(tt)
-			c.ftg[key.trace] = ftg[i]
-			misses++
-		}
-		if sdg[i], ok = c.sdg[key]; !ok {
-			sdg[i] = analyzer.SDGContribution(tt, descs, opts)
-			c.sdg[key] = sdg[i]
-			misses++
-		}
-	}
-	c.used[v] = used
-	return ftg, sdg, misses
-}
-
-// release forgets what the view's latest pass used (the live overlay
-// dissolved: zero partials), so the next prune drops whatever only that
-// view kept alive.
-func (c *buildCache) release(v view) { c.used[v] = passKeys{} }
-
-// prune trims both contribution caches to the union of the keys each
-// view's latest pass touched. The snapshot builder calls it once per
-// published snapshot, so earlier revisions of changed traces and
-// superseded checkpoint contributions are unreachable immediately —
-// while a refresh that rebuilt only the live overlay evicts nothing the
-// batch view it shares was built from.
-func (c *buildCache) prune() {
-	for hash := range c.ftg {
-		if !c.used[batchPass].ftg[hash] && !c.used[livePass].ftg[hash] {
-			delete(c.ftg, hash)
-		}
-	}
-	for key := range c.sdg {
-		if !c.used[batchPass].sdg[key] && !c.used[livePass].sdg[key] {
-			delete(c.sdg, key)
-		}
-	}
 }

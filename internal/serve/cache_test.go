@@ -9,81 +9,116 @@ import (
 	"testing"
 
 	"dayu/internal/analyzer"
+	"dayu/internal/obs"
 	"dayu/internal/trace"
 	"dayu/internal/workloads"
 )
 
-// TestPruneKeepsUnionOfViews pins the prune rule: each view's latest
-// pass replaces that view's working set, prune keeps the union of the
-// two, and release drops what only the released view held.
+// retained counts the distinct FTG and SDG contributions a snapshot's
+// two views hold: the contribution cache.
+func retained(snap *snapshot) (ftg, sdg int) {
+	ftgKeys, sdgKeys := map[string]bool{}, map[sdgKey]bool{}
+	for _, v := range []*view{snap.batch, snap.live} {
+		for k := range v.ftgOf {
+			ftgKeys[k] = true
+		}
+		for k := range v.sdgOf {
+			sdgKeys[k] = true
+		}
+	}
+	return len(ftgKeys), len(sdgKeys)
+}
+
+// TestPruneKeepsUnionOfViews pins the contribution cache rule: a build
+// looks contributions up in the published snapshot's two views and a
+// view keeps exactly what it was built from, so the cache is the union
+// of the batch view's and the live view's contributions, and a live
+// view that dissolves into the batch view drops what only it held.
 func TestPruneKeepsUnionOfViews(t *testing.T) {
-	traces, m := workloads.GenerateSyntheticTraces(workloads.SyntheticTraceConfig{
+	tasks, m := workloads.GenerateSyntheticTraces(workloads.SyntheticTraceConfig{
 		Tasks: 16, Stages: 4, FilesPerStage: 3, DatasetsPerTask: 2,
 	})
-	tasks := analyzer.OrderTasks(traces, m)
-	descs := analyzer.BuildObjectDescs(tasks)
 	n := len(tasks)
-	c := newBuildCache()
-	// The in-flight task: a copy of a final whose hash changes with
-	// every checkpoint.
+	reg := obs.NewRegistry()
+	s := &Server{contribMisses: reg.Counter("misses"), contribHits: reg.Counter("hits")}
+	// The in-flight task: a copy of a final that describes no object and
+	// that the manifest does not order, whose hash changes with every
+	// checkpoint.
 	inflight, inflightHash := *tasks[0], ""
+	inflight.Task, inflight.Objects = "zz_inflight", nil
 	hashOf := func(tt *trace.TaskTrace) string {
 		if tt == &inflight {
 			return inflightHash
 		}
 		return "hash-" + tt.Task
 	}
-	pass := func(v view, ordered []*trace.TaskTrace, descs analyzer.ObjectDescs) int {
-		_, _, misses := c.contribute(v, ordered, hashOf, descs, analyzer.Options{})
-		return misses
+	var cur *snapshot
+	pass := func(set []*trace.TaskTrace) (*view, int) {
+		var reuse []*view
+		if cur != nil {
+			reuse = []*view{cur.batch, cur.live}
+		}
+		before := s.contribMisses.Value()
+		v := s.buildView(append([]*trace.TaskTrace{}, set...), m, hashOf, reuse)
+		return v, int(s.contribMisses.Value() - before)
 	}
-	cached := func() string { return fmt.Sprintf("%d/%d", len(c.ftg), len(c.sdg)) }
+	publish := func(batch, live *view) { cur = &snapshot{batch: batch, live: live} }
+	cached := func() string {
+		ftg, sdg := retained(cur)
+		return fmt.Sprintf("%d/%d", ftg, sdg)
+	}
 	want := func(n int) string { return fmt.Sprintf("%d/%d", n, n) }
 
-	if got := pass(batchPass, tasks, descs); got != 2*n {
+	batch, got := pass(tasks)
+	if got != 2*n {
 		t.Fatalf("cold batch pass missed %d, want %d", got, 2*n)
 	}
+	publish(batch, batch)
 	// The live view: the same tasks plus the in-flight one, whose
 	// superseded revisions must not pile up.
 	live := append(append([]*trace.TaskTrace{}, tasks...), &inflight)
 	for rev := 1; rev <= 20; rev++ {
 		inflightHash = fmt.Sprintf("checkpoint-%d", rev)
-		if got := pass(livePass, live, descs); got != 2 {
+		v, got := pass(live)
+		if got != 2 {
 			t.Fatalf("live pass %d missed %d, want 2", rev, got)
 		}
-		c.prune()
+		publish(batch, v)
 		if cached() != want(n+1) {
 			t.Fatalf("after live pass %d the caches hold %s, want %s", rev, cached(), want(n+1))
 		}
 	}
 
-	// A live pass over new descriptions keys its SDG contributions
-	// apart; the batch view's variants survive the prune beside them.
-	mutated := analyzer.ObjectDescs{}
-	for k, v := range descs {
-		v.Datatype += "-live"
-		mutated[k] = v
+	// A live pass over new descriptions (the in-flight task re-describes
+	// every object) keys its SDG contributions apart; the batch view's
+	// variants survive beside them.
+	for k, o := range analyzer.BuildObjectDescs(analyzer.OrderTasks(tasks, m)) {
+		o.File, o.Object, o.Datatype = k.File, k.Object, o.Datatype+"-live"
+		inflight.Objects = append(inflight.Objects, o)
 	}
-	pass(livePass, live, mutated)
-	c.prune()
-	if got := pass(batchPass, tasks, descs); got != 0 {
-		t.Errorf("batch pass after live-only prunes missed %d, want 0", got)
+	inflightHash = "checkpoint-described"
+	v, got := pass(live)
+	if got != 2+n {
+		t.Errorf("live pass over new descriptions missed %d, want %d: the in-flight task's two shares and an SDG variant per final", got, 2+n)
+	}
+	publish(batch, v)
+	if batch, got = pass(tasks); got != 0 {
+		t.Errorf("batch pass after live-only refreshes missed %d, want 0", got)
 	}
 	// A live pass confined to one task forgets the rest of the
 	// previous live pass.
-	pass(livePass, []*trace.TaskTrace{&inflight}, mutated)
-	c.prune()
+	v, _ = pass([]*trace.TaskTrace{&inflight})
+	publish(batch, v)
 	if cached() != want(n+1) {
 		t.Errorf("after a one-task live pass the caches hold %s, want %s", cached(), want(n+1))
 	}
-	// The overlay dissolves.
-	c.release(livePass)
-	c.prune()
+	// The live view dissolves into the batch view.
+	publish(batch, batch)
 	if cached() != want(n) {
-		t.Errorf("after release(livePass) the caches hold %s, want %s", cached(), want(n))
+		t.Errorf("after the live view dissolved the caches hold %s, want %s", cached(), want(n))
 	}
-	if got := pass(batchPass, tasks, descs); got != 0 {
-		t.Errorf("batch pass after the release missed %d, want 0", got)
+	if _, got := pass(tasks); got != 0 {
+		t.Errorf("batch pass after the live view dissolved missed %d, want 0", got)
 	}
 }
 

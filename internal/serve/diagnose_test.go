@@ -98,7 +98,7 @@ func TestLiveDiagnosticsEqualFreshAnalyze(t *testing.T) {
 			t.Fatalf("record %d: its event announces snapshot %s, not the snapshot %s that holds it",
 				records, ev.Snapshot, snap.id)
 		}
-		want, err := diagnose.EncodeJSON(diagnose.Analyze(snap.liveTraces, snap.manifest, diagnose.Thresholds{}))
+		want, err := diagnose.EncodeJSON(diagnose.Analyze(snap.live.traces, snap.live.manifest, diagnose.Thresholds{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -158,7 +158,7 @@ func (s *Server) liveEventPayload(head []byte, snap *snapshot) ([3][]byte, error
 	head = append(head, `,"partial_tasks":`...)
 	head = strconv.AppendInt(head, int64(snap.partialTasks), 10)
 	head = append(head, `,"complete_tasks":`...)
-	head = strconv.AppendInt(head, int64(len(snap.traces)), 10)
+	head = strconv.AppendInt(head, int64(len(snap.batch.traces)), 10)
 	head = append(head, `,"findings":`...)
 	return [3][]byte{head, findings, eventTail}, nil
 }
@@ -280,7 +280,7 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	heartbeat := s.cfg.SSEHeartbeat
+	heartbeat := s.cfg.sseHeartbeat
 	if heartbeat <= 0 {
 		heartbeat = 15 * time.Second
 	}

@@ -175,7 +175,7 @@ func sseEnv(t *testing.T) (*Server, *httptest.Server) {
 	s := mustServer(t, Config{
 		Dir: fixture, WALDir: t.TempDir(), WAL: WALOptions{Fsync: FsyncNever},
 		PlanOptions:  testPlanOpts,
-		SSEHeartbeat: 50 * time.Millisecond,
+		sseHeartbeat: 50 * time.Millisecond,
 	})
 	srv := httptest.NewServer(s)
 	t.Cleanup(func() { srv.Close(); s.Close() })
@@ -261,9 +261,9 @@ func TestLiveEventsRenderFailureIsLoud(t *testing.T) {
 	}
 	failed := &renderEntry{err: errors.New("diagnose: metric is NaN")}
 	failed.once.Do(func() {})
-	snap.rendered.mu.Lock()
-	snap.rendered.entries = map[string]*renderEntry{"diagnose": failed}
-	snap.rendered.mu.Unlock()
+	snap.live.rendered.mu.Lock()
+	snap.live.rendered.entries = map[string]*renderEntry{"diagnose": failed}
+	snap.live.rendered.mu.Unlock()
 
 	conn := dialSSE(t, srv, "")
 	// Health reflects but never triggers ingestion, so the degradation
@@ -358,7 +358,7 @@ func TestLiveEventsResume(t *testing.T) {
 func TestResumeAcrossRestart(t *testing.T) {
 	fixture := writeFixtureDir(t)
 	start := func() *httptest.Server {
-		s := mustServer(t, Config{Dir: fixture, SSEHeartbeat: 50 * time.Millisecond})
+		s := mustServer(t, Config{Dir: fixture, sseHeartbeat: 50 * time.Millisecond})
 		srv := httptest.NewServer(s)
 		t.Cleanup(func() { srv.Close(); s.Close() })
 		return srv
@@ -483,7 +483,7 @@ func TestBroadcasterRetainsOnlyNewest(t *testing.T) {
 	b := &eventsBroadcaster{}
 	var collected atomic.Int64
 	for i := 1; i <= published; i++ {
-		snap := &snapshot{id: fmt.Sprintf("snap-%d", i), batchView: &batchView{}}
+		snap := &snapshot{id: fmt.Sprintf("snap-%d", i), batch: &view{}}
 		runtime.SetFinalizer(snap, func(*snapshot) { collected.Add(1) })
 		b.publish(snap)
 	}
@@ -540,7 +540,7 @@ func TestSlowSubscriberHoldsOneSnapshot(t *testing.T) {
 	sub, _ := b.subscribe("")
 	var collected atomic.Int64
 	for i := 1; i <= published; i++ {
-		snap := &snapshot{id: fmt.Sprintf("snap-%d", i), batchView: &batchView{}}
+		snap := &snapshot{id: fmt.Sprintf("snap-%d", i), batch: &view{}}
 		runtime.SetFinalizer(snap, func(*snapshot) { collected.Add(1) })
 		b.publish(snap)
 	}

@@ -85,7 +85,7 @@ func (s *Server) refresh() (*snapshot, error) {
 	s.events.publish(next)
 	s.ingests.Inc()
 	s.ingestNS.Observe(time.Since(start).Nanoseconds())
-	s.snapshotTasks.Set(int64(len(next.traces)))
+	s.snapshotTasks.Set(int64(len(next.batch.traces)))
 	s.recordHistory(next)
 	return next, nil
 }
@@ -107,20 +107,26 @@ func (s *Server) refreshManifest() (changed bool, err error) {
 	return changed, err
 }
 
-// buildSnapshot assembles a read-only snapshot: the batch view of the
-// current directory state — the previous snapshot's pointer unless a
-// scan reported a change since it was built — under the live overlay of
-// the checkpoints refresh captured, at generation partialsGen, before
-// that scan.
+// buildSnapshot assembles a read-only snapshot of two views: the batch
+// view of the current directory state — the previous snapshot's pointer
+// unless a scan reported a change since it was built — and the live
+// view of the checkpoints refresh captured, at generation partialsGen,
+// before that scan. The previous snapshot's views are the contribution
+// cache both builds draw on.
 func (s *Server) buildSnapshot(captured []*partialEntry, partialsGen uint64) *snapshot {
-	var batch *batchView
-	if cur := s.snap.Load(); cur != nil && !s.batchStale {
-		batch = cur.batchView
+	var reuse []*view
+	cur := s.snap.Load()
+	if cur != nil {
+		reuse = []*view{cur.batch, cur.live}
+	}
+	var batch *view
+	if cur != nil && !s.batchStale {
+		batch = cur.batch
 	} else {
-		batch = s.buildBatchView()
+		batch = s.buildBatchView(reuse)
 	}
 
-	// The live overlay: captured checkpoints of tasks that have no final
+	// The live view: captured checkpoints of tasks that have no final
 	// trace in the batch view (a final always shadows a partial).
 	partials := captured[:0]
 	for _, pe := range captured {
@@ -128,85 +134,57 @@ func (s *Server) buildSnapshot(captured []*partialEntry, partialsGen uint64) *sn
 			partials = append(partials, pe)
 		}
 	}
-
-	// With zero partials the live view IS the batch view: aliasing the
-	// graphs (and, in the handlers, the render keys) makes live and
-	// batch responses byte-identical once a stream completes.
-	snap := &snapshot{
-		batchView:  batch,
-		liveTraces: batch.traces, liveFTG: batch.ftg, liveSDG: batch.sdg,
-		partialTasks: len(partials),
-	}
-	ordered := batch.ordered
-	if len(partials) == 0 {
-		s.cache.release(livePass)
-	} else {
-		live := make([]*trace.TaskTrace, 0, len(batch.traces)+len(partials))
-		live = append(live, batch.traces...)
+	snap := &snapshot{batch: batch, live: batch, partialTasks: len(partials)}
+	if len(partials) > 0 {
+		traces := make([]*trace.TaskTrace, 0, len(batch.traces)+len(partials))
+		traces = append(traces, batch.traces...)
 		partialHash := make(map[*trace.TaskTrace]string, len(partials))
 		snap.partialHashes = make(map[string]bool, len(partials))
 		for _, pe := range partials {
-			live = append(live, pe.trace)
+			traces = append(traces, pe.trace)
 			partialHash[pe.trace] = pe.hash
 			snap.partialHashes[pe.hash] = true
 		}
-		sort.SliceStable(live, func(i, j int) bool { return live[i].Task < live[j].Task })
-		ordered = analyzer.OrderTasks(live, batch.manifest)
-		lf, ls := s.contributions(livePass, ordered, func(tt *trace.TaskTrace) string {
+		snap.live = s.buildView(traces, batch.manifest, func(tt *trace.TaskTrace) string {
 			if hash, ok := batch.traceHash[tt]; ok {
 				return hash
 			}
 			return partialHash[tt]
-		})
-		snap.liveTraces = live
-		snap.liveFTG = analyzer.BuildFTGFromContributions(lf)
-		snap.liveSDG = analyzer.BuildSDGFromContributions(ls)
+		}, append(reuse, batch))
 	}
 	snap.id = snapshotID(batch, partials)
 	// The findings of the live set: the index patches in the tasks that
 	// were added, replaced (a checkpoint is a new trace under the same
 	// name) or removed since the previous snapshot's.
 	start := time.Now()
-	snap.findings = s.diag.Sync(ordered, batch.manifest)
+	snap.findings = s.diag.Sync(snap.live.ordered, batch.manifest)
 	s.diagSyncNS.Observe(time.Since(start).Nanoseconds())
 	s.diagRecomputed.Add(int64(snap.findings.Recomputed))
 	s.diagReused.Add(int64(snap.findings.Reused))
-	// Keep exactly the contributions the batch view was built from and
-	// this overlay used: earlier revisions of changed traces, superseded
-	// checkpoint records and stale description-fingerprint variants are
-	// unreachable once the snapshot swaps.
-	s.cache.prune()
 	// What this snapshot saw, so refresh can tell when there is
 	// something newer to build.
 	s.batchStale, s.lastPartialsGen = false, partialsGen
 	return snap
 }
 
-// buildBatchView assembles the batch half of a snapshot from the
-// current scan state: traces sorted exactly as trace.LoadDir sorts
-// them, one contribution per task in the global task order (cached, or
-// computed and cached now), and both graphs merged exactly as the batch
-// builders merge them.
-func (s *Server) buildBatchView() *batchView {
+// buildBatchView builds the view of the current scan state and records
+// the directory listing on it.
+func (s *Server) buildBatchView(reuse []*view) *view {
 	paths := s.cache.paths()
-
-	batch := &batchView{
-		traces:    make([]*trace.TaskTrace, 0, len(paths)),
-		manifest:  s.cache.manifest.manifest,
-		taskSet:   make(map[string]bool, len(paths)),
-		hashes:    make(map[string]bool, len(paths)),
-		traceHash: make(map[*trace.TaskTrace]string, len(paths)),
-	}
+	traces := make([]*trace.TaskTrace, 0, len(paths))
+	taskSet := make(map[string]bool, len(paths))
+	hashes := make(map[string]bool, len(paths))
+	traceHash := make(map[*trace.TaskTrace]string, len(paths))
 	infoByTrace := make(map[*trace.TaskTrace]TaskInfo, len(paths))
 	var id strings.Builder
 	id.WriteString("manifest:")
 	id.WriteString(s.cache.manifest.hash)
 	for _, path := range paths {
 		ent := s.cache.files[path]
-		batch.traces = append(batch.traces, ent.trace)
-		batch.taskSet[ent.trace.Task] = true
-		batch.hashes[ent.hash] = true
-		batch.traceHash[ent.trace] = ent.hash
+		traces = append(traces, ent.trace)
+		taskSet[ent.trace.Task] = true
+		hashes[ent.hash] = true
+		traceHash[ent.trace] = ent.hash
 		infoByTrace[ent.trace] = TaskInfo{
 			Task: ent.trace.Task, File: path, Size: ent.size, Hash: ent.hash,
 			ModTime: ent.modTime, StartNS: ent.trace.StartNS, EndNS: ent.trace.EndNS,
@@ -217,30 +195,67 @@ func (s *Server) buildBatchView() *batchView {
 		id.WriteString("=")
 		id.WriteString(ent.hash)
 	}
-	batch.idLines = id.String()
-	// LoadDir's final ordering: stable sort by task name over the
-	// directory-ordered slice.
-	sort.SliceStable(batch.traces, func(i, j int) bool { return batch.traces[i].Task < batch.traces[j].Task })
+	batch := s.buildView(traces, s.cache.manifest.manifest, func(tt *trace.TaskTrace) string { return traceHash[tt] }, reuse)
+	batch.taskSet, batch.hashes, batch.traceHash, batch.idLines = taskSet, hashes, traceHash, id.String()
 	batch.tasks = make([]TaskInfo, 0, len(batch.traces))
 	for _, tt := range batch.traces {
 		batch.tasks = append(batch.tasks, infoByTrace[tt])
 	}
-
-	batch.ordered = analyzer.OrderTasks(batch.traces, batch.manifest)
-	ftgContribs, sdgContribs := s.contributions(batchPass, batch.ordered,
-		func(tt *trace.TaskTrace) string { return batch.traceHash[tt] })
-	batch.ftg = analyzer.BuildFTGFromContributions(ftgContribs)
-	batch.sdg = analyzer.BuildSDGFromContributions(sdgContribs)
 	return batch
 }
 
-// contributions runs one view's contribution pass over its ordered
-// trace set and counts the pass's two cache lookups per task.
-func (s *Server) contributions(v view, ordered []*trace.TaskTrace, hashOf func(*trace.TaskTrace) string) (ftg, sdg []analyzer.Contribution) {
-	ftg, sdg, misses := s.cache.contribute(v, ordered, hashOf, analyzer.BuildObjectDescs(ordered), s.cfg.SDGOptions)
+// buildView builds the view of traces, given in directory order, under
+// manifest m: the traces sorted exactly as trace.LoadDir sorts them, one
+// FTG and one SDG contribution per task in the global task order, and
+// both graphs merged exactly as the batch builders merge them. hashOf is
+// each trace's content hash. A contribution is taken from the first of
+// the new view and the reuse views that holds its key, and computed
+// otherwise; the two lookups per task count as contribution cache hits
+// or misses.
+func (s *Server) buildView(traces []*trace.TaskTrace, m *trace.Manifest, hashOf func(*trace.TaskTrace) string, reuse []*view) *view {
+	// LoadDir's final ordering: stable sort by task name over the
+	// directory-ordered slice.
+	sort.SliceStable(traces, func(i, j int) bool { return traces[i].Task < traces[j].Task })
+	v := &view{
+		traces:   traces,
+		ordered:  analyzer.OrderTasks(traces, m),
+		manifest: m,
+		ftgOf:    make(map[string]analyzer.Contribution, len(traces)),
+		sdgOf:    make(map[sdgKey]analyzer.Contribution, len(traces)),
+	}
+	// SDG contributions read the descriptions of the FULL ordered set.
+	descs := analyzer.BuildObjectDescs(v.ordered)
+	ftg := make([]analyzer.Contribution, len(v.ordered))
+	sdg := make([]analyzer.Contribution, len(v.ordered))
+	misses := 0
+	for i, tt := range v.ordered {
+		key := sdgKey{trace: hashOf(tt), descs: descs.Fingerprint(tt)}
+		f, haveF := v.ftgOf[key.trace]
+		d, haveD := v.sdgOf[key]
+		for _, r := range reuse {
+			if !haveF {
+				f, haveF = r.ftgOf[key.trace]
+			}
+			if !haveD {
+				d, haveD = r.sdgOf[key]
+			}
+		}
+		if !haveF {
+			f = analyzer.FTGContribution(tt)
+			misses++
+		}
+		if !haveD {
+			d = analyzer.SDGContribution(tt, descs, s.cfg.SDGOptions)
+			misses++
+		}
+		v.ftgOf[key.trace], v.sdgOf[key] = f, d
+		ftg[i], sdg[i] = f, d
+	}
 	s.contribMisses.Add(int64(misses))
-	s.contribHits.Add(int64(2*len(ordered) - misses))
-	return ftg, sdg
+	s.contribHits.Add(int64(2*len(v.ordered) - misses))
+	v.ftg = analyzer.BuildFTGFromContributions(ftg)
+	v.sdg = analyzer.BuildSDGFromContributions(sdg)
+	return v
 }
 
 // recordHistory appends a converged snapshot (no live partials — a
@@ -256,17 +271,17 @@ func (s *Server) recordHistory(snap *snapshot) {
 	// Through the batch view's render cache, so a request for the same
 	// body — from this snapshot or a later one sharing the view — is
 	// served the recorded bytes.
-	ftgBody, _, err := snap.rendered.get("ftg.json", func() ([]byte, error) { return renderGraph(snap.ftg, "json") })
+	ftgBody, _, err := snap.batch.rendered.get("ftg.json", func() ([]byte, error) { return renderGraph(snap.batch.ftg, "json") })
 	if err != nil {
 		s.histErr.Store(&ingestError{err: fmt.Errorf("serve: history render ftg: %w", err), when: time.Now()})
 		return
 	}
-	sdgBody, _, err := snap.rendered.get("sdg.json", func() ([]byte, error) { return renderGraph(snap.sdg, "json") })
+	sdgBody, _, err := snap.batch.rendered.get("sdg.json", func() ([]byte, error) { return renderGraph(snap.batch.sdg, "json") })
 	if err != nil {
 		s.histErr.Store(&ingestError{err: fmt.Errorf("serve: history render sdg: %w", err), when: time.Now()})
 		return
 	}
-	if _, err := s.hist.Append(snap.id, time.Now().UTC(), len(snap.tasks), ftgBody, sdgBody); err != nil {
+	if _, err := s.hist.Append(snap.id, time.Now().UTC(), len(snap.batch.tasks), ftgBody, sdgBody); err != nil {
 		s.histErr.Store(&ingestError{err: err, when: time.Now()})
 		return
 	}
@@ -276,7 +291,7 @@ func (s *Server) recordHistory(snap *snapshot) {
 // snapshotID is the content address of the whole served state: the
 // manifest hash, every trace file's name and content hash, and every
 // retained streaming checkpoint's task, hash and sequence number.
-func snapshotID(batch *batchView, partials []*partialEntry) string {
+func snapshotID(batch *view, partials []*partialEntry) string {
 	lines := make([]string, len(partials))
 	for i, pe := range partials {
 		lines[i] = fmt.Sprintf("partial:%s=%s@%d", pe.trace.Task, pe.hash, pe.seq)

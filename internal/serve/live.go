@@ -5,7 +5,8 @@ package serve
 // cumulative snapshot of one task's trace-so-far. The server keeps at
 // most one checkpoint per task — the highest sequence number wins, so
 // delivery order does not matter — persisted under WALDir/partials/
-// and overlaid on the batch snapshot for the /v1/live/* endpoints.
+// and added to the finals in the live view the /v1/live/* endpoints
+// read.
 //
 // Fold/retract semantics keep the live view convergent with batch
 // analysis by construction:
@@ -17,9 +18,9 @@ package serve
 //     partial (entry and file).
 //
 // Once every task's final has folded, zero partials remain and the
-// live graphs alias the batch graphs — /v1/live/ftg is then served
-// from the same rendered bytes as /v1/ftg, which is how the
-// stream-equals-batch equivalence gate holds at end of stream.
+// live view is the batch view — /v1/live/ftg is then served from the
+// same rendered bytes as /v1/ftg, which is how the stream-equals-batch
+// equivalence gate holds at end of stream.
 
 import (
 	"bytes"
@@ -27,6 +28,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -275,33 +277,31 @@ func (s *Server) diagnoseHandler(live bool) http.HandlerFunc {
 }
 
 // diagnoseRender names and computes the one diagnose body behind
-// /v1/diagnose, /v1/live/diagnostics and the SSE event payload. The
-// render keys are what make those three share bytes: with no partials
-// and no horizon the live view resolves to the batch view's key.
+// /v1/diagnose, /v1/live/diagnostics and the SSE event payload, in the
+// view the endpoint reads: with no checkpoint retained the live view is
+// the batch view, so the three share bytes.
 //
-// The body of the snapshot's own trace set — the live view, which with
-// zero partials is the batch view — is the index's view encoded, groups
-// the previous snapshots already encoded included. The other two bodies
-// are rare reads of a different set (the batch half while partials
-// exist, a horizon's subset) and run Analyze from scratch: the same
-// rules, from empty.
+// The live view's body is the index's view encoded, groups the previous
+// snapshots already encoded included. The other two bodies are rare
+// reads of a different set (the batch view while partials exist, a
+// horizon's subset) and run Analyze from scratch: the same rules, from
+// empty.
 func (snap *snapshot) diagnoseRender(live bool, horizonNS int64) (*renderCache, string, renderFunc) {
+	v := snap.pick(live)
 	switch {
 	case horizonNS > 0:
-		return &snap.liveRendered, paramKey("live-diagnose.horizon", horizonNS), func() ([]byte, error) {
-			return snap.diagnoseFromScratch(horizonTraces(snap.liveTraces, horizonNS))
+		return &v.rendered, paramKey("diagnose.horizon", strconv.FormatInt(horizonNS, 10)), func() ([]byte, error) {
+			return diagnoseFromScratch(horizonTraces(v.traces, horizonNS), v.manifest)
 		}
-	case snap.partialTasks == 0:
-		return &snap.rendered, "diagnose", snap.findings.EncodeJSON
-	case live:
-		return &snap.liveRendered, "live-diagnose", snap.findings.EncodeJSON
+	case v == snap.live:
+		return &v.rendered, "diagnose", snap.findings.EncodeJSON
 	default:
-		return &snap.rendered, "diagnose", func() ([]byte, error) { return snap.diagnoseFromScratch(snap.traces) }
+		return &v.rendered, "diagnose", func() ([]byte, error) { return diagnoseFromScratch(v.traces, v.manifest) }
 	}
 }
 
-func (snap *snapshot) diagnoseFromScratch(traces []*trace.TaskTrace) ([]byte, error) {
-	return diagnose.EncodeJSON(diagnose.Analyze(traces, snap.manifest, diagnose.Thresholds{}))
+func diagnoseFromScratch(traces []*trace.TaskTrace, m *trace.Manifest) ([]byte, error) {
+	return diagnose.EncodeJSON(diagnose.Analyze(traces, m, diagnose.Thresholds{}))
 }
 
 // durationParam parses an optional positive duration query parameter,

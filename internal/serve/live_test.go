@@ -406,7 +406,7 @@ func TestLiveStreamSinkEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("delta=%v", delta), func(t *testing.T) {
 			env := newPushEnv(t, func(cfg *Config) {
 				cfg.IngestQueue = 1
-				cfg.RetryAfter = time.Millisecond // rounds to Retry-After: 0 — the client retries at its own backoff
+				cfg.retryAfter = time.Millisecond // rounds to Retry-After: 0 — the client retries at its own backoff
 				cfg.foldHook = func(foldJob) { time.Sleep(2 * time.Millisecond) }
 			})
 			cl, err := client.New(env.srv.URL, client.Options{
@@ -846,7 +846,7 @@ func TestLiveWindowedRenderMatchesAggregate(t *testing.T) {
 		}
 		waitLiveCounts(t, fresh.srv, len(pushed), 24)
 
-		for which, g := range map[string]*graph.Graph{"ftg": snap.liveFTG, "sdg": snap.liveSDG} {
+		for which, g := range map[string]*graph.Graph{"ftg": snap.live.ftg, "sdg": snap.live.sdg} {
 			path := "/v1/live/" + which + "?window=1h"
 			body, hdr := getHdr(t, env.srv, path)
 			if hdr.Get("X-Dayu-Snapshot") != snap.id {
@@ -894,9 +894,9 @@ func TestLiveRenderCacheBounded(t *testing.T) {
 		}
 	}
 	entries := func() int {
-		snap.liveRendered.mu.Lock()
-		defer snap.liveRendered.mu.Unlock()
-		return len(snap.liveRendered.entries)
+		snap.live.rendered.mu.Lock()
+		defer snap.live.rendered.mu.Unlock()
+		return len(snap.live.rendered.entries)
 	}
 	get("/v1/live/diagnostics?horizon=1ns")
 	get("/v1/live/ftg?window=1ns")
@@ -959,9 +959,9 @@ func TestFinishingTaskNeverAbsent(t *testing.T) {
 					t.Errorf("current: %v", err)
 					return
 				}
-				if got := len(snap.tasks) + snap.partialTasks; got != tasks {
+				if got := len(snap.batch.tasks) + snap.partialTasks; got != tasks {
 					t.Errorf("snapshot %s shows %d complete + %d partial tasks, want %d in all",
-						snap.id, len(snap.tasks), snap.partialTasks, tasks)
+						snap.id, len(snap.batch.tasks), snap.partialTasks, tasks)
 					return
 				}
 			}

@@ -203,7 +203,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	default:
 		p.mu.Unlock()
 		s.pushRejected.Inc()
-		retry := s.cfg.RetryAfter
+		retry := s.cfg.retryAfter
 		if retry <= 0 {
 			retry = time.Second
 		}
@@ -381,7 +381,7 @@ func (s *Server) pruneAcked() {
 		drop := snap.hasHash(hash)
 		if !drop && rec.checkpoint {
 			cur, ok := s.partials.lookup(rec.task)
-			drop = snap.taskSet[rec.task] || (ok && cur.seq > rec.seq)
+			drop = snap.batch.taskSet[rec.task] || (ok && cur.seq > rec.seq)
 		}
 		if drop {
 			delete(p.acked, hash)

@@ -97,13 +97,13 @@ func waitTasks(t *testing.T, s *Server, n int) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		snap, _ := s.Ingest()
-		if snap != nil && len(snap.tasks) == n {
+		if snap != nil && len(snap.batch.tasks) == n {
 			return
 		}
 		if time.Now().After(deadline) {
 			got := -1
 			if snap != nil {
-				got = len(snap.tasks)
+				got = len(snap.batch.tasks)
 			}
 			t.Fatalf("snapshot never reached %d tasks (at %d)", n, got)
 		}
@@ -451,7 +451,7 @@ func TestPushBackpressure(t *testing.T) {
 	var once sync.Once
 	env := newPushEnv(t, func(cfg *Config) {
 		cfg.IngestQueue = 2
-		cfg.RetryAfter = 3 * time.Second
+		cfg.retryAfter = 3 * time.Second
 		cfg.foldHook = func(foldJob) { <-release }
 	})
 	defer once.Do(func() { close(release) })
@@ -508,7 +508,7 @@ func TestPushBackpressure(t *testing.T) {
 func TestPushClientDeliversThroughBackpressure(t *testing.T) {
 	env := newPushEnv(t, func(cfg *Config) {
 		cfg.IngestQueue = 1
-		cfg.RetryAfter = time.Millisecond // rounds to Retry-After: 0 — client retries at its own backoff
+		cfg.retryAfter = time.Millisecond // rounds to Retry-After: 0 — client retries at its own backoff
 		cfg.foldHook = func(foldJob) { time.Sleep(2 * time.Millisecond) }
 	})
 	c, err := client.New(env.srv.URL, client.Options{

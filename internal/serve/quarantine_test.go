@@ -70,8 +70,8 @@ func testQuarantineAcrossRestarts(t *testing.T, sub, prefix string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.tasks) != 1 || snap.tasks[0].Task != "ok-task" {
-		t.Fatalf("tasks after recovery = %+v", snap.tasks)
+	if len(snap.batch.tasks) != 1 || snap.batch.tasks[0].Task != "ok-task" {
+		t.Fatalf("tasks after recovery = %+v", snap.batch.tasks)
 	}
 	s.Close()
 

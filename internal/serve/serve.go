@@ -11,17 +11,19 @@
 //  1. Parsed traces, keyed by file content hash: a touched-but-equal
 //     file is re-hashed, never re-parsed; an untouched file (same
 //     size and mtime) is not even re-read.
-//  2. Per-task graph contributions (the analyzer's parallel-build
-//     unit), keyed by trace hash — plus, for SDGs, a fingerprint of
-//     the object descriptions the task references. One changed task
-//     recomputes one contribution; the rest merge from cache.
-//  3. Rendered responses, keyed per snapshot and format: repeat
-//     requests against an unchanged directory are pure cache reads.
+//  2. Per-task graph contributions (the analyzer's merge unit), keyed
+//     by trace hash — plus, for SDGs, a fingerprint of the object
+//     descriptions the task references. One changed task recomputes
+//     one contribution; the rest are taken from the published
+//     snapshot's views, which hold exactly what they were built from.
+//  3. Rendered responses, keyed per view and format: repeat requests
+//     against an unchanged directory are pure cache reads.
 //
-// A snapshot is a batch view — everything derived from the directory
-// alone, built once per directory state and shared by pointer — plus a
-// live overlay of streaming checkpoints, so a folded checkpoint costs
-// the overlay, not the state.
+// A snapshot is two views of one type, built by one builder: the batch
+// view of the directory alone, built once per directory state and
+// shared by pointer, and the live view of the directory plus the
+// retained streaming checkpoints — the batch view itself when none is
+// retained. A folded checkpoint costs the live view, not the state.
 //
 // Concurrency follows a single-writer snapshot-swap model: one
 // goroutine at a time may ingest (guarded by ingestMu; request-path
@@ -88,9 +90,6 @@ type Config struct {
 	IngestQueue int
 	// MaxBodyBytes caps /v1/ingest request bodies (default 32 MiB).
 	MaxBodyBytes int64
-	// RetryAfter is the backpressure hint sent with 429 responses
-	// (default 1s).
-	RetryAfter time.Duration
 
 	// HistoryDir enables the persistent snapshot-history store: every
 	// converged snapshot's manifest and rendered /v1/{ftg,sdg} bodies
@@ -100,78 +99,81 @@ type Config struct {
 	// HistoryRetain caps retained history snapshots (default 64).
 	HistoryRetain int
 
-	// SSEHeartbeat is the /v1/live/events keep-alive comment interval
-	// (default 15s). Tests and smoke scripts shorten it.
-	SSEHeartbeat time.Duration
-
-	// foldHook, when set (tests only), runs in the folder goroutine
-	// before each record folds — used to hold the queue full.
-	foldHook func(foldJob)
+	// Test seams, unset outside this package's tests. foldHook runs in
+	// the folder goroutine before each record folds (used to hold the
+	// queue full); retryAfter replaces the 1s backpressure hint sent
+	// with 429 responses; sseHeartbeat replaces the 15s /v1/live/events
+	// keep-alive comment interval.
+	foldHook     func(foldJob)
+	retryAfter   time.Duration
+	sseHeartbeat time.Duration
 }
 
-// batchView is the immutable batch half of a snapshot: everything that
-// is a function of the watched directory's content alone. It is built
-// once per directory state and shared — the same pointer — by every
-// snapshot published until the scan next reports a change, so a folded
-// checkpoint (which only moves the live overlay) neither rebuilds these
-// graphs nor re-renders their bodies.
-type batchView struct {
-	traces   []*trace.TaskTrace
+// view is one trace set and everything derived from it: the traces in
+// trace.LoadDir order and in analyzer.OrderTasks order, each task's FTG
+// and SDG contribution, the two graphs merged from those, and a render
+// cache for the bodies that depend on nothing else. buildView is its one
+// builder, for both halves of a snapshot. A view is immutable once
+// built, its render cache aside.
+//
+// The published snapshot's views are also the contribution cache: a
+// build looks each task's contributions up in them by content key, and
+// a view keeps exactly the contributions it was built from, so a
+// superseded revision is unreachable once the snapshot swaps.
+type view struct {
+	traces   []*trace.TaskTrace // trace.LoadDir order
+	ordered  []*trace.TaskTrace // analyzer.OrderTasks order
 	manifest *trace.Manifest
-	tasks    []TaskInfo
-	taskSet  map[string]bool // task names with a final trace on disk
-	hashes   map[string]bool // content hashes of every trace file
-	// traceHash is each trace's content hash: its contribution cache key.
-	traceHash map[*trace.TaskTrace]string
-	// idLines is the batch part of the snapshot id's preimage: the
-	// manifest hash and every trace file's name and content hash.
-	idLines string
-	ftg     *graph.Graph
-	sdg     *graph.Graph
-
-	// ordered is traces in analyzer.OrderTasks order: what the
-	// contribution pass and the diagnose index take.
-	ordered []*trace.TaskTrace
-
-	// rendered caches the bodies that depend on nothing but this view:
-	// "ftg.<format>", "sdg.<format>", "diagnose" and "plan:<tier>:<nodes>"
-	// — which, with zero partials, are also the live endpoints' keys.
+	ftgOf    map[string]analyzer.Contribution // by trace content hash
+	sdgOf    map[sdgKey]analyzer.Contribution
+	ftg      *graph.Graph
+	sdg      *graph.Graph
 	rendered renderCache
+
+	// The directory listing, set on the batch view only: the /v1/tasks
+	// rows, the task names and content hashes of the trace files, each
+	// trace's hash (its contribution key), and the batch part of the
+	// snapshot id's preimage (the manifest hash and every trace file's
+	// name and content hash).
+	tasks     []TaskInfo
+	taskSet   map[string]bool
+	hashes    map[string]bool
+	traceHash map[*trace.TaskTrace]string
+	idLines   string
 }
 
-// snapshot is an immutable view of one served state: the shared batch
-// view plus the live overlay of retained checkpoints. The graphs are
-// fully built at publish time; response bodies are cached lazily, in
-// the batch view when they depend on it alone and in liveRendered when
-// they depend on the overlay or the snapshot id.
+// snapshot is an immutable view of one served state: two views, both
+// fully built at publish time, with response bodies cached lazily in
+// the view they depend on.
 type snapshot struct {
 	id string
-	*batchView
-
-	// Live overlay: the trace set extended with retained checkpoint
-	// records for tasks still in flight. With zero partials these
-	// alias traces/ftg/sdg, making live and batch responses share
-	// rendered bytes.
-	liveTraces    []*trace.TaskTrace
-	liveFTG       *graph.Graph
-	liveSDG       *graph.Graph
+	// batch is the view of the final traces on disk, shared by pointer
+	// with every snapshot published until the directory changes, so a
+	// folded checkpoint neither rebuilds its graphs nor re-renders its
+	// bodies. live is the view of the same set plus the retained
+	// checkpoints of tasks still in flight; with none retained it IS the
+	// batch view, so live and batch responses share rendered bytes.
+	batch, live   *view
 	partialTasks  int
 	partialHashes map[string]bool // content hashes of the retained checkpoints
-	// findings is the diagnose index's view of liveTraces as of this
-	// snapshot: references to the index's cached groups, encoded on
+	// findings is the diagnose index's view of the live trace set as of
+	// this snapshot: references to the index's cached groups, encoded on
 	// demand through the render caches (see diagnoseRender).
 	findings *diagnose.View
+}
 
-	// liveRendered caches "tasks" (it names the snapshot id) and every
-	// "live-…" key: the overlay graphs and diagnostics, and the latest
-	// windowed and horizon-restricted renders.
-	liveRendered renderCache
+// pick is the view a /v1/live/* endpoint (live) or its batch twin reads.
+func (snap *snapshot) pick(live bool) *view {
+	if live {
+		return snap.live
+	}
+	return snap.batch
 }
 
 // hasHash reports whether content with this hash is already part of the
 // snapshot, as a trace file or as a retained checkpoint.
 func (snap *snapshot) hasHash(hash string) bool {
-	return snap.hashes[hash] || snap.partialHashes[hash]
+	return snap.batch.hashes[hash] || snap.partialHashes[hash]
 }
 
 // Server is the incremental analysis service. It implements
@@ -664,9 +666,10 @@ type renderCache struct {
 	entries map[string]*renderEntry
 }
 
-// paramKey is the render key of one value of a parameterized body.
-func paramKey(slot string, param int64) string {
-	return slot + "@" + strconv.FormatInt(param, 10)
+// paramKey is the render key of one value of a parameterized body. The
+// slot must not contain '@'; the value may.
+func paramKey(slot, value string) string {
+	return slot + "@" + value
 }
 
 type renderEntry struct {
@@ -757,7 +760,7 @@ func (s *Server) serveRendered(w http.ResponseWriter, contentType string, live b
 	w.Header().Set("X-Dayu-Snapshot", snap.id)
 	if live {
 		w.Header().Set("X-Dayu-Partial-Tasks", strconv.Itoa(snap.partialTasks))
-		w.Header().Set("X-Dayu-Complete-Tasks", strconv.Itoa(len(snap.traces)))
+		w.Header().Set("X-Dayu-Complete-Tasks", strconv.Itoa(len(snap.batch.traces)))
 	}
 	_, _ = w.Write(body)
 }
@@ -770,11 +773,12 @@ var graphContentTypes = map[string]string{
 	"svg":  "image/svg+xml",
 }
 
-// graphHandler serves /v1/{ftg,sdg} and, with live set, /v1/live/
-// {ftg,sdg} — the batch graph overlaid with checkpoint traces for tasks
-// still in flight — in json (default), dot, html or svg form. On the
-// live endpoints ?window=<duration> additionally aggregates task nodes
-// along the time dimension (AggregateByTime) before rendering.
+// graphHandler serves /v1/{ftg,sdg} from the batch view and, with live
+// set, /v1/live/{ftg,sdg} from the live view — the finals plus the
+// checkpoint traces of tasks still in flight — in json (default), dot,
+// html or svg form. On the live endpoints ?window=<duration>
+// additionally aggregates task nodes along the time dimension
+// (AggregateByTime) before rendering.
 func (s *Server) graphHandler(which string, live bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		format := r.URL.Query().Get("format")
@@ -793,26 +797,15 @@ func (s *Server) graphHandler(which string, live bool) http.HandlerFunc {
 			}
 		}
 		s.serveRendered(w, contentType, live, func(snap *snapshot) (*renderCache, string, renderFunc) {
-			g := snap.ftg
-			switch {
-			case which == "sdg" && live:
-				g = snap.liveSDG
-			case which == "sdg":
-				g = snap.sdg
-			case live:
-				g = snap.liveFTG
+			v := snap.pick(live)
+			g, key := v.ftg, which+"."+format
+			if which == "sdg" {
+				g = v.sdg
 			}
-			// With no partials the live graph aliases the batch graph,
-			// and sharing the batch view's render key makes the responses
-			// byte-identical (the equivalence gate at end of stream).
-			cache, key := &snap.rendered, which+"."+format
-			switch {
-			case windowNS > 0:
-				cache, key = &snap.liveRendered, paramKey("live-"+key+".window", windowNS)
-			case live && snap.partialTasks > 0:
-				cache, key = &snap.liveRendered, "live-"+key
+			if windowNS > 0 {
+				key = paramKey(key+".window", strconv.FormatInt(windowNS, 10))
 			}
-			return cache, key, func() ([]byte, error) {
+			return &v.rendered, key, func() ([]byte, error) {
 				if windowNS > 0 {
 					agg, err := analyzer.AggregateByTime(g, windowNS)
 					if err != nil {
@@ -856,20 +849,24 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		opts.Nodes = n
 	}
 	s.serveRendered(w, "application/json", false, func(snap *snapshot) (*renderCache, string, renderFunc) {
-		return &snap.rendered, fmt.Sprintf("plan:%s:%d", opts.FastTier, opts.Nodes), func() ([]byte, error) {
-			plan := optimizer.PlanDataLocality(snap.traces, snap.manifest, opts)
+		return &snap.batch.rendered, paramKey("plan", opts.FastTier+":"+strconv.Itoa(opts.Nodes)), func() ([]byte, error) {
+			plan := optimizer.PlanDataLocality(snap.batch.traces, snap.batch.manifest, opts)
 			return json.MarshalIndent(plan, "", "  ")
 		}
 	})
 }
 
+// handleTasks lists the final traces. The body names the snapshot, so
+// it is cached in the live view: the snapshot's own while a checkpoint
+// is retained, and otherwise the batch view, of which the id is then a
+// function.
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	s.serveRendered(w, "application/json", false, func(snap *snapshot) (*renderCache, string, renderFunc) {
-		return &snap.liveRendered, "tasks", func() ([]byte, error) {
+		return &snap.live.rendered, "tasks", func() ([]byte, error) {
 			return json.MarshalIndent(struct {
 				Snapshot string     `json:"snapshot"`
 				Tasks    []TaskInfo `json:"tasks"`
-			}{Snapshot: snap.id, Tasks: snap.tasks}, "", "  ")
+			}{Snapshot: snap.id, Tasks: snap.batch.tasks}, "", "  ")
 		}
 	})
 }
@@ -934,7 +931,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := Health{Status: "ok"}
 	if snap != nil {
 		h.Snapshot = snap.id
-		h.Tasks = len(snap.tasks)
+		h.Tasks = len(snap.batch.tasks)
 	}
 	if p := s.push; p != nil {
 		stats := p.wal.Stats()

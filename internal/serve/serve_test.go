@@ -175,7 +175,7 @@ func TestServeBackgroundWatcher(t *testing.T) {
 	bumpMtimes(t, dir, 1)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if snap := s.snap.Load(); snap != nil && len(snap.tasks) == 25 {
+		if snap := s.snap.Load(); snap != nil && len(snap.batch.tasks) == 25 {
 			break
 		}
 		if time.Now().After(deadline) {
