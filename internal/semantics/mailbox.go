@@ -33,6 +33,9 @@ type Mailbox struct {
 	// depth tracks nested object stamps so an attribute read inside a
 	// dataset access restores the outer dataset context on exit.
 	stack []Context
+	// exitFn is exit bound once, so Enter does not allocate a method
+	// value per stamp.
+	exitFn func()
 }
 
 // NewMailbox returns an empty mailbox.
@@ -46,8 +49,12 @@ func (m *Mailbox) Enter(ctx Context) func() {
 	m.mu.Lock()
 	m.stack = append(m.stack, m.ctx)
 	m.ctx = ctx
+	if m.exitFn == nil {
+		m.exitFn = m.exit
+	}
+	exit := m.exitFn
 	m.mu.Unlock()
-	return m.exit
+	return exit
 }
 
 func (m *Mailbox) exit() {

@@ -79,3 +79,14 @@ func TestMailboxConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestMailboxEnterNoAlloc: the object layer stamps the mailbox around
+// every access, so a stamp and its restore must not allocate.
+func TestMailboxEnterNoAlloc(t *testing.T) {
+	mb := NewMailbox()
+	ctx := Context{Object: "/g/ds", File: "a.h5", Task: "t1"}
+	mb.Enter(ctx)() // grow the stack once
+	if n := testing.AllocsPerRun(1000, func() { mb.Enter(ctx)() }); n != 0 {
+		t.Fatalf("Enter(ctx)() allocates %v times per call, want 0", n)
+	}
+}

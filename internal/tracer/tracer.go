@@ -1,7 +1,9 @@
 package tracer
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -21,8 +23,10 @@ import (
 //
 // A Sink may retain the emitted trace beyond the call — delta-framing
 // sinks keep it as the diff base for the next checkpoint. That is safe
-// because Checkpoint allocates fresh row slices on every call; later
-// profiling never mutates an already-emitted snapshot. Successive
+// because Checkpoint allocates fresh row slices on every call, and a
+// record untouched since the previous checkpoint, Regions included, is
+// shared with it and never written again; later profiling never
+// mutates an already-emitted snapshot. Successive
 // checkpoints of one task also grow monotonically (rows accumulate,
 // the I/O trace only appends), which is what makes record-level deltas
 // between consecutive checkpoints exact (trace.Diff).
@@ -126,9 +130,13 @@ func (t *Tracer) EndTask() *trace.TaskTrace {
 
 // Checkpoint assembles a cumulative snapshot of the current task's
 // trace-so-far without disturbing profiler state: the finalize paths
-// only read the aggregation tables (state resets in BeginTask), so a
-// checkpoint followed by more I/O and EndTask yields exactly the trace
-// EndTask would have produced without the checkpoint. This is the
+// only copy rows out of the aggregation tables (state resets in
+// BeginTask), so a checkpoint followed by more I/O and EndTask yields
+// exactly the trace EndTask would have produced without the
+// checkpoint. The tables are kept in record order with their extents
+// merged, so a checkpoint sorts and merges nothing; it costs a copy of
+// the rows plus a Regions copy for each row whose extents changed since
+// the previous one (DESIGN.md §12). This is the
 // streamed-record builder for live analysis — each emitted record
 // replaces the previous one wholesale on the consumer side.
 func (t *Tracer) Checkpoint() *trace.TaskTrace {
@@ -138,8 +146,8 @@ func (t *Tracer) Checkpoint() *trace.TaskTrace {
 		StartNS: t.startNS,
 		EndNS:   t.cfg.Now().UnixNano(),
 	}
-	out.Objects = t.volProf.finalize(t.task)
-	files, mapped, ioTrace := t.vfdProf.finalize(t.task)
+	out.Objects = t.volProf.finalize()
+	files, mapped, ioTrace := t.vfdProf.finalize()
 	out.Files = files
 	out.Mapped = mapped
 	out.IOTrace = ioTrace
@@ -150,22 +158,100 @@ func (t *Tracer) Checkpoint() *trace.TaskTrace {
 	return out
 }
 
-// ---------- VOL profiler (Table I) ----------
+// ---------- aggregation tables ----------
 
 type objKey struct {
 	file   string
 	object string
 }
 
-type objAgg struct {
-	info       vol.ObjectInfo
-	acquiredNS int64
-	releasedNS int64
-	reads      int64
-	writes     int64
-	bytesRead  int64
-	bytesWrite int64
+func (k objKey) compare(o objKey) int {
+	if c := strings.Compare(k.file, o.file); c != 0 {
+		return c
+	}
+	return strings.Compare(k.object, o.object)
 }
+
+// table is an aggregation table kept in record order: a map for lookup
+// and the same rows in a slice sorted by key, (file, object) in Go
+// string order. A key enters the slice once, when first seen, so a
+// checkpoint walks the rows and never sorts. The last key looked up is
+// memoised: I/O is object-local, so a run of ops on one object skips
+// the hash.
+type table[A any] struct {
+	index map[objKey]*A
+	keys  []objKey // sorted; keys[i] is the key of rows[i]
+	rows  []*A
+	last  objKey
+	lastA *A
+}
+
+func newTable[A any]() table[A] {
+	return table[A]{index: make(map[objKey]*A)}
+}
+
+// get returns the row for k, creating a zero row when k is new (fresh).
+func (t *table[A]) get(k objKey) (a *A, fresh bool) {
+	if t.lastA != nil && k == t.last {
+		return t.lastA, false
+	}
+	if a = t.index[k]; a == nil {
+		a, fresh = new(A), true
+		t.index[k] = a
+		i, _ := slices.BinarySearchFunc(t.keys, k, objKey.compare)
+		t.keys = slices.Insert(t.keys, i, k)
+		t.rows = slices.Insert(t.rows, i, a)
+	}
+	t.last, t.lastA = k, a
+	return a, fresh
+}
+
+// regions is an aggregate's extent list, kept in trace.MergeExtents
+// normal form on every insert, plus whether it changed since the copy
+// last emitted in a record.
+type regions struct {
+	live  []trace.Extent
+	dirty bool
+}
+
+// add merges e into the list with MergeExtents' rule: e coalesces with
+// every stored extent whose closed range meets it, so the list stays
+// sorted with a gap between any two extents.
+func (r *regions) add(e trace.Extent) {
+	r.dirty = true
+	es := r.live
+	n := len(es)
+	if n == 0 || e.Start > es[n-1].End {
+		r.live = append(es, e)
+		return
+	}
+	if last := &es[n-1]; e.Start >= last.Start {
+		// Meets only the last extent: the sequential and repeated case.
+		last.End = max(last.End, e.End)
+		return
+	}
+	// es[i:j] are the extents meeting e.
+	i := sort.Search(n, func(k int) bool { return es[k].End >= e.Start })
+	j := sort.Search(n, func(k int) bool { return es[k].Start > e.End })
+	if i == j {
+		r.live = slices.Insert(es, i, e)
+		return
+	}
+	es[i] = trace.Extent{Start: min(e.Start, es[i].Start), End: max(e.End, es[j-1].End)}
+	r.live = slices.Delete(es, i+1, j)
+}
+
+// emit returns the extents for the next record: a fresh copy when they
+// changed, else prev, the copy already emitted (never written again).
+func (r *regions) emit(prev []trace.Extent) []trace.Extent {
+	if !r.dirty {
+		return prev
+	}
+	r.dirty = false
+	return slices.Clone(r.live)
+}
+
+// ---------- VOL profiler (Table I) ----------
 
 type fileLife struct {
 	openNS  int64
@@ -174,8 +260,9 @@ type fileLife struct {
 
 type volProfiler struct {
 	tr      *Tracer
-	objects map[objKey]*objAgg
+	objects table[trace.ObjectRecord]
 	files   map[string]*fileLife
+	events  int64
 }
 
 func newVOLProfiler(tr *Tracer) *volProfiler {
@@ -185,16 +272,22 @@ func newVOLProfiler(tr *Tracer) *volProfiler {
 }
 
 func (p *volProfiler) reset() {
-	p.objects = make(map[objKey]*objAgg)
+	p.objects = newTable[trace.ObjectRecord]()
 	p.files = make(map[string]*fileLife)
+	p.events = 0
 }
 
 // OnEvent implements vol.Observer. All statistics live in hash tables
 // for the duration of the task (paper §IV); logging is deferred to
 // EndTask, so repeated open/close of the same object only updates
-// counters.
+// counters. Like the VFD side, one event in timingSampleRate is timed.
 func (p *volProfiler) OnEvent(ev vol.Event) {
-	t0 := time.Now()
+	timed := p.events%timingSampleRate == 0
+	p.events++
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
 	ns := ev.Wall.UnixNano()
 	switch ev.Kind {
 	case vol.FileCreate, vol.FileOpen:
@@ -207,55 +300,39 @@ func (p *volProfiler) OnEvent(ev vol.Event) {
 			fl.closeNS = ns
 		}
 	default:
-		key := objKey{file: ev.Info.File, object: ev.Info.Name}
-		agg := p.objects[key]
-		if agg == nil {
-			agg = &objAgg{info: ev.Info, acquiredNS: ns, releasedNS: ns}
-			p.objects[key] = agg
+		rec, fresh := p.objects.get(objKey{file: ev.Info.File, object: ev.Info.Name})
+		if fresh {
+			*rec = trace.ObjectRecord{Task: p.tr.task, File: ev.Info.File, Object: ev.Info.Name, AcquiredNS: ns}
 		}
-		if ev.Info.Datatype != "" {
-			agg.info = ev.Info // keep the richest description seen
+		if fresh || ev.Info.Datatype != "" {
+			// Keep the richest description seen.
+			rec.Type = ev.Info.Type
+			rec.Datatype = ev.Info.Datatype
+			rec.Shape = ev.Info.Shape
+			rec.ElemSize = ev.Info.ElemSize
+			rec.Layout = ev.Info.Layout
+			rec.ChunkDims = ev.Info.ChunkDims
 		}
-		agg.releasedNS = ns
+		rec.ReleasedNS = ns
 		switch ev.Kind {
 		case vol.DatasetRead, vol.AttrRead:
-			agg.reads++
-			agg.bytesRead += ev.Bytes
+			rec.Reads++
+			rec.BytesRead += ev.Bytes
 		case vol.DatasetWrite, vol.AttrWrite:
-			agg.writes++
-			agg.bytesWrite += ev.Bytes
+			rec.Writes++
+			rec.BytesWritten += ev.Bytes
 		}
 	}
-	p.tr.times.AccessTracker += time.Since(t0)
+	if timed {
+		p.tr.times.AccessTracker += time.Since(t0) * timingSampleRate
+	}
 }
 
-func (p *volProfiler) finalize(task string) []trace.ObjectRecord {
-	out := make([]trace.ObjectRecord, 0, len(p.objects))
-	for key, agg := range p.objects {
-		out = append(out, trace.ObjectRecord{
-			Task:         task,
-			File:         key.file,
-			Object:       key.object,
-			Type:         agg.info.Type,
-			Datatype:     agg.info.Datatype,
-			Shape:        agg.info.Shape,
-			ElemSize:     agg.info.ElemSize,
-			Layout:       agg.info.Layout,
-			ChunkDims:    agg.info.ChunkDims,
-			AcquiredNS:   agg.acquiredNS,
-			ReleasedNS:   agg.releasedNS,
-			Reads:        agg.reads,
-			Writes:       agg.writes,
-			BytesRead:    agg.bytesRead,
-			BytesWritten: agg.bytesWrite,
-		})
+func (p *volProfiler) finalize() []trace.ObjectRecord {
+	out := make([]trace.ObjectRecord, len(p.objects.rows))
+	for i, rec := range p.objects.rows {
+		out[i] = *rec
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Object < out[j].Object
-	})
 	return out
 }
 
@@ -274,45 +351,23 @@ func (p *volProfiler) applyFileLifetimes(files []trace.FileRecord) {
 
 // ---------- VFD profiler (Table II) + Characteristic Mapper ----------
 
+// fileAgg is a Table II row in the making: rec holds the counters, and
+// its Regions is the copy last emitted.
 type fileAgg struct {
-	firstNS     int64
-	lastNS      int64
-	ops         int64
-	reads       int64
-	writes      int64
-	bytesR      int64
-	bytesW      int64
-	dataReads   int64
-	dataWrites  int64
-	seqOps      int64
-	metaOps     int64
-	dataOps     int64
-	metaBytes   int64
-	dataBytes   int64
+	rec         trace.FileRecord
+	regions     regions
 	lastDataEnd int64
-	extents     []trace.Extent
 }
 
 type mapAgg struct {
-	metaOps   int64
-	dataOps   int64
-	metaBytes int64
-	dataBytes int64
-	reads     int64
-	writes    int64
-	firstNS   int64
-	lastNS    int64
-	extents   []trace.Extent
+	rec     trace.MappedStat
+	regions regions
 }
-
-// extentMergeThreshold bounds the raw extent list before an incremental
-// merge, keeping tracker memory proportional to distinct regions.
-const extentMergeThreshold = 1024
 
 type vfdProfiler struct {
 	tr      *Tracer
-	files   map[string]*fileAgg
-	mapped  map[objKey]*mapAgg
+	files   table[fileAgg]
+	mapped  table[mapAgg]
 	ioTrace []trace.IORecord
 	opSeen  int64
 }
@@ -324,8 +379,8 @@ func newVFDProfiler(tr *Tracer) *vfdProfiler {
 }
 
 func (p *vfdProfiler) reset() {
-	p.files = make(map[string]*fileAgg)
-	p.mapped = make(map[objKey]*mapAgg)
+	p.files = newTable[fileAgg]()
+	p.mapped = newTable[mapAgg]()
 	p.ioTrace = nil
 	p.opSeen = 0
 }
@@ -345,43 +400,41 @@ func (p *vfdProfiler) Observe(op vfd.Op) {
 		t0 = time.Now()
 	}
 	ns := op.Wall.UnixNano()
+	ext := trace.Extent{Start: op.Offset, End: op.End()}
 
-	agg := p.files[op.File]
-	if agg == nil {
-		agg = &fileAgg{firstNS: ns}
-		p.files[op.File] = agg
+	agg, fresh := p.files.get(objKey{file: op.File})
+	f := &agg.rec
+	if fresh {
+		*f = trace.FileRecord{Task: p.tr.task, File: op.File, OpenNS: ns}
 	}
-	agg.lastNS = ns
-	agg.ops++
+	f.CloseNS = ns
+	f.Ops++
 	if op.Write {
-		agg.writes++
-		agg.bytesW += op.Length
+		f.Writes++
+		f.BytesWritten += op.Length
 	} else {
-		agg.reads++
-		agg.bytesR += op.Length
+		f.Reads++
+		f.BytesRead += op.Length
 	}
 	if op.Class == sim.Metadata {
-		agg.metaOps++
-		agg.metaBytes += op.Length
+		f.MetaOps++
+		f.MetaBytes += op.Length
 	} else {
 		// Streaming detection considers raw-data traffic only: metadata
 		// lookups (headers, chunk indexes) jump around by design.
-		if op.Offset >= agg.lastDataEnd && agg.dataOps > 0 {
-			agg.seqOps++
+		if op.Offset >= agg.lastDataEnd && f.DataOps > 0 {
+			f.SequentialOps++
 		}
 		agg.lastDataEnd = op.End()
-		agg.dataOps++
-		agg.dataBytes += op.Length
+		f.DataOps++
+		f.DataBytes += op.Length
 		if op.Write {
-			agg.dataWrites++
+			f.DataWrites++
 		} else {
-			agg.dataReads++
+			f.DataReads++
 		}
 	}
-	agg.extents = append(agg.extents, trace.Extent{Start: op.Offset, End: op.End()})
-	if len(agg.extents) >= extentMergeThreshold {
-		agg.extents = trace.MergeExtents(agg.extents)
-	}
+	agg.regions.add(ext)
 
 	p.opSeen++
 	if p.tr.cfg.IOTrace && p.opSeen > p.tr.cfg.SkipOps {
@@ -404,29 +457,25 @@ func (p *vfdProfiler) Observe(op vfd.Op) {
 
 	// Characteristic Mapper: attribute the op to the current data object
 	// announced through the mailbox.
-	key := objKey{file: op.File, object: op.Object}
-	m := p.mapped[key]
-	if m == nil {
-		m = &mapAgg{firstNS: ns}
-		p.mapped[key] = m
+	m, fresh := p.mapped.get(objKey{file: op.File, object: op.Object})
+	ms := &m.rec
+	if fresh {
+		*ms = trace.MappedStat{Task: p.tr.task, File: op.File, Object: op.Object, FirstNS: ns}
 	}
-	m.lastNS = ns
+	ms.LastNS = ns
 	if op.Class == sim.Metadata {
-		m.metaOps++
-		m.metaBytes += op.Length
+		ms.MetaOps++
+		ms.MetaBytes += op.Length
 	} else {
-		m.dataOps++
-		m.dataBytes += op.Length
+		ms.DataOps++
+		ms.DataBytes += op.Length
 	}
 	if op.Write {
-		m.writes++
+		ms.Writes++
 	} else {
-		m.reads++
+		ms.Reads++
 	}
-	m.extents = append(m.extents, trace.Extent{Start: op.Offset, End: op.End()})
-	if len(m.extents) >= extentMergeThreshold {
-		m.extents = trace.MergeExtents(m.extents)
-	}
+	m.regions.add(ext)
 	if timed {
 		p.tr.times.CharacteristicMapper += time.Since(t1) * timingSampleRate
 	}
@@ -440,53 +489,19 @@ func (p *vfdProfiler) Observe(op vfd.Op) {
 	}
 }
 
-func (p *vfdProfiler) finalize(task string) ([]trace.FileRecord, []trace.MappedStat, []trace.IORecord) {
-	files := make([]trace.FileRecord, 0, len(p.files))
-	for name, agg := range p.files {
-		files = append(files, trace.FileRecord{
-			Task:          task,
-			File:          name,
-			OpenNS:        agg.firstNS,
-			CloseNS:       agg.lastNS,
-			Ops:           agg.ops,
-			Reads:         agg.reads,
-			Writes:        agg.writes,
-			BytesRead:     agg.bytesR,
-			BytesWritten:  agg.bytesW,
-			DataReads:     agg.dataReads,
-			DataWrites:    agg.dataWrites,
-			SequentialOps: agg.seqOps,
-			MetaOps:       agg.metaOps,
-			DataOps:       agg.dataOps,
-			MetaBytes:     agg.metaBytes,
-			DataBytes:     agg.dataBytes,
-			Regions:       trace.MergeExtents(agg.extents),
-		})
+// finalize copies the rows out in table order. Only a row whose extents
+// changed since the last call gets a new Regions copy; the others reuse
+// the one already emitted.
+func (p *vfdProfiler) finalize() ([]trace.FileRecord, []trace.MappedStat, []trace.IORecord) {
+	files := make([]trace.FileRecord, len(p.files.rows))
+	for i, agg := range p.files.rows {
+		agg.rec.Regions = agg.regions.emit(agg.rec.Regions)
+		files[i] = agg.rec
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].File < files[j].File })
-
-	mapped := make([]trace.MappedStat, 0, len(p.mapped))
-	for key, m := range p.mapped {
-		mapped = append(mapped, trace.MappedStat{
-			Task:      task,
-			File:      key.file,
-			Object:    key.object,
-			MetaOps:   m.metaOps,
-			DataOps:   m.dataOps,
-			MetaBytes: m.metaBytes,
-			DataBytes: m.dataBytes,
-			Reads:     m.reads,
-			Writes:    m.writes,
-			Regions:   trace.MergeExtents(m.extents),
-			FirstNS:   m.firstNS,
-			LastNS:    m.lastNS,
-		})
+	mapped := make([]trace.MappedStat, len(p.mapped.rows))
+	for i, m := range p.mapped.rows {
+		m.rec.Regions = m.regions.emit(m.rec.Regions)
+		mapped[i] = m.rec
 	}
-	sort.Slice(mapped, func(i, j int) bool {
-		if mapped[i].File != mapped[j].File {
-			return mapped[i].File < mapped[j].File
-		}
-		return mapped[i].Object < mapped[j].Object
-	})
 	return files, mapped, p.ioTrace
 }
