@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 
 	"dayu/internal/jsonenc"
@@ -136,7 +135,7 @@ func (sc *encodeScratch) appendElements(b []byte, findings []Finding) error {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					return fmt.Errorf("diagnose: encode finding %d (%s): metric %q: unsupported value %v", i, f.Kind, k, v)
 				}
-				b = appendJSONFloat(b, v)
+				b = jsonenc.AppendFloat(b, v)
 			}
 			b = append(b, "\n    }"...)
 		}
@@ -153,22 +152,3 @@ type encodeScratch struct {
 }
 
 var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
-
-// appendJSONFloat appends a finite float64 as encoding/json formats it:
-// ES6 number-to-string (shortest round-trip digits, exponent form
-// below 1e-6 and from 1e21, the exponent never zero-padded).
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 -> e-9, as encoding/json cleans it up.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}

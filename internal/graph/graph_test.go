@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func sampleGraph() *Graph {
@@ -159,6 +160,48 @@ func TestHTML(t *testing.T) {
 	}
 }
 
+// TestHTMLEscapesOp: the op reaches the edge table through the same
+// escaping as every other cell; a graph read back through UnmarshalJSON
+// can carry any op string.
+func TestHTMLEscapesOp(t *testing.T) {
+	var g Graph
+	if err := json.Unmarshal([]byte(`{"name":"g","nodes":[{"ID":"a"},{"ID":"b"}],`+
+		`"edges":[{"From":"a","To":"b","Op":"<img src=x onerror=alert(1)>"}]}`), &g); err != nil {
+		t.Fatal(err)
+	}
+	h := g.HTML()
+	if strings.Contains(h, "<img") {
+		t.Error("HTML writes the op unescaped")
+	}
+	if !strings.Contains(h, "<td>&lt;img src=x onerror=alert(1)&gt;</td>") {
+		t.Error("HTML edge table lost the op")
+	}
+}
+
+// TestSVGTruncatesOnRuneBoundary: a long label is cut at a rune
+// boundary at or before byte 27, so the document stays valid UTF-8.
+func TestSVGTruncatesOnRuneBoundary(t *testing.T) {
+	for _, label := range []string{
+		strings.Repeat("é", 20),                          // byte 27 is a continuation byte
+		strings.Repeat("a", 25) + "☃☃☃",                  // byte 27 is inside a three-byte rune
+		strings.Repeat("a", 26) + strings.Repeat("🜚", 2), // four-byte runes
+	} {
+		g := New("g")
+		g.AddNode(Node{ID: "n", Label: label})
+		svg := g.SVG()
+		if !utf8.ValidString(svg) {
+			t.Errorf("label %q: SVG is not valid UTF-8", label)
+		}
+		cut := 27
+		for !utf8.RuneStart(label[cut]) {
+			cut--
+		}
+		if want := ">" + label[:cut] + "...</text>"; !strings.Contains(svg, want) {
+			t.Errorf("label %q: SVG lacks %q", label, want)
+		}
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	g := sampleGraph()
 	data, err := json.Marshal(g)
@@ -181,6 +224,11 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestEdgeColorAndWidth(t *testing.T) {
+	edgeColor := func(bw, maxBW float64, reused bool) string {
+		var w writer
+		w.edgeColor(bw, maxBW, reused)
+		return w.String()
+	}
 	if edgeColor(0, 0, true) != "#ff7f0e" {
 		t.Error("reuse color wrong")
 	}

@@ -2,14 +2,24 @@ package graph
 
 import (
 	"encoding/json"
-	"fmt"
 	"html"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
+	"dayu/internal/jsonenc"
 	"dayu/internal/units"
 )
+
+// The renderers append into one buffer sized up front from the graph's
+// node and edge counts and string lengths, with no fmt and no
+// reflection: at workflow scale the per-value formatting of fmt and
+// encoding/json cost more than the analysis being rendered. Their bytes
+// are the fmt/encoding/json renderers' bytes (render_ref_test.go holds
+// them to it).
 
 // nodeStyle maps kinds to the paper's figure palette: blue files, red
 // tasks, yellow datasets, lighter blue address regions.
@@ -31,25 +41,6 @@ func nodeStyle(k Kind) (shape, fill string) {
 	return "ellipse", "#ffffff"
 }
 
-// edgeColor shades by bandwidth: darker means higher bandwidth, as in
-// the paper's figures. A zero bandwidth means "unknown" (degenerate
-// measurement window), not "slow", and renders in the neutral gray.
-func edgeColor(bw, maxBW float64, reused bool) string {
-	if reused {
-		return "#ff7f0e" // orange: data-reuse edges
-	}
-	if maxBW <= 0 || bw <= 0 {
-		return "#888888"
-	}
-	frac := bw / maxBW
-	if frac > 1 {
-		frac = 1
-	}
-	// Interpolate light gray -> near black.
-	level := 200 - int(170*frac)
-	return fmt.Sprintf("#%02x%02x%02x", level, level, level)
-}
-
 // penWidth scales edge width by volume (log scale).
 func penWidth(volume int64) float64 {
 	if volume <= 0 {
@@ -58,31 +49,12 @@ func penWidth(volume int64) float64 {
 	return 1 + math.Log10(float64(volume))/2
 }
 
-// DOT renders the graph in Graphviz format with the paper's visual
-// conventions.
-func (g *Graph) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n  node [style=filled fontname=\"Helvetica\"];\n", g.Name)
-	maxBW := g.maxBandwidth()
-	for _, n := range g.Nodes() {
-		shape, fill := nodeStyle(n.Kind)
-		label := n.Label
-		if label == "" {
-			label = n.ID
-		}
-		fmt.Fprintf(&b, "  %q [label=%q shape=%s fillcolor=%q];\n", n.ID, label, shape, fill)
+// displayLabel is the text a node is drawn with: its label, else its ID.
+func (n *Node) displayLabel() string {
+	if n.Label != "" {
+		return n.Label
 	}
-	for _, e := range g.Edges() {
-		color := edgeColor(e.Bandwidth, maxBW, e.Reused)
-		label := ""
-		if e.Volume > 0 {
-			label = units.Bytes(e.Volume)
-		}
-		fmt.Fprintf(&b, "  %q -> %q [color=%q penwidth=%.2f label=%q];\n",
-			e.From, e.To, color, penWidth(e.Volume), label)
-	}
-	b.WriteString("}\n")
-	return b.String()
+	return n.ID
 }
 
 func (g *Graph) maxBandwidth() float64 {
@@ -95,10 +67,177 @@ func (g *Graph) maxBandwidth() float64 {
 	return max
 }
 
+// writer is the text renderers' output: a strings.Builder grown once
+// before the first write, so the returned string is the buffer itself,
+// plus the scratch space values are formatted in on their way into it.
+type writer struct {
+	strings.Builder
+	num  [32]byte
+	keys []string // attribute-key sort buffer, reused across nodes
+}
+
+func (w *writer) int(v int64) { w.Write(strconv.AppendInt(w.num[:0], v, 10)) }
+
+// fixed writes v with prec decimals, as fmt's "%.<prec>f".
+func (w *writer) fixed(v float64, prec int) {
+	w.Write(strconv.AppendFloat(w.num[:0], v, 'f', prec, 64))
+}
+
+func (w *writer) bytes(n int64) { w.Write(units.AppendBytes(w.num[:0], n)) }
+
+// quoted writes s as fmt's %q does (strconv.Quote). Printable ASCII
+// with no quote or backslash, which is nearly every ID and label, needs
+// no escaping and is copied between the quotes.
+func (w *writer) quoted(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			w.Write(strconv.AppendQuote(w.num[:0], s))
+			return
+		}
+	}
+	w.WriteByte('"')
+	w.WriteString(s)
+	w.WriteByte('"')
+}
+
+func (w *writer) escaped(s string) { w.WriteString(html.EscapeString(s)) }
+
+// edgeColor writes an edge's colour, shaded by bandwidth: darker means
+// higher bandwidth, as in the paper's figures. A zero bandwidth means
+// "unknown" (degenerate measurement window), not "slow", and renders in
+// the neutral gray.
+func (w *writer) edgeColor(bw, maxBW float64, reused bool) {
+	if reused {
+		w.WriteString("#ff7f0e") // orange: data-reuse edges
+		return
+	}
+	if maxBW <= 0 || bw <= 0 {
+		w.WriteString("#888888")
+		return
+	}
+	frac := bw / maxBW
+	if frac > 1 {
+		frac = 1
+	}
+	// Interpolate light gray -> near black.
+	level := 200 - int(170*frac)
+	w.WriteByte('#')
+	for i := 0; i < 3; i++ {
+		w.hex2(level)
+	}
+}
+
+// hex2 writes v as fmt's "%02x". Only a NaN bandwidth, whose shade
+// converts to an arbitrary int, takes v outside a colour channel's
+// 0-255, and there fmt's form is strconv's.
+func (w *writer) hex2(v int) {
+	const hex = "0123456789abcdef"
+	if v < 0 || v > 0xff {
+		w.Write(strconv.AppendInt(w.num[:0], int64(v), 16))
+		return
+	}
+	w.WriteByte(hex[v>>4])
+	w.WriteByte(hex[v&0xf])
+}
+
+// bandwidth writes a bandwidth for display; 0 means the window was too
+// short to measure, so it reads "unknown" rather than 0.00 KB/s.
+func (w *writer) bandwidth(bw float64) {
+	if bw <= 0 {
+		w.WriteString("unknown")
+		return
+	}
+	w.fixed(bw/1e3, 2)
+	w.WriteString(" KB/s")
+}
+
+// Per-item byte counts the renderers' size hints add to the strings
+// they copy: the fixed text of one node or edge plus room for its
+// numbers at their usual widths. A graph whose strings need escaping,
+// or whose numbers run longer, grows the buffer past the hint.
+const (
+	dotNode  = 52  // `  "" [label="" shape=ellipse fillcolor="#ffffff"];` + "\n"
+	dotEdge  = 72  // `  "" -> "" [color="#888888" penwidth=10.00 label="1023.9 KiB"];` + "\n"
+	svgNode  = 200 // <rect> with its tooltip, <text>
+	svgLabel = 30  // the longest label SVG draws before it truncates
+	svgEdge  = 320 // <line> with its tooltip
+	htmlEdge = 128 // one edge-statistics row
+	jsonNode = 128 // {"ID":"",...,"Attrs":null}, with two timestamps and a volume
+	jsonEdge = 176 // {"From":"",...,"Attrs":null}, with a bandwidth and five counts
+	attrText = 32  // one attribute: key, value and punctuation, at a usual length
+)
+
+// DOT renders the graph in Graphviz format with the paper's visual
+// conventions.
+func (g *Graph) DOT() string {
+	size := 80 + len(g.Name)
+	for _, id := range g.order {
+		size += dotNode + len(id) + len(g.nodes[id].displayLabel())
+	}
+	for _, e := range g.edges {
+		size += dotEdge + len(e.From) + len(e.To)
+	}
+	var w writer
+	w.Grow(size)
+	w.WriteString("digraph ")
+	w.quoted(g.Name)
+	w.WriteString(" {\n  rankdir=LR;\n  node [style=filled fontname=\"Helvetica\"];\n")
+	for _, id := range g.order {
+		n := g.nodes[id]
+		shape, fill := nodeStyle(n.Kind)
+		w.WriteString("  ")
+		w.quoted(id)
+		w.WriteString(" [label=")
+		w.quoted(n.displayLabel())
+		w.WriteString(" shape=")
+		w.WriteString(shape)
+		w.WriteString(" fillcolor=\"")
+		w.WriteString(fill)
+		w.WriteString("\"];\n")
+	}
+	maxBW := g.maxBandwidth()
+	for _, e := range g.edges {
+		w.WriteString("  ")
+		w.quoted(e.From)
+		w.WriteString(" -> ")
+		w.quoted(e.To)
+		w.WriteString(" [color=\"")
+		w.edgeColor(e.Bandwidth, maxBW, e.Reused)
+		w.WriteString("\" penwidth=")
+		w.fixed(penWidth(e.Volume), 2)
+		w.WriteString(" label=\"")
+		if e.Volume > 0 {
+			w.bytes(e.Volume) // printable ASCII: quoting copies it
+		}
+		w.WriteString("\"];\n")
+	}
+	w.WriteString("}\n")
+	return w.String()
+}
+
 // SVG renders a layered layout: nodes in columns by topological rank,
 // ordered vertically by start time within a column - a static
 // approximation of the interactive figure layout.
 func (g *Graph) SVG() string {
+	var w writer
+	w.Grow(g.svgSize())
+	g.writeSVG(&w)
+	return w.String()
+}
+
+func (g *Graph) svgSize() int {
+	size := 200 + len(g.Name)
+	for _, id := range g.order {
+		n := g.nodes[id]
+		size += svgNode + len(id) + min(len(n.displayLabel()), svgLabel) + len(n.Kind) + len(n.Attrs)*attrText
+	}
+	for _, e := range g.edges {
+		size += svgEdge + len(e.From) + len(e.To) + len(e.Op)
+	}
+	return size
+}
+
+func (g *Graph) writeSVG(w *writer) {
 	const (
 		colW   = 260
 		rowH   = 44
@@ -107,9 +246,10 @@ func (g *Graph) SVG() string {
 		margin = 40
 	)
 	ranks := g.Ranks()
+	nodes := g.Nodes()
 	cols := map[int][]*Node{}
 	maxRank := 0
-	for _, n := range g.Nodes() {
+	for _, n := range nodes {
 		r := ranks[n.ID]
 		cols[r] = append(cols[r], n)
 		if r > maxRank {
@@ -131,10 +271,17 @@ func (g *Graph) SVG() string {
 	width := margin*2 + (maxRank+1)*colW
 	height := margin*2 + maxRows*rowH
 
-	pos := map[string][2]int{}
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="Helvetica" font-size="11">`+"\n", width, height)
-	fmt.Fprintf(&b, `<text x="%d" y="20" font-size="14" font-weight="bold">%s</text>`+"\n", margin, html.EscapeString(g.Name))
+	pos := make(map[string][2]int, len(nodes))
+	w.WriteString(`<svg xmlns="http://www.w3.org/2000/svg" width="`)
+	w.int(int64(width))
+	w.WriteString(`" height="`)
+	w.int(int64(height))
+	w.WriteString(`" font-family="Helvetica" font-size="11">` + "\n")
+	w.WriteString(`<text x="`)
+	w.int(margin)
+	w.WriteString(`" y="20" font-size="14" font-weight="bold">`)
+	w.escaped(g.Name)
+	w.WriteString("</text>\n")
 
 	maxBW := g.maxBandwidth()
 	// Edges first so nodes draw on top.
@@ -143,113 +290,273 @@ func (g *Graph) SVG() string {
 			pos[n.ID] = [2]int{margin + r*colW, margin + i*rowH}
 		}
 	}
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		p1, ok1 := pos[e.From]
 		p2, ok2 := pos[e.To]
 		if !ok1 || !ok2 {
 			continue
 		}
-		color := edgeColor(e.Bandwidth, maxBW, e.Reused)
-		fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" stroke-width="%.1f"><title>%s</title></line>`+"\n",
-			p1[0]+nodeW, p1[1]+nodeH/2, p2[0], p2[1]+nodeH/2, color, penWidth(e.Volume),
-			html.EscapeString(edgeTooltip(e)))
+		w.WriteString(`<line x1="`)
+		w.int(int64(p1[0] + nodeW))
+		w.WriteString(`" y1="`)
+		w.int(int64(p1[1] + nodeH/2))
+		w.WriteString(`" x2="`)
+		w.int(int64(p2[0]))
+		w.WriteString(`" y2="`)
+		w.int(int64(p2[1] + nodeH/2))
+		w.WriteString(`" stroke="`)
+		w.edgeColor(e.Bandwidth, maxBW, e.Reused)
+		w.WriteString(`" stroke-width="`)
+		w.fixed(penWidth(e.Volume), 1)
+		w.WriteString(`"><title>`)
+		w.edgeTooltip(e)
+		w.WriteString("</title></line>\n")
 	}
-	for _, n := range g.Nodes() {
+	for _, n := range nodes {
 		p := pos[n.ID]
 		_, fill := nodeStyle(n.Kind)
-		label := n.Label
-		if label == "" {
-			label = n.ID
+		w.WriteString(`<rect x="`)
+		w.int(int64(p[0]))
+		w.WriteString(`" y="`)
+		w.int(int64(p[1]))
+		w.WriteString(`" width="`)
+		w.int(nodeW)
+		w.WriteString(`" height="`)
+		w.int(nodeH)
+		w.WriteString(`" rx="4" fill="`)
+		w.WriteString(fill)
+		w.WriteString(`" stroke="#333"><title>`)
+		w.nodeTooltip(n)
+		w.WriteString("</title></rect>\n")
+		w.WriteString(`<text x="`)
+		w.int(int64(p[0] + 6))
+		w.WriteString(`" y="`)
+		w.int(int64(p[1] + nodeH/2 + 4))
+		w.WriteString(`">`)
+		if label := n.displayLabel(); len(label) > svgLabel {
+			// Room for the "...", backed off to the start of the rune
+			// there so the document stays valid UTF-8.
+			cut := svgLabel - 3
+			for cut > 0 && !utf8.RuneStart(label[cut]) {
+				cut--
+			}
+			w.escaped(label[:cut])
+			w.WriteString("...")
+		} else {
+			w.escaped(label)
 		}
-		if len(label) > 30 {
-			label = label[:27] + "..."
-		}
-		fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="%d" rx="4" fill="%s" stroke="#333"><title>%s</title></rect>`+"\n",
-			p[0], p[1], nodeW, nodeH, fill, html.EscapeString(nodeTooltip(n)))
-		fmt.Fprintf(&b, `<text x="%d" y="%d">%s</text>`+"\n", p[0]+6, p[1]+nodeH/2+4, html.EscapeString(label))
+		w.WriteString("</text>\n")
 	}
-	b.WriteString("</svg>\n")
-	return b.String()
+	w.WriteString("</svg>\n")
 }
 
-func nodeTooltip(n *Node) string {
-	parts := []string{fmt.Sprintf("%s (%s)", n.ID, n.Kind)}
+// nodeTooltip writes a node's pop-up text, HTML-escaped: ID and kind,
+// volume, then its attributes in key order.
+func (w *writer) nodeTooltip(n *Node) {
+	w.escaped(n.ID)
+	w.WriteString(" (")
+	w.escaped(string(n.Kind))
+	w.WriteByte(')')
 	if n.Volume > 0 {
-		parts = append(parts, "volume "+units.Bytes(n.Volume))
+		w.WriteString("\nvolume ")
+		w.bytes(n.Volume)
 	}
-	keys := make([]string, 0, len(n.Attrs))
-	for k := range n.Attrs {
+	w.keys = sortedKeys(w.keys, n.Attrs)
+	for _, k := range w.keys {
+		w.WriteByte('\n')
+		w.escaped(k)
+		w.WriteString(": ")
+		w.escaped(n.Attrs[k])
+	}
+}
+
+// edgeTooltip writes, HTML-escaped, the detailed access statistics
+// pop-up the paper shows (Figure 7): volume, counts, average sizes,
+// class split, operation and bandwidth.
+func (w *writer) edgeTooltip(e *Edge) {
+	w.escaped(e.From)
+	w.WriteString(" -&gt; ")
+	w.escaped(e.To)
+	w.WriteString("\nAccess Volume: ")
+	w.bytes(e.Volume)
+	w.WriteString("\nAccess Count: ")
+	w.int(e.Ops)
+	if e.Ops > 0 {
+		w.WriteString("\nAverage Access Size: ")
+		w.bytes(e.Volume / e.Ops)
+	}
+	w.WriteString("\nHDF5 Data Access Count: ")
+	w.int(e.DataOps)
+	w.WriteString("\nHDF5 Metadata Access Count: ")
+	w.int(e.MetaOps)
+	w.WriteString("\nOperation: ")
+	w.escaped(string(e.Op))
+	w.WriteString("\nBandwidth: ")
+	w.bandwidth(e.Bandwidth)
+}
+
+// sortedKeys refills keys with m's keys in byte order.
+func sortedKeys(keys []string, m map[string]string) []string {
+	keys = keys[:0]
+	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		parts = append(parts, k+": "+n.Attrs[k])
-	}
-	return strings.Join(parts, "\n")
-}
-
-// edgeTooltip formats the detailed access statistics pop-up the paper
-// shows (Figure 7): volume, counts, average sizes, class split,
-// operation and bandwidth.
-func edgeTooltip(e *Edge) string {
-	var parts []string
-	parts = append(parts, fmt.Sprintf("%s -> %s", e.From, e.To))
-	parts = append(parts, "Access Volume: "+units.Bytes(e.Volume))
-	parts = append(parts, fmt.Sprintf("Access Count: %d", e.Ops))
-	if e.Ops > 0 {
-		parts = append(parts, "Average Access Size: "+units.Bytes(e.Volume/e.Ops))
-	}
-	parts = append(parts, fmt.Sprintf("HDF5 Data Access Count: %d", e.DataOps))
-	parts = append(parts, fmt.Sprintf("HDF5 Metadata Access Count: %d", e.MetaOps))
-	parts = append(parts, "Operation: "+string(e.Op))
-	parts = append(parts, "Bandwidth: "+bandwidthLabel(e.Bandwidth))
-	return strings.Join(parts, "\n")
-}
-
-// bandwidthLabel formats a bandwidth for display; 0 means the window
-// was too short to measure, so report "unknown" rather than 0.00 KB/s.
-func bandwidthLabel(bw float64) string {
-	if bw <= 0 {
-		return "unknown"
-	}
-	return fmt.Sprintf("%.2f KB/s", bw/1e3)
+	slices.Sort(keys)
+	return keys
 }
 
 // HTML renders a standalone interactive page: the SVG plus an edge
 // statistics table (the "interactable HTML format" of the paper).
 func (g *Graph) HTML() string {
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>")
-	b.WriteString(html.EscapeString(g.Name))
-	b.WriteString(`</title><style>
+	size := 1024 + 2*len(g.Name) + g.svgSize()
+	for _, e := range g.edges {
+		size += htmlEdge + len(e.From) + len(e.To) + len(e.Op)
+	}
+	var w writer
+	w.Grow(size)
+	w.WriteString("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>")
+	w.escaped(g.Name)
+	w.WriteString(`</title><style>
 body { font-family: Helvetica, sans-serif; margin: 2em; }
 table { border-collapse: collapse; margin-top: 1em; }
 td, th { border: 1px solid #ccc; padding: 4px 8px; font-size: 12px; }
 th { background: #eee; }
 tr:hover { background: #fff3d6; }
-</style></head><body>` + "\n")
-	fmt.Fprintf(&b, "<h1>%s</h1>\n", html.EscapeString(g.Name))
-	b.WriteString(g.SVG())
-	b.WriteString("<h2>Edge statistics</h2>\n<table><tr><th>From</th><th>To</th><th>Op</th><th>Volume</th><th>Ops</th><th>Data ops</th><th>Meta ops</th><th>Bandwidth</th><th>Reused</th></tr>\n")
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td><td>%v</td></tr>\n",
-			html.EscapeString(e.From), html.EscapeString(e.To), e.Op,
-			units.Bytes(e.Volume), e.Ops, e.DataOps, e.MetaOps, bandwidthLabel(e.Bandwidth), e.Reused)
+</style></head><body>` + "\n<h1>")
+	w.escaped(g.Name)
+	w.WriteString("</h1>\n")
+	g.writeSVG(&w)
+	w.WriteString("<h2>Edge statistics</h2>\n<table><tr><th>From</th><th>To</th><th>Op</th><th>Volume</th><th>Ops</th><th>Data ops</th><th>Meta ops</th><th>Bandwidth</th><th>Reused</th></tr>\n")
+	for _, e := range g.edges {
+		w.WriteString("<tr><td>")
+		w.escaped(e.From)
+		w.WriteString("</td><td>")
+		w.escaped(e.To)
+		w.WriteString("</td><td>")
+		w.escaped(string(e.Op))
+		w.WriteString("</td><td>")
+		w.bytes(e.Volume)
+		w.WriteString("</td><td>")
+		w.int(e.Ops)
+		w.WriteString("</td><td>")
+		w.int(e.DataOps)
+		w.WriteString("</td><td>")
+		w.int(e.MetaOps)
+		w.WriteString("</td><td>")
+		w.bandwidth(e.Bandwidth)
+		w.WriteString("</td><td>")
+		w.WriteString(strconv.FormatBool(e.Reused))
+		w.WriteString("</td></tr>\n")
 	}
-	b.WriteString("</table></body></html>\n")
-	return b.String()
+	w.WriteString("</table></body></html>\n")
+	return w.String()
 }
 
-// jsonGraph is the serialized graph form.
+// jsonGraph is the serialized graph form UnmarshalJSON reads;
+// MarshalJSON writes it without reflection.
 type jsonGraph struct {
 	Name  string  `json:"name"`
 	Nodes []*Node `json:"nodes"`
 	Edges []*Edge `json:"edges"`
 }
 
-// MarshalJSON serializes the graph.
+// MarshalJSON serializes the graph: encoding/json's compact form of
+// jsonGraph, HTML-safe strings, attribute keys in byte order. A NaN or
+// infinite bandwidth is an error, as encoding/json makes it.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jsonGraph{Name: g.Name, Nodes: g.Nodes(), Edges: g.edges})
+	size := 48 + len(g.Name)
+	for _, id := range g.order {
+		n := g.nodes[id]
+		size += jsonNode + len(id) + len(n.Kind) + len(n.Label) + len(n.Attrs)*attrText
+	}
+	for _, e := range g.edges {
+		size += jsonEdge + len(e.From) + len(e.To) + len(e.Op) + len(e.Attrs)*attrText
+	}
+	b := make([]byte, 0, size)
+	var keys []string
+	b = append(b, `{"name":`...)
+	b = jsonenc.AppendString(b, g.Name)
+	b = append(b, `,"nodes":[`...)
+	for i, id := range g.order {
+		n := g.nodes[id]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"ID":`...)
+		b = jsonenc.AppendString(b, id)
+		b = append(b, `,"Kind":`...)
+		b = jsonenc.AppendString(b, string(n.Kind))
+		b = append(b, `,"Label":`...)
+		b = jsonenc.AppendString(b, n.Label)
+		b = append(b, `,"StartNS":`...)
+		b = strconv.AppendInt(b, n.StartNS, 10)
+		b = append(b, `,"EndNS":`...)
+		b = strconv.AppendInt(b, n.EndNS, 10)
+		b = append(b, `,"Volume":`...)
+		b = strconv.AppendInt(b, n.Volume, 10)
+		b = append(b, `,"Attrs":`...)
+		b, keys = appendJSONAttrs(b, keys, n.Attrs)
+		b = append(b, '}')
+	}
+	b = append(b, `],"edges":`...)
+	if g.edges == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, e := range g.edges {
+			if math.IsNaN(e.Bandwidth) || math.IsInf(e.Bandwidth, 0) {
+				return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(e.Bandwidth, 'g', -1, 64)}
+			}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"From":`...)
+			b = jsonenc.AppendString(b, e.From)
+			b = append(b, `,"To":`...)
+			b = jsonenc.AppendString(b, e.To)
+			b = append(b, `,"Op":`...)
+			b = jsonenc.AppendString(b, string(e.Op))
+			b = append(b, `,"Volume":`...)
+			b = strconv.AppendInt(b, e.Volume, 10)
+			b = append(b, `,"Bandwidth":`...)
+			b = jsonenc.AppendFloat(b, e.Bandwidth)
+			b = append(b, `,"Ops":`...)
+			b = strconv.AppendInt(b, e.Ops, 10)
+			b = append(b, `,"MetaOps":`...)
+			b = strconv.AppendInt(b, e.MetaOps, 10)
+			b = append(b, `,"DataOps":`...)
+			b = strconv.AppendInt(b, e.DataOps, 10)
+			b = append(b, `,"AvgSize":`...)
+			b = strconv.AppendInt(b, e.AvgSize, 10)
+			b = append(b, `,"Reused":`...)
+			b = strconv.AppendBool(b, e.Reused)
+			b = append(b, `,"Attrs":`...)
+			b, keys = appendJSONAttrs(b, keys, e.Attrs)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSONAttrs appends an attribute map as encoding/json writes a
+// map[string]string: null when nil, keys in byte order. keys is the
+// reusable sort buffer, returned for the next call.
+func appendJSONAttrs(b []byte, keys []string, m map[string]string) ([]byte, []string) {
+	if m == nil {
+		return append(b, "null"...), keys
+	}
+	keys = sortedKeys(keys, m)
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = jsonenc.AppendString(b, k)
+		b = append(b, ':')
+		b = jsonenc.AppendString(b, m[k])
+	}
+	return append(b, '}'), keys
 }
 
 // UnmarshalJSON deserializes a graph.

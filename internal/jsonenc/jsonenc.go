@@ -4,7 +4,11 @@
 // writes for the same value; the tests hold them to it differentially.
 package jsonenc
 
-import "unicode/utf8"
+import (
+	"math"
+	"strconv"
+	"unicode/utf8"
+)
 
 const hex = "0123456789abcdef"
 
@@ -64,4 +68,24 @@ func AppendString(b []byte, s string) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
+}
+
+// AppendFloat appends a finite float64 as encoding/json formats it: ES6
+// number-to-string (shortest round-trip digits, exponent form below
+// 1e-6 and from 1e21, the exponent never zero-padded). encoding/json
+// refuses NaN and the infinities; so must the caller.
+func AppendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 -> e-9, as encoding/json cleans it up.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }

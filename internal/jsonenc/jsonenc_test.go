@@ -2,6 +2,7 @@ package jsonenc
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -36,5 +37,32 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 	// Appends after existing content, never over it.
 	if got := AppendString([]byte("k:"), "v"); string(got) != `k:"v"` {
 		t.Errorf("AppendString onto a prefix = %s", got)
+	}
+}
+
+// TestAppendFloatMatchesEncodingJSON holds AppendFloat to json.Marshal's
+// bytes on both sides of the exponent thresholds, at the extremes of the
+// float64 range and on both signs.
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	cases := []float64{
+		0, math.Copysign(0, -1), 1, 0.5, 1.0 / 3, 123456.789, 2.5e6,
+		1e-6, 1e-7, 9.99e-7, 1.5e-10, 1e20, 1e21, 9.99e20, 1.5e300,
+		5e-324, math.SmallestNonzeroFloat64 * 3, math.MaxFloat64,
+		float64(math.MaxInt64), 1 << 53,
+	}
+	for _, f := range cases {
+		cases = append(cases, -f)
+	}
+	for _, f := range cases {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendFloat(nil, f); string(got) != string(want) {
+			t.Errorf("AppendFloat(%v) = %s, encoding/json writes %s", f, got, want)
+		}
+	}
+	if got := AppendFloat([]byte("k:"), 1e-7); string(got) != "k:1e-7" {
+		t.Errorf("AppendFloat onto a prefix = %s", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -19,21 +20,32 @@ const (
 
 // Bytes renders a byte count with a binary-unit suffix, e.g. "512 B",
 // "4.0 KiB", "1.5 GiB".
-func Bytes(n int64) string {
-	switch {
-	case n < 0:
-		return "-" + Bytes(-n)
-	case n < KiB:
-		return fmt.Sprintf("%d B", n)
-	case n < MiB:
-		return fmt.Sprintf("%.1f KiB", float64(n)/float64(KiB))
-	case n < GiB:
-		return fmt.Sprintf("%.1f MiB", float64(n)/float64(MiB))
-	case n < TiB:
-		return fmt.Sprintf("%.1f GiB", float64(n)/float64(GiB))
-	default:
-		return fmt.Sprintf("%.2f TiB", float64(n)/float64(TiB))
+func Bytes(n int64) string { return string(AppendBytes(make([]byte, 0, 24), n)) }
+
+// AppendBytes appends Bytes(n) to b: a plain count below 1 KiB, one
+// decimal in KiB, MiB and GiB, two in TiB, and a leading '-' for a
+// negative count.
+func AppendBytes(b []byte, n int64) []byte {
+	if n < 0 {
+		b = append(b, '-')
+		n = -max(n, -math.MaxInt64) // -MinInt64 overflows; MaxInt64 renders the same
 	}
+	switch {
+	case n < KiB:
+		return append(strconv.AppendInt(b, n, 10), " B"...)
+	case n < MiB:
+		return appendScaled(b, float64(n), KiB, 1, " KiB")
+	case n < GiB:
+		return appendScaled(b, float64(n), MiB, 1, " MiB")
+	case n < TiB:
+		return appendScaled(b, float64(n), GiB, 1, " GiB")
+	default:
+		return appendScaled(b, float64(n), TiB, 2, " TiB")
+	}
+}
+
+func appendScaled(b []byte, v float64, unit int64, prec int, suffix string) []byte {
+	return append(strconv.AppendFloat(b, v/float64(unit), 'f', prec, 64), suffix...)
 }
 
 // Duration renders a duration compactly with three significant figures,

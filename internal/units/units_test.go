@@ -1,6 +1,7 @@
 package units
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -26,6 +27,84 @@ func TestBytes(t *testing.T) {
 		if got := Bytes(c.in); got != c.want {
 			t.Errorf("Bytes(%d) = %q, want %q", c.in, got, c.want)
 		}
+	}
+}
+
+// TestAppendBytes pins Bytes and AppendBytes at every unit boundary,
+// both signs and the TiB branch, to the strings the fmt-based formatter
+// wrote, and holds the two to each other over random counts.
+func TestAppendBytes(t *testing.T) {
+	cases := []struct {
+		in   int64
+		want string
+	}{
+		{0, "0 B"},
+		{1, "1 B"},
+		{1023, "1023 B"},
+		{1024, "1.0 KiB"},
+		{1025, "1.0 KiB"},
+		{1048524, "1023.9 KiB"},
+		{MiB - 1, "1024.0 KiB"},
+		{MiB, "1.0 MiB"},
+		{MiB + 1, "1.0 MiB"},
+		{GiB - 1, "1024.0 MiB"},
+		{GiB, "1.0 GiB"},
+		{GiB + 1, "1.0 GiB"},
+		{TiB - 1, "1024.0 GiB"},
+		{TiB, "1.00 TiB"},
+		{TiB + 1, "1.00 TiB"},
+		{1 << 50, "1024.00 TiB"},
+		{1 << 60, "1048576.00 TiB"},
+		{math.MaxInt64, "8388608.00 TiB"},
+		{-1, "-1 B"},
+		{-1023, "-1023 B"},
+		{-1024, "-1.0 KiB"},
+		{-MiB, "-1.0 MiB"},
+		{-(GiB - 1), "-1024.0 MiB"},
+		{-TiB, "-1.00 TiB"},
+		{-math.MaxInt64, "-8388608.00 TiB"},
+		// The fmt-based formatter recursed forever here.
+		{math.MinInt64, "-8388608.00 TiB"},
+	}
+	for _, c := range cases {
+		if got := Bytes(c.in); got != c.want {
+			t.Errorf("Bytes(%d) = %q, want %q", c.in, got, c.want)
+		}
+		if got := AppendBytes([]byte("x="), c.in); string(got) != "x="+c.want {
+			t.Errorf("AppendBytes(x=, %d) = %q, want %q", c.in, got, "x="+c.want)
+		}
+	}
+	agree := func(n int64) bool {
+		return string(AppendBytes(nil, n)) == Bytes(n) && Bytes(n) == fmtBytes(n)
+	}
+	if err := quick.Check(agree, nil); err != nil {
+		t.Error(err)
+	}
+	for shift := 0; shift < 63; shift++ {
+		for _, n := range []int64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			if !agree(n) || !agree(-n) {
+				t.Errorf("Bytes(±%d) = %q, fmt wrote %q", n, Bytes(n), fmtBytes(n))
+			}
+		}
+	}
+}
+
+// fmtBytes is the fmt-based formatter Bytes replaced, kept as the
+// reference for every count it terminated on.
+func fmtBytes(n int64) string {
+	switch {
+	case n < 0:
+		return "-" + fmtBytes(-n)
+	case n < KiB:
+		return fmt.Sprintf("%d B", n)
+	case n < MiB:
+		return fmt.Sprintf("%.1f KiB", float64(n)/float64(KiB))
+	case n < GiB:
+		return fmt.Sprintf("%.1f MiB", float64(n)/float64(MiB))
+	case n < TiB:
+		return fmt.Sprintf("%.1f GiB", float64(n)/float64(GiB))
+	default:
+		return fmt.Sprintf("%.2f TiB", float64(n)/float64(TiB))
 	}
 }
 
