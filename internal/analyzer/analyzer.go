@@ -193,12 +193,9 @@ func markReuse(g *graph.Graph) {
 	}
 }
 
-// ObjectKey identifies a data object for SDG decoration lookups.
-type ObjectKey struct{ File, Object string }
-
-// ObjectDescs indexes object descriptions (Table I records) by file
-// and object name; SDG dataset nodes are decorated from it.
-type ObjectDescs map[ObjectKey]trace.ObjectRecord
+// ObjectDescs indexes object descriptions (Table I records) by their
+// (file, object) row key; SDG dataset nodes are decorated from it.
+type ObjectDescs map[trace.RowKey]trace.ObjectRecord
 
 // BuildObjectDescs collects object descriptions from the ordered
 // traces; later tasks' descriptions win, matching the serial build.
@@ -206,7 +203,7 @@ func BuildObjectDescs(ordered []*trace.TaskTrace) ObjectDescs {
 	descs := ObjectDescs{}
 	for _, t := range ordered {
 		for _, o := range t.Objects {
-			descs[ObjectKey{o.File, o.Object}] = o
+			descs[o.Key()] = o
 		}
 	}
 	return descs
@@ -263,7 +260,7 @@ func SDGContribution(t *trace.TaskTrace, descs ObjectDescs, opts Options) Contri
 		}
 		nodeID := datasetNodeID(ms.File, ms.Object)
 		attrs := map[string]string{}
-		if d, ok := descs[ObjectKey{ms.File, ms.Object}]; ok {
+		if d, ok := descs[ms.Key()]; ok {
 			attrs["datatype"] = d.Datatype
 			attrs["layout"] = d.Layout
 			attrs["shape"] = fmt.Sprint(d.Shape)

@@ -3,7 +3,7 @@ package analyzer
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -36,21 +36,16 @@ import (
 // TestFingerprintMatchesJSONReference holds the two byte streams
 // equal.
 func (d ObjectDescs) Fingerprint(t *trace.TaskTrace) string {
-	keys := make([]ObjectKey, 0, len(t.Mapped))
-	seen := map[ObjectKey]bool{}
-	for _, ms := range t.Mapped {
-		k := ObjectKey{ms.File, ms.Object}
+	keys := make([]trace.RowKey, 0, len(t.Mapped))
+	seen := map[trace.RowKey]bool{}
+	for i := range t.Mapped {
+		k := t.Mapped[i].Key()
 		if !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].File != keys[j].File {
-			return keys[i].File < keys[j].File
-		}
-		return keys[i].Object < keys[j].Object
-	})
+	slices.SortFunc(keys, trace.RowKey.Compare)
 	h := sha256.New()
 	bp := fingerprintBufPool.Get().(*[]byte)
 	b := (*bp)[:0]

@@ -88,7 +88,7 @@ func TestObjectDescsFingerprint(t *testing.T) {
 	if len(tr.Mapped) == 0 {
 		t.Fatal("synthetic trace has no mapped stats")
 	}
-	k := ObjectKey{tr.Mapped[0].File, tr.Mapped[0].Object}
+	k := trace.RowKey{File: tr.Mapped[0].File, Object: tr.Mapped[0].Object}
 	mutated := clone()
 	d := mutated[k]
 	d.Datatype = "H5T_MUTATED"
@@ -98,7 +98,7 @@ func TestObjectDescsFingerprint(t *testing.T) {
 	}
 
 	unrelated := clone()
-	unrelated[ObjectKey{"no-such-file.h5", "no-such-object"}] = trace.ObjectRecord{
+	unrelated[trace.RowKey{File: "no-such-file.h5", Object: "no-such-object"}] = trace.ObjectRecord{
 		Task: "x", File: "no-such-file.h5", Object: "no-such-object",
 	}
 	if unrelated.Fingerprint(tr) != fp1 {

@@ -15,10 +15,10 @@ import (
 // Fingerprint must produce the same hash for every input, or every
 // serve cache key would silently change.
 func referenceFingerprint(d ObjectDescs, t *trace.TaskTrace) string {
-	keys := make([]ObjectKey, 0, len(t.Mapped))
-	seen := map[ObjectKey]bool{}
+	keys := make([]trace.RowKey, 0, len(t.Mapped))
+	seen := map[trace.RowKey]bool{}
 	for _, ms := range t.Mapped {
-		k := ObjectKey{ms.File, ms.Object}
+		k := trace.RowKey{File: ms.File, Object: ms.Object}
 		if !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)
@@ -31,7 +31,7 @@ func referenceFingerprint(d ObjectDescs, t *trace.TaskTrace) string {
 		return keys[i].Object < keys[j].Object
 	})
 	type entry struct {
-		Key     ObjectKey          `json:"key"`
+		Key     trace.RowKey       `json:"key"`
 		Present bool               `json:"present"`
 		Desc    trace.ObjectRecord `json:"desc,omitempty"`
 	}
@@ -96,7 +96,7 @@ func TestFingerprintMatchesJSONReference(t *testing.T) {
 					rec.Shape = []int64{}
 					rec.ChunkDims = []int64{}
 				}
-				descs[ObjectKey{file, obj}] = rec
+				descs[trace.RowKey{File: file, Object: obj}] = rec
 			}
 		}
 		// Duplicate a mapped entry sometimes so dedup is exercised.
@@ -137,7 +137,7 @@ func TestFingerprintAllocBudget(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		file, obj := fmt.Sprintf("f%02d.h5", i), fmt.Sprintf("/obj/%02d", i)
 		tt.Mapped = append(tt.Mapped, trace.MappedStat{File: file, Object: obj})
-		descs[ObjectKey{file, obj}] = trace.ObjectRecord{
+		descs[trace.RowKey{File: file, Object: obj}] = trace.ObjectRecord{
 			Task: "alloc", File: file, Object: obj, Type: "dataset",
 			Datatype: "float64", Layout: "chunked", ElemSize: 8,
 			Shape: []int64{128, 128}, ChunkDims: []int64{16, 16},

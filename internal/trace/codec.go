@@ -677,20 +677,14 @@ func DecodeBinaryBytes(data []byte, opts DecodeOptions) (*TaskTrace, error) {
 // DecodeBytes decodes one trace held completely in data, sniffing the
 // serialization from the leading bytes like Decode.
 func DecodeBytes(data []byte) (*TaskTrace, error) {
-	return DecodeBytesOpts(data, DecodeOptions{})
-}
-
-// DecodeBytesOpts is DecodeBytes with explicit options (ZeroCopy
-// applies only to the binary format; JSON always copies).
-func DecodeBytesOpts(data []byte, opts DecodeOptions) (*TaskTrace, error) {
 	if SniffFormat(data) == FormatBinary {
-		return DecodeBinaryBytes(data, opts)
+		return DecodeBinaryBytes(data, DecodeOptions{})
 	}
 	return Decode(bytes.NewReader(data))
 }
 
 // DecodeBytesMeta decodes one trace record of either serialization and
-// reports its stream framing. Unlike DecodeBytesOpts it accepts
+// reports its stream framing. Unlike DecodeBytes it accepts
 // incremental checkpoint records; JSON records are never incremental.
 func DecodeBytesMeta(data []byte, opts DecodeOptions) (*TaskTrace, RecordMeta, error) {
 	if SniffFormat(data) != FormatBinary {

@@ -13,7 +13,7 @@ package trace
 //
 // The framing is replacement, not arithmetic: each included row is the
 // full current row, and reassembly (ApplyDelta) overlays it onto the
-// base by key. That keeps the wire format trivially fuzzable (any
+// base by RowKey. That keeps the wire format trivially fuzzable (any
 // valid trace is a valid delta body) and makes reassembly exact — no
 // counter subtraction that could drift. Diff verifies exactness before
 // returning: it reassembles its own output against the base and
@@ -26,7 +26,7 @@ package trace
 
 import (
 	"reflect"
-	"sort"
+	"slices"
 )
 
 // Diff computes a delta record that reassembles to cur when applied on
@@ -38,14 +38,6 @@ func Diff(base, cur *TaskTrace) (delta *TaskTrace, ok bool) {
 	if base == nil || cur == nil || base.Task != cur.Task {
 		return nil, false
 	}
-	d := &TaskTrace{
-		Task:     cur.Task,
-		StartNS:  cur.StartNS,
-		EndNS:    cur.EndNS,
-		Attempts: cur.Attempts,
-		Failed:   cur.Failed,
-	}
-
 	// Monotone-growth fast checks: a cumulative checkpoint never drops
 	// rows or truncates the I/O trace.
 	if len(cur.Objects) < len(base.Objects) ||
@@ -54,68 +46,40 @@ func Diff(base, cur *TaskTrace) (delta *TaskTrace, ok bool) {
 		len(cur.IOTrace) < len(base.IOTrace) {
 		return nil, false
 	}
-
-	baseObjects := make(map[objectKey]*ObjectRecord, len(base.Objects))
-	for i := range base.Objects {
-		o := &base.Objects[i]
-		baseObjects[objectKey{o.File, o.Object}] = o
-	}
-	if cur.Objects != nil {
-		d.Objects = make([]ObjectRecord, 0, 4)
-		for i := range cur.Objects {
-			o := &cur.Objects[i]
-			if prev, ok := baseObjects[objectKey{o.File, o.Object}]; !ok || !reflect.DeepEqual(prev, o) {
-				d.Objects = append(d.Objects, *o)
-			}
-		}
+	d := &TaskTrace{
+		Task:     cur.Task,
+		StartNS:  cur.StartNS,
+		EndNS:    cur.EndNS,
+		Objects:  changedRows(base.Objects, cur.Objects),
+		Files:    changedRows(base.Files, cur.Files),
+		Mapped:   changedRows(base.Mapped, cur.Mapped),
+		Attempts: cur.Attempts,
+		Failed:   cur.Failed,
 	}
 
-	baseFiles := make(map[string]*FileRecord, len(base.Files))
-	for i := range base.Files {
-		f := &base.Files[i]
-		baseFiles[f.File] = f
-	}
-	changedFiles := map[string]bool{}
-	if cur.Files != nil {
-		d.Files = make([]FileRecord, 0, 4)
-		for i := range cur.Files {
-			f := &cur.Files[i]
-			if prev, ok := baseFiles[f.File]; !ok || !reflect.DeepEqual(prev, f) {
-				d.Files = append(d.Files, *f)
-				changedFiles[f.File] = true
+	// Validate requires every mapped row's file to have a file row in
+	// the same record. The tracer updates both tables from the same
+	// operation so the file row has changed too, but a hand-built trace
+	// may not honor that — carry the (unchanged) file row explicitly to
+	// keep the delta valid.
+	if len(d.Mapped) > 0 {
+		shipped := make(map[string]bool, len(d.Files))
+		for i := range d.Files {
+			shipped[d.Files[i].File] = true
+		}
+		for i := range d.Mapped {
+			file := d.Mapped[i].File
+			if shipped[file] {
+				continue
 			}
-		}
-	}
-
-	baseMapped := make(map[objectKey]*MappedStat, len(base.Mapped))
-	for i := range base.Mapped {
-		m := &base.Mapped[i]
-		baseMapped[objectKey{m.File, m.Object}] = m
-	}
-	if cur.Mapped != nil {
-		d.Mapped = make([]MappedStat, 0, 4)
-		for i := range cur.Mapped {
-			m := &cur.Mapped[i]
-			if prev, ok := baseMapped[objectKey{m.File, m.Object}]; !ok || !reflect.DeepEqual(prev, m) {
-				d.Mapped = append(d.Mapped, *m)
-				// Validate requires every mapped row's file to have a file
-				// row in the same record. The tracer updates both tables
-				// from the same operation so the file row has changed too,
-				// but a hand-built trace may not honor that — carry the
-				// (unchanged) file row explicitly to keep the delta valid.
-				if !changedFiles[m.File] {
-					if cf := currentFile(cur, m.File); cf != nil {
-						d.Files = append(d.Files, *cf)
-						changedFiles[m.File] = true
-					} else {
-						return nil, false // cur itself violates Mapped ⊆ Files
-					}
-				}
+			j := slices.IndexFunc(cur.Files, func(f FileRecord) bool { return f.File == file })
+			if j < 0 {
+				return nil, false // cur itself violates Mapped ⊆ Files
 			}
+			d.Files = append(d.Files, cur.Files[j])
+			shipped[file] = true
 		}
-		if len(d.Files) > 0 {
-			sort.SliceStable(d.Files, func(i, j int) bool { return d.Files[i].File < d.Files[j].File })
-		}
+		sortRows(d.Files)
 	}
 
 	// The I/O trace of a cumulative checkpoint is append-only; the
@@ -134,128 +98,79 @@ func Diff(base, cur *TaskTrace) (delta *TaskTrace, ok bool) {
 	return d, true
 }
 
-// currentFile finds cur's file row by name (rows are sorted by file
-// name, but a linear scan keeps no ordering assumption).
-func currentFile(cur *TaskTrace, file string) *FileRecord {
-	for i := range cur.Files {
-		if cur.Files[i].File == file {
-			return &cur.Files[i]
+// changedRows is Diff's pass over one table: the rows of cur that are
+// new or differ from base's row under the same key (the last one, if
+// base repeats a key). A nil cur table stays nil.
+func changedRows[R any, P row[R]](base, cur []R) []R {
+	if cur == nil {
+		return nil
+	}
+	prev := make(map[RowKey]*R, len(base))
+	for i := range base {
+		prev[P(&base[i]).Key()] = &base[i]
+	}
+	out := make([]R, 0, 4)
+	for i := range cur {
+		if p, ok := prev[P(&cur[i]).Key()]; !ok || !reflect.DeepEqual(p, &cur[i]) {
+			out = append(out, cur[i])
 		}
 	}
-	return nil
+	return out
 }
 
-type objectKey struct{ file, object string }
-
 // ApplyDelta reassembles the cumulative checkpoint a delta record
-// stands for: base's rows overlaid with delta's by key (file for file
-// rows, file+object for object and mapped rows), the I/O trace
-// concatenated, and the task header taken from the delta. Tables come
-// out in the tracer's canonical sort orders. Row-level slices (Regions,
-// Shape, the I/O records) alias base/delta — traces are read-only
-// after decode, so the aliasing is safe and keeps reassembly cheap.
+// stands for: base's rows overlaid with delta's by RowKey, the I/O
+// trace concatenated, and the task header taken from the delta. Tables
+// come out in RowKey order. Row-level slices (Regions, Shape, the I/O
+// records) alias base/delta — traces are read-only after decode, so
+// the aliasing is safe and keeps reassembly cheap.
 func ApplyDelta(base, delta *TaskTrace) *TaskTrace {
 	out := &TaskTrace{
 		Task:     delta.Task,
 		StartNS:  delta.StartNS,
 		EndNS:    delta.EndNS,
+		Objects:  overlayRows(base.Objects, delta.Objects),
+		Files:    overlayRows(base.Files, delta.Files),
+		Mapped:   overlayRows(base.Mapped, delta.Mapped),
 		Attempts: delta.Attempts,
 		Failed:   delta.Failed,
 	}
-
-	if base.Objects != nil || delta.Objects != nil {
-		repl := make(map[objectKey]*ObjectRecord, len(delta.Objects))
-		for i := range delta.Objects {
-			o := &delta.Objects[i]
-			repl[objectKey{o.File, o.Object}] = o
-		}
-		out.Objects = make([]ObjectRecord, 0, len(base.Objects)+len(delta.Objects))
-		seen := make(map[objectKey]bool, len(base.Objects))
-		for i := range base.Objects {
-			o := &base.Objects[i]
-			key := objectKey{o.File, o.Object}
-			seen[key] = true
-			if r, ok := repl[key]; ok {
-				out.Objects = append(out.Objects, *r)
-			} else {
-				out.Objects = append(out.Objects, *o)
-			}
-		}
-		for i := range delta.Objects {
-			o := &delta.Objects[i]
-			if !seen[objectKey{o.File, o.Object}] {
-				out.Objects = append(out.Objects, *o)
-			}
-		}
-		sort.SliceStable(out.Objects, func(i, j int) bool {
-			if out.Objects[i].File != out.Objects[j].File {
-				return out.Objects[i].File < out.Objects[j].File
-			}
-			return out.Objects[i].Object < out.Objects[j].Object
-		})
-	}
-
-	if base.Files != nil || delta.Files != nil {
-		repl := make(map[string]*FileRecord, len(delta.Files))
-		for i := range delta.Files {
-			repl[delta.Files[i].File] = &delta.Files[i]
-		}
-		out.Files = make([]FileRecord, 0, len(base.Files)+len(delta.Files))
-		seen := make(map[string]bool, len(base.Files))
-		for i := range base.Files {
-			f := &base.Files[i]
-			seen[f.File] = true
-			if r, ok := repl[f.File]; ok {
-				out.Files = append(out.Files, *r)
-			} else {
-				out.Files = append(out.Files, *f)
-			}
-		}
-		for i := range delta.Files {
-			f := &delta.Files[i]
-			if !seen[f.File] {
-				out.Files = append(out.Files, *f)
-			}
-		}
-		sort.SliceStable(out.Files, func(i, j int) bool { return out.Files[i].File < out.Files[j].File })
-	}
-
-	if base.Mapped != nil || delta.Mapped != nil {
-		repl := make(map[objectKey]*MappedStat, len(delta.Mapped))
-		for i := range delta.Mapped {
-			m := &delta.Mapped[i]
-			repl[objectKey{m.File, m.Object}] = m
-		}
-		out.Mapped = make([]MappedStat, 0, len(base.Mapped)+len(delta.Mapped))
-		seen := make(map[objectKey]bool, len(base.Mapped))
-		for i := range base.Mapped {
-			m := &base.Mapped[i]
-			key := objectKey{m.File, m.Object}
-			seen[key] = true
-			if r, ok := repl[key]; ok {
-				out.Mapped = append(out.Mapped, *r)
-			} else {
-				out.Mapped = append(out.Mapped, *m)
-			}
-		}
-		for i := range delta.Mapped {
-			m := &delta.Mapped[i]
-			if !seen[objectKey{m.File, m.Object}] {
-				out.Mapped = append(out.Mapped, *m)
-			}
-		}
-		sort.SliceStable(out.Mapped, func(i, j int) bool {
-			if out.Mapped[i].File != out.Mapped[j].File {
-				return out.Mapped[i].File < out.Mapped[j].File
-			}
-			return out.Mapped[i].Object < out.Mapped[j].Object
-		})
-	}
-
 	if base.IOTrace != nil || delta.IOTrace != nil {
 		out.IOTrace = make([]IORecord, 0, len(base.IOTrace)+len(delta.IOTrace))
 		out.IOTrace = append(out.IOTrace, base.IOTrace...)
 		out.IOTrace = append(out.IOTrace, delta.IOTrace...)
 	}
+	return out
+}
+
+// overlayRows is ApplyDelta's pass over one table: base's rows in
+// order, each replaced by delta's row under the same key (the last one,
+// if delta repeats a key), then delta's rows with keys base lacks,
+// stably sorted into RowKey order. Two nil tables give nil.
+func overlayRows[R any, P row[R]](base, delta []R) []R {
+	if base == nil && delta == nil {
+		return nil
+	}
+	repl := make(map[RowKey]*R, len(delta))
+	for i := range delta {
+		repl[P(&delta[i]).Key()] = &delta[i]
+	}
+	out := make([]R, 0, len(base)+len(delta))
+	seen := make(map[RowKey]bool, len(base))
+	for i := range base {
+		k := P(&base[i]).Key()
+		seen[k] = true
+		if r, ok := repl[k]; ok {
+			out = append(out, *r)
+		} else {
+			out = append(out, base[i])
+		}
+	}
+	for i := range delta {
+		if !seen[P(&delta[i]).Key()] {
+			out = append(out, delta[i])
+		}
+	}
+	sortRows[R, P](out)
 	return out
 }

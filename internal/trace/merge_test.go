@@ -147,3 +147,46 @@ func TestMergeEmpty(t *testing.T) {
 		t.Error("empty merge wrong")
 	}
 }
+
+func TestMergeKeepsRicherDescription(t *testing.T) {
+	// Rank 0 only opened the dataset; rank 1 saw its description. The
+	// merge keeps the description, whichever part comes first.
+	bare := rankTrace(0, 500)
+	bare.Objects[0].Datatype = ""
+	rich := rankTrace(1, 1000)
+	rich.Objects[0].Shape = []int64{4}
+	rich.Objects[0].ElemSize = 8
+	rich.Objects[0].Layout = "chunked"
+	rich.Objects[0].ChunkDims = []int64{2}
+	for name, parts := range map[string][]*TaskTrace{
+		"bare-first": {bare, rich},
+		"bare-last":  {rich, bare},
+	} {
+		o := Merge("sim", parts).Objects[0]
+		if o.Datatype != "float64" || o.ElemSize != 8 || o.Layout != "chunked" ||
+			!reflect.DeepEqual(o.Shape, []int64{4}) || !reflect.DeepEqual(o.ChunkDims, []int64{2}) {
+			t.Errorf("%s: description lost: %+v", name, o)
+		}
+		if o.Reads != 2 || o.Writes != 4 {
+			t.Errorf("%s: object sums: %+v", name, o)
+		}
+	}
+}
+
+func TestMergeCarriesFailure(t *testing.T) {
+	ok := rankTrace(0, 500)
+	ok.Attempts = 1
+	failed := rankTrace(1, 1000)
+	failed.Failed, failed.Attempts = true, 2
+	for name, parts := range map[string][]*TaskTrace{
+		"failed-first": {failed, ok},
+		"failed-last":  {ok, failed},
+	} {
+		if m := Merge("sim", parts); !m.Failed || m.Attempts != 2 {
+			t.Errorf("%s: Failed %v, Attempts %d; want true, 2", name, m.Failed, m.Attempts)
+		}
+	}
+	if m := Merge("sim", []*TaskTrace{ok, rankTrace(2, 0)}); m.Failed || m.Attempts != 1 {
+		t.Errorf("no failed part: Failed %v, Attempts %d; want false, 1", m.Failed, m.Attempts)
+	}
+}

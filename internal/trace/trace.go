@@ -8,6 +8,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -56,6 +57,42 @@ func MergeExtents(in []Extent) []Extent {
 		}
 	}
 	return out
+}
+
+// RowKey is a record's identity within its table: (file, object) for
+// Table I objects and mapped stats, (file, "") for Table II files. A
+// well-formed table holds one row per key, and Compare is its canonical
+// order: the tracer emits rows in it, and ApplyDelta and Merge sort
+// into it.
+type RowKey struct{ File, Object string }
+
+// Compare orders keys by file, then object, in Go string order.
+func (k RowKey) Compare(o RowKey) int {
+	if c := strings.Compare(k.File, o.File); c != 0 {
+		return c
+	}
+	return strings.Compare(k.Object, o.Object)
+}
+
+// Key returns the record's (file, object) key.
+func (r *ObjectRecord) Key() RowKey { return RowKey{r.File, r.Object} }
+
+// Key returns the record's (file, "") key.
+func (r *FileRecord) Key() RowKey { return RowKey{File: r.File} }
+
+// Key returns the stat's (file, object) key.
+func (m *MappedStat) Key() RowKey { return RowKey{m.File, m.Object} }
+
+// row is the constraint of the passes written once for all three
+// tables: R is ObjectRecord, FileRecord or MappedStat.
+type row[R any] interface {
+	*R
+	Key() RowKey
+}
+
+// sortRows stably sorts a table into RowKey order.
+func sortRows[R any, P row[R]](rows []R) {
+	sort.SliceStable(rows, func(i, j int) bool { return P(&rows[i]).Key().Compare(P(&rows[j]).Key()) < 0 })
 }
 
 // ObjectRecord is one Table I entry: object-level semantics for a

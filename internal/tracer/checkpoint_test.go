@@ -32,7 +32,7 @@ func refTables(task string, ops []vfd.Op, events []vol.Event) ([]trace.FileRecor
 		extents []trace.Extent
 	}
 	fileAggs := map[string]*fileRef{}
-	mapAggs := map[objKey]*mapRef{}
+	mapAggs := map[trace.RowKey]*mapRef{}
 	for _, op := range ops {
 		ns := op.Wall.UnixNano()
 		ext := trace.Extent{Start: op.Offset, End: op.End()}
@@ -69,7 +69,7 @@ func refTables(task string, ops []vfd.Op, events []vol.Event) ([]trace.FileRecor
 		}
 		fa.extents = append(fa.extents, ext)
 
-		key := objKey{file: op.File, object: op.Object}
+		key := trace.RowKey{File: op.File, Object: op.Object}
 		ma := mapAggs[key]
 		if ma == nil {
 			ma = &mapRef{rec: trace.MappedStat{Task: task, File: op.File, Object: op.Object, FirstNS: ns}}
@@ -94,7 +94,7 @@ func refTables(task string, ops []vfd.Op, events []vol.Event) ([]trace.FileRecor
 
 	type life struct{ open, close int64 }
 	lives := map[string]*life{}
-	objAggs := map[objKey]*trace.ObjectRecord{}
+	objAggs := map[trace.RowKey]*trace.ObjectRecord{}
 	for _, ev := range events {
 		ns := ev.Wall.UnixNano()
 		switch ev.Kind {
@@ -107,11 +107,11 @@ func refTables(task string, ops []vfd.Op, events []vol.Event) ([]trace.FileRecor
 				l.close = ns
 			}
 		default:
-			key := objKey{file: ev.Info.File, object: ev.Info.Name}
+			key := trace.RowKey{File: ev.Info.File, Object: ev.Info.Name}
 			o := objAggs[key]
 			fresh := o == nil
 			if fresh {
-				o = &trace.ObjectRecord{Task: task, File: key.file, Object: key.object, AcquiredNS: ns}
+				o = &trace.ObjectRecord{Task: task, File: key.File, Object: key.Object, AcquiredNS: ns}
 				objAggs[key] = o
 			}
 			if fresh || ev.Info.Datatype != "" {

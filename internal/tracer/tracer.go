@@ -3,7 +3,6 @@ package tracer
 import (
 	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -26,10 +25,12 @@ import (
 // because Checkpoint allocates fresh row slices on every call, and a
 // record untouched since the previous checkpoint, Regions included, is
 // shared with it and never written again; later profiling never
-// mutates an already-emitted snapshot. Successive
-// checkpoints of one task also grow monotonically (rows accumulate,
-// the I/O trace only appends), which is what makes record-level deltas
-// between consecutive checkpoints exact (trace.Diff).
+// mutates an already-emitted snapshot. Every table comes in
+// trace.RowKey order, the order trace.ApplyDelta sorts into, and
+// successive checkpoints of one task grow monotonically (rows
+// accumulate, the I/O trace only appends), which is what makes
+// record-level deltas between consecutive checkpoints exact
+// (trace.Diff).
 //
 // Emit* run on the traced task's path, inside the operation that
 // triggered the checkpoint, so they must not block on delivery: a sink
@@ -160,45 +161,32 @@ func (t *Tracer) Checkpoint() *trace.TaskTrace {
 
 // ---------- aggregation tables ----------
 
-type objKey struct {
-	file   string
-	object string
-}
-
-func (k objKey) compare(o objKey) int {
-	if c := strings.Compare(k.file, o.file); c != 0 {
-		return c
-	}
-	return strings.Compare(k.object, o.object)
-}
-
 // table is an aggregation table kept in record order: a map for lookup
-// and the same rows in a slice sorted by key, (file, object) in Go
-// string order. A key enters the slice once, when first seen, so a
-// checkpoint walks the rows and never sorts. The last key looked up is
-// memoised: I/O is object-local, so a run of ops on one object skips
-// the hash.
+// and the same rows in a slice sorted by trace.RowKey. A key enters the
+// slice once, when first seen, so a checkpoint walks the rows and never
+// sorts. The last key looked up is memoised: I/O is object-local, so a
+// run of ops on one object skips the hash.
 type table[A any] struct {
-	index map[objKey]*A
-	keys  []objKey // sorted; keys[i] is the key of rows[i]
+	index map[trace.RowKey]*A
+	keys  []trace.RowKey // sorted; keys[i] is the key of rows[i]
 	rows  []*A
-	last  objKey
+	last  trace.RowKey
 	lastA *A
 }
 
 func newTable[A any]() table[A] {
-	return table[A]{index: make(map[objKey]*A)}
+	return table[A]{index: make(map[trace.RowKey]*A)}
 }
 
 // get returns the row for k, creating a zero row when k is new (fresh).
-func (t *table[A]) get(k objKey) (a *A, fresh bool) {
+func (t *table[A]) get(k trace.RowKey) (a *A, fresh bool) {
 	if t.lastA != nil && k == t.last {
 		return t.lastA, false
 	}
 	if a = t.index[k]; a == nil {
 		a, fresh = new(A), true
 		t.index[k] = a
-		i, _ := slices.BinarySearchFunc(t.keys, k, objKey.compare)
+		i, _ := slices.BinarySearchFunc(t.keys, k, trace.RowKey.Compare)
 		t.keys = slices.Insert(t.keys, i, k)
 		t.rows = slices.Insert(t.rows, i, a)
 	}
@@ -300,7 +288,7 @@ func (p *volProfiler) OnEvent(ev vol.Event) {
 			fl.closeNS = ns
 		}
 	default:
-		rec, fresh := p.objects.get(objKey{file: ev.Info.File, object: ev.Info.Name})
+		rec, fresh := p.objects.get(trace.RowKey{File: ev.Info.File, Object: ev.Info.Name})
 		if fresh {
 			*rec = trace.ObjectRecord{Task: p.tr.task, File: ev.Info.File, Object: ev.Info.Name, AcquiredNS: ns}
 		}
@@ -402,7 +390,7 @@ func (p *vfdProfiler) Observe(op vfd.Op) {
 	ns := op.Wall.UnixNano()
 	ext := trace.Extent{Start: op.Offset, End: op.End()}
 
-	agg, fresh := p.files.get(objKey{file: op.File})
+	agg, fresh := p.files.get(trace.RowKey{File: op.File})
 	f := &agg.rec
 	if fresh {
 		*f = trace.FileRecord{Task: p.tr.task, File: op.File, OpenNS: ns}
@@ -457,7 +445,7 @@ func (p *vfdProfiler) Observe(op vfd.Op) {
 
 	// Characteristic Mapper: attribute the op to the current data object
 	// announced through the mailbox.
-	m, fresh := p.mapped.get(objKey{file: op.File, object: op.Object})
+	m, fresh := p.mapped.get(trace.RowKey{File: op.File, Object: op.Object})
 	ms := &m.rec
 	if fresh {
 		*ms = trace.MappedStat{Task: p.tr.task, File: op.File, Object: op.Object, FirstNS: ns}
