@@ -7,7 +7,8 @@
 //	    Execute a workload replica on the simulated cluster, saving
 //	    per-task traces and the workflow manifest. With -stream, each
 //	    task additionally streams cumulative checkpoint records (every
-//	    -checkpoint-ops file operations) and its completed trace to a
+//	    -checkpoint-ops file operations; 0 streams finals only, a negative
+//	    period is an error) and its completed trace to a
 //	    running dayu serve instance's durable ingest, feeding the
 //	    /v1/live/* endpoints while the workflow is still executing.
 //	    -delta frames each checkpoint as a delta against the last
@@ -206,6 +207,12 @@ func cmdRun(args []string) error {
 	streamAttempts := fs.Int("stream-attempts", 8, "delivery attempts per streamed record (with -stream)")
 	delta := fs.Bool("delta", false, "frame streamed checkpoints as deltas against the last acknowledged one (with -stream)")
 	fs.Parse(args)
+
+	if *checkpointOps < 0 {
+		// 0 means finals only; a negative period would stream no
+		// checkpoints with no error.
+		return fmt.Errorf("run: -checkpoint-ops must be non-negative (got %d)", *checkpointOps)
+	}
 
 	tf, err := trace.ParseFormat(*format)
 	if err != nil {

@@ -28,6 +28,16 @@ func TestWatchRejectsNegativeHorizon(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeCheckpointOps: a negative checkpoint period
+// used to stream no checkpoints without an error. The check comes
+// before anything runs, so the unreachable server is never contacted.
+func TestRunRejectsNegativeCheckpointOps(t *testing.T) {
+	err := cmdRun([]string{"-stream", "http://127.0.0.1:1", "-checkpoint-ops", "-1", "-traces", t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), "non-negative") {
+		t.Errorf("cmdRun(-checkpoint-ops -1) = %v, want non-negative error", err)
+	}
+}
+
 // stubServe fakes just enough of a dayu serve instance for watch:
 // health, live diagnostics, and (optionally) the SSE event stream. The
 // event payload carries a whole-run finding while the diagnostics

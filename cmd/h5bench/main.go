@@ -1,6 +1,7 @@
 // Command h5bench runs the h5bench-like parallel I/O kernel, optionally
 // under the DaYu Data Semantic Mapper, and reports wall time, tracer
-// overhead, and the component breakdown.
+// overhead and trace storage. The per-component breakdown is Figure 10:
+// dayu-repro fig10a fig10b.
 //
 // Usage:
 //
@@ -50,13 +51,12 @@ func main() {
 			fmt.Printf("corner-case untraced: %s\n", units.Duration(base))
 			return
 		}
-		tr := tracer.New(cfg)
-		traced, tt, err := workloads.RunCornerCase(ccfg, tr)
+		traced, tt, err := workloads.RunCornerCase(ccfg, tracer.New(cfg))
 		if err != nil {
 			fatal(err)
 		}
 		sz, _ := tt.EncodedSize()
-		report(base, traced, tr, sz)
+		report(base, traced, sz)
 		return
 	}
 
@@ -70,8 +70,7 @@ func main() {
 			units.Duration(base), *procs, units.Bytes(*size))
 		return
 	}
-	tr := tracer.New(cfg)
-	traced, traces, err := workloads.RunH5bench(hcfg, tr)
+	traced, traces, err := workloads.RunH5bench(hcfg, tracer.New(cfg))
 	if err != nil {
 		fatal(err)
 	}
@@ -81,22 +80,16 @@ func main() {
 			traceBytes += n
 		}
 	}
-	report(base, traced, tr, traceBytes)
+	report(base, traced, traceBytes)
 }
 
-func report(base, traced time.Duration, tr *tracer.Tracer, traceBytes int64) {
+func report(base, traced time.Duration, traceBytes int64) {
 	overhead := 0.0
 	if traced > base && base > 0 {
 		overhead = 100 * float64(traced-base) / float64(base)
 	}
 	fmt.Printf("untraced: %s  traced: %s  overhead: %.3f%%\n",
 		units.Duration(base), units.Duration(traced), overhead)
-	ct := tr.Timing()
-	p, a, m := ct.Fractions()
-	fmt.Printf("tracer components: parser %s (%s)  tracker %s (%s)  mapper %s (%s)\n",
-		units.Duration(ct.InputParser), units.Percent(p, 1),
-		units.Duration(ct.AccessTracker), units.Percent(a, 1),
-		units.Duration(ct.CharacteristicMapper), units.Percent(m, 1))
 	fmt.Printf("trace storage: %s\n", units.Bytes(traceBytes))
 }
 

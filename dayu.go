@@ -95,8 +95,6 @@ type (
 	Tracer = tracer.Tracer
 	// TracerConfig is the user configuration the Input Parser reads.
 	TracerConfig = tracer.Config
-	// ComponentTimes is the per-component time breakdown (Figure 10).
-	ComponentTimes = tracer.ComponentTimes
 	// TaskTrace is everything recorded for one task execution.
 	TaskTrace = trace.TaskTrace
 	// ObjectRecord is a Table I object-level record.

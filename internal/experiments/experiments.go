@@ -2,7 +2,8 @@
 // evaluation (§VI and §VII). Each experiment returns a Table with the
 // same rows/series the paper reports, plus rendered graph artifacts for
 // the workflow figures. Overhead experiments (Figure 9, 10) measure the
-// real tracer against in-memory drivers; performance experiments
+// real tracer against in-memory drivers, Figure 10 by replaying the
+// recorded stream through each component alone; performance experiments
 // (Figures 11-13) replay traced operation streams on the simulated
 // Table III machines, so shapes (who wins, by what factor) are
 // reproduced rather than the authors' absolute testbed numbers.

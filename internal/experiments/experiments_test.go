@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -175,6 +176,25 @@ func TestFig10Breakdowns(t *testing.T) {
 		if tab.Rows[0][0] != "Input_Parser" || tab.Rows[3][0] != "Total" {
 			t.Errorf("%s components wrong: %v", id, tab.Rows)
 		}
+	}
+}
+
+// TestFig10LeavesNoTempFiles: the config file Fig 10 writes for its
+// Input Parser is removed once it has been measured.
+func TestFig10LeavesNoTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	for _, run := range []Runner{Fig10a, Fig10b} {
+		if _, err := run(quick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("left behind in TMPDIR: %s", e.Name())
 	}
 }
 

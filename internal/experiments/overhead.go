@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"dayu/internal/tracer"
 	"dayu/internal/units"
 	"dayu/internal/workloads"
-	"os"
 )
 
 // The Figure 9/10 overhead experiments measure the real Data Semantic
@@ -210,82 +210,66 @@ func Fig9d(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// componentTable renders a ComponentTimes breakdown.
-func componentTable(id, title string, ct tracer.ComponentTimes, appTime time.Duration) *Table {
-	t := &Table{ID: id, Title: title,
-		Header: []string{"component", "time", "share"}}
-	p, a, m := ct.Fractions()
-	t.AddRow("Input_Parser", units.Duration(ct.InputParser), units.Percent(p, 1))
-	t.AddRow("Access_Tracker", units.Duration(ct.AccessTracker), units.Percent(a, 1))
-	t.AddRow("Characteristic_Mapper", units.Duration(ct.CharacteristicMapper), units.Percent(m, 1))
-	t.AddRow("Total", units.Duration(ct.Total()), "100%")
-	if appTime > 0 {
-		t.AddNote("tracer total is %s of the application's %s run (%s)",
-			units.Percent(float64(ct.Total()), float64(appTime)),
-			units.Duration(appTime),
-			units.Duration(ct.Total()))
+// fig10 measures one workload's Data Semantic Mapper breakdown by
+// replay (tracer.MeasureBreakdown) and compares its total with the
+// workload's untraced wall time. run executes the workload, untraced
+// when given a nil tracer; paper is the paper's reading, as a note.
+func fig10(id, title, paper string, opts Options, run func(*tracer.Tracer) error) (*Table, error) {
+	reps := opts.withDefaults().Reps
+	// A real config file, so the Input Parser does measurable work as
+	// in the paper's breakdown. It is removed once measured.
+	f, err := os.CreateTemp("", "dayu-config-*.json")
+	if err != nil {
+		return nil, err
 	}
-	return t
+	defer os.Remove(f.Name())
+	defer f.Close()
+	if _, err := f.WriteString(`{"page_size": 4096}`); err != nil {
+		return nil, err
+	}
+	b, err := tracer.MeasureBreakdown(f.Name(), reps, run)
+	if err != nil {
+		return nil, err
+	}
+	app, err := minDuration(reps, func() (time.Duration, error) {
+		t0 := time.Now()
+		err := run(nil)
+		return time.Since(t0), err
+	})
+	if err != nil {
+		return nil, err
+	}
+	total := b.InputParser + b.AccessTracker + b.CharacteristicMapper
+	share := func(d time.Duration) string { return units.Percent(float64(d), float64(total)) }
+	t := &Table{ID: id, Title: title, Header: []string{"component", "time", "share"}}
+	t.AddRow("Input_Parser", units.Duration(b.InputParser), share(b.InputParser))
+	t.AddRow("Access_Tracker", units.Duration(b.AccessTracker), share(b.AccessTracker))
+	t.AddRow("Characteristic_Mapper", units.Duration(b.CharacteristicMapper), share(b.CharacteristicMapper))
+	t.AddRow("Total", units.Duration(total), "100%")
+	t.AddNote("tracer total is %s of the untraced application's %s run (%s); each component is the median of %d warm replays of the recorded stream",
+		units.Percent(float64(total), float64(app)), units.Duration(app), units.Duration(total), reps)
+	t.AddNote("%s", paper)
+	return t, nil
 }
 
 // Fig10a: component breakdown under h5bench (bulk I/O).
 func Fig10a(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
 	cfg := workloads.H5benchConfig{Procs: 16, BytesPerProc: 8 << 20, IOSize: 512 << 10}
 	if opts.Quick {
 		cfg = workloads.H5benchConfig{Procs: 4, BytesPerProc: 2 << 20, IOSize: 256 << 10}
 	}
-	cfgPath, err := writeTempConfig()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := tracer.NewFromFile(cfgPath)
-	if err != nil {
-		return nil, err
-	}
-	d, _, err := workloads.RunH5bench(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	t := componentTable("fig10a", "DaYu execution breakdown: h5bench (bulk parallel I/O)", tr.Timing(), d)
-	t.AddNote("paper: h5bench shows minimal total overhead (0.008%% of execution), dominated by per-op mapper/tracker work")
-	return t, nil
+	return fig10("fig10a", "DaYu execution breakdown: h5bench (bulk parallel I/O)",
+		"paper: h5bench shows minimal total overhead (0.008% of execution), dominated by per-op mapper/tracker work",
+		opts, func(tr *tracer.Tracer) error { _, _, err := workloads.RunH5bench(cfg, tr); return err })
 }
 
 // Fig10b: component breakdown under the corner-case benchmark.
 func Fig10b(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
 	cfg := workloads.CornerCaseConfig{ReadOps: 8000}
 	if opts.Quick {
 		cfg = workloads.CornerCaseConfig{ReadOps: 2000}
 	}
-	cfgPath, err := writeTempConfig()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := tracer.NewFromFile(cfgPath)
-	if err != nil {
-		return nil, err
-	}
-	d, _, err := workloads.RunCornerCase(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	t := componentTable("fig10b", "DaYu execution breakdown: corner-case (frequent object access)", tr.Timing(), d)
-	t.AddNote("paper: the corner case shifts cost toward the Access Tracker, which records every data-object access (~4%% total overhead)")
-	return t, nil
-}
-
-// writeTempConfig creates a real config file so the Input Parser
-// component does measurable work, as in the paper's breakdown.
-func writeTempConfig() (string, error) {
-	f, err := os.CreateTemp("", "dayu-config-*.json")
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	if _, err := f.WriteString(`{"page_size": 4096}`); err != nil {
-		return "", err
-	}
-	return f.Name(), nil
+	return fig10("fig10b", "DaYu execution breakdown: corner-case (frequent object access)",
+		"paper: the corner case shifts cost toward the Access Tracker, which records every data-object access (~4% total overhead)",
+		opts, func(tr *tracer.Tracer) error { _, _, err := workloads.RunCornerCase(cfg, tr); return err })
 }

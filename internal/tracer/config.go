@@ -3,8 +3,9 @@
 // VOL-level profiler (Table I semantics) and a VFD-level profiler
 // (Table II semantics), and a Characteristic Mapper that joins
 // object-level accesses to low-level I/O operations through the
-// semantics mailbox. Per-component execution time is accounted so the
-// overhead breakdown of Figure 10 can be reproduced.
+// semantics mailbox. The tracer keeps no clocks of its own: the
+// overhead breakdown of Figure 10 comes from MeasureBreakdown, which
+// replays a recorded event and op stream through each component alone.
 package tracer
 
 import (
@@ -47,7 +48,7 @@ type Config struct {
 	Sink Sink `json:"-"`
 	// CheckpointOps is the file-operation period between streamed
 	// checkpoints; 0 disables mid-task checkpoints (finals still
-	// stream when Sink is set).
+	// stream when Sink is set). LoadConfig rejects a negative period.
 	CheckpointOps int64 `json:"checkpoint_ops,omitempty"`
 }
 
@@ -71,33 +72,8 @@ func LoadConfig(path string) (Config, error) {
 	if err := json.Unmarshal(data, &c); err != nil {
 		return Config{}, fmt.Errorf("tracer: parse config %s: %w", path, err)
 	}
-	if c.PageSize < 0 || c.SkipOps < 0 {
+	if c.PageSize < 0 || c.SkipOps < 0 || c.CheckpointOps < 0 {
 		return Config{}, fmt.Errorf("tracer: config %s has negative values", path)
 	}
 	return c, nil
-}
-
-// ComponentTimes is the per-component execution-time breakdown of the
-// Data Semantic Mapper (Figure 10): Input Parser, Access Tracker and
-// Characteristic Mapper.
-type ComponentTimes struct {
-	InputParser          time.Duration
-	AccessTracker        time.Duration
-	CharacteristicMapper time.Duration
-}
-
-// Total returns the summed tracer time.
-func (c ComponentTimes) Total() time.Duration {
-	return c.InputParser + c.AccessTracker + c.CharacteristicMapper
-}
-
-// Fractions returns each component's share of the total.
-func (c ComponentTimes) Fractions() (parser, tracker, mapper float64) {
-	total := float64(c.Total())
-	if total == 0 {
-		return 0, 0, 0
-	}
-	return float64(c.InputParser) / total,
-		float64(c.AccessTracker) / total,
-		float64(c.CharacteristicMapper) / total
 }

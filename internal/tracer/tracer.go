@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"dayu/internal/semantics"
 	"dayu/internal/sim"
@@ -56,32 +55,30 @@ type Tracer struct {
 
 	volProf *volProfiler
 	vfdProf *vfdProfiler
-
-	times ComponentTimes
+	// volObs and vfdObs are what VOLObserver and VFDObserver hand out:
+	// the profilers, or a recorder in front of them (replay.go).
+	volObs vol.Observer
+	vfdObs vfd.Observer
 }
 
 // New builds a tracer from an already-parsed configuration.
 func New(cfg Config) *Tracer {
-	t0 := time.Now()
 	cfg = cfg.withDefaults()
 	tr := &Tracer{cfg: cfg, mailbox: semantics.NewMailbox()}
 	tr.volProf = newVOLProfiler(tr)
 	tr.vfdProf = newVFDProfiler(tr)
-	tr.times.InputParser += time.Since(t0)
+	tr.volObs, tr.vfdObs = tr.volProf, tr.vfdProf
 	return tr
 }
 
-// NewFromFile builds a tracer by parsing the JSON config at path; the
-// parse time is charged to the Input Parser component.
+// NewFromFile builds a tracer by parsing the JSON config at path: the
+// Input Parser.
 func NewFromFile(path string) (*Tracer, error) {
-	t0 := time.Now()
 	cfg, err := LoadConfig(path)
 	if err != nil {
 		return nil, err
 	}
-	tr := New(cfg)
-	tr.times.InputParser += time.Since(t0)
-	return tr, nil
+	return New(cfg), nil
 }
 
 // Config returns the active configuration.
@@ -97,7 +94,7 @@ func (t *Tracer) VOLObserver() vol.Observer {
 	if t.cfg.DisableVOL {
 		return nil
 	}
-	return t.volProf
+	return t.volObs
 }
 
 // VFDObserver returns the file-level profiler hook, or nil when the VFD
@@ -106,11 +103,8 @@ func (t *Tracer) VFDObserver() vfd.Observer {
 	if t.cfg.DisableVFD {
 		return nil
 	}
-	return t.vfdProf
+	return t.vfdObs
 }
-
-// Timing returns the cumulative per-component execution times.
-func (t *Tracer) Timing() ComponentTimes { return t.times }
 
 // BeginTask starts profiling a task: the workflow launcher must inform
 // DaYu of the current task (paper §IV).
@@ -141,7 +135,6 @@ func (t *Tracer) EndTask() *trace.TaskTrace {
 // streamed-record builder for live analysis — each emitted record
 // replaces the previous one wholesale on the consumer side.
 func (t *Tracer) Checkpoint() *trace.TaskTrace {
-	t0 := time.Now()
 	out := &trace.TaskTrace{
 		Task:    t.task,
 		StartNS: t.startNS,
@@ -155,7 +148,6 @@ func (t *Tracer) Checkpoint() *trace.TaskTrace {
 	// File lifetimes come from the VOL layer (open/close events); fold
 	// them into the Table II records.
 	t.volProf.applyFileLifetimes(out.Files)
-	t.times.CharacteristicMapper += time.Since(t0)
 	return out
 }
 
@@ -250,7 +242,6 @@ type volProfiler struct {
 	tr      *Tracer
 	objects table[trace.ObjectRecord]
 	files   map[string]*fileLife
-	events  int64
 }
 
 func newVOLProfiler(tr *Tracer) *volProfiler {
@@ -262,20 +253,13 @@ func newVOLProfiler(tr *Tracer) *volProfiler {
 func (p *volProfiler) reset() {
 	p.objects = newTable[trace.ObjectRecord]()
 	p.files = make(map[string]*fileLife)
-	p.events = 0
 }
 
 // OnEvent implements vol.Observer. All statistics live in hash tables
 // for the duration of the task (paper §IV); logging is deferred to
 // EndTask, so repeated open/close of the same object only updates
-// counters. Like the VFD side, one event in timingSampleRate is timed.
+// counters. It is Access Tracker work.
 func (p *volProfiler) OnEvent(ev vol.Event) {
-	timed := p.events%timingSampleRate == 0
-	p.events++
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
 	ns := ev.Wall.UnixNano()
 	switch ev.Kind {
 	case vol.FileCreate, vol.FileOpen:
@@ -310,9 +294,6 @@ func (p *volProfiler) OnEvent(ev vol.Event) {
 			rec.Writes++
 			rec.BytesWritten += ev.Bytes
 		}
-	}
-	if timed {
-		p.tr.times.AccessTracker += time.Since(t0) * timingSampleRate
 	}
 }
 
@@ -373,23 +354,25 @@ func (p *vfdProfiler) reset() {
 	p.opSeen = 0
 }
 
-// timingSampleRate controls how often the per-op component timers take
-// wall-clock samples: timing every operation would itself dominate the
-// tracer's cost, so one in every N ops is measured and scaled by N.
-const timingSampleRate = 16
-
-// Observe implements vfd.Observer. The file-level accounting is Access
-// Tracker work; the per-object join is Characteristic Mapper work, and
-// the two are timed separately (sampled) for the Figure 10 breakdown.
+// Observe implements vfd.Observer: the Access Tracker's Table II
+// accounting, then the Characteristic Mapper's join of the op to its
+// data object, then the checkpoint check.
 func (p *vfdProfiler) Observe(op vfd.Op) {
-	timed := p.opSeen%timingSampleRate == 0
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
+	p.track(op)
+	p.mapObject(op)
+	// Streamed checkpoints: every CheckpointOps fully-accounted
+	// operations, ship the cumulative trace-so-far. Emission sits after
+	// both the file-level and object-level updates so a checkpoint
+	// never splits one operation's accounting.
+	if cfg := &p.tr.cfg; cfg.Sink != nil && cfg.CheckpointOps > 0 && p.opSeen%cfg.CheckpointOps == 0 {
+		cfg.Sink.EmitCheckpoint(p.tr.Checkpoint(), streamSeq.Add(1))
 	}
-	ns := op.Wall.UnixNano()
-	ext := trace.Extent{Start: op.Offset, End: op.End()}
+}
 
+// track is the Access Tracker's half of Observe: the file-level
+// (Table II) counters and extents, and the time-sensitive I/O trace.
+func (p *vfdProfiler) track(op vfd.Op) {
+	ns := op.Wall.UnixNano()
 	agg, fresh := p.files.get(trace.RowKey{File: op.File})
 	f := &agg.rec
 	if fresh {
@@ -422,7 +405,7 @@ func (p *vfdProfiler) Observe(op vfd.Op) {
 			f.DataReads++
 		}
 	}
-	agg.regions.add(ext)
+	agg.regions.add(trace.Extent{Start: op.Offset, End: op.End()})
 
 	p.opSeen++
 	if p.tr.cfg.IOTrace && p.opSeen > p.tr.cfg.SkipOps {
@@ -437,14 +420,12 @@ func (p *vfdProfiler) Observe(op vfd.Op) {
 			Object: op.Object,
 		})
 	}
-	var t1 time.Time
-	if timed {
-		t1 = time.Now()
-		p.tr.times.AccessTracker += t1.Sub(t0) * timingSampleRate
-	}
+}
 
-	// Characteristic Mapper: attribute the op to the current data object
-	// announced through the mailbox.
+// mapObject is the Characteristic Mapper's half of Observe: it
+// attributes the op to the data object announced through the mailbox.
+func (p *vfdProfiler) mapObject(op vfd.Op) {
+	ns := op.Wall.UnixNano()
 	m, fresh := p.mapped.get(trace.RowKey{File: op.File, Object: op.Object})
 	ms := &m.rec
 	if fresh {
@@ -463,18 +444,7 @@ func (p *vfdProfiler) Observe(op vfd.Op) {
 	} else {
 		ms.Reads++
 	}
-	m.regions.add(ext)
-	if timed {
-		p.tr.times.CharacteristicMapper += time.Since(t1) * timingSampleRate
-	}
-
-	// Streamed checkpoints: every CheckpointOps fully-accounted
-	// operations, ship the cumulative trace-so-far. Emission sits after
-	// both the file-level and object-level updates so a checkpoint
-	// never splits one operation's accounting.
-	if cfg := &p.tr.cfg; cfg.Sink != nil && cfg.CheckpointOps > 0 && p.opSeen%cfg.CheckpointOps == 0 {
-		cfg.Sink.EmitCheckpoint(p.tr.Checkpoint(), streamSeq.Add(1))
-	}
+	m.regions.add(trace.Extent{Start: op.Offset, End: op.End()})
 }
 
 // finalize copies the rows out in table order. Only a row whose extents

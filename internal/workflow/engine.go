@@ -64,8 +64,6 @@ type Result struct {
 	Stages   []StageResult
 	Traces   []*trace.TaskTrace
 	Manifest *trace.Manifest
-	// TracerTimes is the Data Semantic Mapper component breakdown.
-	TracerTimes tracer.ComponentTimes
 	// OpsByTask maps task -> file -> recorded sim ops (for layout
 	// experiments and ablations).
 	OpsByTask map[string]map[string][]sim.Op
@@ -122,9 +120,6 @@ type Engine struct {
 	// warm tracks plan-cached files already pulled into the memory
 	// buffer by an earlier stage's access.
 	warm map[string]bool
-	// timing accumulates Data Semantic Mapper component times across
-	// all task tracers of a run.
-	timing tracer.ComponentTimes
 	// faults, when non-nil, wraps every task file session in a seeded
 	// vfd.FaultDriver (SetFaults).
 	faults *vfd.FaultPlan
@@ -167,7 +162,6 @@ func (e *Engine) Run(spec Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	e.timing = tracer.ComponentTimes{}
 	res := &Result{
 		Workflow:  spec.Name,
 		Manifest:  buildManifest(spec),
@@ -187,9 +181,8 @@ func (e *Engine) Run(spec Spec) (*Result, error) {
 		if err != nil {
 			// Partial failure: downstream stages cannot trust this stage's
 			// outputs, so execution stops here - but the result still
-			// carries every trace, op log and task timing recorded so far,
-			// including the failed tasks' own observations.
-			res.TracerTimes = e.timing
+			// carries every trace and op log recorded so far, including
+			// the failed tasks' own observations.
 			e.emitMetrics(res)
 			return res, fmt.Errorf("workflow: stage %q: %w", stage.Name, err)
 		}
@@ -198,7 +191,6 @@ func (e *Engine) Run(spec Spec) (*Result, error) {
 			res.Stages = append(res.Stages, e.transferStage("stage-out:"+stage.Name, files, async))
 		}
 	}
-	res.TracerTimes = e.timing
 	e.emitMetrics(res)
 	return res, nil
 }
@@ -311,7 +303,6 @@ func (e *Engine) runStage(stage Stage, res *Result) (StageResult, time.Duration,
 		ops     map[string][]sim.Op
 		compute time.Duration
 		trace   *trace.TaskTrace
-		timing  tracer.ComponentTimes
 		err     error
 		// Resilience bookkeeping.
 		attempts     int
@@ -371,7 +362,7 @@ func (e *Engine) runStage(stage Stage, res *Result) (StageResult, time.Duration,
 					continue
 				}
 				runs[i] = taskRun{task: task, node: node, ops: allOps,
-					compute: tc.computeTime, trace: tr.EndTask(), timing: tr.Timing(),
+					compute: tc.computeTime, trace: tr.EndTask(),
 					attempts: attempt, backoff: backoff, faultLatency: faultLat,
 					err: fmt.Errorf("workflow: task %q: %w", task.Name, err)}
 				return
@@ -390,8 +381,7 @@ func (e *Engine) runStage(stage Stage, res *Result) (StageResult, time.Duration,
 				compute += time.Duration(task.ComputePerByte * float64(dataBytes))
 			}
 			runs[i] = taskRun{task: task, node: node, ops: allOps, compute: compute,
-				trace: tr.EndTask(), timing: tr.Timing(),
-				attempts: attempt, backoff: backoff, faultLatency: faultLat}
+				trace: tr.EndTask(), attempts: attempt, backoff: backoff, faultLatency: faultLat}
 			return
 		}
 	}
@@ -411,8 +401,8 @@ func (e *Engine) runStage(stage Stage, res *Result) (StageResult, time.Duration,
 		}
 	}
 	// Partial-failure aggregation: every task that ran - failed or not -
-	// contributes its trace, op log and component timing; task errors are
-	// joined into one stage error instead of discarding the stage.
+	// contributes its trace and op log; task errors are joined into one
+	// stage error instead of discarding the stage.
 	var errs []error
 	for i := range runs {
 		r := &runs[i]
@@ -428,9 +418,6 @@ func (e *Engine) runStage(stage Stage, res *Result) (StageResult, time.Duration,
 			res.Traces = append(res.Traces, r.trace)
 		}
 		res.OpsByTask[r.task.Name] = r.ops
-		e.timing.InputParser += r.timing.InputParser
-		e.timing.AccessTracker += r.timing.AccessTracker
-		e.timing.CharacteristicMapper += r.timing.CharacteristicMapper
 		if r.err != nil {
 			errs = append(errs, r.err)
 		}
