@@ -3,7 +3,10 @@ package dayu
 // One benchmark per paper table/figure (see DESIGN.md's per-experiment
 // index), each exercising the kernel behind that artifact, plus
 // ablation benches for the design choices DESIGN.md calls out. The
-// printable paper rows come from `go run ./cmd/dayu-repro`.
+// printable paper rows come from `go run ./cmd/dayu-repro`. Figs 9a–c
+// and 10 have no benchmark here: they are the tracer's replay
+// breakdown (tracer.MeasureBreakdown), which times each component
+// itself.
 
 import (
 	"fmt"
@@ -195,60 +198,6 @@ func BenchmarkFig8(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9a measures h5bench with and without the tracer (the
-// overhead Figure 9a reports).
-func BenchmarkFig9a(b *testing.B) {
-	cfg := workloads.H5benchConfig{Procs: 1, BytesPerProc: 4 << 20, IOSize: 256 << 10}
-	b.Run("untraced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := workloads.RunH5bench(cfg, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("traced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := workloads.RunH5bench(cfg, tracer.New(tracer.Config{})); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFig9b measures multi-process h5bench under tracing.
-func BenchmarkFig9b(b *testing.B) {
-	for _, procs := range []int{1, 4} {
-		b.Run(fmt.Sprintf("procs%d", procs), func(b *testing.B) {
-			cfg := workloads.H5benchConfig{Procs: procs, BytesPerProc: 1 << 20, IOSize: 256 << 10}
-			for i := 0; i < b.N; i++ {
-				if _, _, err := workloads.RunH5bench(cfg, tracer.New(tracer.Config{})); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig9c measures the corner-case workload with and without the
-// tracer (worst-case overhead).
-func BenchmarkFig9c(b *testing.B) {
-	cfg := workloads.CornerCaseConfig{ReadOps: 2000}
-	b.Run("untraced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := workloads.RunCornerCase(cfg, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("traced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := workloads.RunCornerCase(cfg, tracer.New(tracer.Config{IOTrace: true})); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkFig9d measures trace serialization (the storage overhead).
 func BenchmarkFig9d(b *testing.B) {
 	_, tt, err := workloads.RunCornerCase(workloads.CornerCaseConfig{ReadOps: 2000},
@@ -263,21 +212,6 @@ func BenchmarkFig9d(b *testing.B) {
 			b.Fatal("encode failed")
 		}
 		b.SetBytes(n)
-	}
-}
-
-// BenchmarkFig10 measures the per-op tracer hot path whose component
-// split Figure 10 reports.
-func BenchmarkFig10(b *testing.B) {
-	tr := tracer.New(tracer.Config{})
-	tr.BeginTask("bench")
-	obs := tr.VFDObserver()
-	op := vfd.Op{Offset: 4096, Length: 512, Write: true, Class: sim.RawData,
-		File: "f.h5", Object: "/d"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op.Seq = int64(i)
-		obs.Observe(op)
 	}
 }
 

@@ -23,7 +23,7 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced-scale configurations")
 	out := flag.String("out", "out", "artifact output directory")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	reps := flag.Int("reps", 3, "repetitions for wall-clock overhead measurements")
+	reps := flag.Int("reps", 3, "overhead repetitions: median of N tracer replays, minimum of N untraced runs")
 	flag.Parse()
 
 	if *list {

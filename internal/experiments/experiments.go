@@ -2,11 +2,12 @@
 // evaluation (§VI and §VII). Each experiment returns a Table with the
 // same rows/series the paper reports, plus rendered graph artifacts for
 // the workflow figures. Overhead experiments (Figure 9, 10) measure the
-// real tracer against in-memory drivers, Figure 10 by replaying the
-// recorded stream through each component alone; performance experiments
-// (Figures 11-13) replay traced operation streams on the simulated
-// Table III machines, so shapes (who wins, by what factor) are
-// reproduced rather than the authors' absolute testbed numbers.
+// real tracer against in-memory drivers, Figures 9a-c and 10 by
+// replaying the recorded stream through each component alone;
+// performance experiments (Figures 11-13) replay traced operation
+// streams on the simulated Table III machines, so shapes (who wins, by
+// what factor) are reproduced rather than the authors' absolute testbed
+// numbers.
 package experiments
 
 import (
@@ -135,8 +136,9 @@ type Options struct {
 	// Quick shrinks workloads for fast CI runs; the full configuration
 	// matches EXPERIMENTS.md.
 	Quick bool
-	// Reps is the repetition count for wall-clock overhead
-	// measurements (minimum is taken); default 3.
+	// Reps is the repetition count for the overhead figures (9a–c,
+	// 10): each tracer component is the median of Reps replays, the
+	// untraced run the minimum of Reps runs; default 3.
 	Reps int
 }
 

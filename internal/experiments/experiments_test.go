@@ -179,12 +179,12 @@ func TestFig10Breakdowns(t *testing.T) {
 	}
 }
 
-// TestFig10LeavesNoTempFiles: the config file Fig 10 writes for its
-// Input Parser is removed once it has been measured.
+// TestFig10LeavesNoTempFiles: the config file Figs 9a-c and 10 write
+// for the Input Parser is removed once it has been measured.
 func TestFig10LeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("TMPDIR", dir)
-	for _, run := range []Runner{Fig10a, Fig10b} {
+	for _, run := range []Runner{Fig9a, Fig9b, Fig9c, Fig10a, Fig10b} {
 		if _, err := run(quick); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -32,39 +33,61 @@ func minDuration(reps int, fn func() (time.Duration, error)) (time.Duration, err
 	return best, nil
 }
 
-// overheadPercent computes the tracer overhead of traced vs untraced,
-// clamped at zero (timing noise can make tiny traced runs faster).
-func overheadPercent(untraced, traced time.Duration) float64 {
-	if untraced <= 0 || traced <= untraced {
-		return 0
+// measureTracer measures one workload under the tracer config cfg (a
+// config file's JSON): the Data Semantic Mapper's cost by replay
+// (tracer.MeasureBreakdown, each component the median of reps warm
+// replays), and the workload's untraced wall time, the fastest of reps
+// runs. run executes the workload, untraced when given a nil tracer.
+func measureTracer(cfg string, reps int, run func(*tracer.Tracer) error) (tracer.Breakdown, time.Duration, error) {
+	// A real config file, so the Input Parser does measurable work as
+	// in the paper's breakdown. It is removed once measured.
+	f, err := os.CreateTemp("", "dayu-config-*.json")
+	if err != nil {
+		return tracer.Breakdown{}, 0, err
 	}
-	return 100 * float64(traced-untraced) / float64(untraced)
+	defer os.Remove(f.Name())
+	_, err = f.WriteString(cfg)
+	if err := errors.Join(err, f.Close()); err != nil {
+		return tracer.Breakdown{}, 0, err
+	}
+	b, err := tracer.MeasureBreakdown(f.Name(), reps, run)
+	if err != nil {
+		return tracer.Breakdown{}, 0, err
+	}
+	app, err := minDuration(reps, func() (time.Duration, error) {
+		t0 := time.Now()
+		err := run(nil)
+		return time.Since(t0), err
+	})
+	return b, app, err
 }
 
-// h5benchOverheads measures VFD-only and VOL-only overhead for a config.
-func h5benchOverheads(cfg workloads.H5benchConfig, reps int) (vfdPct, volPct float64, err error) {
-	base, err := minDuration(reps, func() (time.Duration, error) {
-		d, _, err := workloads.RunH5bench(cfg, nil)
-		return d, err
-	})
-	if err != nil {
+// layerOverheads measures a workload's VFD-only and VOL-only tracer
+// overhead: the Access Tracker plus Characteristic Mapper replay time
+// of each layer alone, as a percentage of the untraced run. The Input
+// Parser runs once per task, not per op, and is left out. vfdCfg is the
+// VFD-only config.
+func layerOverheads(vfdCfg string, reps int, run func(*tracer.Tracer) error) (vfdPct, volPct float64, err error) {
+	pct := func(cfg string) (float64, error) {
+		b, app, err := measureTracer(cfg, reps, run)
+		return 100 * float64(b.AccessTracker+b.CharacteristicMapper) / float64(app), err
+	}
+	if vfdPct, err = pct(vfdCfg); err != nil {
 		return 0, 0, err
 	}
-	vfd, err := minDuration(reps, func() (time.Duration, error) {
-		d, _, err := workloads.RunH5bench(cfg, tracer.New(tracer.Config{DisableVOL: true}))
-		return d, err
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	vol, err := minDuration(reps, func() (time.Duration, error) {
-		d, _, err := workloads.RunH5bench(cfg, tracer.New(tracer.Config{DisableVFD: true}))
-		return d, err
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return overheadPercent(base, vfd), overheadPercent(base, vol), nil
+	volPct, err = pct(`{"disable_vfd":true}`)
+	return vfdPct, volPct, err
+}
+
+// h5bench runs h5bench under cfg, untraced when given a nil tracer.
+func h5bench(cfg workloads.H5benchConfig) func(*tracer.Tracer) error {
+	return func(tr *tracer.Tracer) error { _, _, err := workloads.RunH5bench(cfg, tr); return err }
+}
+
+// cornerCase runs the corner case under cfg, untraced when given a nil
+// tracer.
+func cornerCase(cfg workloads.CornerCaseConfig) func(*tracer.Tracer) error {
+	return func(tr *tracer.Tracer) error { _, _, err := workloads.RunCornerCase(cfg, tr); return err }
 }
 
 // Fig9a: h5bench overhead vs total file size.
@@ -78,9 +101,9 @@ func Fig9a(opts Options) (*Table, error) {
 		Header: []string{"file size", "VFD overhead %", "VOL overhead %"}}
 	var first, last float64
 	for i, size := range sizes {
-		vfdPct, volPct, err := h5benchOverheads(workloads.H5benchConfig{
+		vfdPct, volPct, err := layerOverheads(`{"disable_vol":true}`, opts.Reps, h5bench(workloads.H5benchConfig{
 			Procs: 1, BytesPerProc: size, IOSize: 256 << 10,
-		}, opts.Reps)
+		}))
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +117,7 @@ func Fig9a(opts Options) (*Table, error) {
 	if last <= first {
 		t.AddNote("reproduced: overhead decreases (or stays flat) as file size grows")
 	} else {
-		t.AddNote("WARNING: overhead did not decrease with file size this run (wall-clock noise)")
+		t.AddNote("WARNING: overhead did not decrease with file size this run")
 	}
 	return t, nil
 }
@@ -111,9 +134,9 @@ func Fig9b(opts Options) (*Table, error) {
 	t := &Table{ID: "fig9b", Title: "Data Semantic Mapper overhead vs process count (h5bench)",
 		Header: []string{"processes", "VFD overhead %", "VOL overhead %"}}
 	for _, p := range procs {
-		vfdPct, volPct, err := h5benchOverheads(workloads.H5benchConfig{
+		vfdPct, volPct, err := layerOverheads(`{"disable_vol":true}`, opts.Reps, h5bench(workloads.H5benchConfig{
 			Procs: p, BytesPerProc: per, IOSize: 256 << 10,
-		}, opts.Reps)
+		}))
 		if err != nil {
 			return nil, err
 		}
@@ -133,30 +156,12 @@ func Fig9c(opts Options) (*Table, error) {
 	t := &Table{ID: "fig9c", Title: "Worst-case overhead vs dataset I/O count (200 datasets, small file)",
 		Header: []string{"dataset I/O ops", "VFD overhead %", "VOL overhead %"}}
 	for _, n := range ops {
-		cfg := workloads.CornerCaseConfig{ReadOps: n}
-		base, err := minDuration(opts.Reps, func() (time.Duration, error) {
-			d, _, err := workloads.RunCornerCase(cfg, nil)
-			return d, err
-		})
+		vfdPct, volPct, err := layerOverheads(`{"disable_vol":true,"io_trace":true}`, opts.Reps,
+			cornerCase(workloads.CornerCaseConfig{ReadOps: n}))
 		if err != nil {
 			return nil, err
 		}
-		vfd, err := minDuration(opts.Reps, func() (time.Duration, error) {
-			d, _, err := workloads.RunCornerCase(cfg, tracer.New(tracer.Config{DisableVOL: true, IOTrace: true}))
-			return d, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		vol, err := minDuration(opts.Reps, func() (time.Duration, error) {
-			d, _, err := workloads.RunCornerCase(cfg, tracer.New(tracer.Config{DisableVFD: true}))
-			return d, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprint(n), fmt.Sprintf("%.2f", overheadPercent(base, vfd)),
-			fmt.Sprintf("%.2f", overheadPercent(base, vol)))
+		t.AddRow(fmt.Sprint(n), fmt.Sprintf("%.2f", vfdPct), fmt.Sprintf("%.2f", volPct))
 	}
 	t.AddNote("paper: worst-case runtime overhead grows with I/O activity within a file's open/close period, reaching ~4%% (2.97%% VFD + 1.0%% VOL)")
 	return t, nil
@@ -210,32 +215,12 @@ func Fig9d(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// fig10 measures one workload's Data Semantic Mapper breakdown by
-// replay (tracer.MeasureBreakdown) and compares its total with the
-// workload's untraced wall time. run executes the workload, untraced
-// when given a nil tracer; paper is the paper's reading, as a note.
+// fig10 tabulates one workload's Data Semantic Mapper breakdown and
+// compares its total with the workload's untraced wall time; paper is
+// the paper's reading, as a note.
 func fig10(id, title, paper string, opts Options, run func(*tracer.Tracer) error) (*Table, error) {
 	reps := opts.withDefaults().Reps
-	// A real config file, so the Input Parser does measurable work as
-	// in the paper's breakdown. It is removed once measured.
-	f, err := os.CreateTemp("", "dayu-config-*.json")
-	if err != nil {
-		return nil, err
-	}
-	defer os.Remove(f.Name())
-	defer f.Close()
-	if _, err := f.WriteString(`{"page_size": 4096}`); err != nil {
-		return nil, err
-	}
-	b, err := tracer.MeasureBreakdown(f.Name(), reps, run)
-	if err != nil {
-		return nil, err
-	}
-	app, err := minDuration(reps, func() (time.Duration, error) {
-		t0 := time.Now()
-		err := run(nil)
-		return time.Since(t0), err
-	})
+	b, app, err := measureTracer(`{"page_size": 4096}`, reps, run)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +245,7 @@ func Fig10a(opts Options) (*Table, error) {
 	}
 	return fig10("fig10a", "DaYu execution breakdown: h5bench (bulk parallel I/O)",
 		"paper: h5bench shows minimal total overhead (0.008% of execution), dominated by per-op mapper/tracker work",
-		opts, func(tr *tracer.Tracer) error { _, _, err := workloads.RunH5bench(cfg, tr); return err })
+		opts, h5bench(cfg))
 }
 
 // Fig10b: component breakdown under the corner-case benchmark.
@@ -271,5 +256,5 @@ func Fig10b(opts Options) (*Table, error) {
 	}
 	return fig10("fig10b", "DaYu execution breakdown: corner-case (frequent object access)",
 		"paper: the corner case shifts cost toward the Access Tracker, which records every data-object access (~4% total overhead)",
-		opts, func(tr *tracer.Tracer) error { _, _, err := workloads.RunCornerCase(cfg, tr); return err })
+		opts, cornerCase(cfg))
 }

@@ -19,10 +19,11 @@ package trace
 // All integers are varints (signed fields zigzag-encoded), strings are
 // uvarint indexes into the intern table, and slices use the same
 // nil-preserving count scheme as sections so a JSON→dtb→JSON round
-// trip is deeply equal, not just semantically equal. When flag bit 0
-// is set (the default) every record is additionally framed with a
-// uvarint byte length, so a decoder can verify record boundaries and a
-// zero-copy decode can alias the input buffer safely.
+// trip is deeply equal, not just semantically equal. Every record is
+// additionally framed with a uvarint byte length, so a decoder can
+// verify record boundaries and a zero-copy decode can alias the input
+// buffer safely; flag bit 0 says so, and a header without it is
+// rejected.
 //
 // The encoder is single-pass and amortized zero-allocation: pooled
 // encoder state (intern table, body/record/header scratch buffers) is
@@ -53,7 +54,8 @@ const binaryMagic = "\x89DTB\r\n"
 // JSON encoding).
 const binaryVersion = 2
 
-// flagFramed marks files whose records carry a uvarint length prefix.
+// flagFramed marks records that carry a uvarint length prefix. Every
+// encoder sets it and every decoder requires it.
 const flagFramed = 1
 
 // flagIncremental marks a streamed checkpoint record: a cumulative
@@ -120,9 +122,6 @@ func ParseFormat(s string) (Format, error) {
 
 // BinaryOptions tunes EncodeBinaryOpts.
 type BinaryOptions struct {
-	// Unframed drops the per-record length prefixes, trading the
-	// decoder's boundary verification for a slightly smaller file.
-	Unframed bool
 	// Incremental marks the record as a streamed mid-task checkpoint
 	// (cumulative trace-so-far). CheckpointSeq orders checkpoints of
 	// the same task: a consumer keeps the highest one it has seen.
@@ -193,7 +192,6 @@ type binaryEncoder struct {
 	body        []byte
 	rec         []byte
 	hdr         []byte
-	framed      bool
 	incremental bool
 	delta       bool
 	ckptSeq     uint64
@@ -223,8 +221,8 @@ func putEncoder(e *binaryEncoder) {
 	encoderPool.Put(e)
 }
 
-// buf returns the buffer currently being encoded into: the framed
-// record scratch inside beginRecord/endRecord, the body otherwise.
+// buf returns the buffer currently being encoded into: the record
+// scratch inside beginRecord/endRecord, the body otherwise.
 func (e *binaryEncoder) buf() *[]byte {
 	if e.inRec {
 		return &e.rec
@@ -290,21 +288,15 @@ func (e *binaryEncoder) extents(s []Extent) {
 	}
 }
 
-// beginRecord redirects encoding into the record scratch buffer when
-// framing is on; endRecord prefixes the scratch with its length and
-// appends it to the body. Unframed encoding goes straight to the body.
+// beginRecord redirects encoding into the record scratch buffer;
+// endRecord prefixes the scratch with its length and appends it to the
+// body.
 func (e *binaryEncoder) beginRecord() {
-	if !e.framed {
-		return
-	}
 	e.rec = e.rec[:0]
 	e.inRec = true
 }
 
 func (e *binaryEncoder) endRecord() {
-	if !e.framed {
-		return
-	}
 	e.inRec = false
 	e.body = binary.AppendUvarint(e.body, uint64(len(e.rec)))
 	e.body = append(e.body, e.rec...)
@@ -401,10 +393,7 @@ func (e *binaryEncoder) encodeBody(t *TaskTrace) {
 func (e *binaryEncoder) encodeHeader() {
 	e.hdr = append(e.hdr[:0], binaryMagic...)
 	e.hdr = binary.AppendUvarint(e.hdr, binaryVersion)
-	var flags uint64
-	if e.framed {
-		flags |= flagFramed
-	}
+	var flags uint64 = flagFramed
 	if e.incremental {
 		flags |= flagIncremental
 	}
@@ -432,7 +421,6 @@ func (t *TaskTrace) EncodeBinaryOpts(w io.Writer, opts BinaryOptions) error {
 	}
 	e := getEncoder()
 	defer putEncoder(e)
-	e.framed = !opts.Unframed
 	e.incremental = opts.Incremental
 	e.delta = opts.Delta
 	e.ckptSeq, e.baseSeq = 0, 0
@@ -458,8 +446,8 @@ type DecodeOptions struct {
 	// ZeroCopy makes decoded string fields alias the input buffer
 	// instead of copying each intern-table entry. The caller must keep
 	// the buffer alive and unmodified for the lifetime of the decoded
-	// trace. Framing (the default encode mode) is verified as usual, so
-	// a torn or corrupt buffer is rejected rather than aliased.
+	// trace. Record framing is verified as usual, so a torn or corrupt
+	// buffer is rejected rather than aliased.
 	ZeroCopy bool
 }
 
@@ -468,12 +456,11 @@ type DecodeOptions struct {
 // decode straight out of the slice, and the string table optionally
 // aliases it (ZeroCopy).
 type byteDecoder struct {
-	data   []byte
-	off    int
-	table  []string
-	framed bool
-	zero   bool
-	err    error
+	data  []byte
+	off   int
+	table []string
+	zero  bool
+	err   error
 }
 
 func (d *byteDecoder) fail(err error) {
@@ -605,11 +592,11 @@ func (d *byteDecoder) extents() []Extent {
 	return s
 }
 
-// beginRecord reads a framed record's declared length and returns the
-// offset the record must end at (-1 when unframed or already failed);
-// endRecord verifies the decode consumed exactly the declared bytes.
+// beginRecord reads a record's declared length and returns the offset
+// the record must end at (-1 once failed); endRecord verifies the
+// decode consumed exactly the declared bytes.
 func (d *byteDecoder) beginRecord() int {
-	if !d.framed || d.err != nil {
+	if d.err != nil {
 		return -1
 	}
 	want := d.uv()
@@ -727,7 +714,9 @@ func decodeBinaryBytes(data []byte, zeroCopy bool) (*TaskTrace, RecordMeta, erro
 		return nil, meta, fmt.Errorf("unsupported version %d (want %d)", v, binaryVersion)
 	}
 	flags := d.uv()
-	d.framed = flags&flagFramed != 0
+	if d.err == nil && flags&flagFramed == 0 {
+		return nil, meta, fmt.Errorf("unframed records (flags %#x)", flags)
+	}
 	if flags&flagIncremental != 0 {
 		meta.Incremental = true
 		meta.CheckpointSeq = d.uv()

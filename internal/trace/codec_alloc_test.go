@@ -33,15 +33,6 @@ func TestEncodeBinaryAllocBudget(t *testing.T) {
 	if allocs > 1 {
 		t.Errorf("dtb encode allocates %.1f times per run with a warm pool, budget 1", allocs)
 	}
-	// The unframed path shares the machinery; keep it on budget too.
-	allocs = testing.AllocsPerRun(200, func() {
-		if err := tr.EncodeBinaryOpts(io.Discard, BinaryOptions{Unframed: true}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 1 {
-		t.Errorf("unframed dtb encode allocates %.1f times per run with a warm pool, budget 1", allocs)
-	}
 }
 
 // TestDecodeBinaryBytesZeroCopy checks the opt-in zero-copy decode:

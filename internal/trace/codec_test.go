@@ -130,27 +130,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryUnframedRoundTrip(t *testing.T) {
-	tr := richTrace(7)
-	var framed, unframed bytes.Buffer
-	if err := tr.EncodeBinary(&framed); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.EncodeBinaryOpts(&unframed, BinaryOptions{Unframed: true}); err != nil {
-		t.Fatal(err)
-	}
-	if unframed.Len() >= framed.Len() {
-		t.Errorf("unframed (%d bytes) not smaller than framed (%d bytes)", unframed.Len(), framed.Len())
-	}
-	got, err := DecodeBinary(bytes.NewReader(unframed.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Fatal("unframed round trip diverged")
-	}
-}
-
 func TestDecodeSniffsBinary(t *testing.T) {
 	tr := richTrace(3)
 	var buf bytes.Buffer
@@ -221,6 +200,18 @@ func TestDecodeBinaryCorruption(t *testing.T) {
 		if _, err := DecodeBinary(bytes.NewReader(bad)); err == nil ||
 			!strings.Contains(err.Error(), "version") {
 			t.Fatalf("want version error, got %v", err)
+		}
+	})
+	t.Run("unframed header", func(t *testing.T) {
+		bad := append([]byte(nil), valid...)
+		flags := len(binaryMagic) + 1 // after the one-byte version
+		if bad[flags] != flagFramed {
+			t.Fatalf("flags byte = %#x, want %#x", bad[flags], flagFramed)
+		}
+		bad[flags] = 0
+		if _, err := DecodeBinary(bytes.NewReader(bad)); err == nil ||
+			!strings.Contains(err.Error(), "unframed") {
+			t.Fatalf("want unframed-records error, got %v", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {

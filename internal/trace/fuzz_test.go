@@ -47,18 +47,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !bytes.Equal(j1.Bytes(), j2.Bytes()) {
 			t.Fatalf("JSON re-encode after dtb round trip differs:\n got %s\nwant %s", j2.Bytes(), j1.Bytes())
 		}
-		// The unframed variant must be equally lossless.
-		var unframed bytes.Buffer
-		if err := orig.EncodeBinaryOpts(&unframed, BinaryOptions{Unframed: true}); err != nil {
-			t.Fatal(err)
-		}
-		back2, err := DecodeBinary(bytes.NewReader(unframed.Bytes()))
-		if err != nil {
-			t.Fatalf("unframed decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(back2, orig) {
-			t.Fatal("unframed dtb round trip diverged")
-		}
 	})
 }
 
