@@ -5,17 +5,20 @@
 // for complex workflows.
 //
 // Graph construction is two steps (merge.go): each task's nodes and
-// edges — its contribution, a pure function of that task's trace — are
-// computed by Options.Parallelism workers, then every contribution is
-// folded into the graph in task order by one serial loop. The fold
-// alone fixes node IDs, edge order and every rendered byte, so the
-// output is identical at every parallelism setting, and identical to
-// what `dayu serve` assembles from the contributions it caches.
+// edges — its contribution, a function of that task's trace and, for
+// the SDG, of the descriptions of the objects it maps — are computed by
+// Options.Parallelism workers, then every contribution is folded into
+// the graph in task order by one serial loop. The fold alone fixes node
+// IDs, edge order and every rendered byte, so the output is identical
+// at every parallelism setting. GraphIndex (graphindex.go) is the same
+// graphs kept up to date as the trace set changes, which is how `dayu
+// serve` builds them.
 package analyzer
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"dayu/internal/graph"
@@ -60,9 +63,9 @@ func regionNodeID(file string, p1, p2 int64) string {
 func metaNodeID(file string) string { return "meta:" + file + "::File-Metadata" }
 
 // OrderTasks returns traces ordered by manifest task order when given,
-// otherwise by start timestamp. This is the canonical merge order: both
-// the batch builders and the incremental serve path feed contributions
-// through it, which is what keeps their outputs byte-identical.
+// otherwise by start timestamp. This is the canonical merge order: the
+// batch builders fold contributions in it and GraphIndex.Sync takes
+// its trace set in it, which is what keeps their outputs byte-identical.
 func OrderTasks(traces []*trace.TaskTrace, m *trace.Manifest) []*trace.TaskTrace {
 	out := append([]*trace.TaskTrace(nil), traces...)
 	if m != nil && len(m.TaskOrder) > 0 {
@@ -102,18 +105,6 @@ func bandwidth(bytes int64, firstNS, lastNS int64) float64 {
 	return float64(bytes) / (float64(dt) / 1e9)
 }
 
-// Contribution is one task's share of a graph: the nodes and edges a
-// build visiting the tasks one by one adds while at that task, in the
-// order it adds them. A contribution owns its slices, so callers — the
-// serve contribution cache — may retain it indefinitely.
-type Contribution struct {
-	nodes []graph.Node
-	edges []graph.Edge
-}
-
-func (c *Contribution) addNode(n graph.Node) { c.nodes = append(c.nodes, n) }
-func (c *Contribution) addEdge(e graph.Edge) { c.edges = append(c.edges, e) }
-
 // BuildFTG constructs the File-Task Graph: tasks and files as nodes,
 // directed read/write edges decorated with access statistics, and
 // data-reuse marking for files consumed by multiple tasks.
@@ -125,11 +116,11 @@ func BuildFTG(traces []*trace.TaskTrace, m *trace.Manifest) *graph.Graph {
 // Parallelism applies to FTGs).
 func BuildFTGOpts(traces []*trace.TaskTrace, m *trace.Manifest, opts Options) *graph.Graph {
 	ordered := OrderTasks(traces, m)
-	return BuildFTGFromContributions(buildContributions(ordered, opts.withDefaults().Parallelism, FTGContribution))
+	return ftgShape.fold(buildContributions(ordered, opts.withDefaults().Parallelism, ftgContribution))
 }
 
-// FTGContribution computes one task's FTG contribution.
-func FTGContribution(t *trace.TaskTrace) Contribution {
+// ftgContribution computes one task's FTG contribution.
+func ftgContribution(t *trace.TaskTrace) Contribution {
 	c := Contribution{
 		nodes: make([]graph.Node, 0, 1+len(t.Files)),
 		edges: make([]graph.Edge, 0, len(t.Files)),
@@ -173,37 +164,38 @@ func avg(bytes, ops int64) int64 {
 	return bytes / ops
 }
 
-// markReuse flags outgoing read edges of any file consumed by two or
-// more distinct tasks (the orange edges of Figure 4).
-func markReuse(g *graph.Graph) {
-	for _, n := range g.NodesOfKind(graph.KindFile) {
-		readers := map[string]bool{}
-		for _, e := range g.OutEdges(n.ID) {
-			if e.Op == graph.OpRead {
-				readers[e.To] = true
-			}
-		}
-		if len(readers) >= 2 {
+// markReuse flags the outgoing read edges of every node of the given
+// kinds that two or more distinct tasks read (the orange edges of
+// Figure 4: files in both graphs, datasets in the SDG).
+func markReuse(g *graph.Graph, kinds []graph.Kind) {
+	for _, k := range kinds {
+		for _, n := range g.NodesOfKind(k) {
+			readers := map[string]bool{}
 			for _, e := range g.OutEdges(n.ID) {
 				if e.Op == graph.OpRead {
-					e.Reused = true
+					readers[e.To] = true
+				}
+			}
+			if len(readers) >= 2 {
+				for _, e := range g.OutEdges(n.ID) {
+					if e.Op == graph.OpRead {
+						e.Reused = true
+					}
 				}
 			}
 		}
 	}
 }
 
-// ObjectDescs indexes object descriptions (Table I records) by their
-// (file, object) row key; SDG dataset nodes are decorated from it.
-type ObjectDescs map[trace.RowKey]trace.ObjectRecord
-
-// BuildObjectDescs collects object descriptions from the ordered
-// traces; later tasks' descriptions win, matching the serial build.
-func BuildObjectDescs(ordered []*trace.TaskTrace) ObjectDescs {
-	descs := ObjectDescs{}
+// objectDescs indexes the ordered traces' object descriptions (Table I
+// records) by (file, object) row key; later tasks' descriptions win,
+// and within a task the later record. SDG dataset nodes are decorated
+// from the winner.
+func objectDescs(ordered []*trace.TaskTrace) map[trace.RowKey]*trace.ObjectRecord {
+	descs := map[trace.RowKey]*trace.ObjectRecord{}
 	for _, t := range ordered {
-		for _, o := range t.Objects {
-			descs[o.Key()] = o
+		for i := range t.Objects {
+			descs[t.Objects[i].Key()] = &t.Objects[i]
 		}
 	}
 	return descs
@@ -215,19 +207,19 @@ func BuildObjectDescs(ordered []*trace.TaskTrace) ObjectDescs {
 func BuildSDG(traces []*trace.TaskTrace, m *trace.Manifest, opts Options) *graph.Graph {
 	opts = opts.withDefaults()
 	ordered := OrderTasks(traces, m)
-	descs := BuildObjectDescs(ordered)
-	return BuildSDGFromContributions(buildContributions(ordered, opts.Parallelism, func(t *trace.TaskTrace) Contribution {
-		return SDGContribution(t, descs, opts)
+	descs := objectDescs(ordered)
+	desc := func(k trace.RowKey) *trace.ObjectRecord { return descs[k] }
+	return sdgShape.fold(buildContributions(ordered, opts.Parallelism, func(t *trace.TaskTrace) Contribution {
+		return sdgContribution(t, desc, opts)
 	}))
 }
 
-// SDGContribution computes one task's SDG contribution. The descs
-// index must come from BuildObjectDescs over the full ordered trace
-// set and is only read here; the contribution is a pure function of
-// (trace, relevant descs, options), which is what makes it cacheable —
-// see ObjectDescs.Fingerprint for the cache-key component covering
-// descs.
-func SDGContribution(t *trace.TaskTrace, descs ObjectDescs, opts Options) Contribution {
+// sdgContribution computes one task's SDG contribution. desc returns
+// the winning description of a (file, object) key over the whole
+// ordered trace set, or nil; of it the contribution reads only what
+// sameForSDG compares. The contribution is a function of the trace,
+// those descriptions and the options.
+func sdgContribution(t *trace.TaskTrace, desc func(trace.RowKey) *trace.ObjectRecord, opts Options) Contribution {
 	opts = opts.withDefaults()
 	// Sized for the common shape — per mapped object one node, one
 	// access edge and one map edge; per region one node and two map
@@ -260,7 +252,7 @@ func SDGContribution(t *trace.TaskTrace, descs ObjectDescs, opts Options) Contri
 		}
 		nodeID := datasetNodeID(ms.File, ms.Object)
 		attrs := map[string]string{}
-		if d, ok := descs[ms.Key()]; ok {
+		if d := desc(ms.Key()); d != nil {
 			attrs["datatype"] = d.Datatype
 			attrs["layout"] = d.Layout
 			attrs["shape"] = fmt.Sprint(d.Shape)
@@ -300,6 +292,15 @@ func SDGContribution(t *trace.TaskTrace, descs ObjectDescs, opts Options) Contri
 		}
 	}
 	return c
+}
+
+// sameForSDG reports whether two winning descriptions (nil: none)
+// decorate a dataset node alike: sdgContribution reads nothing else.
+func sameForSDG(a, b *trace.ObjectRecord) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Datatype == b.Datatype && a.Layout == b.Layout && slices.Equal(a.Shape, b.Shape)
 }
 
 // operationLabel summarizes the access mode (Figure 7 shows
@@ -356,25 +357,5 @@ func addRegionEdges(c *Contribution, ms trace.MappedStat, pageSize int64, datase
 		})
 		c.addEdge(graph.Edge{From: datasetID, To: rid, Op: graph.OpMap, Volume: ext.Len()})
 		c.addEdge(graph.Edge{From: rid, To: fileNodeID(ms.File), Op: graph.OpMap})
-	}
-}
-
-// markDatasetReuse flags read edges of datasets consumed by multiple
-// tasks.
-func markDatasetReuse(g *graph.Graph) {
-	for _, n := range g.NodesOfKind(graph.KindDataset) {
-		readers := map[string]bool{}
-		for _, e := range g.OutEdges(n.ID) {
-			if e.Op == graph.OpRead {
-				readers[e.To] = true
-			}
-		}
-		if len(readers) >= 2 {
-			for _, e := range g.OutEdges(n.ID) {
-				if e.Op == graph.OpRead {
-					e.Reused = true
-				}
-			}
-		}
 	}
 }

@@ -36,32 +36,3 @@ func benchBuild(b *testing.B, build func([]*trace.TaskTrace, *trace.Manifest) *g
 		})
 	}
 }
-
-// BenchmarkMergeContributions is the merge alone, over contributions
-// built once: what `dayu serve` pays per batch view and per live view
-// once its contribution cache is warm.
-func BenchmarkMergeContributions(b *testing.B) {
-	for _, tasks := range []int{1000, 3000} {
-		traces, m := workloads.GenerateSyntheticTraces(workloads.SyntheticTraceConfig{Tasks: tasks})
-		ordered := analyzer.OrderTasks(traces, m)
-		descs := analyzer.BuildObjectDescs(ordered)
-		ftg := make([]analyzer.Contribution, len(ordered))
-		sdg := make([]analyzer.Contribution, len(ordered))
-		for i, t := range ordered {
-			ftg[i] = analyzer.FTGContribution(t)
-			sdg[i] = analyzer.SDGContribution(t, descs, benchSDGOpts)
-		}
-		b.Run(fmt.Sprintf("ftg/tasks=%d", tasks), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchGraph = analyzer.BuildFTGFromContributions(ftg)
-			}
-		})
-		b.Run(fmt.Sprintf("sdg/tasks=%d", tasks), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchGraph = analyzer.BuildSDGFromContributions(sdg)
-			}
-		})
-	}
-}

@@ -1,0 +1,704 @@
+package analyzer
+
+import (
+	"cmp"
+	"slices"
+
+	"dayu/internal/graph"
+	"dayu/internal/trace"
+)
+
+// GraphIndex is the FTG and SDG builders in incremental form: a
+// stateful index over an ordered trace set that, when the set changes,
+// recomputes the contributions the change touches and patches both
+// graphs instead of folding every contribution again. `dayu serve`
+// keeps two, one per view, and syncs them to every snapshot's trace
+// sets, so a folded checkpoint costs what it changed rather than a pass
+// over the state. A Sync returns what BuildFTG and BuildSDG return for
+// the same ordered set, byte for byte in every renderer.
+//
+// What a graph is a function of, and what the index keeps for it:
+//
+//   - a task's contributions: its trace and, for the SDG, the winning
+//     description of every object it maps. Each (file, object) key has
+//     a scope listing its describing tasks in task order (the last
+//     wins) and the tasks that map it; when a winner's decoration
+//     changes (sameForSDG), those tasks' SDG contributions are
+//     recomputed.
+//   - a node: the AddNode fold of its occurrences in task order. The
+//     node's scope lists them and refolds when one arrives or leaves —
+//     AddNode keeps a minimum, a maximum and last-writer attributes, so
+//     an occurrence cannot be subtracted.
+//   - node order: first-occurrence order. Each task's part lists the
+//     nodes whose first occurrence it holds, by index in its
+//     contribution, and the node list is those lists concatenated in
+//     task order; a node whose first occurrence moves changes lists.
+//   - the edges: the per-task edge lists concatenated in task order,
+//     each edge a copy of its contribution's with Reused decided.
+//   - the graph: graph.Assemble over the per-task node and edge lists
+//     as runs, so a patch publishes a list of T runs, not a copy of
+//     every node and edge, and a task's lists are shared with every
+//     graph since the last change to them.
+//   - Reused: a read edge is flagged when its source node's kind is one
+//     markReuse flags and at least two distinct tasks read that node.
+//     The index counts each node's read edges per reading task, and
+//     copies a node's read edges only when it crosses two readers.
+//
+// Sync finds added, replaced and removed tasks by trace pointer —
+// traces and manifests are immutable and pointer-stable. A first Sync,
+// one under a new manifest and one whose retained tasks changed
+// relative order rebuild from empty through the batch builders' fold.
+// Nothing is keyed by task name, so tasks sharing a name need no
+// special case.
+//
+// Published graphs are immutable: renders of an older snapshot run
+// while the index moves on. A patch therefore builds new node and edge
+// lists, shares every *graph.Node and *graph.Edge it did not change,
+// and replaces, never mutates, the ones it did.
+//
+// A GraphIndex is not safe for concurrent use; the graphs it returns
+// are.
+type GraphIndex struct {
+	opts Options
+	// peer is an index over an overlapping trace set that contributions
+	// are taken from instead of computed: the FTG contribution of the
+	// same trace, or its SDG contribution when every object the task
+	// maps is described alike in both (sameForSDG).
+	peer *GraphIndex
+
+	manifest *trace.Manifest
+	tasks    []*graphTask // task order
+	byTrace  map[*trace.TaskTrace]*graphTask
+	gen      uint64 // stamps the tasks the Sync in progress retains
+
+	descs      map[trace.RowKey]*descScope
+	dirtyDescs []*descScope
+	// restale are the retained tasks whose SDG contribution read a
+	// description that moved.
+	restale []*graphTask
+
+	layers     [2]layer // the FTG and the SDG
+	recomputed int
+}
+
+// Graphs is what one Sync returns.
+type Graphs struct {
+	FTG, SDG *graph.Graph
+	// Recomputed counts the contributions the Sync computed; Reused the
+	// ones it kept or took from the peer.
+	Recomputed, Reused int
+}
+
+const (
+	lFTG = iota
+	lSDG
+)
+
+type graphTask struct {
+	trace *trace.TaskTrace
+	pos   int
+	gen   uint64
+	// describes has a scope per Objects record; refs a scope per object
+	// the task maps, once each.
+	describes, refs []*descScope
+	restale         bool
+	parts           [2]part
+}
+
+// part is a task's share of one graph: its contribution, the
+// contribution's edges as published (nil while it awaits publishing),
+// and the nodes whose first occurrence it holds, in contribution order,
+// as scopes and as published. The published lists are runs of graphs
+// already returned: a change replaces them, never writes into them.
+type part struct {
+	c      *Contribution
+	edges  []*graph.Edge
+	firsts []*nodeScope
+	nodes  []*graph.Node
+	stale  bool // nodes no longer matches firsts
+}
+
+type descScope struct {
+	key   trace.RowKey
+	descs []objDesc // task order, then Objects order: the last wins
+	refs  []*graphTask
+	won   *trace.ObjectRecord // the winner the refs' contributions read
+	dirty bool
+	// Most objects have one describer and one reader, which these hold
+	// without a second allocation.
+	desc1 [1]objDesc
+	ref1  [1]*graphTask
+}
+
+type objDesc struct {
+	task *graphTask
+	rec  *trace.ObjectRecord
+}
+
+type layer struct {
+	shape *shape
+	nodes map[string]*nodeScope
+	dirty []*nodeScope
+	stale []*part
+	out   *graph.Graph
+}
+
+type nodeScope struct {
+	id   string
+	occ  []occurrence // task order, then index in the contribution
+	occ1 [1]occurrence
+	node *graph.Node // the fold of occ, as published
+	// first is the occurrence whose part lists the node: occ[0] when
+	// the node was folded, zero once that part left.
+	first occurrence
+	// readers counts the node's read edges by reading task node.
+	readers map[string]int
+	reused  bool
+	dirty   bool
+}
+
+type occurrence struct {
+	task *graphTask
+	i    int
+}
+
+func (o occurrence) node(k int) *graph.Node { return &o.task.parts[k].c.nodes[o.i] }
+
+// NewGraphIndex returns an empty index building graphs with opts. A
+// non-nil peer, which must use the same opts, becomes the new index's
+// peer and the new index the peer's: each takes contributions from the
+// other.
+func NewGraphIndex(opts Options, peer *GraphIndex) *GraphIndex {
+	ix := &GraphIndex{opts: opts.withDefaults(), peer: peer}
+	if peer != nil {
+		peer.peer = ix
+	}
+	ix.reset()
+	return ix
+}
+
+func (ix *GraphIndex) reset() {
+	*ix = GraphIndex{
+		opts:    ix.opts,
+		peer:    ix.peer,
+		byTrace: map[*trace.TaskTrace]*graphTask{},
+		descs:   map[trace.RowKey]*descScope{},
+		layers: [2]layer{
+			{shape: ftgShape, nodes: map[string]*nodeScope{}},
+			{shape: sdgShape, nodes: map[string]*nodeScope{}},
+		},
+	}
+}
+
+// Sync brings the index to the trace set ordered under manifest m —
+// ordered must be OrderTasks(traces, m) — and returns its FTG and SDG.
+func (ix *GraphIndex) Sync(ordered []*trace.TaskTrace, m *trace.Manifest) Graphs {
+	ix.recomputed = 0
+	if m != ix.manifest || !ix.patch(ordered) {
+		ix.rebuild(ordered)
+		ix.manifest = m
+	}
+	return Graphs{
+		FTG: ix.layers[lFTG].out, SDG: ix.layers[lSDG].out,
+		Recomputed: ix.recomputed, Reused: 2*len(ix.tasks) - ix.recomputed,
+	}
+}
+
+// Len is the number of tasks the index holds.
+func (ix *GraphIndex) Len() int { return len(ix.tasks) }
+
+// Contributions returns the FTG and SDG contribution of every task in
+// the index, in task order. A contribution one index took from its
+// peer is the same pointer in both.
+func (ix *GraphIndex) Contributions() (ftg, sdg []*Contribution) {
+	for _, t := range ix.tasks {
+		ftg = append(ftg, t.parts[lFTG].c)
+		sdg = append(sdg, t.parts[lSDG].c)
+	}
+	return ftg, sdg
+}
+
+// rebuild empties the index and builds it from ordered through the
+// batch builders' fold.
+func (ix *GraphIndex) rebuild(ordered []*trace.TaskTrace) {
+	ix.reset()
+	ix.tasks = make([]*graphTask, len(ordered))
+	slab := make([]graphTask, len(ordered))
+	for i, tt := range ordered {
+		t := &slab[i]
+		t.trace, t.pos = tt, i
+		ix.tasks[i] = t
+		ix.byTrace[tt] = t
+		ix.linkDescs(t)
+	}
+	ix.settleDescs()
+	for _, t := range ix.restale {
+		t.restale = false
+	}
+	ix.restale = ix.restale[:0]
+
+	// Contributions the peer holds are taken serially; the rest are
+	// computed on the builders' workers.
+	var need [2][]*graphTask
+	for _, t := range ix.tasks {
+		for k := range t.parts {
+			if t.parts[k].c = ix.borrow(t, k); t.parts[k].c == nil {
+				need[k] = append(need[k], t)
+			}
+		}
+	}
+	nf := len(need[lFTG])
+	ix.recomputed = nf + len(need[lSDG])
+	backing := make([]Contribution, ix.recomputed)
+	forEach(len(backing), ix.opts.Parallelism, func(i int) {
+		if i < nf {
+			backing[i] = ftgContribution(need[lFTG][i].trace)
+			need[lFTG][i].parts[lFTG].c = &backing[i]
+		} else {
+			t := need[lSDG][i-nf]
+			backing[i] = sdgContribution(t.trace, ix.winner, ix.opts)
+			t.parts[lSDG].c = &backing[i]
+		}
+	})
+
+	contribs := make([]*Contribution, len(ix.tasks))
+	for k := range ix.layers {
+		for i, t := range ix.tasks {
+			contribs[i] = t.parts[k].c
+		}
+		ix.layers[k].adopt(ix.tasks, k, ix.layers[k].shape.fold(contribs))
+	}
+}
+
+// adopt takes g, the fold of the tasks' k contributions, as the layer's
+// graph and derives the layer's scopes from it.
+func (l *layer) adopt(tasks []*graphTask, k int, g *graph.Graph) {
+	l.out = g
+	nodes := g.Nodes()
+	scopes := make([]nodeScope, len(nodes))
+	l.nodes = make(map[string]*nodeScope, len(nodes))
+	for i, n := range nodes {
+		s := &scopes[i]
+		s.id, s.node, s.occ = n.ID, n, s.occ1[:0]
+		l.nodes[n.ID] = s
+	}
+	// The tasks' lists slice copies of the fold's lists, capacity-capped:
+	// in first-occurrence order, a task's firsts are one run.
+	ptrs := make([]*nodeScope, len(nodes))
+	for i := range scopes {
+		ptrs[i] = &scopes[i]
+	}
+	edges := slices.Clone(g.Edges())
+	off, first := 0, 0
+	for _, t := range tasks {
+		p := &t.parts[k]
+		n := len(p.c.edges)
+		p.edges = edges[off : off+n : off+n]
+		off += n
+		last := first
+		for i := range p.c.nodes {
+			s := l.nodes[p.c.nodes[i].ID]
+			if len(s.occ) == 0 {
+				s.first = occurrence{t, i}
+				last++
+			}
+			s.occ = append(s.occ, occurrence{t, i})
+		}
+		p.firsts, p.nodes = ptrs[first:last:last], nodes[first:last:last]
+		first = last
+		for _, e := range p.edges {
+			if e.Op == graph.OpRead {
+				l.nodes[e.From].read(e.To, 1)
+			}
+		}
+	}
+	for i := range scopes {
+		s := &scopes[i]
+		s.reused = l.shape.flags(s.node.Kind) && len(s.readers) >= 2
+	}
+}
+
+// patch applies the difference between the indexed set and ordered. It
+// reports false — leaving the index to be rebuilt — on a first Sync or
+// when retained tasks changed relative order, before changing anything
+// but the tasks' generation stamps.
+func (ix *GraphIndex) patch(ordered []*trace.TaskTrace) bool {
+	if len(ix.tasks) == 0 {
+		return false
+	}
+	ix.gen++
+	next := make([]*graphTask, 0, len(ordered))
+	last := -1
+	for _, tt := range ordered {
+		t := ix.byTrace[tt]
+		if t != nil {
+			if t.pos <= last {
+				return false
+			}
+			last = t.pos
+			t.gen = ix.gen
+		}
+		next = append(next, t)
+	}
+
+	var removed, added []*graphTask
+	for _, t := range ix.tasks {
+		if t.gen != ix.gen {
+			removed = append(removed, t)
+			delete(ix.byTrace, t.trace)
+			ix.unlinkDescs(t)
+		}
+	}
+	for i, t := range next {
+		if t == nil {
+			t = &graphTask{trace: ordered[i], gen: ix.gen}
+			next[i] = t
+			added = append(added, t)
+			ix.byTrace[t.trace] = t
+		}
+		t.pos = i
+	}
+	ix.tasks = next
+	for _, t := range added {
+		ix.linkDescs(t)
+	}
+	ix.settleDescs()
+
+	// A retained task whose SDG contribution read a moved description
+	// leaves the SDG layer and comes back with the new one. An added
+	// task has no contribution yet: it gets both below.
+	var sdgOut []outgoing
+	var sdgIn []*graphTask
+	for _, t := range ix.restale {
+		t.restale = false
+		if t.parts[lSDG].c != nil {
+			sdgOut = append(sdgOut, outgoing{t, t.parts[lSDG]})
+			t.parts[lSDG] = part{c: ix.contribution(t, lSDG)}
+			sdgIn = append(sdgIn, t)
+		}
+	}
+	clear(ix.restale)
+	ix.restale = ix.restale[:0]
+	for _, t := range added {
+		for k := range t.parts {
+			t.parts[k].c = ix.contribution(t, k)
+		}
+	}
+
+	ftgOut := make([]outgoing, len(removed))
+	for i, t := range removed {
+		ftgOut[i] = outgoing{t, t.parts[lFTG]}
+		sdgOut = append(sdgOut, outgoing{t, t.parts[lSDG]})
+	}
+	ix.layers[lFTG].patch(ix.tasks, lFTG, ftgOut, added)
+	ix.layers[lSDG].patch(ix.tasks, lSDG, sdgOut, append(sdgIn, added...))
+	// A rebuild allocates its tasks in one slab, which a removed task
+	// must not keep its trace and contributions alive through.
+	for _, t := range removed {
+		*t = graphTask{}
+	}
+	return true
+}
+
+// outgoing is a task's part leaving a layer: the task was removed, or
+// its contribution replaced.
+type outgoing struct {
+	task *graphTask
+	part part
+}
+
+// contribution is the task's k contribution: the peer's, or computed.
+func (ix *GraphIndex) contribution(t *graphTask, k int) *Contribution {
+	if c := ix.borrow(t, k); c != nil {
+		return c
+	}
+	ix.recomputed++
+	var c Contribution
+	if k == lFTG {
+		c = ftgContribution(t.trace)
+	} else {
+		c = sdgContribution(t.trace, ix.winner, ix.opts)
+	}
+	return &c
+}
+
+// borrow returns the peer's k contribution of the task's trace when it
+// is the one this index would compute, else nil.
+func (ix *GraphIndex) borrow(t *graphTask, k int) *Contribution {
+	if ix.peer == nil {
+		return nil
+	}
+	pt := ix.peer.byTrace[t.trace]
+	if pt == nil {
+		return nil
+	}
+	if k == lSDG {
+		for _, d := range t.refs {
+			var won *trace.ObjectRecord
+			if pd := ix.peer.descs[d.key]; pd != nil {
+				won = pd.won
+			}
+			if !sameForSDG(d.won, won) {
+				return nil
+			}
+		}
+	}
+	return pt.parts[k].c
+}
+
+// winner is the description sdgContribution decorates key's dataset
+// node with.
+func (ix *GraphIndex) winner(key trace.RowKey) *trace.ObjectRecord {
+	if d := ix.descs[key]; d != nil {
+		return d.won
+	}
+	return nil
+}
+
+func (ix *GraphIndex) desc(key trace.RowKey) *descScope {
+	d := ix.descs[key]
+	if d == nil {
+		d = &descScope{key: key}
+		d.descs, d.refs = d.desc1[:0], d.ref1[:0]
+		ix.descs[key] = d
+	}
+	return d
+}
+
+func (ix *GraphIndex) touchDesc(d *descScope) {
+	if !d.dirty {
+		d.dirty = true
+		ix.dirtyDescs = append(ix.dirtyDescs, d)
+	}
+}
+
+// linkDescs enters a task into the description scopes: as a describer
+// at its position, and as a reader of every object it maps.
+func (ix *GraphIndex) linkDescs(t *graphTask) {
+	tt := t.trace
+	for i := range tt.Objects {
+		rec := &tt.Objects[i]
+		d := ix.desc(rec.Key())
+		// After every describer at or before t's position: task order,
+		// then Objects order.
+		at, _ := slices.BinarySearchFunc(d.descs, t.pos+1, func(o objDesc, pos int) int { return cmp.Compare(o.task.pos, pos) })
+		d.descs = slices.Insert(d.descs, at, objDesc{t, rec})
+		t.describes = append(t.describes, d)
+		ix.touchDesc(d)
+	}
+	for i := range tt.Mapped {
+		ms := &tt.Mapped[i]
+		if ms.Object == "" {
+			continue
+		}
+		if d := ix.desc(ms.Key()); !slices.Contains(t.refs, d) {
+			d.refs = append(d.refs, t)
+			t.refs = append(t.refs, d)
+		}
+	}
+}
+
+// unlinkDescs takes a removed task out of the description scopes.
+func (ix *GraphIndex) unlinkDescs(t *graphTask) {
+	for _, d := range t.describes {
+		d.descs = slices.DeleteFunc(d.descs, func(o objDesc) bool { return o.task == t })
+		ix.touchDesc(d)
+	}
+	for _, d := range t.refs {
+		d.refs = slices.DeleteFunc(d.refs, func(r *graphTask) bool { return r == t })
+		ix.touchDesc(d)
+	}
+}
+
+// settleDescs decides the winner of every touched description scope
+// and marks the tasks that read one whose decoration changed; empty
+// scopes go.
+func (ix *GraphIndex) settleDescs() {
+	for _, d := range ix.dirtyDescs {
+		d.dirty = false
+		var won *trace.ObjectRecord
+		if n := len(d.descs); n > 0 {
+			won = d.descs[n-1].rec
+		}
+		if !sameForSDG(won, d.won) {
+			for _, t := range d.refs {
+				if !t.restale {
+					t.restale = true
+					ix.restale = append(ix.restale, t)
+				}
+			}
+		}
+		d.won = won
+		if len(d.descs) == 0 && len(d.refs) == 0 {
+			delete(ix.descs, d.key)
+		}
+	}
+	clear(ix.dirtyDescs)
+	ix.dirtyDescs = ix.dirtyDescs[:0]
+}
+
+func (l *layer) scope(id string) *nodeScope {
+	s := l.nodes[id]
+	if s == nil {
+		s = &nodeScope{id: id}
+		s.occ = s.occ1[:0]
+		l.nodes[id] = s
+	}
+	return s
+}
+
+func (l *layer) touch(s *nodeScope) {
+	if !s.dirty {
+		s.dirty = true
+		l.dirty = append(l.dirty, s)
+	}
+}
+
+// read adds delta read edges from the node to reader.
+func (s *nodeScope) read(reader string, delta int) {
+	if s.readers == nil {
+		s.readers = map[string]int{}
+	}
+	if s.readers[reader] += delta; s.readers[reader] == 0 {
+		delete(s.readers, reader)
+	}
+}
+
+// patch takes the outgoing parts out of the layer and puts the incoming
+// tasks' parts in, then publishes the layer's graph over tasks.
+func (l *layer) patch(tasks []*graphTask, k int, out []outgoing, in []*graphTask) {
+	if len(out) == 0 && len(in) == 0 {
+		return
+	}
+	for _, o := range out {
+		for i := range o.part.c.nodes {
+			s := l.nodes[o.part.c.nodes[i].ID]
+			s.occ = slices.DeleteFunc(s.occ, func(oc occurrence) bool { return oc.task == o.task })
+			if s.first.task == o.task {
+				s.first = occurrence{}
+			}
+			l.touch(s)
+		}
+		for _, e := range o.part.c.edges {
+			if e.Op == graph.OpRead {
+				l.nodes[e.From].read(e.To, -1)
+			}
+		}
+	}
+	for _, t := range in {
+		c := t.parts[k].c
+		for i := range c.nodes {
+			s := l.scope(c.nodes[i].ID)
+			at, _ := slices.BinarySearchFunc(s.occ, t.pos+1, func(oc occurrence, pos int) int { return cmp.Compare(oc.task.pos, pos) })
+			s.occ = slices.Insert(s.occ, at, occurrence{t, i})
+			l.touch(s)
+		}
+		for _, e := range c.edges {
+			if e.Op == graph.OpRead {
+				l.nodes[e.From].read(e.To, 1)
+			}
+		}
+	}
+
+	// Refold what changed, and move a node whose first occurrence moved
+	// to its new part's list. A node whose read-edge flag flips has its
+	// read edges copied in the tasks that keep their part; the incoming
+	// parts are published below, with the settled flags.
+	for _, s := range l.dirty {
+		s.dirty = false
+		if len(s.occ) == 0 {
+			delete(l.nodes, s.id)
+			s.node, s.readers = nil, nil // adopt's slab may outlive it
+			continue
+		}
+		s.node = s.occ[0].node(k).Clone()
+		for _, oc := range s.occ[1:] {
+			s.node.Merge(oc.node(k))
+		}
+		if s.first != s.occ[0] {
+			if s.first.task != nil {
+				p := &s.first.task.parts[k]
+				p.firsts = slices.DeleteFunc(p.firsts, func(x *nodeScope) bool { return x == s })
+				l.restale(p)
+			}
+			s.first = s.occ[0]
+			p := &s.first.task.parts[k]
+			at, _ := slices.BinarySearchFunc(p.firsts, s.first.i, func(x *nodeScope, i int) int { return cmp.Compare(x.first.i, i) })
+			p.firsts = slices.Insert(p.firsts, at, s)
+		}
+		l.restale(&s.first.task.parts[k])
+		if reused := l.shape.flags(s.node.Kind) && len(s.readers) >= 2; reused != s.reused {
+			s.reused = reused
+			l.flip(s, k)
+		}
+	}
+	clear(l.dirty)
+	l.dirty = l.dirty[:0]
+	for _, t := range in {
+		p := &t.parts[k]
+		slab := make([]graph.Edge, len(p.c.edges))
+		p.edges = make([]*graph.Edge, len(slab))
+		for j := range slab {
+			slab[j] = p.c.edges[j]
+			if slab[j].Op == graph.OpRead && l.nodes[slab[j].From].reused {
+				slab[j].Reused = true
+			}
+			p.edges[j] = &slab[j]
+		}
+	}
+
+	for _, p := range l.stale {
+		p.stale = false
+		p.nodes = make([]*graph.Node, len(p.firsts))
+		for i, s := range p.firsts {
+			p.nodes[i] = s.node
+		}
+	}
+	clear(l.stale)
+	l.stale = l.stale[:0]
+	nodes := make([][]*graph.Node, 0, len(tasks))
+	edges := make([][]*graph.Edge, 0, len(tasks))
+	for _, t := range tasks {
+		p := &t.parts[k]
+		if len(p.nodes) > 0 {
+			nodes = append(nodes, p.nodes)
+		}
+		if len(p.edges) > 0 {
+			edges = append(edges, p.edges)
+		}
+	}
+	l.out = graph.Assemble(l.shape.name, nodes, edges)
+}
+
+// restale marks a part whose published node list must be rebuilt.
+func (l *layer) restale(p *part) {
+	if !p.stale {
+		p.stale = true
+		l.stale = append(l.stale, p)
+	}
+}
+
+// flip re-publishes s's read edges with its new flag, in every task
+// holding a published part that reads s: a new list with new copies of
+// those edges.
+func (l *layer) flip(s *nodeScope, k int) {
+	var prev *graphTask
+	for _, oc := range s.occ {
+		if oc.task == prev {
+			continue
+		}
+		prev = oc.task
+		p := &oc.task.parts[k]
+		copied := false
+		for j, e := range p.edges {
+			if e.From == s.id && e.Op == graph.OpRead {
+				if !copied {
+					p.edges, copied = slices.Clone(p.edges), true
+				}
+				cp := *e
+				cp.Reused = s.reused || p.c.edges[j].Reused
+				p.edges[j] = &cp
+			}
+		}
+	}
+}

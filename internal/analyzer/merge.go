@@ -9,26 +9,37 @@ import (
 )
 
 // buildContributions computes one contribution per ordered trace, in
-// task order. Workers — the caller and up to parallelism-1 goroutines —
-// claim contiguous chunks off an atomic counter: small enough to
-// balance uneven tasks, large enough that the claim is noise.
-func buildContributions(ordered []*trace.TaskTrace, parallelism int, build func(*trace.TaskTrace) Contribution) []Contribution {
-	out := make([]Contribution, len(ordered))
-	chunk := min(max(len(ordered)/(parallelism*8), 1), 256)
+// task order, on parallelism workers (forEach).
+func buildContributions(ordered []*trace.TaskTrace, parallelism int, build func(*trace.TaskTrace) Contribution) []*Contribution {
+	backing := make([]Contribution, len(ordered))
+	out := make([]*Contribution, len(ordered))
+	forEach(len(ordered), parallelism, func(i int) {
+		backing[i] = build(ordered[i])
+		out[i] = &backing[i]
+	})
+	return out
+}
+
+// forEach calls do for every index below n. Workers — the caller and up
+// to parallelism-1 goroutines — claim contiguous chunks off an atomic
+// counter: small enough to balance uneven tasks, large enough that the
+// claim is noise.
+func forEach(n, parallelism int, do func(i int)) {
+	chunk := min(max(n/(parallelism*8), 1), 256)
 	var next atomic.Int64
 	work := func() {
 		for {
 			lo := int(next.Add(int64(chunk))) - chunk
-			if lo >= len(ordered) {
+			if lo >= n {
 				return
 			}
-			for i := lo; i < min(lo+chunk, len(ordered)); i++ {
-				out[i] = build(ordered[i])
+			for i := lo; i < min(lo+chunk, n); i++ {
+				do(i)
 			}
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < parallelism && w*chunk < len(ordered); w++ {
+	for w := 1; w < parallelism && w*chunk < n; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -37,28 +48,28 @@ func buildContributions(ordered []*trace.TaskTrace, parallelism int, build func(
 	}
 	work()
 	wg.Wait()
-	return out
 }
 
 // mergeContributions folds contributions into a new graph in task
 // order: the sequence of AddNode/AddEdge calls a build visiting the
 // tasks one by one performs, into a graph sized from the occurrence
-// counts. It is the analyzer's only graph assembly — batch builds and
-// serve's batch and live views all end here — and serial on
+// counts. It is the analyzer's only fold — batch builds and a
+// GraphIndex built from empty end here; a GraphIndex patch keeps its
+// result equal without re-running it (graphindex.go) — and serial on
 // purpose: sharding it across workers measured 0.92x of this fold on
 // two cores and allocated more (DESIGN.md, "Graph builders").
-func mergeContributions(name string, contribs []Contribution) *graph.Graph {
+func mergeContributions(name string, contribs []*Contribution) *graph.Graph {
 	var nodes, edges int
-	for i := range contribs {
-		nodes += len(contribs[i].nodes)
-		edges += len(contribs[i].edges)
+	for _, c := range contribs {
+		nodes += len(c.nodes)
+		edges += len(c.edges)
 	}
 	g := graph.NewSized(name, nodes, edges)
-	for i := range contribs {
-		for _, n := range contribs[i].nodes {
+	for _, c := range contribs {
+		for _, n := range c.nodes {
 			g.AddNode(n)
 		}
-		for _, e := range contribs[i].edges {
+		for _, e := range c.edges {
 			if _, err := g.AddEdge(e); err != nil {
 				// A contribution adds an edge's endpoints before the edge.
 				panic(err)

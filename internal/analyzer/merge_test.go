@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-func countOccurrences(contribs []Contribution) (nodes, edges int) {
-	for i := range contribs {
-		nodes += len(contribs[i].nodes)
-		edges += len(contribs[i].edges)
+func countOccurrences(contribs []*Contribution) (nodes, edges int) {
+	for _, c := range contribs {
+		nodes += len(c.nodes)
+		edges += len(c.edges)
 	}
 	return nodes, edges
 }
@@ -50,10 +50,7 @@ func TestFTGMergeAllocBudget(t *testing.T) {
 	}
 	traces, m := syntheticTraces(64)
 	ordered := OrderTasks(traces, m)
-	contribs := make([]Contribution, len(ordered))
-	for i, tt := range ordered {
-		contribs[i] = FTGContribution(tt)
-	}
+	contribs := buildContributions(ordered, 1, ftgContribution)
 	nodes, edges := countOccurrences(contribs)
 	allocs := testing.AllocsPerRun(100, func() {
 		mergeContributions("m", contribs)

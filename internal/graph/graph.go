@@ -8,6 +8,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Kind classifies nodes.
@@ -69,22 +70,72 @@ type Edge struct {
 	Attrs  map[string]string
 }
 
-// Graph is a directed multigraph with stable insertion order. Forward
-// and reverse adjacency indexes are maintained on every AddEdge, so
-// per-node edge queries cost O(deg) instead of scanning all edges;
-// Edges() still reports global insertion order, and the per-node index
-// slices preserve that order among a node's own edges.
+// Graph is a directed multigraph with stable insertion order. Nodes()
+// and Edges() report insertion order; the lookup by ID and the forward
+// and reverse adjacency (Node, OutEdges, InEdges, Ranks) come from an
+// index that AddNode and AddEdge keep as they go, so per-node edge
+// queries cost O(deg), and whose per-node slices preserve the global
+// order among a node's own edges. A graph Assemble makes whole builds
+// that index on its first lookup instead: the renderers other than SVG
+// and HTML walk the two lists and never need it.
 type Graph struct {
-	Name  string
-	nodes map[string]*Node
-	order []string
-	edges []*Edge
-	out   map[string][]*Edge
-	in    map[string][]*Edge
+	Name string
+	// The node and edge lists in insertion order, each held as runs:
+	// one run for a graph AddNode and AddEdge build, the runs it was
+	// given for a graph Assemble makes.
+	nodes          [][]*Node
+	edges          [][]*Edge
+	nNodes, nEdges int
+
+	ixOnce sync.Once
+	ix     *lookup
 	// slab is the chunk AddEdge carves edges from: one allocation per
 	// chunk instead of one per edge. A chunk is never reallocated, so
 	// the *Edge pointers into it stay valid.
 	slab []Edge
+}
+
+// lookup is a graph's index by node ID.
+type lookup struct {
+	byID    map[string]*Node
+	out, in map[string][]*Edge
+}
+
+func newLookup(nodes, edges int) *lookup {
+	return &lookup{
+		byID: make(map[string]*Node, nodes),
+		out:  make(map[string][]*Edge, nodes),
+		in:   make(map[string][]*Edge, nodes),
+	}
+}
+
+func (ix *lookup) addEdge(e *Edge) {
+	ix.out[e.From] = append(ix.out[e.From], e)
+	ix.in[e.To] = append(ix.in[e.To], e)
+}
+
+// index returns the graph's lookup, building it from the node and edge
+// lists the first time a graph without one is asked. Safe for
+// concurrent readers.
+func (g *Graph) index() *lookup {
+	g.ixOnce.Do(func() {
+		if g.ix != nil {
+			return
+		}
+		ix := newLookup(g.nNodes, g.nEdges)
+		for _, run := range g.nodes {
+			for _, n := range run {
+				ix.byID[n.ID] = n
+			}
+		}
+		for _, run := range g.edges {
+			for _, e := range run {
+				ix.addEdge(e)
+			}
+		}
+		g.ix = ix
+	})
+	return g.ix
 }
 
 // New returns an empty graph.
@@ -94,62 +145,99 @@ func New(name string) *Graph { return NewSized(name, 0, 0) }
 // of nodes and edges, for builders that know the counts up front (the
 // analyzer's merge sums them over its contributions).
 func NewSized(name string, nodes, edges int) *Graph {
-	return &Graph{
+	g := &Graph{
 		Name:  name,
-		nodes: make(map[string]*Node, nodes),
-		order: make([]string, 0, nodes),
-		edges: make([]*Edge, 0, edges),
-		out:   make(map[string][]*Edge, nodes),
-		in:    make(map[string][]*Edge, nodes),
+		nodes: [][]*Node{make([]*Node, 0, nodes)},
+		edges: [][]*Edge{make([]*Edge, 0, edges)},
+		ix:    newLookup(nodes, edges),
 	}
+	g.index() // marks the index built
+	return g
+}
+
+// Assemble returns the graph whose node and edge lists, in insertion
+// order, are the concatenations of the given runs, with the lookup by
+// ID built on first use. The graph keeps the runs: neither the slices
+// nor the values they point to may change afterwards, and other graphs
+// may share them. Node IDs must be distinct and every edge's endpoints
+// among the nodes.
+func Assemble(name string, nodes [][]*Node, edges [][]*Edge) *Graph {
+	g := &Graph{Name: name, nodes: nodes, edges: edges}
+	for _, run := range nodes {
+		g.nNodes += len(run)
+	}
+	for _, run := range edges {
+		g.nEdges += len(run)
+	}
+	return g
 }
 
 // maxEdgeChunk caps the slab's chunks, which otherwise double with the
 // graph so that a three-edge graph does not pay for a large one's chunk.
 const maxEdgeChunk = 512
 
-// AddNode inserts or updates a node. Updating merges volume and widens
-// the time window.
-func (g *Graph) AddNode(n Node) *Node {
-	if existing, ok := g.nodes[n.ID]; ok {
-		existing.Volume += n.Volume
-		if n.StartNS != 0 && (existing.StartNS == 0 || n.StartNS < existing.StartNS) {
-			existing.StartNS = n.StartNS
-		}
-		if n.EndNS > existing.EndNS {
-			existing.EndNS = n.EndNS
-		}
-		for k, v := range n.Attrs {
-			if existing.Attrs == nil {
-				existing.Attrs = map[string]string{}
-			}
-			existing.Attrs[k] = v
-		}
-		return existing
-	}
-	cp := n
+// Clone returns a copy of n that shares no attribute map with it: what
+// AddNode stores for the first occurrence of an ID.
+func (n Node) Clone() *Node {
 	// Clone the attribute map so the graph never aliases caller-owned
 	// state: contributions cached across incremental rebuilds must not
-	// be mutated when a later AddNode merges attrs into this node.
+	// be mutated when a later Merge folds attrs into this node.
 	if n.Attrs != nil {
-		cp.Attrs = make(map[string]string, len(n.Attrs))
+		attrs := make(map[string]string, len(n.Attrs))
 		for k, v := range n.Attrs {
-			cp.Attrs[k] = v
+			attrs[k] = v
 		}
+		n.Attrs = attrs
 	}
-	g.nodes[n.ID] = &cp
-	g.order = append(g.order, n.ID)
-	return &cp
+	return &n
+}
+
+// Merge folds a later occurrence o of the same node into n, as AddNode
+// does for an ID already present: volumes add, the time window widens
+// (a zero start is unknown, not early) and o's attributes overwrite.
+func (n *Node) Merge(o *Node) {
+	n.Volume += o.Volume
+	if o.StartNS != 0 && (n.StartNS == 0 || o.StartNS < n.StartNS) {
+		n.StartNS = o.StartNS
+	}
+	if o.EndNS > n.EndNS {
+		n.EndNS = o.EndNS
+	}
+	for k, v := range o.Attrs {
+		if n.Attrs == nil {
+			n.Attrs = map[string]string{}
+		}
+		n.Attrs[k] = v
+	}
+}
+
+// AddNode inserts or updates a node. Updating merges volume and widens
+// the time window (Merge).
+func (g *Graph) AddNode(n Node) *Node {
+	ix := g.index()
+	if existing, ok := ix.byID[n.ID]; ok {
+		existing.Merge(&n)
+		return existing
+	}
+	cp := n.Clone()
+	ix.byID[n.ID] = cp
+	if len(g.nodes) == 0 {
+		g.nodes = [][]*Node{nil}
+	}
+	last := len(g.nodes) - 1
+	g.nodes[last] = append(g.nodes[last], cp)
+	g.nNodes++
+	return cp
 }
 
 // Node returns a node by ID, or nil.
-func (g *Graph) Node(id string) *Node { return g.nodes[id] }
+func (g *Graph) Node(id string) *Node { return g.index().byID[id] }
 
 // Nodes returns all nodes in insertion order.
 func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, len(g.order))
-	for i, id := range g.order {
-		out[i] = g.nodes[id]
+	out := make([]*Node, 0, g.nNodes)
+	for _, run := range g.nodes {
+		out = append(out, run...)
 	}
 	return out
 }
@@ -157,9 +245,11 @@ func (g *Graph) Nodes() []*Node {
 // NodesOfKind returns nodes of one kind in insertion order.
 func (g *Graph) NodesOfKind(k Kind) []*Node {
 	var out []*Node
-	for _, id := range g.order {
-		if n := g.nodes[id]; n.Kind == k {
-			out = append(out, n)
+	for _, run := range g.nodes {
+		for _, n := range run {
+			if n.Kind == k {
+				out = append(out, n)
+			}
 		}
 	}
 	return out
@@ -167,14 +257,15 @@ func (g *Graph) NodesOfKind(k Kind) []*Node {
 
 // AddEdge appends an edge; endpoints must exist.
 func (g *Graph) AddEdge(e Edge) (*Edge, error) {
-	if g.nodes[e.From] == nil {
+	ix := g.index()
+	if ix.byID[e.From] == nil {
 		return nil, fmt.Errorf("graph: edge from unknown node %q", e.From)
 	}
-	if g.nodes[e.To] == nil {
+	if ix.byID[e.To] == nil {
 		return nil, fmt.Errorf("graph: edge to unknown node %q", e.To)
 	}
 	if len(g.slab) == cap(g.slab) {
-		g.slab = make([]Edge, 0, min(max(len(g.edges), 4), maxEdgeChunk))
+		g.slab = make([]Edge, 0, min(max(g.nEdges, 4), maxEdgeChunk))
 	}
 	g.slab = append(g.slab, e)
 	cp := &g.slab[len(g.slab)-1]
@@ -184,56 +275,77 @@ func (g *Graph) AddEdge(e Edge) (*Edge, error) {
 			cp.Attrs[k] = v
 		}
 	}
-	g.edges = append(g.edges, cp)
-	g.out[cp.From] = append(g.out[cp.From], cp)
-	g.in[cp.To] = append(g.in[cp.To], cp)
+	if len(g.edges) == 0 {
+		g.edges = [][]*Edge{nil}
+	}
+	last := len(g.edges) - 1
+	g.edges[last] = append(g.edges[last], cp)
+	g.nEdges++
+	ix.addEdge(cp)
 	return cp, nil
 }
 
-// Edges returns all edges in insertion order.
-func (g *Graph) Edges() []*Edge { return g.edges }
+// Edges returns all edges in insertion order. The returned slice may be
+// the graph's own; callers must not append to or reorder it.
+func (g *Graph) Edges() []*Edge {
+	if len(g.edges) == 1 {
+		return g.edges[0]
+	}
+	if g.edges == nil {
+		return nil
+	}
+	out := make([]*Edge, 0, g.nEdges)
+	for _, run := range g.edges {
+		out = append(out, run...)
+	}
+	return out
+}
 
 // OutEdges returns edges leaving the node in insertion order. The
 // returned slice is the graph's index; callers must not append to or
 // reorder it.
-func (g *Graph) OutEdges(id string) []*Edge { return g.out[id] }
+func (g *Graph) OutEdges(id string) []*Edge { return g.index().out[id] }
 
 // InEdges returns edges entering the node in insertion order. The
 // returned slice is the graph's index; callers must not append to or
 // reorder it.
-func (g *Graph) InEdges(id string) []*Edge { return g.in[id] }
+func (g *Graph) InEdges(id string) []*Edge { return g.index().in[id] }
 
 // OutDegree counts distinct successors of the node.
 func (g *Graph) OutDegree(id string) int {
 	seen := map[string]bool{}
-	for _, e := range g.out[id] {
+	for _, e := range g.OutEdges(id) {
 		seen[e.To] = true
 	}
 	return len(seen)
 }
 
 // NumNodes and NumEdges report graph size.
-func (g *Graph) NumNodes() int { return len(g.order) }
+func (g *Graph) NumNodes() int { return g.nNodes }
 
 // NumEdges reports the edge count.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return g.nEdges }
 
 // Ranks computes a longest-path topological rank for each node (cycles
 // are broken by insertion order), used for layered rendering.
 func (g *Graph) Ranks() map[string]int {
-	ranks := make(map[string]int, len(g.order))
+	out := g.index().out
+	nodes := g.Nodes()
+	ranks := make(map[string]int, len(nodes))
 	// Kahn-style longest path; fall back gracefully on cycles.
 	indeg := map[string]int{}
-	for _, e := range g.edges {
-		if e.From == e.To {
-			continue
+	for _, run := range g.edges {
+		for _, e := range run {
+			if e.From == e.To {
+				continue
+			}
+			indeg[e.To]++
 		}
-		indeg[e.To]++
 	}
 	var queue []string
-	for _, id := range g.order {
-		if indeg[id] == 0 {
-			queue = append(queue, id)
+	for _, n := range nodes {
+		if indeg[n.ID] == 0 {
+			queue = append(queue, n.ID)
 		}
 	}
 	processed := 0
@@ -241,7 +353,7 @@ func (g *Graph) Ranks() map[string]int {
 		id := queue[0]
 		queue = queue[1:]
 		processed++
-		for _, e := range g.out[id] {
+		for _, e := range out[id] {
 			if e.From == e.To {
 				continue
 			}
@@ -255,11 +367,11 @@ func (g *Graph) Ranks() map[string]int {
 			}
 		}
 	}
-	if processed < len(g.order) {
+	if processed < len(nodes) {
 		// Cycle: give remaining nodes their current best rank.
-		for _, id := range g.order {
-			if _, ok := ranks[id]; !ok {
-				ranks[id] = 0
+		for _, n := range nodes {
+			if _, ok := ranks[n.ID]; !ok {
+				ranks[n.ID] = 0
 			}
 		}
 	}
@@ -269,8 +381,10 @@ func (g *Graph) Ranks() map[string]int {
 // TotalVolume sums edge volumes.
 func (g *Graph) TotalVolume() int64 {
 	var v int64
-	for _, e := range g.edges {
-		v += e.Volume
+	for _, run := range g.edges {
+		for _, e := range run {
+			v += e.Volume
+		}
 	}
 	return v
 }
@@ -284,7 +398,7 @@ func (g *Graph) Filter(name string, keep func(*Node) bool) *Graph {
 			out.AddNode(*n)
 		}
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		if out.Node(e.From) != nil && out.Node(e.To) != nil {
 			if _, err := out.AddEdge(*e); err != nil {
 				panic(err) // endpoints verified above
@@ -307,11 +421,12 @@ func (g *Graph) Neighborhood(name, center string, hops int) *Graph {
 				next = append(next, other)
 			}
 		}
+		ix := g.index()
 		for _, id := range frontier {
-			for _, e := range g.out[id] {
+			for _, e := range ix.out[id] {
 				visit(e.To)
 			}
-			for _, e := range g.in[id] {
+			for _, e := range ix.in[id] {
 				visit(e.From)
 			}
 		}
@@ -326,7 +441,12 @@ func (g *Graph) Neighborhood(name, center string, hops int) *Graph {
 // SortedNodeIDs returns node IDs sorted lexically (for deterministic
 // reports).
 func (g *Graph) SortedNodeIDs() []string {
-	ids := append([]string(nil), g.order...)
+	ids := make([]string, 0, g.nNodes)
+	for _, run := range g.nodes {
+		for _, n := range run {
+			ids = append(ids, n.ID)
+		}
+	}
 	sort.Strings(ids)
 	return ids
 }

@@ -59,9 +59,11 @@ func (n *Node) displayLabel() string {
 
 func (g *Graph) maxBandwidth() float64 {
 	var max float64
-	for _, e := range g.edges {
-		if e.Bandwidth > max {
-			max = e.Bandwidth
+	for _, run := range g.edges {
+		for _, e := range run {
+			if e.Bandwidth > max {
+				max = e.Bandwidth
+			}
 		}
 	}
 	return max
@@ -171,48 +173,63 @@ const (
 // conventions.
 func (g *Graph) DOT() string {
 	size := 80 + len(g.Name)
-	for _, id := range g.order {
-		size += dotNode + len(id) + len(g.nodes[id].displayLabel())
+	for _, run := range g.nodes {
+		for _, n := range run {
+			size += dotNode + len(n.ID) + len(n.displayLabel())
+		}
 	}
-	for _, e := range g.edges {
-		size += dotEdge + len(e.From) + len(e.To)
+	for _, run := range g.edges {
+		for _, e := range run {
+			size += dotEdge + len(e.From) + len(e.To)
+		}
 	}
 	var w writer
 	w.Grow(size)
 	w.WriteString("digraph ")
 	w.quoted(g.Name)
 	w.WriteString(" {\n  rankdir=LR;\n  node [style=filled fontname=\"Helvetica\"];\n")
-	for _, id := range g.order {
-		n := g.nodes[id]
-		shape, fill := nodeStyle(n.Kind)
-		w.WriteString("  ")
-		w.quoted(id)
-		w.WriteString(" [label=")
-		w.quoted(n.displayLabel())
-		w.WriteString(" shape=")
-		w.WriteString(shape)
-		w.WriteString(" fillcolor=\"")
-		w.WriteString(fill)
-		w.WriteString("\"];\n")
+	for _, run := range g.nodes {
+		for _, n := range run {
+			w.dotNode(n)
+		}
 	}
 	maxBW := g.maxBandwidth()
-	for _, e := range g.edges {
-		w.WriteString("  ")
-		w.quoted(e.From)
-		w.WriteString(" -> ")
-		w.quoted(e.To)
-		w.WriteString(" [color=\"")
-		w.edgeColor(e.Bandwidth, maxBW, e.Reused)
-		w.WriteString("\" penwidth=")
-		w.fixed(penWidth(e.Volume), 2)
-		w.WriteString(" label=\"")
-		if e.Volume > 0 {
-			w.bytes(e.Volume) // printable ASCII: quoting copies it
+	for _, run := range g.edges {
+		for _, e := range run {
+			w.dotEdge(e, maxBW)
 		}
-		w.WriteString("\"];\n")
 	}
 	w.WriteString("}\n")
 	return w.String()
+}
+
+func (w *writer) dotNode(n *Node) {
+	shape, fill := nodeStyle(n.Kind)
+	w.WriteString("  ")
+	w.quoted(n.ID)
+	w.WriteString(" [label=")
+	w.quoted(n.displayLabel())
+	w.WriteString(" shape=")
+	w.WriteString(shape)
+	w.WriteString(" fillcolor=\"")
+	w.WriteString(fill)
+	w.WriteString("\"];\n")
+}
+
+func (w *writer) dotEdge(e *Edge, maxBW float64) {
+	w.WriteString("  ")
+	w.quoted(e.From)
+	w.WriteString(" -> ")
+	w.quoted(e.To)
+	w.WriteString(" [color=\"")
+	w.edgeColor(e.Bandwidth, maxBW, e.Reused)
+	w.WriteString("\" penwidth=")
+	w.fixed(penWidth(e.Volume), 2)
+	w.WriteString(" label=\"")
+	if e.Volume > 0 {
+		w.bytes(e.Volume) // printable ASCII: quoting copies it
+	}
+	w.WriteString("\"];\n")
 }
 
 // SVG renders a layered layout: nodes in columns by topological rank,
@@ -227,12 +244,15 @@ func (g *Graph) SVG() string {
 
 func (g *Graph) svgSize() int {
 	size := 200 + len(g.Name)
-	for _, id := range g.order {
-		n := g.nodes[id]
-		size += svgNode + len(id) + min(len(n.displayLabel()), svgLabel) + len(n.Kind) + len(n.Attrs)*attrText
+	for _, run := range g.nodes {
+		for _, n := range run {
+			size += svgNode + len(n.ID) + min(len(n.displayLabel()), svgLabel) + len(n.Kind) + len(n.Attrs)*attrText
+		}
 	}
-	for _, e := range g.edges {
-		size += svgEdge + len(e.From) + len(e.To) + len(e.Op)
+	for _, run := range g.edges {
+		for _, e := range run {
+			size += svgEdge + len(e.From) + len(e.To) + len(e.Op)
+		}
 	}
 	return size
 }
@@ -290,7 +310,7 @@ func (g *Graph) writeSVG(w *writer) {
 			pos[n.ID] = [2]int{margin + r*colW, margin + i*rowH}
 		}
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		p1, ok1 := pos[e.From]
 		p2, ok2 := pos[e.To]
 		if !ok1 || !ok2 {
@@ -408,8 +428,9 @@ func sortedKeys(keys []string, m map[string]string) []string {
 // HTML renders a standalone interactive page: the SVG plus an edge
 // statistics table (the "interactable HTML format" of the paper).
 func (g *Graph) HTML() string {
+	edges := g.Edges()
 	size := 1024 + 2*len(g.Name) + g.svgSize()
-	for _, e := range g.edges {
+	for _, e := range edges {
 		size += htmlEdge + len(e.From) + len(e.To) + len(e.Op)
 	}
 	var w writer
@@ -427,7 +448,7 @@ tr:hover { background: #fff3d6; }
 	w.WriteString("</h1>\n")
 	g.writeSVG(&w)
 	w.WriteString("<h2>Edge statistics</h2>\n<table><tr><th>From</th><th>To</th><th>Op</th><th>Volume</th><th>Ops</th><th>Data ops</th><th>Meta ops</th><th>Bandwidth</th><th>Reused</th></tr>\n")
-	for _, e := range g.edges {
+	for _, e := range edges {
 		w.WriteString("<tr><td>")
 		w.escaped(e.From)
 		w.WriteString("</td><td>")
@@ -465,78 +486,96 @@ type jsonGraph struct {
 // infinite bandwidth is an error, as encoding/json makes it.
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	size := 48 + len(g.Name)
-	for _, id := range g.order {
-		n := g.nodes[id]
-		size += jsonNode + len(id) + len(n.Kind) + len(n.Label) + len(n.Attrs)*attrText
+	for _, run := range g.nodes {
+		for _, n := range run {
+			size += jsonNode + len(n.ID) + len(n.Kind) + len(n.Label) + len(n.Attrs)*attrText
+		}
 	}
-	for _, e := range g.edges {
-		size += jsonEdge + len(e.From) + len(e.To) + len(e.Op) + len(e.Attrs)*attrText
+	for _, run := range g.edges {
+		for _, e := range run {
+			size += jsonEdge + len(e.From) + len(e.To) + len(e.Op) + len(e.Attrs)*attrText
+		}
 	}
 	b := make([]byte, 0, size)
 	var keys []string
 	b = append(b, `{"name":`...)
 	b = jsonenc.AppendString(b, g.Name)
 	b = append(b, `,"nodes":[`...)
-	for i, id := range g.order {
-		n := g.nodes[id]
-		if i > 0 {
-			b = append(b, ',')
+	sep := false
+	for _, run := range g.nodes {
+		for _, n := range run {
+			if sep {
+				b = append(b, ',')
+			}
+			sep = true
+			b, keys = appendJSONNode(b, keys, n)
 		}
-		b = append(b, `{"ID":`...)
-		b = jsonenc.AppendString(b, id)
-		b = append(b, `,"Kind":`...)
-		b = jsonenc.AppendString(b, string(n.Kind))
-		b = append(b, `,"Label":`...)
-		b = jsonenc.AppendString(b, n.Label)
-		b = append(b, `,"StartNS":`...)
-		b = strconv.AppendInt(b, n.StartNS, 10)
-		b = append(b, `,"EndNS":`...)
-		b = strconv.AppendInt(b, n.EndNS, 10)
-		b = append(b, `,"Volume":`...)
-		b = strconv.AppendInt(b, n.Volume, 10)
-		b = append(b, `,"Attrs":`...)
-		b, keys = appendJSONAttrs(b, keys, n.Attrs)
-		b = append(b, '}')
 	}
 	b = append(b, `],"edges":`...)
 	if g.edges == nil {
 		b = append(b, "null"...)
 	} else {
 		b = append(b, '[')
-		for i, e := range g.edges {
-			if math.IsNaN(e.Bandwidth) || math.IsInf(e.Bandwidth, 0) {
-				return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(e.Bandwidth, 'g', -1, 64)}
+		sep = false
+		for _, run := range g.edges {
+			for _, e := range run {
+				if math.IsNaN(e.Bandwidth) || math.IsInf(e.Bandwidth, 0) {
+					return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(e.Bandwidth, 'g', -1, 64)}
+				}
+				if sep {
+					b = append(b, ',')
+				}
+				sep = true
+				b, keys = appendJSONEdge(b, keys, e)
 			}
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"From":`...)
-			b = jsonenc.AppendString(b, e.From)
-			b = append(b, `,"To":`...)
-			b = jsonenc.AppendString(b, e.To)
-			b = append(b, `,"Op":`...)
-			b = jsonenc.AppendString(b, string(e.Op))
-			b = append(b, `,"Volume":`...)
-			b = strconv.AppendInt(b, e.Volume, 10)
-			b = append(b, `,"Bandwidth":`...)
-			b = jsonenc.AppendFloat(b, e.Bandwidth)
-			b = append(b, `,"Ops":`...)
-			b = strconv.AppendInt(b, e.Ops, 10)
-			b = append(b, `,"MetaOps":`...)
-			b = strconv.AppendInt(b, e.MetaOps, 10)
-			b = append(b, `,"DataOps":`...)
-			b = strconv.AppendInt(b, e.DataOps, 10)
-			b = append(b, `,"AvgSize":`...)
-			b = strconv.AppendInt(b, e.AvgSize, 10)
-			b = append(b, `,"Reused":`...)
-			b = strconv.AppendBool(b, e.Reused)
-			b = append(b, `,"Attrs":`...)
-			b, keys = appendJSONAttrs(b, keys, e.Attrs)
-			b = append(b, '}')
 		}
 		b = append(b, ']')
 	}
 	return append(b, '}'), nil
+}
+
+func appendJSONNode(b []byte, keys []string, n *Node) ([]byte, []string) {
+	b = append(b, `{"ID":`...)
+	b = jsonenc.AppendString(b, n.ID)
+	b = append(b, `,"Kind":`...)
+	b = jsonenc.AppendString(b, string(n.Kind))
+	b = append(b, `,"Label":`...)
+	b = jsonenc.AppendString(b, n.Label)
+	b = append(b, `,"StartNS":`...)
+	b = strconv.AppendInt(b, n.StartNS, 10)
+	b = append(b, `,"EndNS":`...)
+	b = strconv.AppendInt(b, n.EndNS, 10)
+	b = append(b, `,"Volume":`...)
+	b = strconv.AppendInt(b, n.Volume, 10)
+	b = append(b, `,"Attrs":`...)
+	b, keys = appendJSONAttrs(b, keys, n.Attrs)
+	return append(b, '}'), keys
+}
+
+func appendJSONEdge(b []byte, keys []string, e *Edge) ([]byte, []string) {
+	b = append(b, `{"From":`...)
+	b = jsonenc.AppendString(b, e.From)
+	b = append(b, `,"To":`...)
+	b = jsonenc.AppendString(b, e.To)
+	b = append(b, `,"Op":`...)
+	b = jsonenc.AppendString(b, string(e.Op))
+	b = append(b, `,"Volume":`...)
+	b = strconv.AppendInt(b, e.Volume, 10)
+	b = append(b, `,"Bandwidth":`...)
+	b = jsonenc.AppendFloat(b, e.Bandwidth)
+	b = append(b, `,"Ops":`...)
+	b = strconv.AppendInt(b, e.Ops, 10)
+	b = append(b, `,"MetaOps":`...)
+	b = strconv.AppendInt(b, e.MetaOps, 10)
+	b = append(b, `,"DataOps":`...)
+	b = strconv.AppendInt(b, e.DataOps, 10)
+	b = append(b, `,"AvgSize":`...)
+	b = strconv.AppendInt(b, e.AvgSize, 10)
+	b = append(b, `,"Reused":`...)
+	b = strconv.AppendBool(b, e.Reused)
+	b = append(b, `,"Attrs":`...)
+	b, keys = appendJSONAttrs(b, keys, e.Attrs)
+	return append(b, '}'), keys
 }
 
 // appendJSONAttrs appends an attribute map as encoding/json writes a
@@ -565,14 +604,19 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jg); err != nil {
 		return err
 	}
-	*g = *NewSized(jg.Name, len(jg.Nodes), len(jg.Edges))
+	fresh := NewSized(jg.Name, len(jg.Nodes), len(jg.Edges))
 	for _, n := range jg.Nodes {
-		g.AddNode(*n)
+		fresh.AddNode(*n)
 	}
 	for _, e := range jg.Edges {
-		if _, err := g.AddEdge(*e); err != nil {
+		if _, err := fresh.AddEdge(*e); err != nil {
 			return err
 		}
 	}
+	// Field by field: a Graph holds a sync.Once and is not copied.
+	g.Name, g.nodes, g.edges, g.slab = fresh.Name, fresh.nodes, fresh.edges, fresh.slab
+	g.nNodes, g.nEdges = fresh.nNodes, fresh.nEdges
+	g.ix = fresh.ix
+	g.ixOnce.Do(func() {})
 	return nil
 }

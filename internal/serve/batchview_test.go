@@ -389,12 +389,10 @@ func inflightOverriding(file string, reads int64) *trace.TaskTrace {
 }
 
 // TestPartialRefreshKeepsBatchContributions pins the contribution cache
-// rule by exact contribution-miss counts — the ones the pre-sharing
-// builder (which gathered the batch view on every refresh) counts for
-// the same sequence. Partial-only refreshes build the live view alone;
-// if the snapshots they publish dropped what the batch view was built
-// from, the directory changes at the end would recompute it and miss
-// more.
+// rule by exact contribution-miss counts. Partial-only refreshes sync
+// the live graph index alone; if they dropped what the batch index
+// holds, or the two indexes stopped taking contributions from each
+// other, the directory changes at the end would recompute more.
 func TestPartialRefreshKeepsBatchContributions(t *testing.T) {
 	env, reg := fixtureEnv(t)
 	s, dir := env.s, env.dir
@@ -429,8 +427,12 @@ func TestPartialRefreshKeepsBatchContributions(t *testing.T) {
 		inflight.EndNS++
 		step("checkpoint, same descriptions", 2, checkpoint)
 	}
-	// One that moves the description re-derives the 4 variants.
+	// One that moves the description in a field the SDG does not read
+	// costs the same; one that moves what it reads re-derives the 4
+	// variants.
 	inflight.Objects[0].Reads++
+	step("checkpoint, description moved outside what the SDG reads", 2, checkpoint)
+	inflight.Objects[0].Datatype = "int32"
 	step("checkpoint, new description", 2+4, checkpoint)
 	inflight.EndNS++
 	step("checkpoint, same descriptions again", 2, checkpoint)
@@ -475,14 +477,14 @@ func TestPartialRefreshKeepsBatchContributions(t *testing.T) {
 	}
 	// The in-flight task's final lands: its own two shares. The 4
 	// finals that map the dataset it re-describes are now
-	// re-described in the batch view too — by the same record, so
-	// under the fingerprint their live variants are cached by.
+	// re-described in the batch view too — alike, so the batch index
+	// takes their live variants from the live index.
 	step("final landing", 2, func() { foldAndIngest(t, s, encodeFinal(t, inflight)) })
 	checkAllEndpoints(t, env.srv, dir, "after landing")
 
-	// The live view dissolved: nothing but the batch view's
-	// contributions stays cached.
-	if ftg, sdg := retained(s.snap.Load()); ftg != 25 || sdg != 25 {
+	// The live view dissolved: the live index follows the batch set,
+	// so nothing but the batch index's contributions stays cached.
+	if ftg, sdg := retained(s); ftg != 25 || sdg != 25 {
 		t.Errorf("converged caches hold %d FTG / %d SDG contributions, want 25 / 25", ftg, sdg)
 	}
 }
@@ -501,7 +503,7 @@ func TestContributionCachesBoundedUnderCheckpointStream(t *testing.T) {
 		if i%100 != 0 {
 			continue
 		}
-		if ftg, sdg := retained(s.snap.Load()); ftg > 24+1 || sdg > 24+1 {
+		if ftg, sdg := retained(s); ftg > 24+1 || sdg > 24+1 {
 			t.Fatalf("after %d checkpoints the caches hold %d FTG / %d SDG contributions, want <= 25", i, ftg, sdg)
 		}
 	}

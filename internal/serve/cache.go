@@ -62,14 +62,10 @@ func parseManifest(path string) (fileEntry, error) {
 	return fileEntry{hash: hash, manifest: m}, err
 }
 
-// sdgKey addresses one SDG contribution: the trace content hash plus
-// the fingerprint of the object descriptions the task references.
-type sdgKey struct{ trace, descs string }
-
 // buildCache is the parsed files the snapshot builder keeps between
 // builds, keyed by content. It belongs to whoever holds
 // Server.ingestMu. The per-task graph contributions are not here: the
-// published snapshot's views hold them (see view).
+// server's two graph indexes hold them (see Server).
 type buildCache struct {
 	files    map[string]fileEntry // trace files by path
 	manifest fileEntry            // Dir/manifest.json

@@ -14,26 +14,30 @@ import (
 	"dayu/internal/workloads"
 )
 
-// retained counts the distinct FTG and SDG contributions a snapshot's
-// two views hold: the contribution cache.
-func retained(snap *snapshot) (ftg, sdg int) {
-	ftgKeys, sdgKeys := map[string]bool{}, map[sdgKey]bool{}
-	for _, v := range []*view{snap.batch, snap.live} {
-		for k := range v.ftgOf {
-			ftgKeys[k] = true
+// retained counts the distinct FTG and SDG contributions the server's
+// two graph indexes hold: the contribution cache.
+func retained(s *Server) (ftg, sdg int) {
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	ftgSeen, sdgSeen := map[*analyzer.Contribution]bool{}, map[*analyzer.Contribution]bool{}
+	for _, ix := range []*analyzer.GraphIndex{s.batchGraphs, s.liveGraphs} {
+		f, d := ix.Contributions()
+		for _, c := range f {
+			ftgSeen[c] = true
 		}
-		for k := range v.sdgOf {
-			sdgKeys[k] = true
+		for _, c := range d {
+			sdgSeen[c] = true
 		}
 	}
-	return len(ftgKeys), len(sdgKeys)
+	return len(ftgSeen), len(sdgSeen)
 }
 
-// TestPruneKeepsUnionOfViews pins the contribution cache rule: a build
-// looks contributions up in the published snapshot's two views and a
-// view keeps exactly what it was built from, so the cache is the union
-// of the batch view's and the live view's contributions, and a live
-// view that dissolves into the batch view drops what only it held.
+// TestPruneKeepsUnionOfViews pins the contribution cache rule: each
+// graph index keeps exactly the contributions of the set it was last
+// synced to, taking what the other index holds instead of computing
+// it, so the cache is the union of the batch and the live set's
+// contributions, and a live set that dissolves into the batch set
+// drops what only it held.
 func TestPruneKeepsUnionOfViews(t *testing.T) {
 	tasks, m := workloads.GenerateSyntheticTraces(workloads.SyntheticTraceConfig{
 		Tasks: 16, Stages: 4, FilesPerStage: 3, DatasetsPerTask: 2,
@@ -41,84 +45,74 @@ func TestPruneKeepsUnionOfViews(t *testing.T) {
 	n := len(tasks)
 	reg := obs.NewRegistry()
 	s := &Server{contribMisses: reg.Counter("misses"), contribHits: reg.Counter("hits")}
+	s.batchGraphs = analyzer.NewGraphIndex(analyzer.Options{}, nil)
+	s.liveGraphs = analyzer.NewGraphIndex(analyzer.Options{}, s.batchGraphs)
 	// The in-flight task: a copy of a final that describes no object and
-	// that the manifest does not order, whose hash changes with every
-	// checkpoint.
-	inflight, inflightHash := *tasks[0], ""
-	inflight.Task, inflight.Objects = "zz_inflight", nil
-	hashOf := func(tt *trace.TaskTrace) string {
-		if tt == &inflight {
-			return inflightHash
-		}
-		return "hash-" + tt.Task
-	}
-	var cur *snapshot
-	pass := func(set []*trace.TaskTrace) (*view, int) {
-		var reuse []*view
-		if cur != nil {
-			reuse = []*view{cur.batch, cur.live}
-		}
+	// that the manifest does not order. Every checkpoint is a new trace.
+	first := *tasks[0]
+	first.Task, first.Objects = "zz_inflight", nil
+	inflight := &first
+	pass := func(ix *analyzer.GraphIndex, set ...*trace.TaskTrace) int {
 		before := s.contribMisses.Value()
-		v := s.buildView(append([]*trace.TaskTrace{}, set...), m, hashOf, reuse)
-		return v, int(s.contribMisses.Value() - before)
+		s.buildView(set, m, ix)
+		return int(s.contribMisses.Value() - before)
 	}
-	publish := func(batch, live *view) { cur = &snapshot{batch: batch, live: live} }
+	live := func() []*trace.TaskTrace { return append(append([]*trace.TaskTrace{}, tasks...), inflight) }
 	cached := func() string {
-		ftg, sdg := retained(cur)
+		ftg, sdg := retained(s)
 		return fmt.Sprintf("%d/%d", ftg, sdg)
 	}
 	want := func(n int) string { return fmt.Sprintf("%d/%d", n, n) }
 
-	batch, got := pass(tasks)
-	if got != 2*n {
+	if got := pass(s.batchGraphs, tasks...); got != 2*n {
 		t.Fatalf("cold batch pass missed %d, want %d", got, 2*n)
 	}
-	publish(batch, batch)
-	// The live view: the same tasks plus the in-flight one, whose
+	// The live set: the same tasks plus the in-flight one, whose
 	// superseded revisions must not pile up.
-	live := append(append([]*trace.TaskTrace{}, tasks...), &inflight)
 	for rev := 1; rev <= 20; rev++ {
-		inflightHash = fmt.Sprintf("checkpoint-%d", rev)
-		v, got := pass(live)
-		if got != 2 {
+		next := *inflight
+		inflight = &next
+		if got := pass(s.liveGraphs, live()...); got != 2 {
 			t.Fatalf("live pass %d missed %d, want 2", rev, got)
 		}
-		publish(batch, v)
 		if cached() != want(n+1) {
 			t.Fatalf("after live pass %d the caches hold %s, want %s", rev, cached(), want(n+1))
 		}
 	}
 
 	// A live pass over new descriptions (the in-flight task re-describes
-	// every object) keys its SDG contributions apart; the batch view's
-	// variants survive beside them.
-	for k, o := range analyzer.BuildObjectDescs(analyzer.OrderTasks(tasks, m)) {
-		o.File, o.Object, o.Datatype = k.File, k.Object, o.Datatype+"-live"
-		inflight.Objects = append(inflight.Objects, o)
+	// every object) recomputes the SDG contribution of every final; the
+	// batch index's survive beside them.
+	described := *inflight
+	for _, tt := range tasks {
+		for _, o := range tt.Objects {
+			o.Datatype += "-live"
+			described.Objects = append(described.Objects, o)
+		}
 	}
-	inflightHash = "checkpoint-described"
-	v, got := pass(live)
-	if got != 2+n {
+	inflight = &described
+	if got := pass(s.liveGraphs, live()...); got != 2+n {
 		t.Errorf("live pass over new descriptions missed %d, want %d: the in-flight task's two shares and an SDG variant per final", got, 2+n)
 	}
-	publish(batch, v)
-	if batch, got = pass(tasks); got != 0 {
+	if got := pass(s.batchGraphs, tasks...); got != 0 {
 		t.Errorf("batch pass after live-only refreshes missed %d, want 0", got)
 	}
 	// A live pass confined to one task forgets the rest of the
 	// previous live pass.
-	v, _ = pass([]*trace.TaskTrace{&inflight})
-	publish(batch, v)
+	pass(s.liveGraphs, inflight)
 	if cached() != want(n+1) {
 		t.Errorf("after a one-task live pass the caches hold %s, want %s", cached(), want(n+1))
 	}
-	// The live view dissolves into the batch view.
-	publish(batch, batch)
-	if cached() != want(n) {
-		t.Errorf("after the live view dissolved the caches hold %s, want %s", cached(), want(n))
+	// The live set dissolves into the batch set: the live index takes
+	// every contribution from the batch index.
+	if got := pass(s.liveGraphs, tasks...); got != 0 {
+		t.Errorf("live pass over the batch set missed %d, want 0", got)
 	}
-	if _, got := pass(tasks); got != 0 {
-		t.Errorf("batch pass after the live view dissolved missed %d, want 0", got)
+	if cached() != want(n) {
+		t.Errorf("after the live set dissolved the caches hold %s, want %s", cached(), want(n))
+	}
+	if got := pass(s.batchGraphs, tasks...); got != 0 {
+		t.Errorf("batch pass after the live set dissolved missed %d, want 0", got)
 	}
 }
 

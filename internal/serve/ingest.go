@@ -111,19 +111,16 @@ func (s *Server) refreshManifest() (changed bool, err error) {
 // view of the current directory state — the previous snapshot's pointer
 // unless a scan reported a change since it was built — and the live
 // view of the checkpoints refresh captured, at generation partialsGen,
-// before that scan. The previous snapshot's views are the contribution
-// cache both builds draw on.
+// before that scan. Each view's graphs come from its graph index, and
+// the findings from the diagnose index: each index is synced to its
+// trace set and patches in what changed since its last Sync.
 func (s *Server) buildSnapshot(captured []*partialEntry, partialsGen uint64) *snapshot {
-	var reuse []*view
 	cur := s.snap.Load()
-	if cur != nil {
-		reuse = []*view{cur.batch, cur.live}
-	}
 	var batch *view
 	if cur != nil && !s.batchStale {
 		batch = cur.batch
 	} else {
-		batch = s.buildBatchView(reuse)
+		batch = s.buildBatchView()
 	}
 
 	// The live view: captured checkpoints of tasks that have no final
@@ -138,19 +135,18 @@ func (s *Server) buildSnapshot(captured []*partialEntry, partialsGen uint64) *sn
 	if len(partials) > 0 {
 		traces := make([]*trace.TaskTrace, 0, len(batch.traces)+len(partials))
 		traces = append(traces, batch.traces...)
-		partialHash := make(map[*trace.TaskTrace]string, len(partials))
 		snap.partialHashes = make(map[string]bool, len(partials))
 		for _, pe := range partials {
 			traces = append(traces, pe.trace)
-			partialHash[pe.trace] = pe.hash
 			snap.partialHashes[pe.hash] = true
 		}
-		snap.live = s.buildView(traces, batch.manifest, func(tt *trace.TaskTrace) string {
-			if hash, ok := batch.traceHash[tt]; ok {
-				return hash
-			}
-			return partialHash[tt]
-		}, append(reuse, batch))
+		snap.live = s.buildView(traces, batch.manifest, s.liveGraphs)
+	} else if s.liveGraphs.Len() > 0 {
+		// The live set is the batch set: the live index follows it, so
+		// the next checkpoint patches one task in, and keeps only what
+		// the batch index holds. Its graphs equal the batch view's,
+		// which the snapshot serves.
+		s.syncGraphs(s.liveGraphs, batch.ordered, batch.manifest)
 	}
 	snap.id = snapshotID(batch, partials)
 	// The findings of the live set: the index patches in the tasks that
@@ -169,12 +165,11 @@ func (s *Server) buildSnapshot(captured []*partialEntry, partialsGen uint64) *sn
 
 // buildBatchView builds the view of the current scan state and records
 // the directory listing on it.
-func (s *Server) buildBatchView(reuse []*view) *view {
+func (s *Server) buildBatchView() *view {
 	paths := s.cache.paths()
 	traces := make([]*trace.TaskTrace, 0, len(paths))
 	taskSet := make(map[string]bool, len(paths))
 	hashes := make(map[string]bool, len(paths))
-	traceHash := make(map[*trace.TaskTrace]string, len(paths))
 	infoByTrace := make(map[*trace.TaskTrace]TaskInfo, len(paths))
 	var id strings.Builder
 	id.WriteString("manifest:")
@@ -184,7 +179,6 @@ func (s *Server) buildBatchView(reuse []*view) *view {
 		traces = append(traces, ent.trace)
 		taskSet[ent.trace.Task] = true
 		hashes[ent.hash] = true
-		traceHash[ent.trace] = ent.hash
 		infoByTrace[ent.trace] = TaskInfo{
 			Task: ent.trace.Task, File: path, Size: ent.size, Hash: ent.hash,
 			ModTime: ent.modTime, StartNS: ent.trace.StartNS, EndNS: ent.trace.EndNS,
@@ -195,8 +189,8 @@ func (s *Server) buildBatchView(reuse []*view) *view {
 		id.WriteString("=")
 		id.WriteString(ent.hash)
 	}
-	batch := s.buildView(traces, s.cache.manifest.manifest, func(tt *trace.TaskTrace) string { return traceHash[tt] }, reuse)
-	batch.taskSet, batch.hashes, batch.traceHash, batch.idLines = taskSet, hashes, traceHash, id.String()
+	batch := s.buildView(traces, s.cache.manifest.manifest, s.batchGraphs)
+	batch.taskSet, batch.hashes, batch.idLines = taskSet, hashes, id.String()
 	batch.tasks = make([]TaskInfo, 0, len(batch.traces))
 	for _, tt := range batch.traces {
 		batch.tasks = append(batch.tasks, infoByTrace[tt])
@@ -205,57 +199,29 @@ func (s *Server) buildBatchView(reuse []*view) *view {
 }
 
 // buildView builds the view of traces, given in directory order, under
-// manifest m: the traces sorted exactly as trace.LoadDir sorts them, one
-// FTG and one SDG contribution per task in the global task order, and
-// both graphs merged exactly as the batch builders merge them. hashOf is
-// each trace's content hash. A contribution is taken from the first of
-// the new view and the reuse views that holds its key, and computed
-// otherwise; the two lookups per task count as contribution cache hits
-// or misses.
-func (s *Server) buildView(traces []*trace.TaskTrace, m *trace.Manifest, hashOf func(*trace.TaskTrace) string, reuse []*view) *view {
+// manifest m: the traces sorted exactly as trace.LoadDir sorts them, in
+// the global task order, and the FTG and SDG of that order from the
+// graph index ix.
+func (s *Server) buildView(traces []*trace.TaskTrace, m *trace.Manifest, ix *analyzer.GraphIndex) *view {
 	// LoadDir's final ordering: stable sort by task name over the
 	// directory-ordered slice.
 	sort.SliceStable(traces, func(i, j int) bool { return traces[i].Task < traces[j].Task })
-	v := &view{
-		traces:   traces,
-		ordered:  analyzer.OrderTasks(traces, m),
-		manifest: m,
-		ftgOf:    make(map[string]analyzer.Contribution, len(traces)),
-		sdgOf:    make(map[sdgKey]analyzer.Contribution, len(traces)),
-	}
-	// SDG contributions read the descriptions of the FULL ordered set.
-	descs := analyzer.BuildObjectDescs(v.ordered)
-	ftg := make([]analyzer.Contribution, len(v.ordered))
-	sdg := make([]analyzer.Contribution, len(v.ordered))
-	misses := 0
-	for i, tt := range v.ordered {
-		key := sdgKey{trace: hashOf(tt), descs: descs.Fingerprint(tt)}
-		f, haveF := v.ftgOf[key.trace]
-		d, haveD := v.sdgOf[key]
-		for _, r := range reuse {
-			if !haveF {
-				f, haveF = r.ftgOf[key.trace]
-			}
-			if !haveD {
-				d, haveD = r.sdgOf[key]
-			}
-		}
-		if !haveF {
-			f = analyzer.FTGContribution(tt)
-			misses++
-		}
-		if !haveD {
-			d = analyzer.SDGContribution(tt, descs, s.cfg.SDGOptions)
-			misses++
-		}
-		v.ftgOf[key.trace], v.sdgOf[key] = f, d
-		ftg[i], sdg[i] = f, d
-	}
-	s.contribMisses.Add(int64(misses))
-	s.contribHits.Add(int64(2*len(v.ordered) - misses))
-	v.ftg = analyzer.BuildFTGFromContributions(ftg)
-	v.sdg = analyzer.BuildSDGFromContributions(sdg)
+	v := &view{traces: traces, ordered: analyzer.OrderTasks(traces, m), manifest: m}
+	g := s.syncGraphs(ix, v.ordered, m)
+	v.ftg, v.sdg = g.FTG, g.SDG
 	return v
+}
+
+// syncGraphs syncs a graph index to ordered under m. The contributions the Sync
+// computed count as contribution cache misses, the ones it kept or took
+// from the other index as hits.
+func (s *Server) syncGraphs(ix *analyzer.GraphIndex, ordered []*trace.TaskTrace, m *trace.Manifest) analyzer.Graphs {
+	start := time.Now()
+	g := ix.Sync(ordered, m)
+	s.graphSyncNS.Observe(time.Since(start).Nanoseconds())
+	s.contribMisses.Add(int64(g.Recomputed))
+	s.contribHits.Add(int64(g.Reused))
+	return g
 }
 
 // recordHistory appends a converged snapshot (no live partials — a

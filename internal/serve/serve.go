@@ -11,11 +11,11 @@
 //  1. Parsed traces, keyed by file content hash: a touched-but-equal
 //     file is re-hashed, never re-parsed; an untouched file (same
 //     size and mtime) is not even re-read.
-//  2. Per-task graph contributions (the analyzer's merge unit), keyed
-//     by trace hash — plus, for SDGs, a fingerprint of the object
-//     descriptions the task references. One changed task recomputes
-//     one contribution; the rest are taken from the published
-//     snapshot's views, which hold exactly what they were built from.
+//  2. The graphs, kept by two analyzer.GraphIndex instances — one per
+//     view — that patch the FTG and SDG per changed task: a changed
+//     trace recomputes its own contributions and those of the tasks
+//     whose object descriptions it moved, and an index takes the rest
+//     from what it holds or from the other index.
 //  3. Rendered responses, keyed per view and format: repeat requests
 //     against an unchanged directory are pure cache reads.
 //
@@ -110,36 +110,27 @@ type Config struct {
 }
 
 // view is one trace set and everything derived from it: the traces in
-// trace.LoadDir order and in analyzer.OrderTasks order, each task's FTG
-// and SDG contribution, the two graphs merged from those, and a render
-// cache for the bodies that depend on nothing else. buildView is its one
-// builder, for both halves of a snapshot. A view is immutable once
-// built, its render cache aside.
-//
-// The published snapshot's views are also the contribution cache: a
-// build looks each task's contributions up in them by content key, and
-// a view keeps exactly the contributions it was built from, so a
-// superseded revision is unreachable once the snapshot swaps.
+// trace.LoadDir order and in analyzer.OrderTasks order, the two graphs
+// of that order, and a render cache for the bodies that depend on
+// nothing else. buildView is its one builder, for both halves of a
+// snapshot. A view is immutable once built, its render cache aside: the
+// graph indexes never change a graph they returned.
 type view struct {
 	traces   []*trace.TaskTrace // trace.LoadDir order
 	ordered  []*trace.TaskTrace // analyzer.OrderTasks order
 	manifest *trace.Manifest
-	ftgOf    map[string]analyzer.Contribution // by trace content hash
-	sdgOf    map[sdgKey]analyzer.Contribution
 	ftg      *graph.Graph
 	sdg      *graph.Graph
 	rendered renderCache
 
 	// The directory listing, set on the batch view only: the /v1/tasks
-	// rows, the task names and content hashes of the trace files, each
-	// trace's hash (its contribution key), and the batch part of the
-	// snapshot id's preimage (the manifest hash and every trace file's
-	// name and content hash).
-	tasks     []TaskInfo
-	taskSet   map[string]bool
-	hashes    map[string]bool
-	traceHash map[*trace.TaskTrace]string
-	idLines   string
+	// rows, the task names and content hashes of the trace files, and
+	// the batch part of the snapshot id's preimage (the manifest hash
+	// and every trace file's name and content hash).
+	tasks   []TaskInfo
+	taskSet map[string]bool
+	hashes  map[string]bool
+	idLines string
 }
 
 // snapshot is an immutable view of one served state: two views, both
@@ -188,9 +179,14 @@ type Server struct {
 	ingestMu sync.Mutex
 	cache    *buildCache
 	// diag is the diagnose rule index, kept in step with the live trace
-	// set by buildSnapshot. Like the build cache it belongs to whoever
-	// holds ingestMu; the views it hands out are immutable.
-	diag *diagnose.Index
+	// set by buildSnapshot, and batchGraphs and liveGraphs the graph
+	// indexes of the batch and the live view, each taking contributions
+	// from the other. The live index is first synced when a checkpoint
+	// is first retained, and from then on at every snapshot. Like the
+	// build cache they belong to whoever holds ingestMu; what they hand
+	// out is immutable.
+	diag                    *diagnose.Index
+	batchGraphs, liveGraphs *analyzer.GraphIndex
 	// batchStale is set when a scan saw the directory change and cleared
 	// once a snapshot of that state is built: a refresh that failed
 	// part-way still rebuilds the batch view on the next attempt.
@@ -234,6 +230,7 @@ type Server struct {
 	contribHits     *obs.Counter
 	contribMisses   *obs.Counter
 	diagSyncNS      *obs.Histogram
+	graphSyncNS     *obs.Histogram
 	diagReused      *obs.Counter
 	diagRecomputed  *obs.Counter
 	responseHits    *obs.Counter
@@ -296,6 +293,7 @@ func NewServer(cfg Config) (*Server, error) {
 		contribHits:     reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "contribution")),
 		contribMisses:   reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "contribution")),
 		diagSyncNS:      reg.Histogram("dayu_serve_diagnose_sync_ns", obs.LatencyBuckets()),
+		graphSyncNS:     reg.Histogram("dayu_serve_graph_sync_ns", obs.LatencyBuckets()),
 		diagReused:      reg.Counter(obs.Name("dayu_serve_diagnose_scopes_total", "result", "reused")),
 		diagRecomputed:  reg.Counter(obs.Name("dayu_serve_diagnose_scopes_total", "result", "recomputed")),
 		responseHits:    reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "response")),
@@ -324,6 +322,8 @@ func NewServer(cfg Config) (*Server, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	s.batchGraphs = analyzer.NewGraphIndex(cfg.SDGOptions, nil)
+	s.liveGraphs = analyzer.NewGraphIndex(cfg.SDGOptions, s.batchGraphs)
 	s.events.metrics = newEventMetrics(reg)
 
 	mux := http.NewServeMux()
