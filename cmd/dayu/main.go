@@ -355,7 +355,7 @@ func cmdAnalyze(args []string) error {
 		base + ".svg":  g.SVG(),
 		base + ".html": g.HTML(),
 	}
-	if data, err := json.MarshalIndent(g, "", " "); err == nil {
+	if data, err := g.IndentedJSON(); err == nil {
 		outputs[base+".json"] = string(data)
 	}
 	for name, content := range outputs {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"dayu/internal/analyzer"
@@ -121,7 +120,7 @@ func graphArtifacts(t *Table, g *graph.Graph, baseName string) error {
 	t.AddArtifact(baseName+".dot", g.DOT())
 	t.AddArtifact(baseName+".svg", g.SVG())
 	t.AddArtifact(baseName+".html", g.HTML())
-	data, err := json.MarshalIndent(g, "", " ")
+	data, err := g.IndentedJSON()
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/json"
 	"html"
 	"math"
@@ -532,6 +533,22 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		b = append(b, ']')
 	}
 	return append(b, '}'), nil
+}
+
+// IndentedJSON is json.MarshalIndent(g, "", " "), the bytes `dayu
+// analyze` writes and /v1/ftg and /v1/sdg serve: MarshalJSON's compact
+// form indented by json.Indent, without the reflection encoder's second
+// pass that re-validates and copies it.
+func (g *Graph) IndentedJSON() ([]byte, error) {
+	compact, err := g.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	var b bytes.Buffer // json.Indent sizes it: twice the compact form
+	if err := json.Indent(&b, compact, "", " "); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
 }
 
 func appendJSONNode(b []byte, keys []string, n *Node) ([]byte, []string) {

@@ -69,37 +69,43 @@ func parseManifest(path string) (fileEntry, error) {
 type buildCache struct {
 	files    map[string]fileEntry // trace files by path
 	manifest fileEntry            // Dir/manifest.json
+	// failed names the trace files whose last revise failed. The
+	// folder's listing re-checks each until a revise succeeds or a
+	// listing no longer names it.
+	failed map[string]bool
 }
 
 func newBuildCache() *buildCache {
-	return &buildCache{files: map[string]fileEntry{}}
+	return &buildCache{files: map[string]fileEntry{}, failed: map[string]bool{}}
 }
 
-// scanItem is one trace file of a directory listing.
+// scanItem is one trace file of a listing.
 type scanItem struct {
 	path string
 	size int64
 	mod  time.Time
 }
 
-// scan brings the parsed-file cache up to the listing, which is in
-// directory order: every file climbs the revise ladder, changed ones
-// are installed and cached paths the listing no longer names are
-// dropped. It reports how many files were parsed, whether the cache
-// changed, and the error of the first file in directory order that
-// failed; that file keeps its previous entry and every other change is
-// still applied.
+// scan brings the parsed-file cache up to a listing of every trace
+// file: every file climbs the revise ladder, changed ones are installed
+// and cached paths the listing no longer names are dropped. It reports
+// how many files were parsed, whether the cache changed, and the error
+// of the first file in listing order that failed; that file keeps its
+// previous entry, is marked failed, and every other change is still
+// applied.
 func (c *buildCache) scan(items []scanItem) (parses int, changed bool, err error) {
 	listed := make(map[string]bool, len(items))
 	for _, it := range items {
 		listed[it.path] = true
 		entry, parsed, rerr := c.files[it.path].revise(it.path, it.size, it.mod, parseTrace)
 		if rerr != nil {
+			c.failed[it.path] = true
 			if err == nil {
 				err = rerr
 			}
 			continue
 		}
+		delete(c.failed, it.path)
 		if parsed {
 			parses++
 		}
@@ -110,6 +116,11 @@ func (c *buildCache) scan(items []scanItem) (parses int, changed bool, err error
 		if !listed[path] {
 			delete(c.files, path)
 			changed = true
+		}
+	}
+	for path := range c.failed {
+		if !listed[path] {
+			delete(c.failed, path)
 		}
 	}
 	return parses, changed, err

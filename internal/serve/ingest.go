@@ -27,11 +27,14 @@ type TaskInfo struct {
 	Failed  bool      `json:"failed,omitempty"`
 }
 
-// refresh rescans the trace directory and, when its content changed,
-// builds and atomically publishes a new snapshot. It is the single
-// writer: callers must hold s.ingestMu. Returns the current snapshot
-// (possibly the unchanged one) or the scan error.
-func (s *Server) refresh() (*snapshot, error) {
+// refresh brings the build cache up to a listing of the trace
+// directory and, when the served state changed, builds and atomically
+// publishes a new snapshot. It is the single writer: callers must hold
+// s.ingestMu. With full set the listing is the whole directory
+// (listDir); otherwise it is the folder's, the cache's own entries plus
+// the landed paths (listLanded). Returns the current snapshot (possibly
+// the unchanged one) or the error.
+func (s *Server) refresh(full bool, landed []string) (*snapshot, error) {
 	start := time.Now()
 	// The partials are captured before the directory is listed: a final
 	// lands its file and then retracts its partial, so a task finishing
@@ -39,33 +42,31 @@ func (s *Server) refresh() (*snapshot, error) {
 	// neither. buildSnapshot drops the captured partials the listing
 	// shadows.
 	partials, partialsGen := s.partials.capture()
-	entries, err := os.ReadDir(s.cfg.Dir)
+	// What the previous refresh failed to check, this one checks again:
+	// after a failed listing only a full one clears the error.
+	full = full || s.listFailed
+	var items []scanItem
+	var err error
+	if full {
+		items, err = s.listDir()
+	} else {
+		items, err = s.listLanded(landed)
+	}
+	s.listFailed = err != nil
 	if err != nil {
 		s.ingestErrors.Inc()
-		return nil, fmt.Errorf("serve: scan %s: %w", s.cfg.Dir, err)
-	}
-	items := make([]scanItem, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() || !trace.IsTraceFile(e.Name()) {
-			continue
-		}
-		path := filepath.Join(s.cfg.Dir, e.Name())
-		info, err := e.Info()
-		if err != nil {
-			s.ingestErrors.Inc()
-			return nil, fmt.Errorf("serve: stat %s: %w", path, err)
-		}
-		items = append(items, scanItem{path: path, size: info.Size(), mod: info.ModTime()})
+		return nil, err
 	}
 	// batchStale outlives this call: what a failed refresh already
 	// changed in the cache must still reach a batch view on the next one.
 	parses, changed, err := s.cache.scan(items)
 	s.traceParses.Add(int64(parses))
 	s.batchStale = s.batchStale || changed
-	if err == nil {
+	if err == nil && (full || s.manifestStale) {
 		changed, err = s.refreshManifest()
 		s.batchStale = s.batchStale || changed
 	}
+	s.manifestStale = err != nil
 	if err != nil {
 		s.ingestErrors.Inc()
 		return nil, err
@@ -88,6 +89,75 @@ func (s *Server) refresh() (*snapshot, error) {
 	s.snapshotTasks.Set(int64(len(next.batch.traces)))
 	s.recordHistory(next)
 	return next, nil
+}
+
+// listDir is the full listing: every trace file in the directory,
+// stat'ed, in directory order. Startup, the poller, every request and
+// the manifest push refresh from it, so a file an outside writer put in
+// the directory is seen by the next of them. It is the package's one
+// listing of the trace directory.
+func (s *Server) listDir() ([]scanItem, error) {
+	s.dirScans.Inc()
+	entries, err := os.ReadDir(s.cfg.Dir)
+	if err != nil {
+		return nil, fmt.Errorf("serve: scan %s: %w", s.cfg.Dir, err)
+	}
+	items := make([]scanItem, 0, len(entries))
+	for _, e := range entries {
+		if e.IsDir() || !trace.IsTraceFile(e.Name()) {
+			continue
+		}
+		path := filepath.Join(s.cfg.Dir, e.Name())
+		info, err := e.Info()
+		if err != nil {
+			return nil, fmt.Errorf("serve: stat %s: %w", path, err)
+		}
+		items = append(items, scanItem{path: path, size: info.Size(), mod: info.ModTime()})
+	}
+	return items, nil
+}
+
+// listLanded is the folder's listing, which lists no directory: the
+// cache's entries as cached, plus, stat'ed, the paths the folds landed
+// or removed since the folder's last refresh and every path whose last
+// revise failed. A path that is gone is left out, so scan drops it. A
+// burst of checkpoints, which land nothing in the directory, stats
+// nothing; a final stats its own file and its removed twin. Only the
+// stat'ed paths can fail a revise, and they come in directory order, so
+// scan reports the error a full listing would.
+func (s *Server) listLanded(landed []string) ([]scanItem, error) {
+	check := make(map[string]bool, len(landed)+len(s.cache.failed))
+	for _, path := range landed {
+		check[path] = true
+	}
+	for path := range s.cache.failed {
+		check[path] = true
+	}
+	items := make([]scanItem, 0, len(s.cache.files)+len(check))
+	for path, e := range s.cache.files {
+		if !check[path] {
+			items = append(items, scanItem{path: path, size: e.size, mod: e.modTime})
+		}
+	}
+	stat := make([]string, 0, len(check))
+	for path := range check {
+		stat = append(stat, path)
+	}
+	sort.Strings(stat)
+	for _, path := range stat {
+		info, err := os.Lstat(path)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("serve: stat %s: %w", path, err)
+		}
+		if info.IsDir() {
+			continue // as listDir skips it
+		}
+		items = append(items, scanItem{path: path, size: info.Size(), mod: info.ModTime()})
+	}
+	return items, nil
 }
 
 // refreshManifest takes dir/manifest.json up the same ladder as a trace

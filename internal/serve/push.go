@@ -7,9 +7,9 @@ package serve
 // survives a crash at any byte boundary. A single folder goroutine
 // drains acknowledged records into the watched trace directory
 // (atomic rename under the exact file name the batch loaders use),
-// advances the WAL fold checkpoint, and triggers an incremental
-// rescan, keeping /v1/* responses byte-identical to the batch CLI
-// over the union of pushed and directory traces.
+// advances the WAL fold checkpoint, and refreshes the snapshot from the
+// paths it wrote, keeping /v1/* responses byte-identical to the batch
+// CLI over the union of pushed and directory traces.
 //
 // Admission control is a fixed pool of queue slots: a push that finds
 // no free slot is rejected with 429 + Retry-After before anything is
@@ -52,6 +52,10 @@ type pushState struct {
 	foldDone chan struct{}
 	// stuck is what the folder gave up on (written by it alone).
 	stuck atomic.Pointer[stuckFolds]
+	// landed is the trace-directory paths the folds wrote or removed
+	// since the folder's last refresh, which revises only these. It
+	// belongs to the folder goroutine: no lock.
+	landed []string
 
 	mu     sync.Mutex
 	closed bool
@@ -338,9 +342,11 @@ func (s *Server) folder() {
 		<-p.sem
 		s.updateWALGauges()
 		if len(p.foldQ) == 0 {
-			// Coalesced rescan after a burst: the new files enter the
-			// snapshot without waiting for the poll tick.
-			_, _ = s.Ingest()
+			// Coalesced refresh after a burst: the new files enter the
+			// snapshot without waiting for the poll tick, and without a
+			// directory listing — the folds name what they wrote.
+			_, _ = s.ingest(false, p.landed)
+			p.landed = p.landed[:0]
 			s.pruneAcked()
 		}
 	}
@@ -400,7 +406,8 @@ func (s *Server) foldOne(job foldJob) {
 	delay := 10 * time.Millisecond
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
-		err := s.foldRecord(s.push.wal, job.seq, job.data)
+		landed, err := s.foldRecord(s.push.wal, job.seq, job.data)
+		s.push.landed = append(s.push.landed, landed...)
 		if err == nil {
 			s.foldNS.Observe(time.Since(start).Nanoseconds())
 			return
@@ -429,14 +436,16 @@ func (s *Server) foldOne(job foldJob) {
 // advancing the fold checkpoint without a copy would destroy the only
 // evidence — and then marked folded so replay does not spin on it
 // forever. Any failure is counted and surfaced on /healthz; a non-nil
-// return means the record is still pending in the WAL.
-func (s *Server) foldRecord(wal *WAL, seq uint64, data []byte) error {
-	if err := s.foldBytes(data); err != nil {
+// error means the record is still pending in the WAL. landed is what
+// foldBytes wrote or removed in the trace directory, error or not.
+func (s *Server) foldRecord(wal *WAL, seq uint64, data []byte) (landed []string, err error) {
+	landed, err = s.foldBytes(data)
+	if err != nil {
 		err = fmt.Errorf("serve: fold record %d: %w", seq, err)
 		s.foldErrors.Inc()
 		s.lastErr.Store(&ingestError{err: err, when: time.Now()})
 		if !errors.Is(err, errUnfoldable) {
-			return err
+			return landed, err
 		}
 		// Quarantine names carry the WAL namespace's directory name
 		// (nothing for the flat root): every namespace numbers its
@@ -450,11 +459,11 @@ func (s *Server) foldRecord(wal *WAL, seq uint64, data []byte) error {
 		if qerr := s.quarantineRecord(qprefix, seq, data); qerr != nil {
 			qerr = fmt.Errorf("serve: quarantine record %d: %w", seq, qerr)
 			s.lastErr.Store(&ingestError{err: qerr, when: time.Now()})
-			return qerr
+			return landed, qerr
 		}
 	}
 	wal.MarkFolded(seq)
-	return nil
+	return landed, nil
 }
 
 // errUnfoldable marks fold failures that no retry can cure.
@@ -499,21 +508,23 @@ func (s *Server) countQuarantined() int {
 // under the exact name the batch loaders expect, preserving the
 // pushed bytes (so the file's content hash equals the push hash and
 // dedup survives restarts). Folding is idempotent: re-folding the
-// same payload rewrites the same file with the same bytes.
-func (s *Server) foldBytes(data []byte) error {
+// same payload rewrites the same file with the same bytes. landed names
+// the trace-directory paths it wrote or removed: a final's file and its
+// twin, nothing for a checkpoint (it lands under the WAL directory).
+func (s *Server) foldBytes(data []byte) (landed []string, err error) {
 	// Zero-copy decode: only the task name is read before the raw
 	// bytes land on disk.
 	tt, meta, err := trace.DecodeBytesMeta(data, trace.DecodeOptions{ZeroCopy: true})
 	if err != nil {
-		return fmt.Errorf("%w: %v", errUnfoldable, err)
+		return nil, fmt.Errorf("%w: %v", errUnfoldable, err)
 	}
 	if meta.Incremental {
-		return s.foldCheckpoint(data, tt.Task, meta)
+		return nil, s.foldCheckpoint(data, tt.Task, meta)
 	}
 	format := trace.SniffFormat(data)
 	path := filepath.Join(s.cfg.Dir, trace.TraceFileName(tt.Task, format))
 	if err := s.landBytes(path, data); err != nil {
-		return err
+		return nil, err
 	}
 	// Remove a stale twin in the other serialization so the task is
 	// never analyzed twice. (A crash between rename and remove leaves
@@ -523,12 +534,13 @@ func (s *Server) foldBytes(data []byte) error {
 		other = trace.FormatBinary
 	}
 	twin := filepath.Join(s.cfg.Dir, trace.TraceFileName(tt.Task, other))
+	landed = []string{path, twin}
 	if err := os.Remove(twin); err != nil && !os.IsNotExist(err) {
-		return err
+		return landed, err
 	}
 	// The final supersedes any streamed checkpoint for this task.
 	s.retractPartial(tt.Task)
-	return nil
+	return landed, nil
 }
 
 // landBytes atomically lands one acknowledged payload (a folded trace,

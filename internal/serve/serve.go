@@ -74,9 +74,11 @@ type Config struct {
 	// PlanOptions are the defaults for /v1/plan; tier and nodes can be
 	// overridden per request with ?tier= and ?nodes=.
 	PlanOptions optimizer.LocalityOptions
-	// Poll is the background rescan interval; 0 disables the background
-	// watcher. Requests rescan either way (current), incrementally and
-	// through the caches.
+	// Poll is the interval of the background rescan, which lists the
+	// whole directory as startup and every request do; 0 disables it.
+	// The refresh after a burst of pushes lists nothing: it revises the
+	// paths its folds wrote, so a file another writer puts in Dir is seen
+	// by the next request or poll tick.
 	Poll time.Duration
 
 	// WALDir enables the durable push-ingest path (POST /v1/ingest):
@@ -191,6 +193,12 @@ type Server struct {
 	// once a snapshot of that state is built: a refresh that failed
 	// part-way still rebuilds the batch view on the next attempt.
 	batchStale bool
+	// listFailed and manifestStale are what the last refresh left
+	// unchecked: its listing failed, or the manifest was not revised (a
+	// trace file's revise or the manifest's failed first). The folder's
+	// refresh checks them again — the whole directory, the manifest — so
+	// it never clears an error it did not re-check.
+	listFailed, manifestStale bool
 
 	// hist is the persistent snapshot-history store (nil unless
 	// cfg.HistoryDir is set).
@@ -224,6 +232,7 @@ type Server struct {
 	ingests         *obs.Counter
 	ingestNS        *obs.Histogram
 	ingestErrors    *obs.Counter
+	dirScans        *obs.Counter
 	traceParses     *obs.Counter
 	snapshotHits    *obs.Counter
 	snapshotMisses  *obs.Counter
@@ -287,6 +296,7 @@ func NewServer(cfg Config) (*Server, error) {
 		ingests:         reg.Counter("dayu_serve_ingests_total"),
 		ingestNS:        reg.Histogram("dayu_serve_ingest_ns", obs.LatencyBuckets()),
 		ingestErrors:    reg.Counter("dayu_serve_ingest_errors_total"),
+		dirScans:        reg.Counter("dayu_serve_dir_scans_total"),
 		traceParses:     reg.Counter("dayu_serve_trace_parses_total"),
 		snapshotHits:    reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "snapshot")),
 		snapshotMisses:  reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "snapshot")),
@@ -419,7 +429,8 @@ func (s *Server) replayWAL(dir string) (*WAL, error) {
 		if tt, meta, err := trace.DecodeBytesMeta(rec.Data, trace.DecodeOptions{ZeroCopy: true}); err == nil {
 			s.push.acked[trace.HashBytes(rec.Data)] = newAckedRecord(tt.Task, meta)
 		}
-		if err := s.foldRecord(wal, rec.Seq, rec.Data); err != nil {
+		// The initial scan lists what replay lands.
+		if _, err := s.foldRecord(wal, rec.Seq, rec.Data); err != nil {
 			wal.Close()
 			return nil, fmt.Errorf("serve: replay wal %s: %w", dir, err)
 		}
@@ -561,9 +572,15 @@ func (s *Server) Close() {
 // Ingest synchronously rescans the directory (blocking on the writer
 // lock) and returns the resulting snapshot or the scan error.
 func (s *Server) Ingest() (*snapshot, error) {
+	return s.ingest(true, nil)
+}
+
+// ingest is Ingest over either listing (see refresh): the folder's
+// refresh passes the paths its folds landed or removed.
+func (s *Server) ingest(full bool, landed []string) (*snapshot, error) {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	snap, err := s.refresh()
+	snap, err := s.refresh(full, landed)
 	if err != nil {
 		s.lastErr.Store(&ingestError{err: err, when: time.Now()})
 		return s.snap.Load(), err
@@ -578,7 +595,7 @@ func (s *Server) Ingest() (*snapshot, error) {
 // queueing behind the writer).
 func (s *Server) current() (*snapshot, error) {
 	if s.ingestMu.TryLock() {
-		snap, err := s.refresh()
+		snap, err := s.refresh(true, nil)
 		if err != nil {
 			s.lastErr.Store(&ingestError{err: err, when: time.Now()})
 		} else {
@@ -824,7 +841,7 @@ func (s *Server) graphHandler(which string, live bool) http.HandlerFunc {
 func renderGraph(g *graph.Graph, format string) ([]byte, error) {
 	switch format {
 	case "json":
-		return json.MarshalIndent(g, "", " ")
+		return g.IndentedJSON()
 	case "dot":
 		return []byte(g.DOT()), nil
 	case "html":

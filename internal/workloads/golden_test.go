@@ -1,11 +1,14 @@
 package workloads
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"testing"
 
 	"dayu/internal/analyzer"
+	"dayu/internal/graph"
 	"dayu/internal/trace"
 	"dayu/internal/workflow"
 )
@@ -76,14 +79,44 @@ func TestGraphGolden(t *testing.T) {
 				h.Write([]byte(dot))
 				return hex.EncodeToString(h.Sum(nil))
 			}
-			if got := hash(renderGraph(t, analyzer.BuildFTG(in.traces, in.manifest))); got != tc.ftg {
+			ftg := analyzer.BuildFTG(in.traces, in.manifest)
+			sdg := analyzer.BuildSDG(in.traces, in.manifest, analyzer.Options{IncludeRegions: true, IncludeFileMetadata: true})
+			if got := hash(renderGraph(t, ftg)); got != tc.ftg {
 				t.Errorf("ftg: sha256(json+dot) = %s, want %s", got, tc.ftg)
 			}
-			if got := hash(renderGraph(t, analyzer.BuildSDG(in.traces, in.manifest,
-				analyzer.Options{IncludeRegions: true, IncludeFileMetadata: true}))); got != tc.sdg {
+			if got := hash(renderGraph(t, sdg)); got != tc.sdg {
 				t.Errorf("sdg: sha256(json+dot) = %s, want %s", got, tc.sdg)
 			}
+			checkIndentedJSON(t, "ftg", ftg)
+			checkIndentedJSON(t, "sdg", sdg)
 		})
+	}
+}
+
+// TestIndentedJSONMatchesMarshalIndent holds Graph.IndentedJSON to
+// json.MarshalIndent on the 1000-task synthetic FTG and SDG, the
+// state-sized graphs serve renders; TestGraphGolden checks it on the
+// golden graphs.
+func TestIndentedJSONMatchesMarshalIndent(t *testing.T) {
+	traces, m := GenerateSyntheticTraces(SyntheticTraceConfig{Tasks: 1000})
+	checkIndentedJSON(t, "ftg", analyzer.BuildFTG(traces, m))
+	checkIndentedJSON(t, "sdg", analyzer.BuildSDG(traces, m, analyzer.Options{IncludeRegions: true, IncludeFileMetadata: true}))
+}
+
+// checkIndentedJSON fails t unless g.IndentedJSON writes the bytes of
+// json.MarshalIndent(g, "", " ").
+func checkIndentedJSON(t *testing.T, name string, g *graph.Graph) {
+	t.Helper()
+	got, err := g.IndentedJSON()
+	if err != nil {
+		t.Fatalf("%s: IndentedJSON: %v", name, err)
+	}
+	want, err := json.MarshalIndent(g, "", " ")
+	if err != nil {
+		t.Fatalf("%s: json.MarshalIndent: %v", name, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: IndentedJSON (%d bytes) differs from json.MarshalIndent (%d bytes)", name, len(got), len(want))
 	}
 }
 

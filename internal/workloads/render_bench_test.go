@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"encoding/json"
 	"testing"
 
 	"dayu/internal/analyzer"
@@ -28,7 +27,7 @@ func BenchmarkRender(b *testing.B) {
 		}{
 			{"dot", func(g *graph.Graph) (int, error) { return len(g.DOT()), nil }},
 			{"json", func(g *graph.Graph) (int, error) {
-				data, err := json.MarshalIndent(g, "", " ")
+				data, err := g.IndentedJSON()
 				return len(data), err
 			}},
 			{"svg", func(g *graph.Graph) (int, error) { return len(g.SVG()), nil }},
