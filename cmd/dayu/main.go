@@ -97,6 +97,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -730,51 +731,39 @@ func cmdWatch(args []string) error {
 		// "whole run" — silently ignoring it hid typos like -horizon -5s.
 		return fmt.Errorf("watch: -horizon must be non-negative (got %s)", *horizon)
 	}
-	diagURL := *server + "/v1/live/diagnostics"
-	if *horizon > 0 {
-		diagURL += "?horizon=" + horizon.String()
-	}
 	eventsURL := *server + "/v1/live/events"
 
 	hc := &http.Client{Timeout: 30 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// observe prints one observation: /healthz plus the (horizon-
-	// restricted) live diagnostics. The findings list is re-printed only
-	// when the served snapshot changed.
+	// observe prints one observation: /healthz plus the live findings.
+	// Without -horizon they are the snapshot event's own; with it they
+	// come from /v1/live/diagnostics?horizon=, because the event's are
+	// always whole-run. The findings list is re-printed only when the
+	// snapshot changed.
 	lastSnapshot := ""
-	observe := func() error {
+	observe := func(ev sseEvent) error {
 		var health serve.Health
 		if err := getJSON(hc, *server+"/healthz", &health); err != nil {
 			return err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, diagURL, nil)
-		if err != nil {
-			return err
+		var state liveState
+		if *horizon > 0 {
+			if err := getDiagnostics(ctx, hc, *server+"/v1/live/diagnostics?horizon="+horizon.String(), &state); err != nil {
+				return err
+			}
+		} else if err := json.Unmarshal([]byte(ev.data), &state); err != nil {
+			return fmt.Errorf("decode event %s: %w", ev.id, err)
 		}
-		resp, err := hc.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			return fmt.Errorf("%s: status %d: %s", diagURL, resp.StatusCode, string(body))
-		}
-		var findings []watchFinding
-		if err := json.NewDecoder(resp.Body).Decode(&findings); err != nil {
-			return fmt.Errorf("decode diagnostics: %w", err)
-		}
-		line := fmt.Sprintf("%s %s: %s complete, %s in flight, %d findings",
-			time.Now().Format("15:04:05"), health.Status, resp.Header.Get("X-Dayu-Complete-Tasks"),
-			resp.Header.Get("X-Dayu-Partial-Tasks"), len(findings))
+		line := fmt.Sprintf("%s %s: %d complete, %d in flight, %d findings",
+			time.Now().Format("15:04:05"), health.Status, state.CompleteTasks, state.PartialTasks, len(state.Findings))
 		if wal := health.WAL; wal != nil {
 			line += fmt.Sprintf(" | wal: %d pending, %d quarantined", wal.PendingRecords, wal.Quarantined)
 		}
 		fmt.Println(line)
-		if snapshot := resp.Header.Get("X-Dayu-Snapshot"); snapshot != lastSnapshot {
-			for _, f := range findings {
+		if state.Snapshot != lastSnapshot {
+			for _, f := range state.Findings {
 				loc := f.Task
 				if f.File != "" {
 					loc += " " + f.File
@@ -784,14 +773,13 @@ func cmdWatch(args []string) error {
 				}
 				fmt.Printf("  [%s] %s %s: %s\n", f.Severity, f.Kind, loc, f.Detail)
 			}
-			lastSnapshot = snapshot
+			lastSnapshot = state.Snapshot
 		}
 		return nil
 	}
 
 	// follow holds one /v1/live/events connection open and observes on
-	// every snapshot event: the stream is only the change signal, what
-	// is printed always comes from observe. It returns retry=true when
+	// every snapshot event. It returns retry=true when
 	// the connection dropped and is worth re-establishing (resuming from
 	// lastID), retry=false when watch is finished — -once was satisfied,
 	// or the server has no event stream at all.
@@ -834,7 +822,7 @@ func cmdWatch(args []string) error {
 				if ev.id != "" {
 					lastID = ev.id
 				}
-				err := observe()
+				err := observe(ev)
 				if *once {
 					return false, err
 				}
@@ -860,6 +848,41 @@ func cmdWatch(args []string) error {
 		case <-time.After(*interval):
 		}
 	}
+}
+
+// liveState is what watch prints of one live snapshot: the
+// `event: snapshot` payload, or the same read off
+// /v1/live/diagnostics's headers and body.
+type liveState struct {
+	Snapshot      string         `json:"snapshot"`
+	PartialTasks  int            `json:"partial_tasks"`
+	CompleteTasks int            `json:"complete_tasks"`
+	Findings      []watchFinding `json:"findings"`
+}
+
+// getDiagnostics reads /v1/live/diagnostics (url carries its query) into
+// state.
+func getDiagnostics(ctx context.Context, hc *http.Client, url string, state *liveState) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, string(body))
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&state.Findings); err != nil {
+		return fmt.Errorf("decode diagnostics: %w", err)
+	}
+	state.Snapshot = resp.Header.Get("X-Dayu-Snapshot")
+	state.PartialTasks, _ = strconv.Atoi(resp.Header.Get("X-Dayu-Partial-Tasks"))
+	state.CompleteTasks, _ = strconv.Atoi(resp.Header.Get("X-Dayu-Complete-Tasks"))
+	return nil
 }
 
 // getJSON fetches a URL and decodes its JSON body into out. Non-2xx

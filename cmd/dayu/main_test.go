@@ -115,6 +115,24 @@ func TestWatchOnceSSE(t *testing.T) {
 	}
 }
 
+// TestWatchPrintsFromEvent: without -horizon the snapshot event is the
+// payload — what watch prints comes from it, and it asks the server for
+// no diagnostics body.
+func TestWatchPrintsFromEvent(t *testing.T) {
+	srv, horizons := stubServe(t, true)
+	var err error
+	out := captureStdout(t, func() { err = cmdWatch([]string{"-server", srv.URL, "-once", "-horizon", "0"}) })
+	if err != nil {
+		t.Fatalf("cmdWatch -horizon 0: %v", err)
+	}
+	if len(horizons) != 0 {
+		t.Errorf("watch -horizon 0 requested /v1/live/diagnostics %d times, want none", len(horizons))
+	}
+	if !strings.Contains(out, "2 complete, 0 in flight, 1 findings") || !strings.Contains(out, "whole-run finding") {
+		t.Errorf("watch -horizon 0 printed:\n%s", out)
+	}
+}
+
 // TestWatchHorizonOverSSE pins the fix for -horizon being silently
 // ignored on the event-stream transport: the stream used to be the
 // payload too, and its findings are always whole-run. Now the event is

@@ -2,6 +2,7 @@ package diagnose
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -238,6 +239,14 @@ func checkIndexAgainstFresh(t *testing.T, c chooser) (syncs, patched int) {
 		}
 		if !bytes.Equal(flat, want) {
 			t.Fatalf("after %v View.Findings() disagrees with View.EncodeJSON()", history)
+		}
+		var wantCompact bytes.Buffer
+		if err := json.Compact(&wantCompact, got); err != nil {
+			t.Fatal(err)
+		}
+		if gotCompact, err := view.AppendCompactJSON(nil); err != nil || !bytes.Equal(gotCompact, wantCompact.Bytes()) {
+			t.Fatalf("after %v View.AppendCompactJSON() = %q, %v; want json.Compact of View.EncodeJSON() %q",
+				history, gotCompact, err, wantCompact.Bytes())
 		}
 		for i := 1; i < len(fresh); i++ {
 			a, b := fresh[i-1], fresh[i]

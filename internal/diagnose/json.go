@@ -4,17 +4,20 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dayu/internal/jsonenc"
 )
 
 // EncodeJSON renders findings as an indented JSON array (an empty
 // slice encodes as [], never null) terminated by a newline. The CLI
-// `dayu diagnose -json`, the serve /v1/diagnose and
-// /v1/live/diagnostics endpoints and the SSE event payload share this
-// encoding, so their outputs are byte-identical for the same traces.
+// `dayu diagnose -json` and the serve /v1/diagnose and
+// /v1/live/diagnostics endpoints share this encoding, so their outputs
+// are byte-identical for the same traces; the SSE event carries its
+// json.Compact (View.AppendCompactJSON).
 //
 // The bytes are pinned: they are exactly what encoding/json's Encoder
 // with SetIndent("", "  ") writes for the wire form
@@ -31,7 +34,7 @@ func EncodeJSON(findings []Finding) ([]byte, error) {
 	}
 	sc := encodeScratchPool.Get().(*encodeScratch)
 	defer encodeScratchPool.Put(sc)
-	if err := sc.appendElements(append(sc.buf[:0], '['), findings); err != nil {
+	if err := sc.appendElements(append(sc.buf[:0], '['), findings, &indented); err != nil {
 		return nil, err
 	}
 	sc.buf = append(sc.buf, "\n]\n"...)
@@ -48,77 +51,162 @@ func (v *View) EncodeJSON() ([]byte, error) {
 	if v.n == 0 {
 		return []byte("[]\n"), nil
 	}
-	size := len("[") + len(v.groups) - 1 + len("\n]\n")
+	return v.appendArray(nil, &indented, "\n]\n")
+}
+
+// AppendCompactJSON appends the view's findings to b as one line of
+// JSON: exactly json.Compact of EncodeJSON's body, without its trailing
+// newline. Groups memoise these bytes beside the indented ones, so a
+// warm call into a buffer with room allocates nothing. On error b is
+// returned as it was given.
+func (v *View) AppendCompactJSON(b []byte) ([]byte, error) {
+	if v.n == 0 {
+		return append(b, "[]"...), nil
+	}
+	return v.appendArray(b, &compact, "]")
+}
+
+// appendArray appends '[', the groups' memoised elements in layout l,
+// comma-joined, and closer, growing b once to fit them. b is unchanged
+// on error.
+func (v *View) appendArray(b []byte, l *layout, closer string) ([]byte, error) {
+	size := len("[") + len(v.groups) - 1 + len(closer)
 	for _, g := range v.groups {
-		g.enc.once.Do(g.encode)
-		if g.enc.failed {
+		elements, ok := g.elements(l)
+		if !ok {
 			// The flat encoder words the error, with the finding's index
 			// in the whole body.
-			return EncodeJSON(v.Findings())
+			_, err := EncodeJSON(v.Findings())
+			return b, err
 		}
-		size += len(g.enc.elements)
+		size += len(elements)
 	}
-	b := append(make([]byte, 0, size), '[')
+	b = append(slices.Grow(b, size), '[')
 	for i, g := range v.groups {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, g.enc.elements...)
+		elements, _ := g.elements(l)
+		b = append(b, elements...)
 	}
-	return append(b, "\n]\n"...), nil
+	return append(b, closer...), nil
 }
 
 // groupEncoding is a group's findings as array elements — what stands
-// between the brackets, commas included — encoded at most once, by the
-// first View.EncodeJSON that needs it: callers that never encode never
-// pay.
+// between the brackets, commas included — in each layout, encoded at
+// most once, by the first view that needs that layout: callers that
+// never encode never pay, and the SSE event never pays for the
+// indented body. The compact memo is allocated by its first use, so a
+// group that never goes into an event (all of a batch analysis's)
+// carries one pointer for it, not a second memo.
 type groupEncoding struct {
-	once     sync.Once
+	indented encodedElements
+	compact  atomic.Pointer[encodedElements]
+}
+
+type encodedElements struct {
 	elements []byte
+	once     sync.Once
 	failed   bool
 }
 
-func (g *group) encode() {
-	sc := encodeScratchPool.Get().(*encodeScratch)
-	defer encodeScratchPool.Put(sc)
-	if sc.appendElements(sc.buf[:0], g.findings) != nil {
-		g.enc.failed = true
-		return
+// elements returns the group's elements in layout l; ok is false when
+// a finding cannot be encoded.
+func (g *group) elements(l *layout) (elements []byte, ok bool) {
+	e := &g.enc.indented
+	if l == &compact {
+		if e = g.enc.compact.Load(); e == nil {
+			g.enc.compact.CompareAndSwap(nil, new(encodedElements))
+			e = g.enc.compact.Load()
+		}
 	}
-	g.enc.elements = bytes.Clone(sc.buf)
+	e.once.Do(func() {
+		sc := encodeScratchPool.Get().(*encodeScratch)
+		defer encodeScratchPool.Put(sc)
+		if sc.appendElements(sc.buf[:0], g.findings, l) != nil {
+			e.failed = true
+			return
+		}
+		e.elements = bytes.Clone(sc.buf)
+	})
+	return e.elements, !e.failed
+}
+
+// layout is the punctuation and whitespace between an element's
+// values: each field's lead-in (separator, name and colon), a metric's
+// key prefix and colon, and the two closers. There is one encoder and
+// two layouts of the same literals.
+type layout struct {
+	kind, severity, guideline, task, file, object, detail, metrics string
+	metricKey, metricColon, metricsClose, elementClose             string
+}
+
+// indented is encoding/json's SetIndent("", "  ") layout, the bytes of
+// EncodeJSON and the diagnose endpoints.
+var indented = layout{
+	kind:         "\n  {\n    \"kind\": ",
+	severity:     ",\n    \"severity\": ",
+	guideline:    ",\n    \"guideline\": ",
+	task:         ",\n    \"task\": ",
+	file:         ",\n    \"file\": ",
+	object:       ",\n    \"object\": ",
+	detail:       ",\n    \"detail\": ",
+	metrics:      ",\n    \"metrics\": {",
+	metricKey:    "\n      ",
+	metricColon:  ": ",
+	metricsClose: "\n    }",
+	elementClose: "\n  }",
+}
+
+// compact is indented with the insignificant whitespace gone: what
+// json.Compact makes of it, and one line, because the strings escape
+// every newline.
+var compact = layout{
+	kind:         `{"kind":`,
+	severity:     `,"severity":`,
+	guideline:    `,"guideline":`,
+	task:         `,"task":`,
+	file:         `,"file":`,
+	object:       `,"object":`,
+	detail:       `,"detail":`,
+	metrics:      `,"metrics":{`,
+	metricKey:    "",
+	metricColon:  ":",
+	metricsClose: "}",
+	elementClose: "}",
 }
 
 // appendElements renders findings onto b as comma-separated array
-// elements and leaves the result in sc.buf.
-func (sc *encodeScratch) appendElements(b []byte, findings []Finding) error {
+// elements in layout l and leaves the result in sc.buf.
+func (sc *encodeScratch) appendElements(b []byte, findings []Finding, l *layout) error {
 	defer func() { sc.buf = b }() // keep whatever the buffer grew to
 	for i := range findings {
 		f := &findings[i]
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, "\n  {\n    \"kind\": "...)
+		b = append(b, l.kind...)
 		b = jsonenc.AppendString(b, string(f.Kind))
-		b = append(b, ",\n    \"severity\": "...)
+		b = append(b, l.severity...)
 		b = jsonenc.AppendString(b, f.Severity.String())
-		b = append(b, ",\n    \"guideline\": "...)
+		b = append(b, l.guideline...)
 		b = jsonenc.AppendString(b, string(f.Guideline))
 		if f.Task != "" {
-			b = append(b, ",\n    \"task\": "...)
+			b = append(b, l.task...)
 			b = jsonenc.AppendString(b, f.Task)
 		}
 		if f.File != "" {
-			b = append(b, ",\n    \"file\": "...)
+			b = append(b, l.file...)
 			b = jsonenc.AppendString(b, f.File)
 		}
 		if f.Object != "" {
-			b = append(b, ",\n    \"object\": "...)
+			b = append(b, l.object...)
 			b = jsonenc.AppendString(b, f.Object)
 		}
-		b = append(b, ",\n    \"detail\": "...)
+		b = append(b, l.detail...)
 		b = jsonenc.AppendString(b, f.Detail)
 		if len(f.Metrics) > 0 {
-			b = append(b, ",\n    \"metrics\": {"...)
+			b = append(b, l.metrics...)
 			sc.keys = sc.keys[:0]
 			for k := range f.Metrics {
 				sc.keys = append(sc.keys, k)
@@ -128,18 +216,18 @@ func (sc *encodeScratch) appendElements(b []byte, findings []Finding) error {
 				if j > 0 {
 					b = append(b, ',')
 				}
-				b = append(b, "\n      "...)
+				b = append(b, l.metricKey...)
 				b = jsonenc.AppendString(b, k)
-				b = append(b, ": "...)
+				b = append(b, l.metricColon...)
 				v := f.Metrics[k]
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					return fmt.Errorf("diagnose: encode finding %d (%s): metric %q: unsupported value %v", i, f.Kind, k, v)
 				}
 				b = jsonenc.AppendFloat(b, v)
 			}
-			b = append(b, "\n    }"...)
+			b = append(b, l.metricsClose...)
 		}
-		b = append(b, "\n  }"...)
+		b = append(b, l.elementClose...)
 	}
 	return nil
 }

@@ -55,6 +55,27 @@ func checkAgainstReference(t *testing.T, name string, findings []Finding) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: EncodeJSON diverges from encoding/json\n got: %q\nwant: %q", name, got, want)
 	}
+	// The compact layout, through a view's memoised group: json.Compact
+	// of the same reference bytes, on one line.
+	v := &View{}
+	v.add(groupOf(findings))
+	gotCompact, err := v.AppendCompactJSON(nil)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%s: AppendCompactJSON error = %v, encoding/json error = %v", name, err, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	var wantCompact bytes.Buffer
+	if err := json.Compact(&wantCompact, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotCompact, wantCompact.Bytes()) {
+		t.Fatalf("%s: AppendCompactJSON diverges from json.Compact of encoding/json\n got: %q\nwant: %q", name, gotCompact, wantCompact.Bytes())
+	}
+	if bytes.IndexByte(gotCompact, '\n') >= 0 {
+		t.Fatalf("%s: compact findings span lines: %q", name, gotCompact)
+	}
 }
 
 var encodeStrings = []string{
@@ -173,8 +194,39 @@ func TestEncodeJSONAllocBudget(t *testing.T) {
 	}
 }
 
+// TestAppendCompactJSONAllocatesNothing: once a view's groups hold
+// their compact bytes, appending the view into a buffer with room
+// allocates nothing — what lets an SSE connection frame a snapshot's
+// findings straight into the buffer it reuses for every event.
+func TestAppendCompactJSONAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	v := NewIndex(Thresholds{}).Sync(richTraces(), nil)
+	warm, err := v.AppendCompactJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.groups) < 2 {
+		t.Fatalf("the view has %d groups; the test wants several", len(v.groups))
+	}
+	buf := make([]byte, 0, len(warm))
+	allocs := testing.AllocsPerRun(50, func() {
+		if buf, err = v.AppendCompactJSON(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm AppendCompactJSON into a sized buffer allocates %.1f times, want 0", allocs)
+	}
+	if !bytes.Equal(buf, warm) {
+		t.Errorf("a warm AppendCompactJSON gives %q, the first %q", buf, warm)
+	}
+}
+
 // FuzzEncodeJSON is the differential fuzz target: any (strings, float)
-// tuple must encode to encoding/json's bytes, or be refused by both.
+// tuple must encode to encoding/json's bytes, and its compact layout to
+// their json.Compact, or be refused by both.
 func FuzzEncodeJSON(f *testing.F) {
 	for i, s := range encodeStrings {
 		f.Add(s, s, "k"+s, encodeFloats[i%len(encodeFloats)], encodeFloats[(i+7)%len(encodeFloats)], uint8(i))

@@ -586,72 +586,53 @@ func parseSSE(t *testing.T, stream []byte) []sseEvent {
 	return events
 }
 
-// TestEventFrameReassembles: whatever the payload's line structure and
-// wherever its segments are cut, a spec-following client reassembles
-// exactly the payload bytes.
-func TestEventFrameReassembles(t *testing.T) {
+// TestEventFrameIsOneDataLine: every snapshot event is three lines —
+// `id:`, `event: snapshot` and exactly one `data:` — and a blank one,
+// and a spec-following client reads back exactly the payload, alone or
+// behind a lagged notice and other frames in one stream.
+func TestEventFrameIsOneDataLine(t *testing.T) {
 	env, _ := fixtureEnv(t)
-	snap := foldAndIngest(t, env.s, encodeCheckpoint(t, checkpointTrace(liveTask("zz_live"), 1.0), 1))
-	real, err := env.s.liveEventPayload(nil, snap)
+	first, err := env.s.current()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Count(real[1], []byte("\n")) < 10 {
-		t.Fatalf("live event findings are not multi-line: %q", real[1])
+	second := foldAndIngest(t, env.s, encodeCheckpoint(t, checkpointTrace(liveTask("zz_live"), 1.0), 1))
+	if second.findings.Findings() == nil || second.id == first.id {
+		t.Fatal("the fixture's snapshots carry no findings, or one id")
 	}
-	one := func(payload string) [][]byte { return [][]byte{[]byte(payload)} }
-	payloads := map[string][][]byte{
-		"live event payload":  real[:],
-		"no newline":          one(`{"one":"line"}`),
-		"trailing newline":    one("[\n  1\n]\n"),
-		"empty lines":         one("a\n\n\nb"),
-		"only newlines":       one("\n\n"),
-		"leading space kept":  one(" x\n  y"),
-		"colon in first line": one("data: not a field\nid: 9"),
-		"empty":               nil,
-		// Segment boundaries are not line boundaries.
-		"line spans segments":        {[]byte("{\"a\":"), []byte("[\n  1,"), []byte(" 2\n]"), []byte("}")},
-		"segment ends in newline":    {[]byte("a\n"), []byte("b\n"), []byte("c")},
-		"last segment ends the line": {[]byte("a\nb"), []byte("\n")},
-		"newline alone in a segment": {[]byte("a"), []byte("\n"), []byte("\n"), []byte("b")},
-		"empty segments":             {nil, []byte("a\n"), {}, []byte("b"), nil},
-	}
-	var stream []byte
-	var order []string
-	for name, segments := range payloads {
-		payload := string(bytes.Join(segments, nil))
-		id := fmt.Sprintf("snap-%d", len(order)+1)
-		frame := appendEventFrame(nil, id, segments...)
+	stream := []byte(laggedNotice)
+	for _, snap := range []*snapshot{first, second} {
+		frame, err := appendEvent(nil, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(frame), "\n")
+		if len(lines) != 5 || lines[0] != "id: "+snap.id || lines[1] != "event: snapshot" ||
+			!strings.HasPrefix(lines[2], "data: {") || lines[3] != "" || lines[4] != "" {
+			t.Fatalf("snapshot %s is not framed as id, event, one data line and a blank line: %q", snap.id, frame)
+		}
 		events := parseSSE(t, frame)
-		if len(events) != 1 {
-			t.Fatalf("%s: frame parses to %d events: %q", name, len(events), frame)
-		}
-		if ev := events[0]; ev.event != "snapshot" || ev.id != id || ev.data != payload {
-			t.Errorf("%s: reassembled id=%q event=%q data=%q, want data %q", name, ev.id, ev.event, ev.data, payload)
-		}
-		// However the payload is cut, the frame is the same bytes.
-		if whole := appendEventFrame(nil, id, []byte(payload)); !bytes.Equal(frame, whole) {
-			t.Errorf("%s: framing the segments gives %q, framing their concatenation %q", name, frame, whole)
+		if len(events) != 1 || events[0].id != snap.id || events[0].event != "snapshot" || events[0].data != lines[2][len("data: "):] {
+			t.Fatalf("snapshot %s's frame parses to %+v", snap.id, events)
 		}
 		// Frames append: a connection reuses one buffer per event.
-		stream = appendEventFrame(stream, id, segments...)
-		order = append(order, name)
+		if again, err := appendEvent(stream, snap); err != nil || !bytes.Equal(again[len(stream):], frame) {
+			t.Fatalf("appending snapshot %s behind other frames changes its bytes (%v)", snap.id, err)
+		} else {
+			stream = again
+		}
 	}
 	events := parseSSE(t, stream)
-	if len(events) != len(order) {
-		t.Fatalf("concatenated frames parse to %d events, want %d", len(events), len(order))
-	}
-	for i, name := range order {
-		if events[i].data != string(bytes.Join(payloads[name], nil)) {
-			t.Errorf("%s: payload changed inside a concatenated stream", name)
-		}
+	if len(events) != 3 || events[0].event != "lagged" || events[1].id != first.id || events[2].id != second.id {
+		t.Fatalf("the lagged notice and two frames parse to %+v", events)
 	}
 }
 
-// TestEventWriteAllocatesNoPayload: with the findings body in the render
-// cache, putting an event on a connection — header, framing, the reused
-// buffers — allocates a handful of small objects whatever the body's
-// size; the megabyte is copied once, into the connection's frame.
+// TestEventWriteAllocatesNoPayload: with the findings' compact bytes
+// memoised in the view's groups, putting an event on a connection —
+// header, framing, the reused buffer — allocates a handful of small
+// objects whatever the body's size; the megabyte is copied once, into
+// the connection's frame.
 func TestEventWriteAllocatesNoPayload(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -663,14 +644,12 @@ func TestEventWriteAllocatesNoPayload(t *testing.T) {
 			c.Dir = writeSyntheticDir(t, workloads.SyntheticTraceConfig{Tasks: tasks, Stages: 4})
 		})
 		snap := foldAndIngest(t, env.s, encodeCheckpoint(t, checkpointTrace(liveTask("zz_live"), 1.0), 1))
-		var head, frame []byte
+		var frame []byte
 		write := func() {
-			payload, err := env.s.liveEventPayload(head[:0], snap)
-			if err != nil {
+			var err error
+			if frame, err = appendEvent(frame[:0], snap); err != nil {
 				t.Fatal(err)
 			}
-			head = payload[0]
-			frame = appendEventFrame(frame[:0], snap.id, payload[:]...)
 		}
 		write() // renders the body, grows the buffers
 		allocs = append(allocs, testing.AllocsPerRun(50, write))
@@ -698,7 +677,8 @@ func TestLiveEventsMetrics(t *testing.T) {
 	postIngest(t, env.srv, encodeCheckpoint(t, checkpointTrace(liveTask("zz_live"), 1.0), 1))
 	second := c.next(t)
 
-	want := int64(len(appendEventFrame(nil, first.id, []byte(first.data))) + len(appendEventFrame(nil, second.id, []byte(second.data))))
+	framed := func(ev sseEvent) int { return len("id: " + ev.id + "\nevent: snapshot\ndata: " + ev.data + "\n\n") }
+	want := int64(framed(first) + framed(second))
 	deadline := time.Now().Add(10 * time.Second)
 	for size.Count() < 2 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond) // observed just after the flush the client saw

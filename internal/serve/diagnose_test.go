@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"sync"
@@ -102,9 +103,13 @@ func TestLiveDiagnosticsEqualFreshAnalyze(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := append(append([]byte(nil), ev.Findings...), '\n'); !bytes.Equal(got, want) {
-			t.Fatalf("record %d (%d partial): SSE findings differ from a fresh Analyze of the live set (%d vs %d bytes)",
-				records, snap.partialTasks, len(got), len(want))
+		var wantCompact bytes.Buffer
+		if err := json.Compact(&wantCompact, want); err != nil {
+			t.Fatal(err)
+		}
+		if got := []byte(ev.Findings); !bytes.Equal(got, wantCompact.Bytes()) {
+			t.Fatalf("record %d (%d partial): SSE findings differ from json.Compact of a fresh Analyze of the live set (%d vs %d bytes)",
+				records, snap.partialTasks, len(got), wantCompact.Len())
 		}
 		body, hdr := getHdr(t, env.srv, "/v1/live/diagnostics")
 		if hdr.Get("X-Dayu-Snapshot") != snap.id || !bytes.Equal(body, want) {

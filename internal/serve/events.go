@@ -16,10 +16,9 @@ package serve
 //     is surfaced as an `event: lagged` line so the client knows
 //     intermediate states existed.
 //   - Zero cost when unused. The broadcaster only tracks snapshots;
-//     payload rendering happens in the subscriber's handler goroutine
-//     through the snapshot render cache, so a deployment with no SSE
-//     clients never renders an event and the refresh path never waits
-//     on one.
+//     the payload is framed in the subscriber's handler goroutine, so a
+//     deployment with no SSE clients never frames an event and the
+//     refresh path never waits on one.
 //   - Memory proportional to state, not to history. The broadcaster
 //     keeps only the newest event, and a subscriber at most one
 //     undelivered one, so the served state is one snapshot plus what
@@ -30,16 +29,20 @@ package serve
 //     nothing, any other value gets the newest event — correct because
 //     events are full-state.
 //
-// Event schema (`event: snapshot`):
+// Event schema (`event: snapshot`, one `data:` line):
 //
-//	{"snapshot":"<id>","partial_tasks":N,"complete_tasks":M,"findings":<...>}
+//	{"snapshot":"<id>","partial_tasks":N,"complete_tasks":M,"findings":[...]}
 //
-// where findings is the exact /v1/live/diagnostics JSON body for the
-// same snapshot — shared bytes via the render cache, so an SSE-fed
-// dashboard and a polling one can never disagree.
+// where findings is exactly json.Compact of the /v1/live/diagnostics
+// body for the same snapshot: the same JSON value, so an SSE-fed
+// dashboard and a polling one can never disagree, without the
+// indentation that made every event tens of thousands of `data:`
+// lines. The findings are appended straight from the snapshot's
+// diagnose view, whose groups memoise their compact bytes, into the
+// connection's reused frame buffer: no per-event body, and the
+// indented body is rendered only for the clients that GET it.
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -67,9 +70,10 @@ type eventsBroadcaster struct {
 }
 
 // eventMetrics is what one delivered event cost, per subscriber: the
-// payload render (a render-cache read for every subscriber but the
-// first), framing plus the write and flush to the connection, and the
-// framed size. Handles are nil-safe; the zero value records nothing.
+// framing (the findings encoded for the first subscriber to need a
+// group, memoised bytes copied for every other), the write and flush to
+// the connection, and the framed size. Handles are nil-safe; the zero
+// value records nothing.
 type eventMetrics struct {
 	renderNS     *obs.Histogram
 	writeNS      *obs.Histogram
@@ -143,65 +147,31 @@ func (b *eventsBroadcaster) takeLagged(sub *eventSub) bool {
 	return l
 }
 
-// liveEventPayload returns one event's data as the segments it is made
-// of — the snapshot header (appended to head, a buffer the caller may
-// reuse), the exact /v1/live/diagnostics body for the snapshot, shared
-// through the snapshot's render cache, and the closing brace — so that
-// no subscriber copies the megabyte in the middle just to join them.
-func (s *Server) liveEventPayload(head []byte, snap *snapshot) ([3][]byte, error) {
-	findings, err := s.render(snap.diagnoseRender(true, 0))
-	if err != nil {
-		return [3][]byte{}, err
-	}
-	head = append(head, `{"snapshot":`...)
-	head = strconv.AppendQuote(head, snap.id)
-	head = append(head, `,"partial_tasks":`...)
-	head = strconv.AppendInt(head, int64(snap.partialTasks), 10)
-	head = append(head, `,"complete_tasks":`...)
-	head = strconv.AppendInt(head, int64(len(snap.batch.traces)), 10)
-	head = append(head, `,"findings":`...)
-	return [3][]byte{head, findings, eventTail}, nil
-}
-
-var eventTail = []byte("}")
-
-// appendEventFrame appends one `event: snapshot` in SSE framing; its
-// payload is the concatenation of segments. The payload is multi-line
-// JSON and SSE wants one "data:" field per line; a client rejoins the
-// fields with \n, so the reassembled payload is byte-identical. A
-// "data: " prefix follows every \n wherever the segment boundaries fall
-// — a line may span segments, a segment may end one. One scan of the
-// payload, no per-line formatting: on a loaded server it is a megabyte
-// and many thousand lines.
-func appendEventFrame(frame []byte, id string, segments ...[]byte) []byte {
+// appendEvent appends snap as one `event: snapshot` in SSE framing:
+// the id, the event type and the payload on a single `data:` line. On
+// error — a finding the encoder refuses — frame is returned as given.
+func appendEvent(frame []byte, snap *snapshot) ([]byte, error) {
+	start := len(frame)
 	frame = append(frame, "id: "...)
-	frame = append(frame, id...)
-	frame = append(frame, "\nevent: snapshot\n"...)
-	lineStart := true
-	for _, seg := range segments {
-		for len(seg) > 0 {
-			if lineStart {
-				frame = append(frame, "data: "...)
-			}
-			i := bytes.IndexByte(seg, '\n')
-			if i < 0 {
-				frame = append(frame, seg...)
-				lineStart = false
-				break
-			}
-			frame = append(frame, seg[:i+1]...)
-			seg = seg[i+1:]
-			lineStart = true
-		}
+	frame = append(frame, snap.id...)
+	frame = append(frame, "\nevent: snapshot\ndata: "...)
+	frame = append(frame, `{"snapshot":`...)
+	frame = strconv.AppendQuote(frame, snap.id)
+	frame = append(frame, `,"partial_tasks":`...)
+	frame = strconv.AppendInt(frame, int64(snap.partialTasks), 10)
+	frame = append(frame, `,"complete_tasks":`...)
+	frame = strconv.AppendInt(frame, int64(len(snap.batch.traces)), 10)
+	frame = append(frame, `,"findings":`...)
+	frame, err := snap.findings.AppendCompactJSON(frame)
+	if err != nil {
+		return frame[:start], err
 	}
-	if lineStart {
-		// The payload's last line is empty (or the payload is): it is
-		// still a field, which is what makes the client's join restore
-		// a trailing \n.
-		frame = append(frame, "data: "...)
-	}
-	return append(frame, "\n\n"...)
+	return append(frame, "}\n\n"...), nil
 }
+
+// laggedNotice tells a subscriber that states between its last event
+// and the next one were skipped.
+const laggedNotice = "event: lagged\ndata: {}\n\n"
 
 // handleLiveEvents is GET /v1/live/events: the SSE stream. It must be
 // routed around any buffering middleware (http.TimeoutHandler would
@@ -245,12 +215,14 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	// frame and head are this connection's framing and header buffers,
-	// reused across events.
-	var frame, head []byte
+	// frame is this connection's buffer, reused across events. An
+	// event is framed behind room for the lagged notice, which is
+	// filled in only when the subscriber turns out to have lagged.
+	var frame []byte
 	writeEvent := func(snap *snapshot) bool {
 		start := time.Now()
-		payload, err := s.liveEventPayload(head[:0], snap)
+		var err error
+		frame, err = appendEvent(append(frame[:0], laggedNotice...), snap)
 		if err != nil {
 			// The stream is already committed; drop the event rather
 			// than corrupting the framing, and say so on /healthz — a
@@ -262,18 +234,16 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		rendered := time.Now()
 		s.events.metrics.renderNS.Observe(rendered.Sub(start).Nanoseconds())
-		frame = frame[:0]
+		out := frame[len(laggedNotice):]
 		if s.events.takeLagged(sub) {
-			frame = append(frame, "event: lagged\ndata: {}\n\n"...)
+			out = frame
 		}
-		head = payload[0]
-		frame = appendEventFrame(frame, snap.id, payload[:]...)
-		if _, err := w.Write(frame); err != nil {
+		if _, err := w.Write(out); err != nil {
 			return false
 		}
 		fl.Flush()
 		s.events.metrics.writeNS.Observe(time.Since(rendered).Nanoseconds())
-		s.events.metrics.bytes.Observe(int64(len(frame)))
+		s.events.metrics.bytes.Observe(int64(len(out)))
 		return true
 	}
 	if first != nil && !writeEvent(first) {

@@ -5,8 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,8 +16,10 @@ import (
 	"testing"
 	"time"
 
+	"dayu/internal/diagnose"
 	"dayu/internal/obs"
 	"dayu/internal/trace"
+	"dayu/internal/workloads"
 )
 
 // sseEvent is one parsed server-sent event.
@@ -134,14 +136,19 @@ func (c *sseConn) expectHeartbeat(t *testing.T) {
 }
 
 // expectPayload reconstructs the exact event data an endpoint's
-// current state should produce: the snapshot header fields plus the
-// endpoint's verbatim body. Comparing against it asserts byte-identity
-// between SSE-delivered findings and the polling endpoint.
+// current state should produce: the snapshot header fields plus
+// json.Compact of the endpoint's body. Comparing against it asserts
+// byte-identity between SSE-delivered findings and the polling
+// endpoint, up to insignificant whitespace.
 func expectPayload(t *testing.T, srv *httptest.Server, path string, partial, complete int) string {
 	t.Helper()
 	body, hdr := getHdr(t, srv, path)
+	var findings bytes.Buffer
+	if err := json.Compact(&findings, body); err != nil {
+		t.Fatal(err)
+	}
 	return fmt.Sprintf(`{"snapshot":%q,"partial_tasks":%d,"complete_tasks":%d,"findings":%s}`,
-		hdr.Get("X-Dayu-Snapshot"), partial, complete, body)
+		hdr.Get("X-Dayu-Snapshot"), partial, complete, findings.Bytes())
 }
 
 // eventPayload is the decoded `event: snapshot` data line.
@@ -252,18 +259,29 @@ func TestLiveEventsRenderFailureIsLoud(t *testing.T) {
 	srv := httptest.NewServer(s)
 	t.Cleanup(func() { srv.Close(); s.Close() })
 
-	// Park a failed diagnose render in the current snapshot's cache —
-	// what diagnose.EncodeJSON rejecting a NaN metric leaves behind for
-	// the callers that waited on it.
+	// Give the current snapshot findings with a NaN metric, which the
+	// encoder refuses: a view from an index of its own, so that no other
+	// snapshot shares the poisoned groups, with one metric overwritten
+	// through the map Findings shares with the view.
 	snap, err := s.current()
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed := &renderEntry{err: errors.New("diagnose: metric is NaN")}
-	failed.once.Do(func() {})
-	snap.live.rendered.mu.Lock()
-	snap.live.rendered.entries = map[string]*renderEntry{"diagnose": failed}
-	snap.live.rendered.mu.Unlock()
+	poisoned := diagnose.NewIndex(diagnose.Thresholds{}).Sync(snap.live.ordered, snap.live.manifest)
+	var key string
+	for _, f := range poisoned.Findings() {
+		for key = range f.Metrics {
+			f.Metrics[key] = math.NaN()
+			break
+		}
+		if key != "" {
+			break
+		}
+	}
+	if key == "" {
+		t.Fatal("the fixture's findings carry no metric to poison")
+	}
+	snap.findings = poisoned
 
 	conn := dialSSE(t, srv, "")
 	// Health reflects but never triggers ingestion, so the degradation
@@ -280,7 +298,7 @@ func TestLiveEventsRenderFailureIsLoud(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Status == "degraded" && strings.Contains(h.LastIngestError, "metric is NaN") {
+		if h.Status == "degraded" && strings.Contains(h.LastIngestError, fmt.Sprintf("metric %q: unsupported value NaN", key)) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -299,6 +317,40 @@ func TestLiveEventsRenderFailureIsLoud(t *testing.T) {
 	}
 	if got := reg.Counter("dayu_serve_event_render_errors_total").Value(); got != 1 {
 		t.Errorf("event_render_errors_total = %d, want 1", got)
+	}
+}
+
+// TestEventIsCompact: on a loaded server the one-line event is well
+// under the same payload with the indented body, framed one `data:`
+// field per line as SSE requires of multi-line data. Measured by what
+// the server observes in dayu_serve_event_bytes.
+func TestEventIsCompact(t *testing.T) {
+	reg := obs.NewRegistry()
+	env := newPushEnv(t, func(c *Config) {
+		c.Dir = writeSyntheticDir(t, workloads.SyntheticTraceConfig{Tasks: 1000})
+		c.Registry = reg
+	})
+	ev := dialSSE(t, env.srv, "").next(t)
+	p := decodeEvent(t, ev)
+	size := reg.Histogram("dayu_serve_event_bytes", nil)
+	for deadline := time.Now().Add(10 * time.Second); size.Count() < 1 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond) // observed just after the flush the client saw
+	}
+	if size.Count() != 1 {
+		t.Fatalf("%d events observed, want 1", size.Count())
+	}
+	body, hdr := getHdr(t, env.srv, "/v1/live/diagnostics")
+	if hdr.Get("X-Dayu-Snapshot") != ev.id {
+		t.Fatalf("the state moved on from the event's snapshot %s to %s", ev.id, hdr.Get("X-Dayu-Snapshot"))
+	}
+	indented := fmt.Sprintf(`{"snapshot":%q,"partial_tasks":%d,"complete_tasks":%d,"findings":%s}`,
+		p.Snapshot, p.PartialTasks, p.CompleteTasks, body)
+	indentedFrame := "id: " + ev.id + "\nevent: snapshot\ndata: " + strings.ReplaceAll(indented, "\n", "\ndata: ") + "\n\n"
+	if got, bound := size.Sum(), 0.85*float64(len(indentedFrame)); float64(got) > bound {
+		t.Errorf("a 1000-task event is %d bytes, over 0.85 of the %d-byte indented frame", got, len(indentedFrame))
+	} else {
+		t.Logf("a 1000-task event is %d bytes, %.2f of the %d-byte indented frame (%d lines)",
+			got, float64(got)/float64(len(indentedFrame)), len(indentedFrame), strings.Count(indented, "\n")+1)
 	}
 }
 
