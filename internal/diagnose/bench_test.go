@@ -30,8 +30,17 @@ var benchBody []byte
 
 // BenchmarkFold is what `dayu serve` pays per folded checkpoint on a
 // loaded server: sync a long-lived index to a set in which one in-flight
-// task's trace was replaced, then encode the view.
+// task's trace was replaced, then encode the view — as the snapshot
+// event does (event: the compact findings appended into a reused frame)
+// and as a /v1/live/diagnostics GET does (get: the indented body).
 func BenchmarkFold(b *testing.B) {
+	encodings := []struct {
+		name   string
+		encode func(v *diagnose.View, buf []byte) ([]byte, error)
+	}{
+		{"event", func(v *diagnose.View, buf []byte) ([]byte, error) { return v.AppendCompactJSON(buf[:0]) }},
+		{"get", func(v *diagnose.View, _ []byte) ([]byte, error) { return v.EncodeJSON() }},
+	}
 	for _, tasks := range []int{1000, 3000} {
 		traces, m := workloads.GenerateSyntheticTraces(workloads.SyntheticTraceConfig{Tasks: tasks})
 		// Two checkpoints of one unranked task, alternating.
@@ -42,20 +51,22 @@ func BenchmarkFold(b *testing.B) {
 			checkpoints[i] = &cp
 		}
 		live := append(traces, nil)
-		b.Run(fmt.Sprintf("tasks=%d", tasks), func(b *testing.B) {
-			ix := diagnose.NewIndex(diagnose.Thresholds{})
-			b.ReportAllocs()
-			for i := 0; i < b.N+1; i++ {
-				if i == 1 {
-					b.ResetTimer() // the first pass builds the index and encodes every group
+		for _, enc := range encodings {
+			b.Run(fmt.Sprintf("tasks=%d/%s", tasks, enc.name), func(b *testing.B) {
+				ix := diagnose.NewIndex(diagnose.Thresholds{})
+				b.ReportAllocs()
+				for i := 0; i < b.N+1; i++ {
+					if i == 1 {
+						b.ResetTimer() // the first pass builds the index and encodes every group
+					}
+					live[len(live)-1] = checkpoints[i%2]
+					body, err := enc.encode(ix.Sync(analyzer.OrderTasks(live, m), m), benchBody)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchBody = body
 				}
-				live[len(live)-1] = checkpoints[i%2]
-				body, err := ix.Sync(analyzer.OrderTasks(live, m), m).EncodeJSON()
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchBody = body
-			}
-		})
+			})
+		}
 	}
 }

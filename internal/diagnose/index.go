@@ -90,8 +90,8 @@ type Index struct {
 
 // group is what one rule found under one scope: immutable once built
 // and shared by every View from the Sync that built it until the scope
-// is next recomputed. enc memoises its encodings (see View.EncodeJSON
-// and View.AppendCompactJSON).
+// is next recomputed. enc memoises its compact encoding (see
+// View.AppendCompactJSON).
 type group struct {
 	findings []Finding
 	enc      groupEncoding

@@ -2,12 +2,12 @@ package diagnose
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"dayu/internal/jsonenc"
 )
@@ -43,36 +43,39 @@ func EncodeJSON(findings []Finding) ([]byte, error) {
 }
 
 // EncodeJSON is EncodeJSON(v.Findings()) without the findings being
-// copied out or, mostly, encoded: every group keeps the bytes of its
-// own elements from the first time any view encoded it, so the body of
-// a view that shares all but a few groups with its predecessor is one
-// allocation and a concatenation.
+// copied out or, mostly, encoded: it is json.Indent of
+// AppendCompactJSON, which is what encoding/json's SetIndent does to
+// its own compact output, so the bytes are the flat encoder's.
 func (v *View) EncodeJSON() ([]byte, error) {
 	if v.n == 0 {
 		return []byte("[]\n"), nil
 	}
-	return v.appendArray(nil, &indented, "\n]\n")
+	compact, err := v.AppendCompactJSON(nil)
+	if err != nil {
+		return nil, err
+	}
+	var b bytes.Buffer // json.Indent sizes it: twice the compact form
+	if err := json.Indent(&b, compact, "", "  "); err != nil {
+		return nil, err
+	}
+	b.WriteByte('\n')
+	return b.Bytes(), nil
 }
 
 // AppendCompactJSON appends the view's findings to b as one line of
 // JSON: exactly json.Compact of EncodeJSON's body, without its trailing
-// newline. Groups memoise these bytes beside the indented ones, so a
+// newline. Every group keeps the bytes of its own elements from the
+// first time any view encoded it, so the findings of a view that shares
+// all but a few groups with its predecessor are a concatenation, and a
 // warm call into a buffer with room allocates nothing. On error b is
 // returned as it was given.
 func (v *View) AppendCompactJSON(b []byte) ([]byte, error) {
 	if v.n == 0 {
 		return append(b, "[]"...), nil
 	}
-	return v.appendArray(b, &compact, "]")
-}
-
-// appendArray appends '[', the groups' memoised elements in layout l,
-// comma-joined, and closer, growing b once to fit them. b is unchanged
-// on error.
-func (v *View) appendArray(b []byte, l *layout, closer string) ([]byte, error) {
-	size := len("[") + len(v.groups) - 1 + len(closer)
+	size := len("[]") + len(v.groups) - 1
 	for _, g := range v.groups {
-		elements, ok := g.elements(l)
+		elements, ok := g.elements()
 		if !ok {
 			// The flat encoder words the error, with the finding's index
 			// in the whole body.
@@ -86,44 +89,30 @@ func (v *View) appendArray(b []byte, l *layout, closer string) ([]byte, error) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		elements, _ := g.elements(l)
+		elements, _ := g.elements()
 		b = append(b, elements...)
 	}
-	return append(b, closer...), nil
+	return append(b, ']'), nil
 }
 
-// groupEncoding is a group's findings as array elements — what stands
-// between the brackets, commas included — in each layout, encoded at
-// most once, by the first view that needs that layout: callers that
-// never encode never pay, and the SSE event never pays for the
-// indented body. The compact memo is allocated by its first use, so a
-// group that never goes into an event (all of a batch analysis's)
-// carries one pointer for it, not a second memo.
+// groupEncoding is a group's findings as compact array elements — what
+// stands between the brackets, commas included — encoded at most once,
+// by the first view that needs them: callers that never encode never
+// pay.
 type groupEncoding struct {
-	indented encodedElements
-	compact  atomic.Pointer[encodedElements]
-}
-
-type encodedElements struct {
 	elements []byte
 	once     sync.Once
 	failed   bool
 }
 
-// elements returns the group's elements in layout l; ok is false when
-// a finding cannot be encoded.
-func (g *group) elements(l *layout) (elements []byte, ok bool) {
-	e := &g.enc.indented
-	if l == &compact {
-		if e = g.enc.compact.Load(); e == nil {
-			g.enc.compact.CompareAndSwap(nil, new(encodedElements))
-			e = g.enc.compact.Load()
-		}
-	}
+// elements returns the group's compact elements; ok is false when a
+// finding cannot be encoded.
+func (g *group) elements() (elements []byte, ok bool) {
+	e := &g.enc
 	e.once.Do(func() {
 		sc := encodeScratchPool.Get().(*encodeScratch)
 		defer encodeScratchPool.Put(sc)
-		if sc.appendElements(sc.buf[:0], g.findings, l) != nil {
+		if sc.appendElements(sc.buf[:0], g.findings, &compact) != nil {
 			e.failed = true
 			return
 		}
@@ -142,7 +131,7 @@ type layout struct {
 }
 
 // indented is encoding/json's SetIndent("", "  ") layout, the bytes of
-// EncodeJSON and the diagnose endpoints.
+// the flat EncodeJSON.
 var indented = layout{
 	kind:         "\n  {\n    \"kind\": ",
 	severity:     ",\n    \"severity\": ",
@@ -160,7 +149,7 @@ var indented = layout{
 
 // compact is indented with the insignificant whitespace gone: what
 // json.Compact makes of it, and one line, because the strings escape
-// every newline.
+// every newline. Groups memoise their elements in it.
 var compact = layout{
 	kind:         `{"kind":`,
 	severity:     `,"severity":`,

@@ -76,6 +76,10 @@ func checkAgainstReference(t *testing.T, name string, findings []Finding) {
 	if bytes.IndexByte(gotCompact, '\n') >= 0 {
 		t.Fatalf("%s: compact findings span lines: %q", name, gotCompact)
 	}
+	// The view's indented body is re-indented from the compact one.
+	if gotView, err := v.EncodeJSON(); err != nil || !bytes.Equal(gotView, want) {
+		t.Fatalf("%s: View.EncodeJSON diverges from encoding/json (err %v)\n got: %q\nwant: %q", name, err, gotView, want)
+	}
 }
 
 var encodeStrings = []string{

@@ -277,9 +277,10 @@ func (s *Server) diagnoseHandler(live bool) http.HandlerFunc {
 }
 
 // diagnoseRender names and computes the one diagnose body behind
-// /v1/diagnose, /v1/live/diagnostics and the SSE event payload, in the
-// view the endpoint reads: with no checkpoint retained the live view is
-// the batch view, so the three share bytes.
+// /v1/diagnose and /v1/live/diagnostics, in the view the endpoint reads:
+// with no checkpoint retained the live view is the batch view, so the
+// two share bytes. The SSE event does not come here: it is framed from
+// View.AppendCompactJSON (events.go).
 //
 // The live view's body is the index's view encoded, groups the previous
 // snapshots already encoded included. The other two bodies are rare
