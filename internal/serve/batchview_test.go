@@ -24,7 +24,7 @@ import (
 // goroutine does and publishes the resulting snapshot, synchronously.
 func foldAndIngest(t *testing.T, s *Server, data []byte) *snapshot {
 	t.Helper()
-	if _, err := s.foldBytes(data); err != nil {
+	if _, _, err := s.foldBytes(data); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := s.Ingest()

@@ -79,24 +79,40 @@ func newBuildCache() *buildCache {
 	return &buildCache{files: map[string]fileEntry{}, failed: map[string]bool{}}
 }
 
-// scanItem is one trace file of a listing.
+// scanItem is one trace file of a listing, or, with gone set, a path
+// the listing knows holds no trace file.
 type scanItem struct {
 	path string
 	size int64
 	mod  time.Time
+	gone bool
 }
 
-// scan brings the parsed-file cache up to a listing of every trace
-// file: every file climbs the revise ladder, changed ones are installed
-// and cached paths the listing no longer names are dropped. It reports
-// how many files were parsed, whether the cache changed, and the error
-// of the first file in listing order that failed; that file keeps its
-// previous entry, is marked failed, and every other change is still
-// applied.
-func (c *buildCache) scan(items []scanItem) (parses int, changed bool, err error) {
-	listed := make(map[string]bool, len(items))
+// scan brings the parsed-file cache up to a listing: every listed file
+// climbs the revise ladder and changed ones are installed, and a path
+// listed as gone is dropped. A complete listing names every trace file,
+// so the cached paths it does not name are dropped too; any other
+// listing leaves them be. It reports how many files were parsed,
+// whether the cache changed, and the error of the first file in listing
+// order that failed; that file keeps its previous entry, is marked
+// failed, and every other change is still applied.
+func (c *buildCache) scan(items []scanItem, complete bool) (parses int, changed bool, err error) {
+	var listed map[string]bool
+	if complete {
+		listed = make(map[string]bool, len(items))
+	}
 	for _, it := range items {
-		listed[it.path] = true
+		if it.gone {
+			if _, ok := c.files[it.path]; ok {
+				delete(c.files, it.path)
+				changed = true
+			}
+			delete(c.failed, it.path)
+			continue
+		}
+		if complete {
+			listed[it.path] = true
+		}
 		entry, parsed, rerr := c.files[it.path].revise(it.path, it.size, it.mod, parseTrace)
 		if rerr != nil {
 			c.failed[it.path] = true
@@ -108,10 +124,13 @@ func (c *buildCache) scan(items []scanItem) (parses int, changed bool, err error
 		delete(c.failed, it.path)
 		if parsed {
 			parses++
+			changed = true
 		}
 		c.files[it.path] = entry // as it was, re-stat'ed or re-parsed
 	}
-	changed = parses > 0
+	if !complete {
+		return parses, changed, err
+	}
 	for path := range c.files {
 		if !listed[path] {
 			delete(c.files, path)

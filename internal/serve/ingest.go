@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"dayu/internal/analyzer"
@@ -31,9 +34,10 @@ type TaskInfo struct {
 // directory and, when the served state changed, builds and atomically
 // publishes a new snapshot. It is the single writer: callers must hold
 // s.ingestMu. With full set the listing is the whole directory
-// (listDir); otherwise it is the folder's, the cache's own entries plus
-// the landed paths (listLanded). Returns the current snapshot (possibly
-// the unchanged one) or the error.
+// (listDir); otherwise it is the folder's, the landed paths and the
+// failed ones only (listLanded), and the rest of the cache stands.
+// Returns the current snapshot (possibly the unchanged one) or the
+// error.
 func (s *Server) refresh(full bool, landed []string) (*snapshot, error) {
 	start := time.Now()
 	// The partials are captured before the directory is listed: a final
@@ -59,7 +63,7 @@ func (s *Server) refresh(full bool, landed []string) (*snapshot, error) {
 	}
 	// batchStale outlives this call: what a failed refresh already
 	// changed in the cache must still reach a batch view on the next one.
-	parses, changed, err := s.cache.scan(items)
+	parses, changed, err := s.cache.scan(items, full)
 	s.traceParses.Add(int64(parses))
 	s.batchStale = s.batchStale || changed
 	if err == nil && (full || s.manifestStale) {
@@ -118,42 +122,32 @@ func (s *Server) listDir() ([]scanItem, error) {
 }
 
 // listLanded is the folder's listing, which lists no directory: the
-// cache's entries as cached, plus, stat'ed, the paths the folds landed
-// or removed since the folder's last refresh and every path whose last
-// revise failed. A path that is gone is left out, so scan drops it. A
-// burst of checkpoints, which land nothing in the directory, stats
-// nothing; a final stats its own file and its removed twin. Only the
-// stat'ed paths can fail a revise, and they come in directory order, so
-// scan reports the error a full listing would.
+// paths the folds landed or removed since the folder's last refresh and
+// every path whose last revise failed, stat'ed, each marked gone when
+// it is missing or a directory (listDir skips those). It costs the
+// burst, not the cache: a burst of checkpoints, which land nothing in
+// the directory, stats nothing; a final stats its own file and its
+// removed twin. Only the stat'ed paths can fail a revise, and they come
+// in directory order, so scan reports the error a full listing would.
 func (s *Server) listLanded(landed []string) ([]scanItem, error) {
-	check := make(map[string]bool, len(landed)+len(s.cache.failed))
-	for _, path := range landed {
-		check[path] = true
-	}
+	stat := make([]string, 0, len(landed)+len(s.cache.failed))
+	stat = append(stat, landed...)
 	for path := range s.cache.failed {
-		check[path] = true
-	}
-	items := make([]scanItem, 0, len(s.cache.files)+len(check))
-	for path, e := range s.cache.files {
-		if !check[path] {
-			items = append(items, scanItem{path: path, size: e.size, mod: e.modTime})
-		}
-	}
-	stat := make([]string, 0, len(check))
-	for path := range check {
 		stat = append(stat, path)
 	}
 	sort.Strings(stat)
-	for _, path := range stat {
+	items := make([]scanItem, 0, len(stat))
+	for i, path := range stat {
+		if i > 0 && path == stat[i-1] {
+			continue
+		}
 		info, err := os.Lstat(path)
-		if os.IsNotExist(err) {
+		if os.IsNotExist(err) || err == nil && info.IsDir() {
+			items = append(items, scanItem{path: path, gone: true})
 			continue
 		}
 		if err != nil {
 			return nil, fmt.Errorf("serve: stat %s: %w", path, err)
-		}
-		if info.IsDir() {
-			continue // as listDir skips it
 		}
 		items = append(items, scanItem{path: path, size: info.Size(), mod: info.ModTime()})
 	}
@@ -241,9 +235,13 @@ func (s *Server) buildBatchView() *view {
 	taskSet := make(map[string]bool, len(paths))
 	hashes := make(map[string]bool, len(paths))
 	infoByTrace := make(map[*trace.TaskTrace]TaskInfo, len(paths))
-	var id strings.Builder
-	id.WriteString("manifest:")
-	id.WriteString(s.cache.manifest.hash)
+	// The batch part of the snapshot id's preimage: the manifest hash and
+	// every trace file's name and content hash, hashed once per batch
+	// view (see snapshotID).
+	id := sha256.New()
+	line := append(make([]byte, 0, 128), "manifest:"...)
+	line = append(line, s.cache.manifest.hash...)
+	id.Write(line)
 	for _, path := range paths {
 		ent := s.cache.files[path]
 		traces = append(traces, ent.trace)
@@ -254,13 +252,18 @@ func (s *Server) buildBatchView() *view {
 			ModTime: ent.modTime, StartNS: ent.trace.StartNS, EndNS: ent.trace.EndNS,
 			Failed: ent.trace.Failed,
 		}
-		id.WriteString("\n")
-		id.WriteString(filepath.Base(path))
-		id.WriteString("=")
-		id.WriteString(ent.hash)
+		line = append(line[:0], '\n')
+		line = append(line, filepath.Base(path)...)
+		line = append(line, '=')
+		line = append(line, ent.hash...)
+		id.Write(line)
+	}
+	idState, err := id.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(err) // crypto/sha256 always marshals its state
 	}
 	batch := s.buildView(traces, s.cache.manifest.manifest, s.batchGraphs)
-	batch.taskSet, batch.hashes, batch.idLines = taskSet, hashes, id.String()
+	batch.taskSet, batch.hashes, batch.idState = taskSet, hashes, idState
 	batch.tasks = make([]TaskInfo, 0, len(batch.traces))
 	for _, tt := range batch.traces {
 		batch.tasks = append(batch.tasks, infoByTrace[tt])
@@ -325,19 +328,27 @@ func (s *Server) recordHistory(snap *snapshot) {
 }
 
 // snapshotID is the content address of the whole served state: the
-// manifest hash, every trace file's name and content hash, and every
-// retained streaming checkpoint's task, hash and sequence number.
+// SHA-256 of the manifest hash, every trace file's name and content
+// hash, and every retained streaming checkpoint's task, hash and
+// sequence number, one line each. The batch view already hashed its
+// lines: this resumes that state and hashes the checkpoint lines only.
 func snapshotID(batch *view, partials []*partialEntry) string {
-	lines := make([]string, len(partials))
-	for i, pe := range partials {
-		lines[i] = fmt.Sprintf("partial:%s=%s@%d", pe.trace.Task, pe.hash, pe.seq)
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(batch.idState); err != nil {
+		panic(err) // the state is crypto/sha256's own marshalling
 	}
-	sort.Strings(lines)
-	preimage := make([]byte, 0, len(batch.idLines)+len(lines)*128)
-	preimage = append(preimage, batch.idLines...)
-	for _, line := range lines {
-		preimage = append(preimage, '\n')
-		preimage = append(preimage, line...)
+	if len(partials) > 0 {
+		lines := make([]string, len(partials))
+		for i, pe := range partials {
+			lines[i] = "partial:" + pe.trace.Task + "=" + pe.hash + "@" + strconv.FormatUint(pe.seq, 10)
+		}
+		sort.Strings(lines)
+		buf := make([]byte, 0, len(partials)*128)
+		for _, line := range lines {
+			buf = append(buf, '\n')
+			buf = append(buf, line...)
+		}
+		h.Write(buf)
 	}
-	return trace.HashBytes(preimage)
+	return hex.EncodeToString(h.Sum(nil))
 }

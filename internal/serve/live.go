@@ -4,9 +4,11 @@ package serve
 // checkpoint records (dtb/v2 with the incremental flag bit), each a
 // cumulative snapshot of one task's trace-so-far. The server keeps at
 // most one checkpoint per task — the highest sequence number wins, so
-// delivery order does not matter — persisted under WALDir/partials/
-// and added to the finals in the live view the /v1/live/* endpoints
-// read.
+// delivery order does not matter — and adds it to the finals in the
+// live view the /v1/live/* endpoints read. The retained checkpoint is
+// persisted under WALDir/partials/ after the snapshot that shows it is
+// published, once per burst and only if no newer record of the burst
+// superseded or retracted it; until then the WAL holds it.
 //
 // Fold/retract semantics keep the live view convergent with batch
 // analysis by construction:
@@ -159,29 +161,42 @@ func (s *Server) finalExists(task string) bool {
 	return false
 }
 
-// foldCheckpoint applies one incremental record: persist it under the
-// partials directory and retain it in memory iff it is the newest
-// checkpoint for a task that has no final yet. A delta record is first
-// reassembled onto the retained partial at its base sequence
-// (trace.ApplyDelta) and persisted in the reassembled cumulative form,
-// re-encoded deterministically — so the partials directory, restarts,
-// and the snapshot hash are indistinguishable from a cumulative
-// stream's. Runs in the single folder goroutine (or startup replay),
-// so checkpoints for one task are applied sequentially and a delta
-// always folds after its base.
-func (s *Server) foldCheckpoint(data []byte, task string, meta trace.RecordMeta) error {
+// partialFile is a checkpoint a record retained, with the bytes that
+// land for it under WALDir/partials/ once the snapshot holding it is
+// published: the record's own, or a delta's reassembled cumulative form.
+type partialFile struct {
+	entry *partialEntry
+	data  []byte
+}
+
+// partialPath is where task's retained checkpoint persists.
+func (s *Server) partialPath(task string) string {
+	return filepath.Join(s.partialsDir(), trace.TraceFileName(task, trace.FormatBinary))
+}
+
+// foldCheckpoint applies one incremental record in memory: retain it
+// iff it is the newest checkpoint for a task that has no final yet, and
+// return the file that persists it (nil when nothing was retained). A
+// delta record is first reassembled onto the retained partial at its
+// base sequence (trace.ApplyDelta) and persisted in the reassembled
+// cumulative form, re-encoded deterministically — so the partials
+// directory, restarts, and the snapshot hash are indistinguishable from
+// a cumulative stream's. Runs in the single folder goroutine (or
+// startup replay), so checkpoints for one task are applied sequentially
+// and a delta always folds after its base.
+func (s *Server) foldCheckpoint(data []byte, task string, meta trace.RecordMeta) (*partialFile, error) {
 	seq := meta.CheckpointSeq
 	if s.finalExists(task) {
-		return nil // finals supersede partials
+		return nil, nil // finals supersede partials
 	}
 	prev, ok := s.partials.lookup(task)
 	if ok && prev.seq >= seq {
-		return nil // stale delivery (retries, reordering)
+		return nil, nil // stale delivery (retries, reordering)
 	}
 	// Retain an owned decode: the raw bytes are the WAL/queue payload.
 	tt, meta2, err := trace.DecodeBytesMeta(data, trace.DecodeOptions{})
 	if err != nil || !meta2.Incremental {
-		return fmt.Errorf("%w: checkpoint re-decode: %v", errUnfoldable, err)
+		return nil, fmt.Errorf("%w: checkpoint re-decode: %v", errUnfoldable, err)
 	}
 	if meta.Delta {
 		if !ok || prev.seq != meta.DeltaBaseSeq {
@@ -191,23 +206,32 @@ func (s *Server) foldCheckpoint(data []byte, task string, meta trace.RecordMeta)
 			// will) resync cumulatively; dropping is safe and keeps
 			// refolding idempotent.
 			s.deltaDrops.Inc()
-			return nil
+			return nil, nil
 		}
 		cum := trace.ApplyDelta(prev.trace, tt)
 		var buf bytes.Buffer
 		if err := cum.EncodeBinaryOpts(&buf, trace.BinaryOptions{Incremental: true, CheckpointSeq: seq}); err != nil {
-			return fmt.Errorf("%w: reassemble delta: %v", errUnfoldable, err)
+			return nil, fmt.Errorf("%w: reassemble delta: %v", errUnfoldable, err)
 		}
 		data, tt = buf.Bytes(), cum
 		s.deltaFolds.Inc()
 	}
-	path := filepath.Join(s.partialsDir(), trace.TraceFileName(task, trace.FormatBinary))
-	if err := s.landBytes(path, data); err != nil {
-		return err
-	}
-	s.partials.fold(task, &partialEntry{seq: seq, hash: trace.HashBytes(data), trace: tt})
+	e := &partialEntry{seq: seq, hash: trace.HashBytes(data), trace: tt}
+	s.partials.fold(task, e)
 	s.partialFolds.Inc()
-	return nil
+	return &partialFile{entry: e, data: data}, nil
+}
+
+// landPartial persists a retained checkpoint's file, unless the
+// checkpoint is no longer retained as pf's entry: a newer checkpoint
+// superseded it (and lands its own file) or a final retracted it (and
+// the final's file is the task's copy).
+func (s *Server) landPartial(pf *partialFile) error {
+	task := pf.entry.trace.Task
+	if cur, ok := s.partials.lookup(task); !ok || cur != pf.entry {
+		return nil
+	}
+	return s.landBytes(s.partialPath(task), pf.data)
 }
 
 // retractPartial drops a task's retained checkpoint after its final
@@ -216,7 +240,7 @@ func (s *Server) foldCheckpoint(data []byte, task string, meta trace.RecordMeta)
 // on the next start.
 func (s *Server) retractPartial(task string) {
 	if s.partials.retract(task) {
-		_ = os.Remove(filepath.Join(s.partialsDir(), trace.TraceFileName(task, trace.FormatBinary)))
+		_ = os.Remove(s.partialPath(task))
 		s.partialRetracts.Inc()
 	}
 }

@@ -5,11 +5,16 @@ package serve
 // magic), validates it, appends the raw bytes to the write-ahead log,
 // and only then acknowledges with 200 — so an acknowledged record
 // survives a crash at any byte boundary. A single folder goroutine
-// drains acknowledged records into the watched trace directory
-// (atomic rename under the exact file name the batch loaders use),
-// advances the WAL fold checkpoint, and refreshes the snapshot from the
-// paths it wrote, keeping /v1/* responses byte-identical to the batch
-// CLI over the union of pushed and directory traces.
+// drains acknowledged records in bursts, in two steps. Apply runs each
+// record in memory — a final lands in the watched trace directory
+// (atomic rename under the exact file name the batch loaders use), a
+// checkpoint is retained — and the burst's snapshot is refreshed from
+// the paths it wrote and published, keeping /v1/* responses
+// byte-identical to the batch CLI over the union of pushed and
+// directory traces. Persist follows: the burst's retained checkpoints
+// land under WALDir/partials/, and then one WAL MarkFolded advances the
+// fold checkpoint. The WAL append already made each record durable, so
+// a crash between publish and persist re-folds from the WAL.
 //
 // Admission control is a fixed pool of queue slots: a push that finds
 // no free slot is rejected with 429 + Retry-After before anything is
@@ -53,9 +58,15 @@ type pushState struct {
 	// stuck is what the folder gave up on (written by it alone).
 	stuck atomic.Pointer[stuckFolds]
 	// landed is the trace-directory paths the folds wrote or removed
-	// since the folder's last refresh, which revises only these. It
-	// belongs to the folder goroutine: no lock.
-	landed []string
+	// since the folder's last refresh, which revises only these, and
+	// applied the records applied since the last persist, in queue order
+	// (with any whose checkpoint failed to land, retried by the next
+	// persist). Both belong to the folder goroutine: no lock.
+	landed  []string
+	applied []appliedRecord
+	// persistErr is the newest failed checkpoint landing, cleared once
+	// no applied record is held back by one.
+	persistErr atomic.Pointer[ingestError]
 
 	mu     sync.Mutex
 	closed bool
@@ -109,7 +120,7 @@ type stuckFolds struct {
 }
 
 // foldJob is one acknowledged record awaiting folding; it holds an
-// admission slot until it has folded.
+// admission slot until it has been applied.
 type foldJob struct {
 	seq  uint64
 	data []byte
@@ -326,11 +337,16 @@ func (s *Server) handleIngestManifest(w http.ResponseWriter, r *http.Request) {
 	s.writePushResponse(w, PushResponse{Status: "accepted", Hash: trace.HashBytes(data)})
 }
 
-// folder is the goroutine draining acknowledged records into the trace
-// directory, one at a time in queue order; a client pushes a task's next
-// record only after the previous one's ack, so a task's checkpoints and
-// final fold in sequence. It exits when foldQ closes (graceful shutdown
-// drains everything already acknowledged).
+// folder is the goroutine draining acknowledged records, one at a time
+// in queue order; a client pushes a task's next record only after the
+// previous one's ack, so a task's checkpoints and final fold in
+// sequence. It applies every record of a burst, publishes the burst's
+// snapshot, and only then persists the burst, so what a watcher sees
+// does not wait on the checkpoint files or the fold-point write. A
+// burst ends when the queue is empty or when the applied-but-unpersisted
+// records fill the queue's capacity, which bounds them under a queue
+// that never empties. It exits when foldQ closes (graceful shutdown
+// drains everything already acknowledged, persist included).
 func (s *Server) folder() {
 	p := s.push
 	defer close(p.foldDone)
@@ -341,15 +357,101 @@ func (s *Server) folder() {
 		s.foldOne(job)
 		<-p.sem
 		s.updateWALGauges()
-		if len(p.foldQ) == 0 {
+		if len(p.foldQ) == 0 || len(p.applied) >= cap(p.foldQ) {
 			// Coalesced refresh after a burst: the new files enter the
 			// snapshot without waiting for the poll tick, and without a
 			// directory listing — the folds name what they wrote.
 			_, _ = s.ingest(false, p.landed)
 			p.landed = p.landed[:0]
 			s.pruneAcked()
+			if h := s.cfg.persistHook; h != nil {
+				h()
+			}
+			s.persist()
 		}
 	}
+	// Every try counts toward the give-up rule, so this ends.
+	for len(p.applied) > 0 {
+		s.persist()
+	}
+}
+
+// persist is a burst's second step, after its snapshot is published:
+// the checkpoints its records retained land (persistRecords), and one
+// MarkFolded marks the rest. A record a failed landing held back stays
+// pending in the WAL and on the applied list, so the next burst retries
+// it; on its foldAttempts-th failure the folder gives up on it and on
+// the older records of its task it holds back, which then count in
+// /healthz's fold_error.
+func (s *Server) persist() {
+	p := s.push
+	start := time.Now()
+	held, err := s.persistRecords(p.wal, p.applied)
+	p.applied = p.applied[:0]
+	if len(held) > 0 {
+		gaveUp := map[string]bool{}
+		for _, r := range held {
+			if r.attempts >= foldAttempts {
+				gaveUp[r.partial.entry.trace.Task] = true
+			}
+		}
+		stuck := 0
+		for _, r := range held {
+			if gaveUp[r.partial.entry.trace.Task] {
+				stuck++
+				continue
+			}
+			p.applied = append(p.applied, r)
+		}
+		if stuck > 0 {
+			s.addStuck(stuck, err)
+		}
+	}
+	if len(p.applied) > 0 {
+		p.persistErr.Store(&ingestError{err: err, when: time.Now()})
+	} else {
+		p.persistErr.Store(nil)
+	}
+	s.persistNS.Observe(time.Since(start).Nanoseconds())
+	s.updateWALGauges()
+}
+
+// persistRecords lands the files of the checkpoints recs retained that
+// are still retained (landPartial), all before a single MarkFolded of
+// every record no failed landing holds back. A failed landing holds back
+// its record and its task's other records in recs — the older ones it
+// superseded, whose only saved form it is — so the fold point never
+// passes a checkpoint whose task has no copy outside the WAL. It
+// returns the held records, in order, and the first failure.
+func (s *Server) persistRecords(wal *WAL, recs []appliedRecord) (held []appliedRecord, err error) {
+	var failed map[string]bool
+	for i := range recs {
+		r := &recs[i]
+		if r.partial == nil {
+			continue
+		}
+		if lerr := s.landPartial(r.partial); lerr != nil {
+			r.attempts++
+			s.foldErrors.Inc()
+			if failed == nil {
+				failed = map[string]bool{}
+			}
+			failed[r.partial.entry.trace.Task] = true
+			if err == nil {
+				err = fmt.Errorf("serve: persist record %d: %w", r.seq, lerr)
+			}
+		}
+	}
+	seqs := make([]uint64, 0, len(recs))
+	for _, r := range recs {
+		if r.partial != nil && failed[r.partial.entry.trace.Task] {
+			held = append(held, r)
+			continue
+		}
+		seqs = append(seqs, r.seq)
+	}
+	wal.MarkFolded(seqs...)
+	return held, err
 }
 
 // ackedRecord is what pruneAcked needs to know about an acknowledged
@@ -395,29 +497,39 @@ func (s *Server) pruneAcked() {
 	}
 }
 
-// foldOne folds one record with bounded retries. A record that cannot
-// be folded transiently (disk full, ...) stays unfolded in the WAL —
+// foldAttempts bounds the tries at applying one record, and at landing
+// one retained checkpoint, before the folder gives up on it.
+const foldAttempts = 5
+
+// appliedRecord is a record the folder has applied and not yet
+// persisted: its fold point is unmarked and, when it retained a
+// checkpoint (partial), that checkpoint's file may still have to land.
+// attempts counts the failed landings.
+type appliedRecord struct {
+	seq      uint64
+	partial  *partialFile
+	attempts int
+}
+
+// foldOne applies one record with bounded retries. A record that cannot
+// be applied transiently (disk full, ...) stays unfolded in the WAL —
 // it is acknowledged data, so it must survive to the next replay
 // rather than being dropped — and, being invisible until then, is
 // reported by /healthz for as long as this process runs: no scan this
 // side of a restart makes it visible.
 func (s *Server) foldOne(job foldJob) {
-	const attempts = 5
 	delay := 10 * time.Millisecond
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
-		landed, err := s.foldRecord(s.push.wal, job.seq, job.data)
+		landed, rec, err := s.applyRecord(s.push.wal, job.seq, job.data)
 		s.push.landed = append(s.push.landed, landed...)
 		if err == nil {
+			s.push.applied = append(s.push.applied, rec)
 			s.foldNS.Observe(time.Since(start).Nanoseconds())
 			return
 		}
-		if attempt >= attempts {
-			stuck := stuckFolds{records: 1, err: err}
-			if prev := s.push.stuck.Load(); prev != nil {
-				stuck.records += prev.records
-			}
-			s.push.stuck.Store(&stuck)
+		if attempt >= foldAttempts {
+			s.addStuck(1, err)
 			return
 		}
 		select {
@@ -429,23 +541,34 @@ func (s *Server) foldOne(job foldJob) {
 	}
 }
 
-// foldRecord makes one attempt at folding an acknowledged record out of
-// wal and marks it folded, for the live folder and startup replay
-// alike. A payload that can never fold (it validated at push time, so
-// this means corruption that beat the CRC) is first quarantined —
-// advancing the fold checkpoint without a copy would destroy the only
-// evidence — and then marked folded so replay does not spin on it
+// addStuck counts n more records the folder gave up on, with the cause.
+func (s *Server) addStuck(n int, err error) {
+	stuck := stuckFolds{records: n, err: err}
+	if prev := s.push.stuck.Load(); prev != nil {
+		stuck.records += prev.records
+	}
+	s.push.stuck.Store(&stuck)
+}
+
+// applyRecord makes one attempt at applying an acknowledged record out
+// of wal, for the live folder and startup replay alike; the record is
+// marked folded by its persist step (persistRecords). A payload that
+// can never fold (it validated at push time, so this means corruption
+// that beat the CRC) is first quarantined — advancing the fold
+// checkpoint without a copy would destroy the only evidence — and then
+// applied as a record that saves nothing, so replay does not spin on it
 // forever. Any failure is counted and surfaced on /healthz; a non-nil
 // error means the record is still pending in the WAL. landed is what
 // foldBytes wrote or removed in the trace directory, error or not.
-func (s *Server) foldRecord(wal *WAL, seq uint64, data []byte) (landed []string, err error) {
-	landed, err = s.foldBytes(data)
+func (s *Server) applyRecord(wal *WAL, seq uint64, data []byte) (landed []string, rec appliedRecord, err error) {
+	rec.seq = seq
+	landed, rec.partial, err = s.foldBytes(data)
 	if err != nil {
 		err = fmt.Errorf("serve: fold record %d: %w", seq, err)
 		s.foldErrors.Inc()
 		s.lastErr.Store(&ingestError{err: err, when: time.Now()})
 		if !errors.Is(err, errUnfoldable) {
-			return landed, err
+			return landed, rec, err
 		}
 		// Quarantine names carry the WAL namespace's directory name
 		// (nothing for the flat root): every namespace numbers its
@@ -459,11 +582,10 @@ func (s *Server) foldRecord(wal *WAL, seq uint64, data []byte) (landed []string,
 		if qerr := s.quarantineRecord(qprefix, seq, data); qerr != nil {
 			qerr = fmt.Errorf("serve: quarantine record %d: %w", seq, qerr)
 			s.lastErr.Store(&ingestError{err: qerr, when: time.Now()})
-			return landed, qerr
+			return landed, rec, qerr
 		}
 	}
-	wal.MarkFolded(seq)
-	return landed, nil
+	return landed, rec, nil
 }
 
 // errUnfoldable marks fold failures that no retry can cure.
@@ -504,27 +626,30 @@ func (s *Server) countQuarantined() int {
 	return n
 }
 
-// foldBytes lands one acknowledged payload in the trace directory
-// under the exact name the batch loaders expect, preserving the
-// pushed bytes (so the file's content hash equals the push hash and
-// dedup survives restarts). Folding is idempotent: re-folding the
-// same payload rewrites the same file with the same bytes. landed names
-// the trace-directory paths it wrote or removed: a final's file and its
-// twin, nothing for a checkpoint (it lands under the WAL directory).
-func (s *Server) foldBytes(data []byte) (landed []string, err error) {
+// foldBytes applies one acknowledged payload. A final lands in the
+// trace directory under the exact name the batch loaders expect,
+// preserving the pushed bytes (so the file's content hash equals the
+// push hash and dedup survives restarts); a checkpoint is retained in
+// memory, and partial is the file its persist step lands (see
+// foldCheckpoint). Folding is idempotent: re-folding the same payload
+// rewrites the same file with the same bytes. landed names the
+// trace-directory paths it wrote or removed: a final's file and its
+// twin, nothing for a checkpoint.
+func (s *Server) foldBytes(data []byte) (landed []string, partial *partialFile, err error) {
 	// Zero-copy decode: only the task name is read before the raw
 	// bytes land on disk.
 	tt, meta, err := trace.DecodeBytesMeta(data, trace.DecodeOptions{ZeroCopy: true})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errUnfoldable, err)
+		return nil, nil, fmt.Errorf("%w: %v", errUnfoldable, err)
 	}
 	if meta.Incremental {
-		return nil, s.foldCheckpoint(data, tt.Task, meta)
+		partial, err = s.foldCheckpoint(data, tt.Task, meta)
+		return nil, partial, err
 	}
 	format := trace.SniffFormat(data)
 	path := filepath.Join(s.cfg.Dir, trace.TraceFileName(tt.Task, format))
 	if err := s.landBytes(path, data); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Remove a stale twin in the other serialization so the task is
 	// never analyzed twice. (A crash between rename and remove leaves
@@ -536,18 +661,19 @@ func (s *Server) foldBytes(data []byte) (landed []string, err error) {
 	twin := filepath.Join(s.cfg.Dir, trace.TraceFileName(tt.Task, other))
 	landed = []string{path, twin}
 	if err := os.Remove(twin); err != nil && !os.IsNotExist(err) {
-		return landed, err
+		return landed, nil, err
 	}
 	// The final supersedes any streamed checkpoint for this task.
 	s.retractPartial(tt.Task)
-	return landed, nil
+	return landed, nil, nil
 }
 
 // landBytes atomically lands one acknowledged payload (a folded trace,
 // a retained checkpoint, a quarantined record). MarkFolded follows each
-// of these writes and lets compaction delete the record's only synced
-// copy, so under FsyncAlways the file and its directory are synced
-// first; the other policies promise no more than the WAL itself does.
+// of these writes — in the same burst's persist step — and lets
+// compaction delete the record's only synced copy, so under FsyncAlways
+// the file and its directory are synced first; the other policies
+// promise no more than the WAL itself does.
 func (s *Server) landBytes(path string, data []byte) error {
 	return atomicfile.Write(path, s.cfg.WAL.Fsync == FsyncAlways, func(w io.Writer) error {
 		_, err := w.Write(data)

@@ -103,10 +103,13 @@ type Config struct {
 
 	// Test seams, unset outside this package's tests. foldHook runs in
 	// the folder goroutine before each record folds (used to hold the
-	// queue full); retryAfter replaces the 1s backpressure hint sent
+	// queue full); persistHook runs in it after a burst's snapshot is
+	// published and before the burst persists (used to hold the crash
+	// window open); retryAfter replaces the 1s backpressure hint sent
 	// with 429 responses; sseHeartbeat replaces the 15s /v1/live/events
 	// keep-alive comment interval.
 	foldHook     func(foldJob)
+	persistHook  func()
 	retryAfter   time.Duration
 	sseHeartbeat time.Duration
 }
@@ -127,12 +130,13 @@ type view struct {
 
 	// The directory listing, set on the batch view only: the /v1/tasks
 	// rows, the task names and content hashes of the trace files, and
-	// the batch part of the snapshot id's preimage (the manifest hash
-	// and every trace file's name and content hash).
+	// the marshalled SHA-256 state after the batch part of the snapshot
+	// id's preimage (the manifest hash and every trace file's name and
+	// content hash), which snapshotID resumes.
 	tasks   []TaskInfo
 	taskSet map[string]bool
 	hashes  map[string]bool
-	idLines string
+	idState []byte
 }
 
 // snapshot is an immutable view of one served state: two views, both
@@ -261,6 +265,7 @@ type Server struct {
 	walSegments     *obs.Gauge
 	queueDepth      *obs.Gauge
 	foldNS          *obs.Histogram
+	persistNS       *obs.Histogram
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -326,8 +331,12 @@ func NewServer(cfg Config) (*Server, error) {
 		queueDepth:      reg.Gauge("dayu_serve_ingest_queue_depth"),
 		// The one fold histogram keeps the name and label it had when
 		// there was one per shard: benchmark/stream.go reads it by that
-		// name for serve.fold_us.
-		foldNS: reg.Histogram(obs.Name("dayu_serve_shard_fold_ns", "shard", "0"), obs.LatencyBuckets()),
+		// name for serve.fold_us. It times a record's apply (retries
+		// included); what the folder writes after publishing — the
+		// burst's checkpoint files and fold point — is persistNS, one
+		// observation per burst.
+		foldNS:    reg.Histogram(obs.Name("dayu_serve_shard_fold_ns", "shard", "0"), obs.LatencyBuckets()),
+		persistNS: reg.Histogram("dayu_serve_persist_ns", obs.LatencyBuckets()),
 
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -429,8 +438,13 @@ func (s *Server) replayWAL(dir string) (*WAL, error) {
 		if tt, meta, err := trace.DecodeBytesMeta(rec.Data, trace.DecodeOptions{ZeroCopy: true}); err == nil {
 			s.push.acked[trace.HashBytes(rec.Data)] = newAckedRecord(tt.Task, meta)
 		}
-		// The initial scan lists what replay lands.
-		if _, err := s.foldRecord(wal, rec.Seq, rec.Data); err != nil {
+		// Applied and persisted at once; the initial scan lists what
+		// replay lands.
+		_, applied, err := s.applyRecord(wal, rec.Seq, rec.Data)
+		if err == nil {
+			_, err = s.persistRecords(wal, []appliedRecord{applied})
+		}
+		if err != nil {
 			wal.Close()
 			return nil, fmt.Errorf("serve: replay wal %s: %w", dir, err)
 		}
@@ -922,6 +936,12 @@ type WALHealth struct {
 	// failed (a full or read-only WAL directory); it degrades the overall
 	// status until a later checkpoint lands.
 	CheckpointError string `json:"checkpoint_error,omitempty"`
+	// PersistError is the cause when a retained checkpoint's file failed
+	// to land after its snapshot was published: the record is visible
+	// but saved only in the WAL, and stays pending while the next bursts
+	// retry the landing. It degrades the overall status until a landing
+	// succeeds or the folder gives up (FoldError).
+	PersistError string `json:"persist_error,omitempty"`
 	// FoldError is the cause when the folder gave up on records, with
 	// their count: they are acknowledged but will not be visible before a
 	// restart replays the WAL, so the status stays degraded until then.
@@ -961,6 +981,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			FoldedSeq:      stats.Folded,
 			PartialTasks:   s.partials.count(),
 			Quarantined:    s.countQuarantined(),
+		}
+		if pe := p.persistErr.Load(); pe != nil {
+			wh.PersistError = pe.err.Error()
+			h.Status = "degraded"
 		}
 		if st := p.stuck.Load(); st != nil {
 			wh.FoldError = fmt.Sprintf("%d record(s) pending until restart: %v", st.records, st.err)

@@ -16,15 +16,17 @@ package serve
 //
 // Sequence numbers are global and monotone; a segment's records are
 // implicitly numbered from its header's first-seq. MarkFolded records
-// one sequence number as folded into a saved trace file; the
-// checkpoint advances only over a contiguous prefix of folded records,
-// so folds that complete out of sequence order (or a fold that gave up
-// and left its record pending) can never move the checkpoint past an
-// unfolded acknowledged record. Compaction deletes closed segments
-// whose records are all below the checkpoint. The checkpoint is an
-// optimization, not a correctness dependency: folding is idempotent (a
-// content-addressed overwrite of the same trace file), so a lost
-// checkpoint merely re-folds.
+// sequence numbers as folded, once what each record saves is on disk;
+// the live folder calls it once per burst, after the burst is already
+// published and its checkpoints have landed. The checkpoint advances
+// only over a contiguous prefix of folded records, so folds that
+// complete out of sequence order (or a fold that gave up and left its
+// record pending) can never move the checkpoint past an unfolded
+// acknowledged record. Compaction deletes closed segments whose records
+// are all below the checkpoint. The checkpoint is an optimization, not
+// a correctness dependency: folding is idempotent (a content-addressed
+// overwrite of the same trace file), so a lost checkpoint — or a crash
+// between a burst's publish and its MarkFolded — merely re-folds.
 
 import (
 	"bufio"
@@ -376,23 +378,26 @@ func (w *WAL) rotateLocked() error {
 	return nil
 }
 
-// MarkFolded records that the record at seq has been folded into a
-// saved trace file. The checkpoint advances only over a contiguous
-// prefix of folded sequence numbers — a fold completing out of order
-// is remembered but cannot move the checkpoint past an earlier record
-// that is still unfolded, so that record always replays after a
-// crash. When the prefix advances, the checkpoint is persisted and
-// fully-folded closed segments are deleted. A failed checkpoint write
-// is not fatal (replay just re-folds) but it is loud — Stats carries it
-// to /healthz — and it holds compaction back: while the checkpoint on
-// disk is behind, the segments it still points into stay.
-func (w *WAL) MarkFolded(seq uint64) {
+// MarkFolded records that the records at seqs have been folded: each
+// one's trace file or retained checkpoint is saved, or it needed none.
+// The checkpoint advances only over a contiguous prefix of folded
+// sequence numbers — a fold completing out of order is remembered but
+// cannot move the checkpoint past an earlier record that is still
+// unfolded, so that record always replays after a crash. One call marks
+// a whole burst, in any order, with at most one checkpoint write: when
+// the prefix advances, the checkpoint is persisted and fully-folded
+// closed segments are deleted. A failed checkpoint write is not fatal
+// (replay just re-folds) but it is loud — Stats carries it to /healthz —
+// and it holds compaction back: while the checkpoint on disk is behind,
+// the segments it still points into stay.
+func (w *WAL) MarkFolded(seqs ...uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if seq < w.folded {
-		return
+	for _, seq := range seqs {
+		if seq >= w.folded {
+			w.foldedAhead[seq] = true
+		}
 	}
-	w.foldedAhead[seq] = true
 	advanced := false
 	for w.foldedAhead[w.folded] {
 		delete(w.foldedAhead, w.folded)
