@@ -2,6 +2,7 @@ package analyzer
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 
 	"dayu/internal/graph"
@@ -28,28 +29,38 @@ import (
 //   - a node: the AddNode fold of its occurrences in task order. The
 //     node's scope lists them and refolds when one arrives or leaves —
 //     AddNode keeps a minimum, a maximum and last-writer attributes, so
-//     an occurrence cannot be subtracted.
+//     an occurrence cannot be subtracted. The fold is associative, so a
+//     node with many occurrences keeps the folds of blocks of them and
+//     refolds only the block that changed, then merges the blocks; and
+//     a task's new trace that takes its old one's place keeps the
+//     unchanged occurrences in place, their nodes not refolded.
 //   - node order: first-occurrence order. Each task's part lists the
 //     nodes whose first occurrence it holds, by index in its
 //     contribution, and the node list is those lists concatenated in
 //     task order; a node whose first occurrence moves changes lists.
 //   - the edges: the per-task edge lists concatenated in task order,
 //     each edge a copy of its contribution's with Reused decided.
-//   - the graph: graph.Assemble over the per-task node and edge lists
-//     as runs, so a patch publishes a list of T runs, not a copy of
-//     every node and edge, and a task's lists are shared with every
-//     graph since the last change to them.
+//   - the graph: graph.Assemble over runs of node and edge lists. The
+//     tasks are cut into chunks of consecutive tasks, and a chunk's
+//     runs are its tasks' lists concatenated, so a patch copies the
+//     lists of the chunks its tasks are in and publishes one run per
+//     chunk; the other chunks' runs are shared with every graph since
+//     the last change to them.
 //   - Reused: a read edge is flagged when its source node's kind is one
 //     markReuse flags and at least two distinct tasks read that node.
 //     The index counts each node's read edges per reading task, and
 //     copies a node's read edges only when it crosses two readers.
 //
-// Sync finds added, replaced and removed tasks by trace pointer —
-// traces and manifests are immutable and pointer-stable. A first Sync,
-// one under a new manifest and one whose retained tasks changed
-// relative order rebuild from empty through the batch builders' fold.
-// Nothing is keyed by task name, so tasks sharing a name need no
-// special case.
+// Apply takes the change as the caller knows it — `dayu serve` gets it
+// from the fold, through its TaskSets — and costs what changed: the
+// removed tasks are looked up by trace and the task list is edited at
+// their positions and at the added ones' (Change.At). Sync is
+// Apply for callers that hold only the new order: it finds the change
+// by looking up every task by trace pointer (traces and manifests are
+// immutable and pointer-stable). A first call, one under a new manifest
+// and one whose retained tasks changed relative order rebuild from
+// empty through the batch builders' fold. Nothing is keyed by task
+// name, so tasks sharing a name need no special case.
 //
 // Published graphs are immutable: renders of an older snapshot run
 // while the index moves on. A patch therefore builds new node and edge
@@ -68,8 +79,9 @@ type GraphIndex struct {
 
 	manifest *trace.Manifest
 	tasks    []*graphTask // task order
+	spare    []*graphTask // the previous task list's array, cleared
 	byTrace  map[*trace.TaskTrace]*graphTask
-	gen      uint64 // stamps the tasks the Sync in progress retains
+	gen      uint64 // stamps the tasks a diff retains, or a patch removes
 
 	descs      map[trace.RowKey]*descScope
 	dirtyDescs []*descScope
@@ -78,7 +90,26 @@ type GraphIndex struct {
 	restale []*graphTask
 
 	layers     [2]layer // the FTG and the SDG
+	chunks     []*taskChunk
 	recomputed int
+}
+
+// chunkMax bounds a chunk's tasks: a patch copies the lists of the
+// chunks it touches, and a graph holds a run per chunk.
+const chunkMax = 32
+
+// taskChunk is a run of consecutive tasks in task order and, per
+// layer, their node and edge lists concatenated: the runs the layer's
+// graph is assembled from. Published runs are never written again.
+type taskChunk struct {
+	n    int // tasks in the chunk
+	runs [2]chunkRuns
+}
+
+type chunkRuns struct {
+	nodes []*graph.Node
+	edges []*graph.Edge
+	stale bool // the tasks' lists changed since nodes and edges were cut
 }
 
 // Graphs is what one Sync returns.
@@ -87,6 +118,9 @@ type Graphs struct {
 	// Recomputed counts the contributions the Sync computed; Reused the
 	// ones it kept or took from the peer.
 	Recomputed, Reused int
+	// Diffed counts the tasks a Sync visited to find its change; an
+	// Apply, told the change, visits none.
+	Diffed int
 }
 
 const (
@@ -98,6 +132,7 @@ type graphTask struct {
 	trace *trace.TaskTrace
 	pos   int
 	gen   uint64
+	chunk *taskChunk
 	// describes has a scope per Objects record; refs a scope per object
 	// the task maps, once each.
 	describes, refs []*descScope
@@ -139,7 +174,7 @@ type layer struct {
 	shape *shape
 	nodes map[string]*nodeScope
 	dirty []*nodeScope
-	stale []*part
+	stale []*graphTask // tasks whose node list must be rebuilt
 	out   *graph.Graph
 }
 
@@ -148,6 +183,17 @@ type nodeScope struct {
 	occ  []occurrence // task order, then index in the contribution
 	occ1 [1]occurrence
 	node *graph.Node // the fold of occ, as published
+	// A node with more than foldBlock occurrences folds them in blocks:
+	// bsize[b] consecutive occurrences each, and bfold[b] their fold, nil
+	// once an occurrence of the block came or went. Merge is associative,
+	// so the node is the fold of the blocks, and a change refolds its own
+	// block and merges the others' folds: an occurrence costs its block,
+	// not the node's history. A block splits past twice foldBlock.
+	bsize []int
+	bfold []*graph.Node
+	// kept: the patch in progress replaced occurrences with equal ones
+	// and nothing else, so the fold stands.
+	kept bool
 	// first is the occurrence whose part lists the node: occ[0] when
 	// the node was folded, zero once that part left.
 	first occurrence
@@ -192,9 +238,33 @@ func (ix *GraphIndex) reset() {
 
 // Sync brings the index to the trace set ordered under manifest m —
 // ordered must be OrderTasks(traces, m) — and returns its FTG and SDG.
+// It finds what changed since the last call by visiting every task
+// (Graphs.Diffed counts them); Apply is the same step told the change.
 func (ix *GraphIndex) Sync(ordered []*trace.TaskTrace, m *trace.Manifest) Graphs {
+	var ch Change
+	diffed, ok := 0, false
+	if m == ix.manifest && len(ix.tasks) > 0 {
+		ch, ok = ix.diff(ordered)
+		diffed = len(ordered)
+	}
+	if !ok {
+		ix.manifest = nil // rebuild
+	}
+	g := ix.Apply(ordered, m, ch)
+	g.Diffed = diffed
+	return g
+}
+
+// Apply brings the index to ordered — the indexed set edited by ch, in
+// OrderTasks order under m — and returns its FTG and SDG. It costs the
+// change: the removed tasks are found by trace and the added ones put
+// where ch.At says (without it, by matching the new order against the
+// old one, one pointer comparison per task), with no lookup of the
+// tasks that stay. A first call, a new manifest, and an ordered that is
+// not the edit ch describes rebuild from empty.
+func (ix *GraphIndex) Apply(ordered []*trace.TaskTrace, m *trace.Manifest, ch Change) Graphs {
 	ix.recomputed = 0
-	if m != ix.manifest || !ix.patch(ordered) {
+	if m != ix.manifest || !ix.patch(ordered, ch) {
 		ix.rebuild(ordered)
 		ix.manifest = m
 	}
@@ -202,6 +272,31 @@ func (ix *GraphIndex) Sync(ordered []*trace.TaskTrace, m *trace.Manifest) Graphs
 		FTG: ix.layers[lFTG].out, SDG: ix.layers[lSDG].out,
 		Recomputed: ix.recomputed, Reused: 2*len(ix.tasks) - ix.recomputed,
 	}
+}
+
+// diff is the change from the indexed set to ordered, found by trace
+// pointer; ok is false when retained tasks changed relative order.
+func (ix *GraphIndex) diff(ordered []*trace.TaskTrace) (ch Change, ok bool) {
+	ix.gen++
+	last := -1
+	for i, tt := range ordered {
+		t := ix.byTrace[tt]
+		if t == nil {
+			ch.Added, ch.At = append(ch.Added, tt), append(ch.At, i)
+			continue
+		}
+		if t.pos <= last {
+			return ch, false
+		}
+		last = t.pos
+		t.gen = ix.gen
+	}
+	for _, t := range ix.tasks {
+		if t.gen != ix.gen {
+			ch.Removed = append(ch.Removed, t.trace)
+		}
+	}
+	return ch, true
 }
 
 // Len is the number of tasks the index holds.
@@ -268,6 +363,95 @@ func (ix *GraphIndex) rebuild(ordered []*trace.TaskTrace) {
 		}
 		ix.layers[k].adopt(ix.tasks, k, ix.layers[k].shape.fold(contribs))
 	}
+	// The fold's graphs are published as they are; the chunks are what
+	// the next patch assembles from.
+	for tasks := ix.tasks; len(tasks) > 0; {
+		n := min(len(tasks), chunkMax/2)
+		c := &taskChunk{n: n}
+		for _, t := range tasks[:n] {
+			t.chunk = c
+		}
+		c.cut(tasks[:n])
+		ix.chunks = append(ix.chunks, c)
+		tasks = tasks[n:]
+	}
+}
+
+// cut re-concatenates the stale runs of a chunk of tasks, or all of
+// them from a rebuild.
+func (c *taskChunk) cut(tasks []*graphTask) {
+	for k := range c.runs {
+		r := &c.runs[k]
+		if r.nodes != nil && !r.stale {
+			continue
+		}
+		r.stale = false
+		nn, ne := 0, 0
+		for _, t := range tasks {
+			nn += len(t.parts[k].nodes)
+			ne += len(t.parts[k].edges)
+		}
+		r.nodes, r.edges = make([]*graph.Node, 0, nn), make([]*graph.Edge, 0, ne)
+		for _, t := range tasks {
+			r.nodes = append(r.nodes, t.parts[k].nodes...)
+			r.edges = append(r.edges, t.parts[k].edges...)
+		}
+	}
+}
+
+func (c *taskChunk) restale(k int) { c.runs[k].stale = true }
+
+// publish brings the chunks up to the patched task list — emptied
+// chunks leave, overfull ones split, stale runs are re-cut — and
+// assembles each layer whose runs changed.
+func (ix *GraphIndex) publish() {
+	var changed [2]bool
+	chunks := make([]*taskChunk, 0, len(ix.chunks)+1)
+	start := 0
+	for _, c := range ix.chunks {
+		if c.n == 0 {
+			changed = [2]bool{true, true}
+			continue
+		}
+		tasks := ix.tasks[start : start+c.n]
+		start += c.n
+		for len(tasks) > chunkMax {
+			// Split: the rest of the tasks move to new chunks.
+			c.n = chunkMax / 2
+			c.restale(lFTG)
+			c.restale(lSDG)
+			c.cut(tasks[:c.n])
+			chunks = append(chunks, c)
+			tasks = tasks[c.n:]
+			c = &taskChunk{n: len(tasks)}
+			for _, t := range tasks {
+				t.chunk = c
+			}
+		}
+		for k := range c.runs {
+			changed[k] = changed[k] || c.runs[k].stale || c.runs[k].nodes == nil
+		}
+		c.cut(tasks)
+		chunks = append(chunks, c)
+	}
+	ix.chunks = chunks
+	for k := range ix.layers {
+		if !changed[k] {
+			continue
+		}
+		nodes := make([][]*graph.Node, 0, len(chunks))
+		edges := make([][]*graph.Edge, 0, len(chunks))
+		for _, c := range chunks {
+			if r := c.runs[k]; len(r.nodes) > 0 {
+				nodes = append(nodes, r.nodes)
+			}
+			if r := c.runs[k]; len(r.edges) > 0 {
+				edges = append(edges, r.edges)
+			}
+		}
+		l := &ix.layers[k]
+		l.out = graph.Assemble(l.shape.name, nodes, edges)
+	}
 }
 
 // adopt takes g, the fold of the tasks' k contributions, as the layer's
@@ -318,47 +502,71 @@ func (l *layer) adopt(tasks []*graphTask, k int, g *graph.Graph) {
 	}
 }
 
-// patch applies the difference between the indexed set and ordered. It
+// patch applies the edit ch that made the indexed set ordered. It
 // reports false — leaving the index to be rebuilt — on a first Sync or
-// when retained tasks changed relative order, before changing anything
-// but the tasks' generation stamps.
-func (ix *GraphIndex) patch(ordered []*trace.TaskTrace) bool {
+// when ordered is not that edit (a removed trace is not indexed, a
+// retained task moved relative to the others, an added trace is not
+// where ch.At puts it), before changing anything but the tasks'
+// generation stamps.
+func (ix *GraphIndex) patch(ordered []*trace.TaskTrace, ch Change) bool {
 	if len(ix.tasks) == 0 {
 		return false
 	}
+	gone := ch.Removed
 	ix.gen++
-	next := make([]*graphTask, 0, len(ordered))
-	last := -1
-	for _, tt := range ordered {
+	at := make([]int, 0, len(gone))
+	for _, tt := range gone {
 		t := ix.byTrace[tt]
-		if t != nil {
-			if t.pos <= last {
-				return false
-			}
-			last = t.pos
-			t.gen = ix.gen
+		if t == nil || t.gen == ix.gen {
+			return false
 		}
-		next = append(next, t)
+		t.gen = ix.gen
+		at = append(at, t.pos)
 	}
+	// Edited in place when ch says where, else matched into the spare
+	// array (the list before the last match).
+	from, to, ok := EditList(&ix.tasks, &ix.spare, ordered, ch, at,
+		func(t *graphTask) bool { return t.gen == ix.gen },
+		func(t *graphTask) *trace.TaskTrace { return t.trace },
+		func(tt *trace.TaskTrace) bool { return ix.byTrace[tt] != nil })
+	if !ok {
+		return false
+	}
+	next := ix.tasks
 
 	var removed, added []*graphTask
-	for _, t := range ix.tasks {
-		if t.gen != ix.gen {
-			removed = append(removed, t)
-			delete(ix.byTrace, t.trace)
-			ix.unlinkDescs(t)
-		}
+	for _, tt := range gone {
+		t := ix.byTrace[tt]
+		removed = append(removed, t)
+		delete(ix.byTrace, tt)
+		ix.unlinkDescs(t)
 	}
-	for i, t := range next {
+	for _, t := range removed {
+		t.chunk.n--
+		t.chunk.restale(lFTG)
+		t.chunk.restale(lSDG)
+	}
+	for i := from; i < to; i++ {
+		t := next[i]
 		if t == nil {
-			t = &graphTask{trace: ordered[i], gen: ix.gen}
+			// A new task joins its predecessor's chunk, or the first.
+			t = &graphTask{trace: ordered[i]}
+			switch {
+			case i > 0:
+				t.chunk = next[i-1].chunk
+			case len(ix.chunks) > 0:
+				t.chunk = ix.chunks[0]
+			default:
+				t.chunk = &taskChunk{}
+				ix.chunks = append(ix.chunks, t.chunk)
+			}
+			t.chunk.n++
 			next[i] = t
 			added = append(added, t)
 			ix.byTrace[t.trace] = t
 		}
 		t.pos = i
 	}
-	ix.tasks = next
 	for _, t := range added {
 		ix.linkDescs(t)
 	}
@@ -390,8 +598,9 @@ func (ix *GraphIndex) patch(ordered []*trace.TaskTrace) bool {
 		ftgOut[i] = outgoing{t, t.parts[lFTG]}
 		sdgOut = append(sdgOut, outgoing{t, t.parts[lSDG]})
 	}
-	ix.layers[lFTG].patch(ix.tasks, lFTG, ftgOut, added)
-	ix.layers[lSDG].patch(ix.tasks, lSDG, sdgOut, append(sdgIn, added...))
+	ix.layers[lFTG].patch(lFTG, ftgOut, added)
+	ix.layers[lSDG].patch(lSDG, sdgOut, append(sdgIn, added...))
+	ix.publish()
 	// A rebuild allocates its tasks in one slab, which a removed task
 	// must not keep its trace and contributions alive through.
 	for _, t := range removed {
@@ -565,14 +774,24 @@ func (s *nodeScope) read(reader string, delta int) {
 }
 
 // patch takes the outgoing parts out of the layer and puts the incoming
-// tasks' parts in, then publishes the layer's graph over tasks.
-func (l *layer) patch(tasks []*graphTask, k int, out []outgoing, in []*graphTask) {
+// tasks' parts in, marking the chunks whose lists changed stale.
+func (l *layer) patch(k int, out []outgoing, in []*graphTask) {
 	if len(out) == 0 && len(in) == 0 {
 		return
 	}
-	for _, o := range out {
+	outKept, inKept := l.keep(k, out, in)
+	for oi, o := range out {
 		for i := range o.part.c.nodes {
+			if outKept[oi] != nil && outKept[oi][i] {
+				continue
+			}
 			s := l.nodes[o.part.c.nodes[i].ID]
+			s.kept = false
+			for at := len(s.occ) - 1; at >= 0; at-- {
+				if s.occ[at].task == o.task {
+					s.unblock(at)
+				}
+			}
 			s.occ = slices.DeleteFunc(s.occ, func(oc occurrence) bool { return oc.task == o.task })
 			if s.first.task == o.task {
 				s.first = occurrence{}
@@ -585,12 +804,17 @@ func (l *layer) patch(tasks []*graphTask, k int, out []outgoing, in []*graphTask
 			}
 		}
 	}
-	for _, t := range in {
+	for ti, t := range in {
 		c := t.parts[k].c
 		for i := range c.nodes {
+			if inKept[ti] != nil && inKept[ti][i] {
+				continue
+			}
 			s := l.scope(c.nodes[i].ID)
+			s.kept = false
 			at, _ := slices.BinarySearchFunc(s.occ, t.pos+1, func(oc occurrence, pos int) int { return cmp.Compare(oc.task.pos, pos) })
 			s.occ = slices.Insert(s.occ, at, occurrence{t, i})
+			s.block(at)
 			l.touch(s)
 		}
 		for _, e := range c.edges {
@@ -608,25 +832,25 @@ func (l *layer) patch(tasks []*graphTask, k int, out []outgoing, in []*graphTask
 		s.dirty = false
 		if len(s.occ) == 0 {
 			delete(l.nodes, s.id)
-			s.node, s.readers = nil, nil // adopt's slab may outlive it
+			s.node, s.readers, s.bsize, s.bfold = nil, nil, nil, nil // adopt's slab may outlive it
 			continue
 		}
-		s.node = s.occ[0].node(k).Clone()
-		for _, oc := range s.occ[1:] {
-			s.node.Merge(oc.node(k))
+		if !s.kept {
+			s.node = s.fold(k)
 		}
+		s.kept = false
 		if s.first != s.occ[0] {
 			if s.first.task != nil {
 				p := &s.first.task.parts[k]
 				p.firsts = slices.DeleteFunc(p.firsts, func(x *nodeScope) bool { return x == s })
-				l.restale(p)
+				l.restale(s.first.task, k)
 			}
 			s.first = s.occ[0]
 			p := &s.first.task.parts[k]
 			at, _ := slices.BinarySearchFunc(p.firsts, s.first.i, func(x *nodeScope, i int) int { return cmp.Compare(x.first.i, i) })
 			p.firsts = slices.Insert(p.firsts, at, s)
 		}
-		l.restale(&s.first.task.parts[k])
+		l.restale(s.first.task, k)
 		if reused := l.shape.flags(s.node.Kind) && len(s.readers) >= 2; reused != s.reused {
 			s.reused = reused
 			l.flip(s, k)
@@ -635,6 +859,7 @@ func (l *layer) patch(tasks []*graphTask, k int, out []outgoing, in []*graphTask
 	clear(l.dirty)
 	l.dirty = l.dirty[:0]
 	for _, t := range in {
+		t.chunk.restale(k)
 		p := &t.parts[k]
 		slab := make([]graph.Edge, len(p.c.edges))
 		p.edges = make([]*graph.Edge, len(slab))
@@ -647,34 +872,160 @@ func (l *layer) patch(tasks []*graphTask, k int, out []outgoing, in []*graphTask
 		}
 	}
 
-	for _, p := range l.stale {
+	for _, t := range l.stale {
+		p := &t.parts[k]
 		p.stale = false
 		p.nodes = make([]*graph.Node, len(p.firsts))
 		for i, s := range p.firsts {
 			p.nodes[i] = s.node
 		}
+		t.chunk.restale(k)
 	}
 	clear(l.stale)
 	l.stale = l.stale[:0]
-	nodes := make([][]*graph.Node, 0, len(tasks))
-	edges := make([][]*graph.Edge, 0, len(tasks))
-	for _, t := range tasks {
-		p := &t.parts[k]
-		if len(p.nodes) > 0 {
-			nodes = append(nodes, p.nodes)
-		}
-		if len(p.edges) > 0 {
-			edges = append(edges, p.edges)
-		}
-	}
-	l.out = graph.Assemble(l.shape.name, nodes, edges)
 }
 
-// restale marks a part whose published node list must be rebuilt.
-func (l *layer) restale(p *part) {
-	if !p.stale {
+// foldBlock is how many occurrences a block of a node's fold holds.
+const foldBlock = 8
+
+// block enters an occurrence inserted at index at into its block.
+func (s *nodeScope) block(at int) {
+	if len(s.bsize) == 0 {
+		s.bsize, s.bfold = nil, nil // the fold cuts the blocks afresh
+		return
+	}
+	b, off := 0, 0
+	for b < len(s.bsize)-1 && at > off+s.bsize[b] {
+		off += s.bsize[b]
+		b++
+	}
+	s.bsize[b]++
+	s.bfold[b] = nil
+	if n := s.bsize[b]; n > 2*foldBlock {
+		s.bsize[b] = n / 2
+		s.bsize = slices.Insert(s.bsize, b+1, n-n/2)
+		s.bfold = slices.Insert(s.bfold, b+1, nil)
+	}
+}
+
+// unblock takes the occurrence at index at out of its block.
+func (s *nodeScope) unblock(at int) {
+	if s.bsize == nil {
+		return
+	}
+	b, off := 0, 0
+	for at >= off+s.bsize[b] {
+		off += s.bsize[b]
+		b++
+	}
+	if s.bsize[b]--; s.bsize[b] == 0 {
+		s.bsize = slices.Delete(s.bsize, b, b+1)
+		s.bfold = slices.Delete(s.bfold, b, b+1)
+		return
+	}
+	s.bfold[b] = nil
+}
+
+// fold is the AddNode fold of the node's occurrences, as a new node:
+// the stale blocks refolded, then the blocks' folds merged.
+func (s *nodeScope) fold(k int) *graph.Node {
+	if len(s.occ) <= foldBlock {
+		s.bsize, s.bfold = nil, nil
+		return foldOccurrences(s.occ, k)
+	}
+	if s.bsize == nil {
+		for n := len(s.occ); n > 0; n -= min(n, foldBlock) {
+			s.bsize = append(s.bsize, min(n, foldBlock))
+			s.bfold = append(s.bfold, nil)
+		}
+	}
+	var node *graph.Node
+	off := 0
+	for b, n := range s.bsize {
+		if s.bfold[b] == nil {
+			s.bfold[b] = foldOccurrences(s.occ[off:off+n], k)
+		}
+		off += n
+		if b == 0 {
+			node = s.bfold[0].Clone()
+		} else {
+			node.Merge(s.bfold[b])
+		}
+	}
+	return node
+}
+
+func foldOccurrences(occ []occurrence, k int) *graph.Node {
+	node := occ[0].node(k).Clone()
+	for _, oc := range occ[1:] {
+		node.Merge(oc.node(k))
+	}
+	return node
+}
+
+// keep replaces in place the occurrences an incoming task takes over
+// unchanged from the outgoing part it follows — same task name, same
+// position: a newer checkpoint, the final, an SDG part recomputed —
+// so their nodes stand without a refold. Only a node ID the two
+// contributions hold once each qualifies. It returns, per outgoing part
+// and per incoming task, the contribution indices it took over.
+func (l *layer) keep(k int, out []outgoing, in []*graphTask) (outKept, inKept [][]bool) {
+	outKept, inKept = make([][]bool, len(out)), make([][]bool, len(in))
+	for ti, t := range in {
+		for oi, o := range out {
+			if outKept[oi] != nil || o.task.trace.Task != t.trace.Task || o.task.pos != t.pos {
+				continue
+			}
+			old, cur := o.part.c.nodes, t.parts[k].c.nodes
+			once := func(nodes []graph.Node) map[string]int {
+				at := make(map[string]int, len(nodes))
+				for i := range nodes {
+					if _, twice := at[nodes[i].ID]; twice {
+						at[nodes[i].ID] = -1
+					} else {
+						at[nodes[i].ID] = i
+					}
+				}
+				return at
+			}
+			oldAt, curAt := once(old), once(cur)
+			outKept[oi], inKept[ti] = make([]bool, len(old)), make([]bool, len(cur))
+			for i := range cur {
+				j, ok := oldAt[cur[i].ID]
+				if !ok || j < 0 || curAt[cur[i].ID] < 0 || !sameNode(&old[j], &cur[i]) {
+					continue
+				}
+				s := l.nodes[cur[i].ID]
+				at := slices.Index(s.occ, occurrence{o.task, j})
+				if at < 0 {
+					continue
+				}
+				s.occ[at] = occurrence{t, i}
+				if s.first == (occurrence{o.task, j}) {
+					// The new part lists the node in its place.
+					s.first = occurrence{}
+					s.kept = !s.dirty
+					l.touch(s)
+				}
+				outKept[oi][j], inKept[ti][i] = true, true
+			}
+			break
+		}
+	}
+	return outKept, inKept
+}
+
+// sameNode reports whether two occurrences of a node fold alike.
+func sameNode(a, b *graph.Node) bool {
+	return a.ID == b.ID && a.Kind == b.Kind && a.Label == b.Label && a.StartNS == b.StartNS &&
+		a.EndNS == b.EndNS && a.Volume == b.Volume && maps.Equal(a.Attrs, b.Attrs)
+}
+
+// restale marks a task whose k part's node list must be rebuilt.
+func (l *layer) restale(t *graphTask, k int) {
+	if p := &t.parts[k]; !p.stale {
 		p.stale = true
-		l.stale = append(l.stale, p)
+		l.stale = append(l.stale, t)
 	}
 }
 
@@ -694,6 +1045,7 @@ func (l *layer) flip(s *nodeScope, k int) {
 			if e.From == s.id && e.Op == graph.OpRead {
 				if !copied {
 					p.edges, copied = slices.Clone(p.edges), true
+					oc.task.chunk.restale(k)
 				}
 				cp := *e
 				cp.Reused = s.reused || p.c.edges[j].Reused

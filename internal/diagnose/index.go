@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"dayu/internal/analyzer"
 	"dayu/internal/trace"
 )
 
@@ -12,9 +13,9 @@ import (
 // of task traces that caches each rule's findings under the scope that
 // determines them and, when the set changes, recomputes the scopes the
 // change touches and nothing else. Analyze is an Index used once;
-// `dayu serve` keeps one beside its build cache and syncs it to every
-// snapshot's live set, so a folded checkpoint costs what the checkpoint
-// changed rather than a pass over the state.
+// `dayu serve` keeps one beside its build cache and applies every
+// snapshot's live change to it, so a folded checkpoint costs what the
+// checkpoint changed rather than a pass over the state.
 //
 // The scopes, and what each one's findings are a function of:
 //
@@ -34,9 +35,11 @@ import (
 //     (all-to-all-pattern), plus for a one-task stage the writers of the
 //     files it reads (fan-in-pattern).
 //
-// Sync finds added, replaced and removed tasks by pointer identity —
-// traces and manifests are immutable and pointer-stable — unlinks and
-// links them in the inverted indexes (file → tasks in task order,
+// Apply takes the change — the removed and added traces and where the
+// added ones sit — and edits the task list by position; Sync finds the
+// change itself, by pointer identity (traces and manifests are
+// immutable and pointer-stable). Either unlinks and links the tasks in
+// the inverted indexes (file → tasks in task order,
 // (file, object) → stats and descriptions), which marks the scopes they
 // touch dirty, and lets a recomputed scope mark its dependents: an
 // object whose described size moved dirties the tasks mapping it, a file
@@ -51,6 +54,11 @@ import (
 // relative order, two tasks under one name — rebuilds from empty, which
 // is the same code with every task added.
 //
+// The view is patched, not re-walked: each emission slot's groups are
+// kept in one list, in runs the views share, and a recomputed scope's
+// changed group is spliced in by binary search on the scope's key,
+// copying the one run it lands in. A View holds the runs.
+//
 // An Index is not safe for concurrent use; the Views it returns are
 // immutable and are.
 type Index struct {
@@ -62,6 +70,7 @@ type Index struct {
 	stagesOf  map[string][]*stageScope // task name → the stages listing it
 
 	tasks   []*taskScope // task order, as Sync was given it
+	spare   []*taskScope // the previous task list's array, cleared
 	byTrace map[*trace.TaskTrace]*taskScope
 	byName  map[string]*taskScope // the last task of that name in task order
 	// dups: two tasks share a name, which the inverted indexes do not
@@ -72,20 +81,29 @@ type Index struct {
 	files map[string]*fileScope
 	objs  map[objKey]*objScope
 
-	// Emission orders: files by name (objects by name inside each) and
-	// tasks by name — write-after-read and read-after-write come out
-	// sorted by task name, not by position. New members collect in the
-	// added lists and are merged in, the dead dropped, once per Sync.
-	fileOrder, fileAdded []*fileScope
-	nameOrder, nameAdded []*taskScope
-
 	dirtyObjs   []*objScope
 	dirtyFiles  []*fileScope
 	dirtyTasks  []*taskScope
 	dirtyStages []*stageScope
+	// pairs are the tasks whose predecessor changed, whose pair rule
+	// the patch in progress re-runs.
+	pairs []*taskScope
 
-	recomputed int
-	groups     int // the last view's group count, the next one's capacity
+	// listed holds every scope's groups in emission order, one list per
+	// emission slot, in runs the views share; each scope's pub is what
+	// the lists hold of it. A patch splices the groups its recomputed
+	// scopes changed into the lists, copying the runs it writes, and a
+	// view takes the runs. walk rebuilds the lists from the scopes:
+	// after a reset, and when a patch touched too many scopes for
+	// splicing to pay. valid is false until then. epoch counts views:
+	// a run of an earlier epoch belongs to a view.
+	listed    [len(emission)]runList
+	valid     bool
+	epoch     uint64
+	nFindings int
+	walkBuf   []*group
+
+	recomputed, walked int
 }
 
 // group is what one rule found under one scope: immutable once built
@@ -95,6 +113,10 @@ type Index struct {
 type group struct {
 	findings []Finding
 	enc      groupEncoding
+	// owner is the scope whose slot holds the group, which places it in
+	// its emission list; set when the group is first listed, before any
+	// view holds it.
+	owner any
 }
 
 // groupOf wraps a rule's findings for a scope; none is no group.
@@ -162,7 +184,7 @@ type taskScope struct {
 	pairPrev *taskScope
 	dirty    bool
 	dead     bool
-	out      [numTaskSlots]*group
+	out, pub [numTaskSlots]*group
 }
 
 // taskFile is one task's use of one file. rec is the task's last record
@@ -184,8 +206,9 @@ type fileScope struct {
 	name string
 	// users are the tasks holding a record for the file, in task order.
 	users []fileUse
-	// objOrder is the file's objects sorted by name, merged like
-	// Index.fileOrder; nObjs counts the live ones.
+	// objOrder is the file's objects sorted by name: the dead are
+	// dropped and the added merged in when the file is recomputed. nObjs
+	// counts the live ones.
 	objOrder, objAdded []*objScope
 	nObjs              int
 
@@ -197,7 +220,7 @@ type fileScope struct {
 	writersChanged           bool
 
 	dirty, dead bool
-	out         [numFileSlots]*group
+	out, pub    [numFileSlots]*group
 }
 
 type fileUse struct {
@@ -231,7 +254,7 @@ type objScope struct {
 	maxData, sumData int64
 
 	dirty, dead bool
-	out         [numObjSlots]*group
+	out, pub    [numObjSlots]*group
 }
 
 type objStat struct {
@@ -245,10 +268,11 @@ type objDesc struct {
 }
 
 type stageScope struct {
-	name  string
-	tasks []string
-	dirty bool
-	out   [numStageSlots]*group
+	name     string
+	idx      int // in Index.stages
+	tasks    []string
+	dirty    bool
+	out, pub [numStageSlots]*group
 }
 
 // NewIndex returns an empty index applying th (zero fields select the
@@ -283,7 +307,7 @@ func (ix *Index) reset(m *trace.Manifest) {
 		if len(tasks) == 0 {
 			continue
 		}
-		st := &stageScope{name: stage, tasks: tasks}
+		st := &stageScope{name: stage, idx: len(ix.stages), tasks: tasks}
 		ix.stages = append(ix.stages, st)
 		for _, task := range tasks {
 			ix.stagesOf[task] = append(ix.stagesOf[task], st)
@@ -297,58 +321,122 @@ func (ix *Index) reset(m *trace.Manifest) {
 // returns the findings as an immutable view. The view is what a fresh
 // index given the same arguments returns, finding for finding: both run
 // the same rule code over the same inverted indexes, and a scope is
-// kept only while nothing its rules read has changed.
+// kept only while nothing its rules read has changed. Sync finds what
+// changed by looking up every task (View.Diffed counts them); Apply is
+// the same step told the change.
 func (ix *Index) Sync(ordered []*trace.TaskTrace, m *trace.Manifest) *View {
+	var ch analyzer.Change
+	diffed := 0
+	if m == ix.manifest && !ix.dups && len(ix.tasks) > 0 {
+		var ok bool
+		if ch, ok = ix.diff(ordered); !ok {
+			ix.reset(m)
+		}
+		diffed = len(ordered)
+	}
+	v := ix.Apply(ordered, m, ch)
+	v.Diffed = diffed
+	return v
+}
+
+// Apply brings the index to ordered — the indexed set edited by ch, in
+// task order under m — and returns the findings as Sync does. It costs
+// the change: the removed tasks are found by trace, the added ones put
+// where ch.At says (without it, by matching the new order against the
+// old one, one pointer comparison per task), and the view is spliced,
+// not re-walked. A new manifest, two tasks under one name, and an
+// ordered that is not the edit ch describes rebuild from empty.
+func (ix *Index) Apply(ordered []*trace.TaskTrace, m *trace.Manifest, ch analyzer.Change) *View {
 	if m != ix.manifest || ix.dups {
 		ix.reset(m)
 	}
-	if !ix.patch(ordered) {
+	if len(ix.tasks) == 0 {
+		ch = analyzer.Change{}
+	}
+	if !ix.patch(ordered, ch) {
 		ix.reset(m)
-		ix.patch(ordered)
+		ix.patch(ordered, analyzer.Change{})
 	}
 	return ix.view()
 }
 
-// patch applies the difference between the indexed set and ordered. It
-// reports false — leaving the index to be reset — when the difference
-// is not a set of additions and removals: retained tasks changed
-// relative order, or a task arrived under a name another still holds.
-// From empty it always succeeds.
-func (ix *Index) patch(ordered []*trace.TaskTrace) bool {
-	fresh := len(ix.tasks) == 0
+// diff is the change from the indexed set to ordered, found by
+// pointer; ok is false when retained tasks changed relative order.
+func (ix *Index) diff(ordered []*trace.TaskTrace) (ch analyzer.Change, ok bool) {
 	ix.gen++
-	ix.recomputed = 0
-
-	next := make([]*taskScope, 0, len(ordered))
 	last := -1
-	for _, tt := range ordered {
+	for i, tt := range ordered {
 		t := ix.byTrace[tt]
-		if t != nil {
-			if t.pos <= last {
-				return false
-			}
-			last = t.pos
-			t.gen = ix.gen
+		if t == nil {
+			ch.Added, ch.At = append(ch.Added, tt), append(ch.At, i)
+			continue
 		}
-		next = append(next, t)
+		if t.pos <= last {
+			return ch, false
+		}
+		last = t.pos
+		t.gen = ix.gen
 	}
-
-	// Removals first, while the old positions still order every list.
 	for _, t := range ix.tasks {
 		if t.gen != ix.gen {
-			ix.unlink(t)
+			ch.Removed = append(ch.Removed, t.trace)
 		}
 	}
+	return ch, true
+}
+
+// patch applies the edit ch that made the indexed set ordered. It
+// reports false — leaving the index to be reset — when ordered is not
+// that edit (a removed trace is not indexed, a retained task moved
+// relative to the others, an added trace is not where ch.At puts it)
+// or a task arrived under a name another still holds. From empty it
+// always succeeds.
+func (ix *Index) patch(ordered []*trace.TaskTrace, ch analyzer.Change) bool {
+	fresh := len(ix.tasks) == 0
+	ix.recomputed, ix.walked = 0, 0
+
+	leaving := make([]*taskScope, 0, len(ch.Removed))
+	gone := make([]int, 0, len(ch.Removed))
+	for _, tt := range ch.Removed {
+		t := ix.byTrace[tt]
+		if t == nil || t.dead {
+			return false
+		}
+		t.dead = true
+		leaving = append(leaving, t)
+		gone = append(gone, t.pos)
+	}
+	// Edited in place when ch says where, else matched into the spare
+	// array (the list before the last match).
+	before := len(ix.tasks)
+	from, to, ok := analyzer.EditList(&ix.tasks, &ix.spare, ordered, ch, gone,
+		func(t *taskScope) bool { return t.dead },
+		func(t *taskScope) *trace.TaskTrace { return t.trace },
+		func(tt *trace.TaskTrace) bool { return ix.byTrace[tt] != nil })
+	if !ok {
+		return false
+	}
+	next := ix.tasks
+
+	// Removals first, while the old positions still order every list.
+	for _, t := range leaving {
+		ix.unlink(t)
+	}
 	// time-dependent-input is silent below three tasks.
-	if (len(ix.tasks) < 3) != (len(next) < 3) {
+	if (before < 3) != (len(next) < 3) {
 		for _, f := range ix.files {
 			ix.touchFile(f)
 		}
 	}
 	var added []*taskScope
-	for i, t := range next {
+	var prev *taskScope
+	if from > 0 {
+		prev = next[from-1]
+	}
+	for i := from; i < to; i++ {
+		t := next[i]
 		if t == nil {
-			t = newTaskScope(ordered[i], ix.gen)
+			t = newTaskScope(ordered[i])
 			next[i] = t
 			added = append(added, t)
 		} else if t.pos != i {
@@ -361,8 +449,11 @@ func (ix *Index) patch(ordered []*trace.TaskTrace) bool {
 			}
 		}
 		t.pos = i
+		if t.pairPrev != prev {
+			ix.pairs = append(ix.pairs, t)
+		}
+		prev = t
 	}
-	ix.tasks = next
 	for _, t := range added {
 		if !ix.link(t, fresh) {
 			return false
@@ -378,38 +469,26 @@ func (ix *Index) patch(ordered []*trace.TaskTrace) bool {
 	for _, t := range ix.dirtyTasks {
 		ix.taskRules(t)
 	}
-	var prev *taskScope
-	for _, t := range ix.tasks {
-		if t.pairPrev != prev {
-			ix.pairRule(t, prev)
+	for _, t := range ix.pairs {
+		var prev *taskScope
+		if t.pos > 0 {
+			prev = ix.tasks[t.pos-1]
 		}
-		prev = t
+		ix.pairRule(t, prev)
 	}
 	for _, st := range ix.dirtyStages {
 		ix.stageRules(st)
 	}
+	ix.relist()
 	// Emptied, not just truncated: a scope that dies later must not stay
 	// reachable from a work list's spare capacity.
 	clear(ix.dirtyObjs)
 	clear(ix.dirtyFiles)
 	clear(ix.dirtyTasks)
 	clear(ix.dirtyStages)
+	clear(ix.pairs)
 	ix.dirtyObjs, ix.dirtyFiles = ix.dirtyObjs[:0], ix.dirtyFiles[:0]
-	ix.dirtyTasks, ix.dirtyStages = ix.dirtyTasks[:0], ix.dirtyStages[:0]
-
-	ix.fileOrder = mergeSorted(ix.fileOrder, ix.fileAdded,
-		func(f *fileScope) bool { return f.dead },
-		func(a, b *fileScope) int { return strings.Compare(a.name, b.name) })
-	ix.fileAdded = ix.fileAdded[:0]
-	ix.nameOrder = mergeSorted(ix.nameOrder, ix.nameAdded,
-		func(t *taskScope) bool { return t.dead },
-		func(a, b *taskScope) int {
-			if c := strings.Compare(a.trace.Task, b.trace.Task); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.pos, b.pos)
-		})
-	ix.nameAdded = ix.nameAdded[:0]
+	ix.dirtyTasks, ix.dirtyStages, ix.pairs = ix.dirtyTasks[:0], ix.dirtyStages[:0], ix.pairs[:0]
 	return true
 }
 
@@ -435,8 +514,8 @@ func mergeSorted[T any](sorted, added []T, dead func(T) bool, compare func(a, b 
 	return sorted
 }
 
-func newTaskScope(tt *trace.TaskTrace, gen uint64) *taskScope {
-	return &taskScope{trace: tt, gen: gen,
+func newTaskScope(tt *trace.TaskTrace) *taskScope {
+	return &taskScope{trace: tt,
 		files: make([]taskFile, 0, len(tt.Files)),
 		objs:  make([]*objScope, 0, len(tt.Mapped)+len(tt.Objects))}
 }
@@ -454,7 +533,6 @@ func (ix *Index) link(t *taskScope, fresh bool) bool {
 	}
 	ix.byName[tt.Task] = t
 	ix.byTrace[tt] = t
-	ix.nameAdded = append(ix.nameAdded, t)
 	for _, st := range ix.stagesOf[tt.Task] {
 		ix.touchStage(st)
 	}
@@ -523,6 +601,13 @@ func (ix *Index) link(t *taskScope, fresh bool) bool {
 // are recomputed.
 func (ix *Index) unlink(t *taskScope) {
 	t.dead = true
+	if ix.valid {
+		for slot, g := range t.pub {
+			if g != nil {
+				ix.list(taskEmission[slot], t, g, nil)
+			}
+		}
+	}
 	delete(ix.byTrace, t.trace)
 	if ix.byName[t.trace.Task] == t {
 		delete(ix.byName, t.trace.Task)
@@ -548,7 +633,6 @@ func (ix *Index) file(name string) *fileScope {
 	if f == nil {
 		f = &fileScope{name: name}
 		ix.files[name] = f
-		ix.fileAdded = append(ix.fileAdded, f)
 		ix.touchFile(f)
 	}
 	return f
@@ -601,86 +685,247 @@ func (ix *Index) touchStage(st *stageScope) {
 // concurrent use, and stays valid — and unchanged — however the index
 // moves on.
 type View struct {
-	groups []*group
+	// groups are runs of the index's emission lists, in order.
+	groups [][]*group
 	n      int
 	// Recomputed and Reused count the scopes (tasks, adjacent pairs,
 	// files, objects, stages) the Sync recomputed and kept.
 	Recomputed, Reused int
+	// Diffed counts the tasks a Sync visited to find its change (an
+	// Apply visits none), and Walked the scopes the view's lists were
+	// rebuilt from: every scope, once per emission slot, after a reset
+	// or a patch too large to splice; none otherwise.
+	Diffed, Walked int
 }
+
+// The orders of the emission lists: which scope a slot belongs to, and
+// how that scope's groups are ordered in the list.
+const (
+	byFile     = iota // file name
+	byObject          // file name, then object name
+	byTask            // task order
+	byTaskName        // task name, then task order
+	byStage           // the manifest's StageOrder
+)
 
 // emission is the order findings come out in: severity descending, then
 // kind ascending (every kind has one severity), each kind in its rule's
-// own order — the scope walk named here.
-var emission = [...]struct {
-	walk func(ix *Index, slot int, v *View)
-	slot int
-}{
+// own order — the scope order named here.
+var emission = [...]struct{ order, slot int }{
 	// critical
-	{(*Index).walkFiles, fScatter}, // data-scattering
+	{byFile, fScatter}, // data-scattering
 	// warning
-	{(*Index).walkObjects, oChunkedSmall},     // chunked-small-data
-	{(*Index).walkFiles, fReuse},              // data-reuse
-	{(*Index).walkTasks, tMetaOnly},           // metadata-only-access
-	{(*Index).walkTasks, tMetaOverhead},       // metadata-overhead
-	{(*Index).walkTasks, tPair},               // no-data-dependency
-	{(*Index).walkTasks, tSmallIO},            // small-io-requests
-	{(*Index).walkObjects, oVLenContiguous},   // vlen-contiguous
-	{(*Index).walkTaskNames, tWriteAfterRead}, // write-after-read
+	{byObject, oChunkedSmall},     // chunked-small-data
+	{byFile, fReuse},              // data-reuse
+	{byTask, tMetaOnly},           // metadata-only-access
+	{byTask, tMetaOverhead},       // metadata-overhead
+	{byTask, tPair},               // no-data-dependency
+	{byTask, tSmallIO},            // small-io-requests
+	{byObject, oVLenContiguous},   // vlen-contiguous
+	{byTaskName, tWriteAfterRead}, // write-after-read
 	// info
-	{(*Index).walkStages, sAllToAll},          // all-to-all-pattern
-	{(*Index).walkFiles, fDisposable},         // disposable-data
-	{(*Index).walkStages, sFanIn},             // fan-in-pattern
-	{(*Index).walkTaskNames, tReadAfterWrite}, // read-after-write
-	{(*Index).walkTasks, tSequential},         // read-only-sequential
-	{(*Index).walkFiles, fTimeDependent},      // time-dependent-input
+	{byStage, sAllToAll},          // all-to-all-pattern
+	{byFile, fDisposable},         // disposable-data
+	{byStage, sFanIn},             // fan-in-pattern
+	{byTaskName, tReadAfterWrite}, // read-after-write
+	{byTask, tSequential},         // read-only-sequential
+	{byFile, fTimeDependent},      // time-dependent-input
 }
 
-func (ix *Index) walkFiles(slot int, v *View) {
-	for _, f := range ix.fileOrder {
-		v.add(f.out[slot])
-	}
-}
+// The emission list of each scope slot.
+var (
+	taskEmission  [numTaskSlots]int
+	fileEmission  [numFileSlots]int
+	objEmission   [numObjSlots]int
+	stageEmission [numStageSlots]int
+)
 
-func (ix *Index) walkObjects(slot int, v *View) {
-	for _, f := range ix.fileOrder {
-		for _, o := range f.objOrder {
-			v.add(o.out[slot])
+func init() {
+	for e, em := range emission {
+		switch em.order {
+		case byFile:
+			fileEmission[em.slot] = e
+		case byObject:
+			objEmission[em.slot] = e
+		case byTask, byTaskName:
+			taskEmission[em.slot] = e
+		default:
+			stageEmission[em.slot] = e
 		}
 	}
 }
 
-func (ix *Index) walkTasks(slot int, v *View) {
-	for _, t := range ix.tasks {
-		v.add(t.out[slot])
+// compareOwners orders two scopes of one kind as an emission list of
+// the given order does.
+func compareOwners(order int, a, b any) int {
+	switch order {
+	case byFile:
+		return strings.Compare(a.(*fileScope).name, b.(*fileScope).name)
+	case byObject:
+		oa, ob := a.(*objScope), b.(*objScope)
+		if c := strings.Compare(oa.file.name, ob.file.name); c != 0 {
+			return c
+		}
+		return strings.Compare(oa.name, ob.name)
+	case byTask:
+		return cmp.Compare(a.(*taskScope).pos, b.(*taskScope).pos)
+	case byTaskName:
+		ta, tb := a.(*taskScope), b.(*taskScope)
+		if c := strings.Compare(ta.trace.Task, tb.trace.Task); c != 0 {
+			return c
+		}
+		return cmp.Compare(ta.pos, tb.pos)
+	default:
+		return cmp.Compare(a.(*stageScope).idx, b.(*stageScope).idx)
 	}
 }
 
-func (ix *Index) walkTaskNames(slot int, v *View) {
-	for _, t := range ix.nameOrder {
-		v.add(t.out[slot])
+// list replaces owner's group old with new in emission list e, either
+// of them nil: old is found by binary search, new placed by it.
+func (ix *Index) list(e int, owner any, old, new *group) {
+	l, order := &ix.listed[e], emission[e].order
+	if old != nil {
+		r, i := l.find(old, func(g *group) bool { return compareOwners(order, g.owner, owner) < 0 })
+		ix.nFindings -= len(old.findings)
+		if new == nil {
+			l.delete(r, i, ix.epoch)
+		} else {
+			l.set(r, i, new, ix.epoch)
+		}
+	} else if new != nil {
+		r, i := l.search(func(g *group) bool { return compareOwners(order, g.owner, owner) <= 0 })
+		l.insert(r, i, new, ix.epoch)
+	}
+	if new != nil {
+		if new.owner == nil {
+			new.owner = owner
+		}
+		ix.nFindings += len(new.findings)
 	}
 }
 
-func (ix *Index) walkStages(slot int, v *View) {
-	for _, st := range ix.stages {
-		v.add(st.out[slot])
+// relist brings the emission lists up to the scopes the patch
+// recomputed: each group a scope changed is spliced in or out. A patch
+// that touched more scopes than splicing pays for, and the first one
+// after a reset, rebuild the lists instead (walk).
+func (ix *Index) relist() {
+	touched := len(ix.dirtyObjs) + len(ix.dirtyFiles) + len(ix.dirtyTasks) + len(ix.pairs) + len(ix.dirtyStages)
+	if !ix.valid || touched > 64+(len(ix.tasks)+len(ix.files)+len(ix.objs))/4 {
+		ix.walk()
+		return
+	}
+	for _, o := range ix.dirtyObjs {
+		ix.relistScope(o, o.dead, o.out[:], o.pub[:], objEmission[:])
+	}
+	for _, f := range ix.dirtyFiles {
+		ix.relistScope(f, f.dead, f.out[:], f.pub[:], fileEmission[:])
+	}
+	for _, t := range ix.dirtyTasks {
+		ix.relistScope(t, t.dead, t.out[:], t.pub[:], taskEmission[:])
+	}
+	for _, t := range ix.pairs {
+		ix.relistScope(t, t.dead, t.out[:], t.pub[:], taskEmission[:])
+	}
+	for _, st := range ix.dirtyStages {
+		ix.relistScope(st, false, st.out[:], st.pub[:], stageEmission[:])
 	}
 }
 
+// relistScope lists what changed of one scope's groups: out (nothing,
+// for a dead scope) against pub, slot by slot, emits naming each slot's
+// emission list.
+func (ix *Index) relistScope(owner any, dead bool, out, pub []*group, emits []int) {
+	for slot, want := range out {
+		if dead {
+			want = nil
+		}
+		if want != pub[slot] {
+			ix.list(emits[slot], owner, pub[slot], want)
+			pub[slot] = want
+		}
+	}
+}
+
+// walk rebuilds every emission list from the scopes, in the emission
+// orders, and counts the scopes it visits.
+func (ix *Index) walk() {
+	files := make([]*fileScope, 0, len(ix.files))
+	for _, f := range ix.files {
+		files = append(files, f)
+	}
+	slices.SortFunc(files, func(a, b *fileScope) int { return strings.Compare(a.name, b.name) })
+	names := slices.Clone(ix.tasks)
+	slices.SortFunc(names, func(a, b *taskScope) int { return compareOwners(byTaskName, a, b) })
+
+	ix.nFindings = 0
+	for e, em := range emission {
+		l := ix.walkBuf[:0]
+		switch em.order {
+		case byFile:
+			for _, f := range files {
+				l = ix.walkScope(l, f, f.out[em.slot], &f.pub[em.slot])
+			}
+		case byObject:
+			for _, f := range files {
+				for _, o := range f.objOrder {
+					l = ix.walkScope(l, o, o.out[em.slot], &o.pub[em.slot])
+				}
+			}
+		case byTask:
+			for _, t := range ix.tasks {
+				l = ix.walkScope(l, t, t.out[em.slot], &t.pub[em.slot])
+			}
+		case byTaskName:
+			for _, t := range names {
+				l = ix.walkScope(l, t, t.out[em.slot], &t.pub[em.slot])
+			}
+		default:
+			for _, st := range ix.stages {
+				l = ix.walkScope(l, st, st.out[em.slot], &st.pub[em.slot])
+			}
+		}
+		// The runs slice a fresh array: the scratch goes on to the next
+		// list.
+		ix.listed[e].reset(slices.Clone(l), ix.epoch)
+		ix.walkBuf = l
+	}
+	clear(ix.walkBuf)
+	ix.valid = true
+}
+
+func (ix *Index) walkScope(l []*group, owner any, g *group, pub **group) []*group {
+	ix.walked++
+	*pub = g
+	if g == nil {
+		return l
+	}
+	if g.owner == nil {
+		g.owner = owner
+	}
+	ix.nFindings += len(g.findings)
+	return append(l, g)
+}
+
+// view takes the emission lists' runs, which it shares with the index
+// until the index copies them to write.
 func (ix *Index) view() *View {
-	v := &View{groups: make([]*group, 0, ix.groups), Recomputed: ix.recomputed}
-	for _, e := range emission {
-		e.walk(ix, e.slot, v)
+	size := 0
+	for e := range ix.listed {
+		size += len(ix.listed[e].runs)
 	}
-	ix.groups = len(v.groups)
-	scopes := len(ix.tasks) + max(len(ix.tasks)-1, 0) + len(ix.fileOrder) + len(ix.objs) + len(ix.stages)
+	v := &View{groups: make([][]*group, 0, size), n: ix.nFindings, Recomputed: ix.recomputed, Walked: ix.walked}
+	for e := range ix.listed {
+		v.groups = append(v.groups, ix.listed[e].runs...)
+	}
+	ix.epoch++
+	scopes := len(ix.tasks) + max(len(ix.tasks)-1, 0) + len(ix.files) + len(ix.objs) + len(ix.stages)
 	v.Reused = scopes - v.Recomputed
 	return v
 }
 
 func (v *View) add(g *group) {
 	if g != nil {
-		v.groups = append(v.groups, g)
+		v.groups = append(v.groups, []*group{g})
 		v.n += len(g.findings)
 	}
 }
@@ -691,8 +936,10 @@ func (v *View) Findings() []Finding {
 		return nil
 	}
 	out := make([]Finding, 0, v.n)
-	for _, g := range v.groups {
-		out = append(out, g.findings...)
+	for _, run := range v.groups {
+		for _, g := range run {
+			out = append(out, g.findings...)
+		}
 	}
 	return out
 }

@@ -73,24 +73,30 @@ func (v *View) AppendCompactJSON(b []byte) ([]byte, error) {
 	if v.n == 0 {
 		return append(b, "[]"...), nil
 	}
-	size := len("[]") + len(v.groups) - 1
-	for _, g := range v.groups {
-		elements, ok := g.elements()
-		if !ok {
-			// The flat encoder words the error, with the finding's index
-			// in the whole body.
-			_, err := EncodeJSON(v.Findings())
-			return b, err
+	size := len("[]") - 1
+	for _, run := range v.groups {
+		for _, g := range run {
+			elements, ok := g.elements()
+			if !ok {
+				// The flat encoder words the error, with the finding's
+				// index in the whole body.
+				_, err := EncodeJSON(v.Findings())
+				return b, err
+			}
+			size += len(elements) + 1
 		}
-		size += len(elements)
 	}
 	b = append(slices.Grow(b, size), '[')
-	for i, g := range v.groups {
-		if i > 0 {
-			b = append(b, ',')
+	first := true
+	for _, run := range v.groups {
+		for _, g := range run {
+			if !first {
+				b = append(b, ',')
+			}
+			first = false
+			elements, _ := g.elements()
+			b = append(b, elements...)
 		}
-		elements, _ := g.elements()
-		b = append(b, elements...)
 	}
 	return append(b, ']'), nil
 }

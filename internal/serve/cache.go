@@ -73,10 +73,31 @@ type buildCache struct {
 	// folder's listing re-checks each until a revise succeeds or a
 	// listing no longer names it.
 	failed map[string]bool
+	// pending is the change since the last batch view: each trace file
+	// whose entry changed since, with the entry that view was built
+	// from (the zero entry for a file it did not hold).
+	pending map[string]fileEntry
 }
 
 func newBuildCache() *buildCache {
-	return &buildCache{files: map[string]fileEntry{}, failed: map[string]bool{}}
+	return &buildCache{files: map[string]fileEntry{}, failed: map[string]bool{}, pending: map[string]fileEntry{}}
+}
+
+// set installs path's entry, the zero entry deleting it, and records
+// the change for the next batch view.
+func (c *buildCache) set(path string, e fileEntry) {
+	old, ok := c.files[path]
+	if old == e {
+		return
+	}
+	if _, seen := c.pending[path]; !seen {
+		c.pending[path] = old
+	}
+	if ok && e.hash == "" {
+		delete(c.files, path)
+		return
+	}
+	c.files[path] = e
 }
 
 // scanItem is one trace file of a listing, or, with gone set, a path
@@ -104,7 +125,7 @@ func (c *buildCache) scan(items []scanItem, complete bool) (parses int, changed 
 	for _, it := range items {
 		if it.gone {
 			if _, ok := c.files[it.path]; ok {
-				delete(c.files, it.path)
+				c.set(it.path, fileEntry{})
 				changed = true
 			}
 			delete(c.failed, it.path)
@@ -126,14 +147,14 @@ func (c *buildCache) scan(items []scanItem, complete bool) (parses int, changed 
 			parses++
 			changed = true
 		}
-		c.files[it.path] = entry // as it was, re-stat'ed or re-parsed
+		c.set(it.path, entry) // as it was, re-stat'ed or re-parsed
 	}
 	if !complete {
 		return parses, changed, err
 	}
 	for path := range c.files {
 		if !listed[path] {
-			delete(c.files, path)
+			c.set(path, fileEntry{})
 			changed = true
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"dayu/internal/analyzer"
-	"dayu/internal/obs"
 	"dayu/internal/trace"
 	"dayu/internal/workloads"
 )
@@ -43,8 +42,7 @@ func TestPruneKeepsUnionOfViews(t *testing.T) {
 		Tasks: 16, Stages: 4, FilesPerStage: 3, DatasetsPerTask: 2,
 	})
 	n := len(tasks)
-	reg := obs.NewRegistry()
-	s := &Server{contribMisses: reg.Counter("misses"), contribHits: reg.Counter("hits")}
+	s := &Server{}
 	s.batchGraphs = analyzer.NewGraphIndex(analyzer.Options{}, nil)
 	s.liveGraphs = analyzer.NewGraphIndex(analyzer.Options{}, s.batchGraphs)
 	// The in-flight task: a copy of a final that describes no object and
@@ -53,9 +51,7 @@ func TestPruneKeepsUnionOfViews(t *testing.T) {
 	first.Task, first.Objects = "zz_inflight", nil
 	inflight := &first
 	pass := func(ix *analyzer.GraphIndex, set ...*trace.TaskTrace) int {
-		before := s.contribMisses.Value()
-		s.buildView(set, m, ix)
-		return int(s.contribMisses.Value() - before)
+		return ix.Sync(analyzer.OrderTasks(set, m), m).Recomputed
 	}
 	live := func() []*trace.TaskTrace { return append(append([]*trace.TaskTrace{}, tasks...), inflight) }
 	cached := func() string {

@@ -1,5 +1,15 @@
 package serve
 
+// Snapshot building: refresh brings the build cache up to a listing and
+// buildSnapshot publishes the views of what it holds. Both are built
+// from the change since the last snapshot — the cache entries the
+// scans changed, the checkpoints that moved — which edits the views'
+// TaskSets by binary search and is handed to the graph and diagnose
+// indexes, so a snapshot costs the records it shows, not the state
+// (DESIGN.md §9). What still grows with the state is counted on
+// /metrics: the id bytes a final re-hashes, and, should a fallback run,
+// the tasks it sorts or diffs and the scopes it walks.
+
 import (
 	"crypto/sha256"
 	"encoding"
@@ -7,8 +17,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"dayu/internal/analyzer"
@@ -175,125 +187,285 @@ func (s *Server) refreshManifest() (changed bool, err error) {
 // view of the current directory state — the previous snapshot's pointer
 // unless a scan reported a change since it was built — and the live
 // view of the checkpoints refresh captured, at generation partialsGen,
-// before that scan. Each view's graphs come from its graph index, and
-// the findings from the diagnose index: each index is synced to its
-// trace set and patches in what changed since its last Sync.
+// before that scan.
+//
+// Both are built from the change, not the state. The batch change is
+// what the scans did to the build cache since the last batch view (the
+// paths a final landed or removed, for the folder); the live change is
+// the batch change plus the checkpoints that joined, replaced or left
+// the live set since the last snapshot. Each change edits its TaskSet —
+// both orders, by binary search — and is handed to the view's graph
+// index and, for the live view, to the diagnose index, which patch
+// what it touches. A snapshot with no checkpoint retained serves the
+// batch view as its live view.
 func (s *Server) buildSnapshot(captured []*partialEntry, partialsGen uint64) *snapshot {
 	cur := s.snap.Load()
 	var batch *view
+	var batchCh analyzer.Change
+	reset := false
 	if cur != nil && !s.batchStale {
 		batch = cur.batch
 	} else {
-		batch = s.buildBatchView()
+		var prev *view
+		if cur != nil {
+			prev = cur.batch
+		}
+		batch, batchCh, reset = s.buildBatchView(prev)
 	}
+	m := batch.manifest
 
 	// The live view: captured checkpoints of tasks that have no final
-	// trace in the batch view (a final always shadows a partial).
+	// trace in the batch view (a final always shadows a partial). Its
+	// change against the previous live set is the batch change and the
+	// checkpoints that moved.
 	partials := captured[:0]
 	for _, pe := range captured {
 		if !batch.taskSet[pe.trace.Task] {
 			partials = append(partials, pe)
 		}
 	}
-	snap := &snapshot{batch: batch, live: batch, partialTasks: len(partials)}
-	if len(partials) > 0 {
+	liveCh := analyzer.Change{
+		Removed: slices.Clone(batchCh.Removed),
+		Added:   slices.Clone(batchCh.Added),
+	}
+	retained := make(map[string]*partialEntry, len(partials))
+	for _, pe := range partials {
+		retained[pe.trace.Task] = pe
+		if prev := s.livePartials[pe.trace.Task]; prev != pe {
+			if prev != nil {
+				liveCh.Removed = append(liveCh.Removed, prev.trace)
+			}
+			liveCh.Added = append(liveCh.Added, pe.trace)
+		}
+	}
+	for task, prev := range s.livePartials {
+		if retained[task] == nil {
+			liveCh.Removed = append(liveCh.Removed, prev.trace)
+		}
+	}
+	s.livePartials = retained
+	if !reset {
+		applied, sorted, ok := s.liveSet.Apply(liveCh, m)
+		s.snapshotSorted.Add(int64(sorted))
+		liveCh, reset = applied, !ok
+	}
+	if reset {
+		// The fallback: the batch set's name order, then the checkpoints,
+		// sorted by name as trace.LoadDir would sort them.
 		traces := make([]*trace.TaskTrace, 0, len(batch.traces)+len(partials))
 		traces = append(traces, batch.traces...)
-		snap.partialHashes = make(map[string]bool, len(partials))
 		for _, pe := range partials {
 			traces = append(traces, pe.trace)
+		}
+		s.snapshotSorted.Add(int64(s.liveSet.Reset(traces, m)))
+	}
+
+	snap := &snapshot{batch: batch, live: batch, partialTasks: len(partials)}
+	if len(partials) > 0 {
+		snap.partialHashes = make(map[string]bool, len(partials))
+		for _, pe := range partials {
 			snap.partialHashes[pe.hash] = true
 		}
-		snap.live = s.buildView(traces, batch.manifest, s.liveGraphs)
+		snap.live = s.setView(&s.liveSet, s.liveGraphs, liveCh)
 	} else if s.liveGraphs.Len() > 0 {
 		// The live set is the batch set: the live index follows it, so
 		// the next checkpoint patches one task in, and keeps only what
 		// the batch index holds. Its graphs equal the batch view's,
 		// which the snapshot serves.
-		s.syncGraphs(s.liveGraphs, batch.ordered, batch.manifest)
+		s.applyGraphs(s.liveGraphs, batch.ordered, m, liveCh)
+	}
+	if len(partials) > 1 {
+		s.snapshotSorted.Add(int64(len(partials))) // snapshotID sorts their lines
 	}
 	snap.id = snapshotID(batch, partials)
 	// The findings of the live set: the index patches in the tasks that
 	// were added, replaced (a checkpoint is a new trace under the same
 	// name) or removed since the previous snapshot's.
 	start := time.Now()
-	snap.findings = s.diag.Sync(snap.live.ordered, batch.manifest)
+	snap.findings = s.diag.Apply(snap.live.ordered, m, liveCh)
 	s.diagSyncNS.Observe(time.Since(start).Nanoseconds())
 	s.diagRecomputed.Add(int64(snap.findings.Recomputed))
 	s.diagReused.Add(int64(snap.findings.Reused))
+	s.indexDiffed.Add(int64(snap.findings.Diffed))
+	s.scopesWalked.Add(int64(snap.findings.Walked))
 	// What this snapshot saw, so refresh can tell when there is
 	// something newer to build.
 	s.batchStale, s.lastPartialsGen = false, partialsGen
 	return snap
 }
 
-// buildBatchView builds the view of the current scan state and records
-// the directory listing on it.
-func (s *Server) buildBatchView() *view {
-	paths := s.cache.paths()
-	traces := make([]*trace.TaskTrace, 0, len(paths))
-	taskSet := make(map[string]bool, len(paths))
-	hashes := make(map[string]bool, len(paths))
-	infoByTrace := make(map[*trace.TaskTrace]TaskInfo, len(paths))
+// idLine is one trace file's line of the snapshot id's preimage.
+type idLine struct {
+	path, line string
+}
+
+// buildBatchView builds the batch view of the current scan state from
+// prev, the previous one, and the changes the scans recorded since it
+// (buildCache.pending): the trace set, the /v1/tasks rows, the content
+// hashes and the id lines are edited at the changed paths, and the
+// graphs patched. Only the id's SHA-256 state is recomputed over every
+// line. A first build, or a change to more than an eighth of the set,
+// builds from the whole cache instead. It returns the view, the change
+// to its trace set, and whether the trace set was rebuilt.
+func (s *Server) buildBatchView(prev *view) (batch *view, ch analyzer.Change, reset bool) {
+	c := s.cache
+	m := c.manifest.manifest
+	type change struct {
+		path     string
+		old, cur fileEntry
+	}
+	changes := make([]change, 0, len(c.pending))
+	for path, old := range c.pending {
+		changes = append(changes, change{path, old, c.files[path]})
+	}
+	clear(c.pending)
+	if len(changes) > 1 {
+		slices.SortFunc(changes, func(a, b change) int { return strings.Compare(a.path, b.path) })
+		s.snapshotSorted.Add(int64(len(changes)))
+	}
+	namesKept := true
+	for _, ch1 := range changes {
+		if ch1.old.trace == ch1.cur.trace {
+			continue
+		}
+		if ch1.old.trace != nil {
+			ch.Removed = append(ch.Removed, ch1.old.trace)
+		}
+		if ch1.cur.trace != nil {
+			ch.Added = append(ch.Added, ch1.cur.trace)
+		}
+		namesKept = namesKept && ch1.old.trace != nil && ch1.cur.trace != nil && ch1.old.trace.Task == ch1.cur.trace.Task
+	}
+
+	batch = &view{manifest: m}
+	reset = prev == nil || len(changes) > 16+len(prev.tasks)/8
+	if !reset {
+		applied, sorted, ok := s.batchSet.Apply(ch, m)
+		s.snapshotSorted.Add(int64(sorted))
+		ch, reset = applied, !ok
+	}
+	if reset {
+		paths := c.paths()
+		s.snapshotSorted.Add(int64(len(paths)))
+		traces := make([]*trace.TaskTrace, 0, len(paths))
+		batch.hashes = make([]string, 0, len(paths))
+		s.idLines = s.idLines[:0]
+		for _, path := range paths {
+			ent := c.files[path]
+			traces = append(traces, ent.trace)
+			batch.hashes = append(batch.hashes, ent.hash)
+			s.idLines = append(s.idLines, newIDLine(path, ent.hash))
+		}
+		slices.Sort(batch.hashes)
+		s.snapshotSorted.Add(int64(s.batchSet.Reset(traces, m)))
+		// The rows in trace.LoadDir's order: by task name, stable over
+		// the path order.
+		rows := slices.Clone(paths)
+		slices.SortStableFunc(rows, func(a, b string) int { return strings.Compare(c.files[a].trace.Task, c.files[b].trace.Task) })
+		s.snapshotSorted.Add(int64(len(rows)))
+		batch.tasks = make([]TaskInfo, len(rows))
+		for i, path := range rows {
+			batch.tasks[i] = taskInfo(path, c.files[path])
+		}
+		namesKept = false
+	} else {
+		batch.tasks = slices.Clone(prev.tasks)
+		batch.hashes = slices.Clone(prev.hashes)
+		for _, ch1 := range changes {
+			if ch1.old.hash != "" {
+				i, _ := slices.BinarySearchFunc(batch.tasks, rowKey{ch1.old.trace.Task, ch1.path}, compareRow)
+				batch.tasks = slices.Delete(batch.tasks, i, i+1)
+				j, _ := slices.BinarySearch(batch.hashes, ch1.old.hash)
+				batch.hashes = slices.Delete(batch.hashes, j, j+1)
+				k, _ := slices.BinarySearchFunc(s.idLines, ch1.path, compareIDLine)
+				s.idLines = slices.Delete(s.idLines, k, k+1)
+			}
+			if ch1.cur.hash != "" {
+				i, _ := slices.BinarySearchFunc(batch.tasks, rowKey{ch1.cur.trace.Task, ch1.path}, compareRow)
+				batch.tasks = slices.Insert(batch.tasks, i, taskInfo(ch1.path, ch1.cur))
+				j, _ := slices.BinarySearch(batch.hashes, ch1.cur.hash)
+				batch.hashes = slices.Insert(batch.hashes, j, ch1.cur.hash)
+				k, _ := slices.BinarySearchFunc(s.idLines, ch1.path, compareIDLine)
+				s.idLines = slices.Insert(s.idLines, k, newIDLine(ch1.path, ch1.cur.hash))
+			}
+		}
+	}
+	batch.traces, batch.ordered = s.batchSet.Traces(), s.batchSet.Ordered()
+	if namesKept && prev != nil {
+		batch.taskSet = prev.taskSet
+	} else {
+		batch.taskSet = make(map[string]bool, len(batch.tasks))
+		for _, ti := range batch.tasks {
+			batch.taskSet[ti.Task] = true
+		}
+	}
+
 	// The batch part of the snapshot id's preimage: the manifest hash and
 	// every trace file's name and content hash, hashed once per batch
 	// view (see snapshotID).
-	id := sha256.New()
-	line := append(make([]byte, 0, 128), "manifest:"...)
-	line = append(line, s.cache.manifest.hash...)
-	id.Write(line)
-	for _, path := range paths {
-		ent := s.cache.files[path]
-		traces = append(traces, ent.trace)
-		taskSet[ent.trace.Task] = true
-		hashes[ent.hash] = true
-		infoByTrace[ent.trace] = TaskInfo{
-			Task: ent.trace.Task, File: path, Size: ent.size, Hash: ent.hash,
-			ModTime: ent.modTime, StartNS: ent.trace.StartNS, EndNS: ent.trace.EndNS,
-			Failed: ent.trace.Failed,
-		}
-		line = append(line[:0], '\n')
-		line = append(line, filepath.Base(path)...)
-		line = append(line, '=')
-		line = append(line, ent.hash...)
-		id.Write(line)
+	buf := append(s.idBuf[:0], "manifest:"...)
+	buf = append(buf, c.manifest.hash...)
+	for _, l := range s.idLines {
+		buf = append(buf, l.line...)
 	}
+	s.idBuf = buf
+	id := sha256.New()
+	id.Write(buf)
+	s.idBytesHashed.Add(int64(len(buf)))
 	idState, err := id.(encoding.BinaryMarshaler).MarshalBinary()
 	if err != nil {
 		panic(err) // crypto/sha256 always marshals its state
 	}
-	batch := s.buildView(traces, s.cache.manifest.manifest, s.batchGraphs)
-	batch.taskSet, batch.hashes, batch.idState = taskSet, hashes, idState
-	batch.tasks = make([]TaskInfo, 0, len(batch.traces))
-	for _, tt := range batch.traces {
-		batch.tasks = append(batch.tasks, infoByTrace[tt])
-	}
-	return batch
+	batch.idState = idState
+
+	g := s.applyGraphs(s.batchGraphs, batch.ordered, m, ch)
+	batch.ftg, batch.sdg = g.FTG, g.SDG
+	return batch, ch, reset
 }
 
-// buildView builds the view of traces, given in directory order, under
-// manifest m: the traces sorted exactly as trace.LoadDir sorts them, in
-// the global task order, and the FTG and SDG of that order from the
-// graph index ix.
-func (s *Server) buildView(traces []*trace.TaskTrace, m *trace.Manifest, ix *analyzer.GraphIndex) *view {
-	// LoadDir's final ordering: stable sort by task name over the
-	// directory-ordered slice.
-	sort.SliceStable(traces, func(i, j int) bool { return traces[i].Task < traces[j].Task })
-	v := &view{traces: traces, ordered: analyzer.OrderTasks(traces, m), manifest: m}
-	g := s.syncGraphs(ix, v.ordered, m)
+func newIDLine(path, hash string) idLine {
+	return idLine{path: path, line: "\n" + filepath.Base(path) + "=" + hash}
+}
+
+func compareIDLine(l idLine, path string) int { return strings.Compare(l.path, path) }
+
+// rowKey is where a /v1/tasks row sorts: by task, then by path.
+type rowKey struct{ task, path string }
+
+func compareRow(ti TaskInfo, k rowKey) int {
+	if c := strings.Compare(ti.Task, k.task); c != 0 {
+		return c
+	}
+	return strings.Compare(ti.File, k.path)
+}
+
+func taskInfo(path string, ent fileEntry) TaskInfo {
+	return TaskInfo{
+		Task: ent.trace.Task, File: path, Size: ent.size, Hash: ent.hash,
+		ModTime: ent.modTime, StartNS: ent.trace.StartNS, EndNS: ent.trace.EndNS,
+		Failed: ent.trace.Failed,
+	}
+}
+
+// setView is the view of a TaskSet after change ch, its graphs from ix.
+func (s *Server) setView(set *analyzer.TaskSet, ix *analyzer.GraphIndex, ch analyzer.Change) *view {
+	v := &view{traces: set.Traces(), ordered: set.Ordered(), manifest: set.Manifest()}
+	g := s.applyGraphs(ix, v.ordered, v.manifest, ch)
 	v.ftg, v.sdg = g.FTG, g.SDG
 	return v
 }
 
-// syncGraphs syncs a graph index to ordered under m. The contributions the Sync
-// computed count as contribution cache misses, the ones it kept or took
-// from the other index as hits.
-func (s *Server) syncGraphs(ix *analyzer.GraphIndex, ordered []*trace.TaskTrace, m *trace.Manifest) analyzer.Graphs {
+// applyGraphs brings a graph index to ordered under m, the set it was
+// last brought to edited by ch. The contributions it computed count as
+// contribution cache misses, the ones it kept or took from the other
+// index as hits.
+func (s *Server) applyGraphs(ix *analyzer.GraphIndex, ordered []*trace.TaskTrace, m *trace.Manifest, ch analyzer.Change) analyzer.Graphs {
 	start := time.Now()
-	g := ix.Sync(ordered, m)
+	g := ix.Apply(ordered, m, ch)
 	s.graphSyncNS.Observe(time.Since(start).Nanoseconds())
 	s.contribMisses.Add(int64(g.Recomputed))
 	s.contribHits.Add(int64(g.Reused))
+	s.indexDiffed.Add(int64(g.Diffed))
 	return g
 }
 

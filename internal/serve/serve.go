@@ -46,6 +46,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -117,9 +118,11 @@ type Config struct {
 // view is one trace set and everything derived from it: the traces in
 // trace.LoadDir order and in analyzer.OrderTasks order, the two graphs
 // of that order, and a render cache for the bodies that depend on
-// nothing else. buildView is its one builder, for both halves of a
-// snapshot. A view is immutable once built, its render cache aside: the
-// graph indexes never change a graph they returned.
+// nothing else. Both halves of a snapshot are built from a TaskSet's
+// orders and a graph index's Apply (ingest.go). A view is immutable
+// once built, its render cache aside: the graph indexes never change a
+// graph they returned, and the TaskSets never write an order they
+// handed out.
 type view struct {
 	traces   []*trace.TaskTrace // trace.LoadDir order
 	ordered  []*trace.TaskTrace // analyzer.OrderTasks order
@@ -135,7 +138,7 @@ type view struct {
 	// content hash), which snapshotID resumes.
 	tasks   []TaskInfo
 	taskSet map[string]bool
-	hashes  map[string]bool
+	hashes  []string // sorted
 	idState []byte
 }
 
@@ -170,7 +173,8 @@ func (snap *snapshot) pick(live bool) *view {
 // hasHash reports whether content with this hash is already part of the
 // snapshot, as a trace file or as a retained checkpoint.
 func (snap *snapshot) hasHash(hash string) bool {
-	return snap.batch.hashes[hash] || snap.partialHashes[hash]
+	_, found := slices.BinarySearch(snap.batch.hashes, hash)
+	return found || snap.partialHashes[hash]
 }
 
 // Server is the incremental analysis service. It implements
@@ -193,6 +197,14 @@ type Server struct {
 	// out is immutable.
 	diag                    *diagnose.Index
 	batchGraphs, liveGraphs *analyzer.GraphIndex
+	// batchSet and liveSet are the two views' trace sets in both orders,
+	// edited by each snapshot's changes; livePartials are the checkpoints
+	// the live set holds, by task; idLines are the batch view's id lines
+	// in path order, and idBuf the scratch they are hashed from.
+	batchSet, liveSet analyzer.TaskSet
+	livePartials      map[string]*partialEntry
+	idLines           []idLine
+	idBuf             []byte
 	// batchStale is set when a scan saw the directory change and cleared
 	// once a snapshot of that state is built: a refresh that failed
 	// part-way still rebuilds the batch view on the next attempt.
@@ -246,6 +258,10 @@ type Server struct {
 	graphSyncNS     *obs.Histogram
 	diagReused      *obs.Counter
 	diagRecomputed  *obs.Counter
+	snapshotSorted  *obs.Counter
+	indexDiffed     *obs.Counter
+	scopesWalked    *obs.Counter
+	idBytesHashed   *obs.Counter
 	responseHits    *obs.Counter
 	responseMisses  *obs.Counter
 	snapshotTasks   *obs.Gauge
@@ -297,20 +313,26 @@ func NewServer(cfg Config) (*Server, error) {
 		requestNS: func(path string) *obs.Histogram {
 			return reg.Histogram(obs.Name("dayu_serve_request_ns", "path", path), obs.LatencyBuckets())
 		},
-		inflight:        reg.Gauge("dayu_serve_inflight_requests"),
-		ingests:         reg.Counter("dayu_serve_ingests_total"),
-		ingestNS:        reg.Histogram("dayu_serve_ingest_ns", obs.LatencyBuckets()),
-		ingestErrors:    reg.Counter("dayu_serve_ingest_errors_total"),
-		dirScans:        reg.Counter("dayu_serve_dir_scans_total"),
-		traceParses:     reg.Counter("dayu_serve_trace_parses_total"),
-		snapshotHits:    reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "snapshot")),
-		snapshotMisses:  reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "snapshot")),
-		contribHits:     reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "contribution")),
-		contribMisses:   reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "contribution")),
-		diagSyncNS:      reg.Histogram("dayu_serve_diagnose_sync_ns", obs.LatencyBuckets()),
-		graphSyncNS:     reg.Histogram("dayu_serve_graph_sync_ns", obs.LatencyBuckets()),
-		diagReused:      reg.Counter(obs.Name("dayu_serve_diagnose_scopes_total", "result", "reused")),
-		diagRecomputed:  reg.Counter(obs.Name("dayu_serve_diagnose_scopes_total", "result", "recomputed")),
+		inflight:       reg.Gauge("dayu_serve_inflight_requests"),
+		ingests:        reg.Counter("dayu_serve_ingests_total"),
+		ingestNS:       reg.Histogram("dayu_serve_ingest_ns", obs.LatencyBuckets()),
+		ingestErrors:   reg.Counter("dayu_serve_ingest_errors_total"),
+		dirScans:       reg.Counter("dayu_serve_dir_scans_total"),
+		traceParses:    reg.Counter("dayu_serve_trace_parses_total"),
+		snapshotHits:   reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "snapshot")),
+		snapshotMisses: reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "snapshot")),
+		contribHits:    reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "contribution")),
+		contribMisses:  reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "contribution")),
+		diagSyncNS:     reg.Histogram("dayu_serve_diagnose_sync_ns", obs.LatencyBuckets()),
+		graphSyncNS:    reg.Histogram("dayu_serve_graph_sync_ns", obs.LatencyBuckets()),
+		diagReused:     reg.Counter(obs.Name("dayu_serve_diagnose_scopes_total", "result", "reused")),
+		diagRecomputed: reg.Counter(obs.Name("dayu_serve_diagnose_scopes_total", "result", "recomputed")),
+		// What building snapshots costs, counted: the work that grows with
+		// the state rather than the change (TestSnapshotCostIsChangeProportional).
+		snapshotSorted:  reg.Counter("dayu_serve_snapshot_tasks_sorted_total"),
+		indexDiffed:     reg.Counter("dayu_serve_index_tasks_diffed_total"),
+		scopesWalked:    reg.Counter("dayu_serve_diagnose_scopes_walked_total"),
+		idBytesHashed:   reg.Counter("dayu_serve_snapshot_id_bytes_hashed_total"),
 		responseHits:    reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "response")),
 		responseMisses:  reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "response")),
 		snapshotTasks:   reg.Gauge("dayu_serve_snapshot_tasks"),
