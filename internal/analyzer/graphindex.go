@@ -2,7 +2,6 @@ package analyzer
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 
 	"dayu/internal/graph"
@@ -29,11 +28,7 @@ import (
 //   - a node: the AddNode fold of its occurrences in task order. The
 //     node's scope lists them and refolds when one arrives or leaves —
 //     AddNode keeps a minimum, a maximum and last-writer attributes, so
-//     an occurrence cannot be subtracted. The fold is associative, so a
-//     node with many occurrences keeps the folds of blocks of them and
-//     refolds only the block that changed, then merges the blocks; and
-//     a task's new trace that takes its old one's place keeps the
-//     unchanged occurrences in place, their nodes not refolded.
+//     an occurrence cannot be subtracted.
 //   - node order: first-occurrence order. Each task's part lists the
 //     nodes whose first occurrence it holds, by index in its
 //     contribution, and the node list is those lists concatenated in
@@ -79,7 +74,6 @@ type GraphIndex struct {
 
 	manifest *trace.Manifest
 	tasks    []*graphTask // task order
-	spare    []*graphTask // the previous task list's array, cleared
 	byTrace  map[*trace.TaskTrace]*graphTask
 	gen      uint64 // stamps the tasks a diff retains, or a patch removes
 
@@ -89,9 +83,10 @@ type GraphIndex struct {
 	// description that moved.
 	restale []*graphTask
 
-	layers     [2]layer // the FTG and the SDG
-	chunks     []*taskChunk
-	recomputed int
+	layers       [2]layer // the FTG and the SDG
+	chunks       []*taskChunk
+	recomputed   int
+	repositioned int
 }
 
 // chunkMax bounds a chunk's tasks: a patch copies the lists of the
@@ -119,8 +114,10 @@ type Graphs struct {
 	// ones it kept or took from the peer.
 	Recomputed, Reused int
 	// Diffed counts the tasks a Sync visited to find its change; an
-	// Apply, told the change, visits none.
-	Diffed int
+	// Apply, told the change, visits none. Repositioned counts the
+	// retained tasks the edit moved: every task after an insert or a
+	// removal that is not a replacement in place.
+	Diffed, Repositioned int
 }
 
 const (
@@ -183,17 +180,6 @@ type nodeScope struct {
 	occ  []occurrence // task order, then index in the contribution
 	occ1 [1]occurrence
 	node *graph.Node // the fold of occ, as published
-	// A node with more than foldBlock occurrences folds them in blocks:
-	// bsize[b] consecutive occurrences each, and bfold[b] their fold, nil
-	// once an occurrence of the block came or went. Merge is associative,
-	// so the node is the fold of the blocks, and a change refolds its own
-	// block and merges the others' folds: an occurrence costs its block,
-	// not the node's history. A block splits past twice foldBlock.
-	bsize []int
-	bfold []*graph.Node
-	// kept: the patch in progress replaced occurrences with equal ones
-	// and nothing else, so the fold stands.
-	kept bool
 	// first is the occurrence whose part lists the node: occ[0] when
 	// the node was folded, zero once that part left.
 	first occurrence
@@ -248,7 +234,7 @@ func (ix *GraphIndex) Sync(ordered []*trace.TaskTrace, m *trace.Manifest) Graphs
 		diffed = len(ordered)
 	}
 	if !ok {
-		ix.manifest = nil // rebuild
+		ch = Change{} // without At: Apply rebuilds
 	}
 	g := ix.Apply(ordered, m, ch)
 	g.Diffed = diffed
@@ -258,12 +244,11 @@ func (ix *GraphIndex) Sync(ordered []*trace.TaskTrace, m *trace.Manifest) Graphs
 // Apply brings the index to ordered — the indexed set edited by ch, in
 // OrderTasks order under m — and returns its FTG and SDG. It costs the
 // change: the removed tasks are found by trace and the added ones put
-// where ch.At says (without it, by matching the new order against the
-// old one, one pointer comparison per task), with no lookup of the
-// tasks that stay. A first call, a new manifest, and an ordered that is
+// where ch.At says, with no lookup of the tasks that stay. A first
+// call, a new manifest, a change without At, and an ordered that is
 // not the edit ch describes rebuild from empty.
 func (ix *GraphIndex) Apply(ordered []*trace.TaskTrace, m *trace.Manifest, ch Change) Graphs {
-	ix.recomputed = 0
+	ix.recomputed, ix.repositioned = 0, 0
 	if m != ix.manifest || !ix.patch(ordered, ch) {
 		ix.rebuild(ordered)
 		ix.manifest = m
@@ -271,6 +256,7 @@ func (ix *GraphIndex) Apply(ordered []*trace.TaskTrace, m *trace.Manifest, ch Ch
 	return Graphs{
 		FTG: ix.layers[lFTG].out, SDG: ix.layers[lSDG].out,
 		Recomputed: ix.recomputed, Reused: 2*len(ix.tasks) - ix.recomputed,
+		Repositioned: ix.repositioned,
 	}
 }
 
@@ -278,6 +264,7 @@ func (ix *GraphIndex) Apply(ordered []*trace.TaskTrace, m *trace.Manifest, ch Ch
 // pointer; ok is false when retained tasks changed relative order.
 func (ix *GraphIndex) diff(ordered []*trace.TaskTrace) (ch Change, ok bool) {
 	ix.gen++
+	ch.At = []int{} // said even when empty: the patch edits by position
 	last := -1
 	for i, tt := range ordered {
 		t := ix.byTrace[tt]
@@ -504,10 +491,9 @@ func (l *layer) adopt(tasks []*graphTask, k int, g *graph.Graph) {
 
 // patch applies the edit ch that made the indexed set ordered. It
 // reports false — leaving the index to be rebuilt — on a first Sync or
-// when ordered is not that edit (a removed trace is not indexed, a
-// retained task moved relative to the others, an added trace is not
-// where ch.At puts it), before changing anything but the tasks'
-// generation stamps.
+// when ordered is not that edit as far as it checks (a removed trace
+// is not indexed, an added trace is not where ch.At puts it, ch.At is
+// missing), before changing anything but the tasks' generation stamps.
 func (ix *GraphIndex) patch(ordered []*trace.TaskTrace, ch Change) bool {
 	if len(ix.tasks) == 0 {
 		return false
@@ -523,11 +509,7 @@ func (ix *GraphIndex) patch(ordered []*trace.TaskTrace, ch Change) bool {
 		t.gen = ix.gen
 		at = append(at, t.pos)
 	}
-	// Edited in place when ch says where, else matched into the spare
-	// array (the list before the last match).
-	from, to, ok := EditList(&ix.tasks, &ix.spare, ordered, ch, at,
-		func(t *graphTask) bool { return t.gen == ix.gen },
-		func(t *graphTask) *trace.TaskTrace { return t.trace },
+	from, to, ok := EditList(&ix.tasks, ordered, ch, at,
 		func(tt *trace.TaskTrace) bool { return ix.byTrace[tt] != nil })
 	if !ok {
 		return false
@@ -564,6 +546,8 @@ func (ix *GraphIndex) patch(ordered []*trace.TaskTrace, ch Change) bool {
 			next[i] = t
 			added = append(added, t)
 			ix.byTrace[t.trace] = t
+		} else if t.pos != i {
+			ix.repositioned++
 		}
 		t.pos = i
 	}
@@ -779,19 +763,9 @@ func (l *layer) patch(k int, out []outgoing, in []*graphTask) {
 	if len(out) == 0 && len(in) == 0 {
 		return
 	}
-	outKept, inKept := l.keep(k, out, in)
-	for oi, o := range out {
+	for _, o := range out {
 		for i := range o.part.c.nodes {
-			if outKept[oi] != nil && outKept[oi][i] {
-				continue
-			}
 			s := l.nodes[o.part.c.nodes[i].ID]
-			s.kept = false
-			for at := len(s.occ) - 1; at >= 0; at-- {
-				if s.occ[at].task == o.task {
-					s.unblock(at)
-				}
-			}
 			s.occ = slices.DeleteFunc(s.occ, func(oc occurrence) bool { return oc.task == o.task })
 			if s.first.task == o.task {
 				s.first = occurrence{}
@@ -804,17 +778,12 @@ func (l *layer) patch(k int, out []outgoing, in []*graphTask) {
 			}
 		}
 	}
-	for ti, t := range in {
+	for _, t := range in {
 		c := t.parts[k].c
 		for i := range c.nodes {
-			if inKept[ti] != nil && inKept[ti][i] {
-				continue
-			}
 			s := l.scope(c.nodes[i].ID)
-			s.kept = false
 			at, _ := slices.BinarySearchFunc(s.occ, t.pos+1, func(oc occurrence, pos int) int { return cmp.Compare(oc.task.pos, pos) })
 			s.occ = slices.Insert(s.occ, at, occurrence{t, i})
-			s.block(at)
 			l.touch(s)
 		}
 		for _, e := range c.edges {
@@ -832,13 +801,13 @@ func (l *layer) patch(k int, out []outgoing, in []*graphTask) {
 		s.dirty = false
 		if len(s.occ) == 0 {
 			delete(l.nodes, s.id)
-			s.node, s.readers, s.bsize, s.bfold = nil, nil, nil, nil // adopt's slab may outlive it
+			s.node, s.readers = nil, nil // adopt's slab may outlive it
 			continue
 		}
-		if !s.kept {
-			s.node = s.fold(k)
+		s.node = s.occ[0].node(k).Clone()
+		for _, oc := range s.occ[1:] {
+			s.node.Merge(oc.node(k))
 		}
-		s.kept = false
 		if s.first != s.occ[0] {
 			if s.first.task != nil {
 				p := &s.first.task.parts[k]
@@ -883,142 +852,6 @@ func (l *layer) patch(k int, out []outgoing, in []*graphTask) {
 	}
 	clear(l.stale)
 	l.stale = l.stale[:0]
-}
-
-// foldBlock is how many occurrences a block of a node's fold holds.
-const foldBlock = 8
-
-// block enters an occurrence inserted at index at into its block.
-func (s *nodeScope) block(at int) {
-	if len(s.bsize) == 0 {
-		s.bsize, s.bfold = nil, nil // the fold cuts the blocks afresh
-		return
-	}
-	b, off := 0, 0
-	for b < len(s.bsize)-1 && at > off+s.bsize[b] {
-		off += s.bsize[b]
-		b++
-	}
-	s.bsize[b]++
-	s.bfold[b] = nil
-	if n := s.bsize[b]; n > 2*foldBlock {
-		s.bsize[b] = n / 2
-		s.bsize = slices.Insert(s.bsize, b+1, n-n/2)
-		s.bfold = slices.Insert(s.bfold, b+1, nil)
-	}
-}
-
-// unblock takes the occurrence at index at out of its block.
-func (s *nodeScope) unblock(at int) {
-	if s.bsize == nil {
-		return
-	}
-	b, off := 0, 0
-	for at >= off+s.bsize[b] {
-		off += s.bsize[b]
-		b++
-	}
-	if s.bsize[b]--; s.bsize[b] == 0 {
-		s.bsize = slices.Delete(s.bsize, b, b+1)
-		s.bfold = slices.Delete(s.bfold, b, b+1)
-		return
-	}
-	s.bfold[b] = nil
-}
-
-// fold is the AddNode fold of the node's occurrences, as a new node:
-// the stale blocks refolded, then the blocks' folds merged.
-func (s *nodeScope) fold(k int) *graph.Node {
-	if len(s.occ) <= foldBlock {
-		s.bsize, s.bfold = nil, nil
-		return foldOccurrences(s.occ, k)
-	}
-	if s.bsize == nil {
-		for n := len(s.occ); n > 0; n -= min(n, foldBlock) {
-			s.bsize = append(s.bsize, min(n, foldBlock))
-			s.bfold = append(s.bfold, nil)
-		}
-	}
-	var node *graph.Node
-	off := 0
-	for b, n := range s.bsize {
-		if s.bfold[b] == nil {
-			s.bfold[b] = foldOccurrences(s.occ[off:off+n], k)
-		}
-		off += n
-		if b == 0 {
-			node = s.bfold[0].Clone()
-		} else {
-			node.Merge(s.bfold[b])
-		}
-	}
-	return node
-}
-
-func foldOccurrences(occ []occurrence, k int) *graph.Node {
-	node := occ[0].node(k).Clone()
-	for _, oc := range occ[1:] {
-		node.Merge(oc.node(k))
-	}
-	return node
-}
-
-// keep replaces in place the occurrences an incoming task takes over
-// unchanged from the outgoing part it follows — same task name, same
-// position: a newer checkpoint, the final, an SDG part recomputed —
-// so their nodes stand without a refold. Only a node ID the two
-// contributions hold once each qualifies. It returns, per outgoing part
-// and per incoming task, the contribution indices it took over.
-func (l *layer) keep(k int, out []outgoing, in []*graphTask) (outKept, inKept [][]bool) {
-	outKept, inKept = make([][]bool, len(out)), make([][]bool, len(in))
-	for ti, t := range in {
-		for oi, o := range out {
-			if outKept[oi] != nil || o.task.trace.Task != t.trace.Task || o.task.pos != t.pos {
-				continue
-			}
-			old, cur := o.part.c.nodes, t.parts[k].c.nodes
-			once := func(nodes []graph.Node) map[string]int {
-				at := make(map[string]int, len(nodes))
-				for i := range nodes {
-					if _, twice := at[nodes[i].ID]; twice {
-						at[nodes[i].ID] = -1
-					} else {
-						at[nodes[i].ID] = i
-					}
-				}
-				return at
-			}
-			oldAt, curAt := once(old), once(cur)
-			outKept[oi], inKept[ti] = make([]bool, len(old)), make([]bool, len(cur))
-			for i := range cur {
-				j, ok := oldAt[cur[i].ID]
-				if !ok || j < 0 || curAt[cur[i].ID] < 0 || !sameNode(&old[j], &cur[i]) {
-					continue
-				}
-				s := l.nodes[cur[i].ID]
-				at := slices.Index(s.occ, occurrence{o.task, j})
-				if at < 0 {
-					continue
-				}
-				s.occ[at] = occurrence{t, i}
-				if s.first == (occurrence{o.task, j}) {
-					// The new part lists the node in its place.
-					s.first = occurrence{}
-					s.kept = !s.dirty
-					l.touch(s)
-				}
-				outKept[oi][j], inKept[ti][i] = true, true
-			}
-			break
-		}
-	}
-	return outKept, inKept
-}
-
-// sameNode reports whether two occurrences of a node fold alike.
-func sameNode(a, b *graph.Node) bool {
-	return a.ID == b.ID && a.Kind == b.Kind && a.Label == b.Label && a.StartNS == b.StartNS &&
-		a.EndNS == b.EndNS && a.Volume == b.Volume && maps.Equal(a.Attrs, b.Attrs)
 }
 
 // restale marks a task whose k part's node list must be rebuilt.

@@ -45,8 +45,7 @@ type Change struct {
 	// At is, when known, where each of Added sits in the new task
 	// order, ascending: TaskSet.Apply returns the change with At filled
 	// in, and an index told it edits its task list by position, with no
-	// pass over the tasks that stay. Without it an index matches the
-	// new order against the old, one pointer comparison per task.
+	// pass over the tasks that stay. Without it an index rebuilds.
 	At []int
 }
 
@@ -230,75 +229,51 @@ func splice(sorted []*trace.TaskTrace, gone []int, ins []*trace.TaskTrace, compa
 
 // EditList edits an index's task list, *tasks, by ch, which made the
 // indexed set ordered: the leaving tasks, at positions gone, go, and a
-// zero T marks where each added trace goes. With ch.At it edits the
-// list in place, by position, and checks only the added places; without,
-// it matches ordered against the list, one comparison per task, into
-// the spare array, and the old array becomes the spare. Only the tasks
-// at positions from up to to may differ from the old list's, and the
-// task at to may have a new predecessor. ok is false, the list
-// untouched, when ordered is not the edit: the index then rebuilds.
-func EditList[T comparable](tasks, spare *[]T, ordered []*trace.TaskTrace, ch Change, gone []int,
-	leaving func(T) bool, traceOf func(T) *trace.TaskTrace, indexed func(*trace.TaskTrace) bool) (from, to int, ok bool) {
-	var zero T
-	if ch.At != nil && len(ch.At) == len(ch.Added) {
-		if len(*tasks)-len(gone)+len(ch.Added) != len(ordered) {
-			return 0, 0, false
-		}
-		for k, at := range ch.At {
-			if ordered[at] != ch.Added[k] || indexed(ch.Added[k]) {
-				return 0, 0, false
-			}
-		}
-		slices.Sort(gone)
-		from, to = len(ordered), len(ordered)
-		if len(gone) > 0 {
-			from = gone[0]
-		}
-		if len(ch.At) > 0 {
-			from = min(from, ch.At[0])
-		}
-		next := *tasks
-		if slices.Equal(gone, ch.At) {
-			// Replacements in place: nothing moves.
-			for _, at := range gone {
-				next[at] = zero
-			}
-			if len(gone) > 0 {
-				to = min(len(next), gone[len(gone)-1]+2)
-			}
-			return from, to, true
-		}
-		for k := len(gone) - 1; k >= 0; k-- {
-			next = slices.Delete(next, gone[k], gone[k]+1)
-		}
-		for _, at := range ch.At {
-			next = slices.Insert(next, at, zero)
-		}
-		*tasks = next
-		return from, to, true
+// zero T marks where each added trace goes, at ch.At. It checks only
+// the added places. Only the tasks at positions from up to to may
+// differ from the old list's, and the task at to may have a new
+// predecessor. From empty every task is added, wherever ch says. ok is
+// false, the list untouched, when ch does not say where or ordered is
+// not the edit: the index then rebuilds.
+func EditList[T any](tasks *[]T, ordered []*trace.TaskTrace, ch Change, gone []int, indexed func(*trace.TaskTrace) bool) (from, to int, ok bool) {
+	if len(*tasks) == 0 && len(gone) == 0 {
+		*tasks = make([]T, len(ordered))
+		return 0, len(ordered), true
 	}
-	next := slices.Grow((*spare)[:0], len(ordered))[:len(ordered)]
-	clear(next)
-	old := *tasks
-	j := 0
-	for i, tt := range ordered {
-		for j < len(old) && leaving(old[j]) {
-			j++
-		}
-		if j < len(old) && traceOf(old[j]) == tt {
-			next[i] = old[j]
-			j++
-		} else if indexed(tt) {
-			return 0, 0, false
-		}
-	}
-	for j < len(old) && leaving(old[j]) {
-		j++
-	}
-	if j < len(old) {
+	if ch.At == nil || len(ch.At) != len(ch.Added) || len(*tasks)-len(gone)+len(ch.Added) != len(ordered) {
 		return 0, 0, false
 	}
-	clear(old)
-	*tasks, *spare = next, old[:0]
-	return 0, len(next), true
+	for k, at := range ch.At {
+		if ordered[at] != ch.Added[k] || indexed(ch.Added[k]) {
+			return 0, 0, false
+		}
+	}
+	slices.Sort(gone)
+	from, to = len(ordered), len(ordered)
+	if len(gone) > 0 {
+		from = gone[0]
+	}
+	if len(ch.At) > 0 {
+		from = min(from, ch.At[0])
+	}
+	var zero T
+	next := *tasks
+	if slices.Equal(gone, ch.At) {
+		// Replacements in place: nothing moves.
+		for _, at := range gone {
+			next[at] = zero
+		}
+		if len(gone) > 0 {
+			to = min(len(next), gone[len(gone)-1]+2)
+		}
+		return from, to, true
+	}
+	for k := len(gone) - 1; k >= 0; k-- {
+		next = slices.Delete(next, gone[k], gone[k]+1)
+	}
+	for _, at := range ch.At {
+		next = slices.Insert(next, at, zero)
+	}
+	*tasks = next
+	return from, to, true
 }

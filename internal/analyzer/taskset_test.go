@@ -274,10 +274,10 @@ func TestGraphIndexApplyMatchesFreshBuild(t *testing.T) {
 }
 
 // TestGraphIndexChunksMatchFreshBuild edits a set large enough for the
-// graph index's chunks and its nodes' fold blocks to split and empty —
-// inserts at the front, in the middle and at the end, removals and
-// replacements — and holds each Apply to the batch builders, and the
-// graphs of the step before to their bytes.
+// graph index's chunks to split and empty — inserts at the front, in
+// the middle and at the end, removals and replacements — and holds each
+// Apply to the batch builders, and the graphs of the step before to
+// their bytes.
 func TestGraphIndexChunksMatchFreshBuild(t *testing.T) {
 	traces, _ := syntheticTraces(240)
 	rng := rand.New(rand.NewSource(5))
@@ -293,7 +293,7 @@ func TestGraphIndexChunksMatchFreshBuild(t *testing.T) {
 		var ch Change
 		op := rng.Intn(4)
 		if step >= 110 {
-			op = 4 // a run of tasks that start together: one fold block grows
+			op = 4 // a run of tasks that start together: one node gathers occurrences
 		}
 		switch op {
 		case 0, 1, 4: // a new task anywhere in the order, by start time
@@ -334,14 +334,5 @@ func TestGraphIndexChunksMatchFreshBuild(t *testing.T) {
 	}
 	if len(ix.chunks) < 4 {
 		t.Fatalf("the index ended in %d chunks; the test wants splits", len(ix.chunks))
-	}
-	largest := 0
-	for _, s := range ix.layers[lFTG].nodes {
-		for _, n := range s.bsize {
-			largest = max(largest, n)
-		}
-	}
-	if largest <= foldBlock {
-		t.Fatalf("no fold block grew past %d occurrences; the test wants splits", foldBlock)
 	}
 }

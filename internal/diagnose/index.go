@@ -70,7 +70,6 @@ type Index struct {
 	stagesOf  map[string][]*stageScope // task name → the stages listing it
 
 	tasks   []*taskScope // task order, as Sync was given it
-	spare   []*taskScope // the previous task list's array, cleared
 	byTrace map[*trace.TaskTrace]*taskScope
 	byName  map[string]*taskScope // the last task of that name in task order
 	// dups: two tasks share a name, which the inverted indexes do not
@@ -93,17 +92,17 @@ type Index struct {
 	// emission slot, in runs the views share; each scope's pub is what
 	// the lists hold of it. A patch splices the groups its recomputed
 	// scopes changed into the lists, copying the runs it writes, and a
-	// view takes the runs. walk rebuilds the lists from the scopes:
-	// after a reset, and when a patch touched too many scopes for
-	// splicing to pay. valid is false until then. epoch counts views:
-	// a run of an earlier epoch belongs to a view.
+	// view takes the runs. valid is false after a build from empty,
+	// which lists nothing; the next patch rebuilds the lists from the
+	// scopes (walk). epoch counts views: a run of an earlier epoch
+	// belongs to a view.
 	listed    [len(emission)]runList
 	valid     bool
 	epoch     uint64
 	nFindings int
 	walkBuf   []*group
 
-	recomputed, walked int
+	recomputed, walked, repositioned int
 }
 
 // group is what one rule found under one scope: immutable once built
@@ -342,9 +341,8 @@ func (ix *Index) Sync(ordered []*trace.TaskTrace, m *trace.Manifest) *View {
 // Apply brings the index to ordered — the indexed set edited by ch, in
 // task order under m — and returns the findings as Sync does. It costs
 // the change: the removed tasks are found by trace, the added ones put
-// where ch.At says (without it, by matching the new order against the
-// old one, one pointer comparison per task), and the view is spliced,
-// not re-walked. A new manifest, two tasks under one name, and an
+// where ch.At says, and the view is spliced, not re-walked. A new
+// manifest, two tasks under one name, a change without At, and an
 // ordered that is not the edit ch describes rebuild from empty.
 func (ix *Index) Apply(ordered []*trace.TaskTrace, m *trace.Manifest, ch analyzer.Change) *View {
 	if m != ix.manifest || ix.dups {
@@ -364,6 +362,7 @@ func (ix *Index) Apply(ordered []*trace.TaskTrace, m *trace.Manifest, ch analyze
 // pointer; ok is false when retained tasks changed relative order.
 func (ix *Index) diff(ordered []*trace.TaskTrace) (ch analyzer.Change, ok bool) {
 	ix.gen++
+	ch.At = []int{} // said even when empty: the patch edits by position
 	last := -1
 	for i, tt := range ordered {
 		t := ix.byTrace[tt]
@@ -387,13 +386,13 @@ func (ix *Index) diff(ordered []*trace.TaskTrace) (ch analyzer.Change, ok bool) 
 
 // patch applies the edit ch that made the indexed set ordered. It
 // reports false — leaving the index to be reset — when ordered is not
-// that edit (a removed trace is not indexed, a retained task moved
-// relative to the others, an added trace is not where ch.At puts it)
-// or a task arrived under a name another still holds. From empty it
-// always succeeds.
+// that edit as far as it checks (a removed trace is not indexed, an
+// added trace is not where ch.At puts it, ch.At is missing) or a task
+// arrived under a name another still holds. From empty it always
+// succeeds.
 func (ix *Index) patch(ordered []*trace.TaskTrace, ch analyzer.Change) bool {
 	fresh := len(ix.tasks) == 0
-	ix.recomputed, ix.walked = 0, 0
+	ix.recomputed, ix.walked, ix.repositioned = 0, 0, 0
 
 	leaving := make([]*taskScope, 0, len(ch.Removed))
 	gone := make([]int, 0, len(ch.Removed))
@@ -406,12 +405,8 @@ func (ix *Index) patch(ordered []*trace.TaskTrace, ch analyzer.Change) bool {
 		leaving = append(leaving, t)
 		gone = append(gone, t.pos)
 	}
-	// Edited in place when ch says where, else matched into the spare
-	// array (the list before the last match).
 	before := len(ix.tasks)
-	from, to, ok := analyzer.EditList(&ix.tasks, &ix.spare, ordered, ch, gone,
-		func(t *taskScope) bool { return t.dead },
-		func(t *taskScope) *trace.TaskTrace { return t.trace },
+	from, to, ok := analyzer.EditList(&ix.tasks, ordered, ch, gone,
 		func(tt *trace.TaskTrace) bool { return ix.byTrace[tt] != nil })
 	if !ok {
 		return false
@@ -442,6 +437,7 @@ func (ix *Index) patch(ordered []*trace.TaskTrace, ch analyzer.Change) bool {
 		} else if t.pos != i {
 			// A retained task moved: the pure inputs it is first to read
 			// name its position.
+			ix.repositioned++
 			for _, tf := range t.files {
 				if tf.file.pure && tf.file.firstReader == t {
 					ix.touchFile(tf.file)
@@ -479,7 +475,7 @@ func (ix *Index) patch(ordered []*trace.TaskTrace, ch analyzer.Change) bool {
 	for _, st := range ix.dirtyStages {
 		ix.stageRules(st)
 	}
-	ix.relist()
+	ix.relist(fresh)
 	// Emptied, not just truncated: a scope that dies later must not stay
 	// reachable from a work list's spare capacity.
 	clear(ix.dirtyObjs)
@@ -692,10 +688,12 @@ type View struct {
 	// files, objects, stages) the Sync recomputed and kept.
 	Recomputed, Reused int
 	// Diffed counts the tasks a Sync visited to find its change (an
-	// Apply visits none), and Walked the scopes the view's lists were
-	// rebuilt from: every scope, once per emission slot, after a reset
-	// or a patch too large to splice; none otherwise.
-	Diffed, Walked int
+	// Apply visits none), and Walked the scopes walked for the view:
+	// every scope, once per emission slot, by a build from empty and by
+	// the patch after it, which lists them; none otherwise.
+	// Repositioned counts the retained tasks the edit moved: every task
+	// after an insert or a removal that is not a replacement in place.
+	Diffed, Walked, Repositioned int
 }
 
 // The orders of the emission lists: which scope a slot belongs to, and
@@ -805,13 +803,17 @@ func (ix *Index) list(e int, owner any, old, new *group) {
 }
 
 // relist brings the emission lists up to the scopes the patch
-// recomputed: each group a scope changed is spliced in or out. A patch
-// that touched more scopes than splicing pays for, and the first one
-// after a reset, rebuild the lists instead (walk).
-func (ix *Index) relist() {
-	touched := len(ix.dirtyObjs) + len(ix.dirtyFiles) + len(ix.dirtyTasks) + len(ix.pairs) + len(ix.dirtyStages)
-	if !ix.valid || touched > 64+(len(ix.tasks)+len(ix.files)+len(ix.objs))/4 {
-		ix.walk()
+// recomputed: each group a scope changed is spliced in or out. A build
+// from empty lists nothing — Analyze reads its one view and is done,
+// and view walks the scopes for it — so the first patch after one
+// rebuilds the lists instead (walk).
+func (ix *Index) relist(fresh bool) {
+	if fresh {
+		ix.valid = false
+		return
+	}
+	if !ix.valid {
+		ix.walk(true)
 		return
 	}
 	for _, o := range ix.dirtyObjs {
@@ -846,9 +848,12 @@ func (ix *Index) relistScope(owner any, dead bool, out, pub []*group, emits []in
 	}
 }
 
-// walk rebuilds every emission list from the scopes, in the emission
-// orders, and counts the scopes it visits.
-func (ix *Index) walk() {
+// walk visits every scope once per emission slot, in the emission
+// orders, and counts the visits. With list it rebuilds the emission
+// lists from the groups it finds, each group learning its owner and
+// each slot what the lists hold of it; without, it only returns the
+// groups, one run per emission slot that has any.
+func (ix *Index) walk(list bool) [][]*group {
 	files := make([]*fileScope, 0, len(ix.files))
 	for _, f := range ix.files {
 		files = append(files, f)
@@ -858,48 +863,71 @@ func (ix *Index) walk() {
 	slices.SortFunc(names, func(a, b *taskScope) int { return compareOwners(byTaskName, a, b) })
 
 	ix.nFindings = 0
+	var all []*group
+	var ends []int
 	for e, em := range emission {
-		l := ix.walkBuf[:0]
+		l := all
+		if list {
+			l = ix.walkBuf[:0]
+		}
 		switch em.order {
 		case byFile:
 			for _, f := range files {
-				l = ix.walkScope(l, f, f.out[em.slot], &f.pub[em.slot])
+				l = ix.walkScope(l, list, f, f.out[em.slot], &f.pub[em.slot])
 			}
 		case byObject:
 			for _, f := range files {
 				for _, o := range f.objOrder {
-					l = ix.walkScope(l, o, o.out[em.slot], &o.pub[em.slot])
+					l = ix.walkScope(l, list, o, o.out[em.slot], &o.pub[em.slot])
 				}
 			}
 		case byTask:
 			for _, t := range ix.tasks {
-				l = ix.walkScope(l, t, t.out[em.slot], &t.pub[em.slot])
+				l = ix.walkScope(l, list, t, t.out[em.slot], &t.pub[em.slot])
 			}
 		case byTaskName:
 			for _, t := range names {
-				l = ix.walkScope(l, t, t.out[em.slot], &t.pub[em.slot])
+				l = ix.walkScope(l, list, t, t.out[em.slot], &t.pub[em.slot])
 			}
 		default:
 			for _, st := range ix.stages {
-				l = ix.walkScope(l, st, st.out[em.slot], &st.pub[em.slot])
+				l = ix.walkScope(l, list, st, st.out[em.slot], &st.pub[em.slot])
 			}
+		}
+		if !list {
+			if len(l) > len(all) {
+				ends = append(ends, len(l))
+			}
+			all = l
+			continue
 		}
 		// The runs slice a fresh array: the scratch goes on to the next
 		// list.
 		ix.listed[e].reset(slices.Clone(l), ix.epoch)
 		ix.walkBuf = l
 	}
-	clear(ix.walkBuf)
-	ix.valid = true
+	if list {
+		clear(ix.walkBuf)
+		ix.valid = true
+		return nil
+	}
+	runs := make([][]*group, len(ends))
+	start := 0
+	for i, end := range ends {
+		runs[i], start = all[start:end:end], end
+	}
+	return runs
 }
 
-func (ix *Index) walkScope(l []*group, owner any, g *group, pub **group) []*group {
+func (ix *Index) walkScope(l []*group, list bool, owner any, g *group, pub **group) []*group {
 	ix.walked++
-	*pub = g
+	if list {
+		*pub = g
+	}
 	if g == nil {
 		return l
 	}
-	if g.owner == nil {
+	if list && g.owner == nil {
 		g.owner = owner
 	}
 	ix.nFindings += len(g.findings)
@@ -907,17 +935,24 @@ func (ix *Index) walkScope(l []*group, owner any, g *group, pub **group) []*grou
 }
 
 // view takes the emission lists' runs, which it shares with the index
-// until the index copies them to write.
+// until the index copies them to write; after a build from empty, which
+// keeps no lists, it walks the scopes.
 func (ix *Index) view() *View {
-	size := 0
-	for e := range ix.listed {
-		size += len(ix.listed[e].runs)
+	v := &View{Recomputed: ix.recomputed}
+	if ix.valid {
+		size := 0
+		for e := range ix.listed {
+			size += len(ix.listed[e].runs)
+		}
+		v.groups = make([][]*group, 0, size)
+		for e := range ix.listed {
+			v.groups = append(v.groups, ix.listed[e].runs...)
+		}
+		ix.epoch++
+	} else {
+		v.groups = ix.walk(false)
 	}
-	v := &View{groups: make([][]*group, 0, size), n: ix.nFindings, Recomputed: ix.recomputed, Walked: ix.walked}
-	for e := range ix.listed {
-		v.groups = append(v.groups, ix.listed[e].runs...)
-	}
-	ix.epoch++
+	v.n, v.Walked, v.Repositioned = ix.nFindings, ix.walked, ix.repositioned
 	scopes := len(ix.tasks) + max(len(ix.tasks)-1, 0) + len(ix.files) + len(ix.objs) + len(ix.stages)
 	v.Reused = scopes - v.Recomputed
 	return v

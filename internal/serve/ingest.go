@@ -288,6 +288,7 @@ func (s *Server) buildSnapshot(captured []*partialEntry, partialsGen uint64) *sn
 	s.diagReused.Add(int64(snap.findings.Reused))
 	s.indexDiffed.Add(int64(snap.findings.Diffed))
 	s.scopesWalked.Add(int64(snap.findings.Walked))
+	s.repositioned.Add(int64(snap.findings.Repositioned))
 	// What this snapshot saw, so refresh can tell when there is
 	// something newer to build.
 	s.batchStale, s.lastPartialsGen = false, partialsGen
@@ -304,9 +305,10 @@ type idLine struct {
 // (buildCache.pending): the trace set, the /v1/tasks rows, the content
 // hashes and the id lines are edited at the changed paths, and the
 // graphs patched. Only the id's SHA-256 state is recomputed over every
-// line. A first build, or a change to more than an eighth of the set,
-// builds from the whole cache instead. It returns the view, the change
-// to its trace set, and whether the trace set was rebuilt.
+// line. A first build, and a change the batch TaskSet refuses (two
+// traces under one task name), build from the whole cache instead. It
+// returns the view, the change to its trace set, and whether the trace
+// set was rebuilt.
 func (s *Server) buildBatchView(prev *view) (batch *view, ch analyzer.Change, reset bool) {
 	c := s.cache
 	m := c.manifest.manifest
@@ -338,7 +340,7 @@ func (s *Server) buildBatchView(prev *view) (batch *view, ch analyzer.Change, re
 	}
 
 	batch = &view{manifest: m}
-	reset = prev == nil || len(changes) > 16+len(prev.tasks)/8
+	reset = prev == nil
 	if !reset {
 		applied, sorted, ok := s.batchSet.Apply(ch, m)
 		s.snapshotSorted.Add(int64(sorted))
@@ -466,6 +468,7 @@ func (s *Server) applyGraphs(ix *analyzer.GraphIndex, ordered []*trace.TaskTrace
 	s.contribMisses.Add(int64(g.Recomputed))
 	s.contribHits.Add(int64(g.Reused))
 	s.indexDiffed.Add(int64(g.Diffed))
+	s.repositioned.Add(int64(g.Repositioned))
 	return g
 }
 

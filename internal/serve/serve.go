@@ -261,6 +261,7 @@ type Server struct {
 	snapshotSorted  *obs.Counter
 	indexDiffed     *obs.Counter
 	scopesWalked    *obs.Counter
+	repositioned    *obs.Counter
 	idBytesHashed   *obs.Counter
 	responseHits    *obs.Counter
 	responseMisses  *obs.Counter
@@ -332,6 +333,7 @@ func NewServer(cfg Config) (*Server, error) {
 		snapshotSorted:  reg.Counter("dayu_serve_snapshot_tasks_sorted_total"),
 		indexDiffed:     reg.Counter("dayu_serve_index_tasks_diffed_total"),
 		scopesWalked:    reg.Counter("dayu_serve_diagnose_scopes_walked_total"),
+		repositioned:    reg.Counter("dayu_serve_index_tasks_repositioned_total"),
 		idBytesHashed:   reg.Counter("dayu_serve_snapshot_id_bytes_hashed_total"),
 		responseHits:    reg.Counter(obs.Name("dayu_serve_cache_hits_total", "cache", "response")),
 		responseMisses:  reg.Counter(obs.Name("dayu_serve_cache_misses_total", "cache", "response")),

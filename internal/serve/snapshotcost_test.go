@@ -15,14 +15,22 @@ import (
 	"dayu/internal/workloads"
 )
 
+// midTask is the one name the loaded servers' manifest ranks that no
+// preloaded task holds, halfway through the preloaded order: a task
+// streamed under it is inserted mid-order, as the tasks of a stream
+// whose phases interleave in time are.
+const midTask = "p_mid"
+
 // loadedServer is a push-enabled server over a directory preloaded with
-// n synthetic tasks and their manifest, as `stream_loaded` runs it. The
-// tests below drive its folder's two steps — foldBytes, then the
-// folder's refresh — themselves; nothing is pushed over HTTP.
+// n synthetic tasks and their manifest, as `stream_loaded` runs it; the
+// manifest also ranks midTask. The tests below drive its folder's two
+// steps — foldBytes, then the folder's refresh — themselves; nothing is
+// pushed over HTTP.
 func loadedServer(tb testing.TB, n int, reg *obs.Registry) *Server {
 	tb.Helper()
 	dir := tb.TempDir()
 	traces, m := workloads.GenerateSyntheticTraces(workloads.SyntheticTraceConfig{Tasks: n})
+	m.TaskOrder = slices.Insert(m.TaskOrder, n/2, midTask)
 	for _, tt := range traces {
 		if _, err := tt.SaveFormat(dir, trace.FormatBinary); err != nil {
 			tb.Fatal(err)
@@ -117,12 +125,13 @@ func foldRecord(tb testing.TB, s *Server, data []byte) {
 }
 
 // costCounters are what TestSnapshotCostIsChangeProportional reads per
-// record: the three counters of O(state) snapshot work, and two of the
+// record: the four counters of O(state) snapshot work, and two of the
 // work the change itself costs.
 var costCounters = []string{
 	"dayu_serve_snapshot_tasks_sorted_total",
 	"dayu_serve_index_tasks_diffed_total",
 	"dayu_serve_diagnose_scopes_walked_total",
+	"dayu_serve_index_tasks_repositioned_total",
 	obs.Name("dayu_serve_cache_misses_total", "cache", "contribution"),
 	obs.Name("dayu_serve_diagnose_scopes_total", "result", "recomputed"),
 }
@@ -137,18 +146,37 @@ var stateProportional = map[string]string{
 	"dayu_serve_snapshot_id_bytes_hashed_total": "id-line bytes hashed on a final",
 }
 
+// insertProportional is the allow-list for the records that insert a
+// task mid-order (midTask's): what grows with the tasks after the
+// insert. The records that append or replace in place hold these
+// counters equal too.
+var insertProportional = map[string]string{
+	// Both indexes keep each task's position, and every task after the
+	// insert moves one place (an integer written; the task lists and
+	// orders are memmoved, which no counter sees).
+	"dayu_serve_index_tasks_repositioned_total": "tasks after a mid-order insert renumbered",
+	// time-dependent-input names the position of a pure input's first
+	// reader ("task #N"), so each pure input whose first reader moved is
+	// recomputed.
+	obs.Name("dayu_serve_diagnose_scopes_total", "result", "recomputed"): "pure inputs whose first reader moved recomputed",
+}
+
 // TestSnapshotCostIsChangeProportional is the counted gate on what a
 // snapshot costs: over 100, 1000 and 3000 preloaded tasks, the same
-// stream of 20 records — cumulative checkpoints, deltas and finals, in
-// dtb and JSON — costs each record the same sorted tasks, diffed tasks,
-// walked scopes, computed contributions and recomputed diagnose scopes.
-// Only the allow-listed counters may grow with the state.
+// stream of 24 records — cumulative checkpoints, deltas and finals, in
+// dtb and JSON, of five tasks that sort last and one, midTask, that
+// sorts mid-order — costs each record the same sorted tasks, diffed
+// tasks, walked scopes, repositioned tasks, computed contributions and
+// recomputed diagnose scopes. Only the allow-listed counters may grow
+// with the state, and those of insertProportional only on midTask's
+// records.
 func TestSnapshotCostIsChangeProportional(t *testing.T) {
 	if testing.Short() {
 		t.Skip("preloads 3000 tasks")
 	}
 	sizes := []int{100, 1000, 3000}
 	perRecord := make([]map[string][]int64, len(sizes))
+	mid := 0 // midTask's first record
 	for k, n := range sizes {
 		reg := obs.NewRegistry()
 		s := loadedServer(t, n, reg)
@@ -165,6 +193,10 @@ func TestSnapshotCostIsChangeProportional(t *testing.T) {
 				f = trace.FormatJSON
 			}
 			records = append(records, streamRecords(t, fmt.Sprintf("p_stream_%d", i), f, &seq)...)
+			if i == 2 {
+				mid = len(records)
+				records = append(records, streamRecords(t, midTask, trace.FormatBinary, &seq)...)
+			}
 		}
 		perRecord[k] = map[string][]int64{}
 		names := append(slices.Clone(costCounters), "dayu_serve_snapshot_id_bytes_hashed_total")
@@ -179,8 +211,11 @@ func TestSnapshotCostIsChangeProportional(t *testing.T) {
 			}
 		}
 		snap := s.snap.Load()
-		if got := len(snap.batch.traces); got != n+6 || snap.partialTasks != 0 {
-			t.Fatalf("%d tasks: after the stream the snapshot holds %d finals and %d partials, want %d and 0", n, got, snap.partialTasks, n+6)
+		if got := len(snap.batch.traces); got != n+7 || snap.partialTasks != 0 {
+			t.Fatalf("%d tasks: after the stream the snapshot holds %d finals and %d partials, want %d and 0", n, got, snap.partialTasks, n+7)
+		}
+		if at := slices.IndexFunc(snap.batch.ordered, func(tt *trace.TaskTrace) bool { return tt.Task == midTask }); at != n/2 {
+			t.Fatalf("%d tasks: %s sits at %d in task order, want %d", n, midTask, at, n/2)
 		}
 		if k == 0 {
 			srv := httptest.NewServer(s)
@@ -190,10 +225,29 @@ func TestSnapshotCostIsChangeProportional(t *testing.T) {
 	}
 	for _, name := range costCounters {
 		for k := 1; k < len(sizes); k++ {
-			if !slices.Equal(perRecord[k][name], perRecord[0][name]) {
+			got, want := slices.Clone(perRecord[k][name]), slices.Clone(perRecord[0][name])
+			if _, ok := insertProportional[name]; ok {
+				// midTask's records are held apart: compared below, not here.
+				got, want = slices.Delete(got, mid, mid+4), slices.Delete(want, mid, mid+4)
+			}
+			if !slices.Equal(got, want) {
 				t.Errorf("%s per record: %v over %d tasks, %v over %d", name, perRecord[0][name], sizes[0], perRecord[k][name], sizes[k])
 			}
 		}
+	}
+	for name, why := range insertProportional {
+		var of [3][]int64
+		for k := range sizes {
+			of[k] = perRecord[k][name][mid : mid+4]
+		}
+		// An insert costs something, and no more than the tasks after it
+		// in each of the two indexes it edits.
+		for k, n := range sizes {
+			if of[k][0] == 0 || of[k][0] > 2*int64(n) {
+				t.Errorf("%s over %s's records: %v / %v / %v", name, midTask, of[0], of[1], of[2])
+			}
+		}
+		t.Logf("allowed to grow with the tasks after a mid-order insert (%s): %s over %s's records %v / %v / %v", why, name, midTask, of[0], of[1], of[2])
 	}
 	for name, why := range stateProportional {
 		t.Logf("allowed to grow with the state (%s): %s per record %v / %v / %v", why, name, perRecord[0][name], perRecord[1][name], perRecord[2][name])
