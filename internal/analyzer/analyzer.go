@@ -4,15 +4,17 @@
 // offers resolution adjustment (aggregation by stage or dataset count)
 // for complex workflows.
 //
-// Graph construction is two steps (merge.go): each task's nodes and
-// edges — its contribution, a function of that task's trace and, for
-// the SDG, of the descriptions of the objects it maps — are computed by
-// Options.Parallelism workers, then every contribution is folded into
-// the graph in task order by one serial loop. The fold alone fixes node
-// IDs, edge order and every rendered byte, so the output is identical
-// at every parallelism setting. GraphIndex (graphindex.go) is the same
-// graphs kept up to date as the trace set changes, which is how `dayu
-// serve` builds them.
+// Batch graph construction is two steps (merge.go): each task's nodes
+// and edges — its contribution, a function of that task's trace and,
+// for the SDG, of the descriptions of the objects it maps — are
+// computed by Options.Parallelism workers, then every contribution is
+// folded into the graph in task order by one serial loop. The fold
+// alone fixes node IDs, edge order and every rendered byte, so the
+// output is identical at every parallelism setting. GraphIndex
+// (graphindex.go) is the same graphs kept up to date as the trace set
+// changes, which is how `dayu serve` builds them: it has one entry,
+// Apply, and builds from empty by the patch that adds every task, so
+// the batch builders are its reference, not its code.
 package analyzer
 
 import (
@@ -35,9 +37,10 @@ type Options struct {
 	// IncludeFileMetadata adds the File-Metadata pseudo-dataset node for
 	// unattributed metadata traffic (Figure 8b's Box 2).
 	IncludeFileMetadata bool
-	// Parallelism bounds the workers computing per-task graph
-	// contributions (<= 0 means GOMAXPROCS); the merge is always the
-	// serial fold. Every setting produces byte-identical output.
+	// Parallelism bounds the workers the batch builders (BuildFTG,
+	// BuildSDG) compute per-task graph contributions on (<= 0 means
+	// GOMAXPROCS); the merge is always the serial fold, and a GraphIndex
+	// computes serially. Every setting produces byte-identical output.
 	Parallelism int
 }
 
@@ -64,7 +67,7 @@ func metaNodeID(file string) string { return "meta:" + file + "::File-Metadata" 
 
 // OrderTasks returns traces ordered by manifest task order when given,
 // otherwise by start timestamp. This is the canonical merge order: the
-// batch builders fold contributions in it and GraphIndex.Sync takes
+// batch builders fold contributions in it and GraphIndex.Apply takes
 // its trace set in it, which is what keeps their outputs byte-identical.
 func OrderTasks(traces []*trace.TaskTrace, m *trace.Manifest) []*trace.TaskTrace {
 	out := append([]*trace.TaskTrace(nil), traces...)

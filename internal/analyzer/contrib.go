@@ -31,8 +31,7 @@ var (
 )
 
 // fold assembles the graph from per-task contributions in task order
-// (see OrderTasks) and applies the decoration pass: the batch build,
-// and a GraphIndex's build from empty.
+// (see OrderTasks) and applies the decoration pass: the batch build.
 func (s *shape) fold(contribs []*Contribution) *graph.Graph {
 	g := mergeContributions(s.name, contribs)
 	markReuse(g, s.reuse)

@@ -12,10 +12,11 @@ import (
 // stateful index over an ordered trace set that, when the set changes,
 // recomputes the contributions the change touches and patches both
 // graphs instead of folding every contribution again. `dayu serve`
-// keeps two, one per view, and syncs them to every snapshot's trace
-// sets, so a folded checkpoint costs what it changed rather than a pass
-// over the state. A Sync returns what BuildFTG and BuildSDG return for
-// the same ordered set, byte for byte in every renderer.
+// keeps two, one per view, and applies every snapshot's change of its
+// trace sets to them, so a folded checkpoint costs what it changed
+// rather than a pass over the state. An Apply returns what BuildFTG and
+// BuildSDG return for the same ordered set, byte for byte in every
+// renderer.
 //
 // What a graph is a function of, and what the index keeps for it:
 //
@@ -49,13 +50,11 @@ import (
 // Apply takes the change as the caller knows it — `dayu serve` gets it
 // from the fold, through its TaskSets — and costs what changed: the
 // removed tasks are looked up by trace and the task list is edited at
-// their positions and at the added ones' (Change.At). Sync is
-// Apply for callers that hold only the new order: it finds the change
-// by looking up every task by trace pointer (traces and manifests are
-// immutable and pointer-stable). A first call, one under a new manifest
-// and one whose retained tasks changed relative order rebuild from
-// empty through the batch builders' fold. Nothing is keyed by task
-// name, so tasks sharing a name need no special case.
+// their positions and at the added ones' (Change.At). A build from
+// empty is the same patch with every task added: a first call, one
+// under a new manifest and one whose change does not say where its
+// tasks go start from empty. Nothing is keyed by task name, so tasks
+// sharing a name need no special case.
 //
 // Published graphs are immutable: renders of an older snapshot run
 // while the index moves on. A patch therefore builds new node and edge
@@ -75,7 +74,7 @@ type GraphIndex struct {
 	manifest *trace.Manifest
 	tasks    []*graphTask // task order
 	byTrace  map[*trace.TaskTrace]*graphTask
-	gen      uint64 // stamps the tasks a diff retains, or a patch removes
+	gen      uint64 // stamps the tasks a patch removes
 
 	descs      map[trace.RowKey]*descScope
 	dirtyDescs []*descScope
@@ -107,17 +106,15 @@ type chunkRuns struct {
 	stale bool // the tasks' lists changed since nodes and edges were cut
 }
 
-// Graphs is what one Sync returns.
+// Graphs is what one Apply returns.
 type Graphs struct {
 	FTG, SDG *graph.Graph
-	// Recomputed counts the contributions the Sync computed; Reused the
+	// Recomputed counts the contributions the Apply computed; Reused the
 	// ones it kept or took from the peer.
 	Recomputed, Reused int
-	// Diffed counts the tasks a Sync visited to find its change; an
-	// Apply, told the change, visits none. Repositioned counts the
-	// retained tasks the edit moved: every task after an insert or a
-	// removal that is not a replacement in place.
-	Diffed, Repositioned int
+	// Repositioned counts the retained tasks the edit moved: every task
+	// after an insert or a removal that is not a replacement in place.
+	Repositioned int
 }
 
 const (
@@ -205,16 +202,19 @@ func NewGraphIndex(opts Options, peer *GraphIndex) *GraphIndex {
 	if peer != nil {
 		peer.peer = ix
 	}
-	ix.reset()
+	ix.reset(nil)
 	return ix
 }
 
-func (ix *GraphIndex) reset() {
+// reset empties the index and installs manifest m, the one its task
+// order is under.
+func (ix *GraphIndex) reset(m *trace.Manifest) {
 	*ix = GraphIndex{
-		opts:    ix.opts,
-		peer:    ix.peer,
-		byTrace: map[*trace.TaskTrace]*graphTask{},
-		descs:   map[trace.RowKey]*descScope{},
+		opts:     ix.opts,
+		peer:     ix.peer,
+		manifest: m,
+		byTrace:  map[*trace.TaskTrace]*graphTask{},
+		descs:    map[trace.RowKey]*descScope{},
 		layers: [2]layer{
 			{shape: ftgShape, nodes: map[string]*nodeScope{}},
 			{shape: sdgShape, nodes: map[string]*nodeScope{}},
@@ -222,68 +222,26 @@ func (ix *GraphIndex) reset() {
 	}
 }
 
-// Sync brings the index to the trace set ordered under manifest m —
-// ordered must be OrderTasks(traces, m) — and returns its FTG and SDG.
-// It finds what changed since the last call by visiting every task
-// (Graphs.Diffed counts them); Apply is the same step told the change.
-func (ix *GraphIndex) Sync(ordered []*trace.TaskTrace, m *trace.Manifest) Graphs {
-	var ch Change
-	diffed, ok := 0, false
-	if m == ix.manifest && len(ix.tasks) > 0 {
-		ch, ok = ix.diff(ordered)
-		diffed = len(ordered)
-	}
-	if !ok {
-		ch = Change{} // without At: Apply rebuilds
-	}
-	g := ix.Apply(ordered, m, ch)
-	g.Diffed = diffed
-	return g
-}
-
 // Apply brings the index to ordered — the indexed set edited by ch, in
 // OrderTasks order under m — and returns its FTG and SDG. It costs the
 // change: the removed tasks are found by trace and the added ones put
-// where ch.At says, with no lookup of the tasks that stay. A first
-// call, a new manifest, a change without At, and an ordered that is
-// not the edit ch describes rebuild from empty.
+// where ch.At says, with no lookup of the tasks that stay. A new
+// manifest, a change without At, and an ordered that is not the edit ch
+// describes build from empty: the patch that adds every task.
 func (ix *GraphIndex) Apply(ordered []*trace.TaskTrace, m *trace.Manifest, ch Change) Graphs {
 	ix.recomputed, ix.repositioned = 0, 0
-	if m != ix.manifest || !ix.patch(ordered, ch) {
-		ix.rebuild(ordered)
-		ix.manifest = m
+	if m != ix.manifest {
+		ix.reset(m)
+	}
+	if !ix.patch(ordered, ch) {
+		ix.reset(m)
+		ix.patch(ordered, Change{})
 	}
 	return Graphs{
 		FTG: ix.layers[lFTG].out, SDG: ix.layers[lSDG].out,
 		Recomputed: ix.recomputed, Reused: 2*len(ix.tasks) - ix.recomputed,
 		Repositioned: ix.repositioned,
 	}
-}
-
-// diff is the change from the indexed set to ordered, found by trace
-// pointer; ok is false when retained tasks changed relative order.
-func (ix *GraphIndex) diff(ordered []*trace.TaskTrace) (ch Change, ok bool) {
-	ix.gen++
-	ch.At = []int{} // said even when empty: the patch edits by position
-	last := -1
-	for i, tt := range ordered {
-		t := ix.byTrace[tt]
-		if t == nil {
-			ch.Added, ch.At = append(ch.Added, tt), append(ch.At, i)
-			continue
-		}
-		if t.pos <= last {
-			return ch, false
-		}
-		last = t.pos
-		t.gen = ix.gen
-	}
-	for _, t := range ix.tasks {
-		if t.gen != ix.gen {
-			ch.Removed = append(ch.Removed, t.trace)
-		}
-	}
-	return ch, true
 }
 
 // Len is the number of tasks the index holds.
@@ -300,72 +258,8 @@ func (ix *GraphIndex) Contributions() (ftg, sdg []*Contribution) {
 	return ftg, sdg
 }
 
-// rebuild empties the index and builds it from ordered through the
-// batch builders' fold.
-func (ix *GraphIndex) rebuild(ordered []*trace.TaskTrace) {
-	ix.reset()
-	ix.tasks = make([]*graphTask, len(ordered))
-	slab := make([]graphTask, len(ordered))
-	for i, tt := range ordered {
-		t := &slab[i]
-		t.trace, t.pos = tt, i
-		ix.tasks[i] = t
-		ix.byTrace[tt] = t
-		ix.linkDescs(t)
-	}
-	ix.settleDescs()
-	for _, t := range ix.restale {
-		t.restale = false
-	}
-	ix.restale = ix.restale[:0]
-
-	// Contributions the peer holds are taken serially; the rest are
-	// computed on the builders' workers.
-	var need [2][]*graphTask
-	for _, t := range ix.tasks {
-		for k := range t.parts {
-			if t.parts[k].c = ix.borrow(t, k); t.parts[k].c == nil {
-				need[k] = append(need[k], t)
-			}
-		}
-	}
-	nf := len(need[lFTG])
-	ix.recomputed = nf + len(need[lSDG])
-	backing := make([]Contribution, ix.recomputed)
-	forEach(len(backing), ix.opts.Parallelism, func(i int) {
-		if i < nf {
-			backing[i] = ftgContribution(need[lFTG][i].trace)
-			need[lFTG][i].parts[lFTG].c = &backing[i]
-		} else {
-			t := need[lSDG][i-nf]
-			backing[i] = sdgContribution(t.trace, ix.winner, ix.opts)
-			t.parts[lSDG].c = &backing[i]
-		}
-	})
-
-	contribs := make([]*Contribution, len(ix.tasks))
-	for k := range ix.layers {
-		for i, t := range ix.tasks {
-			contribs[i] = t.parts[k].c
-		}
-		ix.layers[k].adopt(ix.tasks, k, ix.layers[k].shape.fold(contribs))
-	}
-	// The fold's graphs are published as they are; the chunks are what
-	// the next patch assembles from.
-	for tasks := ix.tasks; len(tasks) > 0; {
-		n := min(len(tasks), chunkMax/2)
-		c := &taskChunk{n: n}
-		for _, t := range tasks[:n] {
-			t.chunk = c
-		}
-		c.cut(tasks[:n])
-		ix.chunks = append(ix.chunks, c)
-		tasks = tasks[n:]
-	}
-}
-
 // cut re-concatenates the stale runs of a chunk of tasks, or all of
-// them from a rebuild.
+// them in a new chunk.
 func (c *taskChunk) cut(tasks []*graphTask) {
 	for k := range c.runs {
 		r := &c.runs[k]
@@ -390,7 +284,7 @@ func (c *taskChunk) restale(k int) { c.runs[k].stale = true }
 
 // publish brings the chunks up to the patched task list — emptied
 // chunks leave, overfull ones split, stale runs are re-cut — and
-// assembles each layer whose runs changed.
+// assembles each layer whose runs changed or that has no graph yet.
 func (ix *GraphIndex) publish() {
 	var changed [2]bool
 	chunks := make([]*taskChunk, 0, len(ix.chunks)+1)
@@ -423,7 +317,7 @@ func (ix *GraphIndex) publish() {
 	}
 	ix.chunks = chunks
 	for k := range ix.layers {
-		if !changed[k] {
+		if !changed[k] && ix.layers[k].out != nil {
 			continue
 		}
 		nodes := make([][]*graph.Node, 0, len(chunks))
@@ -441,63 +335,14 @@ func (ix *GraphIndex) publish() {
 	}
 }
 
-// adopt takes g, the fold of the tasks' k contributions, as the layer's
-// graph and derives the layer's scopes from it.
-func (l *layer) adopt(tasks []*graphTask, k int, g *graph.Graph) {
-	l.out = g
-	nodes := g.Nodes()
-	scopes := make([]nodeScope, len(nodes))
-	l.nodes = make(map[string]*nodeScope, len(nodes))
-	for i, n := range nodes {
-		s := &scopes[i]
-		s.id, s.node, s.occ = n.ID, n, s.occ1[:0]
-		l.nodes[n.ID] = s
-	}
-	// The tasks' lists slice copies of the fold's lists, capacity-capped:
-	// in first-occurrence order, a task's firsts are one run.
-	ptrs := make([]*nodeScope, len(nodes))
-	for i := range scopes {
-		ptrs[i] = &scopes[i]
-	}
-	edges := slices.Clone(g.Edges())
-	off, first := 0, 0
-	for _, t := range tasks {
-		p := &t.parts[k]
-		n := len(p.c.edges)
-		p.edges = edges[off : off+n : off+n]
-		off += n
-		last := first
-		for i := range p.c.nodes {
-			s := l.nodes[p.c.nodes[i].ID]
-			if len(s.occ) == 0 {
-				s.first = occurrence{t, i}
-				last++
-			}
-			s.occ = append(s.occ, occurrence{t, i})
-		}
-		p.firsts, p.nodes = ptrs[first:last:last], nodes[first:last:last]
-		first = last
-		for _, e := range p.edges {
-			if e.Op == graph.OpRead {
-				l.nodes[e.From].read(e.To, 1)
-			}
-		}
-	}
-	for i := range scopes {
-		s := &scopes[i]
-		s.reused = l.shape.flags(s.node.Kind) && len(s.readers) >= 2
-	}
-}
-
 // patch applies the edit ch that made the indexed set ordered. It
-// reports false — leaving the index to be rebuilt — on a first Sync or
-// when ordered is not that edit as far as it checks (a removed trace
-// is not indexed, an added trace is not where ch.At puts it, ch.At is
-// missing), before changing anything but the tasks' generation stamps.
+// reports false — leaving the index to be reset — when ordered is not
+// that edit as far as it checks (a removed trace is not indexed, an
+// added trace is not where ch.At puts it, ch.At is missing), before
+// changing anything but the tasks' generation stamps. From empty, with
+// nothing removed, it adds every task, whatever ch.At says.
 func (ix *GraphIndex) patch(ordered []*trace.TaskTrace, ch Change) bool {
-	if len(ix.tasks) == 0 {
-		return false
-	}
+	fresh := len(ix.tasks) == 0
 	gone := ch.Removed
 	ix.gen++
 	at := make([]int, 0, len(gone))
@@ -531,12 +376,14 @@ func (ix *GraphIndex) patch(ordered []*trace.TaskTrace, ch Change) bool {
 	for i := from; i < to; i++ {
 		t := next[i]
 		if t == nil {
-			// A new task joins its predecessor's chunk, or the first.
+			// A new task joins its predecessor's chunk, or the first. From
+			// empty the tasks are laid out in half-full chunks, which
+			// inserts then fill before a chunk splits.
 			t = &graphTask{trace: ordered[i]}
 			switch {
-			case i > 0:
+			case i > 0 && (!fresh || i%(chunkMax/2) > 0):
 				t.chunk = next[i-1].chunk
-			case len(ix.chunks) > 0:
+			case i == 0 && len(ix.chunks) > 0:
 				t.chunk = ix.chunks[0]
 			default:
 				t.chunk = &taskChunk{}
@@ -585,11 +432,6 @@ func (ix *GraphIndex) patch(ordered []*trace.TaskTrace, ch Change) bool {
 	ix.layers[lFTG].patch(lFTG, ftgOut, added)
 	ix.layers[lSDG].patch(lSDG, sdgOut, append(sdgIn, added...))
 	ix.publish()
-	// A rebuild allocates its tasks in one slab, which a removed task
-	// must not keep its trace and contributions alive through.
-	for _, t := range removed {
-		*t = graphTask{}
-	}
 	return true
 }
 
@@ -801,7 +643,6 @@ func (l *layer) patch(k int, out []outgoing, in []*graphTask) {
 		s.dirty = false
 		if len(s.occ) == 0 {
 			delete(l.nodes, s.id)
-			s.node, s.readers = nil, nil // adopt's slab may outlive it
 			continue
 		}
 		s.node = s.occ[0].node(k).Clone()
@@ -827,24 +668,38 @@ func (l *layer) patch(k int, out []outgoing, in []*graphTask) {
 	}
 	clear(l.dirty)
 	l.dirty = l.dirty[:0]
+	// The lists are cut, capacity-capped, from one array per patch: a
+	// build from empty allocates a few per layer, not a few per task.
+	ne := 0
+	for _, t := range in {
+		ne += len(t.parts[k].c.edges)
+	}
+	vals, ptrs := make([]graph.Edge, ne), make([]*graph.Edge, ne)
 	for _, t := range in {
 		t.chunk.restale(k)
 		p := &t.parts[k]
-		slab := make([]graph.Edge, len(p.c.edges))
-		p.edges = make([]*graph.Edge, len(slab))
-		for j := range slab {
-			slab[j] = p.c.edges[j]
-			if slab[j].Op == graph.OpRead && l.nodes[slab[j].From].reused {
-				slab[j].Reused = true
+		n := len(p.c.edges)
+		p.edges, ptrs = ptrs[:n:n], ptrs[n:]
+		for j, e := range p.c.edges {
+			if e.Op == graph.OpRead && l.nodes[e.From].reused {
+				e.Reused = true
 			}
-			p.edges[j] = &slab[j]
+			vals[j] = e
+			p.edges[j] = &vals[j]
 		}
+		vals = vals[n:]
 	}
 
+	nn := 0
+	for _, t := range l.stale {
+		nn += len(t.parts[k].firsts)
+	}
+	nodes := make([]*graph.Node, nn)
 	for _, t := range l.stale {
 		p := &t.parts[k]
 		p.stale = false
-		p.nodes = make([]*graph.Node, len(p.firsts))
+		n := len(p.firsts)
+		p.nodes, nodes = nodes[:n:n], nodes[n:]
 		for i, s := range p.firsts {
 			p.nodes[i] = s.node
 		}

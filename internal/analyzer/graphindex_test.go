@@ -42,7 +42,7 @@ func pick[T any](c chooser, from ...T) T { return from[c.intn(len(from))] }
 
 // graphEdits is a trace set under edit: traces and manifests are never
 // written once built — an edit swaps pointers — which is the contract
-// GraphIndex.Sync relies on. Some tasks are in flight: the batch index
+// Change relies on. Some tasks are in flight: the batch index
 // sees the others, the live index all of them, and each takes
 // contributions from the other.
 type graphEdits struct {
@@ -220,16 +220,35 @@ func renderGraphs(t *testing.T, gs ...*graph.Graph) []string {
 	return out
 }
 
+// graphFeed drives an index as `dayu serve` does: a TaskSet keeps the
+// set's orders, and the index is told the change from the set it was
+// last given (a copy: the edits write lists in place).
+type graphFeed struct {
+	name string
+	ix   *GraphIndex
+	set  TaskSet
+	prev []*trace.TaskTrace
+}
+
+func (d *graphFeed) apply(traces []*trace.TaskTrace, m *trace.Manifest) Graphs {
+	ch, _, ok := d.set.Apply(setChange(d.prev, traces), m)
+	if !ok {
+		d.set.Reset(traces, m)
+	}
+	d.prev = slices.Clone(traces)
+	return d.ix.Apply(d.set.Ordered(), m, ch)
+}
+
 // checkGraphIndexAgainstFresh drives two peered indexes — one over the
 // whole set, one over the tasks not in flight — through an edit
 // sequence, and after every edit holds each to the batch builders over
 // its set, and every earlier step's graphs to their bytes at that step.
-func checkGraphIndexAgainstFresh(t *testing.T, c chooser) (syncs, patched int) {
+func checkGraphIndexAgainstFresh(t *testing.T, c chooser) (applies, patched int) {
 	t.Helper()
 	s := &graphEdits{c: c, inflight: map[*trace.TaskTrace]bool{}}
 	opts := pick(c, Options{}, Options{IncludeRegions: true, IncludeFileMetadata: true, PageSize: 4096})
-	batch := NewGraphIndex(opts, nil)
-	live := NewGraphIndex(opts, batch)
+	batch := &graphFeed{name: "batch", ix: NewGraphIndex(opts, nil)}
+	live := &graphFeed{name: "live", ix: NewGraphIndex(opts, batch.ix)}
 	type published struct {
 		gs    []*graph.Graph
 		bytes []string
@@ -240,16 +259,16 @@ func checkGraphIndexAgainstFresh(t *testing.T, c chooser) (syncs, patched int) {
 		history = append(history, s.edit())
 		finals := slices.DeleteFunc(slices.Clone(s.traces), func(tt *trace.TaskTrace) bool { return s.inflight[tt] })
 		for _, side := range []struct {
-			name   string
-			ix     *GraphIndex
+			*graphFeed
 			traces []*trace.TaskTrace
-		}{{"batch", batch, finals}, {"live", live, s.traces}} {
-			gs := side.ix.Sync(OrderTasks(side.traces, s.m), s.m)
-			if syncs++; gs.Reused > 0 {
+		}{{batch, finals}, {live, s.traces}} {
+			gs := side.apply(side.traces, s.m)
+			if applies++; gs.Reused > 0 {
 				patched++
 			}
+			// The name order is what serve hands the batch builders.
 			got := renderGraphs(t, gs.FTG, gs.SDG)
-			want := renderGraphs(t, BuildFTG(side.traces, s.m), BuildSDG(side.traces, s.m, opts))
+			want := renderGraphs(t, BuildFTG(side.set.Traces(), s.m), BuildSDG(side.set.Traces(), s.m, opts))
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("after %v the %s index's %s differs from a fresh build:\nindex: %s\nfresh: %s",
@@ -266,24 +285,24 @@ func checkGraphIndexAgainstFresh(t *testing.T, c chooser) (syncs, patched int) {
 		}
 		earlier = earlier[len(earlier)-2:]
 	}
-	return syncs, patched
+	return applies, patched
 }
 
 // TestGraphIndexMatchesFreshBuild is the differential gate for the
 // incremental graphs: whatever adds, grown and re-described
 // replacements, removals, front inserts, name collisions and manifest
-// swaps two peered indexes have been through, they answer as the batch
+// swaps two peered indexes have been told, they answer as the batch
 // builders do, and no graph they returned has changed since.
 func TestGraphIndexMatchesFreshBuild(t *testing.T) {
-	syncs, patched := 0, 0
+	applies, patched := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		n, p := checkGraphIndexAgainstFresh(t, &randChooser{rng: rand.New(rand.NewSource(seed)), steps: 60})
-		syncs, patched = syncs+n, patched+p
+		applies, patched = applies+n, patched+p
 	}
 	// The gate means nothing if the edits keep knocking the indexes back
-	// to a rebuild (manifest swaps and reorders do).
-	if patched < syncs/2 {
-		t.Errorf("only %d of %d syncs patched the index; the rest rebuilt it", patched, syncs)
+	// to a build from empty (manifest swaps and name collisions do).
+	if patched < applies/2 {
+		t.Errorf("only %d of %d applies patched the index; the rest built it from empty", patched, applies)
 	}
 }
 
@@ -309,9 +328,9 @@ func FuzzGraphIndexEdits(f *testing.F) {
 // the changed task's own two.
 func TestGraphIndexDescriptionDependents(t *testing.T) {
 	traces, m := syntheticTraces(28)
-	ix := NewGraphIndex(Options{}, nil)
-	if got := ix.Sync(OrderTasks(traces, m), m).Recomputed; got != 2*len(traces) {
-		t.Fatalf("cold Sync computed %d contributions, want %d", got, 2*len(traces))
+	d := &graphFeed{ix: NewGraphIndex(Options{}, nil)}
+	if got := d.apply(traces, m).Recomputed; got != 2*len(traces) {
+		t.Fatalf("a build from empty computed %d contributions, want %d", got, 2*len(traces))
 	}
 	// The last task of the order describes its shared input, which other
 	// tasks also map: it holds the winning description. Each step edits
@@ -336,7 +355,7 @@ func TestGraphIndexDescriptionDependents(t *testing.T) {
 		cp.Objects = slices.Clone(cp.Objects)
 		edit(&cp)
 		traces[len(traces)-1] = &cp
-		gs := ix.Sync(OrderTasks(traces, m), m)
+		gs := d.apply(traces, m)
 		if gs.Recomputed != want || gs.Reused != 2*len(traces)-want {
 			t.Errorf("%s: %d recomputed / %d reused, want %d / %d", what, gs.Recomputed, gs.Reused, want, 2*len(traces)-want)
 		}

@@ -53,9 +53,8 @@ func forEach(n, parallelism int, do func(i int)) {
 // mergeContributions folds contributions into a new graph in task
 // order: the sequence of AddNode/AddEdge calls a build visiting the
 // tasks one by one performs, into a graph sized from the occurrence
-// counts. It is the analyzer's only fold — batch builds and a
-// GraphIndex built from empty end here; a GraphIndex patch keeps its
-// result equal without re-running it (graphindex.go) — and serial on
+// counts. It is the batch builders' fold — a GraphIndex keeps its
+// result equal without running it (graphindex.go) — and serial on
 // purpose: sharding it across workers measured 0.92x of this fold on
 // two cores and allocated more (DESIGN.md, "Graph builders").
 func mergeContributions(name string, contribs []*Contribution) *graph.Graph {

@@ -45,7 +45,8 @@ type Change struct {
 	// At is, when known, where each of Added sits in the new task
 	// order, ascending: TaskSet.Apply returns the change with At filled
 	// in, and an index told it edits its task list by position, with no
-	// pass over the tasks that stay. Without it an index rebuilds.
+	// pass over the tasks that stay. Without it an index builds from
+	// empty.
 	At []int
 }
 
@@ -234,7 +235,7 @@ func splice(sorted []*trace.TaskTrace, gone []int, ins []*trace.TaskTrace, compa
 // differ from the old list's, and the task at to may have a new
 // predecessor. From empty every task is added, wherever ch says. ok is
 // false, the list untouched, when ch does not say where or ordered is
-// not the edit: the index then rebuilds.
+// not the edit: the index then builds from empty.
 func EditList[T any](tasks *[]T, ordered []*trace.TaskTrace, ch Change, gone []int, indexed func(*trace.TaskTrace) bool) (from, to int, ok bool) {
 	if len(*tasks) == 0 && len(gone) == 0 {
 		*tasks = make([]T, len(ordered))

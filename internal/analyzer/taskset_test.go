@@ -224,55 +224,6 @@ func setChange(from, to []*trace.TaskTrace) Change {
 	return ch
 }
 
-// TestGraphIndexApplyMatchesFreshBuild is TestGraphIndexMatchesFreshBuild
-// with the indexes told each edit, as `dayu serve` drives them: a
-// TaskSet per index keeps the order, and Apply takes the change. After
-// every edit each index answers as the batch builders do, and most
-// edits patch rather than rebuild.
-func TestGraphIndexApplyMatchesFreshBuild(t *testing.T) {
-	syncs, patched := 0, 0
-	for seed := int64(1); seed <= 30; seed++ {
-		c := &randChooser{rng: rand.New(rand.NewSource(seed)), steps: 60}
-		s := &graphEdits{c: c, inflight: map[*trace.TaskTrace]bool{}}
-		batch := NewGraphIndex(Options{}, nil)
-		live := NewGraphIndex(Options{}, batch)
-		var batchSet, liveSet TaskSet
-		var finals, all []*trace.TaskTrace
-		var history []string
-		for !c.done() {
-			history = append(history, s.edit())
-			nextFinals := slices.DeleteFunc(slices.Clone(s.traces), func(tt *trace.TaskTrace) bool { return s.inflight[tt] })
-			for _, side := range []struct {
-				name     string
-				ix       *GraphIndex
-				set      *TaskSet
-				from, to []*trace.TaskTrace
-			}{{"batch", batch, &batchSet, finals, nextFinals}, {"live", live, &liveSet, all, s.traces}} {
-				ch, _, ok := side.set.Apply(setChange(side.from, side.to), s.m)
-				if !ok {
-					side.set.Reset(side.to, s.m)
-				}
-				gs := side.ix.Apply(side.set.Ordered(), s.m, ch)
-				if syncs++; gs.Reused > 0 {
-					patched++
-				}
-				if gs.Diffed != 0 {
-					t.Fatalf("Apply diffed %d tasks", gs.Diffed)
-				}
-				got := renderGraphs(t, gs.FTG, gs.SDG)
-				want := renderGraphs(t, BuildFTG(side.to, s.m), BuildSDG(side.to, s.m, Options{}))
-				if !slices.Equal(got, want) {
-					t.Fatalf("seed %d: after %v the %s index differs from a fresh build", seed, history, side.name)
-				}
-			}
-			finals, all = nextFinals, s.traces
-		}
-	}
-	if patched < syncs/2 {
-		t.Errorf("only %d of %d applies patched the index; the rest rebuilt it", patched, syncs)
-	}
-}
-
 // TestGraphIndexChunksMatchFreshBuild edits a set large enough for the
 // graph index's chunks to split and empty — inserts at the front, in
 // the middle and at the end, removals and replacements — and holds each

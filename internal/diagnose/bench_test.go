@@ -29,8 +29,8 @@ func BenchmarkAnalyze(b *testing.B) {
 var benchBody []byte
 
 // BenchmarkFold is what `dayu serve` pays per folded checkpoint on a
-// loaded server: sync a long-lived index to a set in which one in-flight
-// task's trace was replaced, then encode the view — as the snapshot
+// loaded server: apply to a long-lived index the change that replaces
+// one in-flight task's trace, then encode the view — as the snapshot
 // event does (event: the compact findings appended into a reused frame)
 // and as a /v1/live/diagnostics GET does (get: the indented body).
 func BenchmarkFold(b *testing.B) {
@@ -50,7 +50,8 @@ func BenchmarkFold(b *testing.B) {
 			cp.Task, cp.EndNS = "zz_inflight", cp.EndNS+int64(i)
 			checkpoints[i] = &cp
 		}
-		live := append(traces, nil)
+		ordered := append(analyzer.OrderTasks(traces, m), nil)
+		last := len(ordered) - 1
 		for _, enc := range encodings {
 			b.Run(fmt.Sprintf("tasks=%d/%s", tasks, enc.name), func(b *testing.B) {
 				ix := diagnose.NewIndex(diagnose.Thresholds{})
@@ -59,8 +60,13 @@ func BenchmarkFold(b *testing.B) {
 					if i == 1 {
 						b.ResetTimer() // the first pass builds the index and encodes every group
 					}
-					live[len(live)-1] = checkpoints[i%2]
-					body, err := enc.encode(ix.Sync(analyzer.OrderTasks(live, m), m), benchBody)
+					var ch analyzer.Change
+					if i > 0 {
+						ch = analyzer.Change{Removed: []*trace.TaskTrace{checkpoints[(i+1)%2]},
+							Added: []*trace.TaskTrace{checkpoints[i%2]}, At: []int{last}}
+					}
+					ordered[last] = checkpoints[i%2]
+					body, err := enc.encode(ix.Apply(ordered, m, ch), benchBody)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -190,10 +190,10 @@ func (t Thresholds) withDefaults() Thresholds {
 // sorted by severity (critical first), then kind. The traces may come in
 // any order: the rules see them in analyzer.OrderTasks order, the one
 // definition of task order the graph builders and `dayu serve` share.
-// It is an Index built from empty, synced once and read out — the same
+// It is an Index built from empty, applied once and read out — the same
 // code a long-lived Index patches with.
 func Analyze(traces []*trace.TaskTrace, m *trace.Manifest, th Thresholds) []Finding {
-	return NewIndex(th).Sync(analyzer.OrderTasks(traces, m), m).Findings()
+	return NewIndex(th).Apply(analyzer.OrderTasks(traces, m), m, analyzer.Change{}).Findings()
 }
 
 // ByKind filters findings.

@@ -36,10 +36,8 @@ import (
 //     files it reads (fan-in-pattern).
 //
 // Apply takes the change — the removed and added traces and where the
-// added ones sit — and edits the task list by position; Sync finds the
-// change itself, by pointer identity (traces and manifests are
-// immutable and pointer-stable). Either unlinks and links the tasks in
-// the inverted indexes (file → tasks in task order,
+// added ones sit — and edits the task list by position. It unlinks and
+// links the tasks in the inverted indexes (file → tasks in task order,
 // (file, object) → stats and descriptions), which marks the scopes they
 // touch dirty, and lets a recomputed scope mark its dependents: an
 // object whose described size moved dirties the tasks mapping it, a file
@@ -50,9 +48,9 @@ import (
 // removal invalidates by position only where a finding embeds one: the
 // pair of a task whose predecessor changed, and time-dependent-input's
 // "task #N" / first_reader_index on the pure inputs whose first reader
-// moved. Anything else — a new manifest, retained tasks in a new
-// relative order, two tasks under one name — rebuilds from empty, which
-// is the same code with every task added.
+// moved. Anything else — a new manifest, a change that does not say
+// where its tasks go, two tasks under one name — rebuilds from empty,
+// which is the same patch with every task added.
 //
 // The view is patched, not re-walked: each emission slot's groups are
 // kept in one list, in runs the views share, and a recomputed scope's
@@ -69,13 +67,12 @@ type Index struct {
 	stages    []*stageScope            // non-empty stages in StageOrder
 	stagesOf  map[string][]*stageScope // task name → the stages listing it
 
-	tasks   []*taskScope // task order, as Sync was given it
+	tasks   []*taskScope // task order, as Apply was given it
 	byTrace map[*trace.TaskTrace]*taskScope
 	byName  map[string]*taskScope // the last task of that name in task order
 	// dups: two tasks share a name, which the inverted indexes do not
-	// patch (byName is last-wins); every Sync rebuilds until it clears.
+	// patch (byName is last-wins); every Apply rebuilds until it clears.
 	dups bool
-	gen  uint64 // stamps the tasks the Sync in progress retains
 
 	files map[string]*fileScope
 	objs  map[objKey]*objScope
@@ -106,7 +103,7 @@ type Index struct {
 }
 
 // group is what one rule found under one scope: immutable once built
-// and shared by every View from the Sync that built it until the scope
+// and shared by every View from the Apply that built it until the scope
 // is next recomputed. enc memoises its compact encoding (see
 // View.AppendCompactJSON).
 type group struct {
@@ -172,7 +169,6 @@ const (
 type taskScope struct {
 	trace *trace.TaskTrace
 	pos   int
-	gen   uint64
 	// files has one entry per distinct file in trace.Files, sorted by
 	// file name; objs every object scope the task is linked into.
 	files []taskFile
@@ -283,7 +279,7 @@ func NewIndex(th Thresholds) *Index {
 }
 
 // reset empties the index and installs manifest m: stage membership is
-// the one thing the rules read from it (task order is Sync's input).
+// the one thing the rules read from it (task order is Apply's input).
 func (ix *Index) reset(m *trace.Manifest) {
 	*ix = Index{
 		th:       ix.th,
@@ -315,35 +311,16 @@ func (ix *Index) reset(m *trace.Manifest) {
 	}
 }
 
-// Sync brings the index to the trace set ordered — which must be in
-// task order, analyzer.OrderTasks(traces, m) — under manifest m and
-// returns the findings as an immutable view. The view is what a fresh
-// index given the same arguments returns, finding for finding: both run
-// the same rule code over the same inverted indexes, and a scope is
-// kept only while nothing its rules read has changed. Sync finds what
-// changed by looking up every task (View.Diffed counts them); Apply is
-// the same step told the change.
-func (ix *Index) Sync(ordered []*trace.TaskTrace, m *trace.Manifest) *View {
-	var ch analyzer.Change
-	diffed := 0
-	if m == ix.manifest && !ix.dups && len(ix.tasks) > 0 {
-		var ok bool
-		if ch, ok = ix.diff(ordered); !ok {
-			ix.reset(m)
-		}
-		diffed = len(ordered)
-	}
-	v := ix.Apply(ordered, m, ch)
-	v.Diffed = diffed
-	return v
-}
-
 // Apply brings the index to ordered — the indexed set edited by ch, in
-// task order under m — and returns the findings as Sync does. It costs
-// the change: the removed tasks are found by trace, the added ones put
-// where ch.At says, and the view is spliced, not re-walked. A new
-// manifest, two tasks under one name, a change without At, and an
-// ordered that is not the edit ch describes rebuild from empty.
+// task order (analyzer.OrderTasks) under m — and returns the findings
+// as an immutable view. The view is what a fresh index given the same
+// set returns, finding for finding: both run the same rule code over
+// the same inverted indexes, and a scope is kept only while nothing its
+// rules read has changed. Apply costs the change: the removed tasks are
+// found by trace, the added ones put where ch.At says, and the view is
+// spliced, not re-walked. A new manifest, two tasks under one name, a
+// change without At, and an ordered that is not the edit ch describes
+// rebuild from empty: the patch that adds every task.
 func (ix *Index) Apply(ordered []*trace.TaskTrace, m *trace.Manifest, ch analyzer.Change) *View {
 	if m != ix.manifest || ix.dups {
 		ix.reset(m)
@@ -356,32 +333,6 @@ func (ix *Index) Apply(ordered []*trace.TaskTrace, m *trace.Manifest, ch analyze
 		ix.patch(ordered, analyzer.Change{})
 	}
 	return ix.view()
-}
-
-// diff is the change from the indexed set to ordered, found by
-// pointer; ok is false when retained tasks changed relative order.
-func (ix *Index) diff(ordered []*trace.TaskTrace) (ch analyzer.Change, ok bool) {
-	ix.gen++
-	ch.At = []int{} // said even when empty: the patch edits by position
-	last := -1
-	for i, tt := range ordered {
-		t := ix.byTrace[tt]
-		if t == nil {
-			ch.Added, ch.At = append(ch.Added, tt), append(ch.At, i)
-			continue
-		}
-		if t.pos <= last {
-			return ch, false
-		}
-		last = t.pos
-		t.gen = ix.gen
-	}
-	for _, t := range ix.tasks {
-		if t.gen != ix.gen {
-			ch.Removed = append(ch.Removed, t.trace)
-		}
-	}
-	return ch, true
 }
 
 // patch applies the edit ch that made the indexed set ordered. It
@@ -676,7 +627,7 @@ func (ix *Index) touchStage(st *stageScope) {
 	}
 }
 
-// View is the findings of one Sync: references to the index's cached
+// View is the findings of one Apply: references to the index's cached
 // groups in emission order, not copies. It is immutable and safe for
 // concurrent use, and stays valid — and unchanged — however the index
 // moves on.
@@ -685,15 +636,14 @@ type View struct {
 	groups [][]*group
 	n      int
 	// Recomputed and Reused count the scopes (tasks, adjacent pairs,
-	// files, objects, stages) the Sync recomputed and kept.
+	// files, objects, stages) the Apply recomputed and kept.
 	Recomputed, Reused int
-	// Diffed counts the tasks a Sync visited to find its change (an
-	// Apply visits none), and Walked the scopes walked for the view:
-	// every scope, once per emission slot, by a build from empty and by
-	// the patch after it, which lists them; none otherwise.
-	// Repositioned counts the retained tasks the edit moved: every task
-	// after an insert or a removal that is not a replacement in place.
-	Diffed, Walked, Repositioned int
+	// Walked counts the scopes walked for the view: every scope, once per
+	// emission slot, by a build from empty and by the patch after it,
+	// which lists them; none otherwise. Repositioned counts the retained
+	// tasks the edit moved: every task after an insert or a removal that
+	// is not a replacement in place.
+	Walked, Repositioned int
 }
 
 // The orders of the emission lists: which scope a slot belongs to, and

@@ -48,7 +48,7 @@ var editThresholds = Thresholds{ScatterMinDatasets: 2, SmallAccessMinOps: 4, VLe
 
 // editState is a trace set under edit. Traces and manifests are never
 // written after they are built — an edit swaps pointers — which is the
-// contract Index.Sync relies on.
+// contract analyzer.Change relies on.
 type editState struct {
 	c       chooser
 	traces  []*trace.TaskTrace
@@ -145,8 +145,8 @@ func (s *editState) randomManifest(full bool) *trace.Manifest {
 func (s *editState) edit() string {
 	c := s.c
 	if s.dup != nil {
-		// Two traces under one name make the index rebuild on every Sync;
-		// let that last one Sync, so most of a run patches.
+		// Two traces under one name make the index rebuild on every Apply;
+		// let that last one Apply, so most of a run patches.
 		s.traces = slices.DeleteFunc(slices.Clone(s.traces), func(tt *trace.TaskTrace) bool { return tt == s.dup })
 		s.dup = nil
 		return "drop the duplicate"
@@ -206,21 +206,58 @@ func (s *editState) edit() string {
 	}
 }
 
+// indexFeed drives an index as `dayu serve` does: a TaskSet keeps the
+// set's orders, and the index is told the change from the set it was
+// last given (a copy: the edits write the list in place).
+type indexFeed struct {
+	ix   *Index
+	set  analyzer.TaskSet
+	prev []*trace.TaskTrace
+}
+
+func (d *indexFeed) apply(traces []*trace.TaskTrace, m *trace.Manifest) *View {
+	var ch analyzer.Change
+	for _, tt := range d.prev {
+		if !slices.Contains(traces, tt) {
+			ch.Removed = append(ch.Removed, tt)
+		}
+	}
+	for _, tt := range traces {
+		if !slices.Contains(d.prev, tt) {
+			ch.Added = append(ch.Added, tt)
+		}
+	}
+	ch, _, ok := d.set.Apply(ch, m)
+	if !ok {
+		d.set.Reset(traces, m)
+	}
+	d.prev = slices.Clone(traces)
+	return d.ix.Apply(d.set.Ordered(), m, ch)
+}
+
 // checkIndexAgainstFresh drives one long-lived index through an edit
 // sequence and after every edit holds its view to a fresh Analyze of
-// the same set: same findings, same bytes.
-func checkIndexAgainstFresh(t *testing.T, c chooser) (syncs, patched int) {
+// the same set — same findings, same bytes — and the view before to
+// its bytes then. It counts the views that kept scopes (patched) and
+// the ones spliced rather than walked.
+func checkIndexAgainstFresh(t *testing.T, c chooser) (applies, patched, spliced int) {
 	t.Helper()
 	s := &editState{c: c}
-	ix := NewIndex(editThresholds)
+	d := &indexFeed{ix: NewIndex(editThresholds)}
 	var history []string
+	var last *View
+	var lastBytes []byte
 	for !c.done() && len(history) < 200 {
 		history = append(history, s.edit())
-		view := ix.Sync(analyzer.OrderTasks(s.traces, s.m), s.m)
-		if syncs++; view.Reused > 0 {
+		view := d.apply(s.traces, s.m)
+		if applies++; view.Reused > 0 {
 			patched++
 		}
-		fresh := Analyze(s.traces, s.m, editThresholds)
+		if view.Walked == 0 {
+			spliced++
+		}
+		// The name order is what serve hands OrderTasks.
+		fresh := Analyze(d.set.Traces(), s.m, editThresholds)
 		want, err := EncodeJSON(fresh)
 		if err != nil {
 			t.Fatal(err)
@@ -255,24 +292,35 @@ func checkIndexAgainstFresh(t *testing.T, c chooser) (syncs, patched int) {
 					history, i-1, i, a.Severity, a.Kind, b.Severity, b.Kind)
 			}
 		}
+		if last != nil {
+			if again, _ := last.EncodeJSON(); !bytes.Equal(again, lastBytes) {
+				t.Fatalf("after %v the previous view encodes differently", history)
+			}
+		}
+		last, lastBytes = view, got
 	}
-	return syncs, patched
+	return applies, patched, spliced
 }
 
 // TestIndexMatchesFreshAnalyze is the metamorphic gate for the
 // incremental path: whatever sequence of adds, grown and shrunk
 // replacements, removals, manifest swaps, front inserts and name
-// collisions an index has been through, it answers as a fresh one does.
+// collisions an index has been told, it answers as a fresh one does,
+// and no view it returned has changed since.
 func TestIndexMatchesFreshAnalyze(t *testing.T) {
-	syncs, patched := 0, 0
+	applies, patched, spliced := 0, 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
-		n, p := checkIndexAgainstFresh(t, &randChooser{rng: rand.New(rand.NewSource(seed)), steps: 80})
-		syncs, patched = syncs+n, patched+p
+		n, p, s := checkIndexAgainstFresh(t, &randChooser{rng: rand.New(rand.NewSource(seed)), steps: 80})
+		applies, patched, spliced = applies+n, patched+p, spliced+s
 	}
 	// The gate means nothing if the edits keep knocking the index back
-	// to a rebuild (manifest swaps, reorders and duplicates all do).
-	if patched < syncs/2 {
-		t.Errorf("only %d of %d syncs patched the index; the rest rebuilt it", patched, syncs)
+	// to a rebuild (manifest swaps and duplicates do), or its views to a
+	// walk of every scope.
+	if patched < applies/2 {
+		t.Errorf("only %d of %d applies patched the index; the rest rebuilt it", patched, applies)
+	}
+	if spliced < applies/2 {
+		t.Errorf("only %d of %d views were spliced; the rest walked every scope", spliced, applies)
 	}
 }
 
@@ -331,9 +379,9 @@ func TestAnalyzeIndependentOfInputOrder(t *testing.T) {
 	}
 }
 
-// syncCounts syncs and returns what the Sync recomputed.
-func syncCounts(ix *Index, traces []*trace.TaskTrace, m *trace.Manifest) (recomputed, reused int) {
-	v := ix.Sync(analyzer.OrderTasks(traces, m), m)
+// applyCounts applies the set and returns what the Apply recomputed.
+func applyCounts(d *indexFeed, traces []*trace.TaskTrace, m *trace.Manifest) (recomputed, reused int) {
+	v := d.apply(traces, m)
 	return v.Recomputed, v.Reused
 }
 
@@ -347,25 +395,25 @@ func TestSyncCostFollowsTheChange(t *testing.T) {
 	var perFold, perFinal []int
 	for _, preload := range []int{100, 400} {
 		traces, m := workloads.GenerateSyntheticTraces(workloads.SyntheticTraceConfig{Tasks: preload})
-		ix := NewIndex(Thresholds{})
-		if recomputed, reused := syncCounts(ix, traces, m); reused != 0 || recomputed == 0 {
+		ix := &indexFeed{ix: NewIndex(Thresholds{})}
+		if recomputed, reused := applyCounts(ix, traces, m); reused != 0 || recomputed == 0 {
 			t.Fatalf("building %d tasks from empty: %d recomputed, %d reused", preload, recomputed, reused)
 		}
-		if recomputed, _ := syncCounts(ix, traces, m); recomputed != 0 {
+		if recomputed, _ := applyCounts(ix, traces, m); recomputed != 0 {
 			t.Errorf("an unchanged set of %d tasks recomputed %d scopes", preload, recomputed)
 		}
 		// The in-flight task is unranked: it sorts after the manifest's.
 		live := append(append([]*trace.TaskTrace(nil), traces...), inflight(8))
-		syncCounts(ix, live, m)
+		applyCounts(ix, live, m)
 		live[len(live)-1] = inflight(16)
-		fold, reused := syncCounts(ix, live, m)
+		fold, reused := applyCounts(ix, live, m)
 		if reused < preload {
 			t.Errorf("a fold over %d tasks reused only %d scopes", preload, reused)
 		}
 		perFold = append(perFold, fold)
 
 		live = append(live, liveLikeTrace("zz_landed", 4))
-		final, _ := syncCounts(ix, live, m)
+		final, _ := applyCounts(ix, live, m)
 		perFinal = append(perFinal, final)
 
 		// A task that sorts first shifts every position: the pure inputs'
@@ -373,8 +421,8 @@ func TestSyncCostFollowsTheChange(t *testing.T) {
 		// else is.
 		first := *m
 		first.TaskOrder = append([]string{"aa_first"}, m.TaskOrder...)
-		syncCounts(ix, traces, &first) // a new manifest rebuilds; settle on it
-		shifted, kept := syncCounts(ix, append([]*trace.TaskTrace{liveLikeTrace("aa_first", 4)}, traces...), &first)
+		applyCounts(ix, traces, &first) // a new manifest rebuilds; settle on it
+		shifted, kept := applyCounts(ix, append([]*trace.TaskTrace{liveLikeTrace("aa_first", 4)}, traces...), &first)
 		if shifted <= final || shifted >= kept {
 			t.Errorf("an insert at the front of %d tasks recomputed %d scopes and kept %d; an append recomputes %d", preload, shifted, kept, final)
 		}

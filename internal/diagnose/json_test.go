@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"dayu/internal/analyzer"
 	"dayu/internal/trace"
 )
 
@@ -206,7 +207,7 @@ func TestAppendCompactJSONAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	v := NewIndex(Thresholds{}).Sync(richTraces(), nil)
+	v := NewIndex(Thresholds{}).Apply(richTraces(), nil, analyzer.Change{})
 	warm, err := v.AppendCompactJSON(nil)
 	if err != nil {
 		t.Fatal(err)

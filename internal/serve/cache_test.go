@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func retained(s *Server) (ftg, sdg int) {
 
 // TestPruneKeepsUnionOfViews pins the contribution cache rule: each
 // graph index keeps exactly the contributions of the set it was last
-// synced to, taking what the other index holds instead of computing
+// brought to, taking what the other index holds instead of computing
 // it, so the cache is the union of the batch and the live set's
 // contributions, and a live set that dissolves into the batch set
 // drops what only it held.
@@ -50,8 +51,32 @@ func TestPruneKeepsUnionOfViews(t *testing.T) {
 	first := *tasks[0]
 	first.Task, first.Objects = "zz_inflight", nil
 	inflight := &first
+	// Each index is driven as the server drives it: a TaskSet keeps its
+	// order, and Apply takes the change from the set it was given last.
+	type driven struct {
+		set  analyzer.TaskSet
+		prev []*trace.TaskTrace
+	}
+	sides := map[*analyzer.GraphIndex]*driven{s.batchGraphs: {}, s.liveGraphs: {}}
 	pass := func(ix *analyzer.GraphIndex, set ...*trace.TaskTrace) int {
-		return ix.Sync(analyzer.OrderTasks(set, m), m).Recomputed
+		d := sides[ix]
+		var ch analyzer.Change
+		for _, tt := range d.prev {
+			if !slices.Contains(set, tt) {
+				ch.Removed = append(ch.Removed, tt)
+			}
+		}
+		for _, tt := range set {
+			if !slices.Contains(d.prev, tt) {
+				ch.Added = append(ch.Added, tt)
+			}
+		}
+		ch, _, ok := d.set.Apply(ch, m)
+		if !ok {
+			d.set.Reset(set, m)
+		}
+		d.prev = slices.Clone(set)
+		return ix.Apply(d.set.Ordered(), m, ch).Recomputed
 	}
 	live := func() []*trace.TaskTrace { return append(append([]*trace.TaskTrace{}, tasks...), inflight) }
 	cached := func() string {

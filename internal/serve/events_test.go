@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"dayu/internal/analyzer"
 	"dayu/internal/diagnose"
 	"dayu/internal/obs"
 	"dayu/internal/trace"
@@ -267,7 +268,7 @@ func TestLiveEventsRenderFailureIsLoud(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poisoned := diagnose.NewIndex(diagnose.Thresholds{}).Sync(snap.live.ordered, snap.live.manifest)
+	poisoned := diagnose.NewIndex(diagnose.Thresholds{}).Apply(snap.live.ordered, snap.live.manifest, analyzer.Change{})
 	var key string
 	for _, f := range poisoned.Findings() {
 		for key = range f.Metrics {

@@ -286,7 +286,6 @@ func (s *Server) buildSnapshot(captured []*partialEntry, partialsGen uint64) *sn
 	s.diagSyncNS.Observe(time.Since(start).Nanoseconds())
 	s.diagRecomputed.Add(int64(snap.findings.Recomputed))
 	s.diagReused.Add(int64(snap.findings.Reused))
-	s.indexDiffed.Add(int64(snap.findings.Diffed))
 	s.scopesWalked.Add(int64(snap.findings.Walked))
 	s.repositioned.Add(int64(snap.findings.Repositioned))
 	// What this snapshot saw, so refresh can tell when there is
@@ -467,7 +466,6 @@ func (s *Server) applyGraphs(ix *analyzer.GraphIndex, ordered []*trace.TaskTrace
 	s.graphSyncNS.Observe(time.Since(start).Nanoseconds())
 	s.contribMisses.Add(int64(g.Recomputed))
 	s.contribHits.Add(int64(g.Reused))
-	s.indexDiffed.Add(int64(g.Diffed))
 	s.repositioned.Add(int64(g.Repositioned))
 	return g
 }

@@ -259,7 +259,6 @@ type Server struct {
 	diagReused      *obs.Counter
 	diagRecomputed  *obs.Counter
 	snapshotSorted  *obs.Counter
-	indexDiffed     *obs.Counter
 	scopesWalked    *obs.Counter
 	repositioned    *obs.Counter
 	idBytesHashed   *obs.Counter
@@ -331,7 +330,6 @@ func NewServer(cfg Config) (*Server, error) {
 		// What building snapshots costs, counted: the work that grows with
 		// the state rather than the change (TestSnapshotCostIsChangeProportional).
 		snapshotSorted:  reg.Counter("dayu_serve_snapshot_tasks_sorted_total"),
-		indexDiffed:     reg.Counter("dayu_serve_index_tasks_diffed_total"),
 		scopesWalked:    reg.Counter("dayu_serve_diagnose_scopes_walked_total"),
 		repositioned:    reg.Counter("dayu_serve_index_tasks_repositioned_total"),
 		idBytesHashed:   reg.Counter("dayu_serve_snapshot_id_bytes_hashed_total"),

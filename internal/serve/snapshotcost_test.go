@@ -125,11 +125,10 @@ func foldRecord(tb testing.TB, s *Server, data []byte) {
 }
 
 // costCounters are what TestSnapshotCostIsChangeProportional reads per
-// record: the four counters of O(state) snapshot work, and two of the
+// record: the three counters of O(state) snapshot work, and two of the
 // work the change itself costs.
 var costCounters = []string{
 	"dayu_serve_snapshot_tasks_sorted_total",
-	"dayu_serve_index_tasks_diffed_total",
 	"dayu_serve_diagnose_scopes_walked_total",
 	"dayu_serve_index_tasks_repositioned_total",
 	obs.Name("dayu_serve_cache_misses_total", "cache", "contribution"),
@@ -165,9 +164,9 @@ var insertProportional = map[string]string{
 // snapshot costs: over 100, 1000 and 3000 preloaded tasks, the same
 // stream of 24 records — cumulative checkpoints, deltas and finals, in
 // dtb and JSON, of five tasks that sort last and one, midTask, that
-// sorts mid-order — costs each record the same sorted tasks, diffed
-// tasks, walked scopes, repositioned tasks, computed contributions and
-// recomputed diagnose scopes. Only the allow-listed counters may grow
+// sorts mid-order — costs each record the same sorted tasks, walked
+// scopes, repositioned tasks, computed contributions and recomputed
+// diagnose scopes. Only the allow-listed counters may grow
 // with the state, and those of insertProportional only on midTask's
 // records.
 func TestSnapshotCostIsChangeProportional(t *testing.T) {
