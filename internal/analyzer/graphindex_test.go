@@ -306,6 +306,44 @@ func TestGraphIndexMatchesFreshBuild(t *testing.T) {
 	}
 }
 
+// TestGraphIndexApplyMatchesFreshBuild holds two peered indexes, told
+// each edit through a TaskSet and Apply as `dayu serve` drives them, to
+// the batch builders over each set in the order the edits left it — the
+// directory order `dayu analyze` reads — rather than the name order
+// TestGraphIndexMatchesFreshBuild hands them. Most edits patch rather
+// than build from empty.
+func TestGraphIndexApplyMatchesFreshBuild(t *testing.T) {
+	applies, patched := 0, 0
+	for seed := int64(1); seed <= 30; seed++ {
+		c := &randChooser{rng: rand.New(rand.NewSource(seed)), steps: 60}
+		s := &graphEdits{c: c, inflight: map[*trace.TaskTrace]bool{}}
+		batch := &graphFeed{name: "batch", ix: NewGraphIndex(Options{}, nil)}
+		live := &graphFeed{name: "live", ix: NewGraphIndex(Options{}, batch.ix)}
+		var history []string
+		for !c.done() {
+			history = append(history, s.edit())
+			finals := slices.DeleteFunc(slices.Clone(s.traces), func(tt *trace.TaskTrace) bool { return s.inflight[tt] })
+			for _, side := range []struct {
+				*graphFeed
+				traces []*trace.TaskTrace
+			}{{batch, finals}, {live, s.traces}} {
+				gs := side.apply(side.traces, s.m)
+				if applies++; gs.Reused > 0 {
+					patched++
+				}
+				got := renderGraphs(t, gs.FTG, gs.SDG)
+				want := renderGraphs(t, BuildFTG(side.traces, s.m), BuildSDG(side.traces, s.m, Options{}))
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d: after %v the %s index differs from a fresh build", seed, history, side.name)
+				}
+			}
+		}
+	}
+	if patched < applies/2 {
+		t.Errorf("only %d of %d applies patched the index; the rest built it from empty", patched, applies)
+	}
+}
+
 func FuzzGraphIndexEdits(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x01\x00\x03\x01\x02\x01\x05\x01\x01\x00\x08\x02\x00\x04\x02\x0a\x01\x03\x00"))

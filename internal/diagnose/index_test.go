@@ -324,6 +324,51 @@ func TestIndexMatchesFreshAnalyze(t *testing.T) {
 	}
 }
 
+// TestIndexApplyMatchesFreshAnalyze holds an index, told each edit
+// through a TaskSet and Apply as `dayu serve` drives it, to a fresh
+// Analyze of the set in the order the edits left it — the directory
+// order `dayu analyze` reads — rather than the name order
+// TestIndexMatchesFreshAnalyze hands it. The previous view still
+// encodes as it did, and most views are spliced rather than walked.
+func TestIndexApplyMatchesFreshAnalyze(t *testing.T) {
+	steps, spliced := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		c := &randChooser{rng: rand.New(rand.NewSource(seed)), steps: 80}
+		s := &editState{c: c}
+		d := &indexFeed{ix: NewIndex(editThresholds)}
+		var history []string
+		var last *View
+		var lastBytes []byte
+		for !c.done() {
+			history = append(history, s.edit())
+			view := d.apply(s.traces, s.m)
+			if steps++; view.Walked == 0 {
+				spliced++
+			}
+			want, err := EncodeJSON(Analyze(s.traces, s.m, editThresholds))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := view.EncodeJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d: after %v the index encodes\n%s\na fresh Analyze\n%s", seed, history, got, want)
+			}
+			if last != nil {
+				if again, _ := last.EncodeJSON(); !bytes.Equal(again, lastBytes) {
+					t.Fatalf("seed %d: after %v the previous view encodes differently", seed, history)
+				}
+			}
+			last, lastBytes = view, got
+		}
+	}
+	if spliced < steps/2 {
+		t.Errorf("only %d of %d views were spliced; the rest walked every scope", spliced, steps)
+	}
+}
+
 // FuzzIndexEdits is the same gate with the edit sequence, and every
 // record in it, read off the fuzzer's bytes.
 func FuzzIndexEdits(f *testing.F) {
